@@ -10,9 +10,9 @@ One client sends requests in a closed loop: each request is generated from
 ``(seed, index)`` outside the timed region, then the entry point is called
 and waited for.  The workload's requests are sent round after round, and a
 request's latency is its best send.  Reported times are at reference machine
-speed (see :func:`yardstick`).  ``--trace 0`` reports the end-to-end metrics of an untraced
-run; ``--trace 1`` runs the same requests alternately untraced and traced
-(see ``layers.py``) and reports per-layer metrics.  Every result is checked
+speed (see :func:`yardstick`).  ``--trace 0`` reports the end-to-end metrics
+of an untraced run; ``--trace 1`` runs the same requests alternately
+untraced and traced (see ``layers.py``) and reports per-layer metrics.  Every result is checked
 outside the timed region; the process exits 1 if any check failed.  The last
 line of standard output is one JSON object.
 """
