@@ -8,13 +8,15 @@ Run from the repository root:
 
 One client sends requests in a closed loop: each request is generated from
 ``(seed, index)`` outside the timed region, then the entry point is called
-and waited for.  The workload's requests are sent round after round, and a
-request's latency is its best send.  Reported times are at reference machine
-speed (see :func:`yardstick`).  ``--trace 0`` reports the end-to-end metrics
-of an untraced run; ``--trace 1`` runs the same requests alternately
-untraced and traced (see ``layers.py``) and reports per-layer metrics.  Every result is checked
-outside the timed region; the process exits 1 if any check failed.  The last
-line of standard output is one JSON object.
+and waited for.  The workload's requests are sent in a fixed number of
+rounds, set by ``--seconds``, and a request's latency is its best send.
+Reported times are at reference machine speed (see :func:`yardstick`).
+``--trace 0`` reports the end-to-end metrics of an untraced run; ``--trace 1``
+runs the same requests alternately untraced and traced (see ``layers.py``)
+and reports per-layer metrics.  ``--workload all`` runs each workload in a
+child process of its own.  Every result is checked outside the timed region;
+the process exits 1 if any check failed.  The last line of standard output is
+one JSON object.
 """
 
 import os
@@ -169,31 +171,29 @@ class Run:
             self.w.call(self.request(10**6 + k))
 
     def untraced(self, seconds: float) -> dict:
-        """Send the workload's requests round after round until ``seconds``
-        have passed (at least :data:`MIN_ROUNDS` rounds).  A request's
-        latency is its best send at reference speed: interference from other
-        tenants only ever slows a send down, and a burst rarely spans every
-        round."""
+        """Send the workload's requests in as many rounds as fill
+        ``seconds`` at reference speed (at least :data:`MIN_ROUNDS`).  The
+        count depends on ``seconds`` only, not on how fast the program is,
+        so every commit takes the best of the same number of sends.  A
+        request's latency is its best send at reference speed: interference
+        from other tenants only ever slows a send down, and a burst rarely
+        spans every round."""
         n = self.w.requests
         sample = self.seed % n
         best = [math.inf] * n
         raw = [math.inf] * n
         ratios = []
-        deadline = perf_counter() + seconds
-        rounds = 0
-        while rounds < MIN_ROUNDS or perf_counter() < deadline:
+        rounds = max(MIN_ROUNDS, round(seconds / self.w.round_s))
+        for r in range(rounds):
             for index in range(n):
-                if rounds >= MIN_ROUNDS and perf_counter() >= deadline:
-                    break
                 dt, scale, result, ok = self.send(index)
                 best[index] = min(best[index], dt * scale)
                 raw[index] = min(raw[index], dt)
-                if rounds == 0:
+                if r == 0:
                     if result is not None:
                         ratios.append(self.w.ratio(result))
                     if index == sample and ok:
                         self.compare_reference(index, result)
-            rounds += 1
         pct, tail_value = tail(best)
         return {
             "rounds": rounds,
@@ -279,11 +279,34 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     return {"run": run, "metrics": metrics}
 
 
+def run_each(names, seed: int, seconds: float, trace: int) -> int:
+    """Run each workload in a child process of its own, so each reports its
+    own peak RSS, and print their results merged into one JSON object."""
+    attempted = failed = 0
+    metrics = {}
+    for name in names:
+        argv = ["--workload", name, "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
+        child = subprocess.run(
+            [sys.executable, os.path.abspath(__file__)] + argv, stdout=subprocess.PIPE, text=True, cwd=ROOT
+        )
+        lines = child.stdout.splitlines()
+        print("\n".join(lines[:-1]))
+        if child.returncode not in (0, 1) or not lines:
+            print(f"error: workload {name} exited with code {child.returncode}", file=sys.stderr)
+            return 1
+        result = json.loads(lines[-1])
+        attempted += result["attempted"]
+        failed += result["failed"]
+        metrics[name] = result["metrics"]
+    print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}))
+    return 0 if failed == 0 else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, help="a workload name, or 'all'")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, help="seconds to measure (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -293,52 +316,47 @@ def main(argv=None) -> int:
     sys.path[:0] = [SRC, HERE]
     from workloads import WORKLOADS
 
-    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        print(f"error: unknown workload {unknown[0]!r}; choose from {sorted(WORKLOADS)} or 'all'", file=sys.stderr)
+    if args.workload != "all" and args.workload not in WORKLOADS:
+        print(f"error: unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)} or 'all'", file=sys.stderr)
         return 2
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    if args.workload == "all":
+        return run_each(list(WORKLOADS), args.seed, seconds, args.trace)
+
+    name = args.workload
     wanted = spec["per_layer"] if args.trace else spec["end_to_end"]
     env = environment()
     print("environment: " + ", ".join(f"{k}={v}" for k, v in env.items()))
-    summary = {}
-    attempted = failed = 0
-    for name in names:
-        out = run_workload(name, args.seed, args.seconds, bool(args.trace))
-        run, metrics = out["run"], out["metrics"]
-        attempted += run.attempted
-        failed += len(run.failures)
-        print(f"\n== {name} (seed {args.seed}, {run.attempted} requests, closed loop, one client)")
-        if not args.trace:
-            print(
-                f"   {run.w.requests} requests x {metrics['rounds']} rounds; machine speed "
-                f"{metrics['speed']:.3f} x reference; unscaled best sends: p50 "
-                f"{metrics['raw_p50_ms']:.2f} ms, {metrics['raw_jobs_per_s']:.6g} jobs/s"
-            )
-            print(f"   {'error_rate':<40} {len(run.failures) / run.attempted:>14.6g} ratio")
-            print(
-                f"   {'latency_tail_ms':<40} {metrics['latency_tail_ms']:>14.6g} ms "
-                f"(p{metrics['tail_percentile']} of {run.w.requests}; not gated)"
-            )
-        for m in wanted:
-            print(f"   {m['name']:<40} {metrics[m['name']]:>14.6g} {m['unit']}")
-        for failure in run.failures[:10]:
-            print(f"   FAILED {failure}")
-        summary[name] = {
-            m["name"]: {"value": finite(metrics[m["name"]]), "unit": m["unit"]} for m in wanted
-        }
+    out = run_workload(name, args.seed, seconds, bool(args.trace))
+    run, metrics = out["run"], out["metrics"]
+    print(f"\n== {name} (seed {args.seed}, {run.attempted} requests, closed loop, one client)")
+    if not args.trace:
+        print(
+            f"   {run.w.requests} requests x {metrics['rounds']} rounds; machine speed "
+            f"{metrics['speed']:.3f} x reference; unscaled best sends: p50 "
+            f"{metrics['raw_p50_ms']:.2f} ms, {metrics['raw_jobs_per_s']:.6g} jobs/s"
+        )
+        print(f"   {'error_rate':<40} {len(run.failures) / run.attempted:>14.6g} ratio")
+        print(
+            f"   {'latency_tail_ms':<40} {metrics['latency_tail_ms']:>14.6g} ms "
+            f"(p{metrics['tail_percentile']} of {run.w.requests}; not gated)"
+        )
+    for m in wanted:
+        print(f"   {m['name']:<40} {metrics[m['name']]:>14.6g} {m['unit']}")
+    for failure in run.failures[:10]:
+        print(f"   FAILED {failure}")
 
     result = {
-        "correct": failed == 0,
-        "attempted": attempted,
-        "failed": failed,
-        "metrics": summary[names[0]] if len(names) == 1 else summary,
+        "correct": not run.failures,
+        "attempted": run.attempted,
+        "failed": len(run.failures),
+        "metrics": {m["name"]: {"value": finite(metrics[m["name"]]), "unit": m["unit"]} for m in wanted},
     }
     print(json.dumps(result))
-    return 0 if failed == 0 else 1
+    return 0 if not run.failures else 1
 
 
 if __name__ == "__main__":

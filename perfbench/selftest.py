@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test of the benchmark: determinism and the busy/idle layer contrasts.
 
-    python3 perfbench/selftest.py [--seed 3]
+    python3 perfbench/selftest.py
 
 For every workload, two same-seed runs must give identical per-layer counts
 and an identical ``certified_ratio_mean``; the traced run must attribute at
@@ -9,7 +9,6 @@ least 95% of request wall time to named spans and show each workload's idle
 layers at zero calls.  Exits 1 on the first failed assertion.
 """
 
-import argparse
 import os
 import sys
 
@@ -19,6 +18,8 @@ sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 import run  # noqa: E402  (first: it pins the numeric thread counts)
 import layers  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+SEED = 3
 
 # spans that must see no calls at all on a workload
 IDLE = {
@@ -34,13 +35,10 @@ def deterministic(metrics: dict) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=3)
-    seed = parser.parse_args().seed
     for name, workload in WORKLOADS.items():
-        first, second = (run.Run(workload, seed).traced(0) for _ in range(2))
+        first, second = (run.Run(workload, SEED).traced(0) for _ in range(2))
         assert deterministic(first) == deterministic(second), f"{name}: counts differ between same-seed runs"
-        ratios = [run.Run(workload, seed).untraced(0)["certified_ratio_mean"] for _ in range(2)]
+        ratios = [run.Run(workload, SEED).untraced(0)["certified_ratio_mean"] for _ in range(2)]
         assert ratios[0] == ratios[1], f"{name}: certified_ratio_mean {ratios}"
         assert first["trace.unattributed_share"] < 0.05, f"{name}: {first['trace.unattributed_share']:.1%} unattributed"
         for span in IDLE[name]:

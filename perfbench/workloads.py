@@ -45,6 +45,9 @@ class Workload:
     jobs: int
     # distinct requests per run; each is sent once per round
     requests: int
+    # wall seconds of one round at reference speed, as first measured; it
+    # fixes the number of rounds a run of a given length makes
+    round_s: float
 
 
 def _entries(schedule) -> list:
@@ -72,7 +75,7 @@ def _check_solve(result, jobs, algorithm: str) -> List[str]:
 # -- solve-bounded / solve-two-approx ---------------------------------------
 
 
-def _solve_workload(name, generate, m, algorithm, expected, n, requests):
+def _solve_workload(name, generate, m, algorithm, expected, n, requests, round_s):
     def call(jobs, backend="vectorized"):
         return repro.schedule_moldable(jobs, m, EPS, algorithm=algorithm, backend=backend)
 
@@ -86,6 +89,7 @@ def _solve_workload(name, generate, m, algorithm, expected, n, requests):
         ratio=lambda result: result.certified_ratio,
         jobs=n,
         requests=requests,
+        round_s=round_s,
     )
 
 
@@ -156,8 +160,8 @@ def _fleet_check(fleet, results) -> List[str]:
 WORKLOADS = {
     w.name: w
     for w in (
-        _solve_workload("solve-bounded", random_mixed_instance, 4000, "auto", "bounded", 500, 16),
-        _solve_workload("solve-two-approx", random_chain_instance, 125, "two_approx", "two_approx", 2000, 40),
+        _solve_workload("solve-bounded", random_mixed_instance, 4000, "auto", "bounded", 500, 16, 4.6),
+        _solve_workload("solve-two-approx", random_chain_instance, 125, "two_approx", "two_approx", 2000, 40, 6.0),
         Workload(
             name="online-stream",
             make=lambda r: random_arrivals_instance(ONLINE_N, ONLINE_M, seed=r).arrivals,
@@ -168,6 +172,7 @@ WORKLOADS = {
             ratio=lambda result: result.report.ratio_vs_lower_bound,
             jobs=ONLINE_N,
             requests=6,
+            round_s=8.5,
         ),
         Workload(
             name="fleet-mega",
@@ -179,6 +184,7 @@ WORKLOADS = {
             ratio=lambda results: float(np.mean([r.certified_ratio for r in results])),
             jobs=(FLEET // 2) * (FLEET_FPTAS[0] + FLEET_CHAIN[0]),
             requests=40,
+            round_s=6.0,
         ),
     )
 }
