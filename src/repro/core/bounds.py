@@ -147,7 +147,9 @@ def ludwig_tiwari_estimator(
         # the crossover is at or below the floor; the floor itself is optimal
         allot = _canonical_allotment(jobs, lo, m, oracle)
         assert allot is not None
-        omega = max(phi_lo, lo)
+        # like the bisection exit below, never report less than the trivial
+        # bound: a float work sum may round a hair under sum_j t_j(1) / m
+        omega = max(phi_lo, lo, trivial_lower_bound(jobs, m, oracle=oracle))
         return EstimatorResult(omega=omega, allotment=allot)
 
     for _ in range(max_iter):
@@ -182,12 +184,11 @@ def ludwig_tiwari_estimator(
 
 
 def makespan_lower_bound(jobs: Sequence[MoldableJob], m: int) -> float:
-    """Best certified lower bound available: the maximum of the trivial bound
-    and the Ludwig–Tiwari ``omega``."""
+    """Best certified lower bound available: the Ludwig–Tiwari ``omega``,
+    which already dominates the trivial bound (scalar path)."""
     if not jobs:
         return 0.0
-    est = ludwig_tiwari_estimator(jobs, m)
-    return max(trivial_lower_bound(jobs, m), est.omega)
+    return ludwig_tiwari_estimator(jobs, m).omega
 
 
 def release_aware_lower_bound(

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bounds import ludwig_tiwari_estimator, trivial_lower_bound
+from .bounds import EstimatorResult, ludwig_tiwari_estimator
 from .job import MoldableJob
 from .schedule import Schedule
 
@@ -41,6 +41,10 @@ class DualSearchResult:
     #: total γ-probes spent by the batched oracle across the search (the
     #: estimator bracket plus every dual step); ``None`` on the scalar path.
     gamma_probes: Optional[int] = None
+    #: the Ludwig–Tiwari estimate behind the initial bracket; ``None`` when
+    #: the caller supplied the whole bracket (or the instance is empty).
+    #: Its ``omega`` is the certified lower bound the facade reports.
+    estimate: Optional[EstimatorResult] = None
 
     @property
     def makespan(self) -> float:
@@ -85,12 +89,12 @@ def dual_binary_search(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
 
+    estimate: Optional[EstimatorResult] = None
     if lower is None or upper is None:
+        # omega already dominates the trivial bound (see the estimator)
         estimate = ludwig_tiwari_estimator(jobs, m, oracle=oracle)
-        est_lower = max(estimate.omega, trivial_lower_bound(jobs, m, oracle=oracle))
-        est_upper = estimate.upper_bound
-        lower = lower if lower is not None else est_lower
-        upper = upper if upper is not None else max(est_upper, lower * (1 + tolerance))
+        lower = lower if lower is not None else estimate.omega
+        upper = upper if upper is not None else max(estimate.upper_bound, lower * (1 + tolerance))
     lower = max(lower, 1e-300)
     upper = max(upper, lower)
 
@@ -136,4 +140,5 @@ def dual_binary_search(
         iterations=iterations,
         dual_calls=dual_calls,
         gamma_probes=oracle.gamma_probes if oracle is not None else None,
+        estimate=estimate,
     )

@@ -176,6 +176,8 @@ def ptas_schedule(
     DESIGN.md, "Substitutions"); the returned schedule records the actual
     guarantee in ``schedule.metadata['guarantee']``.
     """
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
     jobs = list(jobs)
     n = len(jobs)
     if n == 0:

@@ -130,45 +130,50 @@ def schedule_moldable(
 
     chosen = algorithm
     if algorithm == "auto":
+        if not 0 < eps <= 1:
+            raise ValueError("eps must lie in (0, 1]")
         chosen = "fptas" if m >= fptas_machine_threshold(len(jobs), eps) else "bounded"
 
-    if chosen == "two_approx":
-        res = two_approximation(
-            jobs, m, validate=validate, backend=backend, oracle=oracle, list_backend=list_backend
-        )
-        schedule = res.schedule
-        guarantee: Optional[float] = 2.0
-    elif chosen == "mrt":
-        schedule = mrt_schedule(jobs, m, eps, validate=validate, backend=backend).schedule
-        guarantee = 1.5 + eps
-    elif chosen == "compressible":
-        schedule = compressible_schedule(jobs, m, eps, validate=validate, backend=backend).schedule
-        guarantee = 1.5 + eps
-    elif chosen == "bounded":
-        schedule = bounded_schedule(jobs, m, eps, transform="heap", validate=validate, backend=backend).schedule
-        guarantee = 1.5 + eps
-    elif chosen == "bounded_linear":
-        schedule = bounded_schedule(jobs, m, eps, transform="bucket", validate=validate, backend=backend).schedule
-        guarantee = 1.5 + eps
-    elif chosen == "fptas":
-        schedule = fptas_schedule(
-            jobs, m, eps, validate=validate, backend=backend, oracle=oracle
-        ).schedule
-        guarantee = 1.0 + eps
-    elif chosen == "ptas":
-        result = ptas_schedule(jobs, m, eps, validate=validate, backend=backend)
-        schedule = result.schedule
-        guarantee = schedule.metadata.get("guarantee")
-    elif chosen == "exact":
+    if chosen == "exact":
         if not exact_solver_applicable(len(jobs), m):
             raise ValueError("the exact algorithm only handles tiny instances (n <= 7, m <= 8)")
         schedule = exact_schedule(jobs, m)
-        guarantee = 1.0
         if validate:
             assert_valid_schedule(schedule, jobs)
-    else:  # pragma: no cover - exhaustiveness guard
-        raise AssertionError(chosen)
+        estimate = None
+        guarantee: Optional[float] = 1.0
+    else:
+        if chosen == "two_approx":
+            res = two_approximation(
+                jobs, m, validate=validate, backend=backend, oracle=oracle, list_backend=list_backend
+            )
+            guarantee = 2.0
+        elif chosen == "mrt":
+            res = mrt_schedule(jobs, m, eps, validate=validate, backend=backend)
+            guarantee = 1.5 + eps
+        elif chosen == "compressible":
+            res = compressible_schedule(jobs, m, eps, validate=validate, backend=backend)
+            guarantee = 1.5 + eps
+        elif chosen == "bounded":
+            res = bounded_schedule(jobs, m, eps, transform="heap", validate=validate, backend=backend)
+            guarantee = 1.5 + eps
+        elif chosen == "bounded_linear":
+            res = bounded_schedule(jobs, m, eps, transform="bucket", validate=validate, backend=backend)
+            guarantee = 1.5 + eps
+        elif chosen == "fptas":
+            res = fptas_schedule(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)
+            guarantee = 1.0 + eps
+        elif chosen == "ptas":
+            res = ptas_schedule(jobs, m, eps, validate=validate, backend=backend)
+            guarantee = res.schedule.metadata.get("guarantee")
+        else:  # pragma: no cover - exhaustiveness guard
+            raise AssertionError(chosen)
+        schedule, estimate = res.schedule, res.estimate
 
-    lower = makespan_lower_bound(jobs, m)
+    # The driver's Ludwig–Tiwari omega already dominates the trivial bound and
+    # is bit-identical on every backend, so it *is* makespan_lower_bound(jobs,
+    # m); only drivers that never estimated (exact, ptas's tiny exact branch)
+    # pay for a fresh one.
+    lower = estimate.omega if estimate is not None else makespan_lower_bound(jobs, m)
     schedule.metadata.setdefault("algorithm", chosen)
     return SchedulingResult(schedule=schedule, algorithm=chosen, eps=eps, lower_bound=lower, guarantee=guarantee)

@@ -1272,7 +1272,7 @@ def check_regression(
     min_online: Optional[float] = 0.5,
     min_serve_throughput: Optional[float] = 0.5,
     min_huge_m: Optional[float] = 2.0,
-    min_megabatch: Optional[float] = 3.0,
+    min_megabatch: Optional[float] = 2.25,
 ) -> List[str]:
     """Compare per-algorithm speedups against a baseline report.
 
@@ -1621,7 +1621,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--min-megabatch",
         type=float,
-        default=3.0,
+        default=2.25,
         help="absolute floor for the megabatch speedup geomean (per-instance "
         "solo vectorized loop vs one lockstep solve_mega pack, fleet >= 32 "
         "rows), enforced by --check (0 disables)",

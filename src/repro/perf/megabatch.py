@@ -59,6 +59,7 @@ from ..core.job import MoldableJob
 from ..core.list_scheduling import list_schedule
 from ..core.schedule import Schedule
 from ..core.scheduler import ALGORITHMS, SchedulingResult, schedule_moldable
+from ..core.two_approx import TwoApproxResult
 from ..core.validation import assert_valid_schedule
 from .arrays import JobArrayBundle
 from .oracle import BatchedOracle, lockstep_gamma_round
@@ -239,7 +240,7 @@ def _gen_estimator(seg: _Segment):
     if phi_lo is not None and phi_lo <= lo:
         allot = yield from _gen_allot(seg, lo)
         assert allot is not None
-        return EstimatorResult(omega=max(phi_lo, lo), allotment=allot)
+        return EstimatorResult(omega=max(phi_lo, lo, _trivial(seg)), allotment=allot)
 
     for _ in range(128):
         if hi <= lo * (1.0 + tol):
@@ -265,7 +266,8 @@ def _gen_estimator(seg: _Segment):
 
 
 def _gen_two_approx(seg: _Segment):
-    """``two_approximation`` (vectorized path); returns (schedule, estimate)."""
+    """``two_approximation`` (vectorized path); returns its
+    :class:`TwoApproxResult`."""
     jobs = seg.jobs
     estimate = yield from _gen_estimator(seg)
     counts = estimate.allotment.counts
@@ -287,7 +289,7 @@ def _gen_two_approx(seg: _Segment):
     schedule.metadata["omega"] = estimate.omega
     if seg.validate:
         assert_valid_schedule(schedule, jobs, oracle=seg.oracle)
-    return schedule, estimate
+    return TwoApproxResult(schedule, estimate, seg.oracle.gamma_probes)
 
 
 def _gen_fptas_dual(seg: _Segment, d: float, inner: float):
@@ -323,12 +325,11 @@ def _gen_fptas_dual(seg: _Segment, d: float, inner: float):
 
 
 def _gen_dual_search(seg: _Segment, inner: float):
-    """``dual_binary_search`` with the FPTAS dual step; returns
-    ``(DualSearchResult, EstimatorResult)`` so the caller reuses the bracket
-    estimate for the certified lower bound."""
+    """``dual_binary_search`` with the FPTAS dual step; the result carries
+    the bracket estimate, like the solo search."""
     tolerance = inner
     estimate = yield from _gen_estimator(seg)
-    lower = max(estimate.omega, _trivial(seg))
+    lower = estimate.omega
     upper = max(estimate.upper_bound, lower * (1 + tolerance))
     lower = max(lower, 1e-300)
     upper = max(upper, lower)
@@ -364,46 +365,44 @@ def _gen_dual_search(seg: _Segment, inner: float):
 
     if callable(best):
         best = best()
-    result = DualSearchResult(
+    return DualSearchResult(
         schedule=best,
         accepted_d=best_d,
         lower_bound=lower,
         iterations=iterations,
         dual_calls=dual_calls,
         gamma_probes=seg.oracle.gamma_probes,
+        estimate=estimate,
     )
-    return result, estimate
 
 
 def _gen_fptas(seg: _Segment):
-    """``fptas_schedule`` (vectorized); returns (schedule, estimate).  The
-    eps / machine-threshold preconditions were checked at pack time."""
+    """``fptas_schedule`` (vectorized); returns its
+    :class:`DualSearchResult`.  The eps / machine-threshold preconditions were
+    checked at pack time."""
     inner = seg.eps / 3.0
-    result, estimate = yield from _gen_dual_search(seg, inner)
+    result = yield from _gen_dual_search(seg, inner)
     result.schedule.metadata["algorithm"] = "fptas"
     result.schedule.metadata["eps"] = seg.eps
     result.schedule.metadata["guarantee"] = 1.0 + seg.eps
     result.schedule.metadata["backend"] = "vectorized"
     if seg.validate and seg.jobs:
         assert_valid_schedule(result.schedule, seg.jobs, oracle=seg.oracle)
-    return result.schedule, estimate
+    return result
 
 
 def _gen_solve(seg: _Segment):
     """``schedule_moldable`` for the batched algorithms; returns the solo
     :class:`SchedulingResult` bit for bit."""
     if seg.chosen == "two_approx":
-        schedule, estimate = yield from _gen_two_approx(seg)
+        res = yield from _gen_two_approx(seg)
         guarantee: Optional[float] = 2.0
     else:  # fptas
-        schedule, estimate = yield from _gen_fptas(seg)
+        res = yield from _gen_fptas(seg)
         guarantee = 1.0 + seg.eps
-    # solo computes ``makespan_lower_bound(jobs, m)`` with a *fresh scalar*
-    # estimator; γ-arrays and therefore every phi value are exact regardless
-    # of backend or cache state, so the scalar re-estimation reproduces
-    # exactly the omega the batched bracket already computed — reuse it.
-    # (Pinned by the mega differential mode and the megabatch property test.)
-    lower = max(_trivial(seg), estimate.omega)
+    schedule = res.schedule
+    # the facade's rule: the driver's estimate is the certified lower bound
+    lower = res.estimate.omega
     schedule.metadata.setdefault("algorithm", seg.chosen)
     return SchedulingResult(
         schedule=schedule,
@@ -512,6 +511,8 @@ def solve_mega(
             raise ValueError(f"unknown algorithm {i_alg!r}; choose one of {ALGORITHMS}")
         chosen = i_alg
         if jobs and i_alg == "auto":
+            if not 0 < i_eps <= 1:
+                raise ValueError("eps must lie in (0, 1]")
             chosen = (
                 "fptas" if m >= fptas_machine_threshold(len(jobs), i_eps) else "bounded"
             )

@@ -12,6 +12,7 @@ from repro.core.exact_small import exact_makespan
 from repro.core.job import AmdahlJob, PowerLawJob, TabulatedJob
 from repro.core.list_scheduling import list_schedule
 from repro.core.validation import assert_valid_schedule
+from repro.perf.oracle import BatchedOracle
 from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
 
 
@@ -73,6 +74,16 @@ class TestLudwigTiwariEstimator:
         instance = random_mixed_instance(30, 32, seed=11)
         result = ludwig_tiwari_estimator(instance.jobs, 32)
         assert result.omega >= trivial_lower_bound(instance.jobs, 32) * (1 - 1e-9)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_floor_branch_omega_is_at_least_trivial_bound_exactly(self, vectorized):
+        """The crossover sits at the max_j t_j(m) floor, and the linear job's
+        float work 21 * (19 / 21) rounds one ulp below its t_j(1) = 19: omega
+        must still equal the trivial bound, not fall a hair under it."""
+        jobs = [TabulatedJob("rigid", [0.9499999999999998]), AmdahlJob("linear", 19.0, 0.0)]
+        oracle = BatchedOracle(jobs, 21) if vectorized else None
+        result = ludwig_tiwari_estimator(jobs, 21, oracle=oracle)
+        assert result.omega == trivial_lower_bound(jobs, 21) == 0.95
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 """Tests for the top-level schedule_moldable facade."""
 
+import math
+
 import pytest
 
+import repro.core.scheduler as scheduler_module
+from repro.core.backend import MAX_VECTORIZED_M
+from repro.core.bounds import makespan_lower_bound
 from repro.core.scheduler import ALGORITHMS, schedule_moldable
 from repro.core.validation import assert_valid_schedule
 from repro.workloads.generators import random_amdahl_instance, random_mixed_instance, random_monotone_tabulated_instance
@@ -81,3 +86,50 @@ class TestFacade:
             assert result.guarantee is not None
             # the lower bound may be below OPT, so allow a generous 30% slack
             assert result.makespan <= result.guarantee * result.lower_bound * 1.3
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("algorithm", ["auto", "ptas"])
+    def test_eps_outside_unit_interval_is_rejected(self, algorithm, eps):
+        """Rejected before the FPTAS machine threshold divides by eps."""
+        instance = random_mixed_instance(10, 16, seed=9)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            schedule_moldable(instance.jobs, 16, eps, algorithm=algorithm)
+
+
+def _instance_for(algorithm):
+    """``(fresh jobs factory, m)`` of an instance ``algorithm`` accepts.  The
+    non-exact instance is too large for ptas's tiny exact branch."""
+    if algorithm == "exact":
+        return (lambda: random_monotone_tabulated_instance(4, 4, seed=4).jobs), 4
+    m = 1024 if algorithm == "fptas" else 16  # fptas needs m >= 8n/eps
+    return (lambda: random_mixed_instance(12, 16, seed=9).jobs), m
+
+
+def _no_second_pass(jobs, m):
+    raise AssertionError("the facade re-ran the estimator for its lower bound")
+
+
+class TestLowerBound:
+    """``lower_bound`` is the driver's own estimator omega, bit-identical to a
+    fresh scalar :func:`makespan_lower_bound` on a separate instance."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_equals_scalar_reference(self, algorithm, backend, monkeypatch):
+        make_jobs, m = _instance_for(algorithm)
+        if algorithm != "exact":
+            monkeypatch.setattr(scheduler_module, "makespan_lower_bound", _no_second_pass)
+        result = schedule_moldable(make_jobs(), m, 0.25, algorithm=algorithm, backend=backend)
+        assert result.lower_bound == makespan_lower_bound(make_jobs(), m)
+
+    def test_astronomical_m_on_the_scalar_fallback(self, monkeypatch):
+        m = MAX_VECTORIZED_M + 1  # beyond the γ-arrays: vectorized runs scalar
+        monkeypatch.setattr(scheduler_module, "makespan_lower_bound", _no_second_pass)
+        result = schedule_moldable(random_mixed_instance(4, 8, seed=3).jobs, m, 0.25)
+        assert result.algorithm == "fptas"
+        assert result.lower_bound == makespan_lower_bound(random_mixed_instance(4, 8, seed=3).jobs, m)
+
+    def test_ptas_exact_branch_estimates_afresh(self):
+        result = schedule_moldable(random_monotone_tabulated_instance(4, 4, seed=4).jobs, 4, 0.25, algorithm="ptas")
+        assert result.schedule.metadata["algorithm"] == "ptas_exact"
+        assert result.lower_bound == makespan_lower_bound(random_monotone_tabulated_instance(4, 4, seed=4).jobs, 4)

@@ -57,7 +57,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro.core.bounded_algorithm import bounded_schedule
-from repro.core.bounds import trivial_lower_bound
+from repro.core.bounds import makespan_lower_bound, trivial_lower_bound
 from repro.core.compressible_algorithm import compressible_schedule
 from repro.core.fptas import fptas_schedule
 from repro.core.mrt import mrt_schedule
@@ -463,6 +463,11 @@ def _run_mega_case(case: dict) -> None:
         f"{context}: makespan {solo.makespan!r} != {result.makespan!r}"
     )
     assert solo.lower_bound == result.lower_bound, context
+    # neither leg re-estimates its bound, so pin it to a fresh scalar one
+    reference = makespan_lower_bound(build_instance(case).jobs, effective_m(case))
+    assert solo.lower_bound == reference, (
+        f"{context}: lower bound {solo.lower_bound!r} != scalar reference {reference!r}"
+    )
     assert solo.guarantee == result.guarantee, context
     assert solo.algorithm == result.algorithm, context
     assert solo.eps == result.eps, context

@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import MegaBatch, MegaOracle, solve_mega
 from repro.core.backend import MAX_VECTORIZED_M
+from repro.core.bounds import makespan_lower_bound
 from repro.core.fptas import fptas_machine_threshold
+from repro.core.job import AmdahlJob, TabulatedJob
 from repro.core.scheduler import schedule_moldable
 from repro.core.validation import validate_schedule
 from repro.perf.oracle import BatchedOracle
@@ -233,6 +235,26 @@ class TestErrorParity:
         inst = random_mixed_instance(2, 1 << 20, seed=9)
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
             solve_mega([(inst.jobs, 1 << 20)], eps=1.5, algorithm="fptas")
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+    def test_auto_bad_eps_raises_the_solo_error(self, eps):
+        inst = random_mixed_instance(2, 1 << 20, seed=9)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            solve_mega([(inst.jobs, 1 << 20)], eps=eps)
+
+    @pytest.mark.parametrize("algorithm", ["two_approx", "fptas"])
+    def test_floor_crossover_lower_bound_matches_solo(self, algorithm):
+        """The estimator's floor branch reports the same omega packed and
+        solo; at m=21 its float work sum rounds under the trivial bound."""
+
+        def make_jobs():
+            return [TabulatedJob("rigid", [0.9499999999999998]), AmdahlJob("linear", 19.0, 0.0)]
+
+        m = 21 if algorithm == "two_approx" else 1 << 10
+        (mega,) = solve_mega([(make_jobs(), m)], algorithm=algorithm)
+        solo = schedule_moldable(make_jobs(), m, algorithm=algorithm)
+        assert mega.lower_bound == solo.lower_bound == makespan_lower_bound(make_jobs(), m)
+        assert mega.makespan == solo.makespan
 
 
 class TestMegaBatchStructure:
