@@ -100,6 +100,13 @@ def canonical_allotment(jobs: Iterable[MoldableJob], threshold: float, m: int) -
     return Allotment(counts)
 
 
+def _positive_count(job: MoldableJob, k) -> int:
+    """``k`` as an ``int``, or ``ValueError`` unless it is a positive integer."""
+    if k < 1 or k != int(k):
+        raise ValueError(f"allotment for job {job.name!r} must be a positive integer, got {k!r}")
+    return int(k)
+
+
 @dataclass
 class Allotment:
     """A mapping from jobs to processor counts.
@@ -113,18 +120,14 @@ class Allotment:
 
     def __post_init__(self) -> None:
         for job, k in self.counts.items():
-            if k < 1 or k != int(k):
-                raise ValueError(f"allotment for job {job.name!r} must be a positive integer, got {k!r}")
-            self.counts[job] = int(k)
+            self.counts[job] = _positive_count(job, k)
 
     # -------------------------------------------------------------- mapping
     def __getitem__(self, job: MoldableJob) -> int:
         return self.counts[job]
 
     def __setitem__(self, job: MoldableJob, k: int) -> None:
-        if k < 1:
-            raise ValueError("allotment must be >= 1")
-        self.counts[job] = int(k)
+        self.counts[job] = _positive_count(job, k)
 
     def __contains__(self, job: MoldableJob) -> bool:
         return job in self.counts

@@ -85,8 +85,7 @@ def capacity_tier(m: int, total_need: int = 0) -> str:
 
     The int64 boundary is the exact historical guard
     ``total_need <= MAX_COLUMNAR_M - m`` (prefix sums over needs and popped
-    span capacities are bounded by ``total_need + m``), applied uniformly to
-    every backend rather than just the event-queue pair.
+    span capacities are bounded by ``total_need + m``).
     """
     m = int(m)
     total_need = int(total_need)

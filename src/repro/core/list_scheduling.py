@@ -22,24 +22,20 @@ include a counterexample.)  The factor-2 bound is what the Ludwig–Tiwari
 The implementation tracks idle machines as *spans*, so it never materialises
 per-machine state and works for astronomically large ``m``.
 
-Three backends produce the bit-identical schedule:
+Two backends produce the bit-identical schedule:
 
 * ``backend="heap"`` — the scalar reference: a Python ``heapq`` wake-up loop
   with per-entry ``Schedule.add`` calls;
-* ``backend="wakeup"`` — the PR-2 columnar loop (one vectorized candidate
-  query per wake-up, still one ``heapq`` pop per completion);
-* ``backend="event_queue"`` — the batched event-queue formulation:
-  completions live in one ``(end, seq)``-sorted array, every epoch pops *all*
-  simultaneous completions with a single sorted-array partition, admission is
-  one vectorized ``need <= idle`` scan with prefix-sum batching, and machine
-  spans for a whole epoch are cut with one cumulative-sum partition feeding
-  the :class:`~repro.perf.schedule_builder.ArraySchedule` block install;
-* ``backend="event_queue_indexed"`` — the event-queue formulation with an
-  *incremental candidate index* (:class:`_NeedBucketIndex`): the waiting set
-  lives in power-of-two need buckets maintained across epochs, so an epoch's
-  admission query walks only the bucket prefix with ``need <= idle`` (in
-  per-bucket list order) instead of re-scanning all ``n`` jobs — the
-  single-completion (no-tie) regime drops from O(n) to O(log m) per epoch.
+* ``backend="event_queue_indexed"`` — the batched event-queue formulation:
+  completions live in one ``(end, seq)``-sorted array and every epoch pops
+  *all* simultaneous completions with a single sorted-array partition; the
+  waiting set lives in an *incremental candidate index*
+  (:class:`_NeedBucketIndex`) of power-of-two need buckets maintained across
+  epochs, so an epoch's admission query walks only the bucket prefix with
+  ``need <= idle`` instead of re-scanning all ``n`` jobs (O(log m) per
+  single-completion epoch); machine spans for a whole epoch are cut with one
+  cumulative-sum partition feeding the
+  :class:`~repro.perf.schedule_builder.ArraySchedule` block install.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ import numpy as np
 from .allotment import Allotment
 from .capacity import capacity_ops
 from .job import MoldableJob
-from .schedule import MAX_COLUMNAR_M, MachineSpan, Schedule
+from .schedule import MachineSpan, Schedule
 
 __all__ = [
     "list_schedule",
@@ -63,8 +59,8 @@ __all__ = [
     "LIST_BACKENDS",
 ]
 
-#: Selectable list-scheduling backends (all bit-identical).
-LIST_BACKENDS = ("heap", "wakeup", "event_queue", "event_queue_indexed")
+#: Selectable list-scheduling backends (bit-identical).
+LIST_BACKENDS = ("heap", "event_queue_indexed")
 
 #: Absolute floor of the epoch-grouping tolerance (the scalar heap loop
 #: defined it first); see :func:`epoch_tolerance` for the effective window.
@@ -117,8 +113,7 @@ def list_schedule(
     m: int,
     *,
     order: Optional[Sequence[MoldableJob]] = None,
-    backend: Optional[str] = None,
-    columnar: bool = False,
+    backend: str = "heap",
     allotted_times: Optional[Dict[MoldableJob, float]] = None,
     oracle=None,
     stats: Optional[dict] = None,
@@ -128,44 +123,38 @@ def list_schedule(
     Parameters
     ----------
     jobs:
-        Jobs to schedule; each must appear in ``allotment`` with
-        ``allotment[job] <= m``.
+        Distinct jobs to schedule (``ValueError`` if a job object repeats);
+        each must appear in ``allotment`` with ``allotment[job] <= m``.
     order:
-        Optional list priority; defaults to the order of ``jobs``.
+        Optional list priority, a permutation of ``jobs`` (``ValueError``
+        otherwise); defaults to the order of ``jobs``.
     backend:
-        ``"heap"`` (scalar reference, default), ``"wakeup"`` (columnar
-        per-wake-up loop), ``"event_queue"`` (batched event epochs) or
-        ``"event_queue_indexed"`` (event epochs with the incremental
-        need-bucket candidate index) — all bit-identical; see the module
-        docstring.  Every backend handles arbitrary-precision ``m``: beyond
-        the int64 range the columnar backends switch their capacity columns
-        to the exact wide-limb (then object-dtype) tier of
-        :mod:`repro.core.capacity` instead of falling back to the heap.
-    columnar:
-        Backwards-compatible alias: ``columnar=True`` selects
-        ``backend="wakeup"`` when ``backend`` is not given.
+        ``"heap"`` (scalar reference, default) or ``"event_queue_indexed"``
+        (batched event epochs with the incremental need-bucket candidate
+        index) — bit-identical; see the module docstring.  Both handle
+        arbitrary-precision ``m``: beyond the int64 range the event queue
+        switches its capacity columns to the exact wide-limb (then
+        object-dtype) tier of :mod:`repro.core.capacity` instead of falling
+        back to the heap.
     allotted_times:
         Optional precomputed ``{job: t_j(allotment[job])}`` durations (only
-        used by the array backends).  Callers that already evaluated the
+        used by the event-queue backend).  Callers that already evaluated the
         allotted processing times in a batched kernel pass (e.g. the
         two-approximation's LPT sort) hand them over instead of forcing one
         scalar oracle call per job; values must equal ``processing_time``
         bit for bit, which the batched kernels guarantee.
     oracle:
         Optional :class:`repro.perf.oracle.BatchedOracle` covering ``jobs``;
-        the array backends then resolve missing durations in one batched
+        the event-queue backend then resolves missing durations in one batched
         kernel pass instead of per-job Python calls.
     stats:
-        Optional dict the event-queue backends fill with instrumentation
+        Optional dict the event-queue backend fills with instrumentation
         (``epochs``: completion epochs processed, ``events``: completions,
         ``max_epoch_completions``: largest simultaneous-completion group,
         ``candidate_scans``: admission queries executed,
-        ``candidates_visited``: total job slots those queries examined — the
-        scanning backend examines every job slot per query, the indexed
-        backend only the bucket entries its prefix walks touch).  Every
-        columnar backend (wakeup included) also records ``capacity_tier``
-        (``"int64"``/``"wide"``/``"object"``), the
-        :mod:`repro.core.capacity` tier its capacity-axis arrays ran on.
+        ``candidates_visited``: bucket entries those queries touched,
+        ``capacity_tier``: ``"int64"``/``"wide"``/``"object"``, the
+        :mod:`repro.core.capacity` tier its capacity-axis arrays ran on).
 
     Returns
     -------
@@ -174,13 +163,19 @@ def list_schedule(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if backend is None:
-        backend = "wakeup" if columnar else "heap"
     if backend not in LIST_BACKENDS:
         raise ValueError(f"unknown list scheduling backend {backend!r}; choose from {LIST_BACKENDS}")
-    sequence = list(order) if order is not None else list(jobs)
-    if len(sequence) != len(jobs) or {id(j) for j in sequence} != {id(j) for j in jobs}:
-        raise ValueError("order must be a permutation of jobs")
+    ids = {id(j) for j in jobs}
+    if len(ids) != len(jobs):
+        raise ValueError("jobs must not repeat a job")
+    if order is None:
+        sequence = list(jobs)
+    else:
+        # with distinct jobs, equal length and equal id sets make ``order``
+        # the same multiset, i.e. a permutation
+        sequence = list(order)
+        if len(sequence) != len(ids) or {id(j) for j in sequence} != ids:
+            raise ValueError("order must be a permutation of jobs")
     total_need = 0
     for job in sequence:
         k = allotment.get(job)
@@ -189,28 +184,16 @@ def list_schedule(
         if k > m:
             raise ValueError(f"job {job.name!r} is allotted {k} > m={m} processors")
         total_need += k
-    # One capacity decision for every columnar backend (wakeup included):
-    # the batch paths prefix-sum needs and popped span capacities (bounded by
-    # total_need + m), so the tier is chosen from both.  Within int64 range
-    # this is the exact historical ``total_need > MAX_COLUMNAR_M - m`` guard;
-    # beyond it the backends keep their batch structure on the wide-limb or
-    # object-dtype tier instead of silently forking to the heap reference.
-    ops = capacity_ops(m, total_need)
-
-    if backend == "wakeup":
-        if stats is not None:
-            stats["capacity_tier"] = ops.name
-        return _list_schedule_columnar(sequence, allotment, m, allotted_times, oracle, ops)
-    if backend in ("event_queue", "event_queue_indexed"):
+    if backend == "event_queue_indexed":
+        # The batch paths prefix-sum needs and popped span capacities
+        # (bounded by total_need + m), so the capacity tier is chosen from
+        # both.  Within int64 range this is the exact historical
+        # ``total_need > MAX_COLUMNAR_M - m`` guard; beyond it the backend
+        # keeps its batch structure on the wide-limb or object-dtype tier
+        # instead of silently forking to the heap reference.
+        ops = capacity_ops(m, total_need)
         return _list_schedule_event_queue(
-            sequence,
-            allotment,
-            m,
-            allotted_times,
-            oracle,
-            stats,
-            indexed=backend == "event_queue_indexed",
-            ops=ops,
+            sequence, allotment, m, allotted_times, oracle, stats, ops
         )
 
     schedule = Schedule(m=m, metadata={"algorithm": "list_scheduling"})
@@ -289,132 +272,6 @@ def _resolve_durations(
     return [job.processing_time(k) for job, k in zip(sequence, needs)]
 
 
-def _list_schedule_columnar(
-    sequence: List[MoldableJob],
-    allotment: Allotment,
-    m: int,
-    allotted_times: Optional[Dict[MoldableJob, float]] = None,
-    oracle=None,
-    ops=None,
-) -> Schedule:
-    """Columnar twin of the scalar first-fit loop.
-
-    Produces the bit-identical schedule: the same first-fit decisions over the
-    same idle-span state, the same start times (completion times are computed
-    from the same ``processing_time`` floats), the same entry order — but
-    processor needs and durations are resolved once up front, placements are
-    collected as flat rows and materialized in one
-    :meth:`~repro.perf.schedule_builder.ArraySchedule.build` pass, and each
-    wake-up's list scan is one vectorized candidate query instead of a Python
-    pass over every pending job.
-
-    The scan equivalence: within one wake-up the idle count only *decreases*,
-    so a job the scalar scan rejected keeps being rejected until the next
-    completion — restarting the scan from the list head after every start
-    (the scalar loop) therefore starts exactly the jobs a single forward pass
-    over ``need <= idle_at_wakeup`` candidates starts, in the same order.
-    """
-    from ..perf.schedule_builder import ArraySchedule
-
-    builder = ArraySchedule(m, metadata={"algorithm": "list_scheduling"})
-    if not sequence:
-        return builder.build()
-
-    counts = allotment.counts
-    needs = [counts[job] for job in sequence]
-    if ops is None:
-        ops = capacity_ops(m, sum(needs))
-    needs_arr = ops.asarray(needs)
-    durations = _resolve_durations(sequence, needs, allotted_times, oracle)
-
-    # row columns, written through bound methods in the hot loop
-    jobs_col, starts_col, overrides_col, owner_col, first_col, count_col = (
-        builder.raw_columns()
-    )
-    row_job_append = jobs_col.append
-    row_start_append = starts_col.append
-    row_override_append = overrides_col.append
-    span_owner_append = owner_col.append
-    span_first_append = first_col.append
-    span_count_append = count_col.append
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    waiting = np.ones(len(sequence), dtype=bool)
-    n_waiting = len(sequence)
-    #: lower bound on the smallest processor need among waiting jobs — lets a
-    #: wake-up that cannot start anything bail out with one comparison
-    min_waiting_need = ops.min_value(needs_arr)
-    idle_spans: List[MachineSpan] = [(0, m)]
-    idle_count = m
-    running: List[Tuple[float, int, Tuple[MachineSpan, ...]]] = []
-    seq = 0
-    now = 0.0
-    row = 0
-
-    while n_waiting or running:
-        if n_waiting and idle_count >= min_waiting_need:
-            # all pending jobs that could fit at this wake-up, in list order;
-            # iterated lazily (map) because the loop usually breaks as soon as
-            # the idle machines run out
-            candidates = np.flatnonzero(waiting & ops.le_mask(needs_arr, idle_count))
-            started_any = False
-            for ji in map(int, candidates):
-                need = needs[ji]
-                if need > idle_count:
-                    continue
-                taken: List[MachineSpan] = []
-                idle_count -= need
-                while need > 0:
-                    first, count = idle_spans.pop()
-                    if count <= need:
-                        taken.append((first, count))
-                        span_owner_append(row)
-                        span_first_append(first)
-                        span_count_append(count)
-                        need -= count
-                    else:
-                        taken.append((first, need))
-                        span_owner_append(row)
-                        span_first_append(first)
-                        span_count_append(need)
-                        idle_spans.append((first + need, count - need))
-                        need = 0
-                row_job_append(sequence[ji])
-                row_start_append(now)
-                row_override_append(None)
-                heappush(running, (now + durations[ji], seq, tuple(taken)))
-                row += 1
-                seq += 1
-                waiting[ji] = False
-                n_waiting -= 1
-                started_any = True
-                if idle_count == 0:
-                    break
-            if n_waiting and not started_any:
-                # The lower bound was stale (true minimum is larger): refresh
-                # it so the next idle wake-ups can skip in O(1).  After a
-                # start the stale bound stays *valid* (needs only leave the
-                # waiting set, the minimum can only grow), so no refresh.
-                min_waiting_need = ops.min_value(needs_arr, waiting)
-        if not running:
-            if n_waiting:  # pragma: no cover - cannot happen: every job fits on m >= a_j machines
-                raise RuntimeError("deadlock in list scheduling")
-            break
-        end, _, spans = heappop(running)
-        now = end
-        released = list(spans)
-        cut = now + epoch_tolerance(now)
-        while running and running[0][0] <= cut:
-            _, _, more = heappop(running)
-            released.extend(more)
-        for first, count in released:
-            idle_spans.append((first, count))
-            idle_count += count
-
-    return builder.build()
-
-
 #: Below this many admitted jobs (or admission candidates) an epoch uses the
 #: lean scalar inner path — the vectorized batch machinery only amortizes its
 #: fixed per-call overhead on larger groups.  Both paths are bit-identical;
@@ -436,14 +293,14 @@ class _NeedBucketIndex:
     need, and the per-bucket prefixes merge by position.  Maintained
     incrementally across epochs (admitted jobs are removed, nothing is ever
     re-inserted), a single-admission epoch costs O(log m) bucket probes plus
-    the handful of entries it returns — instead of the O(n) ``need <= idle``
-    scan of the waiting array the non-indexed event-queue backend pays.
+    the handful of entries it returns — instead of an O(n) ``need <= idle``
+    scan of the whole waiting set.
 
     ``gathers`` / ``visits`` count queries and touched entries for the
     ``stats=`` instrumentation (``candidate_scans`` / ``candidates_visited``).
     """
 
-    __slots__ = ("needs", "buckets", "lo", "hi", "size", "visits", "gathers")
+    __slots__ = ("needs", "buckets", "lo", "hi", "visits", "gathers")
 
     def __init__(self, needs: Sequence[int]) -> None:
         self.needs = needs
@@ -459,7 +316,6 @@ class _NeedBucketIndex:
         self.buckets = buckets
         self.lo = 0  # lazily-advanced lowest possibly-non-empty bucket
         self.hi = width - 1  # lazily-lowered highest possibly-non-empty bucket
-        self.size = len(needs)
         self.visits = 0
         self.gathers = 0
 
@@ -528,7 +384,6 @@ class _NeedBucketIndex:
     def remove(self, pos: int) -> None:
         bucket = self.buckets[self.needs[pos].bit_length() - 1]
         del bucket[bisect_left(bucket, pos)]
-        self.size -= 1
 
     def remove_many(self, positions: Sequence[int]) -> None:
         """Remove admitted positions, batching per-bucket for mass epochs."""
@@ -547,19 +402,16 @@ class _NeedBucketIndex:
                     del bucket[bisect_left(bucket, pos)]
             else:
                 self.buckets[b] = [pos for pos in bucket if pos not in gone]
-        self.size -= len(positions)
 
 
 def _list_schedule_event_queue(
     sequence: List[MoldableJob],
     allotment: Allotment,
     m: int,
-    allotted_times: Optional[Dict[MoldableJob, float]] = None,
-    oracle=None,
-    stats: Optional[dict] = None,
-    *,
-    indexed: bool = False,
-    ops=None,
+    allotted_times: Optional[Dict[MoldableJob, float]],
+    oracle,
+    stats: Optional[dict],
+    ops,
 ) -> Schedule:
     """Batched event-queue twin of the scalar first-fit loop.
 
@@ -571,11 +423,15 @@ def _list_schedule_event_queue(
       partition (``bisect_right`` + one slice deletion; the heap backend
       pops them one by one with the same grouping rule, so the
       released-span order is identical);
-    * **admission** — candidates are one vectorized ``need <= idle`` scan;
-      large candidate sets are admitted per cumulative-sum round (the
-      first-fit prefix whose need prefix-sum fits is admitted at once, the
-      first rejected candidate is dropped for the whole epoch — idle only
-      decreases within an epoch, so it can never be admitted later);
+    * **admission** — candidates come from a :class:`_NeedBucketIndex`
+      maintained across epochs, gathered in rounds of at most ``remaining``
+      candidates.  A round's window is the position-prefix of the jobs with
+      ``need <= remaining``; the admitted prefix is the longest whose need
+      prefix-sum fits (one cumulative sum for large windows).  The first
+      rejected candidate's need provably exceeds the post-round remaining
+      idle count, so the next round's tightened gather cap excludes it —
+      idle only decreases within an epoch, which is why this reproduces the
+      heap loop's restart-from-the-head scan exactly;
     * **span allocation** — a large admitted batch consumes the popped idle
       spans as one capacity axis: cutting it at every job boundary and
       every span boundary with two ``searchsorted`` calls yields exactly
@@ -591,19 +447,6 @@ def _list_schedule_event_queue(
     (identical decisions, same column writes) — the batch passes above only
     pay for themselves on mass starts and mass completions.
 
-    With ``indexed=True`` only the admission *query* changes: instead of the
-    per-epoch ``need <= idle`` scan over the whole waiting array, candidates
-    come from a :class:`_NeedBucketIndex` maintained across epochs, gathered
-    in rounds of at most ``remaining`` candidates (one round per observed
-    first-fit rejection).  The round structure reproduces the scanning
-    admission exactly: a round's window is the position-prefix of the
-    eligible set, the admitted prefix is the longest whose need prefix-sum
-    fits, and a rejected candidate — whose need provably exceeds the
-    post-round remaining idle count — is excluded from every later round by
-    the tightened ``need <= remaining`` gather cap itself.  Everything
-    downstream of the admission list (span cuts, column writes, event merge,
-    epoch pops) is the shared code path, so the two variants cannot drift.
-
     Every capacity-axis array (needs, their prefix sums, popped span
     capacities, cut boundaries) lives in the ``ops`` tier chosen by
     :func:`repro.core.capacity.capacity_ops` — plain int64 within the
@@ -616,14 +459,11 @@ def _list_schedule_event_queue(
 
     builder = ArraySchedule(m, metadata={"algorithm": "list_scheduling"})
     n = len(sequence)
-    backend_name = "event_queue_indexed" if indexed else "event_queue"
     counts = allotment.counts
     needs_list = [counts[job] for job in sequence]
-    if ops is None:
-        ops = capacity_ops(m, sum(needs_list))
     if stats is not None:
         stats.update(
-            backend=backend_name,
+            backend="event_queue_indexed",
             capacity_tier=ops.name,
             epochs=0,
             events=0,
@@ -636,7 +476,7 @@ def _list_schedule_event_queue(
 
     needs = ops.asarray(needs_list)
     durations = _resolve_durations(sequence, needs_list, allotted_times, oracle)
-    index = _NeedBucketIndex(needs_list) if indexed else None
+    index = _NeedBucketIndex(needs_list)
 
     # builder columns, written directly (block mode)
     (
@@ -648,11 +488,11 @@ def _list_schedule_event_queue(
         span_count_col,
     ) = builder.raw_columns()
 
-    waiting = np.ones(n, dtype=bool)
     n_waiting = n
-    #: lower bound on the smallest need among waiting jobs (see the wakeup
-    #: backend: stale-but-valid, refreshed only on a fruitless scan)
-    min_waiting_need = ops.min_value(needs)
+    #: lower bound on the smallest need among waiting jobs: it stays valid
+    #: after admissions (the minimum can only grow) and is refreshed only when
+    #: an admission query comes back empty, so idle epochs skip in O(1)
+    min_waiting_need = min(needs_list)
     idle_spans: List[MachineSpan] = [(0, m)]
     idle = m
     #: the event queue: parallel lists sorted lexicographically by
@@ -669,94 +509,32 @@ def _list_schedule_event_queue(
     events = 0
     max_epoch = 0
 
-    scan_queries = 0
-    scan_visited = 0
-
     while n_waiting or ev_end:
         if n_waiting and idle >= min_waiting_need:
             remaining = idle
             adm_list: List[int] = []
-            if index is not None:
-                # incremental candidate index: gather rounds of at most
-                # ``remaining`` candidates (per-bucket prefix walks merged in
-                # list order) — no per-epoch scan of the waiting array.  Each
-                # non-final round ends at a first-fit rejection, whose need
-                # provably exceeds the new remaining idle count, so the next
-                # round's tightened gather cap excludes it exactly like the
-                # scanning path's re-filter does.
-                while remaining >= min_waiting_need:
-                    window = index.gather(remaining, remaining)
-                    if not window:
-                        break
-                    if len(window) <= _SMALL_EPOCH:
-                        taken = 0
-                        k = 0
-                        for ji in window:
-                            need = needs_list[ji]
-                            if taken + need > remaining:
-                                break
-                            taken += need
-                            k += 1
-                    else:
-                        csum = ops.cumsum(ops.take(needs, np.asarray(window, dtype=np.int64)))
-                        k = ops.count_le(csum, remaining)
-                        taken = ops.item(csum, k - 1)
-                    # k >= 1: the gather cap guarantees the first fits
-                    admitted_now = window[:k]
-                    adm_list.extend(admitted_now)
-                    index.remove_many(admitted_now)
-                    remaining -= taken
-            else:
-                # one vectorized candidate scan for the whole epoch
-                cand = (waiting & ops.le_mask(needs, idle)).nonzero()[0]
-                scan_queries += 1
-                scan_visited += n
-                if cand.size <= _SMALL_EPOCH or remaining <= _SMALL_EPOCH:
-                    # scalar first-fit pass over the few candidates
-                    for ji in map(int, cand):
+            while remaining >= min_waiting_need:
+                window = index.gather(remaining, remaining)
+                if not window:
+                    break
+                if len(window) <= _SMALL_EPOCH:
+                    taken = 0
+                    k = 0
+                    for ji in window:
                         need = needs_list[ji]
-                        if need <= remaining:
-                            adm_list.append(ji)
-                            remaining -= need
-                            if remaining == 0:
-                                break
+                        if taken + need > remaining:
+                            break
+                        taken += need
+                        k += 1
                 else:
-                    # batched first-fit: admit the longest candidate prefix
-                    # whose need prefix-sum fits, drop the first rejected
-                    # candidate (idle only shrinks within the epoch), repeat
-                    # on the rest.  Every admitted job takes >= 1 processor,
-                    # so at most ``remaining`` candidates can be admitted per
-                    # round — the prefix-sum window is sliced accordingly,
-                    # keeping a round O(min(|cand|, remaining)) instead of
-                    # O(|cand|).
-                    admitted: List[np.ndarray] = []
-                    first_round = True
-                    while cand.size:
-                        if first_round:
-                            # the candidate scan already guaranteed need <= idle
-                            first_round = False
-                        else:
-                            fits = ops.le_mask(ops.take(needs, cand), remaining)
-                            if not fits.any():
-                                break
-                            cand = cand[fits]
-                        window = cand[:remaining]
-                        csum = ops.cumsum(ops.take(needs, window))
-                        k = ops.count_le(csum, remaining)
-                        # k >= 1: the first candidate fits by construction
-                        admitted.append(cand[:k])
-                        remaining -= ops.item(csum, k - 1)
-                        if k < len(window):
-                            # cand[k] is rejected *now* and stays rejected
-                            cand = cand[k + 1 :]
-                        else:
-                            # the window limit cut the prefix short, no
-                            # rejection was observed — continue with the tail
-                            cand = cand[k:]
-                    if admitted:
-                        adm_list = (
-                            admitted[0] if len(admitted) == 1 else np.concatenate(admitted)
-                        ).tolist()
+                    csum = ops.cumsum(ops.take(needs, np.asarray(window, dtype=np.int64)))
+                    k = ops.count_le(csum, remaining)
+                    taken = ops.item(csum, k - 1)
+                # k >= 1: the gather cap guarantees the first fits
+                admitted_now = window[:k]
+                adm_list.extend(admitted_now)
+                index.remove_many(admitted_now)
+                remaining -= taken
             if adm_list:
                 k = len(adm_list)
                 row_base = len(jobs_col)
@@ -764,7 +542,6 @@ def _list_schedule_event_queue(
                     # lean inner path: sequential take() per admitted job,
                     # single-event insertion into the sorted queue
                     for ji in adm_list:
-                        waiting[ji] = False
                         need = needs_list[ji]
                         row = len(jobs_col)
                         p_lo = len(span_first_col)
@@ -855,16 +632,12 @@ def _list_schedule_event_queue(
                     ev_seq = np.insert(
                         np.asarray(ev_seq, dtype=np.int64), pos, new_seqs
                     ).tolist()
-                    waiting[adm_list] = False
                 n_waiting -= k
                 idle = remaining
             elif n_waiting:
                 # fruitless query: the lower bound was stale — refresh it so
                 # later idle wake-ups can skip the query in O(1)
-                if index is not None:
-                    min_waiting_need = index.min_need()
-                else:
-                    min_waiting_need = ops.min_value(needs, waiting)
+                min_waiting_need = index.min_need()
         if not ev_end:
             if n_waiting:  # pragma: no cover - cannot happen: every job fits on m >= a_j machines
                 raise RuntimeError("deadlock in list scheduling")
@@ -885,9 +658,12 @@ def _list_schedule_event_queue(
             max_epoch = cut
 
     if stats is not None:
-        if index is not None:
-            stats.update(candidate_scans=index.gathers, candidates_visited=index.visits)
-        else:
-            stats.update(candidate_scans=scan_queries, candidates_visited=scan_visited)
-        stats.update(epochs=epochs, events=events, max_epoch_completions=max_epoch)
+        stats.update(
+            candidate_scans=index.gathers,
+            candidates_visited=index.visits,
+            epochs=epochs,
+            events=events,
+            max_epoch_completions=max_epoch,
+        )
     return builder.build()
+

@@ -211,7 +211,6 @@ class ReplanState:
     eps: float = 0.1
     algorithm: str = "auto"
     backend: str = "vectorized"
-    list_backend: Optional[str] = None
     warm_start: bool = True
     error: Type[Exception] = ReplanError
 
@@ -325,7 +324,6 @@ class ReplanState:
             validate=False,
             backend=self.backend,
             oracle=oracle,
-            list_backend=self.list_backend,
         )
         latency = perf_counter() - t0
         self.replan_latencies.append(latency)

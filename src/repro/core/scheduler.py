@@ -71,7 +71,6 @@ def schedule_moldable(
     validate: bool = True,
     backend: str = "vectorized",
     oracle=None,
-    list_backend: Optional[str] = None,
 ) -> SchedulingResult:
     """Schedule monotone moldable jobs on ``m`` machines.
 
@@ -114,10 +113,6 @@ def schedule_moldable(
         epoch — can carry γ-caches across calls (see
         ``BatchedOracle.prime_from``).  The remaining drivers build their own
         oracles internally and ignore this argument.
-    list_backend:
-        Optional list-scheduling backend override for ``"two_approx"``
-        (``"heap"``, ``"wakeup"``, ``"event_queue"``,
-        ``"event_queue_indexed"``); ignored by the other algorithms.
     """
     jobs = list(jobs)
     if m < 1:
@@ -144,9 +139,7 @@ def schedule_moldable(
         guarantee: Optional[float] = 1.0
     else:
         if chosen == "two_approx":
-            res = two_approximation(
-                jobs, m, validate=validate, backend=backend, oracle=oracle, list_backend=list_backend
-            )
+            res = two_approximation(jobs, m, validate=validate, backend=backend, oracle=oracle)
             guarantee = 2.0
         elif chosen == "mrt":
             res = mrt_schedule(jobs, m, eps, validate=validate, backend=backend)

@@ -59,7 +59,6 @@ def two_approximation(
     validate: bool = True,
     backend: str = "vectorized",
     oracle=None,
-    list_backend: Optional[str] = None,
 ) -> TwoApproxResult:
     """Compute a 2-approximate schedule for monotone moldable jobs.
 
@@ -68,12 +67,9 @@ def two_approximation(
     ``oracle`` optionally supplies a pre-built
     :class:`repro.perf.oracle.BatchedOracle` (implies the vectorized
     backend; lets callers read its probe instrumentation afterwards).
-    ``list_backend`` overrides the list-scheduling phase's backend (defaults
-    to the batched ``"event_queue"`` on the vectorized path and the scalar
-    ``"heap"`` loop otherwise; ``"wakeup"`` selects the columnar per-wake-up
-    loop, ``"event_queue_indexed"`` the event-queue variant with the
-    incremental need-bucket candidate index, the better fit for no-tie
-    deep-queue workloads — all bit-identical).
+    The list-scheduling phase follows the backend: the vectorized path runs
+    the batched ``"event_queue_indexed"`` list scheduler, the scalar path the
+    ``"heap"`` reference loop (bit-identical schedules).
     """
     jobs = list(jobs)
     backend, oracle = resolve_backend(jobs, m, backend, oracle)
@@ -98,14 +94,12 @@ def two_approximation(
     else:
         order = sorted(jobs, key=lambda j: estimate.allotment[j] * 0 - j.processing_time(estimate.allotment[j]))
         allotted_times = None
-    if list_backend is None:
-        list_backend = "event_queue" if oracle is not None else "heap"
     schedule = list_schedule(
         jobs,
         estimate.allotment,
         m,
         order=order,
-        backend=list_backend,
+        backend="event_queue_indexed" if oracle is not None else "heap",
         allotted_times=allotted_times,
         oracle=oracle,
     )

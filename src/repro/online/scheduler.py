@@ -187,7 +187,6 @@ class OnlineScheduler:
         eps: float = 0.1,
         algorithm: str = "auto",
         backend: str = "vectorized",
-        list_backend: Optional[str] = None,
         warm_start: bool = True,
         policy: str = "immediate",
         quantum: Optional[float] = None,
@@ -212,7 +211,6 @@ class OnlineScheduler:
         self.eps = eps
         self.algorithm = algorithm
         self.backend = backend
-        self.list_backend = list_backend
         self.warm_start = warm_start
         self.policy = policy
         self.quantum = quantum
@@ -267,7 +265,6 @@ class OnlineScheduler:
             algorithm=self.algorithm,
             validate=False,
             backend=self.backend,
-            list_backend=self.list_backend,
         )
 
         state = ReplanState(
@@ -275,7 +272,6 @@ class OnlineScheduler:
             eps=self.eps,
             algorithm=self.algorithm,
             backend=self.backend,
-            list_backend=self.list_backend,
             warm_start=self.warm_start,
             error=ReplanError,
         )

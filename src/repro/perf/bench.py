@@ -26,15 +26,14 @@ checked-in baseline: the gate fails when an algorithm's *speedup* drops below
 across machines), when the baseline lacks an aggregate the run produces
 (a stale baseline is a named failure, not a silent pass), when the backends
 disagree on any makespan, or when an absolute floor is undershot (the
-fptas/two_approx geomean, the list_schedule geomean, the
-list_schedule_indexed scan-vs-index geomean on the no-tie ``chain`` family,
-the candidate-visit reduction the index must deliver, or the re-plan
-γ-probe reduction the fault-recovery warm start must deliver on the
-``recovery`` rows — cold vs warm ``recover_with_faults`` on a seeded
-fault plan, ``--min-recovery`` — or the fleet-serving throughput floor on
-the ``serve`` rows, ``--min-serve-throughput`` — or the astronomical-m
-floor on the ``huge_m`` rows, scalar heap loop vs wide-integer columnar
-event-queue at m in {2^53+1, 2^64, 2^80}, ``--min-huge-m``).
+fptas/two_approx geomean, the list_schedule geomean — which includes the
+no-tie deep-queue ``chain`` rows — or the re-plan γ-probe reduction the
+fault-recovery warm start must deliver on the ``recovery`` rows — cold vs
+warm ``recover_with_faults`` on a seeded fault plan, ``--min-recovery`` —
+or the fleet-serving throughput floor on the ``serve`` rows,
+``--min-serve-throughput`` — or the astronomical-m floor on the ``huge_m``
+rows, scalar heap loop vs wide-integer columnar event-queue at m in
+{2^53+1, 2^64, 2^80}, ``--min-huge-m``).
 
 ``serve`` rows time :func:`repro.serve.schedule_many` over a small fleet
 twice — once healthy and once under seeded 10% kill/hang/raise chaos — and
@@ -82,10 +81,9 @@ TABLE1_ALGORITHMS = ("mrt", "compressible", "bounded_heap", "bounded_bucket")
 #: warm-start instrumentation rows).
 PROBE_ALGORITHMS = ("fptas", "two_approx")
 
-#: All timed algorithms: the Table-1 set, the columnar-assembly headliners,
-#: the isolated list-scheduling phase (scalar heap loop vs batched
-#: event-queue backend on a fixed estimator allotment), and the candidate
-#: index ablation (event-queue scan vs need-bucket index, same allotment).
+#: All timed algorithms: the Table-1 set, the columnar-assembly headliners
+#: and the isolated list-scheduling phase (scalar heap loop vs batched
+#: event-queue backend on a fixed estimator allotment).
 #: The ``recovery`` shard (fault-driven survivor re-planning, warm vs cold
 #: γ-cache) is swept separately — it is an end-to-end loop, not a
 #: backend-vs-backend ratio, so it stays out of the tiny_n_huge_m sweep.
@@ -93,7 +91,6 @@ ALL_ALGORITHMS = TABLE1_ALGORITHMS + (
     "fptas",
     "two_approx",
     "list_schedule",
-    "list_schedule_indexed",
 )
 
 SCHEDULE_EPS = 0.1
@@ -103,7 +100,7 @@ FPTAS_EPS = 0.5
 #: generator but with a config shape (n=64, m=2^22) that drives every
 #: algorithm through its large-m dispatch (FPTAS regime); ``chain`` (run
 #: with n >> m) is the no-tie single-completion regime that sweeps only the
-#: candidate-index ablation rows.
+#: list_schedule rows.
 FAMILIES: Dict[str, Callable] = {
     "mixed": random_mixed_instance,
     "powerwork": random_power_work_instance,
@@ -136,7 +133,8 @@ _MEGA_N = 6
 
 def _chain_m(n: int) -> int:
     """Machine count of the chain family: n >> m forces a deep waiting queue
-    (the single-completion no-tie regime the candidate index targets)."""
+    (the single-completion no-tie regime the event queue's candidate index
+    targets)."""
     return max(64, n // 16)
 
 
@@ -157,11 +155,6 @@ class BenchRow:
     #: off (0 for algorithms without probe instrumentation).
     gamma_probes_warm: int = 0
     gamma_probes_cold: int = 0
-    #: Admission-query job-slot visits of the candidate-index ablation rows:
-    #: the per-epoch O(n) scan vs the need-bucket index on the identical
-    #: instance (0 for rows without the instrumentation).
-    candidate_visits_scan: int = 0
-    candidate_visits_indexed: int = 0
     #: Fault-epoch re-plans of the ``recovery`` rows (0 for every other
     #: algorithm) — with the row's warm seconds this yields re-plans/sec.
     replans: int = 0
@@ -279,7 +272,7 @@ def _configs(mode: str, families: Sequence[str]) -> List[dict]:
         # requested families are ever swept: a tiny_n_huge_m-only run gets
         # tiny-shaped coverage rows instead (and therefore no n>=1000 floor
         # measurement — there is nothing honest to measure there); the chain
-        # family only ever sweeps the candidate-index ablation shard below.
+        # family only ever sweeps the list_schedule shard below.
         gate_families = [f for f in families if f not in ("tiny_n_huge_m", "chain")]
         if gate_families:
             configs.append(
@@ -336,15 +329,9 @@ def _configs(mode: str, families: Sequence[str]) -> List[dict]:
                 dict(algorithm="list_schedule", family="tiny_n_huge_m", n=_TINY_N, m=_TINY_M)
             )
         if "chain" in families:
-            # the candidate-index floor (--min-list-schedule-indexed) is
-            # measured on the no-tie regime at gate size
+            # keeps the deep-queue no-tie regime under --min-list-schedule
             configs.append(
-                dict(
-                    algorithm="list_schedule_indexed",
-                    family="chain",
-                    n=2000,
-                    m=_chain_m(2000),
-                )
+                dict(algorithm="list_schedule", family="chain", n=2000, m=_chain_m(2000))
             )
         # families the round-robin did not reach still get one cheap shard
         covered = {c["family"] for c in configs}
@@ -363,11 +350,11 @@ def _configs(mode: str, families: Sequence[str]) -> List[dict]:
             ]
             continue
         if family == "chain":
-            # deep-queue no-tie regime: only the candidate-index ablation is
+            # deep-queue no-tie regime: only the list-scheduling phase is
             # meaningful here (n >> m starves every other algorithm's
             # vectorized machinery of work, so their ratios would be noise)
             configs += [
-                dict(algorithm="list_schedule_indexed", family=family, n=n, m=_chain_m(n))
+                dict(algorithm="list_schedule", family=family, n=n, m=_chain_m(n))
                 for n in (1000, 2000)
             ]
             continue
@@ -418,32 +405,23 @@ def _configs(mode: str, families: Sequence[str]) -> List[dict]:
     return configs
 
 
-def _estimator_allotment(instance, m: int) -> tuple:
-    """The shared untimed setup of the list-scheduling shards: the batched
-    estimator allotment, the LPT order and the precomputed durations — one
-    definition, so the ablation shards cannot drift apart in what they feed
-    the timed backends."""
+def _list_schedule_shard(instance, m: int, repeat: int) -> tuple:
+    """Time the isolated list-scheduling phase: scalar heap loop vs batched
+    ``event_queue_indexed`` backend on the *same* estimator allotment and LPT
+    order (prepared once, untimed, with the batched estimator)."""
     import numpy as np
 
     from ..core.bounds import ludwig_tiwari_estimator
+    from ..core.list_scheduling import list_schedule
     from ..perf.oracle import BatchedOracle
 
     oracle = BatchedOracle(instance.jobs, m)
     estimate = ludwig_tiwari_estimator(instance.jobs, m, oracle=oracle)
-    counts = estimate.allotment.counts
+    allotment = estimate.allotment
+    counts = allotment.counts
     times = oracle.times_at(np.array([counts[j] for j in instance.jobs], dtype=np.float64))
     order = [instance.jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
     allotted = dict(zip(instance.jobs, times.tolist()))
-    return estimate.allotment, order, allotted
-
-
-def _list_schedule_shard(instance, m: int, repeat: int) -> tuple:
-    """Time the isolated list-scheduling phase: scalar heap loop vs batched
-    event-queue backend on the *same* estimator allotment and LPT order (the
-    allotment is prepared once, untimed, with the batched estimator)."""
-    from ..core.list_scheduling import list_schedule
-
-    allotment, order, allotted = _estimator_allotment(instance, m)
     scalar_seconds, scalar_result = _timed(
         lambda: list_schedule(
             instance.jobs, allotment, m, order=order, backend="heap"
@@ -457,7 +435,7 @@ def _list_schedule_shard(instance, m: int, repeat: int) -> tuple:
             allotment,
             m,
             order=order,
-            backend="event_queue",
+            backend="event_queue_indexed",
             allotted_times=allotted,
         ),
         repeat,
@@ -472,8 +450,8 @@ def _huge_m_shard(instance, m: int, repeat: int) -> tuple:
     ``event_queue_indexed`` backend on the same allotment and LPT order.
 
     The allotment comes from the *scalar* estimator — ``BatchedOracle``
-    (and with it :func:`_estimator_allotment`) rejects m beyond the float64
-    integer range, which is exactly the regime these rows measure."""
+    (and with it :func:`_list_schedule_shard`'s setup) rejects m beyond the
+    float64 integer range, which is exactly the regime these rows measure."""
     import numpy as np
 
     from ..core.bounds import ludwig_tiwari_estimator
@@ -510,54 +488,6 @@ def _huge_m_shard(instance, m: int, repeat: int) -> tuple:
         instance.jobs,
     )
     return scalar_seconds, scalar_result, vec_seconds, vec_result
-
-
-def _list_schedule_indexed_shard(instance, m: int, repeat: int) -> tuple:
-    """Time the candidate-index ablation: the PR-4 event-queue backend
-    (per-epoch ``need <= idle`` scan) vs the need-bucket indexed backend on
-    the *same* estimator allotment, LPT order and precomputed durations —
-    the only difference between the timed runs is the admission query.
-    Returns the timings, results and the per-run candidate-visit counters
-    (``stats=`` instrumentation of the respective last timed repeat)."""
-    from ..core.list_scheduling import list_schedule
-
-    allotment, order, allotted = _estimator_allotment(instance, m)
-    scan_stats: dict = {}
-    indexed_stats: dict = {}
-    scan_seconds, scan_result = _timed(
-        lambda: list_schedule(
-            instance.jobs,
-            allotment,
-            m,
-            order=order,
-            backend="event_queue",
-            allotted_times=allotted,
-            stats=scan_stats,
-        ),
-        repeat,
-        instance.jobs,
-    )
-    indexed_seconds, indexed_result = _timed(
-        lambda: list_schedule(
-            instance.jobs,
-            allotment,
-            m,
-            order=order,
-            backend="event_queue_indexed",
-            allotted_times=allotted,
-            stats=indexed_stats,
-        ),
-        repeat,
-        instance.jobs,
-    )
-    return (
-        scan_seconds,
-        scan_result,
-        indexed_seconds,
-        indexed_result,
-        int(scan_stats.get("candidates_visited", 0)),
-        int(indexed_stats.get("candidates_visited", 0)),
-    )
 
 
 def _probe_counts(instance, m: int, algorithm: str) -> tuple:
@@ -842,7 +772,6 @@ def _bench_shard(task: tuple) -> BenchRow:
     config, seed, repeat = task
     algorithm = config["algorithm"]
     n, m, family = config["n"], config["m"], config["family"]
-    visits_scan = visits_indexed = 0
     probes_warm = probes_cold = replans = 0
     if algorithm == "serve":
         (
@@ -933,15 +862,6 @@ def _bench_shard(task: tuple) -> BenchRow:
         scalar_seconds, scalar_result, vec_seconds, vec_result = _huge_m_shard(
             instance, m, repeat
         )
-    elif algorithm == "list_schedule_indexed":
-        (
-            scalar_seconds,
-            scalar_result,
-            vec_seconds,
-            vec_result,
-            visits_scan,
-            visits_indexed,
-        ) = _list_schedule_indexed_shard(instance, m, repeat)
     else:
         runner = _runner_for(algorithm)
         scalar_seconds, scalar_result = _timed(
@@ -966,8 +886,6 @@ def _bench_shard(task: tuple) -> BenchRow:
         makespans_identical=scalar_result.makespan == vec_result.makespan,
         gamma_probes_warm=probes_warm,
         gamma_probes_cold=probes_cold,
-        candidate_visits_scan=visits_scan,
-        candidate_visits_indexed=visits_indexed,
         replans=replans,
     )
 
@@ -1191,16 +1109,6 @@ def _aggregate(rows: Sequence[BenchRow]) -> Dict[str, float]:
         aggregates["online_replans_total"] = float(onl_replans)
         if onl_seconds > 0:
             aggregates["online_replans_per_sec"] = onl_replans / onl_seconds
-    # Candidate-index accounting over the instrumented (list_schedule_indexed)
-    # rows: total admission-query job-slot visits of the per-epoch scan vs
-    # the need-bucket index, and the relative reduction the index buys.
-    instrumented = [row for row in rows if row.candidate_visits_scan > 0]
-    visits_scan = sum(row.candidate_visits_scan for row in instrumented)
-    visits_indexed = sum(row.candidate_visits_indexed for row in instrumented)
-    if visits_scan > 0:
-        aggregates["candidate_visits_scan_total"] = float(visits_scan)
-        aggregates["candidate_visits_indexed_total"] = float(visits_indexed)
-        aggregates["candidate_visit_reduction"] = 1.0 - visits_indexed / visits_scan
     # Fleet-serving accounting over the ``serve`` rows: instances solved per
     # second with a healthy fleet vs the same fleet under seeded 10% chaos
     # (retries, kills and deadline recycling included in the wall clock).
@@ -1266,8 +1174,6 @@ def check_regression(
     regression_factor: float = 2.0,
     min_fptas_two_approx: Optional[float] = 8.0,
     min_list_schedule: Optional[float] = 2.0,
-    min_list_schedule_indexed: Optional[float] = 1.3,
-    min_visit_reduction: Optional[float] = 0.5,
     min_recovery: Optional[float] = 0.5,
     min_online: Optional[float] = 0.5,
     min_serve_throughput: Optional[float] = 0.5,
@@ -1288,12 +1194,8 @@ def check_regression(
     relative baseline check, absolute floors are enforced: the
     fptas/two_approx ``n >= 1000`` geomean (``min_fptas_two_approx``, the
     columnar schedule-assembly guarantee), the list_schedule ``n >= 1000``
-    geomean (``min_list_schedule``, the event-queue backend guarantee), the
-    list_schedule_indexed ``n >= 1000`` geomean
-    (``min_list_schedule_indexed``, the candidate-index-vs-scan guarantee on
-    the no-tie chain regime), the candidate-visit reduction
-    (``min_visit_reduction``, the index's admission-query work guarantee)
-    and the recovery probe reduction (``min_recovery``, the γ-probes the
+    geomean (``min_list_schedule``, the event-queue backend guarantee,
+    no-tie chain rows included) and the recovery probe reduction (``min_recovery``, the γ-probes the
     cross-epoch warm start must save the fault-recovery re-plans over cold
     bisection) and the online probe reduction (``min_online``, the same
     guarantee for the arrival-epoch re-plans of ``OnlineScheduler``, whose
@@ -1390,36 +1292,6 @@ def check_regression(
             failures.append(
                 f"speedup_list_schedule_n1000: {ls:.2f}x fell below the "
                 f"event-queue floor {min_list_schedule:.2f}x — rows: {detail}"
-            )
-    if min_list_schedule_indexed is not None:
-        lsi = report.aggregates.get("speedup_list_schedule_indexed_n1000")
-        if lsi is not None and lsi < min_list_schedule_indexed:
-            detail = ", ".join(
-                f"{_row_label(r)}: {r.speedup:.2f}x "
-                f"(visits scan {r.candidate_visits_scan} vs indexed "
-                f"{r.candidate_visits_indexed})"
-                for r in _contributing_rows(report.rows, ("list_schedule_indexed",))
-            )
-            failures.append(
-                f"speedup_list_schedule_indexed_n1000: {lsi:.2f}x fell below "
-                f"the candidate-index floor {min_list_schedule_indexed:.2f}x "
-                f"— rows: {detail}"
-            )
-    if min_visit_reduction is not None:
-        reduction = report.aggregates.get("candidate_visit_reduction")
-        if reduction is not None and reduction < min_visit_reduction:
-            detail = ", ".join(
-                f"{_row_label(r)}: scan {r.candidate_visits_scan} vs indexed "
-                f"{r.candidate_visits_indexed}"
-                for r in sorted(
-                    (r for r in report.rows if r.candidate_visits_scan > 0),
-                    key=lambda r: r.candidate_visits_scan - r.candidate_visits_indexed,
-                )
-            )
-            failures.append(
-                f"candidate_visit_reduction: {100.0 * reduction:.1f}% fell "
-                f"below the index admission-query floor "
-                f"{100.0 * min_visit_reduction:.1f}% — rows: {detail}"
             )
     if min_recovery is not None:
         reduction = report.aggregates.get("recovery_probe_reduction")
@@ -1566,24 +1438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=float,
         default=2.0,
         help="absolute floor for the list_schedule n>=1000 speedup geomean "
-        "(scalar heap loop vs batched event-queue backend), enforced by "
-        "--check (0 disables)",
-    )
-    parser.add_argument(
-        "--min-list-schedule-indexed",
-        type=float,
-        default=1.3,
-        help="absolute floor for the list_schedule_indexed n>=1000 speedup "
-        "geomean (event-queue per-epoch scan vs need-bucket candidate index "
-        "on the no-tie chain family), enforced by --check (0 disables)",
-    )
-    parser.add_argument(
-        "--min-visit-reduction",
-        type=float,
-        default=0.5,
-        help="absolute floor for candidate_visit_reduction (relative "
-        "admission-query work the candidate index saves over the per-epoch "
-        "scan), enforced by --check (0 disables)",
+        "(scalar heap loop vs batched event-queue backend, chain rows "
+        "included), enforced by --check (0 disables)",
     )
     parser.add_argument(
         "--min-recovery",
@@ -1646,7 +1502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         value = report.aggregates[key]
         if key in (
             "gamma_probe_reduction",
-            "candidate_visit_reduction",
             "recovery_probe_reduction",
             "online_probe_reduction",
         ):
@@ -1656,7 +1511,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif key.startswith("serve_throughput_"):
             print(f"  {key}: {value:.2f}/s")
         elif key.startswith(
-            ("gamma_probes_", "candidate_visits_", "recovery_", "serve_", "online_")
+            ("gamma_probes_", "recovery_", "serve_", "online_")
         ):
             print(f"  {key}: {value:.0f}")
         else:
@@ -1671,8 +1526,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 regression_factor=args.regression_factor,
                 min_fptas_two_approx=args.min_fptas_two_approx or None,
                 min_list_schedule=args.min_list_schedule or None,
-                min_list_schedule_indexed=args.min_list_schedule_indexed or None,
-                min_visit_reduction=args.min_visit_reduction or None,
                 min_recovery=args.min_recovery or None,
                 min_online=args.min_online or None,
                 min_serve_throughput=args.min_serve_throughput or None,

@@ -112,21 +112,19 @@ class _Segment:
         "eps",
         "chosen",
         "validate",
-        "list_backend",
         "start",
         "stop",
         "n",
         "oracle",
     )
 
-    def __init__(self, slot, jobs, m, eps, chosen, validate, list_backend):
+    def __init__(self, slot, jobs, m, eps, chosen, validate):
         self.slot = slot
         self.jobs = jobs
         self.m = m
         self.eps = eps
         self.chosen = chosen
         self.validate = validate
-        self.list_backend = list_backend
         self.n = len(jobs)
         self.start = 0
         self.stop = 0
@@ -275,13 +273,12 @@ def _gen_two_approx(seg: _Segment):
     times = yield ("eval", ks)
     order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
     allotted_times = dict(zip(jobs, times.tolist()))
-    list_backend = seg.list_backend if seg.list_backend is not None else "event_queue"
     schedule = list_schedule(
         jobs,
         estimate.allotment,
         seg.m,
         order=order,
-        backend=list_backend,
+        backend="event_queue_indexed",
         allotted_times=allotted_times,
         oracle=seg.oracle,
     )
@@ -481,7 +478,6 @@ def solve_mega(
     *,
     algorithm: str = "auto",
     validate: bool = True,
-    list_backend: Optional[str] = None,
     warm_start: bool = True,
     stats: Optional[dict] = None,
 ) -> List[SchedulingResult]:
@@ -533,9 +529,7 @@ def solve_mega(
     segments = []
     for slot, (jobs, m, i_eps, i_alg, chosen, mega) in enumerate(normalized):
         if mega:
-            segments.append(
-                _Segment(slot, jobs, m, i_eps, chosen, validate, list_backend)
-            )
+            segments.append(_Segment(slot, jobs, m, i_eps, chosen, validate))
 
     mega_results: Dict[int, SchedulingResult] = {}
     if segments:
@@ -562,13 +556,6 @@ def solve_mega(
             out.append(SchedulingResult(Schedule(m=m), i_alg, i_eps, 0.0, None))
         else:
             out.append(
-                schedule_moldable(
-                    jobs,
-                    m,
-                    i_eps,
-                    algorithm=i_alg,
-                    validate=validate,
-                    list_backend=list_backend,
-                )
+                schedule_moldable(jobs, m, i_eps, algorithm=i_alg, validate=validate)
             )
     return out

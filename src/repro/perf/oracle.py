@@ -134,8 +134,8 @@ class BatchedOracle:
     def times_for(self, jobs: Sequence[MoldableJob], ks) -> np.ndarray:
         """``t_j(ks_i)`` for an arbitrary job subset/permutation ``jobs``.
 
-        One batched kernel call per job class present — the columnar
-        list-scheduling backends use this to resolve durations for a
+        One batched kernel call per job class present — the event-queue
+        list scheduler uses this to resolve durations for a
         priority-ordered job sequence without per-job Python calls."""
         index = self._index
         idx = np.fromiter(

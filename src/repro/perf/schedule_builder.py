@@ -103,7 +103,7 @@ class ArraySchedule:
         ``(jobs, starts, overrides, span_owner, span_first, span_count)``.
 
         For trusted in-package producers that stream rows from a hot loop
-        (the columnar list-scheduling backends) and cannot afford one
+        (the event-queue list scheduler) and cannot afford one
         :meth:`append` call per placement.  Writers must keep the columns
         consistent (every row needs at least one span; overrides entry per
         row) — :meth:`build` re-validates everything anyway.  Duration

@@ -46,8 +46,8 @@ start exploits.
 
 The loop is deterministic: identical inputs produce identical stitched
 schedules under every backend (the differential harness's ``faulty`` family
-pins the scalar reference against the vectorized drivers and both
-event-queue list-scheduler backends, bit for bit).
+pins the scalar reference against the vectorized drivers, whose list
+scheduling runs the event queue, bit for bit).
 """
 
 from __future__ import annotations
@@ -175,7 +175,6 @@ def recover_with_faults(
     eps: float = 0.1,
     algorithm: str = "auto",
     backend: str = "vectorized",
-    list_backend: Optional[str] = None,
     warm_start: bool = True,
     validate: bool = True,
 ) -> RecoveryResult:
@@ -203,8 +202,7 @@ def recover_with_faults(
                 raise ValueError(f"fault plan kills unknown job {k.job!r}")
 
     fault_free = schedule_moldable(
-        jobs, m, eps, algorithm=algorithm, validate=False, backend=backend,
-        list_backend=list_backend,
+        jobs, m, eps, algorithm=algorithm, validate=False, backend=backend
     )
 
     if not jobs:
@@ -232,7 +230,6 @@ def recover_with_faults(
         eps=eps,
         algorithm=algorithm,
         backend=backend,
-        list_backend=list_backend,
         warm_start=warm_start,
         error=RecoveryError,
     )

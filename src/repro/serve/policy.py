@@ -52,46 +52,36 @@ class LadderStep:
 
     ``algorithm=None`` keeps the instance's requested algorithm; setting it
     (e.g. ``"two_approx"``) is the *result-changing* degradation reserved for
-    the bottom of the ladder.  ``backend``/``list_backend`` only trade speed:
-    every backend of this codebase is bit-identical, so an instance solved on
-    rungs that differ only in backend still reproduces the solo makespan.
+    the bottom of the ladder.  ``backend`` only trades speed: every backend
+    of this codebase is bit-identical (the list scheduler follows it), so an
+    instance solved on rungs that differ only in backend still reproduces the
+    solo makespan.
     """
 
     backend: str = "vectorized"
-    list_backend: Optional[str] = None
     algorithm: Optional[str] = None
 
     @property
     def label(self) -> str:
         parts = [self.backend]
-        if self.list_backend:
-            parts.append(self.list_backend)
         if self.algorithm:
             parts.append(f"algorithm={self.algorithm}")
         return "+".join(parts)
 
     def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "list_backend": self.list_backend,
-            "algorithm": self.algorithm,
-        }
+        return {"backend": self.backend, "algorithm": self.algorithm}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LadderStep":
-        return cls(
-            backend=str(data.get("backend", "vectorized")),
-            list_backend=data.get("list_backend"),
-            algorithm=data.get("algorithm"),
-        )
+        # unknown keys (e.g. from a journal written by an older version) are ignored
+        return cls(backend=str(data.get("backend", "vectorized")), algorithm=data.get("algorithm"))
 
 
-#: The default ladder: fastest path first, then progressively more
-#: conservative backends (all bit-identical results), finally the guaranteed
-#: ratio-2 algorithm for instances whose requested algorithm keeps failing
-#: (e.g. an fptas run repeatedly hitting its deadline).
+#: The default ladder: the vectorized fast path first, then the scalar
+#: reference (bit-identical results), finally — from the third attempt on —
+#: the guaranteed ratio-2 algorithm for instances whose requested algorithm
+#: keeps failing (e.g. an fptas run repeatedly hitting its deadline).
 DEFAULT_LADDER: Tuple[LadderStep, ...] = (
-    LadderStep(backend="vectorized", list_backend="event_queue_indexed"),
     LadderStep(backend="vectorized"),
     LadderStep(backend="scalar"),
     LadderStep(backend="scalar", algorithm="two_approx"),

@@ -114,7 +114,6 @@ def solve_task(task: dict, chaos: Optional[ChaosPolicy]) -> dict:
         algorithm=algorithm,
         backend=step.backend,
         oracle=oracle,
-        list_backend=step.list_backend,
     )
 
     # The solve finished without routing through the chaos oracle (wrong
@@ -166,7 +165,7 @@ def solve_pack(payload: dict, chaos: Optional[ChaosPolicy]) -> list:
             )
             for mem in members
         ]
-        results = solve_mega(items, list_backend=step.list_backend)
+        results = solve_mega(items)
     else:
         results = [
             schedule_moldable(
@@ -175,7 +174,6 @@ def solve_pack(payload: dict, chaos: Optional[ChaosPolicy]) -> list:
                 float(mem["eps"]),
                 algorithm=step.algorithm or mem["algorithm"],
                 backend=step.backend,
-                list_backend=step.list_backend,
             )
             for mem in members
         ]

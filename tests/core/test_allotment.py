@@ -92,6 +92,24 @@ class TestAllotment:
         assert allot[a] == 3
         assert list(iter(allot)) == [a]
 
+    @pytest.mark.parametrize("bad", [2.7, 0, -1, 0.5])
+    def test_setitem_applies_the_constructor_check(self, bad):
+        """``allot[job] = 2.7`` is rejected like ``Allotment({job: 2.7})``,
+        not truncated to 2."""
+        a = TabulatedJob("a", [1.0])
+        allot = Allotment({a: 1})
+        with pytest.raises(ValueError, match="positive integer"):
+            Allotment({a: bad})
+        with pytest.raises(ValueError, match="positive integer"):
+            allot[a] = bad
+        assert allot[a] == 1
+
+    def test_setitem_stores_integral_floats_as_int(self):
+        a = TabulatedJob("a", [1.0])
+        allot = Allotment({a: 1})
+        allot[a] = 4.0
+        assert allot[a] == 4 and type(allot[a]) is int
+
     def test_copy_is_independent(self):
         a = TabulatedJob("a", [1.0])
         allot = Allotment({a: 1})

@@ -4,7 +4,7 @@ The scalar heap loop groups completions within :func:`epoch_tolerance` of
 the earliest pending completion into one wake-up — ``max(1e-15 absolute,
 two ulp relative)``, so grouping keeps working at magnitudes where float64
 resolution has outgrown the historical absolute ``1e-15`` — and the
-event-queue backends must reproduce that grouping *exactly*: near-tie
+event-queue backend must reproduce that grouping *exactly*: near-tie
 floats just past the window (at every magnitude) must NOT merge epochs,
 ties inside it MUST, and the tolerance window is anchored at the earliest
 completion only (no chaining), following the PR-3 near-tie sweep
@@ -56,7 +56,7 @@ def _assert_identical(a, b, ctx=""):
         assert np.array_equal(getattr(ca, f), getattr(cb, f)), (ctx, f)
 
 
-def _run(jobs, allot, m, backend="event_queue", **kw):
+def _run(jobs, allot, m, backend="event_queue_indexed", **kw):
     stats = {}
     schedule = list_schedule(jobs, allot, m, backend=backend, stats=stats, **kw)
     return schedule, stats
@@ -197,7 +197,7 @@ class TestEpochGroupingPins:
         assert stats["max_epoch_completions"] == 2
         _assert_identical(list_schedule(jobs, allot, 3, backend="heap"), schedule)
 
-    def test_epoch_wakeup_starts_all_fitting_jobs_at_once(self):
+    def test_epoch_starts_all_fitting_jobs_at_once(self):
         """A merged epoch's released machines admit the whole next wave in
         one admission scan (same schedule as the heap, one epoch fewer than
         the no-tie case would need)."""
@@ -251,38 +251,22 @@ class TestBackendSelection:
             list_schedule(jobs, allot, 1, backend="quantum")
 
     def test_backends_registry(self):
-        assert LIST_BACKENDS == (
-            "heap",
-            "wakeup",
-            "event_queue",
-            "event_queue_indexed",
-        )
+        assert LIST_BACKENDS == ("heap", "event_queue_indexed")
 
-    def test_columnar_flag_still_selects_wakeup(self):
-        jobs, allot = _jobs_with_durations([2.0, 1.0], need=1)
-        _assert_identical(
-            list_schedule(jobs, allot, 2, columnar=True),
-            list_schedule(jobs, allot, 2, backend="wakeup"),
-        )
-
-    @pytest.mark.parametrize("backend", ["wakeup", "event_queue", "event_queue_indexed"])
-    def test_astronomical_m_runs_natively(self, backend):
+    def test_astronomical_m_runs_natively(self):
         """Machine counts beyond the int64 span range used to divert to the
-        scalar heap; the wide-limb capacity tier now keeps every columnar
-        backend vectorized, bit-identical to the heap reference."""
+        scalar heap; the wide-limb capacity tier now keeps the event queue
+        vectorized, bit-identical to the heap reference."""
         m = MAX_COLUMNAR_M * 4
         jobs = [TabulatedJob("big", [3.0, 3.0]), TabulatedJob("small", [5.0])]
         allot = Allotment({jobs[0]: m - 1, jobs[1]: 1})
-        stats = {}
-        schedule = list_schedule(jobs, allot, m, backend=backend, stats=stats)
+        schedule, stats = _run(jobs, allot, m)
         assert schedule.makespan == 5.0
-        if backend != "wakeup":
-            assert "epochs" in stats  # the event queue ran, no heap fallback
+        assert "epochs" in stats  # the event queue ran, no heap fallback
         assert stats["capacity_tier"] == "wide"
         _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
 
-    @pytest.mark.parametrize("backend", ["event_queue", "event_queue_indexed"])
-    def test_huge_total_need_runs_natively(self, backend):
+    def test_huge_total_need_runs_natively(self):
         """Needs whose prefix sums overflow int64 (regression: 40 jobs of
         2^61 processors on m = 2^62 crashed the batched admission path) now
         promote to the wide tier instead of diverting to the heap."""
@@ -290,64 +274,46 @@ class TestBackendSelection:
         need = 1 << 61
         jobs = [TabulatedJob(f"h{i}", [10.0]) for i in range(40)]
         allot = Allotment({j: need for j in jobs})
-        stats = {}
-        schedule = list_schedule(jobs, allot, m, backend=backend, stats=stats)
+        schedule, stats = _run(jobs, allot, m)
         assert schedule.makespan == 200.0
         assert "epochs" in stats  # the event queue ran, no heap fallback
         assert stats["capacity_tier"] == "wide"
         _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
 
-    @pytest.mark.parametrize("backend", ["wakeup", "event_queue", "event_queue_indexed"])
-    def test_unified_guard_at_the_exact_int64_boundary(self, backend):
-        """All three columnar backends share one tier cut: total_need equal
-        to ``MAX_COLUMNAR_M - m`` stays on int64 columns, one processor more
-        promotes to the wide tier — and both sides match the heap exactly.
-
-        Before the capacity module only the two event-queue backends guarded
-        the boundary (list_scheduling.py's old line-177 guard); the wakeup
-        backend's candidate arrays could silently overflow."""
+    def test_unified_guard_at_the_exact_int64_boundary(self):
+        """One tier cut: total_need equal to ``MAX_COLUMNAR_M - m`` stays on
+        int64 columns, one processor more promotes to the wide tier — and
+        both sides match the heap exactly."""
         m = 1 << 61
         budget = MAX_COLUMNAR_M - m  # the historical event-queue guard value
         for extra, tier in ((0, "int64"), (1, "wide")):
             jobs = [TabulatedJob("a", [4.0]), TabulatedJob("b", [6.0])]
             # two needs <= m whose total sits exactly on / one past the cut
             allot = Allotment({jobs[0]: budget // 2, jobs[1]: budget // 2 + extra})
-            stats = {}
-            schedule = list_schedule(jobs, allot, m, backend=backend, stats=stats)
+            schedule, stats = _run(jobs, allot, m)
             assert stats["capacity_tier"] == tier, (extra, tier)
             _assert_identical(
                 list_schedule(jobs, allot, m, backend="heap"), schedule
             )
 
-    @pytest.mark.parametrize("backend", ["wakeup", "event_queue", "event_queue_indexed"])
-    def test_object_tier_beyond_wide_range(self, backend):
+    def test_object_tier_beyond_wide_range(self):
         """Past the 2^93 wide-limb budget the object-dtype escape hatch keeps
         the columnar structure (exact Python-int arithmetic per element)."""
         m = 1 << 96
         jobs = [TabulatedJob("big", [3.0, 3.0]), TabulatedJob("small", [5.0])]
         allot = Allotment({jobs[0]: m - 1, jobs[1]: 1})
-        stats = {}
-        schedule = list_schedule(jobs, allot, m, backend=backend, stats=stats)
+        schedule, stats = _run(jobs, allot, m)
         assert stats["capacity_tier"] == "object"
         _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
 
     def test_stats_contract(self):
         jobs, allot = _jobs_with_durations([1.0, 2.0, 3.0])
         _, stats = _run(jobs, allot, 2)
-        assert stats["backend"] == "event_queue"
+        assert stats["backend"] == "event_queue_indexed"
+        assert stats["capacity_tier"] == "int64"
         assert stats["events"] == 3
         assert stats["epochs"] >= 1
         assert 1 <= stats["max_epoch_completions"] <= 3
-        # the scanning backend examines every job slot per admission query
-        assert stats["candidate_scans"] >= 1
-        assert stats["candidates_visited"] == stats["candidate_scans"] * len(jobs)
-
-    def test_stats_contract_indexed(self):
-        jobs, allot = _jobs_with_durations([1.0, 2.0, 3.0])
-        _, stats = _run(jobs, allot, 2, backend="event_queue_indexed")
-        assert stats["backend"] == "event_queue_indexed"
-        assert stats["events"] == 3
-        assert stats["epochs"] >= 1
         assert stats["candidate_scans"] >= 1
         assert stats["candidates_visited"] >= 1
 
@@ -378,15 +344,7 @@ class TestEpochGroupingProperties:
         ]
         allot = Allotment({job: k for job, k in zip(jobs, needs)})
         heap = list_schedule(jobs, allot, m, backend="heap")
-        wakeup = list_schedule(jobs, allot, m, backend="wakeup")
-        stats = {}
-        event = list_schedule(jobs, allot, m, backend="event_queue", stats=stats)
-        indexed_stats = {}
-        indexed = list_schedule(
-            jobs, allot, m, backend="event_queue_indexed", stats=indexed_stats
-        )
-        _assert_identical(heap, wakeup, (m, durations, needs))
-        _assert_identical(heap, event, (m, durations, needs))
+        indexed, stats = _run(jobs, allot, m)
         _assert_identical(heap, indexed, (m, durations, needs))
         # every completion is seen exactly once, and epochs are bounded by
         # the number of *distinct* end values (an epoch consumes at least
@@ -395,10 +353,6 @@ class TestEpochGroupingProperties:
         assert stats["events"] == len(jobs)
         distinct_ends = len({float(e) for e in heap.columns().end.tolist()})
         assert 1 <= stats["epochs"] <= distinct_ends
-        # the admission decisions being identical, the *epoch structure* of
-        # the indexed run must coincide with the scanning run exactly
-        for key in ("epochs", "events", "max_epoch_completions"):
-            assert indexed_stats[key] == stats[key], (m, durations, needs, key)
 
 
 @st.composite
@@ -406,7 +360,7 @@ def _chain_case(draw):
     """Adversarial single-completion chains: distinct durations (no two
     completions ever share an epoch window), n far above m, and small needs
     so nearly every epoch admits exactly one successor from a deep waiting
-    queue — the regime where the scanning backend pays O(n) per epoch."""
+    queue — the regime where an O(n) admission scan per epoch would dominate."""
     m = draw(st.sampled_from([1, 2, 3, 5, 8]))
     n = draw(st.integers(min_value=1, max_value=70))
     # strictly increasing integer-spaced durations: separations are >= 1,
@@ -422,10 +376,11 @@ def _chain_case(draw):
 class TestCandidateIndexProperties:
     @given(_chain_case())
     @settings(max_examples=120, deadline=None)
-    def test_index_matches_scan_on_single_completion_chains(self, case):
-        """Index-vs-scan identical admission order (hence bit-identical
-        schedules) on no-tie chains; the index must also agree epoch for
-        epoch with the scanning backend's instrumentation."""
+    def test_index_matches_heap_on_single_completion_chains(self, case):
+        """Index-vs-heap identical admission order (hence bit-identical
+        schedules) on no-tie chains.  Every start and duration is an exact
+        integer, so completions group only on exact ties: the epochs are
+        exactly the heap schedule's distinct end times."""
         m, durations, needs = case
         jobs = [
             TabulatedJob(f"c{i}", [float(d)] * k)
@@ -433,16 +388,14 @@ class TestCandidateIndexProperties:
         ]
         allot = Allotment({job: k for job, k in zip(jobs, needs)})
         heap = list_schedule(jobs, allot, m, backend="heap")
-        scan_stats = {}
-        scan = list_schedule(jobs, allot, m, backend="event_queue", stats=scan_stats)
-        index_stats = {}
-        indexed = list_schedule(
-            jobs, allot, m, backend="event_queue_indexed", stats=index_stats
-        )
-        _assert_identical(heap, scan, (m, durations, needs))
+        indexed, index_stats = _run(jobs, allot, m)
         _assert_identical(heap, indexed, (m, durations, needs))
-        for key in ("epochs", "events", "max_epoch_completions"):
-            assert index_stats[key] == scan_stats[key], (m, durations, needs, key)
+        ends = heap.columns().end.tolist()
+        multiplicity = {e: ends.count(e) for e in ends}
+        ctx = (m, durations, needs)
+        assert index_stats["events"] == len(jobs), ctx
+        assert index_stats["epochs"] == len(multiplicity), ctx
+        assert index_stats["max_epoch_completions"] == max(multiplicity.values()), ctx
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -450,8 +403,8 @@ class TestCandidateIndexProperties:
         st.integers(min_value=0, max_value=2**31 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_index_matches_scan_on_quantized_family(self, n, m, seed):
-        """Index-vs-scan identical admission order on the tie-heavy
+    def test_index_matches_heap_on_quantized_family(self, n, m, seed):
+        """Index-vs-heap identical admission order on the tie-heavy
         ``quantized`` generator itself (exact duration ties → mass
         simultaneous-completion epochs → mass admissions exercising the
         batched gather/remove paths of the index)."""
@@ -462,28 +415,20 @@ class TestCandidateIndexProperties:
         needs = [int(k) for k in rng.integers(1, m + 1, size=n)]
         allot = Allotment({job: k for job, k in zip(instance.jobs, needs)})
         heap = list_schedule(instance.jobs, allot, m, backend="heap")
-        scan_stats = {}
-        scan = list_schedule(
-            instance.jobs, allot, m, backend="event_queue", stats=scan_stats
-        )
-        index_stats = {}
-        indexed = list_schedule(
-            instance.jobs, allot, m, backend="event_queue_indexed", stats=index_stats
-        )
-        _assert_identical(heap, scan, (n, m, seed))
+        indexed, index_stats = _run(instance.jobs, allot, m)
         _assert_identical(heap, indexed, (n, m, seed))
-        assert index_stats["epochs"] == scan_stats["epochs"], (n, m, seed)
+        assert index_stats["events"] == n, (n, m, seed)
+        distinct_ends = len(set(heap.columns().end.tolist()))
+        assert 1 <= index_stats["epochs"] <= distinct_ends, (n, m, seed)
 
     def test_index_visits_collapse_on_deep_queues(self):
         """The counters must *demonstrate* the index: on a deterministic
         1-wide chain (every epoch admits one of many unit-need waiters) the
-        scanning backend examines every job slot per epoch while the index
-        touches each waiting job once overall."""
+        index touches each waiting job once overall, not once per epoch."""
         n = 200
         jobs, allot = _jobs_with_durations([float(3 + i) for i in range(n)])
-        _, scan_stats = _run(jobs, allot, 1)
-        _, index_stats = _run(jobs, allot, 1, backend="event_queue_indexed")
-        assert scan_stats["candidates_visited"] == scan_stats["candidate_scans"] * n
-        assert scan_stats["candidates_visited"] > 10 * index_stats["candidates_visited"]
+        _, index_stats = _run(jobs, allot, 1)
+        assert index_stats["epochs"] == n
         # every admission gathers exactly the one admissible candidate
+        assert index_stats["candidate_scans"] == n
         assert index_stats["candidates_visited"] == n

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.allotment import Allotment, canonical_allotment
 from repro.core.job import TabulatedJob
-from repro.core.list_scheduling import list_schedule, list_schedule_bound
+from repro.core.list_scheduling import LIST_BACKENDS, list_schedule, list_schedule_bound
 from repro.core.validation import assert_valid_schedule
 from repro.workloads.generators import random_mixed_instance
 
@@ -90,6 +90,34 @@ class TestListSchedule:
         with pytest.raises(ValueError):
             list_schedule([a, b], Allotment({a: 1, b: 1}), m, order=[a])
 
+    @pytest.mark.parametrize("backend", LIST_BACKENDS)
+    def test_repeated_job_rejected(self, backend):
+        """A job object listed twice is rejected up front, not scheduled
+        twice."""
+        m = 2
+        a = make_rigid("a", 1.0, 1, m)
+        b = make_rigid("b", 1.0, 1, m)
+        allot = Allotment({a: 1, b: 1})
+        with pytest.raises(ValueError, match="repeat"):
+            list_schedule([a, a, b], allot, m, backend=backend)
+        with pytest.raises(ValueError, match="repeat"):
+            list_schedule([a, a, b], allot, m, order=[a, b, b], backend=backend)
+
+    @pytest.mark.parametrize("backend", LIST_BACKENDS)
+    def test_order_must_be_the_same_multiset(self, backend):
+        """Same length and same set of objects is not enough: ``order`` may
+        not swap one job for a second copy of another."""
+        m = 2
+        a = make_rigid("a", 1.0, 1, m)
+        b = make_rigid("b", 1.0, 1, m)
+        c = make_rigid("c", 1.0, 1, m)
+        allot = Allotment({a: 1, b: 1, c: 1})
+        for order in ([a, b, b], [a, b], [a, b, c, c], [a, b, make_rigid("c", 1.0, 1, m)]):
+            with pytest.raises(ValueError, match="permutation"):
+                list_schedule([a, b, c], allot, m, order=order, backend=backend)
+        schedule = list_schedule([a, b, c], allot, m, order=[c, a, b], backend=backend)
+        assert [e.job for e in schedule.entries] == [c, a, b]
+
     def test_invalid_m(self):
         a = make_rigid("a", 1.0, 1, 1)
         with pytest.raises(ValueError):
@@ -101,7 +129,7 @@ class TestListSchedule:
 
 
 class TestColumnarListScheduling:
-    """list_schedule(columnar=True) must be bit-identical to the scalar loop."""
+    """The event-queue backend must be bit-identical to the scalar loop."""
 
     def test_columnar_matches_scalar_on_random_instances(self):
         from repro.workloads.generators import random_bimodal_instance, random_mixed_instance
@@ -114,7 +142,9 @@ class TestColumnarListScheduling:
             instance = generator(80, 96, seed=seed)
             allotment = Allotment({job: (i % 7) + 1 for i, job in enumerate(instance.jobs)})
             scalar = list_schedule(instance.jobs, allotment, 96)
-            columnar = list_schedule(instance.jobs, allotment, 96, columnar=True)
+            columnar = list_schedule(
+                instance.jobs, allotment, 96, backend="event_queue_indexed"
+            )
             assert len(scalar.entries) == len(columnar.entries)
             for a, b in zip(scalar.entries, columnar.entries):
                 assert a.job is b.job and a.start == b.start and a.spans == b.spans
@@ -123,8 +153,8 @@ class TestColumnarListScheduling:
     def test_columnar_validates_allotment_like_scalar(self):
         job = TabulatedJob("j", [5.0, 3.0])
         with pytest.raises(ValueError):
-            list_schedule([job], Allotment({}), 4, columnar=True)
+            list_schedule([job], Allotment({}), 4, backend="event_queue_indexed")
 
     def test_columnar_empty(self):
-        schedule = list_schedule([], Allotment({}), 4, columnar=True)
+        schedule = list_schedule([], Allotment({}), 4, backend="event_queue_indexed")
         assert len(schedule) == 0

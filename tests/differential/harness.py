@@ -1,26 +1,15 @@
-"""Cross-backend differential testing harness (N-way).
+"""Cross-backend differential testing harness.
 
-The repository ships multiple bit-identical implementations of every
-algorithm driver — exactly the structure differential testing exploits: run
-all of them on the same random instance and *any* disagreement is a bug in
-one of them, no oracle needed.  Since PR 4 the comparison is **N-way**
-(:data:`BACKENDS`):
+The repository ships two bit-identical implementations of every algorithm
+driver — exactly the structure differential testing exploits: run both on
+the same random instance and *any* disagreement is a bug in one of them, no
+oracle needed.  The comparison covers :data:`BACKENDS`:
 
 * ``"scalar"`` — the pure-Python reference (heap wake-up loop for list
   scheduling, per-entry ``Schedule.add`` assembly);
 * ``"vectorized"`` — the batched-oracle drivers; for ``two_approx`` the
-  list-scheduling phase is pinned to the columnar per-wake-up loop
-  (``list_backend="wakeup"``), PR 2's fast path;
-* ``"event_queue"`` — the batched event-queue list scheduler: the genuinely
-  distinct third implementation, so it is compared for ``two_approx`` (the
-  one driver with a list-scheduling phase) and skipped for the others —
-  re-running their unchanged vectorized path would double the fuzz budget
-  without exercising any new code;
-* ``"event_queue_indexed"`` — the event-queue list scheduler with the
-  incremental need-bucket candidate index (its admission queries come from
-  bucket prefix walks instead of per-epoch scans): a genuinely distinct
-  fourth implementation, compared for ``two_approx`` and skipped for the
-  other drivers exactly like ``"event_queue"``.
+  list-scheduling phase runs the batched event-queue scheduler with the
+  incremental need-bucket candidate index (the driver's default).
 
 A *case* is a small JSON-able dict ``{driver, family, n, m, eps, seed}``:
 the instance is regenerated from the family generator and the seed, so a
@@ -137,13 +126,9 @@ HUGE_M_CHOICES = (
 
 DRIVERS = ("mrt", "compressible", "bounded", "fptas", "two_approx")
 
-#: The N-way comparison: the scalar reference plus every non-scalar
-#: implementation, compared pairwise against the reference.
-BACKENDS = ("scalar", "vectorized", "event_queue", "event_queue_indexed")
-
-#: Backends that only differ inside the list-scheduling phase — compared
-#: for ``two_approx`` (the one driver with such a phase), skipped elsewhere.
-LIST_ONLY_BACKENDS = ("event_queue", "event_queue_indexed")
+#: The comparison: the scalar reference and the vectorized implementation,
+#: compared against the reference.
+BACKENDS = ("scalar", "vectorized")
 
 
 def effective_m(case: dict) -> int:
@@ -180,24 +165,15 @@ def run_driver(case: dict, backend: str, jobs=None) -> Schedule:
     eps = float(case["eps"])
     driver = case["driver"]
     if driver == "two_approx":
-        # the four genuinely distinct list-scheduling implementations
-        if backend == "scalar":
-            return two_approximation(jobs, m, backend="scalar").schedule
-        list_backend = "wakeup" if backend == "vectorized" else backend
-        return two_approximation(
-            jobs, m, backend="vectorized", list_backend=list_backend
-        ).schedule
-    # the remaining drivers have no list-scheduling phase; the list-only
-    # backends map to their vectorized path (run_case skips them there)
-    effective = "vectorized" if backend in LIST_ONLY_BACKENDS else backend
+        return two_approximation(jobs, m, backend=backend).schedule
     if driver == "mrt":
-        return mrt_schedule(jobs, m, eps, backend=effective).schedule
+        return mrt_schedule(jobs, m, eps, backend=backend).schedule
     if driver == "compressible":
-        return compressible_schedule(jobs, m, eps, backend=effective).schedule
+        return compressible_schedule(jobs, m, eps, backend=backend).schedule
     if driver == "bounded":
-        return bounded_schedule(jobs, m, eps, backend=effective).schedule
+        return bounded_schedule(jobs, m, eps, backend=backend).schedule
     if driver == "fptas":
-        return fptas_schedule(jobs, m, eps, backend=effective).schedule
+        return fptas_schedule(jobs, m, eps, backend=backend).schedule
     raise KeyError(driver)
 
 
@@ -250,22 +226,14 @@ def fault_plan_for(case: dict, jobs) -> FaultPlan:
 
 
 def run_recovery(case: dict, backend: str, jobs, plan: FaultPlan) -> RecoveryResult:
-    """Run the drain-and-replan recovery loop under one backend, mirroring
-    :func:`run_driver`'s backend → (backend, list_backend) mapping."""
+    """Run the drain-and-replan recovery loop under one backend."""
     if backend not in BACKENDS:
         raise KeyError(backend)
     m = effective_m(case)
     eps = float(case["eps"])
-    driver = case["driver"]
-    if backend == "scalar":
-        return recover_with_faults(jobs, m, plan, eps=eps, algorithm=driver, backend="scalar")
-    if driver == "two_approx":
-        list_backend = "wakeup" if backend == "vectorized" else backend
-        return recover_with_faults(
-            jobs, m, plan, eps=eps, algorithm=driver, backend="vectorized",
-            list_backend=list_backend,
-        )
-    return recover_with_faults(jobs, m, plan, eps=eps, algorithm=driver, backend="vectorized")
+    return recover_with_faults(
+        jobs, m, plan, eps=eps, algorithm=case["driver"], backend=backend
+    )
 
 
 def _run_recovery_case(case: dict) -> None:
@@ -279,8 +247,6 @@ def _run_recovery_case(case: dict) -> None:
     _assert_validator_verdicts_agree(scalar.schedule, scalar_survivors, case)
 
     for backend in BACKENDS[1:]:
-        if backend in LIST_ONLY_BACKENDS and case["driver"] != "two_approx":
-            continue
         jobs = build_instance(case).jobs
         result = run_recovery(case, backend, jobs, fault_plan_for(case, jobs))
         context = f"case {case!r}, backend {backend!r} vs scalar (recovery)"
@@ -333,29 +299,17 @@ def online_policy_for(case: dict, instance) -> dict:
 def run_online(
     case: dict, backend: str, instance, *, warm_start: bool = True
 ) -> OnlineResult:
-    """Run the whole online arrival-epoch loop under one backend, mirroring
-    :func:`run_driver`'s backend → (backend, list_backend) mapping."""
+    """Run the whole online arrival-epoch loop under one backend."""
     if backend not in BACKENDS:
         raise KeyError(backend)
-    m = effective_m(case)
-    eps = float(case["eps"])
-    driver = case["driver"]
-    kwargs = online_policy_for(case, instance)
-    if backend == "scalar":
-        scheduler = OnlineScheduler(
-            m, eps=eps, algorithm=driver, backend="scalar", warm_start=warm_start, **kwargs
-        )
-    elif driver == "two_approx":
-        list_backend = "wakeup" if backend == "vectorized" else backend
-        scheduler = OnlineScheduler(
-            m, eps=eps, algorithm=driver, backend="vectorized",
-            list_backend=list_backend, warm_start=warm_start, **kwargs,
-        )
-    else:
-        scheduler = OnlineScheduler(
-            m, eps=eps, algorithm=driver, backend="vectorized",
-            warm_start=warm_start, **kwargs,
-        )
+    scheduler = OnlineScheduler(
+        effective_m(case),
+        eps=float(case["eps"]),
+        algorithm=case["driver"],
+        backend=backend,
+        warm_start=warm_start,
+        **online_policy_for(case, instance),
+    )
     return scheduler.run(instance.arrivals)
 
 
@@ -369,8 +323,6 @@ def _run_online_case(case: dict) -> None:
     _assert_validator_verdicts_agree(scalar.schedule, scalar_inst.jobs, case)
 
     for backend in BACKENDS[1:]:
-        if backend in LIST_ONLY_BACKENDS and case["driver"] != "two_approx":
-            continue
         inst = build_instance(case)
         result = run_online(case, backend, inst)
         context = f"case {case!r}, backend {backend!r} vs scalar (online)"
@@ -478,7 +430,7 @@ def _run_mega_case(case: dict) -> None:
 def run_case(case: dict) -> None:
     """Execute one differential case; raises AssertionError on any mismatch.
 
-    N-way: every backend in :data:`BACKENDS` runs on its own regenerated
+    Every backend in :data:`BACKENDS` runs on its own regenerated
     instance (the generators are seed-deterministic, and separate job
     objects rule out cross-backend memo pollution hiding a real divergence)
     and is compared against the scalar reference.  ``faulty``-family cases
@@ -502,10 +454,6 @@ def run_case(case: dict) -> None:
     _assert_validator_verdicts_agree(scalar, scalar_jobs, case)
 
     for backend in BACKENDS[1:]:
-        if backend in LIST_ONLY_BACKENDS and case["driver"] != "two_approx":
-            # identical to the vectorized run for drivers without a
-            # list-scheduling phase — skip the duplicate work
-            continue
         jobs = build_instance(case).jobs
         schedule = run_driver(case, backend, jobs)
         assert scalar.makespan == schedule.makespan, (

@@ -52,7 +52,7 @@ class TestConfigs:
         assert {c["algorithm"] for c in tiny} == set(ALL_ALGORITHMS)
         assert all(c["n"] == 64 and c["m"] == 1 << 22 for c in tiny)
         # gate rows exist at n >= 1000 for every non-tiny family (chain only
-        # ever sweeps the candidate-index ablation)
+        # ever sweeps the list-scheduling phase)
         for family in DEFAULT_FAMILIES:
             if family in ("tiny_n_huge_m", "chain"):
                 continue
@@ -65,19 +65,20 @@ class TestConfigs:
                 for c in configs
             )
 
-    def test_chain_family_sweeps_only_the_index_ablation(self):
+    def test_chain_family_sweeps_only_list_schedule(self):
         configs = _configs("full", list(DEFAULT_FAMILIES))
         chain = [c for c in configs if c["family"] == "chain"]
-        assert chain and all(c["algorithm"] == "list_schedule_indexed" for c in chain)
-        assert any(c["n"] >= 1000 for c in chain)
+        assert chain and all(c["algorithm"] == "list_schedule" for c in chain)
+        assert {c["n"] for c in chain} == {1000, 2000}
         # the deep-queue shape: n well above m
         assert all(c["n"] >= 8 * c["m"] for c in chain)
         smoke = [
             c
             for c in _configs("smoke", list(DEFAULT_FAMILIES))
-            if c["algorithm"] == "list_schedule_indexed"
+            if c["algorithm"] == "list_schedule" and c["family"] == "chain"
         ]
-        assert any(c["family"] == "chain" and c["n"] >= 1000 for c in smoke)
+        # the smoke gate keeps the deep-queue regime under --min-list-schedule
+        assert [c["n"] for c in smoke] == [2000]
 
     def test_smoke_round_robins_families(self):
         families = list(DEFAULT_FAMILIES)
@@ -284,60 +285,36 @@ class TestAggregatesAndGate:
         aggregates = _aggregate([_row("mrt", "mixed", 1000, 5.0)])
         assert "gamma_probe_reduction" not in aggregates
 
-    def _indexed_row(self, speedup, visits=(100_000, 1_000), n=2000):
-        row = _row("list_schedule_indexed", "chain", n, speedup)
+    def _chain_row(self, speedup, n=2000):
+        row = _row("list_schedule", "chain", n, speedup)
         row.m = max(64, n // 16)
-        row.candidate_visits_scan, row.candidate_visits_indexed = visits
         return row
 
-    def test_candidate_visit_aggregates(self):
+    def test_chain_rows_feed_the_list_schedule_geomean(self):
         rows = [
-            self._indexed_row(1.6, visits=(80_000, 2_000)),
-            self._indexed_row(1.4, visits=(20_000, 3_000), n=1000),
+            self._chain_row(16.0),
+            _row("list_schedule", "mixed", 2000, 4.0),
             _row("mrt", "mixed", 1000, 5.0),
         ]
         aggregates = _aggregate(rows)
-        assert aggregates["candidate_visits_scan_total"] == 100_000.0
-        assert aggregates["candidate_visits_indexed_total"] == 5_000.0
-        assert aggregates["candidate_visit_reduction"] == pytest.approx(0.95)
-        assert "candidate_visit_reduction" not in _aggregate(rows[-1:])
+        assert aggregates["speedup_list_schedule_n1000"] == pytest.approx(8.0)
+        assert not any(key.startswith("candidate_") for key in aggregates)
 
-    def test_indexed_floor_gate_names_rows_and_counters(self, tmp_path):
-        """The candidate-index floor failure must name the offending rows
-        *with* their scan/indexed visit counters, like γ-probe reporting."""
-        report = self._report([self._indexed_row(1.1)])
+    def test_list_schedule_floor_names_chain_rows(self, tmp_path):
+        """The event-queue floor covers the deep-queue chain rows and names
+        them when they drag the geomean under it."""
+        report = self._report([self._chain_row(1.1)])
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"aggregates": {}}))
         failures = check_regression(
+            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=2.0
+        )
+        message = "\n".join(failures)
+        assert "event-queue floor" in message
+        assert "list_schedule/chain" in message
+        assert not check_regression(
             report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
         )
-        message = "\n".join(failures)
-        assert "candidate-index floor" in message
-        assert "list_schedule_indexed/chain" in message
-        assert "visits scan 100000" in message and "indexed 1000" in message
-        assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_list_schedule_indexed=None,
-            min_visit_reduction=None,
-        )
-
-    def test_visit_reduction_gate(self, tmp_path):
-        report = self._report([self._indexed_row(1.6, visits=(100_000, 80_000))])
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_list_schedule_indexed=None,
-        )
-        message = "\n".join(failures)
-        assert "admission-query floor" in message
-        assert "scan 100000 vs indexed 80000" in message
 
     def _recovery_row(self, probes=(120, 1000), replans=4, warm_seconds=0.5):
         row = _row("recovery", "mixed", 80, 1.0)
@@ -502,34 +479,24 @@ class TestAggregatesAndGate:
         """A baseline that predates freshly added rows must fail the gate
         with a message naming the missing aggregate and its rows — not pass
         silently and not raise a KeyError."""
-        rows = [_row("mrt", "mixed", 1000, 5.0), self._indexed_row(1.6)]
+        rows = [_row("mrt", "mixed", 1000, 5.0), self._chain_row(1.6)]
         report = self._report(rows)
         baseline = tmp_path / "baseline.json"
-        # an old baseline: knows mrt, predates list_schedule_indexed
+        # an old baseline: knows mrt, predates the list_schedule rows
         baseline.write_text(
             json.dumps({"aggregates": {"speedup_mrt": 5.0, "speedup_mrt_n1000": 5.0}})
         )
         failures = check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_list_schedule_indexed=None,
-            min_visit_reduction=None,
+            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
         )
         message = "\n".join(failures)
-        assert "speedup_list_schedule_indexed" in message
+        assert "speedup_list_schedule" in message
         assert "no reference" in message and "re-record" in message
-        assert "list_schedule_indexed/chain" in message
+        assert "list_schedule/chain" in message
         # a deliberately aggregate-free baseline still means "floors only"
         baseline.write_text(json.dumps({"aggregates": {}}))
         assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_list_schedule_indexed=None,
-            min_visit_reduction=None,
+            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
         )
 
 

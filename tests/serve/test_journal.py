@@ -65,10 +65,10 @@ class TestFingerprint:
         identity: a journal written under either a different ladder or a
         different chaos seed must not resume."""
         jobs = random_mixed_instance(6, 8, seed=1).jobs
-        ladder = [{"backend": "vectorized", "list_backend": None, "algorithm": None}]
+        ladder = [{"backend": "vectorized", "algorithm": None}]
         chaos = {"seed": 3, "kill_prob": 0.1}
         base = instance_fingerprint("x", jobs, 8, 0.1, "auto", ladder=ladder, chaos=chaos)
-        shorter = ladder + [{"backend": "scalar", "list_backend": None, "algorithm": None}]
+        shorter = ladder + [{"backend": "scalar", "algorithm": None}]
         assert (
             instance_fingerprint("x", jobs, 8, 0.1, "auto", ladder=shorter, chaos=chaos)
             != base

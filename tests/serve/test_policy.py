@@ -9,8 +9,10 @@ from repro.serve import ChaosPolicy, DEFAULT_LADDER, Deadline, LadderStep, Serve
 
 class TestLadder:
     def test_default_ladder_fast_to_conservative(self):
-        assert DEFAULT_LADDER[0] == LadderStep(
-            backend="vectorized", list_backend="event_queue_indexed"
+        assert DEFAULT_LADDER == (
+            LadderStep(backend="vectorized"),
+            LadderStep(backend="scalar"),
+            LadderStep(backend="scalar", algorithm="two_approx"),
         )
         assert DEFAULT_LADDER[-1].algorithm == "two_approx"
         # only the last rung changes the algorithm (result-changing
@@ -18,13 +20,17 @@ class TestLadder:
         assert all(step.algorithm is None for step in DEFAULT_LADDER[:-1])
 
     def test_labels(self):
-        assert DEFAULT_LADDER[0].label == "vectorized+event_queue_indexed"
-        assert DEFAULT_LADDER[2].label == "scalar"
-        assert DEFAULT_LADDER[3].label == "scalar+algorithm=two_approx"
+        assert DEFAULT_LADDER[0].label == "vectorized"
+        assert DEFAULT_LADDER[1].label == "scalar"
+        assert DEFAULT_LADDER[2].label == "scalar+algorithm=two_approx"
 
     def test_step_round_trips(self):
         for step in DEFAULT_LADDER:
             assert LadderStep.from_dict(step.to_dict()) == step
+
+    def test_from_dict_ignores_unknown_keys(self):
+        data = {"backend": "vectorized", "algorithm": None, "retired": "event_queue"}
+        assert LadderStep.from_dict(data) == DEFAULT_LADDER[0]
 
     def test_policy_step_clamps_past_the_last_rung(self):
         policy = ServePolicy()

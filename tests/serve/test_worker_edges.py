@@ -194,6 +194,7 @@ class TestDegradationLadderExhaustion:
         outcome = report.outcome(inst.name)
         assert outcome.status == "quarantined"
         assert [a.outcome for a in outcome.attempts] == ["raise"] * 4
-        # one ladder rung per failed attempt, clamped at the last
-        assert [a.step for a in outcome.attempts] == [0, 1, 2, 3]
+        # one ladder rung per failed attempt, clamped at the last (the
+        # three-rung default ladder: the fourth attempt stays on rung 2)
+        assert [a.step for a in outcome.attempts] == [0, 1, 2, 2]
         assert "ChaosError" in outcome.error
