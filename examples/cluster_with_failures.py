@@ -68,10 +68,12 @@ def main() -> None:
           f"{len(execution.unfinished_jobs)} jobs never complete")
 
     # ---------------------------------------------------------------- recover
-    # two_approx re-plans through the dual approximation, so the per-epoch
-    # γ-oracles (primed from the previous epoch's caches) actually show up
-    # in the probe accounting below
-    result = recover_with_faults(instance.jobs, m, plan, eps=0.1, algorithm="two_approx")
+    # vectorized two_approx re-plans through the batched γ-oracle, so the
+    # per-epoch oracles (primed from the previous epoch's caches) actually
+    # show up in the probe accounting below
+    result = recover_with_faults(
+        instance.jobs, m, plan, eps=0.1, algorithm="two_approx", backend="vectorized"
+    )
     print("\nrecovery:")
     for line in result.report.summary_lines():
         print(f"  {line}")

@@ -51,14 +51,16 @@ def main() -> None:
         ("count(12)", {"policy": "count", "batch_size": 12}),
     ):
         runs[label] = OnlineScheduler(
-            m, eps=0.1, algorithm="two_approx", **kwargs
+            m, eps=0.1, algorithm="two_approx", backend="vectorized", **kwargs
         ).run(instance.arrivals)
 
     # warm start is a pure accelerator: the cold run must stitch the exact
-    # same schedule, just with more gamma probes per re-plan
+    # same schedule, just with more gamma probes per re-plan (the runs pin
+    # the vectorized backend: under the default "auto" small re-plans run
+    # the scalar reference, which probes no gamma-oracle)
     cold = OnlineScheduler(
-        m, eps=0.1, algorithm="two_approx", policy="quantum", quantum=span / 8,
-        warm_start=False,
+        m, eps=0.1, algorithm="two_approx", backend="vectorized",
+        policy="quantum", quantum=span / 8, warm_start=False,
     ).run(instance.arrivals)
     warm = runs["quantum"]
     identical = [

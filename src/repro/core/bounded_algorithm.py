@@ -40,6 +40,11 @@ __all__ = ["bounded_dual", "bounded_schedule"]
 LARGE_M_FACTOR = 16
 
 
+def _algorithm(transform: str) -> str:
+    """The facade name of the variant ``transform`` selects."""
+    return "bounded" if transform == "heap" else "bounded_linear"
+
+
 def bounded_dual(
     jobs: Sequence[MoldableJob],
     m: int,
@@ -63,7 +68,7 @@ def bounded_dual(
     n = len(jobs)
     if n == 0:
         return Schedule(m=m)
-    backend, oracle = resolve_backend(jobs, m, backend, oracle)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, _algorithm(transform))
     gamma_fn = oracle.gamma if oracle is not None else gamma
 
     if m >= LARGE_M_FACTOR * n:
@@ -150,7 +155,7 @@ def bounded_schedule(
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, None)
+    backend, oracle = resolve_backend(jobs, m, backend, None, _algorithm(transform))
     # (3/2)(1+eps/10)^2 (1+eps/4) <= 3/2 + eps for eps <= 1: the dual step gets
     # eps/2 (of which delta = eps/10) and the binary search eps/4.
     dual_eps = eps / 2.0
@@ -162,7 +167,7 @@ def bounded_schedule(
         tolerance=tolerance,
         oracle=oracle,
     )
-    result.schedule.metadata["algorithm"] = "bounded" if transform == "heap" else "bounded_linear"
+    result.schedule.metadata["algorithm"] = _algorithm(transform)
     result.schedule.metadata["eps"] = eps
     result.schedule.metadata["guarantee"] = 1.5 + eps
     result.schedule.metadata["backend"] = backend

@@ -59,7 +59,7 @@ def compressible_dual(
     n = len(jobs)
     if n == 0:
         return Schedule(m=m)
-    backend, oracle = resolve_backend(jobs, m, backend, oracle)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, "compressible")
     gamma_fn = oracle.gamma if oracle is not None else gamma
 
     if m >= LARGE_M_FACTOR * n:
@@ -145,7 +145,7 @@ def compressible_schedule(
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, None)
+    backend, oracle = resolve_backend(jobs, m, backend, None, "compressible")
     dual_eps = eps / 2.0
     tolerance = eps / 4.0
     result = dual_binary_search(

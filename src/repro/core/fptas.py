@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Union
 
 from .allotment import gamma
-from .backend import resolve_backend
+from .backend import auto_backend, resolve_backend
 from .dual import DualSearchResult, dual_binary_search
 from .exact_small import exact_schedule, exact_solver_applicable
 from .job import MoldableJob
@@ -56,7 +56,7 @@ def fptas_dual(
         return None
     threshold = (1.0 + eps) * d
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
-    backend, oracle = resolve_backend(jobs, m, backend, oracle)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
     metadata = {"algorithm": "fptas_dual", "d": d, "eps": eps}
     if oracle is not None:
         # columnar fast path: γ-counts, prefix-sum machine offsets and the
@@ -137,7 +137,7 @@ def fptas_schedule(
             f"the FPTAS requires m >= 8n/eps = {fptas_machine_threshold(n, eps):.1f}, got m={m}; "
             "use ptas_schedule() for the general case"
         )
-    backend, oracle = resolve_backend(jobs, m, backend, oracle)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
     inner = eps / 3.0
     result = dual_binary_search(
         jobs,
@@ -174,7 +174,9 @@ def ptas_schedule(
 
     The last branch substitutes the Jansen–Thöle PTAS the paper cites (see
     DESIGN.md, "Substitutions"); the returned schedule records the actual
-    guarantee in ``schedule.metadata['guarantee']``.
+    guarantee in ``schedule.metadata['guarantee']``.  ``backend="auto"``
+    resolves on the ``"ptas"`` row of
+    :data:`~repro.core.backend.AUTO_VECTORIZED_MIN_N` before dispatching.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
@@ -182,12 +184,15 @@ def ptas_schedule(
     n = len(jobs)
     if n == 0:
         return DualSearchResult(Schedule(m=m), 0.0, 0.0, 0, 0)
+    if backend == "auto":
+        backend = auto_backend("ptas", n, m)
     if m >= fptas_machine_threshold(n, eps):
         return fptas_schedule(jobs, m, eps, validate=validate, backend=backend)
     if exact_solver_applicable(n, m, max_jobs=exact_limit):
         schedule = exact_schedule(jobs, m)
         schedule.metadata["algorithm"] = "ptas_exact"
         schedule.metadata["guarantee"] = 1.0
+        schedule.metadata["backend"] = "scalar"
         if validate:
             assert_valid_schedule(schedule, jobs)
         return DualSearchResult(schedule, schedule.makespan, schedule.makespan, 0, 0)

@@ -62,7 +62,7 @@ def mrt_dual(
     if d <= 0:
         return None
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
-    backend, oracle = resolve_backend(jobs, m, backend, oracle)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, "mrt")
     gamma_fn = oracle.gamma if oracle is not None else gamma
     _, big = partition_small_big(jobs, d)
 
@@ -127,7 +127,7 @@ def mrt_schedule(
     if eps <= 0:
         raise ValueError("eps must be positive")
     jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, None)
+    backend, oracle = resolve_backend(jobs, m, backend, None, "mrt")
     tolerance = 2.0 * eps / 3.0
     result = dual_binary_search(
         jobs,

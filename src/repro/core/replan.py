@@ -32,11 +32,15 @@ rest at a barrier* — so the machinery lives here once:
    the stitched schedule is conflict-free by construction and passes the
    unmodified validator.
 
-Consecutive re-plans share γ-search work: each epoch's
-:class:`~repro.perf.oracle.BatchedOracle` is built with the caller's
-``warm_start`` flag and primed from the previous epoch's oracle
-(:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so the dual search
-starts from the cached thresholds of the epoch before it.  The state is
+Consecutive re-plans share γ-search work: each epoch that resolves to a
+vectorized ``two_approx`` or ``fptas`` solve (the drivers that accept an
+external oracle) gets a :class:`~repro.perf.oracle.BatchedOracle` built with
+the caller's ``warm_start`` flag and primed from the previous such epoch's
+oracle (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so the dual
+search starts from the cached thresholds of the epoch before it.  With
+``backend="auto"`` the backend is decided per epoch from the epoch's own
+size (:func:`~repro.core.backend.auto_backend`), so small epochs run the
+scalar reference and build no oracle.  The state is
 deterministic: identical epoch sequences produce identical stitched schedules
 under every backend (the differential ``faulty`` and ``online`` families pin
 this bit for bit).
@@ -49,11 +53,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.core.backend import MAX_VECTORIZED_M
+from repro.core.backend import MAX_VECTORIZED_M, auto_backend
 from repro.core.fptas import fptas_machine_threshold
 from repro.core.job import MoldableJob
 from repro.core.schedule import Schedule
-from repro.core.scheduler import schedule_moldable
+from repro.core.scheduler import auto_algorithm, schedule_moldable
 from repro.perf.oracle import BatchedOracle
 
 __all__ = [
@@ -118,7 +122,10 @@ class ReplanOutcome:
     m_avail: int
     replanned: int
     latency: float
+    #: the driver the segment solve ran (``"auto"`` resolved), None if idle
     algorithm: Optional[str]
+    #: the backend the segment solve ran (never ``"auto"``), None if idle
+    backend: Optional[str]
 
 
 def availability_prefix(available: Sequence[Interval]) -> List[int]:
@@ -210,7 +217,7 @@ class ReplanState:
     m: int
     eps: float = 0.1
     algorithm: str = "auto"
-    backend: str = "vectorized"
+    backend: str = "auto"
     warm_start: bool = True
     error: Type[Exception] = ReplanError
 
@@ -219,6 +226,8 @@ class ReplanState:
     committed: List[PlacedEntry] = field(default_factory=list)
     current: List[PlacedEntry] = field(default_factory=list)
     replan_latencies: List[float] = field(default_factory=list)
+    #: γ-probes of the re-plan oracles, summed over the epochs that ran
+    #: vectorized; None while every epoch ran scalar
     gamma_probes: Optional[int] = None
     prev_oracle: Optional[BatchedOracle] = None
 
@@ -283,12 +292,13 @@ class ReplanState:
         """Re-plan every pending job not draining in ``continuing`` on the
         ``available`` machine intervals, anchored at the drain barrier.
 
-        The segment solve reuses γ-search work when the backend supports it:
-        a fresh :class:`~repro.perf.oracle.BatchedOracle` is built with this
-        state's ``warm_start`` flag and primed from the previous epoch's
-        oracle, and its probe count lands in :attr:`gamma_probes`.  After the
-        call, :attr:`current` holds the continuing entries plus the freshly
-        placed segment.
+        The segment solve reuses γ-search work when it resolves to a
+        vectorized ``two_approx`` or ``fptas`` solve: a fresh
+        :class:`~repro.perf.oracle.BatchedOracle` is built with this state's
+        ``warm_start`` flag and primed from the previous epoch's oracle, and
+        its probe count lands in :attr:`gamma_probes`.  After the call,
+        :attr:`current` holds the continuing entries plus the freshly placed
+        segment.
         """
         draining = {id(p.job) for p in continuing}
         to_plan = [j for j in self.jobs if id(j) in self.pending and id(j) not in draining]
@@ -296,7 +306,12 @@ class ReplanState:
         if not to_plan:
             self.current = list(continuing)
             return ReplanOutcome(
-                barrier=tau, m_avail=m_avail, replanned=0, latency=0.0, algorithm=None
+                barrier=tau,
+                m_avail=m_avail,
+                replanned=0,
+                latency=0.0,
+                algorithm=None,
+                backend=None,
             )
         if m_avail < 1:
             raise self.error(
@@ -304,17 +319,22 @@ class ReplanState:
             )
         barrier = max([tau] + [p.end for p in continuing])
         seg_algorithm = segment_algorithm(self.algorithm, len(to_plan), m_avail, self.eps)
+        chosen = (
+            auto_algorithm(len(to_plan), m_avail, self.eps)
+            if seg_algorithm == "auto"
+            else seg_algorithm
+        )
         oracle: Optional[BatchedOracle] = None
-        # only two_approx / fptas (and auto, which may resolve to fptas)
-        # accept an external oracle — don't build one the driver ignores
-        if (
-            self.backend == "vectorized"
-            and m_avail <= MAX_VECTORIZED_M
-            and seg_algorithm in ("two_approx", "fptas", "auto")
-        ):
-            oracle = BatchedOracle(to_plan, m_avail, warm_start=self.warm_start)
-            if self.warm_start and self.prev_oracle is not None:
-                oracle.prime_from(self.prev_oracle)
+        # only two_approx / fptas accept an external oracle — don't build one
+        # the driver ignores or a scalar solve never reads
+        if chosen in ("two_approx", "fptas"):
+            backend = self.backend
+            if backend == "auto":
+                backend = auto_backend(chosen, len(to_plan), m_avail)
+            if backend == "vectorized" and m_avail <= MAX_VECTORIZED_M:
+                oracle = BatchedOracle(to_plan, m_avail, warm_start=self.warm_start)
+                if self.warm_start and self.prev_oracle is not None:
+                    oracle.prime_from(self.prev_oracle)
         t0 = perf_counter()
         segment = schedule_moldable(
             to_plan,
@@ -327,8 +347,11 @@ class ReplanState:
         )
         latency = perf_counter() - t0
         self.replan_latencies.append(latency)
+        if segment.backend == "vectorized":
+            self.gamma_probes = (self.gamma_probes or 0) + (
+                oracle.gamma_probes if oracle is not None else 0
+            )
         if oracle is not None:
-            self.gamma_probes = (self.gamma_probes or 0) + oracle.gamma_probes
             self.prev_oracle = oracle
         prefix = availability_prefix(available)
         placed = [
@@ -347,7 +370,8 @@ class ReplanState:
             m_avail=m_avail,
             replanned=len(to_plan),
             latency=latency,
-            algorithm=seg_algorithm,
+            algorithm=segment.algorithm,
+            backend=segment.backend,
         )
 
     # -- finalisation -------------------------------------------------------

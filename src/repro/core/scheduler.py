@@ -7,6 +7,7 @@ with a certified lower bound on the optimum and the implied ratio.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +22,7 @@ from .schedule import Schedule
 from .two_approx import two_approximation
 from .validation import assert_valid_schedule
 
-__all__ = ["ALGORITHMS", "SchedulingResult", "schedule_moldable"]
+__all__ = ["ALGORITHMS", "SchedulingResult", "auto_algorithm", "check_machine_count", "schedule_moldable"]
 
 ALGORITHMS = (
     "auto",
@@ -61,6 +62,33 @@ class SchedulingResult:
             return 1.0
         return self.makespan / self.lower_bound
 
+    @property
+    def backend(self) -> Optional[str]:
+        """The backend the driver actually ran (``None`` when no driver ran:
+        empty instances and ``"exact"``)."""
+        return self.schedule.metadata.get("backend")
+
+
+def check_machine_count(m) -> None:
+    """Reject a machine count that is not a positive integer.
+
+    ``bool`` is refused although it subclasses ``int`` (``m=True`` would
+    silently solve on one machine), and so is every non-integral type
+    (``m=2.5`` would solve a different instance); NumPy integers pass.
+    """
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
+def auto_algorithm(n: int, m: int, eps: float) -> str:
+    """The driver ``algorithm="auto"`` runs: the FPTAS when ``m >= 8n/eps``
+    (Theorem 2), otherwise the bounded-knapsack algorithm (Theorem 3)."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    return "fptas" if m >= fptas_machine_threshold(n, eps) else "bounded"
+
 
 def schedule_moldable(
     jobs: Sequence[MoldableJob],
@@ -69,7 +97,7 @@ def schedule_moldable(
     *,
     algorithm: str = "auto",
     validate: bool = True,
-    backend: str = "vectorized",
+    backend: str = "auto",
     oracle=None,
 ) -> SchedulingResult:
     """Schedule monotone moldable jobs on ``m`` machines.
@@ -80,7 +108,8 @@ def schedule_moldable(
         The moldable jobs (monotone work functions assumed; use
         :func:`repro.core.validation.check_monotone_job` to verify instances).
     m:
-        Number of identical machines.
+        Number of identical machines: a positive integer (``bool`` and
+        non-integral values raise ``ValueError``; NumPy integers are fine).
     eps:
         Accuracy parameter of the chosen algorithm.
     algorithm:
@@ -102,9 +131,14 @@ def schedule_moldable(
         ``"exact"``
             Branch-and-bound optimum (tiny instances only).
     backend:
-        ``"vectorized"`` (default) runs γ-allotments and knapsack DPs on the
-        NumPy fast path, ``"scalar"`` on the bit-identical pure-Python
-        reference (see :mod:`repro.perf`).  Ignored by ``"exact"``.
+        ``"vectorized"`` runs γ-allotments and knapsack DPs on the NumPy fast
+        path, ``"scalar"`` on the bit-identical pure-Python reference (see
+        :mod:`repro.perf`).  ``"auto"`` (default) picks the faster of the two
+        by instance size: scalar below the chosen driver's row of
+        :data:`repro.core.backend.AUTO_VECTORIZED_MIN_N`, vectorized at or
+        above it.  A supplied ``oracle`` always runs vectorized, and
+        ``m > MAX_VECTORIZED_M`` always runs scalar.  The backend that ran is
+        :attr:`SchedulingResult.backend`.  Ignored by ``"exact"``.
     oracle:
         Optional pre-built :class:`repro.perf.oracle.BatchedOracle` for
         exactly ``(jobs, m)``.  Threaded to the drivers that accept one
@@ -115,19 +149,14 @@ def schedule_moldable(
         oracles internally and ignore this argument.
     """
     jobs = list(jobs)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_machine_count(m)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}")
 
     if not jobs:
         return SchedulingResult(Schedule(m=m), algorithm, eps, 0.0, None)
 
-    chosen = algorithm
-    if algorithm == "auto":
-        if not 0 < eps <= 1:
-            raise ValueError("eps must lie in (0, 1]")
-        chosen = "fptas" if m >= fptas_machine_threshold(len(jobs), eps) else "bounded"
+    chosen = auto_algorithm(len(jobs), m, eps) if algorithm == "auto" else algorithm
 
     if chosen == "exact":
         if not exact_solver_applicable(len(jobs), m):

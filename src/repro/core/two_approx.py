@@ -72,12 +72,14 @@ def two_approximation(
     ``"heap"`` reference loop (bit-identical schedules).
     """
     jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, oracle)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, "two_approx")
     estimate = ludwig_tiwari_estimator(jobs, m, oracle=oracle)
     probes = oracle.gamma_probes if oracle is not None else None
     if not jobs:
         return TwoApproxResult(
-            Schedule(m=m, metadata={"algorithm": "two_approximation"}), estimate, probes
+            Schedule(m=m, metadata={"algorithm": "two_approximation", "backend": backend}),
+            estimate,
+            probes,
         )
     # Sort longest-processing-time first: not required for the bound but a
     # standard practical improvement.
@@ -105,6 +107,7 @@ def two_approximation(
     )
     schedule.metadata["algorithm"] = "two_approximation"
     schedule.metadata["omega"] = estimate.omega
+    schedule.metadata["backend"] = backend
     if validate:
         assert_valid_schedule(schedule, jobs, oracle=oracle)
     return TwoApproxResult(

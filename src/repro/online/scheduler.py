@@ -23,9 +23,12 @@ Epoch policies:
     release of the batch's last job (a partial final batch fires at its own
     last release).
 
-Consecutive re-plans share γ-search work exactly as in recovery: each
-epoch's :class:`~repro.perf.oracle.BatchedOracle` is built with the
-``warm_start`` flag and primed from the previous epoch's oracle.  Because
+The default ``backend="auto"`` is decided per epoch by the epoch's size
+(:func:`~repro.core.backend.auto_backend`): online epochs are small, so most
+run the scalar reference.  Consecutive vectorized ``two_approx`` / ``fptas``
+re-plans share γ-search work exactly as in recovery: each such epoch's
+:class:`~repro.perf.oracle.BatchedOracle` is built with the ``warm_start``
+flag and primed from the previous one.  Because
 every online epoch adds new jobs, cross-epoch priming usually transfers
 nothing (:meth:`~repro.perf.oracle.BatchedOracle.prime_from` is exact or
 nothing); the measured probe reduction comes from the within-epoch
@@ -48,7 +51,7 @@ from repro.core.bounds import makespan_lower_bound, release_aware_lower_bound
 from repro.core.job import MoldableJob
 from repro.core.replan import EPOCH_EPS, ReplanError, ReplanState
 from repro.core.schedule import Schedule
-from repro.core.scheduler import SchedulingResult, schedule_moldable
+from repro.core.scheduler import SchedulingResult, check_machine_count, schedule_moldable
 from repro.core.validation import validate_schedule
 
 __all__ = [
@@ -92,6 +95,7 @@ class OnlineEpoch:
     barrier: float
     replan_latency: float
     replan_algorithm: Optional[str]
+    replan_backend: Optional[str]
 
 
 @dataclass
@@ -103,7 +107,8 @@ class RegretReport:
     is the full price of not knowing the future, including the idleness
     releases force.  ``lower_bound`` is the release-aware bound, against
     which ``ratio_vs_lower_bound`` certifies the online plan's quality on
-    its own terms.
+    its own terms.  ``gamma_probes`` counts only the epochs that ran
+    vectorized; it is ``None`` when every epoch ran scalar.
     """
 
     online_makespan: float
@@ -174,10 +179,14 @@ class OnlineResult:
 class OnlineScheduler:
     """Incremental (3/2+ε)-quality scheduling of jobs arriving over time.
 
-    Parameters mirror :func:`~repro.core.scheduler.schedule_moldable`;
+    Parameters mirror :func:`~repro.core.scheduler.schedule_moldable`
+    (``m`` must be a positive integer, not a ``bool``);
     ``policy`` / ``quantum`` / ``batch_size`` select the epoch grouping, and
     ``warm_start`` toggles γ-cache reuse across and within the per-epoch
     re-solves (never the schedule itself — warm and cold are bit-identical).
+    ``backend="auto"`` (default) picks the backend per epoch, and for the
+    clairvoyant baseline, by instance size; every backend gives the same
+    schedule, and each epoch record names the one that ran.
     """
 
     def __init__(
@@ -186,15 +195,14 @@ class OnlineScheduler:
         *,
         eps: float = 0.1,
         algorithm: str = "auto",
-        backend: str = "vectorized",
+        backend: str = "auto",
         warm_start: bool = True,
         policy: str = "immediate",
         quantum: Optional[float] = None,
         batch_size: Optional[int] = None,
         validate: bool = True,
     ) -> None:
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        check_machine_count(m)
         if policy not in EPOCH_POLICIES:
             raise ValueError(f"unknown epoch policy {policy!r} (choose from {EPOCH_POLICIES})")
         if policy == "quantum":
@@ -293,6 +301,7 @@ class OnlineScheduler:
                     barrier=outcome.barrier,
                     replan_latency=outcome.latency,
                     replan_algorithm=outcome.algorithm,
+                    replan_backend=outcome.backend,
                 )
             )
         state.finish()

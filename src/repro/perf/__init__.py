@@ -23,7 +23,8 @@ This package makes *batched* evaluation the fast path of the library:
 
 All vectorized paths are bit-for-bit compatible with the scalar reference
 implementations; the algorithm drivers select between them via their
-``backend="vectorized" | "scalar"`` flag.
+``backend="vectorized" | "scalar" | "auto"`` flag, where ``"auto"`` picks by
+instance size (:mod:`repro.core.backend`).
 """
 
 from .arrays import JobArrayBundle

@@ -518,7 +518,9 @@ def _recovery_shard(instance, m: int, repeat: int, seed: int) -> tuple:
     vs cold full bisection).  The stitched schedules are bit-identical, so
     the cold run fills the row's ``scalar_seconds`` slot and the warm run
     its ``vectorized_seconds`` slot; the probe counters come from each
-    run's :class:`DegradationReport`.
+    run's :class:`DegradationReport`.  Both runs pin
+    ``backend="vectorized"``: under ``"auto"`` small re-plans run scalar and
+    build no oracle, and the rows would stop measuring the warm start.
     """
     from ..core.bounds import trivial_lower_bound
     from ..resilience import random_fault_plan, recover_with_faults
@@ -535,14 +537,15 @@ def _recovery_shard(instance, m: int, repeat: int, seed: int) -> tuple:
     cold_seconds, cold_result = _timed(
         lambda: recover_with_faults(
             instance.jobs, m, plan, eps=SCHEDULE_EPS,
-            algorithm="two_approx", warm_start=False,
+            algorithm="two_approx", backend="vectorized", warm_start=False,
         ),
         repeat,
         instance.jobs,
     )
     warm_seconds, warm_result = _timed(
         lambda: recover_with_faults(
-            instance.jobs, m, plan, eps=SCHEDULE_EPS, algorithm="two_approx"
+            instance.jobs, m, plan, eps=SCHEDULE_EPS,
+            algorithm="two_approx", backend="vectorized",
         ),
         repeat,
         instance.jobs,
@@ -580,7 +583,8 @@ def _online_shard(family: str, n: int, m: int, repeat: int, seed: int) -> tuple:
     must be bit-identical — the warm start is a pure accelerator — so the
     cold run fills the row's ``scalar_seconds`` slot and the warm run its
     ``vectorized_seconds`` slot; the probe counters come from each run's
-    :class:`RegretReport`.
+    :class:`RegretReport`.  Both runs pin ``backend="vectorized"``, as the
+    recovery rows do.
     """
     from ..online import OnlineScheduler
     from ..workloads.generators import random_arrivals_instance
@@ -591,14 +595,15 @@ def _online_shard(family: str, n: int, m: int, repeat: int, seed: int) -> tuple:
     arrivals = instance.arrivals
     cold_seconds, cold_result = _timed(
         lambda: OnlineScheduler(
-            m, eps=SCHEDULE_EPS, algorithm="two_approx", warm_start=False
+            m, eps=SCHEDULE_EPS, algorithm="two_approx", backend="vectorized",
+            warm_start=False,
         ).run(arrivals),
         repeat,
         instance.jobs,
     )
     warm_seconds, warm_result = _timed(
         lambda: OnlineScheduler(
-            m, eps=SCHEDULE_EPS, algorithm="two_approx"
+            m, eps=SCHEDULE_EPS, algorithm="two_approx", backend="vectorized"
         ).run(arrivals),
         repeat,
         instance.jobs,

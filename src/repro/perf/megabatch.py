@@ -58,7 +58,13 @@ from ..core.fptas import fptas_machine_threshold
 from ..core.job import MoldableJob
 from ..core.list_scheduling import list_schedule
 from ..core.schedule import Schedule
-from ..core.scheduler import ALGORITHMS, SchedulingResult, schedule_moldable
+from ..core.scheduler import (
+    ALGORITHMS,
+    SchedulingResult,
+    auto_algorithm,
+    check_machine_count,
+    schedule_moldable,
+)
 from ..core.two_approx import TwoApproxResult
 from ..core.validation import assert_valid_schedule
 from .arrays import JobArrayBundle
@@ -284,6 +290,7 @@ def _gen_two_approx(seg: _Segment):
     )
     schedule.metadata["algorithm"] = "two_approximation"
     schedule.metadata["omega"] = estimate.omega
+    schedule.metadata["backend"] = "vectorized"
     if seg.validate:
         assert_valid_schedule(schedule, jobs, oracle=seg.oracle)
     return TwoApproxResult(schedule, estimate, seg.oracle.gamma_probes)
@@ -461,12 +468,15 @@ def _coerce_instance(item, eps, algorithm):
     present and non-None, e.g. :class:`repro.serve.FleetInstance`)."""
     if isinstance(item, tuple):
         jobs, m = item
-        return list(jobs), int(m), float(eps), algorithm
-    i_eps = getattr(item, "eps", None)
-    i_alg = getattr(item, "algorithm", None)
+        i_eps = i_alg = None
+    else:
+        jobs, m = item.jobs, item.m
+        i_eps = getattr(item, "eps", None)
+        i_alg = getattr(item, "algorithm", None)
+    check_machine_count(m)
     return (
-        list(item.jobs),
-        int(item.m),
+        list(jobs),
+        int(m),
         float(eps if i_eps is None else i_eps),
         algorithm if i_alg is None else i_alg,
     )
@@ -491,8 +501,9 @@ def solve_mega(
     Instances whose resolved algorithm is batchable (``two_approx`` or
     ``fptas``, ``m`` within the vectorized boundary) are packed into one
     :class:`MegaBatch` and solved in lockstep; the rest fall back to solo
-    solves.  Invalid parameters raise exactly the solo errors, before any
-    work starts.
+    vectorized solves.  Invalid parameters raise exactly the solo errors
+    (``m`` that is a ``bool`` or not an integer included), before any work
+    starts.
 
     ``stats``, when a dict, receives ``mega_size`` (packed instance count),
     ``gamma_rounds`` / ``eval_rounds`` (batched oracle rounds) and
@@ -501,17 +512,11 @@ def solve_mega(
     normalized = []
     for item in instances:
         jobs, m, i_eps, i_alg = _coerce_instance(item, eps, algorithm)
-        if m < 1:
-            raise ValueError("m must be >= 1")
         if i_alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {i_alg!r}; choose one of {ALGORITHMS}")
         chosen = i_alg
         if jobs and i_alg == "auto":
-            if not 0 < i_eps <= 1:
-                raise ValueError("eps must lie in (0, 1]")
-            chosen = (
-                "fptas" if m >= fptas_machine_threshold(len(jobs), i_eps) else "bounded"
-            )
+            chosen = auto_algorithm(len(jobs), m, i_eps)
         mega = bool(jobs) and chosen in ("two_approx", "fptas") and m <= MAX_VECTORIZED_M
         if mega and chosen == "fptas":
             # solo fptas_schedule raises these before touching the oracle;
@@ -556,6 +561,8 @@ def solve_mega(
             out.append(SchedulingResult(Schedule(m=m), i_alg, i_eps, 0.0, None))
         else:
             out.append(
-                schedule_moldable(jobs, m, i_eps, algorithm=i_alg, validate=validate)
+                schedule_moldable(
+                    jobs, m, i_eps, algorithm=i_alg, validate=validate, backend="vectorized"
+                )
             )
     return out

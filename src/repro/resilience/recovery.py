@@ -35,7 +35,8 @@ stitched end-to-end schedule is conflict-free *by construction* and passes
 the unmodified :func:`~repro.core.validation.validate_schedule` (with the
 killed jobs removed from the expected set).
 
-Consecutive re-plans reuse γ-search work two ways: the per-epoch
+Consecutive vectorized ``two_approx`` / ``fptas`` re-plans reuse γ-search
+work two ways: the per-epoch
 :class:`~repro.perf.oracle.BatchedOracle` is built with ``warm_start=True``
 *and* primed from the previous epoch's oracle
 (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so each epoch's dual
@@ -95,11 +96,16 @@ class EpochRecord:
     barrier: float
     replan_latency: float
     replan_algorithm: Optional[str]
+    replan_backend: Optional[str]
 
 
 @dataclass
 class DegradationReport:
-    """How much the faults cost, relative to the fault-free plan."""
+    """How much the faults cost, relative to the fault-free plan.
+
+    ``gamma_probes`` counts only the re-plans that ran vectorized; it is
+    ``None`` when every re-plan ran scalar.
+    """
 
     fault_free_makespan: float
     recovered_makespan: float
@@ -174,7 +180,7 @@ def recover_with_faults(
     *,
     eps: float = 0.1,
     algorithm: str = "auto",
-    backend: str = "vectorized",
+    backend: str = "auto",
     warm_start: bool = True,
     validate: bool = True,
 ) -> RecoveryResult:
@@ -184,7 +190,11 @@ def recover_with_faults(
     ``warm_start`` additionally controls whether consecutive re-plans share
     γ-caches (``BatchedOracle(warm_start=...)`` plus cross-epoch
     :meth:`~repro.perf.oracle.BatchedOracle.prime_from` priming) — the bench
-    suite's recovery rows measure exactly this toggle.  With ``validate``
+    suite's recovery rows measure exactly this toggle, pinned to
+    ``backend="vectorized"``.  ``backend="auto"`` (default) picks the backend
+    per re-plan, and for the fault-free plan, by instance size (see
+    :mod:`repro.core.backend`); every backend gives the same schedule, and
+    each epoch record names the one that ran.  With ``validate``
     the stitched schedule is checked against the surviving (non-killed) job
     set and a failure raises :class:`RecoveryError` (it would be a bug in
     the stitching, not in the caller's input).
@@ -310,6 +320,7 @@ def recover_with_faults(
                 barrier=outcome.barrier,
                 replan_latency=outcome.latency,
                 replan_algorithm=outcome.algorithm,
+                replan_backend=outcome.backend,
             )
         )
 

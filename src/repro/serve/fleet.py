@@ -550,15 +550,9 @@ class _Dispatch:
                 }
             try:
                 slot.conn.send(("task", payload))
+                died = False
             except OSError:
-                # the worker died while idle; recycle it and retry the task
-                slot.kill()
-                self._respawn(slot)
-                for t in tasks:
-                    self._failure(
-                        t, "worker-death", "worker died before accepting the task", 0.0
-                    )
-                continue
+                died = True
             except Exception:
                 # pickling failed before any bytes hit the pipe: the channel
                 # is intact, but the instance can never reach a worker.  Solo
@@ -570,6 +564,15 @@ class _Dispatch:
                     self._failure(
                         t, "serialization", traceback.format_exc(), 0.0,
                         force_quarantine=len(tasks) == 1,
+                    )
+                continue
+            if died:
+                # the worker died while idle; recycle it and retry the task
+                slot.kill()
+                self._respawn(slot)
+                for t in tasks:
+                    self._failure(
+                        t, "worker-death", "worker died before accepting the task", 0.0
                     )
                 continue
             slot.task = tasks if len(tasks) > 1 else task
@@ -613,6 +616,8 @@ class _Dispatch:
                 try:
                     kind, payload = slot.conn.recv()
                 except (EOFError, OSError):
+                    kind = None
+                if kind is None:
                     proc = slot.proc
                     slot.kill()
                     exitcode = proc.exitcode
@@ -661,6 +666,10 @@ class _Dispatch:
                     )
 
     def _respawn(self, slot: _Slot) -> None:
+        """Replace ``slot``'s worker.  Never call it inside an ``except``
+        block: a worker forked there inherits the handled exception as the
+        implicit ``__context__`` of everything it raises, so its reported
+        tracebacks would depend on which path noticed the old worker die."""
         fresh = _Slot(self.ctx, self.chaos)
         slot.proc = fresh.proc
         slot.conn = fresh.conn

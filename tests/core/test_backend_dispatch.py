@@ -1,0 +1,212 @@
+"""backend="auto": the per-algorithm size dispatch of repro.core.backend."""
+
+import numpy as np
+import pytest
+
+from repro import schedule_moldable, solve_mega
+from repro.core.backend import (
+    AUTO_VECTORIZED_MIN_N,
+    MAX_VECTORIZED_M,
+    auto_backend,
+    resolve_backend,
+)
+from repro.core.replan import ReplanState
+from repro.core.two_approx import two_approximation
+from repro.io import schedule_from_dict, schedule_to_dict
+from repro.online import OnlineScheduler
+from repro.perf.oracle import BatchedOracle
+from repro.resilience import FaultPlan, MachineFailure, recover_with_faults
+from repro.workloads.generators import random_arrivals_instance, random_mixed_instance
+
+EPS = 0.1
+
+#: (algorithm, m) per table row with a positive threshold; m=64 keeps the
+#: bounded rows on Algorithm 3 proper (m < 16n), m=2^20 puts fptas in its
+#: regime and sends bounded to its large-m branch (the fptas row).
+STRADDLES = [
+    ("fptas", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
+    ("two_approx", 64, AUTO_VECTORIZED_MIN_N["two_approx"]),
+    ("bounded", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
+    ("bounded_linear", 64, AUTO_VECTORIZED_MIN_N["bounded_linear"]),
+    ("bounded", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
+]
+
+
+def _solved(result):
+    return (schedule_to_dict(result.schedule)["entries"], result.makespan, result.lower_bound)
+
+
+def _entries(schedule):
+    return [(e.job.name, e.start, tuple(e.spans)) for e in schedule.entries]
+
+
+class TestTable:
+    @pytest.mark.parametrize("algorithm", sorted(AUTO_VECTORIZED_MIN_N))
+    def test_threshold_is_the_first_vectorized_n(self, algorithm):
+        t = AUTO_VECTORIZED_MIN_N[algorithm]
+        # m=64 < 16(t-1) keeps the bounded rows off their large-m branch
+        assert auto_backend(algorithm, t, 64) == "vectorized"
+        if t:
+            assert auto_backend(algorithm, t - 1, 64) == "scalar"
+
+    def test_bounded_uses_the_fptas_row_at_large_m(self):
+        t = AUTO_VECTORIZED_MIN_N["fptas"]
+        for algorithm in ("bounded", "bounded_linear"):
+            assert auto_backend(algorithm, t - 1, 16 * (t - 1)) == "scalar"
+            assert auto_backend(algorithm, t, 16 * t) == "vectorized"
+            # just under the cut, Algorithm 3 proper: the bounded row
+            assert auto_backend(algorithm, t, 16 * t - 1) == "scalar"
+
+    def test_huge_m_resolves_to_scalar(self):
+        jobs = random_mixed_instance(200, 64, seed=1).jobs
+        for algorithm in AUTO_VECTORIZED_MIN_N:
+            assert auto_backend(algorithm, 200, MAX_VECTORIZED_M + 1) == "scalar"
+            assert resolve_backend(jobs, MAX_VECTORIZED_M + 1, "auto", None, algorithm) == (
+                "scalar",
+                None,
+            )
+        backend, oracle = resolve_backend(jobs, MAX_VECTORIZED_M, "auto", None, "two_approx")
+        assert backend == "vectorized" and oracle is not None
+
+    def test_oracle_forces_vectorized(self):
+        jobs = random_mixed_instance(4, 64, seed=2).jobs
+        oracle = BatchedOracle(jobs, 64)
+        assert resolve_backend(jobs, 64, "auto", oracle, "two_approx") == ("vectorized", oracle)
+        result = schedule_moldable(jobs, 64, EPS, algorithm="two_approx", oracle=oracle)
+        assert result.backend == "vectorized"
+        assert oracle.gamma_probes > 0
+
+    def test_explicit_backends_are_kept(self):
+        jobs = random_mixed_instance(4, 64, seed=3).jobs
+        for backend in ("scalar", "vectorized"):
+            assert schedule_moldable(jobs, 64, EPS, backend=backend).backend == backend
+
+
+class TestStraddle:
+    @pytest.mark.parametrize("algorithm,m,threshold", STRADDLES)
+    @pytest.mark.parametrize("below", [True, False])
+    def test_auto_matches_both_backends(self, algorithm, m, threshold, below):
+        n = threshold - 1 if below else threshold
+
+        def solve(backend):
+            jobs = random_mixed_instance(n, m, seed=n).jobs
+            return schedule_moldable(jobs, m, EPS, algorithm=algorithm, backend=backend)
+
+        auto = solve("auto")
+        assert auto.backend == ("scalar" if below else "vectorized")
+        assert auto.algorithm == algorithm
+        for backend in ("scalar", "vectorized"):
+            other = solve(backend)
+            assert other.backend == backend
+            assert _solved(auto) == _solved(other)
+
+    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "ptas"])
+    def test_zero_rows_stay_vectorized(self, algorithm):
+        # m=2^20 sends ptas to the FPTAS, whose own row would pick scalar
+        m = 1 << 20 if algorithm == "ptas" else 16
+        jobs = random_mixed_instance(3, m, seed=4).jobs
+        auto = schedule_moldable(jobs, m, EPS, algorithm=algorithm)
+        assert auto.backend == "vectorized"
+        scalar = schedule_moldable(
+            random_mixed_instance(3, m, seed=4).jobs, m, EPS, algorithm=algorithm, backend="scalar"
+        )
+        assert _solved(auto) == _solved(scalar)
+
+
+class TestReportedBackend:
+    def test_two_approximation_writes_its_backend(self):
+        jobs = random_mixed_instance(5, 16, seed=5).jobs
+        for backend in ("scalar", "vectorized"):
+            result = two_approximation(jobs, 16, backend=backend)
+            assert result.schedule.metadata["backend"] == backend
+        assert two_approximation([], 16, backend="auto").schedule.metadata["backend"] == "scalar"
+
+    def test_metadata_backend_survives_io(self):
+        jobs = random_mixed_instance(5, 16, seed=6).jobs
+        result = schedule_moldable(jobs, 16, EPS, algorithm="two_approx")
+        loaded = schedule_from_dict(schedule_to_dict(result.schedule), jobs)
+        assert loaded.metadata["backend"] == result.backend == "scalar"
+
+    def test_recovery_epochs_name_their_backend(self):
+        inst = random_mixed_instance(8, 16, seed=7)
+        plan = FaultPlan(m=16, failures=(MachineFailure(time=1.0, first=0, count=4),))
+        res = recover_with_faults(inst.jobs, 16, plan, algorithm="two_approx")
+        replans = [e for e in res.report.epochs if e.replanned]
+        assert replans and all(e.replan_backend == "scalar" for e in replans)
+        assert all(e.replan_algorithm == "two_approx" for e in replans)
+        assert res.report.gamma_probes is None
+        assert res.fault_free.backend == "scalar"
+
+
+class TestOnlineAuto:
+    def test_epochs_straddling_a_threshold_match_both_backends(self):
+        # the first epoch re-plans its 70 arrivals vectorized (>= 64
+        # two_approx jobs); the second re-plans the last 20 arrivals plus the
+        # unstarted rest, 54 jobs, on the scalar reference
+        inst = random_arrivals_instance(90, 64, seed=12)
+
+        def run(backend, warm_start=True):
+            return OnlineScheduler(
+                64,
+                eps=EPS,
+                algorithm="two_approx",
+                backend=backend,
+                policy="count",
+                batch_size=70,
+                warm_start=warm_start,
+            ).run(inst.arrivals)
+
+        auto = run("auto")
+        assert {e.replan_backend for e in auto.report.epochs} == {"scalar", "vectorized"}
+        assert auto.report.gamma_probes is not None
+        for other in (run("scalar"), run("vectorized"), run("auto", warm_start=False)):
+            assert auto.makespan == other.makespan
+            assert _entries(auto.schedule) == _entries(other.schedule)
+            assert auto.report.offline_makespan == other.report.offline_makespan
+
+    def test_small_bounded_epochs_build_no_oracle(self):
+        inst = random_arrivals_instance(20, 64, seed=13)
+        result = OnlineScheduler(64, eps=EPS).run(inst.arrivals)
+        assert {e.replan_algorithm for e in result.report.epochs} == {"bounded"}
+        assert {e.replan_backend for e in result.report.epochs} == {"scalar"}
+        assert result.report.gamma_probes is None
+        assert result.offline.backend == "scalar"
+
+    def test_replan_state_skips_the_oracle_for_scalar_epochs(self):
+        jobs = random_mixed_instance(6, 8, seed=14).jobs
+        for algorithm in ("two_approx", "auto"):
+            state = ReplanState(m=8, eps=EPS, algorithm=algorithm)
+            state.add_jobs(jobs)
+            outcome = state.replan_pending(0.0, [], [(0, 8)])
+            assert outcome.backend == "scalar"
+            assert state.prev_oracle is None and state.gamma_probes is None
+        state = ReplanState(m=8, eps=EPS, algorithm="two_approx", backend="vectorized")
+        state.add_jobs(jobs)
+        assert state.replan_pending(0.0, [], [(0, 8)]).backend == "vectorized"
+        assert state.prev_oracle is not None and state.gamma_probes > 0
+
+
+class TestMachineCountBoundary:
+    @pytest.mark.parametrize("m", [True, False, 2.5, 4.0, "4"])
+    def test_schedule_moldable_rejects(self, m):
+        jobs = random_mixed_instance(10, 4, seed=1).jobs
+        with pytest.raises(ValueError, match="m must be an integer"):
+            schedule_moldable(jobs, m)
+
+    @pytest.mark.parametrize("m", [True, 2.5])
+    def test_online_scheduler_rejects(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            OnlineScheduler(m)
+
+    @pytest.mark.parametrize("m", [True, 2.5])
+    def test_solve_mega_rejects(self, m):
+        jobs = random_mixed_instance(4, 4, seed=1).jobs
+        with pytest.raises(ValueError, match="m must be an integer"):
+            solve_mega([(jobs, 4), (jobs, m)])
+
+    def test_numpy_integers_are_accepted(self):
+        jobs = random_mixed_instance(10, 4, seed=1).jobs
+        expected = schedule_moldable(jobs, 4).makespan
+        assert schedule_moldable(jobs, np.int64(4)).makespan == expected
+        assert OnlineScheduler(np.int32(4)).m == 4
+        assert solve_mega([(jobs, np.int64(4))])[0].makespan == expected

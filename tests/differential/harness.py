@@ -130,6 +130,10 @@ DRIVERS = ("mrt", "compressible", "bounded", "fptas", "two_approx")
 #: compared against the reference.
 BACKENDS = ("scalar", "vectorized")
 
+#: The ``online`` family also runs ``"auto"``, whose per-epoch size dispatch
+#: mixes scalar and vectorized re-plans within one stitched schedule.
+ONLINE_BACKENDS = BACKENDS + ("auto",)
+
 
 def effective_m(case: dict) -> int:
     """The machine count a case actually runs with.
@@ -300,7 +304,7 @@ def run_online(
     case: dict, backend: str, instance, *, warm_start: bool = True
 ) -> OnlineResult:
     """Run the whole online arrival-epoch loop under one backend."""
-    if backend not in BACKENDS:
+    if backend not in ONLINE_BACKENDS:
         raise KeyError(backend)
     scheduler = OnlineScheduler(
         effective_m(case),
@@ -322,7 +326,7 @@ def _run_online_case(case: dict) -> None:
     scalar = run_online(case, "scalar", scalar_inst)
     _assert_validator_verdicts_agree(scalar.schedule, scalar_inst.jobs, case)
 
-    for backend in BACKENDS[1:]:
+    for backend in ONLINE_BACKENDS[1:]:
         inst = build_instance(case)
         result = run_online(case, backend, inst)
         context = f"case {case!r}, backend {backend!r} vs scalar (online)"

@@ -141,6 +141,25 @@ class TestHarnessSelfChecks:
             {"driver": driver, "family": "online", "n": 8, "m": 24, "eps": 0.25, "seed": 19}
         )
 
+    def test_online_family_compares_auto(self, monkeypatch):
+        """``backend="auto"`` mixes scalar and vectorized epochs in one
+        stitched schedule, so the online family runs it too."""
+        from . import harness
+
+        seen = []
+        run_online = harness.run_online
+
+        def spy(case, backend, instance, **kwargs):
+            seen.append(backend)
+            return run_online(case, backend, instance, **kwargs)
+
+        monkeypatch.setattr(harness, "run_online", spy)
+        run_case(
+            {"driver": "two_approx", "family": "online", "n": 8, "m": 24, "eps": 0.25, "seed": 19}
+        )
+        assert set(harness.ONLINE_BACKENDS) <= set(seen)
+        assert "auto" in harness.ONLINE_BACKENDS
+
     def test_save_failure_roundtrip(self, tmp_path, monkeypatch):
         import json
 

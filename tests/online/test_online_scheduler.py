@@ -136,11 +136,12 @@ class TestWarmStart:
     def test_warm_and_cold_are_bit_identical(self, arrivals_instance, policy, kwargs):
         inst = arrivals_instance
         warm = OnlineScheduler(
-            inst.m, eps=0.25, algorithm="two_approx", policy=policy, **kwargs
+            inst.m, eps=0.25, algorithm="two_approx", backend="vectorized",
+            policy=policy, **kwargs,
         ).run(inst.arrivals)
         cold = OnlineScheduler(
-            inst.m, eps=0.25, algorithm="two_approx", policy=policy,
-            warm_start=False, **kwargs,
+            inst.m, eps=0.25, algorithm="two_approx", backend="vectorized",
+            policy=policy, warm_start=False, **kwargs,
         ).run(inst.arrivals)
         assert warm.makespan == cold.makespan
         assert entry_tuples(warm.schedule) == entry_tuples(cold.schedule)
@@ -149,7 +150,9 @@ class TestWarmStart:
 
     def test_scalar_backend_matches_vectorized(self, arrivals_instance):
         inst = arrivals_instance
-        vec = OnlineScheduler(inst.m, eps=0.25, algorithm="two_approx").run(inst.arrivals)
+        vec = OnlineScheduler(
+            inst.m, eps=0.25, algorithm="two_approx", backend="vectorized"
+        ).run(inst.arrivals)
         scal = OnlineScheduler(
             inst.m, eps=0.25, algorithm="two_approx", backend="scalar"
         ).run(inst.arrivals)
@@ -160,7 +163,7 @@ class TestWarmStart:
 class TestRegretReport:
     def test_summary_lines_mention_everything(self, arrivals_instance):
         inst = arrivals_instance
-        result = OnlineScheduler(inst.m, eps=0.25).run(inst.arrivals)
+        result = OnlineScheduler(inst.m, eps=0.25, backend="vectorized").run(inst.arrivals)
         text = "\n".join(result.report.summary_lines())
         assert "online makespan" in text
         assert "clairvoyant makespan" in text

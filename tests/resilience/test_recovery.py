@@ -103,9 +103,12 @@ class TestRecoveryDeterministic:
         names = [j.name for j in inst.jobs]
         horizon = 1.5 * trivial_lower_bound(inst.jobs, 32)
         plan = random_fault_plan(names, 32, seed=17, failures=3, kills=1, horizon=horizon)
-        warm = recover_with_faults(inst.jobs, 32, plan, eps=0.25, algorithm="two_approx")
+        warm = recover_with_faults(
+            inst.jobs, 32, plan, eps=0.25, algorithm="two_approx", backend="vectorized"
+        )
         cold = recover_with_faults(
-            inst.jobs, 32, plan, eps=0.25, algorithm="two_approx", warm_start=False
+            inst.jobs, 32, plan, eps=0.25, algorithm="two_approx", backend="vectorized",
+            warm_start=False,
         )
         assert warm.makespan == cold.makespan
         assert warm.report.replans == cold.report.replans
