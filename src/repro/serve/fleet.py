@@ -548,9 +548,9 @@ class _Dispatch:
                     "pack": [self._task_payload(t) for t in tasks],
                     "step": self.policy.step(task.step).to_dict(),
                 }
+            died = False
             try:
                 slot.conn.send(("task", payload))
-                died = False
             except OSError:
                 died = True
             except Exception:

@@ -135,6 +135,22 @@ class TestChaoticFleet:
         ]
         assert runs[0].comparable_dict() == runs[1].comparable_dict()
 
+    def test_respawned_worker_reports_only_its_own_traceback(self):
+        """Seed 1 draws kill on attempt 0 and raise on attempt 1.  The worker
+        that replaces the killed one must not report the parent's EOFError
+        (from noticing the death) as the context of its own ChaosError."""
+        chaos = ChaosPolicy(
+            seed=1, kill_prob=0.5, raise_prob=0.5, mid_solve=False, attempts=2
+        )
+        policy = ServePolicy(timeout=30.0, max_retries=2, backoff_base=0.0)
+        report = schedule_many(
+            _fleet(1, n=8, m=16), policy=policy, chaos=chaos, max_workers=1, mp_context="fork"
+        )
+        attempts = report.outcome("inst-00").attempts
+        assert [a.outcome for a in attempts[:2]] == ["worker-death", "raise"]
+        assert "ChaosError" in attempts[1].error
+        assert "_collect" not in attempts[1].error
+
 
 class TestQuarantine:
     def test_unpicklable_instance_quarantined_not_raised(self):
