@@ -1,7 +1,7 @@
 """Knapsack substrate benchmarks.
 
 Compares the exact engines (dense table vs dominance list), the one-pass
-multi-capacity solver and Algorithm 2 (knapsack with compressible items) on
+multi-capacity solver on the scalar and the NumPy array engine, and Algorithm 2 (knapsack with compressible items) on
 scheduling-shaped item sets.  Algorithm 2's runtime must stay essentially flat
 as the capacity grows — that is the whole point of Section 4.2.
 """
@@ -58,8 +58,11 @@ def test_algorithm2_compressible(benchmark, capacity):
     benchmark.extra_info["capacity"] = capacity
 
 
-def test_multi_capacity_one_pass(benchmark):
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+def test_multi_capacity_one_pass(benchmark, backend):
     items, _ = _items(100, 4096, seed=2)
     capacities = [float(c) for c in (64, 256, 1024, 4096)]
-    results = benchmark(lambda: solve_knapsack_multi(items, capacities))
-    assert len(results) == len(capacities)
+    results = benchmark(lambda: solve_knapsack_multi(items, capacities, backend=backend))
+    # the array engine is a drop-in: same profits and selections
+    assert results == solve_knapsack_multi(items, capacities)
+    benchmark.extra_info["backend"] = backend

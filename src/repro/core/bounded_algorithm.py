@@ -20,18 +20,17 @@ bucketed piggyback search of Section 4.3.3, which removes the remaining
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..knapsack.bounded import assign_members, expand_bounded_items, selected_counts
 from ..knapsack.compressible import solve_compressible_knapsack
-from .allotment import gamma
 from .backend import resolve_backend
 from .dual import DualSearchResult, dual_binary_search
 from .fptas import fptas_dual
 from .job import MoldableJob
 from .rounding import round_jobs_to_types
 from .schedule import Schedule
-from .shelves import build_three_shelf_schedule, partition_small_big
+from .shelves import build_three_shelf_schedule, split_big_jobs
 from .validation import assert_valid_schedule
 
 __all__ = ["bounded_dual", "bounded_schedule"]
@@ -69,7 +68,6 @@ def bounded_dual(
     if n == 0:
         return Schedule(m=m)
     backend, oracle = resolve_backend(jobs, m, backend, oracle, _algorithm(transform))
-    gamma_fn = oracle.gamma if oracle is not None else gamma
 
     if m >= LARGE_M_FACTOR * n:
         schedule = fptas_dual(jobs, m, d, 0.5, backend=backend, oracle=oracle)
@@ -78,26 +76,16 @@ def bounded_dual(
         return schedule
 
     delta = eps / 5.0
-    _, big = partition_small_big(jobs, d)
-
-    shelf1: List[MoldableJob] = []
-    knapsack_jobs: List[MoldableJob] = []
-    capacity = m
-    for job in big:
-        g_full = gamma_fn(job, d, m)
-        if g_full is None:
-            return None
-        if gamma_fn(job, d / 2.0, m) is None:
-            shelf1.append(job)
-            capacity -= g_full
-        else:
-            knapsack_jobs.append(job)
+    split = split_big_jobs(jobs, m, d, oracle=oracle)
+    if split is None:
+        return None
+    shelf1, knapsack_jobs, capacity = split
     if capacity < 0:
         return None
 
     rho = None
     if knapsack_jobs:
-        scheme = round_jobs_to_types(knapsack_jobs, m, d, delta, gamma_fn=gamma_fn)
+        scheme = round_jobs_to_types(knapsack_jobs, m, d, delta, oracle=oracle)
         rho = scheme.params.rho
         containers = expand_bounded_items(scheme.types)
         compressible_keys = {c.key for c in containers if c.size >= 1.0 / rho}
@@ -125,8 +113,7 @@ def bounded_dual(
         shelf1,
         transform=transform,
         bucket_ratio=(1.0 + 4.0 * rho) if rho is not None else None,
-        gamma_fn=gamma_fn,
-        columnar=backend == "vectorized",
+        oracle=oracle,
     )
     if schedule is not None:
         schedule.metadata["algorithm"] = f"bounded_dual({transform})"

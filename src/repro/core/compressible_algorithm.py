@@ -16,7 +16,7 @@ polynomial in ``log m``, in contrast to the ``O(n*m)`` MRT baseline.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..knapsack.compressible import solve_compressible_knapsack
 from ..knapsack.items import KnapsackItem
@@ -26,7 +26,7 @@ from .dual import DualSearchResult, dual_binary_search
 from .fptas import fptas_dual, fptas_machine_threshold
 from .job import MoldableJob
 from .schedule import Schedule
-from .shelves import build_three_shelf_schedule, partition_small_big, shelf_profit
+from .shelves import build_three_shelf_schedule, shelf_profit, split_big_jobs
 from .validation import assert_valid_schedule
 
 __all__ = ["compressible_dual", "compressible_schedule", "LARGE_M_FACTOR"]
@@ -71,20 +71,10 @@ def compressible_dual(
 
     rho = eps / 6.0
     d_prime = (1.0 + 4.0 * rho) * d
-    _, big = partition_small_big(jobs, d)
-
-    shelf1: List[MoldableJob] = []
-    knapsack_jobs: List[MoldableJob] = []
-    capacity = m
-    for job in big:
-        g_full = gamma_fn(job, d, m)
-        if g_full is None:
-            return None
-        if gamma_fn(job, d / 2.0, m) is None:
-            shelf1.append(job)
-            capacity -= g_full
-        else:
-            knapsack_jobs.append(job)
+    split = split_big_jobs(jobs, m, d, oracle=oracle)
+    if split is None:
+        return None
+    shelf1, knapsack_jobs, capacity = split
     if capacity < 0:
         return None
 
@@ -114,9 +104,7 @@ def compressible_dual(
         shelf1.extend(item.payload for item in solution.items)
 
     # Corollary 10: schedule the selection for the inflated target d'.
-    schedule = build_three_shelf_schedule(
-        jobs, m, d_prime, shelf1, gamma_fn=gamma_fn, columnar=backend == "vectorized"
-    )
+    schedule = build_three_shelf_schedule(jobs, m, d_prime, shelf1, oracle=oracle)
     if schedule is not None:
         schedule.metadata["algorithm"] = "compressible_dual"
         schedule.metadata["d"] = d

@@ -259,6 +259,13 @@ class OracleJob(MoldableJob):
         return super()._times_batch(ks)
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """Reject a model parameter that is not a positive finite number (NaN
+    passes a bare ``value <= 0`` test)."""
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 class AmdahlJob(MoldableJob):
     """Amdahl's-law job: ``t(k) = t1 * (f + (1-f)/k)``.
 
@@ -271,8 +278,7 @@ class AmdahlJob(MoldableJob):
 
     def __init__(self, name: str, t1: float, serial_fraction: float) -> None:
         super().__init__(name)
-        if t1 <= 0:
-            raise ValueError("t1 must be positive")
+        _check_positive_finite("t1", t1)
         if not 0.0 <= serial_fraction <= 1.0:
             raise ValueError("serial_fraction must lie in [0, 1]")
         self.t1 = float(t1)
@@ -299,8 +305,7 @@ class PowerLawJob(MoldableJob):
 
     def __init__(self, name: str, t1: float, alpha: float) -> None:
         super().__init__(name)
-        if t1 <= 0:
-            raise ValueError("t1 must be positive")
+        _check_positive_finite("t1", t1)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         self.t1 = float(t1)
@@ -334,10 +339,9 @@ class CommunicationJob(MoldableJob):
 
     def __init__(self, name: str, t1: float, overhead: float) -> None:
         super().__init__(name)
-        if t1 <= 0:
-            raise ValueError("t1 must be positive")
-        if overhead < 0:
-            raise ValueError("overhead must be non-negative")
+        _check_positive_finite("t1", t1)
+        if not math.isfinite(overhead) or overhead < 0:
+            raise ValueError(f"overhead must be non-negative and finite, got {overhead!r}")
         self.t1 = float(t1)
         self.overhead = float(overhead)
         if overhead == 0:
@@ -378,13 +382,14 @@ class RigidJob(MoldableJob):
 
     def __init__(self, name: str, duration: float, size: int, penalty: float | None = None) -> None:
         super().__init__(name)
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        _check_positive_finite("duration", duration)
         if size < 1:
             raise ValueError("size must be >= 1")
         self.duration = float(duration)
         self.size = int(size)
         self.penalty = float(penalty) if penalty is not None else duration * 1e6
+        if not math.isfinite(self.penalty):
+            raise ValueError(f"penalty must be finite, got {self.penalty!r}")
 
     def _time(self, k: int) -> float:
         if k >= self.size:

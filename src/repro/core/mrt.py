@@ -8,7 +8,7 @@ knapsack over the big jobs (size ``gamma_j(d)``, profit ``v_j(d)``, capacity
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..knapsack.dp import solve_knapsack, solve_knapsack_dense
 from ..knapsack.items import KnapsackItem
@@ -17,7 +17,7 @@ from .backend import resolve_backend
 from .dual import DualSearchResult, dual_binary_search
 from .job import MoldableJob
 from .schedule import Schedule
-from .shelves import build_three_shelf_schedule, partition_small_big, shelf_profit
+from .shelves import build_three_shelf_schedule, shelf_profit, split_big_jobs
 from .validation import assert_valid_schedule
 
 __all__ = ["mrt_dual", "mrt_schedule"]
@@ -64,23 +64,12 @@ def mrt_dual(
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
     backend, oracle = resolve_backend(jobs, m, backend, oracle, "mrt")
     gamma_fn = oracle.gamma if oracle is not None else gamma
-    _, big = partition_small_big(jobs, d)
-
-    # Jobs that cannot finish within d even on all machines force rejection.
-    shelf1: List[MoldableJob] = []
-    knapsack_jobs: List[MoldableJob] = []
-    capacity = m
-    for job in big:
-        g_full = gamma_fn(job, d, m)
-        if g_full is None:
-            return None
-        g_half = gamma_fn(job, d / 2.0, m)
-        if g_half is None:
-            # must run in shelf S1 (cannot fit the d/2 shelf at all)
-            shelf1.append(job)
-            capacity -= g_full
-        else:
-            knapsack_jobs.append(job)
+    # Jobs that cannot finish within d even on all machines force rejection;
+    # jobs that cannot fit the d/2 shelf at all must run in shelf S1.
+    split = split_big_jobs(jobs, m, d, oracle=oracle)
+    if split is None:
+        return None
+    shelf1, knapsack_jobs, capacity = split
     if capacity < 0:
         return None
 
@@ -102,9 +91,7 @@ def mrt_dual(
         _, chosen = solve_knapsack(items, capacity, backend=backend)
     shelf1.extend(item.payload for item in chosen)
 
-    return build_three_shelf_schedule(
-        jobs, m, d, shelf1, gamma_fn=gamma_fn, columnar=backend == "vectorized"
-    )
+    return build_three_shelf_schedule(jobs, m, d, shelf1, oracle=oracle)
 
 
 def mrt_schedule(

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence
+
+import numpy as np
 
 from ..knapsack.compressible import round_down_geom, round_up_geom
 from ..knapsack.items import ItemType
@@ -85,47 +87,73 @@ def round_jobs_to_types(
     d: float,
     delta: float,
     *,
-    gamma_fn=None,
+    oracle=None,
 ) -> RoundingScheme:
     """Round the big jobs of a target ``d`` into bounded-knapsack item types.
 
     Every job must satisfy ``gamma_j(d)`` and ``gamma_j(d/2)`` defined (the
-    caller removes forced shelf-1 jobs beforehand).  ``gamma_fn`` optionally
-    substitutes a batched γ-oracle (signature of
-    :func:`repro.core.allotment.gamma`).
+    caller removes forced shelf-1 jobs beforehand).  With a
+    :class:`repro.perf.oracle.BatchedOracle` the γ-allotments and processing
+    times are read as columns (two γ-arrays and two batched kernel calls per
+    target) instead of per job; the rounding itself runs per value either
+    way, so both paths produce identical schemes.
     """
-    if gamma_fn is None:
-        gamma_fn = gamma
     params = params_for_delta(delta)
     rho = params.rho
     b = params.b
     half = d / 2.0
+    jobs = list(big_jobs)
 
+    columnar = oracle is not None and len(jobs) > 0
+    if columnar:
+        pos = oracle.positions(jobs)
+        g_full_col = oracle.gamma_array(d)[pos]
+        g_half_col = oracle.gamma_array(half)[pos]
+        missing = np.flatnonzero((g_full_col > m) | (g_half_col > m)).tolist()
+        g_fulls = g_full_col.tolist()
+        g_halves = g_half_col.tolist()
+    else:
+        g_fulls = [gamma(job, d, m) for job in jobs]
+        g_halves = [gamma(job, half, m) for job in jobs]
+        missing = [i for i, (g1, g2) in enumerate(zip(g_fulls, g_halves)) if g1 is None or g2 is None]
+    if missing:
+        raise ValueError(
+            f"job {jobs[missing[0]].name!r} cannot meet the shelf heights; "
+            "forced jobs must be removed before rounding"
+        )
+    if columnar:
+        t_fulls = oracle.times_at(g_full_col, pos).tolist()
+        t_halves = oracle.times_at(g_half_col, pos).tolist()
+    else:
+        t_fulls = [job.processing_time(g) for job, g in zip(jobs, g_fulls)]
+        t_halves = [job.processing_time(g) for job, g in zip(jobs, g_halves)]
+
+    # many jobs share a processor count, so round each distinct count once
+    counts: Dict[int, int] = {}
+    profit_low = delta / 2.0 * d
     rounded_jobs: List[RoundedJob] = []
-    for job in big_jobs:
-        g_full = gamma_fn(job, d, m)
-        g_half = gamma_fn(job, half, m)
-        if g_full is None or g_half is None:
-            raise ValueError(
-                f"job {job.name!r} cannot meet the shelf heights; forced jobs must be removed before rounding"
-            )
-        size = _round_count(g_full, b, m, rho)
-        rounded_half_count = _round_count(g_half, b, m, rho)
+    for job, g_full, g_half, time_full, time_half in zip(jobs, g_fulls, g_halves, t_fulls, t_halves):
+        size = counts.get(g_full)
+        if size is None:
+            size = counts[g_full] = _round_count(g_full, b, m, rho)
+        rounded_half_count = counts.get(g_half)
+        if rounded_half_count is None:
+            rounded_half_count = counts[g_half] = _round_count(g_half, b, m, rho)
 
         if rounded_half_count < b:
-            # narrow in shelf S2: round the original profit v_j(d)
-            profit_raw = max(0.0, job.work(g_half) - job.work(g_full))
-            if profit_raw < delta / 2.0 * d:
+            # narrow in shelf S2: round the original profit v_j(d) = w_j(d/2) - w_j(d)
+            profit_raw = max(0.0, g_half * time_half - g_full * time_full)
+            if profit_raw < profit_low:
                 profit = 0.0
             else:
-                profit = round_up_geom(profit_raw, delta / 2.0 * d, b / 2.0 * d, 1.0 + delta / b)
-            t_full = job.processing_time(g_full)
-            t_half = job.processing_time(g_half)
+                profit = round_up_geom(profit_raw, profit_low, b / 2.0 * d, 1.0 + delta / b)
+            t_full = time_full
+            t_half = time_half
             type_key = ("narrow", size, round(profit, 12))
         else:
             # wide in shelf S2: round the processing times of both shelves
-            t_full = round_down_geom(job.processing_time(g_full), d / 2.0, d, 1.0 + 4.0 * rho)
-            t_half = round_down_geom(job.processing_time(g_half), half / 2.0, half, 1.0 + 4.0 * rho)
+            t_full = round_down_geom(time_full, d / 2.0, d, 1.0 + 4.0 * rho)
+            t_half = round_down_geom(time_half, half / 2.0, half, 1.0 + 4.0 * rho)
             profit = max(0.0, t_half * rounded_half_count - t_full * size)
             type_key = ("wide", size, rounded_half_count, round(t_full, 12), round(t_half, 12))
 
@@ -142,8 +170,8 @@ def round_jobs_to_types(
             )
         )
 
-    # group into types; members sorted by true size so that narrow members are
-    # preferred when a type is only partially selected.
+    # group into types in first-seen order; members sorted by true size so
+    # that narrow members are preferred when a type is only partially selected.
     groups: Dict[Hashable, List[RoundedJob]] = {}
     for rj in rounded_jobs:
         groups.setdefault(rj.type_key, []).append(rj)

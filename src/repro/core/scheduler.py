@@ -22,7 +22,14 @@ from .schedule import Schedule
 from .two_approx import two_approximation
 from .validation import assert_valid_schedule
 
-__all__ = ["ALGORITHMS", "SchedulingResult", "auto_algorithm", "check_machine_count", "schedule_moldable"]
+__all__ = [
+    "ALGORITHMS",
+    "SchedulingResult",
+    "auto_algorithm",
+    "check_distinct_jobs",
+    "check_machine_count",
+    "schedule_moldable",
+]
 
 ALGORITHMS = (
     "auto",
@@ -80,6 +87,16 @@ def check_machine_count(m) -> None:
         raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
+
+
+def check_distinct_jobs(jobs: Sequence[MoldableJob]) -> None:
+    """Reject a job list that holds one job object more than once.
+
+    The drivers index jobs by identity and by position, so a repeated object
+    would otherwise be scheduled once and silently dropped the second time.
+    """
+    if len({id(job) for job in jobs}) != len(jobs):
+        raise ValueError("the same job object was submitted twice")
 
 
 def auto_algorithm(n: int, m: int, eps: float) -> str:
@@ -150,6 +167,7 @@ def schedule_moldable(
     """
     jobs = list(jobs)
     check_machine_count(m)
+    check_distinct_jobs(jobs)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}")
 

@@ -26,12 +26,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .allotment import gamma
 from .job import MoldableJob
 from .schedule import MachineSpan, Schedule
 
 __all__ = [
     "partition_small_big",
+    "split_big_jobs",
     "small_jobs_work",
     "shelf_profit",
     "TwoShelfSchedule",
@@ -48,6 +51,12 @@ def _leq(a: float, b: float) -> bool:
     return a <= b + _ABS + _REL * max(abs(a), abs(b))
 
 
+def _leq_array(a: np.ndarray, b: float) -> np.ndarray:
+    """Elementwise :func:`_leq` with the same float operations, so the
+    comparison is bit-for-bit the scalar one."""
+    return a <= b + _ABS + _REL * np.maximum(np.abs(a), abs(b))
+
+
 # --------------------------------------------------------------------------
 # Partitioning and knapsack profits
 # --------------------------------------------------------------------------
@@ -62,6 +71,51 @@ def partition_small_big(jobs: Iterable[MoldableJob], d: float) -> Tuple[List[Mol
         else:
             big.append(job)
     return small, big
+
+
+def split_big_jobs(
+    jobs: Sequence[MoldableJob],
+    m: int,
+    d: float,
+    *,
+    oracle=None,
+) -> Optional[Tuple[List[MoldableJob], List[MoldableJob], int]]:
+    """The big jobs of one dual step at target ``d``, split for the knapsack.
+
+    Returns ``None`` when some big job cannot finish within ``d`` even on
+    all ``m`` machines (the target must be rejected).  Otherwise returns
+    ``(forced, knapsack_jobs, capacity)``: the big jobs that cannot meet
+    ``d/2`` and so must run in shelf S1, the remaining big jobs, and the
+    ``m - sum gamma_j(d)`` processors the forced jobs leave (possibly
+    negative).  With a :class:`repro.perf.oracle.BatchedOracle` the split is
+    made with masks over the ``t_j(1)``, γ(d) and γ(d/2) columns.
+    """
+    if oracle is None:
+        _, big = partition_small_big(jobs, d)
+        forced: List[MoldableJob] = []
+        knapsack_jobs: List[MoldableJob] = []
+        capacity = m
+        for job in big:
+            g_full = gamma(job, d, m)
+            if g_full is None:
+                return None
+            if gamma(job, d / 2.0, m) is None:
+                forced.append(job)
+                capacity -= g_full
+            else:
+                knapsack_jobs.append(job)
+        return forced, knapsack_jobs, capacity
+    pos = oracle.positions(jobs)
+    big = np.flatnonzero(~_leq_array(oracle.t1[pos], d / 2.0))
+    if not len(big):
+        return [], [], m
+    g_full = oracle.gamma_array(d)[pos[big]]
+    if (g_full > m).any():
+        return None
+    is_forced = oracle.gamma_array(d / 2.0)[pos[big]] > m
+    forced = [jobs[i] for i in big[is_forced].tolist()]
+    knapsack_jobs = [jobs[i] for i in big[~is_forced].tolist()]
+    return forced, knapsack_jobs, m - int(g_full[is_forced].sum())
 
 
 def small_jobs_work(small: Iterable[MoldableJob]) -> float:
@@ -134,8 +188,6 @@ def build_two_shelf_schedule(
     m: int,
     d: float,
     shelf1_jobs: Iterable[MoldableJob],
-    *,
-    gamma_fn=None,
 ) -> Optional[TwoShelfSchedule]:
     """Assemble the two-shelf picture for a given shelf-1 selection.
 
@@ -144,20 +196,18 @@ def build_two_shelf_schedule(
     case the target ``d`` must be rejected or the job forced into shelf 1 by
     the caller.
     """
-    if gamma_fn is None:
-        gamma_fn = gamma
     small, big = partition_small_big(jobs, d)
     shelf1_ids = {id(j) for j in shelf1_jobs}
     shelf1: Dict[MoldableJob, int] = {}
     shelf2: Dict[MoldableJob, int] = {}
     for job in big:
         if id(job) in shelf1_ids:
-            g = gamma_fn(job, d, m)
+            g = gamma(job, d, m)
             if g is None:
                 return None
             shelf1[job] = g
         else:
-            g = gamma_fn(job, d / 2.0, m)
+            g = gamma(job, d / 2.0, m)
             if g is None:
                 return None
             shelf2[job] = g
@@ -250,6 +300,50 @@ class _ScheduleAssembler:
         return self._schedule
 
 
+def _two_shelf_scalar(jobs, m, d, shelf1_jobs):
+    """:func:`build_two_shelf_schedule` with its total work and the small
+    jobs' ``t_j(1)``, in the shape of :func:`_two_shelf_columns`."""
+    two_shelf = build_two_shelf_schedule(jobs, m, d, shelf1_jobs)
+    if two_shelf is None:
+        return None
+    small_times = [job.processing_time(1) for job in two_shelf.small]
+    return two_shelf, two_shelf.total_work, small_times, None
+
+
+def _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle):
+    """Columnar counterpart of :func:`_two_shelf_scalar`.
+
+    Reads the small/big partition, the shelf allotments γ(d) / γ(d/2) and
+    the works from whole-instance oracle columns, with the scalar path's
+    arithmetic (``_leq``, ``k * t_j(k)``, left-to-right sums).  The last
+    element of the result is the oracle positions of the shelf-2 jobs.
+    """
+    pos = oracle.positions(jobs)
+    t1 = oracle.t1[pos]
+    small = _leq_array(t1, d / 2.0)
+    shelf1_ids = {id(j) for j in shelf1_jobs}
+    in_s1 = np.fromiter((id(j) in shelf1_ids for j in jobs), dtype=bool, count=len(jobs))
+    s1 = np.flatnonzero(~small & in_s1)
+    s2 = np.flatnonzero(~small & ~in_s1)
+    # a threshold is only searched when some job needs it, as on the scalar path
+    g1 = oracle.gamma_array(d)[pos[s1]] if len(s1) else s1
+    g2 = oracle.gamma_array(d / 2.0)[pos[s2]] if len(s2) else s2
+    if (g1 > m).any() or (g2 > m).any():
+        return None
+
+    def shelf_work(idx: np.ndarray, g: np.ndarray) -> float:
+        return oracle.sequential_sum(g * oracle.times_at(g, pos[idx]))
+
+    two_shelf = TwoShelfSchedule(
+        d=d,
+        m=m,
+        shelf1=dict(zip([jobs[i] for i in s1.tolist()], g1.tolist())),
+        shelf2=dict(zip([jobs[i] for i in s2.tolist()], g2.tolist())),
+        small=[jobs[i] for i in np.flatnonzero(small).tolist()],
+    )
+    return two_shelf, shelf_work(s1, g1) + shelf_work(s2, g2), t1[small].tolist(), pos[s2]
+
+
 def build_three_shelf_schedule(
     jobs: Sequence[MoldableJob],
     m: int,
@@ -259,8 +353,7 @@ def build_three_shelf_schedule(
     transform: str = "heap",
     bucket_ratio: Optional[float] = None,
     diagnostics: Optional[ThreeShelfDiagnostics] = None,
-    gamma_fn=None,
-    columnar: bool = False,
+    oracle=None,
 ) -> Optional[Schedule]:
     """Turn a shelf-1 selection into a feasible schedule of length ``<= 3d/2``.
 
@@ -285,15 +378,14 @@ def build_three_shelf_schedule(
     bucket_ratio:
         Geometric ratio of the buckets for ``transform="bucket"``; defaults to
         ``1.05``.
-    gamma_fn:
-        Optional γ-oracle with the signature of
-        :func:`repro.core.allotment.gamma`; the vectorized drivers pass a
-        :class:`repro.perf.oracle.BatchedOracle` so every γ-lookup of the
-        construction is answered from a batched per-threshold cache.
-    columnar:
-        Collect placements as flat columns and materialize the ``Schedule``
-        in one batched pass (the vectorized drivers' fast path; bit-identical
-        schedule) instead of per-placement ``Schedule.add`` calls.
+    oracle:
+        Optional :class:`repro.perf.oracle.BatchedOracle` over ``(jobs, m)``
+        (the vectorized drivers' fast path; bit-identical schedule).  The
+        partition, the γ-allotments at ``d``, ``d/2`` and ``3d/2``, the shelf
+        works and the small jobs' times are then read from whole-instance
+        columns — one γ-array per threshold instead of one γ-search per job
+        — and the placements are collected as flat columns and materialized
+        in one batched pass instead of per-placement ``Schedule.add`` calls.
 
     Returns ``None`` when the selection violates the Lemma 6 work bound, shelf
     S1 does not fit, or (defensively) the construction cannot complete — the
@@ -301,16 +393,18 @@ def build_three_shelf_schedule(
     """
     if transform not in ("heap", "bucket"):
         raise ValueError(f"unknown transform {transform!r}")
-    if gamma_fn is None:
-        gamma_fn = gamma
     diag = diagnostics if diagnostics is not None else ThreeShelfDiagnostics(d=d, m=m)
     diag.d = d
     diag.m = m
 
-    two_shelf = build_two_shelf_schedule(jobs, m, d, shelf1_jobs, gamma_fn=gamma_fn)
-    if two_shelf is None:
+    if oracle is None:
+        columns = _two_shelf_scalar(jobs, m, d, shelf1_jobs)
+    else:
+        columns = _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle)
+    if columns is None:
         diag.rejected_reason = "a big job cannot meet its shelf height on m machines"
         return None
+    two_shelf, total_work, small_times, s2_pos = columns
     small = two_shelf.small
     diag.small_jobs = len(small)
     diag.two_shelf_feasible = two_shelf.is_feasible
@@ -318,7 +412,8 @@ def build_three_shelf_schedule(
     if two_shelf.shelf1_processors > m:
         diag.rejected_reason = "shelf S1 needs more than m processors"
         return None
-    if not _leq(two_shelf.total_work, two_shelf.work_bound()):
+    # the Lemma 6 threshold m*d - W_S(d), as TwoShelfSchedule.work_bound
+    if not _leq(total_work, m * d - sum(small_times)):
         diag.rejected_reason = "total work exceeds m*d - W_S(d)"
         return None
 
@@ -331,9 +426,18 @@ def build_three_shelf_schedule(
     s0_entries: List[_S0Entry] = []
     piggyback: List[Tuple[MoldableJob, MoldableJob]] = []  # (host in S1, rider)
     cat2_pending: Optional[MoldableJob] = None
+    # running processor totals of S0 and S1 (before piggybacking), kept in
+    # step with every change to s0_entries / s1_alloc below
+    s0_procs = 0
+    s1_procs = two_shelf.shelf1_processors
 
     def _time_in_s1(job: MoldableJob) -> float:
         return job.processing_time(s1_alloc[job])
+
+    def add_s0(entry: _S0Entry) -> None:
+        nonlocal s0_procs
+        s0_entries.append(entry)
+        s0_procs += entry.procs
 
     # ---------------------------------------------------------------- rules
     def apply_rules_i_ii(job: MoldableJob, procs: int) -> None:
@@ -342,43 +446,49 @@ def build_three_shelf_schedule(
         Leaves the job either in S0 (entry appended), paired in S0, pending as
         the unpaired 1-processor job, or in S1.
         """
-        nonlocal cat2_pending
+        nonlocal cat2_pending, s1_procs
         t = job.processing_time(procs)
         if _leq(t, three_quarter) and procs > 1:
             # rule (i): give up one processor, run alongside S1+S2
-            s0_entries.append(_S0Entry(procs - 1, [(job, procs - 1, 0.0)]))
+            add_s0(_S0Entry(procs - 1, [(job, procs - 1, 0.0)]))
         elif _leq(t, three_quarter) and procs == 1:
             # rule (ii): pair 1-processor jobs of height <= 3d/4
             if cat2_pending is None:
                 cat2_pending = job
                 s1_alloc[job] = 1
+                s1_procs += 1
             else:
                 partner = cat2_pending
                 cat2_pending = None
-                s1_alloc.pop(partner, None)
+                s1_procs -= s1_alloc.pop(partner, 0)
                 t_partner = partner.processing_time(1)
-                s0_entries.append(_S0Entry(1, [(partner, 1, 0.0), (job, 1, t_partner)]))
+                add_s0(_S0Entry(1, [(partner, 1, 0.0), (job, 1, t_partner)]))
         else:
             s1_alloc[job] = procs
+            s1_procs += procs
 
     # Step A: scan shelf S1
     for job in list(s1_alloc.keys()):
         procs = s1_alloc.pop(job)
+        s1_procs -= procs
         apply_rules_i_ii(job, procs)
 
     # Step B: rule (iii) — pull S2 jobs alongside while processors are free
     def current_p0() -> int:
-        return sum(e.procs for e in s0_entries) + len(piggyback)
+        return s0_procs + len(piggyback)
 
     def current_p1() -> int:
-        return sum(s1_alloc.values()) - len(piggyback)
+        return s1_procs - len(piggyback)
 
-    move_heap: List[Tuple[int, int, MoldableJob]] = []
-    for idx, job in enumerate(s2_alloc.keys()):
-        g = gamma_fn(job, three_half, m)
-        # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so g is always defined.
-        assert g is not None
-        move_heap.append((g, idx, job))
+    if oracle is None:
+        needs = [gamma(job, three_half, m) for job in s2_alloc]
+    else:
+        needs = oracle.gamma_array(three_half)[s2_pos].tolist() if s2_alloc else []
+    # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so every need is defined.
+    assert all(g is not None and g <= m for g in needs)
+    move_heap: List[Tuple[int, int, MoldableJob]] = [
+        (g, idx, job) for idx, (g, job) in enumerate(zip(needs, s2_alloc))
+    ]
     heapq.heapify(move_heap)
 
     while move_heap:
@@ -394,7 +504,7 @@ def build_three_shelf_schedule(
         t = job.processing_time(need)
         if t > d:
             # runs alongside both shelves for up to 3d/2
-            s0_entries.append(_S0Entry(need, [(job, need, 0.0)]))
+            add_s0(_S0Entry(need, [(job, need, 0.0)]))
         else:
             apply_rules_i_ii(job, need)
 
@@ -425,7 +535,7 @@ def build_three_shelf_schedule(
                     host = candidate
         if host is not None:
             piggyback.append((host, rider))
-            s1_alloc.pop(rider, None)
+            s1_procs -= s1_alloc.pop(rider, 0)
             cat2_pending = None
             diag.piggybacked_jobs += 1
         else:
@@ -444,7 +554,7 @@ def build_three_shelf_schedule(
         diag.rejected_reason = "shelves S0+S1 exceed m processors after transformation"
         return None
 
-    assembler = _ScheduleAssembler(m, {"construction": "three_shelf", "d": d}, columnar)
+    assembler = _ScheduleAssembler(m, {"construction": "three_shelf", "d": d}, oracle is not None)
     next_machine = 0
 
     def take(count: int) -> MachineSpan:
@@ -514,7 +624,7 @@ def build_three_shelf_schedule(
     # ------------------------------------------------- small-job insertion
     # Next-fit over machine groups (Lemma 9): within a group all machines have
     # the same gap; a machine that cannot take the current job is discarded.
-    small_ok = _insert_small_jobs(assembler, small, three_half)
+    small_ok = _insert_small_jobs(assembler, small, small_times, three_half)
     if not small_ok:
         diag.rejected_reason = "small jobs did not fit (work bound violated)"
         return None
@@ -531,6 +641,7 @@ def build_three_shelf_schedule(
 def _insert_small_jobs(
     assembler: _ScheduleAssembler,
     small: Sequence[MoldableJob],
+    times: Sequence[float],
     horizon: float,
 ) -> bool:
     """Next-fit insertion of the small jobs into per-machine gaps (Lemma 9).
@@ -553,8 +664,7 @@ def _insert_small_jobs(
     idx = 0
     fill: Optional[float] = None
     span_offset = 0
-    for job in small:
-        t = job.processing_time(1)
+    for job, t in zip(small, times):
         placed = False
         while idx < len(gaps):
             (first, count), gap_start, gap_end = gaps[idx]

@@ -60,6 +60,9 @@ class Table1Row:
     seconds: float
     makespan: float
     accepted: bool
+    #: bounded-knapsack item types of an accepted Section 4.3 / 4.3.3 step
+    #: (``None`` for Section 4.2.5, which has no types, and for rejections)
+    item_types: Optional[int] = None
 
 
 def run(
@@ -99,6 +102,7 @@ def run(
             seconds=seconds,
             makespan=schedule.makespan if schedule is not None else float("nan"),
             accepted=schedule is not None,
+            item_types=schedule.metadata.get("num_item_types") if schedule is not None else None,
         )
 
     for key in ALGORITHM_LABELS:
@@ -148,12 +152,13 @@ def main(quick: bool = False) -> None:  # pragma: no cover - console entry point
     rows = run(**kwargs)
     table = Table(
         "Table 1 reproduction — wall-clock time of one (3/2+eps)-dual step",
-        ["algorithm", "n", "m", "eps", "seconds", "accepted"],
+        ["algorithm", "n", "m", "eps", "seconds", "accepted", "item types"],
         [],
     )
     for key, entries in rows.items():
         for r in entries:
-            table.add(ALGORITHM_LABELS[key], r.n, r.m, r.eps, r.seconds, r.accepted)
+            types = "-" if r.item_types is None else r.item_types
+            table.add(ALGORITHM_LABELS[key], r.n, r.m, r.eps, r.seconds, r.accepted, types)
     table.print()
 
     exponents = scaling_exponents(rows)

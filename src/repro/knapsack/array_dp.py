@@ -3,19 +3,18 @@
 :class:`ArrayDominanceList` is the vectorized counterpart of
 :class:`repro.knapsack.dp.DominanceList`: the undominated ``(profit, size)``
 states live in flat float64 arrays and adding an item is a constant number of
-whole-array operations (shift, merge via a stable lexicographic sort, prune
-via a running maximum) instead of a Python loop over states.  Backtracking
-information is kept in an append-only node pool (``item``, ``parent`` per
-state), so solutions are recovered exactly like the scalar engine's parent
-pointers.
+whole-array operations (shift, cut at the capacity, merge via a stable size
+sort, prune via a running maximum) instead of a Python loop over states.
+Backtracking information is kept in an append-only node pool (one item index
+per chunk, a parent per node), so solutions are recovered exactly like the
+scalar engine's parent pointers.
 
-Pruning semantics match the scalar engine: a state is kept only if its profit
-exceeds the running maximum of all earlier states (in ``(size, -profit)``
-order, earlier-engine-order first) by more than ``1e-15``, and among states
-with (near-)identical sizes the most profitable survives.  On exact profit /
-size ties — the only ties that occur with real work values — the two engines
-keep identical states, so the solvers below are drop-in replacements for
-:func:`repro.knapsack.dp.solve_knapsack`,
+Pruning semantics match the scalar engine: in ``(size, -profit)`` order, old
+states first on full ties, a state is kept only if its profit exceeds the
+last kept state's by more than ``1e-15``, and among states with
+(near-)identical sizes the most profitable survives.  The two engines keep
+identical states after every item, so the solvers below are drop-in
+replacements for :func:`repro.knapsack.dp.solve_knapsack`,
 :func:`repro.knapsack.multi.solve_knapsack_multi` and the compressible
 multi-capacity solver.
 """
@@ -51,8 +50,9 @@ class ArrayDominanceList:
         self.sizes = np.zeros(1, dtype=np.float64)
         self.profits = np.zeros(1, dtype=np.float64)
         self.nodes = np.zeros(1, dtype=np.int64)
-        # node pool: node 0 is the root (no item, no parent)
-        self._pool_items: List[np.ndarray] = [np.array([-1], dtype=np.int64)]
+        # node pool, one chunk per add_item call: the item index every node of
+        # the chunk added, and each node's parent.  Node 0 is the root.
+        self._pool_items: List[int] = [-1]
         self._pool_parents: List[np.ndarray] = [np.array([-1], dtype=np.int64)]
         self._pool_offsets: List[int] = [0, 1]
 
@@ -63,15 +63,17 @@ class ArrayDominanceList:
     def _register_nodes(self, item_index: int, parents: np.ndarray) -> np.ndarray:
         base = self._pool_offsets[-1]
         count = len(parents)
-        self._pool_items.append(np.full(count, item_index, dtype=np.int64))
-        self._pool_parents.append(parents.astype(np.int64, copy=True))
+        self._pool_items.append(item_index)
+        # ``parents`` is a slice of ``self.nodes``, which is only ever
+        # replaced, never written to, so the chunk may share its memory
+        self._pool_parents.append(parents)
         self._pool_offsets.append(base + count)
         return np.arange(base, base + count, dtype=np.int64)
 
     def _node(self, node_id: int) -> Tuple[int, int]:
         chunk = bisect_right(self._pool_offsets, node_id) - 1
         offset = node_id - self._pool_offsets[chunk]
-        return int(self._pool_items[chunk][offset]), int(self._pool_parents[chunk][offset])
+        return self._pool_items[chunk], int(self._pool_parents[chunk][offset])
 
     def backtrack(self, state_index: int, items: Sequence[KnapsackItem]) -> List[KnapsackItem]:
         """Chosen items of the state at ``state_index`` (engine order)."""
@@ -99,54 +101,51 @@ class ArrayDominanceList:
 
         ``size_transform``, when given, must be the *vectorized* counterpart
         of the scalar engine's transform (it receives the raw new sizes array
-        and returns the recorded sizes).
+        and returns the recorded sizes).  It must be monotone, as
+        :meth:`repro.knapsack.compressible.AdaptiveNormalizer.normalize_array`
+        is: the new sizes then never decrease, so the states that fit the
+        capacity are a prefix, cut with one binary search.
         """
         new_sizes = self.sizes + item.size
         if size_transform is not None:
             new_sizes = size_transform(new_sizes)
-        keep = new_sizes <= capacity + _SIZE_EPS
-        if not keep.any():
+        fit = int(new_sizes.searchsorted(capacity + _SIZE_EPS, side="right"))
+        if fit == 0:
             return
-        new_sizes = new_sizes[keep]
-        new_profits = self.profits[keep] + item.profit
-        new_nodes = self._register_nodes(item_index, self.nodes[keep])
+        profits = np.concatenate((self.profits, self.profits[:fit] + item.profit))
+        sizes = np.concatenate((self.sizes, new_sizes[:fit]))
+        nodes = np.concatenate((self.nodes, self._register_nodes(item_index, self.nodes[:fit])))
 
-        sizes = np.concatenate((self.sizes, new_sizes))
-        profits = np.concatenate((self.profits, new_profits))
-        nodes = np.concatenate((self.nodes, new_nodes))
-        # stable merge order: by size asc, then profit desc, then engine order
-        # (old states before new, original order within each) — exactly the
-        # scalar merge's comparison (size, -profit) with old-first ties.
-        order = np.lexsort((-profits, sizes))
-        sizes = sizes[order]
-        profits = profits[order]
-        nodes = nodes[order]
-
-        # prune 1: keep only states strictly improving on the running profit
-        # maximum of everything before them.
-        if len(profits) > 1:
-            prev_max = np.maximum.accumulate(profits)
-            keep1 = np.empty(len(profits), dtype=bool)
-            keep1[0] = True
-            keep1[1:] = profits[1:] > prev_max[:-1] + _PROFIT_EPS
-            sizes = sizes[keep1]
-            profits = profits[keep1]
-            nodes = nodes[keep1]
-
-        # prune 2: among runs of (near-)equal sizes keep the last survivor —
-        # the scalar engine's same-size "replace" rule.  Profits strictly
-        # increase after prune 1, so the last of a run is the best.
-        if len(sizes) > 1:
-            keep2 = np.empty(len(sizes), dtype=bool)
-            keep2[-1] = True
-            keep2[:-1] = np.diff(sizes) >= _TIE_EPS
-            sizes = sizes[keep2]
-            profits = profits[keep2]
-            nodes = nodes[keep2]
+        # Both runs are sorted by size, so a stable size sort is one merge:
+        # size ascending, old states before new on equal sizes.  The scalar
+        # merge orders equal sizes by profit descending instead, and prunes
+        # against the last state it kept rather than the running maximum.
+        # Neither difference changes the survivors unless some state beats
+        # the running maximum by _PROFIT_EPS or less; only then does the
+        # merge fall back to the scalar rule itself.
+        order = sizes.argsort(kind="stable")
+        keep = _prune_dominated(profits[order])
+        if keep is None:
+            order = _scalar_merge(sizes, profits)
+            sizes = sizes[order]
+        else:
+            order = order[keep]
+            sizes = sizes[order]
+            # prune 2: among runs of (near-)equal sizes keep the last
+            # survivor — the scalar engine's same-size "replace" rule.
+            # Profits strictly increase after prune 1, so the last of a run
+            # is the best.
+            ties = sizes[1:] - sizes[:-1] < _TIE_EPS
+            if ties.any():
+                keep = np.empty(len(sizes), dtype=bool)
+                np.logical_not(ties, out=keep[:-1])
+                keep[-1] = True
+                order = order[keep]
+                sizes = sizes[keep]
 
         self.sizes = sizes
-        self.profits = profits
-        self.nodes = nodes
+        self.profits = profits[order]
+        self.nodes = nodes[order]
 
     # ---------------------------------------------------------------- queries
     def best_index_for_capacity(self, capacity: float, tol: float = _SIZE_EPS) -> int:
@@ -154,6 +153,44 @@ class ArrayDominanceList:
         (profits strictly increase, so it is the last admissible state)."""
         idx = int(np.searchsorted(self.sizes, capacity + tol, side="right")) - 1
         return max(idx, 0)
+
+
+def _prune_dominated(profits: np.ndarray) -> Optional[np.ndarray]:
+    """Prune 1: the mask of the states whose profit exceeds the running
+    maximum of everything before them by more than ``_PROFIT_EPS``.
+
+    Returns ``None`` instead when some state beats that maximum by
+    ``_PROFIT_EPS`` or less (a near tie): the merge order and the scalar
+    engine's compare-with-the-last-kept-state rule can then decide which
+    states survive.
+    """
+    prev_max = np.maximum.accumulate(profits)[:-1]
+    keep = np.empty(len(profits), dtype=bool)
+    keep[0] = True
+    np.greater(profits[1:], prev_max + _PROFIT_EPS, out=keep[1:])
+    if np.count_nonzero(profits[1:] > prev_max) != np.count_nonzero(keep) - 1:
+        return None
+    return keep
+
+
+def _scalar_merge(sizes: np.ndarray, profits: np.ndarray) -> np.ndarray:
+    """The positions :func:`repro.knapsack.dp._merge_and_prune` keeps, in
+    order: its ``(size, -profit)`` merge order (old states first on full
+    ties) and its loop, for the rare merges with near-tied profits."""
+    order = np.lexsort((-profits, sizes)).tolist()
+    size_of = sizes.tolist()
+    profit_of = profits.tolist()
+    kept: List[int] = []
+    for i in order:
+        if kept:
+            last = kept[-1]
+            if profit_of[i] <= profit_of[last] + _PROFIT_EPS:
+                continue
+            if abs(size_of[i] - size_of[last]) < _TIE_EPS:
+                kept[-1] = i
+                continue
+        kept.append(i)
+    return np.array(kept, dtype=np.int64)
 
 
 def solve_knapsack_array(

@@ -51,7 +51,12 @@ from repro.core.bounds import makespan_lower_bound, release_aware_lower_bound
 from repro.core.job import MoldableJob
 from repro.core.replan import EPOCH_EPS, ReplanError, ReplanState
 from repro.core.schedule import Schedule
-from repro.core.scheduler import SchedulingResult, check_machine_count, schedule_moldable
+from repro.core.scheduler import (
+    SchedulingResult,
+    check_distinct_jobs,
+    check_machine_count,
+    schedule_moldable,
+)
 from repro.core.validation import validate_schedule
 
 __all__ = [
@@ -262,8 +267,7 @@ class OnlineScheduler:
         stream = sorted(normalised, key=lambda a: a.release)
         jobs = [a.job for a in stream]
         releases = [a.release for a in stream]
-        if len({id(j) for j in jobs}) != len(jobs):
-            raise ValueError("the same job object was submitted twice")
+        check_distinct_jobs(jobs)
 
         # the clairvoyant baseline: same algorithm, everything known at t=0
         offline = schedule_moldable(

@@ -62,6 +62,7 @@ from ..core.scheduler import (
     ALGORITHMS,
     SchedulingResult,
     auto_algorithm,
+    check_distinct_jobs,
     check_machine_count,
     schedule_moldable,
 )
@@ -474,8 +475,10 @@ def _coerce_instance(item, eps, algorithm):
         i_eps = getattr(item, "eps", None)
         i_alg = getattr(item, "algorithm", None)
     check_machine_count(m)
+    jobs = list(jobs)
+    check_distinct_jobs(jobs)
     return (
-        list(jobs),
+        jobs,
         int(m),
         float(eps if i_eps is None else i_eps),
         algorithm if i_alg is None else i_alg,

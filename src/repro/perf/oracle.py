@@ -127,9 +127,12 @@ class BatchedOracle:
             self._tm.setflags(write=False)
         return self._tm
 
-    def times_at(self, ks) -> np.ndarray:
-        """``t_j(ks_j)`` for all jobs at per-job processor counts."""
-        return self.bundle.eval_all(ks)
+    def times_at(self, ks, idx: Optional[np.ndarray] = None) -> np.ndarray:
+        """``t_j(ks_j)`` for all jobs at per-job processor counts, or only for
+        the jobs at positions ``idx`` (then ``ks`` is aligned with ``idx``)."""
+        if idx is None:
+            return self.bundle.eval_all(ks)
+        return self.bundle.eval_at(idx, np.asarray(ks, dtype=np.float64))
 
     def times_for(self, jobs: Sequence[MoldableJob], ks) -> np.ndarray:
         """``t_j(ks_i)`` for an arbitrary job subset/permutation ``jobs``.
@@ -137,11 +140,7 @@ class BatchedOracle:
         One batched kernel call per job class present — the event-queue
         list scheduler uses this to resolve durations for a
         priority-ordered job sequence without per-job Python calls."""
-        index = self._index
-        idx = np.fromiter(
-            (index[id(job)] for job in jobs), dtype=np.int64, count=len(jobs)
-        )
-        return self.bundle.eval_at(idx, np.asarray(ks, dtype=np.float64))
+        return self.times_at(ks, self.positions(jobs))
 
     def works_at(self, ks) -> np.ndarray:
         """``w_j(ks_j) = ks_j * t_j(ks_j)`` for all jobs."""
@@ -151,6 +150,11 @@ class BatchedOracle:
     def index_of(self, job: MoldableJob) -> int:
         """Positional index of ``job`` in this oracle's job list."""
         return self._index[id(job)]
+
+    def positions(self, jobs: Sequence[MoldableJob]) -> np.ndarray:
+        """Positional indices of ``jobs`` in this oracle's job list."""
+        index = self._index
+        return np.fromiter((index[id(job)] for job in jobs), dtype=np.int64, count=len(jobs))
 
     # ---------------------------------------------------------- cache priming
     def prime_from(self, other: "BatchedOracle") -> int:
@@ -222,7 +226,12 @@ class BatchedOracle:
         """
         if m is not None and int(m) != self.m:
             raise ValueError(f"oracle was built for m={self.m}, got query with m={m}")
-        g = int(self.gamma_array(threshold)[self._index[id(job)]])
+        gammas = self._gamma_cache.get(float(threshold))
+        if gammas is None:
+            gammas = self.gamma_array(threshold)
+        else:
+            self.stats["threshold_cache_hits"] += 1
+        g = int(gammas[self._index[id(job)]])
         return None if g > self.m else g
 
     # ------------------------------------------------------------ aggregates

@@ -197,3 +197,29 @@ class TestJobIdentity:
     def test_is_abstract(self):
         with pytest.raises(TypeError):
             MoldableJob("abstract")  # type: ignore[abstract]
+
+
+class TestNonFiniteParameters:
+    """NaN passes a bare ``value <= 0`` test, so each constructor checks
+    finiteness explicitly."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: AmdahlJob("a", v, 0.1),
+            lambda v: PowerLawJob("p", v, 0.5),
+            lambda v: CommunicationJob("c", v, 0.01),
+            lambda v: CommunicationJob("c", 10.0, v),
+            lambda v: RigidJob("r", v, 2),
+            lambda v: RigidJob("r", 5.0, 2, penalty=v),
+        ],
+        ids=["amdahl-t1", "powerlaw-t1", "comm-t1", "comm-overhead", "rigid-duration", "rigid-penalty"],
+    )
+    def test_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+    def test_finite_parameters_still_accepted(self):
+        assert CommunicationJob("c", 10.0, 0.0).k_star is None
+        assert RigidJob("r", 5.0, 2, penalty=1e9).processing_time(1) == 1e9

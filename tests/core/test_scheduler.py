@@ -5,8 +5,10 @@ import math
 import pytest
 
 import repro.core.scheduler as scheduler_module
+from repro import solve_mega
 from repro.core.backend import MAX_VECTORIZED_M
 from repro.core.bounds import makespan_lower_bound
+from repro.core.job import AmdahlJob, PowerLawJob
 from repro.core.scheduler import ALGORITHMS, schedule_moldable
 from repro.core.validation import assert_valid_schedule
 from repro.workloads.generators import random_amdahl_instance, random_mixed_instance, random_monotone_tabulated_instance
@@ -133,3 +135,29 @@ class TestLowerBound:
         result = schedule_moldable(random_monotone_tabulated_instance(4, 4, seed=4).jobs, 4, 0.25, algorithm="ptas")
         assert result.schedule.metadata["algorithm"] == "ptas_exact"
         assert result.lower_bound == makespan_lower_bound(random_monotone_tabulated_instance(4, 4, seed=4).jobs, 4)
+
+
+class TestInstanceChecks:
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_nan_time_fails_at_the_job_constructor(self, backend):
+        jobs = random_mixed_instance(10, 64, seed=1).jobs
+        with pytest.raises(ValueError, match="t1 must be positive and finite"):
+            schedule_moldable(jobs + [PowerLawJob("x", math.nan, 0.5)], 64, 0.1, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("algorithm", ["auto", "two_approx", "mrt", "compressible", "bounded", "fptas"])
+    def test_repeated_job_object_is_rejected(self, algorithm, backend):
+        jobs = random_mixed_instance(10, 64, seed=1).jobs
+        m = 64 if algorithm != "fptas" else 2**16
+        with pytest.raises(ValueError, match="the same job object was submitted twice"):
+            schedule_moldable(jobs + [jobs[3]], m, 0.1, algorithm=algorithm, backend=backend)
+
+    def test_repeated_job_object_is_rejected_by_solve_mega(self):
+        jobs = random_mixed_instance(10, 64, seed=1).jobs
+        with pytest.raises(ValueError, match="the same job object was submitted twice"):
+            solve_mega([(jobs, 64), (jobs + [jobs[0]], 64)])
+
+    def test_equal_but_distinct_jobs_are_fine(self):
+        jobs = [AmdahlJob("same", 10.0, 0.1) for _ in range(3)]
+        result = schedule_moldable(jobs, 4, 0.1)
+        assert len(result.schedule.entries) == 3
