@@ -17,9 +17,11 @@ vectorized, and ``m > MAX_VECTORIZED_M`` always falls back to scalar.
 
 from __future__ import annotations
 
+import operator
+
 from .capacity import MAX_COLUMNAR_M
 
-__all__ = ["resolve_backend", "auto_backend", "AUTO_VECTORIZED_MIN_N", "MAX_VECTORIZED_M"]
+__all__ = ["resolve_backend", "auto_backend", "check_oracle", "AUTO_VECTORIZED_MIN_N", "MAX_VECTORIZED_M"]
 
 #: Largest machine count the vectorized backend supports: γ-arrays use the
 #: sentinel ``m + 1`` in int64 and the oracle funnels counts through float64,
@@ -65,12 +67,25 @@ def auto_backend(algorithm: str, n: int, m: int) -> str:
     return "scalar" if n < AUTO_VECTORIZED_MIN_N[row] else "vectorized"
 
 
+def check_oracle(oracle, jobs, m) -> None:
+    """Reject a supplied oracle that was not built for exactly ``(jobs, m)``.
+
+    γ-arrays are positional, so an oracle over other jobs, a subset or a
+    reordering would silently answer for the wrong job at every index.
+    """
+    if oracle.m != int(m):
+        raise ValueError(f"oracle was built for m={oracle.m}, got m={m}")
+    if len(oracle.jobs) != len(jobs) or not all(map(operator.is_, oracle.jobs, jobs)):
+        raise ValueError("oracle was built for other jobs; it must hold the same job objects in order")
+
+
 def resolve_backend(jobs, m, backend, oracle, algorithm=None):
     """Normalise a driver's ``(backend, oracle)`` pair.
 
-    A supplied :class:`~repro.perf.oracle.BatchedOracle` implies the
-    vectorized backend (that is what the oracle exists for).  ``"auto"``
-    becomes :func:`auto_backend` of ``algorithm`` (the driver's row of
+    A supplied :class:`~repro.perf.oracle.BatchedOracle` must pass
+    :func:`check_oracle` and implies the vectorized backend (that is what the
+    oracle exists for).  ``"auto"`` becomes :func:`auto_backend` of
+    ``algorithm`` (the driver's row of
     :data:`AUTO_VECTORIZED_MIN_N`), ``len(jobs)`` and ``m``.
     ``"vectorized"`` gets a freshly built oracle — unless ``m`` exceeds the
     int64 range of the γ-arrays, in which case the scalar path is used.  The
@@ -80,8 +95,7 @@ def resolve_backend(jobs, m, backend, oracle, algorithm=None):
     if backend not in ("scalar", "vectorized", "auto"):
         raise ValueError(f"unknown backend {backend!r}")
     if oracle is not None:
-        if oracle.m != int(m):
-            raise ValueError(f"oracle was built for m={oracle.m}, got m={m}")
+        check_oracle(oracle, jobs, m)
         return "vectorized", oracle
     if backend == "auto":
         backend = auto_backend(algorithm, len(jobs), m)

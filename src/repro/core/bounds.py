@@ -22,7 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .allotment import Allotment, canonical_allotment
+from .backend import check_oracle
 from .job import MoldableJob, max_sequential_time, total_minimal_work
 
 __all__ = [
@@ -30,25 +33,22 @@ __all__ = [
     "serial_upper_bound",
     "EstimatorResult",
     "ludwig_tiwari_estimator",
+    "estimator_steps",
+    "ESTIMATOR_TOL",
     "makespan_lower_bound",
     "release_aware_lower_bound",
 ]
 
 
-def trivial_lower_bound(jobs: Sequence[MoldableJob], m: int, *, oracle=None) -> float:
+def trivial_lower_bound(jobs: Sequence[MoldableJob], m: int) -> float:
     """``max( max_j t_j(m), sum_j t_j(1) / m )``.
 
     Valid for monotone jobs: every job needs at least ``t_j(m)`` time, and the
     total work of any schedule is at least ``sum_j w_j(1)`` because the work is
     minimised on one processor.
-
-    ``oracle`` optionally answers both aggregates from the batched ``t_j(1)``
-    / ``t_j(m)`` arrays (bit-identical result, no per-job Python calls).
     """
     if not jobs:
         return 0.0
-    if oracle is not None:
-        return max(float(oracle.tm.max()), oracle.sequential_sum(oracle.t1) / m)
     return max(max_sequential_time(jobs, m), total_minimal_work(jobs) / m)
 
 
@@ -75,38 +75,25 @@ class EstimatorResult:
         return self.ratio * self.omega
 
 
-def _phi(jobs: Sequence[MoldableJob], m: int, tau: float, oracle=None) -> Optional[float]:
+#: The estimator's bisection stops at relative bracket width ESTIMATOR_TOL
+#: or after ESTIMATOR_MAX_ITER halvings.
+ESTIMATOR_TOL = 1e-6
+ESTIMATOR_MAX_ITER = 128
+
+
+def _phi(jobs: Sequence[MoldableJob], m: int, tau: float) -> Optional[float]:
     """Average-load value ``sum_j w_j(gamma_j(tau)) / m`` or ``None`` if some
     job cannot meet ``tau``."""
-    if oracle is not None:
-        loads = oracle.canonical_loads(tau)
-        if loads is None:
-            return None
-        # left-to-right sum matches the scalar Allotment.total_work() bit for bit
-        return oracle.sequential_sum(loads) / m
     allot = canonical_allotment(jobs, tau, m)
     if allot is None:
         return None
     return allot.average_load(m)
 
 
-def _canonical_allotment(jobs: Sequence[MoldableJob], tau: float, m: int, oracle=None) -> Optional[Allotment]:
-    if oracle is None:
-        return canonical_allotment(jobs, tau, m)
-    gammas = oracle.gamma_array(tau)
-    if len(gammas) and gammas.max() > m:
-        return None
-    # tolist() hands back Python ints in one pass; the γ-array is already
-    # validated (>= 1), so the Allotment re-check loop is skipped.
-    return Allotment.from_trusted_counts(dict(zip(jobs, gammas.tolist())))
-
-
 def ludwig_tiwari_estimator(
     jobs: Sequence[MoldableJob],
     m: int,
     *,
-    tol: float = 1e-6,
-    max_iter: int = 128,
     oracle=None,
 ) -> EstimatorResult:
     """2-estimator for the optimal makespan of monotone moldable jobs.
@@ -119,67 +106,118 @@ def ludwig_tiwari_estimator(
 
     The returned ``omega`` satisfies ``omega * (1 - tol) <= OPT`` and list
     scheduling the returned allotment yields makespan at most
-    ``2 * omega * (1 + tol)``; the small ``tol`` slack is absorbed by the
-    callers (they widen their binary-search interval accordingly).
+    ``2 * omega * (1 + tol)`` with ``tol =`` :data:`ESTIMATOR_TOL`; the small
+    slack is absorbed by the callers (they widen their binary-search interval
+    accordingly).
 
-    ``oracle`` optionally supplies a :class:`repro.perf.oracle.BatchedOracle`
-    for ``(jobs, m)``: each ``phi`` probe then runs all γ-searches in lockstep
-    on arrays instead of ``n`` scalar binary searches (bit-identical result).
+    This body is the scalar reference.  ``oracle`` optionally supplies a
+    :class:`repro.perf.oracle.BatchedOracle` for exactly ``(jobs, m)`` to run
+    :func:`estimator_steps` on instead (bit-identical result).
     """
     if not jobs:
         empty = Allotment({})
         return EstimatorResult(omega=0.0, allotment=empty)
     if m < 1:
         raise ValueError("m must be >= 1")
-
     if oracle is not None:
-        lo = max(float(oracle.tm.max()), 1e-300)
-        hi = max(oracle.sequential_sum(oracle.t1), lo)
-    else:
-        lo = max(max_sequential_time(jobs, m), 1e-300)
-        hi = max(serial_upper_bound(jobs), lo)
+        check_oracle(oracle, jobs, m)
+        return oracle.run(estimator_steps(jobs, oracle))
+
+    tol = ESTIMATOR_TOL
+    lo = max(max_sequential_time(jobs, m), 1e-300)
+    hi = max(serial_upper_bound(jobs), lo)
 
     # g(hi) is finite (every job fits on one machine within the serial bound).
     # Invariant we move towards: phi(hi) <= hi  and  (phi(lo) > lo or lo is the
     # global max_j t_j(m) floor).
-    phi_lo = _phi(jobs, m, lo, oracle)
+    phi_lo = _phi(jobs, m, lo)
     if phi_lo is not None and phi_lo <= lo:
         # the crossover is at or below the floor; the floor itself is optimal
-        allot = _canonical_allotment(jobs, lo, m, oracle)
+        allot = canonical_allotment(jobs, lo, m)
         assert allot is not None
         # like the bisection exit below, never report less than the trivial
         # bound: a float work sum may round a hair under sum_j t_j(1) / m
-        omega = max(phi_lo, lo, trivial_lower_bound(jobs, m, oracle=oracle))
+        omega = max(phi_lo, lo, trivial_lower_bound(jobs, m))
         return EstimatorResult(omega=omega, allotment=allot)
 
-    for _ in range(max_iter):
+    for _ in range(ESTIMATOR_MAX_ITER):
         if hi <= lo * (1.0 + tol):
             break
         mid = math.sqrt(lo * hi)
-        phi_mid = _phi(jobs, m, mid, oracle)
+        phi_mid = _phi(jobs, m, mid)
         if phi_mid is None or phi_mid > mid:
             lo = mid
         else:
             hi = mid
 
-    allot = _canonical_allotment(jobs, hi, m, oracle)
+    allot = canonical_allotment(jobs, hi, m)
     assert allot is not None, "upper end of the bracket must always be feasible"
-    if oracle is not None:
-        # batched twins of average_load / max_time (left-to-right work sum and
-        # an order-independent max — bit-identical to the scalar loops)
-        gammas = oracle.gamma_array(hi)
-        omega = max(
-            oracle.sequential_sum(oracle.works_at(gammas)) / m,
-            float(oracle.times_at(gammas).max()),
-        )
-    else:
-        omega = max(allot.average_load(m), allot.max_time())
+    omega = max(allot.average_load(m), allot.max_time())
     # omega as computed is an achievable value of g, hence >= min g >= ... but
     # we also need a certified lower bound; combine with the trivial bound.
-    lower = max(trivial_lower_bound(jobs, m, oracle=oracle), lo)
+    lower = max(trivial_lower_bound(jobs, m), lo)
     omega = max(omega / (1.0 + tol), lower)
     # The bisection slack means the witnessing allotment only guarantees a
     # schedule of length 2 * omega * (1 + 2 tol); record that honestly.
+    return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
+
+
+def _phi_steps(oracle, tau: float):
+    """Request-generator twin of :func:`_phi`."""
+    gammas = yield ("gamma", tau)
+    if len(gammas) and gammas.max() > oracle.m:
+        return None
+    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (oracle.n,))
+    times = yield ("eval", ks)
+    # left-to-right sum matches the scalar Allotment.total_work() bit for bit
+    return oracle.sequential_sum(ks * times) / oracle.m
+
+
+def _allotment_steps(jobs: Sequence[MoldableJob], oracle, tau: float):
+    """Request-generator twin of ``canonical_allotment``."""
+    gammas = yield ("gamma", tau)
+    if len(gammas) and gammas.max() > oracle.m:
+        return None
+    # the γ-array is already validated (>= 1): skip the Allotment re-check
+    return Allotment.from_trusted_counts(dict(zip(jobs, gammas.tolist())))
+
+
+def estimator_steps(jobs: Sequence[MoldableJob], oracle):
+    """:func:`ludwig_tiwari_estimator` as a request generator (the protocol
+    of :meth:`repro.perf.oracle.BatchedOracle.run`) for non-empty ``jobs``
+    and an oracle built for exactly ``(jobs, m)``."""
+    tol = ESTIMATOR_TOL
+    m = oracle.m
+    tm_max = float(oracle.tm.max())
+    t1_sum = oracle.sequential_sum(oracle.t1)
+    lo = max(tm_max, 1e-300)
+    hi = max(t1_sum, lo)
+    trivial = max(tm_max, t1_sum / m)
+
+    phi_lo = yield from _phi_steps(oracle, lo)
+    if phi_lo is not None and phi_lo <= lo:
+        allot = yield from _allotment_steps(jobs, oracle, lo)
+        assert allot is not None
+        return EstimatorResult(omega=max(phi_lo, lo, trivial), allotment=allot)
+
+    for _ in range(ESTIMATOR_MAX_ITER):
+        if hi <= lo * (1.0 + tol):
+            break
+        mid = math.sqrt(lo * hi)
+        phi_mid = yield from _phi_steps(oracle, mid)
+        if phi_mid is None or phi_mid > mid:
+            lo = mid
+        else:
+            hi = mid
+
+    allot = yield from _allotment_steps(jobs, oracle, hi)
+    assert allot is not None, "upper end of the bracket must always be feasible"
+    # batched average_load / max_time; the repeated γ(hi) is a cache hit
+    gammas = yield ("gamma", hi)
+    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (oracle.n,))
+    times = yield ("eval", ks)
+    omega = max(oracle.sequential_sum(ks * times) / m, float(times.max()))
+    omega = max(omega / (1.0 + tol), trivial, lo)
     return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
 
 

@@ -42,7 +42,7 @@ ops object once per call via :func:`capacity_ops`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -174,9 +174,6 @@ class _DtypeOps:
     def cumsum(self, a):
         return np.cumsum(a)
 
-    def min_value(self, a, mask: Optional[np.ndarray] = None) -> int:
-        return int((a if mask is None else a[mask]).min())
-
     def le_mask(self, a, bound: int) -> np.ndarray:
         return a <= bound
 
@@ -235,11 +232,6 @@ class _WideOps:
         cl = np.cumsum(a.lo)
         hi = np.cumsum(a.hi) + (cl >> LIMB_BITS)
         return WideArray(cl & LIMB_MASK, hi)
-
-    def min_value(self, a: WideArray, mask: Optional[np.ndarray] = None) -> int:
-        lo, hi = (a.lo, a.hi) if mask is None else (a.lo[mask], a.hi[mask])
-        mh = hi.min()
-        return (int(mh) << LIMB_BITS) | int(lo[hi == mh].min())
 
     def le_mask(self, a: WideArray, bound: int) -> np.ndarray:
         blo = bound & LIMB_MASK

@@ -7,11 +7,14 @@ exists.  Combined with a constant-factor estimator bracketing the optimum, a
 geometric binary search over ``d`` turns the dual algorithm into a
 ``c*(1+tolerance)``-approximation using ``O(log(1/tolerance))`` dual calls.
 
-A dual function may also return a zero-argument *thunk* instead of a built
-``Schedule``: acceptance is then decided by the non-``None`` return alone and
-the search materializes only the final accepted schedule — dual steps whose
-feasibility check is separate from schedule construction (the FPTAS) skip
-building the intermediate schedules the search would discard anyway.
+The search loop is written once, as the request generator
+:func:`dual_search_steps`; :func:`dual_binary_search` runs it with a dual
+step that sends no requests.  A dual step may also return a zero-argument
+*thunk* instead of a built ``Schedule``: acceptance is then decided by the
+non-``None`` return alone and the search materializes only the final
+accepted schedule — dual steps whose feasibility check is separate from
+schedule construction (the FPTAS) skip building the intermediate schedules
+the search would discard anyway.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .backend import check_oracle
 from .bounds import EstimatorResult, ludwig_tiwari_estimator
 from .job import MoldableJob
 from .schedule import Schedule
 
-__all__ = ["DualSearchResult", "dual_binary_search"]
+__all__ = ["DualSearchResult", "dual_binary_search", "dual_search_steps", "run_requestless"]
 
 DualFunction = Callable[[float], Optional[Schedule]]
 
@@ -51,6 +55,74 @@ class DualSearchResult:
         return self.schedule.makespan
 
 
+#: Cap on the bisection iterations once the upper end is accepted.
+MAX_ITERATIONS = 200
+
+
+def dual_search_steps(step, lower, upper, tolerance: float, estimate=None):
+    """The dual binary search as a request generator (the protocol of
+    :meth:`repro.perf.oracle.BatchedOracle.run`).
+
+    ``step(d)`` is a generator returning a ``Schedule``, a thunk building
+    one, or ``None`` to reject.  A ``lower`` / ``upper`` of ``None`` comes
+    from ``estimate``.  The result's ``gamma_probes`` is left to the caller.
+    """
+    if lower is None:
+        lower = estimate.omega
+    if upper is None:
+        upper = max(estimate.upper_bound, lower * (1 + tolerance))
+    lower = max(lower, 1e-300)
+    upper = max(upper, lower)
+
+    # Make sure the upper end of the bracket is accepted; widen defensively if
+    # the estimator slack made it marginally too small.
+    best = yield from step(upper)
+    dual_calls = 1
+    while best is None and dual_calls <= 64:
+        upper *= 2.0
+        best = yield from step(upper)
+        dual_calls += 1
+    if best is None:
+        raise RuntimeError("dual algorithm rejected every target makespan; cannot bracket the optimum")
+    best_d = upper
+
+    iterations = 0
+    while upper > lower * (1.0 + tolerance) and iterations < MAX_ITERATIONS:
+        mid = math.sqrt(lower * upper)
+        candidate = yield from step(mid)
+        dual_calls += 1
+        iterations += 1
+        if candidate is not None:
+            best = candidate
+            best_d = mid
+            upper = mid
+        else:
+            lower = mid
+
+    if callable(best):
+        best = best()
+    return DualSearchResult(best, best_d, lower, iterations, dual_calls, estimate=estimate)
+
+
+def _requestless(dual_fn: DualFunction):
+    def step(d):
+        return dual_fn(d)
+        yield  # pragma: no cover - makes ``step`` a generator function
+
+    return step
+
+
+def run_requestless(steps):
+    """Drive a request generator that must not send a request (one that does
+    raises ``RuntimeError``) and return its result."""
+    try:
+        request = next(steps)
+    except StopIteration as stop:
+        return stop.value
+    steps.close()
+    raise RuntimeError(f"a scalar dual step sent the oracle request {request[0]!r}")
+
+
 def dual_binary_search(
     jobs: Sequence[MoldableJob],
     m: int,
@@ -59,7 +131,6 @@ def dual_binary_search(
     tolerance: float,
     lower: Optional[float] = None,
     upper: Optional[float] = None,
-    max_iterations: int = 200,
     oracle=None,
 ) -> DualSearchResult:
     """Run the dual-approximation binary search.
@@ -79,66 +150,23 @@ def dual_binary_search(
         Optional initial bracket.  Defaults to the Ludwig–Tiwari estimator
         interval ``[omega, 2(1+)omega]``.
     oracle:
-        Optional :class:`repro.perf.oracle.BatchedOracle` for ``(jobs, m)``;
-        passed through to the estimator so the initial bracket is computed
-        with lockstep γ-searches.
+        Optional :class:`repro.perf.oracle.BatchedOracle` for exactly
+        ``(jobs, m)``; passed through to the estimator so the initial bracket
+        is computed with lockstep γ-searches.
     """
     jobs = list(jobs)
     if not jobs:
         return DualSearchResult(Schedule(m=m), 0.0, 0.0, 0, 0)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if oracle is not None:
+        check_oracle(oracle, jobs, m)
 
     estimate: Optional[EstimatorResult] = None
     if lower is None or upper is None:
         # omega already dominates the trivial bound (see the estimator)
         estimate = ludwig_tiwari_estimator(jobs, m, oracle=oracle)
-        lower = lower if lower is not None else estimate.omega
-        upper = upper if upper is not None else max(estimate.upper_bound, lower * (1 + tolerance))
-    lower = max(lower, 1e-300)
-    upper = max(upper, lower)
-
-    dual_calls = 0
-    best: Optional[Schedule] = None
-    best_d = upper
-
-    # Make sure the upper end of the bracket is accepted; widen defensively if
-    # the estimator slack made it marginally too small.
-    schedule = dual_fn(upper)
-    dual_calls += 1
-    widen = 0
-    while schedule is None and widen < 64:
-        upper *= 2.0
-        schedule = dual_fn(upper)
-        dual_calls += 1
-        widen += 1
-    if schedule is None:
-        raise RuntimeError("dual algorithm rejected every target makespan; cannot bracket the optimum")
-    best = schedule
-    best_d = upper
-
-    iterations = 0
-    while upper > lower * (1.0 + tolerance) and iterations < max_iterations:
-        mid = math.sqrt(lower * upper)
-        candidate = dual_fn(mid)
-        dual_calls += 1
-        iterations += 1
-        if candidate is not None:
-            best = candidate
-            best_d = mid
-            upper = mid
-        else:
-            lower = mid
-
-    assert best is not None
-    if callable(best):
-        best = best()
-    return DualSearchResult(
-        schedule=best,
-        accepted_d=best_d,
-        lower_bound=lower,
-        iterations=iterations,
-        dual_calls=dual_calls,
-        gamma_probes=oracle.gamma_probes if oracle is not None else None,
-        estimate=estimate,
-    )
+    result = run_requestless(dual_search_steps(_requestless(dual_fn), lower, upper, tolerance, estimate))
+    if oracle is not None:
+        result.gamma_probes = oracle.gamma_probes
+    return result

@@ -10,11 +10,14 @@ fits, so the step is a `(1+eps)`-dual algorithm.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .allotment import gamma
 from .backend import auto_backend, resolve_backend
-from .dual import DualSearchResult, dual_binary_search
+from .bounds import estimator_steps
+from .dual import DualSearchResult, dual_binary_search, dual_search_steps
 from .exact_small import exact_schedule, exact_solver_applicable
 from .job import MoldableJob
 from .schedule import Schedule
@@ -22,8 +25,11 @@ from .validation import assert_valid_schedule
 
 __all__ = [
     "fptas_machine_threshold",
+    "check_fptas_instance",
     "fptas_dual",
+    "fptas_dual_steps",
     "fptas_schedule",
+    "fptas_steps",
     "ptas_schedule",
 ]
 
@@ -31,6 +37,18 @@ __all__ = [
 def fptas_machine_threshold(n: int, eps: float) -> float:
     """The paper's condition for the FPTAS: ``m >= 8n/eps``."""
     return 8.0 * n / eps
+
+
+def check_fptas_instance(n: int, m: int, eps: float) -> None:
+    """Raise ``ValueError`` unless ``eps`` lies in (0, 1] and a non-empty
+    instance of ``n`` jobs meets the FPTAS condition ``m >= 8n/eps``."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    if n > 0 and m < fptas_machine_threshold(n, eps):
+        raise ValueError(
+            f"the FPTAS requires m >= 8n/eps = {fptas_machine_threshold(n, eps):.1f}, got m={m}; "
+            "use ptas_schedule() for the general case"
+        )
 
 
 def fptas_dual(
@@ -41,52 +59,20 @@ def fptas_dual(
     *,
     backend: str = "scalar",
     oracle=None,
-    defer_build: bool = False,
-) -> Optional[Union[Schedule, Callable[[], Schedule]]]:
+) -> Optional[Schedule]:
     """One `(1+eps)`-dual step (Section 3): all jobs start at 0 with
     ``gamma_j((1+eps)d)`` processors, or reject.
 
-    ``backend="vectorized"`` computes all γ-values in one lockstep batched
-    binary search (bit-identical decision and schedule).  With
-    ``defer_build=True`` (vectorized path only) an accepted step returns a
-    zero-argument thunk instead of a built ``Schedule`` — the acceptance
-    decision needs only the γ-sum, so :func:`~repro.core.dual.dual_binary_search`
-    can skip materializing the intermediate schedules it would discard."""
+    This body is the scalar reference; ``backend="vectorized"`` runs
+    :func:`fptas_dual_steps` (bit-identical decision and schedule)."""
     if d <= 0:
         return None
-    threshold = (1.0 + eps) * d
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
     backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
-    metadata = {"algorithm": "fptas_dual", "d": d, "eps": eps}
     if oracle is not None:
-        # columnar fast path: γ-counts, prefix-sum machine offsets and the
-        # final Schedule all stay in arrays (identical schedule to the loop).
-        import numpy as np
-
-        from ..perf.schedule_builder import schedule_from_arrays
-
-        gammas = oracle.gamma_array(threshold)
-        if len(gammas) and int(gammas.max()) > m:
-            return None
-        if sum(gammas.tolist()) > m:  # exact (Python int) total
-            return None
-
-        def build() -> Schedule:
-            n = len(gammas)
-            offsets = np.zeros(n, dtype=np.int64)
-            if n > 1:
-                np.cumsum(gammas[:-1], out=offsets[1:])
-            return schedule_from_arrays(
-                jobs,
-                m,
-                np.arange(n, dtype=np.int64),
-                np.zeros(n, dtype=np.float64),
-                offsets,
-                gammas,
-                metadata=metadata,
-            )
-
-        return build if defer_build else build()
+        build = oracle.run(fptas_dual_steps(jobs, oracle, d, eps))
+        return None if build is None else build()
+    threshold = (1.0 + eps) * d
     counts = []
     total = 0
     for job in jobs:
@@ -97,12 +83,41 @@ def fptas_dual(
         total += g
         if total > m:
             return None
-    schedule = Schedule(m=m, metadata=metadata)
+    schedule = Schedule(m=m, metadata={"algorithm": "fptas_dual", "d": d, "eps": eps})
     next_machine = 0
     for job, count in zip(jobs, counts):
         schedule.add(job, 0.0, [(next_machine, count)])
         next_machine += count
     return schedule
+
+
+def fptas_dual_steps(jobs: Sequence[MoldableJob], oracle, d: float, eps: float):
+    """:func:`fptas_dual` as a request generator (the protocol of
+    :meth:`repro.perf.oracle.BatchedOracle.run`): all γ-values in one
+    lockstep search.  Returns ``None`` or, since acceptance needs only the
+    γ-sum, a thunk that builds the schedule from arrays."""
+    if d <= 0:
+        return None
+    m = oracle.m
+    gammas = yield ("gamma", (1.0 + eps) * d)
+    if len(gammas) and int(gammas.max()) > m:
+        return None
+    if sum(gammas.tolist()) > m:  # exact (Python int) total
+        return None
+    metadata = {"algorithm": "fptas_dual", "d": d, "eps": eps}
+
+    def build() -> Schedule:
+        from ..perf.schedule_builder import schedule_from_arrays
+
+        n = len(gammas)
+        offsets = np.zeros(n, dtype=np.int64)
+        if n > 1:
+            np.cumsum(gammas[:-1], out=offsets[1:])
+        rows = np.arange(n, dtype=np.int64)
+        starts = np.zeros(n, dtype=np.float64)
+        return schedule_from_arrays(jobs, m, rows, starts, offsets, gammas, metadata=metadata)
+
+    return build
 
 
 def fptas_schedule(
@@ -121,37 +136,38 @@ def fptas_schedule(
     ``eps/3`` each so that the overall factor ``(1+eps/3)^2 <= 1+eps`` holds
     for ``eps <= 1``.
 
-    ``backend="vectorized"`` (default) shares one batched γ-oracle across the
-    whole dual search; ``backend="scalar"`` is the bit-identical reference.
+    ``backend="vectorized"`` (default) runs :func:`fptas_steps` on one
+    batched γ-oracle; ``backend="scalar"`` is the bit-identical reference.
     ``oracle`` optionally supplies a pre-built
-    :class:`repro.perf.oracle.BatchedOracle` (implies the vectorized
-    backend; its probe instrumentation lands in the result's
-    ``gamma_probes``).
+    :class:`repro.perf.oracle.BatchedOracle` for exactly ``(jobs, m)``
+    (implies the vectorized backend; its probe instrumentation lands in the
+    result's ``gamma_probes``).
     """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
     jobs = list(jobs)
-    n = len(jobs)
-    if enforce_threshold and n > 0 and m < fptas_machine_threshold(n, eps):
-        raise ValueError(
-            f"the FPTAS requires m >= 8n/eps = {fptas_machine_threshold(n, eps):.1f}, got m={m}; "
-            "use ptas_schedule() for the general case"
-        )
+    check_fptas_instance(len(jobs) if enforce_threshold else 0, m, eps)
     backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
+    if oracle is not None and jobs:
+        return oracle.run(fptas_steps(jobs, oracle, eps, validate=validate))
     inner = eps / 3.0
-    result = dual_binary_search(
-        jobs,
-        m,
-        lambda d: fptas_dual(
-            jobs, m, d, inner, backend=backend, oracle=oracle, defer_build=True
-        ),
-        tolerance=inner,
-        oracle=oracle,
+    result = dual_binary_search(jobs, m, lambda d: fptas_dual(jobs, m, d, inner), tolerance=inner)
+    return _finish(result, jobs, eps, backend, validate, None)
+
+
+def fptas_steps(jobs: Sequence[MoldableJob], oracle, eps: float, *, validate: bool = True):
+    """:func:`fptas_schedule` as a request generator (the protocol of
+    :meth:`repro.perf.oracle.BatchedOracle.run`) for non-empty ``jobs`` that
+    pass :func:`check_fptas_instance` and an oracle for exactly ``(jobs, m)``."""
+    inner = eps / 3.0
+    estimate = yield from estimator_steps(jobs, oracle)
+    result = yield from dual_search_steps(
+        lambda d: fptas_dual_steps(jobs, oracle, d, inner), None, None, inner, estimate
     )
-    result.schedule.metadata["algorithm"] = "fptas"
-    result.schedule.metadata["eps"] = eps
-    result.schedule.metadata["guarantee"] = 1.0 + eps
-    result.schedule.metadata["backend"] = backend
+    result.gamma_probes = oracle.gamma_probes
+    return _finish(result, jobs, eps, "vectorized", validate, oracle)
+
+
+def _finish(result, jobs, eps, backend, validate, oracle) -> DualSearchResult:
+    result.schedule.metadata.update(algorithm="fptas", eps=eps, guarantee=1.0 + eps, backend=backend)
     if validate and jobs:
         assert_valid_schedule(result.schedule, jobs, oracle=oracle)
     return result

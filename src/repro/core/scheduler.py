@@ -28,6 +28,7 @@ __all__ = [
     "auto_algorithm",
     "check_distinct_jobs",
     "check_machine_count",
+    "driver_result",
     "schedule_moldable",
 ]
 
@@ -210,6 +211,12 @@ def schedule_moldable(
             raise AssertionError(chosen)
         schedule, estimate = res.schedule, res.estimate
 
+    return driver_result(jobs, m, eps, chosen, schedule, estimate, guarantee)
+
+
+def driver_result(jobs, m, eps, chosen, schedule, estimate, guarantee) -> SchedulingResult:
+    """The facade's :class:`SchedulingResult` for a driver's ``schedule`` and
+    ``estimate`` (shared with :func:`repro.perf.megabatch.solve_mega`)."""
     # The driver's Ludwig–Tiwari omega already dominates the trivial bound and
     # is bit-identical on every backend, so it *is* makespan_lower_bound(jobs,
     # m); only drivers that never estimated (exact, ptas's tiny exact branch)

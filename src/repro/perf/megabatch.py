@@ -26,13 +26,15 @@ accounting.  This holds because
   independently, so interleaving many instances' searches in one
   :func:`~repro.perf.oracle.lockstep_gamma_round` changes neither the probed
   counts nor the results (per-segment ``stats`` are attributed back exactly);
-* the drivers here are line-for-line transcriptions of the solo drivers
-  (:func:`~repro.core.bounds.ludwig_tiwari_estimator`,
-  :func:`~repro.core.dual.dual_binary_search`,
-  :func:`~repro.core.two_approx.two_approximation`,
-  :func:`~repro.core.fptas.fptas_schedule`) rewritten as generators that
-  *yield* their oracle requests — the request streams are identical, only
-  their execution is batched across segments.
+* each segment runs the solo drivers' own request generators
+  (:func:`~repro.core.two_approx.two_approx_steps`,
+  :func:`~repro.core.fptas.fptas_steps`, built on
+  :func:`~repro.core.bounds.estimator_steps` and
+  :func:`~repro.core.dual.dual_search_steps`) — the very code a solo
+  vectorized solve runs through :meth:`BatchedOracle.run
+  <repro.perf.oracle.BatchedOracle.run>`.  The request streams are
+  therefore identical by construction; only their execution is batched
+  across segments.
 
 The differential harness's ``mega`` mode enforces the contract: every fuzz
 case is solved solo and inside a random co-batch, and the schedules must be
@@ -45,18 +47,13 @@ Instances whose algorithm resolves to something other than ``two_approx`` /
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.allotment import Allotment
 from ..core.backend import MAX_VECTORIZED_M
-from ..core.bounds import EstimatorResult
-from ..core.dual import DualSearchResult
-from ..core.fptas import fptas_machine_threshold
+from ..core.fptas import check_fptas_instance, fptas_steps
 from ..core.job import MoldableJob
-from ..core.list_scheduling import list_schedule
 from ..core.schedule import Schedule
 from ..core.scheduler import (
     ALGORITHMS,
@@ -64,13 +61,18 @@ from ..core.scheduler import (
     auto_algorithm,
     check_distinct_jobs,
     check_machine_count,
+    driver_result,
     schedule_moldable,
 )
-from ..core.two_approx import TwoApproxResult
-from ..core.validation import assert_valid_schedule
+from ..core.two_approx import two_approx_steps
 from .arrays import JobArrayBundle
 from .oracle import BatchedOracle, lockstep_gamma_round
-from .schedule_builder import schedule_from_arrays
+
+# Not called here: the benchmark's traced run (perfbench/layers.py) patches
+# these names on this module, so they must stay importable from it.
+from ..core.list_scheduling import list_schedule  # noqa: F401
+from ..core.validation import assert_valid_schedule  # noqa: F401
+from .schedule_builder import schedule_from_arrays  # noqa: F401
 
 __all__ = ["MegaBatch", "MegaOracle", "solve_mega"]
 
@@ -198,231 +200,23 @@ class MegaOracle:
         return out
 
 
-# ---------------------------------------------------------------------------
-# generator transcriptions of the solo drivers
-#
-# Each generator yields ("gamma", threshold) or ("eval", per-job counts) and
-# receives the answer back via .send(); the request sequence is exactly the
-# solo driver's oracle-call sequence, so caches, warm starts and stats evolve
-# identically.  Return values travel on StopIteration.
-# ---------------------------------------------------------------------------
-
-
-def _trivial(seg: _Segment) -> float:
-    """``trivial_lower_bound`` on the batched path (no oracle requests: t1/tm
-    are cached on first access)."""
-    oracle = seg.oracle
-    return max(float(oracle.tm.max()), oracle.sequential_sum(oracle.t1) / seg.m)
-
-
-def _gen_phi(seg: _Segment, tau: float):
-    """``_phi`` (bounds.py): average canonical load at ``tau`` or ``None``."""
-    gammas = yield ("gamma", tau)
-    if len(gammas) and gammas.max() > seg.m:
-        return None
-    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (seg.n,))
-    times = yield ("eval", ks)
-    return BatchedOracle.sequential_sum(ks * times) / seg.m
-
-
-def _gen_allot(seg: _Segment, tau: float):
-    """``_canonical_allotment`` (bounds.py) on the batched path."""
-    gammas = yield ("gamma", tau)
-    if len(gammas) and gammas.max() > seg.m:
-        return None
-    return Allotment.from_trusted_counts(dict(zip(seg.jobs, gammas.tolist())))
-
-
-def _gen_estimator(seg: _Segment):
-    """``ludwig_tiwari_estimator`` (oracle path, default tol/max_iter)."""
-    tol = 1e-6
-    m = seg.m
-    oracle = seg.oracle
-    lo = max(float(oracle.tm.max()), 1e-300)
-    hi = max(oracle.sequential_sum(oracle.t1), lo)
-
-    phi_lo = yield from _gen_phi(seg, lo)
-    if phi_lo is not None and phi_lo <= lo:
-        allot = yield from _gen_allot(seg, lo)
-        assert allot is not None
-        return EstimatorResult(omega=max(phi_lo, lo, _trivial(seg)), allotment=allot)
-
-    for _ in range(128):
-        if hi <= lo * (1.0 + tol):
-            break
-        mid = math.sqrt(lo * hi)
-        phi_mid = yield from _gen_phi(seg, mid)
-        if phi_mid is None or phi_mid > mid:
-            lo = mid
-        else:
-            hi = mid
-
-    allot = yield from _gen_allot(seg, hi)
-    assert allot is not None, "upper end of the bracket must always be feasible"
-    # solo reads gamma_array(hi) again (a threshold-cache hit) and evaluates
-    # works_at + times_at; the same times array serves both here.
-    gammas = yield ("gamma", hi)
-    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (seg.n,))
-    times = yield ("eval", ks)
-    omega = max(BatchedOracle.sequential_sum(ks * times) / m, float(times.max()))
-    lower = max(_trivial(seg), lo)
-    omega = max(omega / (1.0 + tol), lower)
-    return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
-
-
-def _gen_two_approx(seg: _Segment):
-    """``two_approximation`` (vectorized path); returns its
-    :class:`TwoApproxResult`."""
-    jobs = seg.jobs
-    estimate = yield from _gen_estimator(seg)
-    counts = estimate.allotment.counts
-    ks = np.array([counts[j] for j in jobs], dtype=np.float64)
-    times = yield ("eval", ks)
-    order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
-    allotted_times = dict(zip(jobs, times.tolist()))
-    schedule = list_schedule(
-        jobs,
-        estimate.allotment,
-        seg.m,
-        order=order,
-        backend="event_queue_indexed",
-        allotted_times=allotted_times,
-        oracle=seg.oracle,
-    )
-    schedule.metadata["algorithm"] = "two_approximation"
-    schedule.metadata["omega"] = estimate.omega
-    schedule.metadata["backend"] = "vectorized"
-    if seg.validate:
-        assert_valid_schedule(schedule, jobs, oracle=seg.oracle)
-    return TwoApproxResult(schedule, estimate, seg.oracle.gamma_probes)
-
-
-def _gen_fptas_dual(seg: _Segment, d: float, inner: float):
-    """``fptas_dual`` (vectorized, defer_build=True): a thunk or ``None``."""
-    if d <= 0:
-        return None
-    threshold = (1.0 + inner) * d
-    m = seg.m
-    gammas = yield ("gamma", threshold)
-    if len(gammas) and int(gammas.max()) > m:
-        return None
-    if sum(gammas.tolist()) > m:  # exact (Python int) total
-        return None
-    jobs = seg.jobs
-    metadata = {"algorithm": "fptas_dual", "d": d, "eps": inner}
-
-    def build() -> Schedule:
-        n = len(gammas)
-        offsets = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(gammas[:-1], out=offsets[1:])
-        return schedule_from_arrays(
-            jobs,
-            m,
-            np.arange(n, dtype=np.int64),
-            np.zeros(n, dtype=np.float64),
-            offsets,
-            gammas,
-            metadata=metadata,
-        )
-
-    return build
-
-
-def _gen_dual_search(seg: _Segment, inner: float):
-    """``dual_binary_search`` with the FPTAS dual step; the result carries
-    the bracket estimate, like the solo search."""
-    tolerance = inner
-    estimate = yield from _gen_estimator(seg)
-    lower = estimate.omega
-    upper = max(estimate.upper_bound, lower * (1 + tolerance))
-    lower = max(lower, 1e-300)
-    upper = max(upper, lower)
-
-    dual_calls = 0
-    schedule = yield from _gen_fptas_dual(seg, upper, inner)
-    dual_calls += 1
-    widen = 0
-    while schedule is None and widen < 64:
-        upper *= 2.0
-        schedule = yield from _gen_fptas_dual(seg, upper, inner)
-        dual_calls += 1
-        widen += 1
-    if schedule is None:
-        raise RuntimeError(
-            "dual algorithm rejected every target makespan; cannot bracket the optimum"
-        )
-    best = schedule
-    best_d = upper
-
-    iterations = 0
-    while upper > lower * (1.0 + tolerance) and iterations < 200:
-        mid = math.sqrt(lower * upper)
-        candidate = yield from _gen_fptas_dual(seg, mid, inner)
-        dual_calls += 1
-        iterations += 1
-        if candidate is not None:
-            best = candidate
-            best_d = mid
-            upper = mid
-        else:
-            lower = mid
-
-    if callable(best):
-        best = best()
-    return DualSearchResult(
-        schedule=best,
-        accepted_d=best_d,
-        lower_bound=lower,
-        iterations=iterations,
-        dual_calls=dual_calls,
-        gamma_probes=seg.oracle.gamma_probes,
-        estimate=estimate,
-    )
-
-
-def _gen_fptas(seg: _Segment):
-    """``fptas_schedule`` (vectorized); returns its
-    :class:`DualSearchResult`.  The eps / machine-threshold preconditions were
-    checked at pack time."""
-    inner = seg.eps / 3.0
-    result = yield from _gen_dual_search(seg, inner)
-    result.schedule.metadata["algorithm"] = "fptas"
-    result.schedule.metadata["eps"] = seg.eps
-    result.schedule.metadata["guarantee"] = 1.0 + seg.eps
-    result.schedule.metadata["backend"] = "vectorized"
-    if seg.validate and seg.jobs:
-        assert_valid_schedule(result.schedule, seg.jobs, oracle=seg.oracle)
-    return result
-
-
-def _gen_solve(seg: _Segment):
-    """``schedule_moldable`` for the batched algorithms; returns the solo
-    :class:`SchedulingResult` bit for bit."""
+def _solve_steps(seg: _Segment):
+    """One segment's ``schedule_moldable`` as a request generator: the solo
+    driver's generator, then the facade's result assembly."""
     if seg.chosen == "two_approx":
-        res = yield from _gen_two_approx(seg)
-        guarantee: Optional[float] = 2.0
+        res = yield from two_approx_steps(seg.jobs, seg.oracle, validate=seg.validate)
+        guarantee = 2.0
     else:  # fptas
-        res = yield from _gen_fptas(seg)
+        res = yield from fptas_steps(seg.jobs, seg.oracle, seg.eps, validate=seg.validate)
         guarantee = 1.0 + seg.eps
-    schedule = res.schedule
-    # the facade's rule: the driver's estimate is the certified lower bound
-    lower = res.estimate.omega
-    schedule.metadata.setdefault("algorithm", seg.chosen)
-    return SchedulingResult(
-        schedule=schedule,
-        algorithm=seg.chosen,
-        eps=seg.eps,
-        lower_bound=lower,
-        guarantee=guarantee,
-    )
+    return driver_result(seg.jobs, seg.m, seg.eps, seg.chosen, res.schedule, res.estimate, guarantee)
 
 
 def _drive(batch: MegaBatch, oracle: MegaOracle) -> List[SchedulingResult]:
     """Advance every segment's solve generator one request per round,
     batching each round's γ-requests into one lockstep search and its
     evaluation requests into one shared-bundle pass."""
-    gens = {seg.slot: _gen_solve(seg) for seg in batch.segments}
+    gens = {seg.slot: _solve_steps(seg) for seg in batch.segments}
     seg_of = {seg.slot: seg for seg in batch.segments}
     results: Dict[int, SchedulingResult] = {}
     replies: Dict[int, Any] = {}
@@ -522,16 +316,8 @@ def solve_mega(
             chosen = auto_algorithm(len(jobs), m, i_eps)
         mega = bool(jobs) and chosen in ("two_approx", "fptas") and m <= MAX_VECTORIZED_M
         if mega and chosen == "fptas":
-            # solo fptas_schedule raises these before touching the oracle;
-            # surface them at pack time with identical messages
-            if not 0 < i_eps <= 1:
-                raise ValueError("eps must lie in (0, 1]")
-            if i_alg == "fptas" and m < fptas_machine_threshold(len(jobs), i_eps):
-                raise ValueError(
-                    f"the FPTAS requires m >= 8n/eps = "
-                    f"{fptas_machine_threshold(len(jobs), i_eps):.1f}, got m={m}; "
-                    "use ptas_schedule() for the general case"
-                )
+            # solo fptas_schedule raises these before touching the oracle
+            check_fptas_instance(len(jobs), m, i_eps)
         normalized.append((jobs, m, i_eps, i_alg, chosen, mega))
 
     segments = []

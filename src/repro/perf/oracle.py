@@ -70,8 +70,8 @@ class BatchedOracle:
         if m < 1:
             raise ValueError("m must be >= 1")
         if m > MAX_COLUMNAR_M:
-            # γ-arrays store the sentinel m + 1 in int64, and tm / works_at /
-            # times_at funnel counts through float64 — the same int64 contract
+            # γ-arrays store the sentinel m + 1 in int64, and tm / times_at
+            # funnel counts through float64 — the same int64 contract
             # boundary as repro.core.capacity.capacity_tier (2^62).  The
             # compact input encoding allows larger m, but those instances must
             # use the scalar path (resolve_backend falls back automatically).
@@ -141,11 +141,6 @@ class BatchedOracle:
         list scheduler uses this to resolve durations for a
         priority-ordered job sequence without per-job Python calls."""
         return self.times_at(ks, self.positions(jobs))
-
-    def works_at(self, ks) -> np.ndarray:
-        """``w_j(ks_j) = ks_j * t_j(ks_j)`` for all jobs."""
-        ks = np.broadcast_to(np.asarray(ks, dtype=np.float64), (self.n,))
-        return ks * self.bundle.eval_all(ks)
 
     def index_of(self, job: MoldableJob) -> int:
         """Positional index of ``job`` in this oracle's job list."""
@@ -234,15 +229,31 @@ class BatchedOracle:
         g = int(gammas[self._index[id(job)]])
         return None if g > self.m else g
 
-    # ------------------------------------------------------------ aggregates
-    def canonical_loads(self, threshold: float) -> Optional[np.ndarray]:
-        """Per-job works ``w_j(gamma_j(threshold))`` or ``None`` if any job
-        cannot meet the threshold (mirrors ``canonical_allotment``)."""
-        gammas = self.gamma_array(threshold)
-        if len(gammas) and gammas.max() > self.m:
-            return None
-        return self.works_at(gammas)
+    # ------------------------------------------------------------- executor
+    def run(self, steps):
+        """The solo executor: drive a driver's request generator on this
+        oracle and return the generator's return value.
 
+        The vectorized drivers (:func:`~repro.core.bounds.estimator_steps`,
+        :func:`~repro.core.two_approx.two_approx_steps`,
+        :func:`~repro.core.fptas.fptas_steps`) yield one request at a time:
+        ``("gamma", threshold)`` is answered with :meth:`gamma_array`,
+        ``("eval", ks)`` with :meth:`times_at` (``t_j(ks_j)`` for every job;
+        a scalar ``ks`` broadcasts).  :func:`repro.perf.megabatch.solve_mega`
+        answers the same requests for many generators in batched rounds, so
+        caches, ``stats`` and results agree on both executors.  Answers go
+        through ``self``'s methods, so a subclass overriding them sees every
+        request.
+        """
+        reply = None
+        while True:
+            try:
+                kind, payload = steps.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            reply = self.gamma_array(payload) if kind == "gamma" else self.times_at(payload)
+
+    # ------------------------------------------------------------ aggregates
     @staticmethod
     def sequential_sum(values: np.ndarray) -> float:
         """Left-to-right float sum, matching the scalar ``sum()`` over jobs

@@ -10,6 +10,9 @@ from repro.core.backend import (
     auto_backend,
     resolve_backend,
 )
+from repro.core.bounds import ludwig_tiwari_estimator
+from repro.core.dual import dual_binary_search
+from repro.core.fptas import fptas_schedule
 from repro.core.replan import ReplanState
 from repro.core.two_approx import two_approximation
 from repro.io import schedule_from_dict, schedule_to_dict
@@ -210,3 +213,56 @@ class TestMachineCountBoundary:
         assert schedule_moldable(jobs, np.int64(4)).makespan == expected
         assert OnlineScheduler(np.int32(4)).m == 4
         assert solve_mega([(jobs, np.int64(4))])[0].makespan == expected
+
+
+class TestMismatchedOracle:
+    """A supplied oracle must be built for exactly ``(jobs, m)``: γ-arrays are
+    positional, so any other oracle would answer for the wrong jobs."""
+
+    M = 4096  # >= 8n/eps for 20 jobs at eps=0.1, so the FPTAS applies
+
+    @staticmethod
+    def _jobs():
+        return random_mixed_instance(20, TestMismatchedOracle.M, seed=1).jobs
+
+    @staticmethod
+    def _bad_oracle(kind, jobs):
+        if kind == "wrong_m":
+            return BatchedOracle(jobs, 16), "built for m=16"
+        if kind == "other_jobs":
+            other = random_mixed_instance(20, TestMismatchedOracle.M, seed=2).jobs
+            return BatchedOracle(other, TestMismatchedOracle.M), "other jobs"
+        if kind == "subset":
+            return BatchedOracle(jobs[:-1], TestMismatchedOracle.M), "other jobs"
+        return BatchedOracle(jobs[::-1], TestMismatchedOracle.M), "other jobs"
+
+    ENTRY_POINTS = {
+        "estimator": lambda jobs, m, oracle: ludwig_tiwari_estimator(jobs, m, oracle=oracle),
+        "dual_binary_search": lambda jobs, m, oracle: dual_binary_search(
+            jobs, m, lambda d: None, tolerance=0.1, oracle=oracle
+        ),
+        "two_approximation": lambda jobs, m, oracle: two_approximation(jobs, m, oracle=oracle),
+        "fptas_schedule": lambda jobs, m, oracle: fptas_schedule(jobs, m, EPS, oracle=oracle),
+        "schedule_moldable": lambda jobs, m, oracle: schedule_moldable(
+            jobs, m, EPS, algorithm="two_approx", oracle=oracle
+        ),
+        "schedule_moldable_fptas": lambda jobs, m, oracle: schedule_moldable(
+            jobs, m, EPS, algorithm="fptas", oracle=oracle
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", ["wrong_m", "other_jobs", "subset", "reordered"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected(self, entry, kind):
+        jobs = self._jobs()
+        oracle, message = self._bad_oracle(kind, jobs)
+        with pytest.raises(ValueError, match=message):
+            self.ENTRY_POINTS[entry](jobs, self.M, oracle)
+
+    def test_same_jobs_in_a_new_list_are_accepted(self):
+        jobs = self._jobs()
+        oracle = BatchedOracle(list(jobs), self.M)
+        solo = schedule_moldable(jobs, self.M, EPS, algorithm="two_approx", backend="scalar")
+        with_oracle = schedule_moldable(list(jobs), self.M, EPS, algorithm="two_approx", oracle=oracle)
+        assert with_oracle.makespan == solo.makespan
+        assert with_oracle.lower_bound == solo.lower_bound

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.capacity import (
     INT64_OPS,
-    LIMB_BITS,
     MAX_COLUMNAR_M,
     MAX_EXACT_FLOAT_M,
     MAX_WIDE_TOTAL,
@@ -122,19 +121,6 @@ class TestOpsAgainstPythonReference:
                 expect.append(acc)
             assert ops.tolist(ops.cumsum(ops.asarray(vals))) == expect
 
-    def test_min_value_with_and_without_mask(self, ops):
-        rng = random.Random(11)
-        vals = _random_values(rng, 64, 1 << 90)
-        a = ops.asarray(vals)
-        assert ops.min_value(a) == min(vals)
-        mask = np.array([i % 3 == 0 for i in range(64)])
-        assert ops.min_value(a, mask) == min(v for i, v in enumerate(vals) if i % 3 == 0)
-
-    def test_min_value_ties_across_high_limbs(self, ops):
-        base = 5 << LIMB_BITS
-        vals = [base + 9, base + 3, (6 << LIMB_BITS) + 1]
-        assert ops.min_value(ops.asarray(vals)) == base + 3
-
     def test_le_mask(self, ops):
         rng = random.Random(13)
         vals = _random_values(rng, 100, 1 << 90)
@@ -217,7 +203,6 @@ class TestInt64OpsParity:
             WIDE_OPS.cumsum(awd)
         )
         bound = vals[50]
-        assert INT64_OPS.min_value(a64) == WIDE_OPS.min_value(awd)
         assert (
             INT64_OPS.le_mask(a64, bound).tolist()
             == WIDE_OPS.le_mask(awd, bound).tolist()
