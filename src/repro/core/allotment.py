@@ -39,6 +39,8 @@ def gamma(job: MoldableJob, threshold: float, m: int) -> Optional[int]:
         Target processing time ``t``.
     m:
         Number of available machines.
+
+    Raises ``ValueError`` for a NaN ``threshold``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -48,6 +50,8 @@ def gamma(job: MoldableJob, threshold: float, m: int) -> Optional[int]:
         return None
     if job.processing_time(1) <= threshold:
         return 1
+    if threshold != threshold:  # NaN: every comparison above was false
+        raise ValueError("gamma threshold must be a number, got NaN")
     lo, hi = 1, m  # t(lo) > threshold, t(hi) <= threshold
     while hi - lo > 1:
         mid = (lo + hi) // 2

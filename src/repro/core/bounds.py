@@ -167,7 +167,7 @@ def _phi_steps(oracle, tau: float):
     gammas = yield ("gamma", tau)
     if len(gammas) and gammas.max() > oracle.m:
         return None
-    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (oracle.n,))
+    ks = gammas.astype(np.float64)
     times = yield ("eval", ks)
     # left-to-right sum matches the scalar Allotment.total_work() bit for bit
     return oracle.sequential_sum(ks * times) / oracle.m
@@ -214,7 +214,7 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
     assert allot is not None, "upper end of the bracket must always be feasible"
     # batched average_load / max_time; the repeated γ(hi) is a cache hit
     gammas = yield ("gamma", hi)
-    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (oracle.n,))
+    ks = gammas.astype(np.float64)
     times = yield ("eval", ks)
     omega = max(oracle.sequential_sum(ks * times) / m, float(times.max()))
     omega = max(omega / (1.0 + tol), trivial, lo)

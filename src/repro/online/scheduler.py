@@ -32,7 +32,7 @@ flag and primed from the previous one.  Because
 every online epoch adds new jobs, cross-epoch priming usually transfers
 nothing (:meth:`~repro.perf.oracle.BatchedOracle.prime_from` is exact or
 nothing); the measured probe reduction comes from the within-epoch
-bracket/interpolation warm start, and the warm/cold toggle never changes
+bracket/prediction warm start, and the warm/cold toggle never changes
 the schedule — warm and cold runs are bit-identical in every placement
 (the differential ``online`` family pins this across all backends).
 

@@ -35,7 +35,11 @@ __all__ = ["JobArrayBundle"]
 
 
 class _Group:
-    """One job-class group: parameter arrays plus the vectorized kernel."""
+    """One job-class group: parameter arrays plus the vectorized kernel.
+
+    Closed-form classes add ``guess(pos, thr)``: the real ``k`` with
+    ``t_j(k) = thr`` (NaN if none; the caller silences float warnings),
+    which the warm γ-search of :mod:`repro.perf.oracle` probes first."""
 
     __slots__ = ("jobs",)
 
@@ -63,6 +67,12 @@ class _AmdahlGroup(_Group):
         f = self.f[pos]
         return self.t1[pos] * (f + (1.0 - f) / ks)
 
+    def guess(self, pos: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        # t(k) = thr  <=>  k = (1-f) / (thr/t1 - f); none when thr/t1 <= f
+        f = self.f[pos]
+        d = thr / self.t1[pos] - f
+        return np.where(d > 0.0, (1.0 - f) / d, np.nan)
+
 
 class _PowerLawGroup(_Group):
     __slots__ = ("t1", "alpha")
@@ -75,6 +85,11 @@ class _PowerLawGroup(_Group):
         # float_power (libm pow) matches CPython's ``**`` bit for bit;
         # numpy's SIMD ``power`` may be one ulp off.
         return self.t1[pos] / np.float_power(ks, self.alpha[pos])
+
+    def guess(self, pos: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        # t(k) = thr  <=>  k = (t1/thr)^(1/alpha); none for alpha = 0
+        alpha = self.alpha[pos]
+        return np.where(alpha > 0.0, np.power(self.t1[pos] / thr, 1.0 / alpha), np.nan)
 
 
 class _CommunicationGroup(_Group):
@@ -93,6 +108,15 @@ class _CommunicationGroup(_Group):
     def eval(self, pos: np.ndarray, ks: np.ndarray) -> np.ndarray:
         k_eff = np.minimum(ks, self.k_star[pos])
         return self.t1[pos] / k_eff + self.overhead[pos] * (k_eff - 1)
+
+    def guess(self, pos: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        # t(k) = thr  <=>  c k^2 - (thr + c) k + t1 = 0; the smaller root in
+        # the cancellation-free form 2 t1 / (b + sqrt(b^2 - 4 c t1)), which
+        # is t1/thr for c = 0 and NaN when there is no real root
+        t1 = self.t1[pos]
+        c = self.overhead[pos]
+        b = thr + c
+        return 2.0 * t1 / (b + np.sqrt(b * b - 4.0 * c * t1))
 
 
 class _TabulatedGroup(_Group):
@@ -216,12 +240,17 @@ class JobArrayBundle:
         for g in groups:
             g.finalize()
         self.groups = groups
-        # static partition of all job indices by group, so whole-instance
-        # evaluations skip the per-call mask computations of eval_at
-        self._group_index = [
-            np.flatnonzero(self.group_of == gid) for gid in range(len(groups))
-        ]
-        self._group_pos = [self.pos_in_group[idx] for idx in self._group_index]
+        self._parts = self._partition()
+
+    def _partition(self) -> list:
+        """``(group, job indices, positions)`` per group present: the static
+        partition that lets whole-instance evaluations skip the per-call
+        masks of :meth:`eval_at` (and the kernels never see an empty group)."""
+        parts = []
+        for gid in np.unique(self.group_of).tolist():
+            idx = np.flatnonzero(self.group_of == gid)
+            parts.append((self.groups[gid], idx, self.pos_in_group[idx]))
+        return parts
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -261,6 +290,6 @@ class JobArrayBundle:
         n = len(self.jobs)
         ks = np.broadcast_to(np.asarray(ks, dtype=np.float64), (n,))
         out = np.empty(n, dtype=np.float64)
-        for group, idx, pos in zip(self.groups, self._group_index, self._group_pos):
+        for group, idx, pos in self._parts:
             out[idx] = group.eval(pos, ks[idx])
         return out

@@ -492,7 +492,7 @@ def _huge_m_shard(instance, m: int, repeat: int) -> tuple:
 
 def _probe_counts(instance, m: int, algorithm: str) -> tuple:
     """γ-probe totals of one vectorized run with the warm-start policy on
-    (brackets + interpolation) and off (cold full bisection) — results are
+    (brackets + predictions) and off (cold full bisection) — results are
     bit-identical, only the probe counts differ."""
     from ..perf.oracle import BatchedOracle
 
@@ -579,7 +579,7 @@ def _online_shard(family: str, n: int, m: int, repeat: int, seed: int) -> tuple:
     Both runs consume the identical seeded :func:`random_arrivals_instance`
     stream under the ``immediate`` epoch policy; the only difference is the
     γ-cache policy of the per-epoch re-plan oracles (``warm_start`` bracket +
-    interpolation reuse on vs cold full bisection).  The stitched schedules
+    prediction reuse on vs cold full bisection).  The stitched schedules
     must be bit-identical — the warm start is a pure accelerator — so the
     cold run fills the row's ``scalar_seconds`` slot and the warm run its
     ``vectorized_seconds`` slot; the probe counters come from each run's
@@ -1099,7 +1099,7 @@ def _aggregate(rows: Sequence[BenchRow]) -> Dict[str, float]:
         if rec_seconds > 0:
             aggregates["recovery_replans_per_sec"] = rec_replans / rec_seconds
     # Online arrival-epoch accounting over the ``online`` rows: total re-plan
-    # γ-probes warm (bracket + interpolation reuse across epochs) vs cold,
+    # γ-probes warm (bracket + prediction reuse across epochs) vs cold,
     # the relative reduction, and the warm loop's re-planning throughput.
     online_rows = [row for row in rows if row.algorithm == "online"]
     if online_rows:

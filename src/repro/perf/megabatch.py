@@ -94,21 +94,7 @@ class _SegmentView(JobArrayBundle):
         self.group_of = parent.group_of[start:stop]
         self.pos_in_group = parent.pos_in_group[start:stop]
         self.groups = parent.groups
-        # static partition over the segment; groups absent from the segment
-        # are skipped (the parent's eval_all never sees an empty group, some
-        # kernels reject empty position arrays)
-        self._parts = []
-        for gid in np.unique(self.group_of).tolist():
-            idx = np.flatnonzero(self.group_of == gid)
-            self._parts.append((self.groups[gid], idx, self.pos_in_group[idx]))
-
-    def eval_all(self, ks) -> np.ndarray:
-        n = len(self.jobs)
-        ks = np.broadcast_to(np.asarray(ks, dtype=np.float64), (n,))
-        out = np.empty(n, dtype=np.float64)
-        for group, idx, pos in self._parts:
-            out[idx] = group.eval(pos, ks[idx])
-        return out
+        self._parts = self._partition()
 
 
 class _Segment:
@@ -124,6 +110,7 @@ class _Segment:
         "start",
         "stop",
         "n",
+        "index",
         "oracle",
     )
 
@@ -137,6 +124,8 @@ class _Segment:
         self.n = len(jobs)
         self.start = 0
         self.stop = 0
+        #: the segment's job positions in the shared bundle
+        self.index: Optional[np.ndarray] = None
         self.oracle: Optional[BatchedOracle] = None
 
 
@@ -153,6 +142,7 @@ class MegaBatch:
             seg.start = len(all_jobs)
             all_jobs.extend(seg.jobs)
             seg.stop = len(all_jobs)
+            seg.index = np.arange(seg.start, seg.stop, dtype=np.int64)
         self.bundle = JobArrayBundle(all_jobs)
         for seg in self.segments:
             view = _SegmentView(self.bundle, seg.start, seg.stop)
@@ -184,20 +174,12 @@ class MegaOracle:
 
     def eval_round(self, requests: Sequence[Tuple[_Segment, np.ndarray]]) -> List[np.ndarray]:
         self.stats["eval_rounds"] += 1
-        idx_parts = []
-        ks_parts = []
-        for seg, ks in requests:
-            idx_parts.append(np.arange(seg.start, seg.stop, dtype=np.int64))
-            ks_parts.append(np.broadcast_to(np.asarray(ks, dtype=np.float64), (seg.n,)))
         flat = self.batch.bundle.eval_at(
-            np.concatenate(idx_parts), np.concatenate(ks_parts)
+            np.concatenate([seg.index for seg, _ in requests]),
+            np.concatenate([ks for _, ks in requests]),
         )
-        out: List[np.ndarray] = []
-        offset = 0
-        for seg, _ in requests:
-            out.append(flat[offset : offset + seg.n])
-            offset += seg.n
-        return out
+        stops = np.cumsum([seg.n for seg, _ in requests]).tolist()
+        return [flat[a:b] for a, b in zip([0] + stops, stops)]
 
 
 def _solve_steps(seg: _Segment):

@@ -12,25 +12,27 @@ binary searches of ``log m`` Python-level oracle calls each.
 :class:`BatchedOracle` instead advances *all* jobs' bisections together: one
 vectorized oracle evaluation (via :class:`~repro.perf.arrays.JobArrayBundle`)
 per bisection level, ``O(log m)`` array operations total.  Results are cached
-per threshold, and — the γ *warm start* — every new threshold initialises its
-lockstep search from the previously evaluated thresholds in two ways:
+per threshold, and every new threshold starts from two kinds of γ *warm
+start*:
 
 * **brackets**: ``t' > t`` implies ``gamma_j(t') <= gamma_j(t)``, so the
   cached γ-arrays of the two nearest neighbouring thresholds are valid
   per-job lower/upper brackets;
-* **monotone interpolation**: across the sorted dual-search thresholds the
-  per-job γ curve is monotone, so interpolating the two neighbouring
-  γ-arrays in log-threshold space predicts the answer directly.  The first
-  two bisection levels probe the prediction and its adjacent boundary
-  instead of the bracket midpoint — when the prediction is exact (the common
-  case for the dual search's geometrically converging probes) the bracket
-  closes in one or two evaluations regardless of its width.
+* **a predicted γ**, probed by the first two bisection levels instead of the
+  bracket midpoint: the prediction, then its neighbour on the side the first
+  probe points to — so a prediction off by at most one closes the bracket in
+  two evaluations regardless of its width.  Closed-form job classes (Amdahl,
+  power law, communication) predict by inverting their curve at the
+  threshold (the ``guess`` kernels of :mod:`repro.perf.arrays`);
+  tabulated, rigid and callable jobs interpolate the two neighbouring
+  γ-arrays in log-threshold space.
 
 ``warm_start=False`` disables both (every threshold runs the full cold
 ``log m`` lockstep bisection); probe counts are instrumented either way in
 ``stats`` (``oracle_evals`` is the total number of per-job kernel probes,
-``warm_probes`` the subset spent on warm-start guesses) so regression tests
-can pin the savings.
+``warm_probes`` the subset spent on predictions) so regression tests can pin
+the savings.  :func:`lockstep_gamma_round` runs many oracles' searches as
+one flat bisection over their concatenated jobs — the mega batch's round.
 
 γ-arrays use the sentinel ``m + 1`` for "infeasible even on all m machines"
 (where the scalar :func:`repro.core.allotment.gamma` returns ``None``); the
@@ -40,7 +42,9 @@ narrowing relies on.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right, insort
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,13 +93,16 @@ class BatchedOracle:
         self._index: Dict[int, int] = {id(job): i for i, job in enumerate(self.jobs)}
         self._t1: Optional[np.ndarray] = None
         self._tm: Optional[np.ndarray] = None
+        #: the γ-arrays at thresholds +inf and 0: the warm-start neighbours
+        #: where no cached threshold lies above / below a new one
+        self._ones = np.broadcast_to(np.int64(1), (self.n,))
+        self._sentinels = np.broadcast_to(np.int64(self.m + 1), (self.n,))
         self._gamma_cache: Dict[float, np.ndarray] = {}
         self._sorted_thresholds: List[float] = []
         #: instrumentation: lockstep searches run, bisection levels spent
-        #: (summed over the per-job-class group loops, so a mixed instance
-        #: counts each class's levels separately), vectorized oracle values
-        #: computed (= γ-probes), warm-start guess probes among them, and
-        #: threshold-cache hits.
+        #: (counted per job class, so a mixed instance counts each class's
+        #: levels separately), vectorized oracle values computed (= γ-probes),
+        #: warm-start prediction probes among them, and threshold-cache hits.
         self.stats = {
             "gamma_batches": 0,
             "bisection_levels": 0,
@@ -126,6 +133,23 @@ class BatchedOracle:
             self._tm = self.bundle.eval_all(float(self.m))
             self._tm.setflags(write=False)
         return self._tm
+
+    def _neighbours(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The γ-arrays of the nearest cached thresholds above and below a new
+        ``threshold`` (or the edge arrays), and its position between the two
+        in log space when both are cached and positive (else NaN)."""
+        if not self.warm_start:
+            return self._ones, self._sentinels, math.nan
+        ts = self._sorted_thresholds
+        i = bisect_right(ts, threshold)
+        above = self._gamma_cache[ts[i]] if i < len(ts) else self._ones
+        below = self._gamma_cache[ts[i - 1]] if i else self._sentinels
+        frac = math.nan
+        if 0 < i < len(ts) and ts[i - 1] > 0.0:
+            base = math.log(ts[i - 1])
+            span = math.log(ts[i]) - base
+            frac = (math.log(threshold) - base) / span if span > 0 else 0.5
+        return above, below, frac
 
     def times_at(self, ks, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """``t_j(ks_j)`` for all jobs at per-job processor counts, or only for
@@ -171,7 +195,7 @@ class BatchedOracle:
           containing one are skipped.
 
         Transferred thresholds join ``_sorted_thresholds`` and therefore feed
-        the bracket/interpolation warm start of every subsequent
+        the bracket/prediction warm start of every subsequent
         :meth:`gamma_array` call.  Returns the number of thresholds
         transferred.
         """
@@ -266,240 +290,199 @@ class BatchedOracle:
 # ---------------------------------------------------------------------------
 
 
-class _LiveSearch:
-    """One oracle's in-flight γ-search inside a lockstep round."""
-
-    __slots__ = ("slot", "oracle", "threshold", "out", "idx", "lo", "hi", "pred")
-
-    def __init__(self, slot, oracle, threshold, out, idx, lo, hi, pred):
-        self.slot = slot
-        self.oracle = oracle
-        self.threshold = threshold
-        self.out = out
-        self.idx = idx
-        self.lo = lo
-        self.hi = hi
-        self.pred = pred
-
-
-def _finish(oracle: BatchedOracle, threshold: float, out: np.ndarray) -> None:
+def _finish(oracle: BatchedOracle, threshold: float, out: np.ndarray) -> np.ndarray:
     out.setflags(write=False)
-    if threshold not in oracle._gamma_cache:
-        # a round may carry the same (oracle, threshold) twice; only the
-        # first result enters the sorted-threshold warm-start index
-        insort(oracle._sorted_thresholds, threshold)
+    insort(oracle._sorted_thresholds, threshold)
     oracle._gamma_cache[threshold] = out
+    return out
 
 
 def lockstep_gamma_round(
     requests: Sequence[Tuple[BatchedOracle, float]],
 ) -> List[np.ndarray]:
     """Run one γ-array evaluation per ``(oracle, threshold)`` request, all in
-    a single lockstep bisection.
+    a single flat lockstep bisection.
 
     Every request behaves exactly as its oracle's solo ``gamma_array`` call
-    would — same cache lookups, same warm-start brackets/predictions, same
-    probe trajectory, same ``stats`` accounting — because each job's
-    ``(lo, hi, mid)`` trajectory is independent of every other job's.  The
+    would — same cache lookups, same warm-start brackets and predictions,
+    same probe trajectory, same ``stats`` accounting — because each job's
+    ``(lo, hi, mid)`` trajectory is independent of every other job's.  A
+    repeated ``(oracle, threshold)`` pair counts as a cache hit on the first,
+    as the repeated solo call would; distinct thresholds of one oracle in one
+    round each see the cache as it stood when the round began.  The
     mega-batch layer passes many segments' requests whose oracles share one
     underlying :class:`~repro.perf.arrays.JobArrayBundle`, so every bisection
     level costs one kernel evaluation per job class across *all* instances.
+
+    Raises ``ValueError`` for a NaN threshold before touching any cache or
+    ``stats``.
     """
+    thresholds = [float(t) for _, t in requests]
+    if any(math.isnan(t) for t in thresholds):
+        raise ValueError("gamma threshold must be a number, got NaN")
     results: List[Optional[np.ndarray]] = [None] * len(requests)
-    live: List[_LiveSearch] = []
-    for slot, (oracle, threshold) in enumerate(requests):
-        threshold = float(threshold)
+    pending: Dict[Tuple[int, float], int] = {}
+    repeats: List[Tuple[int, int]] = []
+    for slot, ((oracle, _), threshold) in enumerate(zip(requests, thresholds)):
         cached = oracle._gamma_cache.get(threshold)
-        if cached is not None:
+        key = (id(oracle), threshold)
+        if cached is not None or key in pending:
+            # a repeat within the round is a hit too, as its solo call would be
             oracle.stats["threshold_cache_hits"] += 1
             results[slot] = cached
-            continue
-        m = oracle.m
-        n = oracle.n
-        out = np.full(n, m + 1, dtype=np.int64)
-        if threshold > 0.0 and n > 0:
+            if cached is None:
+                repeats.append((slot, pending[key]))
+        elif threshold > 0.0 and oracle.n:
             oracle.stats["gamma_batches"] += 1
-            feasible = oracle.tm <= threshold
-            one_enough = oracle.t1 <= threshold
-            out[feasible & one_enough] = 1
-            active = feasible & ~one_enough
-            if active.any():
-                idx = np.nonzero(active)[0]
-                # bisection invariant: t(lo) > threshold, t(hi) <= threshold
-                lo = np.ones(len(idx), dtype=np.int64)
-                hi = np.full(len(idx), m, dtype=np.int64)
-                #: per-job warm-start prediction of γ (None = cold search)
-                pred: Optional[np.ndarray] = None
-                if oracle.warm_start:
-                    # γ warm start, part 1 — brackets from the two nearest
-                    # neighbouring thresholds.
-                    pos = bisect_right(oracle._sorted_thresholds, threshold)
-                    above = below = None
-                    if pos < len(oracle._sorted_thresholds):
-                        above = oracle._gamma_cache[oracle._sorted_thresholds[pos]][idx]
-                        # t' > t  =>  gamma(t') <= gamma(t); t(gamma(t') - 1) > t' > t
-                        above = np.minimum(above, np.int64(m + 1))
-                        lo = np.maximum(lo, above - 1)
-                    if pos > 0:
-                        below = oracle._gamma_cache[oracle._sorted_thresholds[pos - 1]][idx]
-                        # t' < t  =>  gamma(t') >= gamma(t); t(gamma(t')) <= t' < t
-                        hi = np.minimum(hi, below)
-                    # γ warm start, part 2 — monotone interpolation across the
-                    # sorted thresholds: with both neighbours present,
-                    # interpolate their γ-arrays at the new threshold's
-                    # position in log space.  The prediction only steers
-                    # *which* count the first probes evaluate — correctness
-                    # rests on the bracket invariant alone.
-                    t_below = oracle._sorted_thresholds[pos - 1] if pos > 0 else 0.0
-                    if above is not None and below is not None and t_below > 0.0:
-                        t_above = oracle._sorted_thresholds[pos]
-                        span = np.log(t_above) - np.log(t_below)
-                        frac = (np.log(threshold) - np.log(t_below)) / span if span > 0 else 0.5
-                        # interpolate log γ against log t: exact for power-law
-                        # speedups (log γ is linear in log t there) and the
-                        # right curvature for the other monotone families —
-                        # linear interpolation of the raw γ values would
-                        # systematically overshoot (arithmetic vs geometric
-                        # mean) on the dual search's sqrt-midpoint probes.
-                        lg_b = np.log(below.astype(np.float64))
-                        lg_a = np.log(above.astype(np.float64))
-                        pred = np.rint(np.exp(lg_b + frac * (lg_a - lg_b))).astype(np.int64)
-                    # a single neighbour narrows the bracket but carries no
-                    # positional information about the new threshold between
-                    # the remaining [1, m] mass — predicting its γ unchanged
-                    # degrades to a linear probe there, so no prediction.
-                live.append(_LiveSearch(slot, oracle, threshold, out, idx, lo, hi, pred))
-                continue
-        _finish(oracle, threshold, out)
-        results[slot] = out
-    if live:
-        _bisect_lockstep(live)
-        for search in live:
-            _finish(search.oracle, search.threshold, search.out)
-            results[search.slot] = search.out
+            pending[key] = slot
+        else:
+            results[slot] = _finish(oracle, threshold, np.full(oracle.n, oracle.m + 1))
+    if pending:
+        slots = list(pending.values())
+        oracles = [requests[s][0] for s in slots]
+        outs = _flat_search(oracles, [thresholds[s] for s in slots])
+        for slot, oracle, out in zip(slots, oracles, outs):
+            results[slot] = _finish(oracle, thresholds[slot], out)
+    for slot, first in repeats:
+        results[slot] = results[first]
     return results  # type: ignore[return-value]
 
 
-def _bisect_lockstep(live: List[_LiveSearch]) -> None:
-    """Advance every live search to completion, one kernel evaluation per
-    (job-class group, bisection level) across *all* searches at once.
+def _flat_search(oracles: List[BatchedOracle], thresholds: List[float]) -> List[np.ndarray]:
+    """γ-arrays for N ``(oracle, threshold)`` searches (``threshold > 0``,
+    ``oracle.n > 0``) as one bisection over the concatenation of all N
+    oracles' jobs: a fixed number of NumPy calls for any N, and N = 1 skips
+    the concatenation."""
+    groups = oracles[0].bundle.groups
+    # lockstep across oracles requires one shared kernel table: the mega
+    # bundle's segment views all alias the parent's group list
+    assert all(o.bundle.groups is groups for o in oracles), "lockstep round requires one shared bundle"
+    n_req = len(oracles)
+    cat = np.concatenate if n_req > 1 else itemgetter(0)
+    sizes = [o.n for o in oracles]
+    above, below, fracs = zip(*[o._neighbours(t) for o, t in zip(oracles, thresholds)])
+    owner = np.repeat(np.arange(n_req), sizes)
+    thr = np.array(thresholds)[owner]
+    m = np.array([o.m for o in oracles], dtype=np.int64)[owner]
+    out = m + 1
+    fits = cat([o.tm for o in oracles]) <= thr
+    one = cat([o.t1 for o in oracles]) <= thr
+    out[fits & one] = 1
+    act = np.flatnonzero(fits & ~one)
+    if len(act):
+        # sorted by job class (stably, so then by owner): one run per class
+        gof = cat([o.bundle.group_of for o in oracles])[act]
+        order = np.argsort(gof, kind="stable")
+        act, gof = act[order], gof[order]
+        starts = np.flatnonzero(np.r_[True, gof[1:] != gof[:-1]])
+        bounds = starts.tolist() + [len(act)]
+        runs = list(zip(gof[starts].tolist(), bounds, bounds[1:]))
+        pos = cat([o.bundle.pos_in_group for o in oracles])[act]
+        above, below = cat(above)[act], cat(below)[act]
+        warm = np.array([o.warm_start for o in oracles])[owner[act]]
+        pred = None
+        if warm.any():
+            pred = _predict(groups, runs, pos, thr[act], m[act], warm, np.array(fracs)[owner[act]], above, below)
+        # bracket invariant t(lo) > threshold >= t(hi), from the neighbouring
+        # thresholds: t' > t => gamma(t') <= gamma(t), so t(gamma(t') - 1) >
+        # t' > t; and t' < t => t(gamma(t')) <= t' < t
+        lo = np.maximum(above - 1, 1)
+        hi = np.minimum(below, m[act])
+        out[act] = _bisect(oracles, groups, runs, owner[act], gof, pos, thr[act], lo, hi, pred)
+    if n_req == 1:
+        return [out]
+    stops = np.cumsum(sizes).tolist()
+    return [out[a:b] for a, b in zip([0] + stops, stops)]
 
-    Each job's trajectory is independent, so grouping jobs from many oracles
-    into one kernel call changes neither the probed counts nor the results;
-    per-oracle ``stats`` stay exact by attributing each probe back to its
-    owner (``np.bincount`` over owner ids, or a direct bump when N=1).
-    """
-    groups = live[0].oracle.bundle.groups
-    for search in live:
-        # lockstep across oracles requires one shared kernel table: the mega
-        # bundle's segment views all alias the parent's group list
-        assert search.oracle.bundle.groups is groups, (
-            "lockstep round requires all oracles to share one bundle"
-        )
-    one = len(live) == 1
 
-    own_all = np.concatenate(
-        [np.full(len(s.idx), i, dtype=np.int64) for i, s in enumerate(live)]
-    )
-    gof_all = np.concatenate([s.oracle.bundle.group_of[s.idx] for s in live])
-    pos_all = np.concatenate([s.oracle.bundle.pos_in_group[s.idx] for s in live])
-    outidx_all = np.concatenate([s.idx for s in live])
-    lo_all = np.concatenate([s.lo for s in live])
-    hi_all = np.concatenate([s.hi for s in live])
-    thr_all = np.concatenate(
-        [np.full(len(s.idx), s.threshold, dtype=np.float64) for s in live]
-    )
-    pred_all = np.concatenate(
-        [
-            s.pred if s.pred is not None else np.zeros(len(s.idx), dtype=np.int64)
-            for s in live
-        ]
-    )
-    has_all = np.concatenate(
-        [np.full(len(s.idx), s.pred is not None, dtype=bool) for s in live]
-    )
+#: relative shave applied to a closed-form guess before rounding it up
+_GUESS_SHAVE = 1e-9
 
-    def bump(key: str, owners: np.ndarray) -> None:
-        if one:
-            live[0].oracle.stats[key] += len(owners)
-        elif len(owners):
-            for i, c in enumerate(np.bincount(owners, minlength=len(live)).tolist()):
-                if c:
-                    live[i].oracle.stats[key] += c
 
-    # Dispatch the job-class groups once, then run each group's bisection in
-    # a tight loop over its own kernel — every job's (lo, hi, mid) trajectory
-    # is independent, so the per-job results are identical to a combined
-    # lockstep search, without re-partitioning the active set on every level.
-    for gid in np.unique(gof_all):
-        gsel = np.nonzero(gof_all == gid)[0]
-        glo = lo_all[gsel]
-        ghi = hi_all[gsel]
-        gpos = pos_all[gsel]
-        gthr = thr_all[gsel]
-        gown = own_all[gsel]
-        goutidx = outidx_all[gsel]
-        gpred = pred_all[gsel]
-        ghas = has_all[gsel]
-        any_pred = bool(ghas.any())
-        last_le: Optional[np.ndarray] = None
-        eval_kernel = groups[gid].eval
-        level = 0
-        while True:
-            open_mask = ghi - glo > 1
-            if not open_mask.any():
-                break
-            sub = np.nonzero(open_mask)[0]
-            # a level is counted once per oracle that still has open jobs in
-            # this group — exactly what each solo per-group loop would count
-            if one:
-                live[0].oracle.stats["bisection_levels"] += 1
+def _predict(groups, runs, pos, thr, m, warm, frac, above, below):
+    """Per-job predicted γ for the warm rows, as ``(pred, has)``: the job's
+    closed-form ``guess`` rounded up where its class has one, else the
+    interpolation of the neighbouring γ-arrays (where both are cached and
+    positive, i.e. ``frac`` is not NaN).  The prediction only steers *which*
+    counts the first probes evaluate; the bracket alone decides the answer."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        has = warm & ~np.isnan(frac)
+        # interpolate log γ against log t: exact for power-law speedups and
+        # the right curvature for the other monotone families — linear
+        # interpolation of raw γ would overshoot (arithmetic vs geometric
+        # mean) on the dual search's sqrt-midpoint probes
+        lg_b = np.log(below.astype(np.float64))
+        g = np.rint(np.exp(lg_b + frac * (np.log(above.astype(np.float64)) - lg_b)))
+        for gid, a, b in runs:
+            guess = getattr(groups[gid], "guess", None)
+            if guess is not None:
+                # shaved: a threshold equal to t_j(k) inverts to k plus float
+                # noise, and the plain ceiling would predict k + 1, one past
+                # γ; shaved, the prediction is γ or γ - 1, both of which the
+                # two guided probes confirm
+                g[a:b] = np.ceil(guess(pos[a:b], thr[a:b]) * (1.0 - _GUESS_SHAVE))
+                has[a:b] = warm[a:b]
+        # NaN, infinite and out-of-range predictions are none
+        has &= (g > 0.0) & (g <= m)
+        return np.where(has, g, 0.0).astype(np.int64), has
+
+
+def _bisect(oracles, groups, runs, own, gof, pos, thr, lo, hi, pred) -> np.ndarray:
+    """Shut every bracket ``(lo, hi]`` with one kernel call per job class and
+    level, and return ``hi``; then add each owner's probes to its oracle's
+    ``stats``, as the solo searches would have counted them."""
+    probes = np.zeros(len(lo), dtype=np.int64)
+    guided_probes = np.zeros(len(lo), dtype=np.int64)
+    starts = [a for _, a, _ in runs] + [len(lo)]
+    level = 0
+    while True:
+        sub = np.flatnonzero(hi - lo > 1)
+        if not len(sub):
+            break
+        probes[sub] += 1
+        slo, shi = lo[sub], hi[sub]
+        mid = (slo + shi) // 2
+        if pred is not None and level < 2:
+            p, has = pred[0][sub], pred[1][sub]
+            if level == 0:
+                # probe the prediction — only where it lies inside (or on the
+                # edge of) the bracket: one further out is stale.  pred == hi
+                # probes hi-1 (the "γ unchanged" confirmation), pred == lo
+                # symmetrically lo+1.
+                guided = has & (p >= slo) & (p <= shi)
+                step = np.clip(p, slo + 1, shi - 1)
             else:
-                for i in np.unique(gown[sub]).tolist():
-                    live[i].oracle.stats["bisection_levels"] += 1
-            mid = (glo[sub] + ghi[sub]) // 2
-            if any_pred and level == 0:
-                # probe the interpolated prediction itself — but
-                # only where it lies inside (or on the edge of)
-                # the bracket; a prediction further out is stale
-                # and clipping it would degenerate into a linear
-                # probe at the bracket edge, which loses to the
-                # midpoint.  pred == hi probes hi-1 (the "γ
-                # unchanged from the neighbour" confirmation),
-                # pred == lo symmetrically probes lo+1.
-                guided = ghas[sub] & (gpred[sub] >= glo[sub]) & (gpred[sub] <= ghi[sub])
-                mid = np.where(
-                    guided, np.clip(gpred[sub], glo[sub] + 1, ghi[sub] - 1), mid
-                )
-                bump("warm_probes", gown[sub][guided])
-            elif any_pred and level == 1 and last_le is not None:
-                # confirm-the-prediction probe: when t(pred) <=
-                # threshold the answer is likely pred itself, so
-                # testing hi-1 (== pred-1) closes the bracket in
-                # one more evaluation.  When the first probe went
-                # the other way the prediction undershot and the
-                # remaining bracket is genuinely uncertain —
-                # midpoint bisection resumes immediately.
-                went_le = last_le[sub]
-                guess = ghi[sub] - 1
-                near = went_le & ghas[sub] & (np.abs(guess - gpred[sub]) <= 1)
-                mid = np.where(near, np.clip(guess, glo[sub] + 1, ghi[sub] - 1), mid)
-                bump("warm_probes", gown[sub][near])
-            bump("oracle_evals", gown[sub])
-            # int64 counts upcast to float64 inside the kernels
-            # exactly like an explicit astype would
-            t_mid = eval_kernel(gpos[sub], mid)
-            le = t_mid <= gthr[sub]
-            ghi[sub[le]] = mid[le]
-            ge = ~le
-            glo[sub[ge]] = mid[ge]
-            if any_pred and level == 0:
-                last_le = np.zeros(len(glo), dtype=bool)
-                last_le[sub] = le
-            level += 1
-        if one:
-            live[0].out[goutidx] = ghi
-        else:
-            for i in np.unique(gown).tolist():
-                mask = gown == i
-                live[i].out[goutidx[mask]] = ghi[mask]
+                # confirm it: after a first probe at or below the threshold
+                # test hi-1, after one above it lo+1 — either closes the
+                # bracket when the prediction was off by at most one
+                step = np.where(went_le[sub], shi - 1, slo + 1)
+                guided = has & (np.abs(step - p) <= 1)
+            mid = np.where(guided, step, mid)
+            guided_probes[sub[guided]] += 1
+        times = np.empty(len(sub))
+        cuts = np.searchsorted(sub, starts).tolist()
+        for (gid, _, _), a, b in zip(runs, cuts, cuts[1:]):
+            if a < b:
+                # int64 counts upcast to float64 inside the kernels exactly
+                # like an explicit astype would
+                times[a:b] = groups[gid].eval(pos[sub[a:b]], mid[a:b])
+        le = times <= thr[sub]
+        if level == 0:
+            went_le = np.zeros(len(lo), dtype=bool)
+            went_le[sub] = le
+        hi[sub[le]] = mid[le]
+        lo[sub[~le]] = mid[~le]
+        level += 1
+    n_req = len(oracles)
+    evals = np.bincount(own, weights=probes, minlength=n_req)
+    warm = np.bincount(own, weights=guided_probes, minlength=n_req)
+    # a solo search counts each class's levels separately: per (class, owner)
+    # run, the deepest job's probe count
+    key = gof * n_req + own
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    levels = np.bincount(own[first], weights=np.maximum.reduceat(probes, first), minlength=n_req)
+    for oracle, e, w, lv in zip(oracles, evals.tolist(), warm.tolist(), levels.tolist()):
+        oracle.stats["oracle_evals"] += int(e)
+        oracle.stats["warm_probes"] += int(w)
+        oracle.stats["bisection_levels"] += int(lv)
+    return hi

@@ -42,8 +42,8 @@ work two ways: the per-epoch
 (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so each epoch's dual
 search starts from the cached γ-thresholds of the epoch before it — the
 pending set only shrinks and the estimator's target thresholds barely move
-between epochs, which is exactly the regime the bracket/interpolation warm
-start exploits.
+between epochs, which is exactly the regime the warm start's brackets
+exploit (its closed-form predictions need no neighbours at all).
 
 The loop is deterministic: identical inputs produce identical stitched
 schedules under every backend (the differential harness's ``faulty`` family

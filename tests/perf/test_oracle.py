@@ -33,11 +33,16 @@ class TestBatchedOracleCaches:
 
     def test_breakpoint_cache_reduces_bisection_work(self):
         """A threshold bracketed by two cached neighbours must need fewer
-        oracle evaluations than a cold lockstep search."""
+        oracle evaluations than a cold lockstep search, and no more than a
+        warm search without neighbours (which Amdahl's closed-form guess
+        already confirms in two probes per job)."""
         jobs = [AmdahlJob(f"a{i}", 50.0 + i, 0.02) for i in range(64)]
-        oracle_cold = BatchedOracle(jobs, 1 << 16)
+        oracle_cold = BatchedOracle(jobs, 1 << 16, warm_start=False)
         oracle_cold.gamma_array(3.0)
         cold_evals = oracle_cold.stats["oracle_evals"]
+        oracle_fresh = BatchedOracle(jobs, 1 << 16)
+        oracle_fresh.gamma_array(3.0)
+        fresh_evals = oracle_fresh.stats["oracle_evals"]
 
         oracle_warm = BatchedOracle(jobs, 1 << 16)
         oracle_warm.gamma_array(2.9)
@@ -46,6 +51,7 @@ class TestBatchedOracleCaches:
         oracle_warm.gamma_array(3.0)
         warm_evals = oracle_warm.stats["oracle_evals"] - before
         assert warm_evals < cold_evals
+        assert warm_evals <= fresh_evals
 
     def test_mixed_bundle_includes_fallback(self):
         jobs = [AmdahlJob("a", 10.0, 0.1), OracleJob("o", lambda k: 10.0 / k)]
