@@ -3,7 +3,9 @@
 Compares the exact engines (dense table vs dominance list), the one-pass
 multi-capacity solver on the scalar and the NumPy array engine, and Algorithm 2 (knapsack with compressible items) on
 scheduling-shaped item sets.  Algorithm 2's runtime must stay essentially flat
-as the capacity grows — that is the whole point of Section 4.2.
+as the capacity grows — that is the whole point of Section 4.2.  The all-fit
+row times Algorithm 3's usual container knapsack at large m, where the
+capacity does not bind and the all-fit exit answers without the DP.
 """
 
 from __future__ import annotations
@@ -65,4 +67,18 @@ def test_multi_capacity_one_pass(benchmark, backend):
     results = benchmark(lambda: solve_knapsack_multi(items, capacities, backend=backend))
     # the array engine is a drop-in: same profits and selections
     assert results == solve_knapsack_multi(items, capacities)
+    benchmark.extra_info["backend"] = backend
+
+
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+def test_all_fit_containers(benchmark, backend):
+    # shaped like solve-bounded's containers: ~290 items of 1-42 processors,
+    # mostly small (sampled totals were 474-913 against m = 4000), and a few
+    # rounded profits exactly 0
+    rng = np.random.default_rng(3)
+    sizes = rng.geometric(0.35, size=290).clip(1, 42)
+    profits = np.where(rng.uniform(size=290) < 0.06, 0.0, rng.uniform(1, 200, size=290))
+    items = [KnapsackItem(key=i, size=int(s), profit=float(p)) for i, (s, p) in enumerate(zip(sizes, profits))]
+    profit, chosen = benchmark(lambda: solve_knapsack(items, 4000.0, backend=backend))
+    assert len(chosen) == int(np.count_nonzero(profits))
     benchmark.extra_info["backend"] = backend

@@ -16,7 +16,11 @@ last kept state's by more than ``1e-15``, and among states with
 identical states after every item, so the solvers below are drop-in
 replacements for :func:`repro.knapsack.dp.solve_knapsack`,
 :func:`repro.knapsack.multi.solve_knapsack_multi` and the compressible
-multi-capacity solver.
+multi-capacity solver.  Those two entry points try
+:func:`repro.knapsack.dp.all_fit_solution` before dispatching to either
+engine, so the solvers below run only when some capacity may bind.  Like
+the scalar loops, they skip zero-profit items, whose states always tie
+their parents and are pruned.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dp import PROFIT_EPS, SIZE_EPS, TIE_EPS
 from .items import KnapsackItem
 
 __all__ = [
@@ -33,10 +38,6 @@ __all__ = [
     "solve_knapsack_array",
     "solve_knapsack_multi_array",
 ]
-
-_SIZE_EPS = 1e-12
-_PROFIT_EPS = 1e-15
-_TIE_EPS = 1e-15
 
 
 class ArrayDominanceList:
@@ -109,7 +110,7 @@ class ArrayDominanceList:
         new_sizes = self.sizes + item.size
         if size_transform is not None:
             new_sizes = size_transform(new_sizes)
-        fit = int(new_sizes.searchsorted(capacity + _SIZE_EPS, side="right"))
+        fit = int(new_sizes.searchsorted(capacity + SIZE_EPS, side="right"))
         if fit == 0:
             return
         profits = np.concatenate((self.profits, self.profits[:fit] + item.profit))
@@ -121,7 +122,7 @@ class ArrayDominanceList:
         # merge orders equal sizes by profit descending instead, and prunes
         # against the last state it kept rather than the running maximum.
         # Neither difference changes the survivors unless some state beats
-        # the running maximum by _PROFIT_EPS or less; only then does the
+        # the running maximum by PROFIT_EPS or less; only then does the
         # merge fall back to the scalar rule itself.
         order = sizes.argsort(kind="stable")
         keep = _prune_dominated(profits[order])
@@ -135,7 +136,7 @@ class ArrayDominanceList:
             # survivor — the scalar engine's same-size "replace" rule.
             # Profits strictly increase after prune 1, so the last of a run
             # is the best.
-            ties = sizes[1:] - sizes[:-1] < _TIE_EPS
+            ties = sizes[1:] - sizes[:-1] < TIE_EPS
             if ties.any():
                 keep = np.empty(len(sizes), dtype=bool)
                 np.logical_not(ties, out=keep[:-1])
@@ -148,7 +149,7 @@ class ArrayDominanceList:
         self.nodes = nodes[order]
 
     # ---------------------------------------------------------------- queries
-    def best_index_for_capacity(self, capacity: float, tol: float = _SIZE_EPS) -> int:
+    def best_index_for_capacity(self, capacity: float, tol: float = SIZE_EPS) -> int:
         """Index of the most profitable state with size ``<= capacity + tol``
         (profits strictly increase, so it is the last admissible state)."""
         idx = int(np.searchsorted(self.sizes, capacity + tol, side="right")) - 1
@@ -157,17 +158,17 @@ class ArrayDominanceList:
 
 def _prune_dominated(profits: np.ndarray) -> Optional[np.ndarray]:
     """Prune 1: the mask of the states whose profit exceeds the running
-    maximum of everything before them by more than ``_PROFIT_EPS``.
+    maximum of everything before them by more than ``PROFIT_EPS``.
 
     Returns ``None`` instead when some state beats that maximum by
-    ``_PROFIT_EPS`` or less (a near tie): the merge order and the scalar
+    ``PROFIT_EPS`` or less (a near tie): the merge order and the scalar
     engine's compare-with-the-last-kept-state rule can then decide which
     states survive.
     """
     prev_max = np.maximum.accumulate(profits)[:-1]
     keep = np.empty(len(profits), dtype=bool)
     keep[0] = True
-    np.greater(profits[1:], prev_max + _PROFIT_EPS, out=keep[1:])
+    np.greater(profits[1:], prev_max + PROFIT_EPS, out=keep[1:])
     if np.count_nonzero(profits[1:] > prev_max) != np.count_nonzero(keep) - 1:
         return None
     return keep
@@ -184,9 +185,9 @@ def _scalar_merge(sizes: np.ndarray, profits: np.ndarray) -> np.ndarray:
     for i in order:
         if kept:
             last = kept[-1]
-            if profit_of[i] <= profit_of[last] + _PROFIT_EPS:
+            if profit_of[i] <= profit_of[last] + PROFIT_EPS:
                 continue
-            if abs(size_of[i] - size_of[last]) < _TIE_EPS:
+            if abs(size_of[i] - size_of[last]) < TIE_EPS:
                 kept[-1] = i
                 continue
         kept.append(i)
@@ -202,7 +203,8 @@ def solve_knapsack_array(
         raise ValueError("capacity must be non-negative")
     dom = ArrayDominanceList()
     for index, item in enumerate(items):
-        if item.size > capacity + _SIZE_EPS:
+        # a zero-profit state ties its parent at a size no smaller: pruned
+        if item.size > capacity + SIZE_EPS or item.profit == 0:
             continue
         dom.add_item(item, index, capacity)
     best = int(np.argmax(dom.profits)) if len(dom) else 0
@@ -222,7 +224,7 @@ def solve_knapsack_multi_array(
     max_cap = max(capacities)
     dom = ArrayDominanceList()
     for index, item in enumerate(items):
-        if item.size > max_cap + _SIZE_EPS:
+        if item.size > max_cap + SIZE_EPS or item.profit == 0:
             continue
         dom.add_item(item, index, max_cap)
 

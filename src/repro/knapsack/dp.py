@@ -10,20 +10,30 @@ Two engines are provided:
   bounded by the number of distinct reachable sizes (≤ C+1 for integer sizes),
   so the worst case matches the dense DP while typical instances are far
   faster and float sizes are supported.  Solutions are recovered through
-  parent pointers.
+  parent pointers.  When no capacity binds, :func:`all_fit_solution`
+  returns the DP's own answer in ``O(n)`` without running it.
 
 Both return the optimal profit and the list of chosen item keys.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .items import KnapsackItem
 
-__all__ = ["solve_knapsack", "solve_knapsack_dense", "DominanceList", "Pair"]
+__all__ = ["solve_knapsack", "solve_knapsack_dense", "all_fit_solution", "DominanceList", "Pair"]
+
+#: A new state is cut when its size exceeds the capacity by more than this.
+SIZE_EPS = 1e-12
+#: A state is kept only if its profit beats every state of smaller or equal
+#: size by more than this.
+PROFIT_EPS = 1e-15
+#: States whose sizes differ by less than this count as the same size.
+TIE_EPS = 1e-15
 
 
 @dataclass
@@ -90,7 +100,7 @@ class DominanceList:
             new_size = pair.size + item.size
             if size_transform is not None:
                 new_size = size_transform(new_size)
-            if new_size > capacity + 1e-12:
+            if new_size > capacity + SIZE_EPS:
                 continue
             new_pairs.append(Pair(pair.profit + item.profit, new_size, item_index, pair))
         if not new_pairs:
@@ -110,9 +120,9 @@ def _merge_and_prune(old: List[Pair], new: List[Pair]) -> List[Pair]:
         else:
             candidate = new[j]
             j += 1
-        if merged and candidate.profit <= merged[-1].profit + 1e-15:
+        if merged and candidate.profit <= merged[-1].profit + PROFIT_EPS:
             continue  # dominated: not more profitable than a smaller-or-equal state
-        if merged and abs(candidate.size - merged[-1].size) < 1e-15:
+        if merged and abs(candidate.size - merged[-1].size) < TIE_EPS:
             # same size, higher profit: replace
             merged[-1] = candidate
             continue
@@ -130,21 +140,82 @@ def solve_knapsack(
 
     Returns ``(optimal_profit, chosen_items)``.  ``backend="vectorized"``
     runs the same DP on the NumPy array engine
-    (:func:`repro.knapsack.array_dp.solve_knapsack_array`).
+    (:func:`repro.knapsack.array_dp.solve_knapsack_array`).  When all items
+    fit together, :func:`all_fit_solution` answers instead, identically.
     """
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
+    solution = all_fit_solution(items, (capacity,))
+    if solution is not None:
+        return solution
     if backend == "vectorized":
         from .array_dp import solve_knapsack_array
 
         return solve_knapsack_array(items, capacity)
     dom = DominanceList()
     for index, item in enumerate(items):
-        if item.size > capacity + 1e-12:
+        # a zero-profit state ties its parent at a size no smaller: pruned
+        if item.size > capacity + SIZE_EPS or item.profit == 0:
             continue
         dom.add_item(item, index, capacity)
     best = max(dom.pairs, key=lambda p: p.profit)
     return best.profit, best.backtrack(items)
+
+
+def all_fit_solution(
+    items: Sequence[KnapsackItem],
+    capacities: Sequence[float],
+) -> Optional[Tuple[float, List[KnapsackItem]]]:
+    """The dominance-list DP's answer for every capacity in ``capacities``,
+    computed in ``O(n)``, or ``None`` when either guard below fails.
+
+    Let ``n = len(items)``, ``u = 2**-53`` (the unit round-off), ``S`` the
+    exact sum of the sizes and ``P`` that of the profits.
+
+    * **Sizes:** ``fsum(sizes) * (1 + 2nu) <= min(capacities)``.  A DP state's
+      size is a left-to-right float sum over a subset, at most
+      ``S * (1 + (n-1)u)`` to first order, and the guard's own rounding
+      costs at most ``2u`` of its ``2nu`` slack.  So every state fits under
+      every capacity, no item or state is cut at ``capacity + SIZE_EPS``, and
+      every capacity gets the most profitable state.
+    * **Profits:** every profit is ``0`` or above
+      ``q = max(4 * PROFIT_EPS, 8nu * P)``.  Let ``A`` be the set of all
+      positive-profit items among the first ``k``, and ``B`` any subset of
+      them whose positive items differ from ``A``'s, so ``B`` misses some
+      positive item ``i`` of ``A``.  Each float profit sum is
+      within ``nuP`` of its exact value, so ``A``'s float profit beats
+      ``B``'s by more than ``p_i - 2nuP >= 3p_i / 4 >= p_i / 2 + PROFIT_EPS``:
+      ``A`` is never pruned.  Its profit is the largest, so it is never
+      replaced by a same-size state either.
+
+    A zero-profit item's states tie their parents at no smaller size, so
+    the DP prunes them.  After the last item the DP's best state is
+    therefore ``A`` over all items.  Its profit is the left-to-right float
+    sum of the positive profits, and its items are listed in item order.
+    The walk below rebuilds exactly that.  It uses the DP's own prune test:
+    an item is taken iff it raises the running profit by more than
+    ``PROFIT_EPS``.  Under the profit guard, that holds exactly for the
+    positive items.
+    """
+    n = len(items)
+    try:
+        total_size = math.fsum(item.size for item in items)
+        total_profit = math.fsum(item.profit for item in items)
+    except OverflowError:  # sums beyond the float range: leave them to the DP
+        return None
+    if total_size * (1.0 + n * 2.0**-52) > min(capacities):
+        return None
+    floor = max(4 * PROFIT_EPS, n * 2.0**-50 * total_profit)
+    if any(0 < item.profit <= floor for item in items):
+        return None
+    profit = 0.0
+    chosen: List[KnapsackItem] = []
+    for item in items:
+        raised = profit + item.profit
+        if raised > profit + PROFIT_EPS:
+            profit = raised
+            chosen.append(item)
+    return profit, chosen
 
 
 def solve_knapsack_dense(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, List
 
@@ -17,10 +18,10 @@ class KnapsackItem:
     key:
         A hashable identifier (unique within an instance).
     size:
-        Non-negative size (weight).  Integer in most scheduling uses
+        Finite non-negative size (weight).  Integer in most scheduling uses
         (processor counts) but float sizes are supported by all solvers.
     profit:
-        Non-negative profit.
+        Finite non-negative profit.
     payload:
         Arbitrary attached object (e.g. the job the item represents); ignored
         by the solvers.
@@ -32,10 +33,9 @@ class KnapsackItem:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"item {self.key!r}: size must be non-negative, got {self.size}")
-        if self.profit < 0:
-            raise ValueError(f"item {self.key!r}: profit must be non-negative, got {self.profit}")
+        # false for NaN too, which a bare ``value < 0`` test lets through
+        if not (0 <= self.size < math.inf and 0 <= self.profit < math.inf):
+            _reject("item", self.key, self.size, self.profit)
 
 
 @dataclass
@@ -57,11 +57,14 @@ class ItemType:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"item type {self.key!r}: count must be >= 1, got {self.count}")
-        if self.size < 0:
-            raise ValueError(f"item type {self.key!r}: size must be non-negative")
-        if self.profit < 0:
-            raise ValueError(f"item type {self.key!r}: profit must be non-negative")
+        if not (0 <= self.size < math.inf and 0 <= self.profit < math.inf):
+            _reject("item type", self.key, self.size, self.profit)
         if self.members and len(self.members) != self.count:
             raise ValueError(
                 f"item type {self.key!r}: {len(self.members)} members listed but count is {self.count}"
             )
+
+
+def _reject(kind: str, key: Hashable, size: float, profit: float) -> None:
+    name, value = ("size", size) if not 0 <= size < math.inf else ("profit", profit)
+    raise ValueError(f"{kind} {key!r}: {name} must be finite and non-negative, got {value}")

@@ -1,6 +1,10 @@
 """Tests for knapsack item containers."""
 
+import math
+
 import pytest
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 from repro.knapsack.items import ItemType, KnapsackItem
 
@@ -23,6 +27,13 @@ class TestKnapsackItem:
     def test_zero_values_allowed(self):
         item = KnapsackItem(key="a", size=0, profit=0.0)
         assert item.size == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            KnapsackItem(key="a", size=value, profit=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            KnapsackItem(key="a", size=1, profit=value)
 
 
 class TestItemType:
@@ -48,3 +59,10 @@ class TestItemType:
             ItemType(key="t", size=-2, profit=3.0, count=1)
         with pytest.raises(ValueError):
             ItemType(key="t", size=2, profit=-3.0, count=1)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_size_or_profit(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ItemType(key="t", size=value, profit=3.0, count=1)
+        with pytest.raises(ValueError, match="finite"):
+            ItemType(key="t", size=2, profit=value, count=1)
