@@ -35,9 +35,24 @@ __all__ = [
     "ludwig_tiwari_estimator",
     "estimator_steps",
     "ESTIMATOR_TOL",
+    "geometric_midpoint",
     "makespan_lower_bound",
     "release_aware_lower_bound",
 ]
+
+
+def geometric_midpoint(lo: float, hi: float) -> float:
+    """``sqrt(lo * hi)`` for positive ``lo <= hi`` without overflow.
+
+    The plain product overflows to ``inf`` above ~1.3e154 and underflows to
+    ``0`` below ~1e-154, either of which would stall a bisection at one end
+    of its bracket.  Outside those ranges the result is bit-identical to
+    ``math.sqrt(lo * hi)``.
+    """
+    product = lo * hi
+    if 0.0 < product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(lo) * math.sqrt(hi)
 
 
 def trivial_lower_bound(jobs: Sequence[MoldableJob], m: int) -> float:
@@ -143,7 +158,7 @@ def ludwig_tiwari_estimator(
     for _ in range(ESTIMATOR_MAX_ITER):
         if hi <= lo * (1.0 + tol):
             break
-        mid = math.sqrt(lo * hi)
+        mid = geometric_midpoint(lo, hi)
         phi_mid = _phi(jobs, m, mid)
         if phi_mid is None or phi_mid > mid:
             lo = mid
@@ -203,7 +218,7 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
     for _ in range(ESTIMATOR_MAX_ITER):
         if hi <= lo * (1.0 + tol):
             break
-        mid = math.sqrt(lo * hi)
+        mid = geometric_midpoint(lo, hi)
         phi_mid = yield from _phi_steps(oracle, mid)
         if phi_mid is None or phi_mid > mid:
             lo = mid

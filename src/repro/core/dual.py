@@ -19,12 +19,11 @@ the search would discard anyway.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .backend import check_oracle
-from .bounds import EstimatorResult, ludwig_tiwari_estimator
+from .bounds import EstimatorResult, geometric_midpoint, ludwig_tiwari_estimator
 from .job import MoldableJob
 from .schedule import Schedule
 
@@ -88,7 +87,7 @@ def dual_search_steps(step, lower, upper, tolerance: float, estimate=None):
 
     iterations = 0
     while upper > lower * (1.0 + tolerance) and iterations < MAX_ITERATIONS:
-        mid = math.sqrt(lower * upper)
+        mid = geometric_midpoint(lower, upper)
         candidate = yield from step(mid)
         dual_calls += 1
         iterations += 1

@@ -18,8 +18,10 @@ This package makes *batched* evaluation the fast path of the library:
   with vectorized span normalization, so the vectorized drivers never leave
   array-land until the final object; :class:`ScheduleColumns` is the read-side
   view consumed by the vectorized validator and simulator sweeps.
-* :mod:`repro.perf.bench` — the scalar-vs-vectorized regression harness
-  behind ``benchmarks/bench_perf_suite.py`` and ``BENCH_perf.json``.
+
+The scalar-vs-vectorized regression harness that times these paths
+(``BENCH_perf.json``) lives outside the package, in
+``benchmarks/bench_perf_suite.py``.
 
 All vectorized paths are bit-for-bit compatible with the scalar reference
 implementations; the algorithm drivers select between them via their

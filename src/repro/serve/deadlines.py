@@ -1,9 +1,9 @@
 """Wall-clock deadlines on the monotonic clock.
 
 Shared by the fleet dispatcher (per-attempt worker deadlines) and the bench
-harness (per-shard pool timeouts, :mod:`repro.perf.bench`): one definition of
-"how much time is left", so the two enforcement sites cannot drift apart in
-clock source or expiry convention.
+harness (per-shard pool timeouts, ``benchmarks/bench_perf_suite.py``): one
+definition of "how much time is left", so the two enforcement sites cannot
+drift apart in clock source or expiry convention.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Tests for makespan bounds and the Ludwig–Tiwari estimator."""
 
+import math
+
 import pytest
 
 from repro.core.bounds import (
+    geometric_midpoint,
     ludwig_tiwari_estimator,
     makespan_lower_bound,
     serial_upper_bound,
@@ -11,6 +14,7 @@ from repro.core.bounds import (
 from repro.core.exact_small import exact_makespan
 from repro.core.job import AmdahlJob, PowerLawJob, TabulatedJob
 from repro.core.list_scheduling import list_schedule
+from repro.core.scheduler import schedule_moldable
 from repro.core.validation import assert_valid_schedule
 from repro.perf.oracle import BatchedOracle
 from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
@@ -97,6 +101,31 @@ class TestLudwigTiwariEstimator:
         assert result.omega > 0
         # every job could run on ~m/10 processors: OPT is tiny but positive
         assert result.omega <= serial_upper_bound(jobs)
+
+
+class TestGeometricMidpoint:
+    def test_bit_identical_where_the_product_is_finite(self):
+        for lo, hi in ((1.0, 2.0), (3.5e-100, 7.25e50), (1e-150, 1e150)):
+            assert geometric_midpoint(lo, hi) == math.sqrt(lo * hi)
+
+    @pytest.mark.parametrize("lo, hi", [(1e100, 1e300), (1e-300, 1e-100)])
+    def test_extreme_brackets_stay_strictly_inside(self, lo, hi):
+        mid = geometric_midpoint(lo, hi)
+        assert lo < mid < hi
+        assert mid == pytest.approx(1e200 if lo > 1 else 1e-200)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize(
+        "algorithm", ["bounded", "bounded_linear", "mrt", "compressible", "ptas"]
+    )
+    @pytest.mark.parametrize("t1", [1e160, 1e300, 1e-200])
+    def test_extreme_job_lengths_keep_the_guarantee(self, t1, algorithm, backend):
+        """A job length whose square overflows (or underflows) must not pin
+        the dual search at its bracket end: the makespan stays within the
+        driver's guarantee of the certified lower bound."""
+        jobs = [AmdahlJob("h", t1, 0.0), AmdahlJob("g", 1.0, 0.5)]
+        result = schedule_moldable(jobs, 64, 0.1, algorithm=algorithm, backend=backend)
+        assert result.makespan <= result.guarantee * result.lower_bound
 
 
 class TestMakespanLowerBound:

@@ -1,20 +1,30 @@
 """Unit tests for the multi-family sharded bench harness (no timing runs)."""
 
 import json
+import os
+import sys
 
 import pytest
 
-from repro.perf.bench import (
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks"))
+
+from bench_perf_suite import (  # noqa: E402
     ALL_ALGORITHMS,
+    GATES,
     BenchReport,
     BenchRow,
+    BenchShardTimeout,
     DEFAULT_FAMILIES,
     FAMILIES,
     TABLE1_ALGORITHMS,
+    _HUGE_MS,
+    _MEGA_FLEETS,
     _aggregate,
+    _collect_pool_rows,
     _configs,
     _normalize_families,
     check_regression,
+    run_suite,
 )
 
 
@@ -77,7 +87,7 @@ class TestConfigs:
             for c in _configs("smoke", list(DEFAULT_FAMILIES))
             if c["algorithm"] == "list_schedule" and c["family"] == "chain"
         ]
-        # the smoke gate keeps the deep-queue regime under --min-list-schedule
+        # the smoke gate keeps the deep-queue regime under the event-queue floor
         assert [c["n"] for c in smoke] == [2000]
 
     def test_smoke_round_robins_families(self):
@@ -123,8 +133,6 @@ class TestConfigs:
             assert all(c["family"] not in ("tiny_n_huge_m", "chain") for c in rows)
 
     def test_huge_m_rows_present_in_both_modes(self):
-        from repro.perf.bench import _HUGE_MS
-
         for mode in ("smoke", "full"):
             configs = _configs(mode, list(DEFAULT_FAMILIES))
             rows = [c for c in configs if c["algorithm"] == "huge_m"]
@@ -138,8 +146,6 @@ class TestConfigs:
             assert all(c["family"] not in ("tiny_n_huge_m", "chain") for c in rows)
 
     def test_megabatch_rows_present_in_both_modes(self):
-        from repro.perf.bench import _MEGA_FLEETS
-
         for mode in ("smoke", "full"):
             configs = _configs(mode, list(DEFAULT_FAMILIES))
             rows = [c for c in configs if c["algorithm"] == "megabatch"]
@@ -161,13 +167,172 @@ class TestConfigs:
             assert instance.n == 6
 
 
-class TestAggregatesAndGate:
-    def _report(self, rows):
-        report = BenchReport(mode="full", seed=1, rows=rows)
-        report.identical_makespans = all(r.makespans_identical for r in rows)
-        report.aggregates = _aggregate(rows)
-        return report
+def _serve_bench_row(
+    healthy=1.0, chaos=4.0, instances=12, degraded=1, quarantined=0, identical=True
+):
+    return BenchRow(
+        algorithm="serve",
+        family="mixed",
+        n=40,
+        m=64,
+        eps=0.1,
+        scalar_seconds=healthy,
+        vectorized_seconds=chaos,
+        speedup=healthy / chaos,
+        scalar_makespan=100.0,
+        vectorized_makespan=100.0 if identical else 101.0,
+        makespans_identical=identical,
+        serve_instances=instances,
+        serve_degraded=degraded,
+        serve_quarantined=quarantined,
+    )
 
+
+def _chain_row(speedup, n=2000):
+    row = _row("list_schedule", "chain", n, speedup)
+    row.m = max(64, n // 16)
+    return row
+
+
+def _replan_row(algorithm, probes=(120, 1000), replans=4, warm_seconds=0.5):
+    row = _row(algorithm, "mixed", 80, 1.0)
+    row.m = 64
+    row.gamma_probes_warm, row.gamma_probes_cold = probes
+    row.replans = replans
+    row.vectorized_seconds = warm_seconds
+    return row
+
+
+def _mega_row(speedup, fleet=32):
+    row = _row("megabatch", "mixed", 6, speedup)
+    row.m = 48
+    row.mega_fleet = fleet
+    return row
+
+
+def _huge_m_row(speedup):
+    row = _row("huge_m", "mixed", 2000, speedup)
+    row.m = (1 << 53) + 1
+    return row
+
+
+def _label(row):
+    return f"{row.algorithm}/{row.family} (n={row.n}, m={row.m})"
+
+
+@pytest.fixture
+def floors_only(tmp_path):
+    """A baseline without speedup aggregates: only the floors are checked."""
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps({"aggregates": {}}))
+    return str(baseline)
+
+
+def _report(rows):
+    report = BenchReport(mode="full", seed=1, rows=rows)
+    report.identical_makespans = all(r.makespans_identical for r in rows)
+    report.aggregates = _aggregate(rows)
+    return report
+
+
+#: Per gated aggregate: its floor, the algorithms whose rows a failure
+#: names, and one row entry the failure over :func:`_gate_rows` must carry.
+GATE_SPECS = {
+    "fptas_two_approx_table1_geomean_n1000": (
+        8.0, {"fptas", "two_approx"}, "two_approx/mixed (n=2000, m=16000): 6.00x",
+    ),
+    "speedup_list_schedule_n1000": (
+        2.0, {"list_schedule"}, "list_schedule/chain (n=2000, m=125): 1.10x",
+    ),
+    "recovery_probe_reduction": (
+        0.5, {"recovery"}, "warm 700 vs cold 1000 over 4 re-plans",
+    ),
+    "online_probe_reduction": (
+        0.5, {"online"}, "warm 700 vs cold 1000 over 6 re-plans",
+    ),
+    "serve_throughput_healthy": (
+        0.5, {"serve"}, "12 instances in healthy 1.00s / chaos 60.00s (1 degraded, 0 quarantined)",
+    ),
+    "serve_throughput_chaos": (
+        0.5, {"serve"}, "12 instances in healthy 1.00s / chaos 60.00s (1 degraded, 0 quarantined)",
+    ),
+    "speedup_huge_m": (
+        2.0, {"huge_m"}, "huge_m/mixed (n=2000, m=9007199254740993): 1.50x",
+    ),
+    "megabatch_speedup": (
+        2.25, {"megabatch"}, "1.20x (fleet=32), megabatch/mixed (n=6, m=48): 1.80x (fleet=128)",
+    ),
+}
+
+
+def _gate_rows():
+    """Rows of every gated algorithm (two of some, out of order), plus an
+    ungated one."""
+    return [
+        _row("mrt", "mixed", 1000, 4.0),
+        _row("fptas", "mixed", 2000, 5.0),
+        _row("two_approx", "mixed", 2000, 6.0),
+        _row("list_schedule", "mixed", 2000, 3.0),
+        _chain_row(1.1),
+        _replan_row("recovery", probes=(700, 1000), replans=4),
+        _replan_row("online", probes=(700, 1000), replans=6),
+        _serve_bench_row(healthy=1.0, chaos=60.0),
+        _huge_m_row(1.5),
+        _mega_row(1.8, fleet=128),
+        _mega_row(1.2, fleet=32),
+    ]
+
+
+class TestGates:
+    def test_gate_table_floors(self):
+        assert {gate.keys[0]: gate.floor for gate in GATES} == {
+            key: spec[0] for key, spec in GATE_SPECS.items()
+        }
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.keys[0])
+    def test_gate_fails_below_its_floor_and_passes_at_it(self, gate, floors_only):
+        key = gate.keys[0]
+        _, algorithms, entry = GATE_SPECS[key]
+        rows = _gate_rows()
+        report = BenchReport(mode="full", seed=1, rows=rows)
+        report.aggregates = {key: gate.floor * (1.0 - 1e-9)}
+        (failure,) = check_regression(report, floors_only)
+        assert failure.startswith(f"{key}: ") and f"fell below the {gate.name}" in failure
+        assert entry in failure
+        for row in rows:
+            assert (_label(row) in failure) == (row.algorithm in algorithms), _label(row)
+        report.aggregates = {key: gate.floor}
+        assert not check_regression(report, floors_only)
+
+    def test_assembly_floor_names_mixed_rows_slowest_first(self, floors_only):
+        rows = [
+            _row("two_approx", "mixed", 2000, 5.0),
+            _row("fptas", "mixed", 2000, 3.0),
+            _row("fptas", "comm", 2000, 1.0),
+        ]
+        message = "\n".join(check_regression(_report(rows), floors_only))
+        assert "fptas_two_approx_table1_geomean_n1000" in message
+        assert message.index("fptas/mixed") < message.index("two_approx/mixed")
+        # only the Table-1 rows feed the gated geomean
+        assert "fptas/comm" not in message
+
+    def test_assembly_floor_falls_back_to_all_families(self, floors_only):
+        rows = [_row("fptas", "comm", 2000, 5.0), _row("two_approx", "bimodal", 2000, 6.0)]
+        message = "\n".join(check_regression(_report(rows), floors_only))
+        assert message.startswith("fptas_two_approx_geomean_n1000: ")
+        assert "fptas/comm" in message and "two_approx/bimodal" in message
+
+    def test_gates_parameter_takes_a_sub_table(self, floors_only):
+        report = _report([_chain_row(1.1), _mega_row(1.2)])
+        assert len(check_regression(report, floors_only)) == 2
+        (failure,) = check_regression(
+            report, floors_only, gates=[g for g in GATES if "megabatch_speedup" in g.keys]
+        )
+        assert failure.startswith("megabatch_speedup: ")
+        assert not check_regression(report, floors_only, gates=())
+
+
+class TestAggregatesAndGate:
     def test_assembly_geomean_aggregate(self):
         rows = [
             _row("fptas", "mixed", 1000, 8.0),
@@ -185,90 +350,26 @@ class TestAggregatesAndGate:
         )
         assert aggregates["speedup_fptas_n1000"] == pytest.approx(12.0)
 
-    def test_floor_gate_fails_below_eight(self, tmp_path):
-        rows = [_row("fptas", "mixed", 2000, 5.0), _row("two_approx", "mixed", 2000, 5.0)]
-        report = self._report(rows)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(report, str(baseline))
-        assert any("columnar-assembly floor" in f for f in failures)
-        assert not check_regression(
-            report, str(baseline), min_fptas_two_approx=None
-        )
-
-    def test_relative_regression_detected(self, tmp_path):
-        rows = [_row("mrt", "mixed", 1000, 4.0)]
-        report = self._report(rows)
+    def test_relative_regression_failure_names_rows(self, tmp_path):
+        report = _report([_row("mrt", "comm", 1000, 4.0)])
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"aggregates": {"speedup_mrt": 20.0}}))
-        failures = check_regression(report, str(baseline), min_fptas_two_approx=None)
-        assert any("speedup_mrt" in f for f in failures)
+        (failure,) = check_regression(report, str(baseline))
+        assert failure.startswith("speedup_mrt: speedup 4.00x fell below 10.00x")
+        assert "mrt/comm" in failure
 
-    def test_makespan_mismatch_fails_gate(self, tmp_path):
-        rows = [_row("mrt", "mixed", 1000, 10.0, identical=False)]
-        report = self._report(rows)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(report, str(baseline), min_fptas_two_approx=None)
-        assert any("different makespans" in f for f in failures)
-
-    def test_makespan_mismatch_names_the_offending_rows(self, tmp_path):
+    def test_makespan_mismatch_names_the_offending_rows(self, floors_only):
         """A red gate must point at the failing algorithm/family pair, not
         just report the aggregate verdict."""
         rows = [
             _row("mrt", "mixed", 1000, 10.0),
             _row("fptas", "bimodal", 2000, 9.0, identical=False),
         ]
-        report = self._report(rows)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-        message = "\n".join(failures)
+        message = "\n".join(check_regression(_report(rows), floors_only))
+        assert "different makespans" in message
         assert "fptas/bimodal" in message
         assert "n=2000" in message
         assert "mrt/mixed" not in message
-
-    def test_assembly_floor_failure_names_contributing_rows(self, tmp_path):
-        rows = [
-            _row("fptas", "mixed", 2000, 3.0),
-            _row("two_approx", "mixed", 2000, 5.0),
-        ]
-        report = self._report(rows)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(report, str(baseline), min_list_schedule=None)
-        message = "\n".join(failures)
-        assert "columnar-assembly floor" in message
-        # slowest row first, both named
-        assert message.index("fptas/mixed") < message.index("two_approx/mixed")
-        assert "3.00x" in message and "5.00x" in message
-
-    def test_list_schedule_floor_gate(self, tmp_path):
-        rows = [_row("list_schedule", "mixed", 2000, 1.3)]
-        report = self._report(rows)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(report, str(baseline), min_fptas_two_approx=None)
-        message = "\n".join(failures)
-        assert "event-queue floor" in message and "list_schedule/mixed" in message
-        assert not check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-        assert not check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=1.0
-        )
-
-    def test_relative_regression_failure_names_rows(self, tmp_path):
-        rows = [_row("mrt", "comm", 1000, 4.0)]
-        report = self._report(rows)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {"speedup_mrt": 20.0}}))
-        failures = check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-        assert any("mrt/comm" in f for f in failures)
 
     def test_gamma_probe_aggregates(self):
         rows = [
@@ -285,14 +386,9 @@ class TestAggregatesAndGate:
         aggregates = _aggregate([_row("mrt", "mixed", 1000, 5.0)])
         assert "gamma_probe_reduction" not in aggregates
 
-    def _chain_row(self, speedup, n=2000):
-        row = _row("list_schedule", "chain", n, speedup)
-        row.m = max(64, n // 16)
-        return row
-
     def test_chain_rows_feed_the_list_schedule_geomean(self):
         rows = [
-            self._chain_row(16.0),
+            _chain_row(16.0),
             _row("list_schedule", "mixed", 2000, 4.0),
             _row("mrt", "mixed", 1000, 5.0),
         ]
@@ -300,34 +396,10 @@ class TestAggregatesAndGate:
         assert aggregates["speedup_list_schedule_n1000"] == pytest.approx(8.0)
         assert not any(key.startswith("candidate_") for key in aggregates)
 
-    def test_list_schedule_floor_names_chain_rows(self, tmp_path):
-        """The event-queue floor covers the deep-queue chain rows and names
-        them when they drag the geomean under it."""
-        report = self._report([self._chain_row(1.1)])
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=2.0
-        )
-        message = "\n".join(failures)
-        assert "event-queue floor" in message
-        assert "list_schedule/chain" in message
-        assert not check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-
-    def _recovery_row(self, probes=(120, 1000), replans=4, warm_seconds=0.5):
-        row = _row("recovery", "mixed", 80, 1.0)
-        row.m = 64
-        row.gamma_probes_warm, row.gamma_probes_cold = probes
-        row.replans = replans
-        row.vectorized_seconds = warm_seconds
-        return row
-
     def test_recovery_aggregates(self):
         rows = [
-            self._recovery_row(probes=(100, 800), replans=3, warm_seconds=0.5),
-            self._recovery_row(probes=(100, 200), replans=5, warm_seconds=1.5),
+            _replan_row("recovery", probes=(100, 800), replans=3, warm_seconds=0.5),
+            _replan_row("recovery", probes=(100, 200), replans=5, warm_seconds=1.5),
             # fptas probes must stay out of the recovery aggregate (and the
             # recovery probes out of gamma_probe_reduction)
             _row("fptas", "mixed", 2000, 10.0, probes=(300, 1000)),
@@ -342,47 +414,13 @@ class TestAggregatesAndGate:
         assert aggregates["gamma_probes_cold_total"] == 1000.0
         assert "recovery_probe_reduction" not in _aggregate(rows[-1:])
 
-    def test_recovery_floor_gate_names_rows_and_counters(self, tmp_path):
-        report = self._report([self._recovery_row(probes=(700, 1000))])
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-        message = "\n".join(failures)
-        assert "re-plan warm-start floor" in message
-        assert "recovery/mixed" in message
-        assert "warm 700 vs cold 1000" in message and "4 re-plans" in message
-        assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_recovery=None,
-        )
-        assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_recovery=0.25,
-        )
-
-    def _online_row(self, probes=(120, 1000), replans=6, warm_seconds=0.5):
-        row = _row("online", "mixed", 80, 1.0)
-        row.m = 64
-        row.gamma_probes_warm, row.gamma_probes_cold = probes
-        row.replans = replans
-        row.vectorized_seconds = warm_seconds
-        return row
-
     def test_online_aggregates(self):
         rows = [
-            self._online_row(probes=(150, 900), replans=4, warm_seconds=0.5),
-            self._online_row(probes=(50, 100), replans=6, warm_seconds=1.5),
+            _replan_row("online", probes=(150, 900), replans=4, warm_seconds=0.5),
+            _replan_row("online", probes=(50, 100), replans=6, warm_seconds=1.5),
             # recovery probes must stay out of the online aggregate and
             # vice versa — same counters, different warm-start policies
-            self._recovery_row(probes=(100, 800)),
+            _replan_row("recovery", probes=(100, 800)),
         ]
         aggregates = _aggregate(rows)
         assert aggregates["online_probes_warm_total"] == 200.0
@@ -393,43 +431,11 @@ class TestAggregatesAndGate:
         assert aggregates["recovery_probes_cold_total"] == 800.0
         assert "online_probe_reduction" not in _aggregate(rows[-1:])
 
-    def test_online_floor_gate_names_rows_and_counters(self, tmp_path):
-        report = self._report([self._online_row(probes=(700, 1000))])
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-        message = "\n".join(failures)
-        assert "arrival-epoch warm-start floor" in message
-        assert "online/mixed" in message
-        assert "warm 700 vs cold 1000" in message and "6 re-plans" in message
-        assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_online=None,
-        )
-        assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_online=0.25,
-        )
-
-    def _mega_row(self, speedup, fleet=32):
-        row = _row("megabatch", "mixed", 6, speedup)
-        row.m = 48
-        row.mega_fleet = fleet
-        return row
-
     def test_megabatch_aggregates_gate_on_large_fleets_only(self):
         rows = [
-            self._mega_row(2.0, fleet=8),
-            self._mega_row(3.0, fleet=32),
-            self._mega_row(12.0, fleet=128),
+            _mega_row(2.0, fleet=8),
+            _mega_row(3.0, fleet=32),
+            _mega_row(12.0, fleet=128),
             _row("mrt", "mixed", 1000, 5.0),
         ]
         aggregates = _aggregate(rows)
@@ -445,67 +451,29 @@ class TestAggregatesAndGate:
         assert aggregates["speedup_geomean_all"] == pytest.approx(5.0)
         assert "megabatch_speedup" not in _aggregate(rows[-1:])
 
-    def test_megabatch_floor_gate_names_rows_and_fleets(self, tmp_path):
-        report = self._report(
-            [self._mega_row(1.2, fleet=32), self._mega_row(1.8, fleet=128)]
-        )
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-        message = "\n".join(failures)
-        assert "mega-batch lockstep floor" in message
-        assert "megabatch/mixed" in message
-        assert "fleet=32" in message and "fleet=128" in message
-        # slowest row first
-        assert message.index("1.20x") < message.index("1.80x")
-        assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_megabatch=None,
-        )
-        assert not check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_list_schedule=None,
-            min_megabatch=1.0,
-        )
-
     def test_stale_baseline_missing_row_fails_with_named_message(self, tmp_path):
         """A baseline that predates freshly added rows must fail the gate
         with a message naming the missing aggregate and its rows — not pass
         silently and not raise a KeyError."""
-        rows = [_row("mrt", "mixed", 1000, 5.0), self._chain_row(1.6)]
-        report = self._report(rows)
+        report = _report([_row("mrt", "mixed", 1000, 5.0), _chain_row(1.6)])
         baseline = tmp_path / "baseline.json"
         # an old baseline: knows mrt, predates the list_schedule rows
         baseline.write_text(
             json.dumps({"aggregates": {"speedup_mrt": 5.0, "speedup_mrt_n1000": 5.0}})
         )
-        failures = check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
-        message = "\n".join(failures)
+        message = "\n".join(check_regression(report, str(baseline), gates=()))
         assert "speedup_list_schedule" in message
         assert "no reference" in message and "re-record" in message
         assert "list_schedule/chain" in message
         # a deliberately aggregate-free baseline still means "floors only"
         baseline.write_text(json.dumps({"aggregates": {}}))
-        assert not check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_list_schedule=None
-        )
+        assert not check_regression(report, str(baseline), gates=())
 
 
 class TestShardedRun:
     def test_pool_rows_match_sequential(self):
         """The pooled run must merge per-shard rows in configuration order
         with identical (deterministic) makespans — only timings may differ."""
-        from repro.perf.bench import run_suite
-
         sequential = run_suite(
             "smoke", seed=3, repeat=1, verbose=False, families=["mixed"], processes=1
         )
@@ -532,34 +500,7 @@ class TestSmokeFamilySelection:
         assert any(c["n"] >= 1000 for c in gates)
 
 
-def _serve_bench_row(
-    healthy=1.0, chaos=4.0, instances=12, degraded=1, quarantined=0, identical=True
-):
-    return BenchRow(
-        algorithm="serve",
-        family="mixed",
-        n=40,
-        m=64,
-        eps=0.1,
-        scalar_seconds=healthy,
-        vectorized_seconds=chaos,
-        speedup=healthy / chaos,
-        scalar_makespan=100.0,
-        vectorized_makespan=100.0 if identical else 101.0,
-        makespans_identical=identical,
-        serve_instances=instances,
-        serve_degraded=degraded,
-        serve_quarantined=quarantined,
-    )
-
-
 class TestServeRowsAndPoolTimeout:
-    def _report(self, rows):
-        report = BenchReport(mode="full", seed=1, rows=rows)
-        report.identical_makespans = all(r.makespans_identical for r in rows)
-        report.aggregates = _aggregate(rows)
-        return report
-
     def test_serve_rows_feed_throughput_not_speedups(self):
         rows = [_row("fptas", "mixed", 2000, 12.0), _serve_bench_row()]
         aggregates = _aggregate(rows)
@@ -573,30 +514,7 @@ class TestServeRowsAndPoolTimeout:
         assert aggregates["serve_degraded_total"] == 1.0
         assert aggregates["serve_quarantined_total"] == 0.0
 
-    def test_serve_throughput_floor_names_rows(self, tmp_path):
-        rows = [_serve_bench_row(healthy=1.0, chaos=60.0)]
-        report = self._report(rows)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        failures = check_regression(
-            report,
-            str(baseline),
-            min_fptas_two_approx=None,
-            min_serve_throughput=0.5,
-        )
-        message = "\n".join(failures)
-        assert "serve_throughput_chaos" in message
-        assert "serve/mixed" in message
-        assert "1 degraded, 0 quarantined" in message
-        # the healthy leg (12 instances/s) clears the floor
-        assert "serve_throughput_healthy" not in message
-        assert not check_regression(
-            report, str(baseline), min_fptas_two_approx=None, min_serve_throughput=None
-        )
-
     def test_collect_pool_rows_times_out_with_named_rows(self):
-        from repro.perf.bench import BenchShardTimeout, _collect_pool_rows
-
         class _Hung:
             def get(self, timeout=None):
                 import multiprocessing as mp
@@ -619,8 +537,6 @@ class TestServeRowsAndPoolTimeout:
         assert "mrt/mixed" not in str(excinfo.value)
 
     def test_collect_pool_rows_no_timeout(self):
-        from repro.perf.bench import _collect_pool_rows
-
         row = _row("mrt", "mixed", 100, 2.0)
         task = ({"algorithm": "mrt", "family": "mixed", "n": 100, "m": 800}, 1, 1)
 
