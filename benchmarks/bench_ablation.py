@@ -4,7 +4,6 @@
   (the paper predicts a ``1/eps^2``-ish growth of the knapsack size);
 * compression threshold: Algorithm 1 with all items treated as incompressible
   (i.e. plain multi-capacity knapsack) versus with compression enabled;
-* transformation data structure: heap (Section 4.3) vs buckets (Section 4.3.3);
 * knapsack engine inside MRT: dense table vs dominance list.
 """
 
@@ -29,17 +28,10 @@ def workload():
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4])
 def test_ablation_accuracy_sweep(benchmark, workload, eps):
     instance, d = workload
-    schedule = benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, eps, transform="heap"))
+    schedule = benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, eps))
     benchmark.extra_info["eps"] = eps
     if schedule is not None:
         benchmark.extra_info["num_item_types"] = schedule.metadata.get("num_item_types")
-
-
-@pytest.mark.parametrize("transform", ["heap", "bucket"])
-def test_ablation_transform_data_structure(benchmark, workload, transform):
-    instance, d = workload
-    benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, 0.2, transform=transform))
-    benchmark.extra_info["transform"] = transform
 
 
 @pytest.mark.parametrize("knapsack", ["dense", "pairs"])

@@ -43,8 +43,8 @@ def test_crossover_algorithm1_compressible(benchmark, m):
 
 
 @pytest.mark.parametrize("m", [256, 1024, 4096, 16384])
-def test_crossover_algorithm3_bounded_linear(benchmark, m):
+def test_crossover_algorithm3_bounded(benchmark, m):
     jobs, d = _workload(m)
-    schedule = benchmark(lambda: bounded_dual(jobs, m, d, EPS, transform="bucket"))
+    schedule = benchmark(lambda: bounded_dual(jobs, m, d, EPS))
     assert schedule is not None
     benchmark.extra_info["m"] = m

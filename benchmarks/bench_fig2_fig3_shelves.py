@@ -79,18 +79,3 @@ def test_fig3_three_shelf_construction(benchmark, n, m):
     assert_valid_schedule(schedule, instance.jobs, max_makespan=1.5 * d)
     benchmark.extra_info["s0_processors"] = diag.shelf0_processors
     benchmark.extra_info["moved_from_shelf2"] = diag.moved_from_shelf2
-
-
-@pytest.mark.parametrize("transform", ["heap", "bucket"])
-def test_fig3_transform_variants(benchmark, transform):
-    """Section 4.3.3 ablation: heap-based vs bucketed transformation rules."""
-    instance = random_mixed_instance(200, 128, seed=5)
-    omega = ludwig_tiwari_estimator(instance.jobs, 128).omega
-    d = 1.2 * omega
-    shelf1 = _select_shelf1(instance.jobs, 128, d)
-    assert shelf1 is not None
-    schedule = benchmark(
-        lambda: build_three_shelf_schedule(instance.jobs, 128, d, shelf1, transform=transform)
-    )
-    if schedule is not None:
-        assert schedule.makespan <= 1.5 * d * (1 + 1e-9)

@@ -63,7 +63,7 @@ from repro.workloads.generators import (  # noqa: E402
 
 #: Algorithms whose n>=1000 speedups form the headline geometric mean (the
 #: paper's Table 1 covers the (3/2+eps) dual algorithms; MRT is its baseline).
-TABLE1_ALGORITHMS = ("mrt", "compressible", "bounded_heap", "bounded_bucket")
+TABLE1_ALGORITHMS = ("mrt", "compressible", "bounded_heap")
 
 #: Algorithms whose γ-probe counts are recorded warm vs cold (the oracle
 #: warm-start instrumentation rows).
@@ -186,13 +186,7 @@ def _runner_for(algorithm: str) -> Callable:
     if algorithm == "compressible":
         return lambda jobs, m, backend: compressible_schedule(jobs, m, SCHEDULE_EPS, backend=backend)
     if algorithm == "bounded_heap":
-        return lambda jobs, m, backend: bounded_schedule(
-            jobs, m, SCHEDULE_EPS, transform="heap", backend=backend
-        )
-    if algorithm == "bounded_bucket":
-        return lambda jobs, m, backend: bounded_schedule(
-            jobs, m, SCHEDULE_EPS, transform="bucket", backend=backend
-        )
+        return lambda jobs, m, backend: bounded_schedule(jobs, m, SCHEDULE_EPS, backend=backend)
     if algorithm == "fptas":
         return lambda jobs, m, backend: fptas_schedule(jobs, m, FPTAS_EPS, backend=backend)
     if algorithm == "two_approx":

@@ -7,8 +7,9 @@ the same workload; the parametrised variants sweep ``n`` (at fixed ``m``) and
 pytest-benchmark report:
 
 * Section 4.2.5 grows super-linearly in ``n`` (it carries an ``n^2 log`` term);
-* Section 4.3 and 4.3.3 grow (near-)linearly in ``n``;
-* all three grow only polylogarithmically in ``m``.
+* Section 4.3 grows (near-)linearly in ``n`` (its linear variant of Section
+  4.3.3 is the same code: the piggyback host search is one linear scan);
+* both grow only polylogarithmically in ``m``.
 """
 
 from __future__ import annotations
@@ -47,13 +48,7 @@ class TestTable1BaseCase:
     def test_section_4_3_bounded_heap(self, benchmark, base_instance):
         instance, omega = base_instance
         d = D_FACTOR * omega
-        schedule = benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, EPS, transform="heap"))
-        bench_check(schedule)
-
-    def test_section_4_3_3_bounded_bucket(self, benchmark, base_instance):
-        instance, omega = base_instance
-        d = D_FACTOR * omega
-        schedule = benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, EPS, transform="bucket"))
+        schedule = benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, EPS))
         bench_check(schedule)
 
 
@@ -67,10 +62,10 @@ class TestTable1ScalingInN:
         benchmark.extra_info["n"] = n
         bench_check(benchmark(lambda: compressible_dual(jobs, m, d, EPS)))
 
-    def test_section_4_3_3_bounded_bucket(self, benchmark, n):
+    def test_section_4_3_bounded_heap(self, benchmark, n):
         jobs, m, d = _workload(n, self.M)
         benchmark.extra_info["n"] = n
-        bench_check(benchmark(lambda: bounded_dual(jobs, m, d, EPS, transform="bucket")))
+        bench_check(benchmark(lambda: bounded_dual(jobs, m, d, EPS)))
 
 
 # ---------------------------------------------------------------- m scaling
@@ -83,10 +78,10 @@ class TestTable1ScalingInM:
         benchmark.extra_info["m"] = m
         bench_check(benchmark(lambda: compressible_dual(jobs, m, d, EPS)))
 
-    def test_section_4_3_3_bounded_bucket(self, benchmark, m):
+    def test_section_4_3_bounded_heap(self, benchmark, m):
         jobs, _, d = _workload(self.N, m)
         benchmark.extra_info["m"] = m
-        bench_check(benchmark(lambda: bounded_dual(jobs, m, d, EPS, transform="bucket")))
+        bench_check(benchmark(lambda: bounded_dual(jobs, m, d, EPS)))
 
 
 # -------------------------------------------------------------- eps scaling
@@ -96,4 +91,4 @@ class TestTable1ScalingInEps:
         instance, omega = base_instance
         d = D_FACTOR * omega
         benchmark.extra_info["eps"] = eps
-        bench_check(benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, eps, transform="heap")))
+        bench_check(benchmark(lambda: bounded_dual(instance.jobs, instance.m, d, eps)))

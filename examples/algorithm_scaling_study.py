@@ -32,7 +32,7 @@ def main() -> None:
     n = 120
     eps = 0.2
     print(f"one (3/2+eps)-dual step, n = {n}, eps = {eps}\n")
-    header = f"{'m':>8} {'MRT O(nm) [s]':>15} {'Alg.1 (4.2.5) [s]':>18} {'Alg.3 (4.3.3) [s]':>18} {'speedup':>9}"
+    header = f"{'m':>8} {'MRT O(nm) [s]':>15} {'Alg.1 (4.2.5) [s]':>18} {'Alg.3 (4.3) [s]':>18} {'speedup':>9}"
     print(header)
     print("-" * len(header))
 
@@ -44,7 +44,7 @@ def main() -> None:
 
         t_mrt = time_once(lambda: mrt_dual(instance.jobs, m, d, knapsack="dense"))
         t_alg1 = time_once(lambda: compressible_dual(instance.jobs, m, d, eps))
-        t_alg3 = time_once(lambda: bounded_dual(instance.jobs, m, d, eps, transform="bucket"))
+        t_alg3 = time_once(lambda: bounded_dual(instance.jobs, m, d, eps))
         speedup = t_mrt / min(t_alg1, t_alg3)
         print(f"{m:>8} {t_mrt:>15.4f} {t_alg1:>18.4f} {t_alg3:>18.4f} {speedup:>8.1f}x")
 

@@ -39,17 +39,15 @@ MAX_VECTORIZED_M = MAX_COLUMNAR_M
 #   jobs = random_mixed_instance(n, m, seed=1).jobs
 #   schedule_moldable(jobs, m, 0.1, algorithm=alg, backend=backend)
 # On a 2-core Xeon, Python 3.11: bounded at m=64 (Algorithm 3 proper) crosses
-# at n~100; fptas at m=2**20 (also bounded's m >= 16n branch) at n~40;
-# two_approx at m=64 and m=4000 at n~55-70.  A 0 keeps the vectorized backend
-# until the algorithm is measured.
+# at n~100; fptas at m=2**20 (also the m >= 16n branch of bounded and
+# compressible) at n~40; two_approx at m=64 and m=4000 at n~55-70.  A 0 keeps
+# the vectorized backend until the algorithm is measured.
 AUTO_VECTORIZED_MIN_N = {
     "fptas": 40,
     "two_approx": 64,
     "bounded": 96,
-    "bounded_linear": 96,
     "mrt": 0,
     "compressible": 0,
-    "ptas": 0,
 }
 
 
@@ -59,11 +57,11 @@ def auto_backend(algorithm: str, n: int, m: int) -> str:
     if int(m) > MAX_VECTORIZED_M:
         return "scalar"
     row = algorithm
-    if algorithm in ("bounded", "bounded_linear"):
+    if algorithm in ("bounded", "compressible"):
         from .bounded_algorithm import LARGE_M_FACTOR
 
         if m >= LARGE_M_FACTOR * n:
-            row = "fptas"  # Algorithm 3's large-m branch runs the FPTAS dual
+            row = "fptas"  # the shelf dual's large-m branch runs the FPTAS dual
     return "scalar" if n < AUTO_VECTORIZED_MIN_N[row] else "vectorized"
 
 

@@ -1,4 +1,7 @@
-"""Algorithm 3 (Section 4.3) and its linear-time variant (Section 4.3.3).
+"""The shelf dual step (Section 4.1) and Algorithm 3 (Section 4.3).
+
+:func:`shelf_dual` is the Mounié–Rapine–Trystram step all the `(3/2+eps)`
+algorithms share; they differ only in the shelf-1 knapsack they pass it.
 
 Compared to Algorithm 1 the knapsack gets *much* smaller: the big jobs are
 first rounded into ``O(poly(1/eps) polylog(m))`` item **types**
@@ -12,18 +15,18 @@ and ``rho = (sqrt(1+delta)-1)/4`` the selected jobs are scheduled for the
 inflated target ``d' = (1+delta)^2 d``, giving makespan at most
 ``(3/2)(1+delta)^2 d <= (3/2+eps) d``.
 
-The ``transform="bucket"`` flag switches the three-shelf construction to the
-bucketed piggyback search of Section 4.3.3, which removes the remaining
-``O(n log n)`` term and makes the whole dual step linear in ``n``.
+The facade's ``"bounded_linear"`` (Section 4.3.3) is an alias: its bucketed
+piggyback-host search returns the shortest host, the one a linear scan finds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..knapsack.bounded import assign_members, expand_bounded_items, selected_counts
 from ..knapsack.compressible import solve_compressible_knapsack
+from ..knapsack.items import KnapsackItem
 from .backend import resolve_backend
 from .dual import DualSearchResult, dual_binary_search
 from .fptas import fptas_dual
@@ -33,15 +36,95 @@ from .schedule import Schedule
 from .shelves import build_three_shelf_schedule, split_big_jobs
 from .validation import assert_valid_schedule
 
-__all__ = ["bounded_dual", "bounded_schedule"]
+__all__ = ["shelf_dual", "bounded_dual", "bounded_schedule", "LARGE_M_FACTOR"]
 
-#: Same large-m dispatch as Algorithm 1 (Section 4.2.5).
+#: Above ``m >= LARGE_M_FACTOR * n`` the compressible and bounded dual steps
+#: delegate to the FPTAS dual with ``eps = 1/2`` (Section 4.2.5: "we only use
+#: Algorithm 1 if m < 16n").
 LARGE_M_FACTOR = 16
 
 
-def _algorithm(transform: str) -> str:
-    """The facade name of the variant ``transform`` selects."""
-    return "bounded" if transform == "heap" else "bounded_linear"
+def shelf_dual(
+    jobs: Sequence[MoldableJob],
+    m: int,
+    d: float,
+    select: Callable,
+    *,
+    algorithm: str,
+    large_m: bool = False,
+    backend: str = "scalar",
+    oracle=None,
+) -> Optional[Schedule]:
+    """One shelf dual step at target ``d`` (Section 4.1): a schedule, or
+    ``None`` to reject ``d``.
+
+    Big jobs that cannot meet ``d/2`` are forced into shelf S1.
+    ``select(knapsack_jobs, capacity, backend, oracle)`` returns ``(jobs,
+    d', metadata)``: which other big jobs join them within the ``capacity``
+    processors left, the target the three-shelf schedule is built for, and
+    extra schedule metadata.  ``algorithm`` names the driver's row of
+    :data:`~repro.core.backend.AUTO_VECTORIZED_MIN_N` and its metadata;
+    ``large_m`` sends ``m >= LARGE_M_FACTOR * n`` to the FPTAS dual with
+    ``eps = 1/2``, whose makespan is at most ``3d/2`` there.
+
+    ``backend="vectorized"`` evaluates γ-allotments with lockstep batched
+    binary searches and runs the knapsack on the NumPy array engines;
+    ``"scalar"`` is the bit-identical pure-Python reference.  ``oracle`` is
+    a :class:`repro.perf.oracle.BatchedOracle` for ``(jobs, m)`` shared by
+    repeated dual calls; it implies the vectorized backend.
+    """
+    if d <= 0:
+        return None
+    jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
+    n = len(jobs)
+    if n == 0:
+        return Schedule(m=m)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, algorithm)
+
+    if large_m and m >= LARGE_M_FACTOR * n:
+        schedule = fptas_dual(jobs, m, d, 0.5, backend=backend, oracle=oracle)
+        if schedule is not None:
+            schedule.metadata["algorithm"] = f"{algorithm}_dual(large_m)"
+        return schedule
+
+    # Jobs that cannot finish within d even on all machines force rejection;
+    # jobs that cannot fit the d/2 shelf at all must run in shelf S1.
+    split = split_big_jobs(jobs, m, d, oracle=oracle)
+    if split is None:
+        return None
+    shelf1, knapsack_jobs, capacity = split
+    if capacity < 0:
+        return None
+
+    chosen, d_prime, metadata = select(knapsack_jobs, capacity, backend, oracle)
+    shelf1.extend(chosen)
+    schedule = build_three_shelf_schedule(jobs, m, d_prime, shelf1, oracle=oracle)
+    if schedule is not None:
+        schedule.metadata["algorithm"] = f"{algorithm}_dual"
+        schedule.metadata["d"] = d
+        schedule.metadata["d_prime"] = d_prime
+        schedule.metadata.update(metadata)
+    return schedule
+
+
+def compressible_knapsack(
+    items: Sequence[KnapsackItem], capacity: int, rho: float, backend: str
+) -> List[KnapsackItem]:
+    """Algorithm 2 over ``items`` (Corollary 10): items of size at least
+    ``1/rho`` are compressible by a ``rho`` fraction."""
+    compressible_keys = {item.key for item in items if item.size >= 1.0 / rho}
+    n_bar = max(1, int(math.floor(capacity * rho / (1.0 - rho))) + 1)
+    solution = solve_compressible_knapsack(
+        items,
+        compressible_keys,
+        capacity,
+        rho,
+        alpha_min=1.0 / rho,
+        beta_max=float(capacity),
+        n_bar=n_bar,
+        backend=backend,
+    )
+    return solution.items
 
 
 def bounded_dual(
@@ -50,78 +133,24 @@ def bounded_dual(
     d: float,
     eps: float,
     *,
-    transform: str = "heap",
     backend: str = "scalar",
     oracle=None,
 ) -> Optional[Schedule]:
-    """One `(3/2+eps)`-dual step of Algorithm 3 (or its linear variant).
-
-    ``backend="vectorized"`` computes γ-allotments with lockstep batched
-    binary searches and runs the container knapsack on the NumPy array engine
-    (bit-identical results); ``oracle`` lets repeated dual calls share one
-    :class:`repro.perf.oracle.BatchedOracle`.
-    """
-    if d <= 0:
-        return None
-    jobs = list(jobs)
-    n = len(jobs)
-    if n == 0:
-        return Schedule(m=m)
-    backend, oracle = resolve_backend(jobs, m, backend, oracle, _algorithm(transform))
-
-    if m >= LARGE_M_FACTOR * n:
-        schedule = fptas_dual(jobs, m, d, 0.5, backend=backend, oracle=oracle)
-        if schedule is not None:
-            schedule.metadata["algorithm"] = "bounded_dual(large_m)"
-        return schedule
-
+    """One `(3/2+eps)`-dual step of Algorithm 3; ``backend`` and ``oracle``
+    are as in :func:`shelf_dual`."""
     delta = eps / 5.0
-    split = split_big_jobs(jobs, m, d, oracle=oracle)
-    if split is None:
-        return None
-    shelf1, knapsack_jobs, capacity = split
-    if capacity < 0:
-        return None
-
-    rho = None
-    if knapsack_jobs:
-        scheme = round_jobs_to_types(knapsack_jobs, m, d, delta, oracle=oracle)
-        rho = scheme.params.rho
-        containers = expand_bounded_items(scheme.types)
-        compressible_keys = {c.key for c in containers if c.size >= 1.0 / rho}
-        n_bar = max(1, int(math.floor(capacity * rho / (1.0 - rho))) + 1)
-        solution = solve_compressible_knapsack(
-            containers,
-            compressible_keys,
-            capacity,
-            rho,
-            alpha_min=1.0 / rho,
-            beta_max=float(capacity),
-            n_bar=n_bar,
-            backend=backend,
-        )
-        counts = selected_counts(solution.items)
-        shelf1.extend(assign_members(counts, scheme.types))
-    else:
-        scheme = None
-
     d_prime = (1.0 + delta) ** 2 * d
-    schedule = build_three_shelf_schedule(
-        jobs,
-        m,
-        d_prime,
-        shelf1,
-        transform=transform,
-        bucket_ratio=(1.0 + 4.0 * rho) if rho is not None else None,
-        oracle=oracle,
-    )
-    if schedule is not None:
-        schedule.metadata["algorithm"] = f"bounded_dual({transform})"
-        schedule.metadata["d"] = d
-        schedule.metadata["d_prime"] = d_prime
-        if scheme is not None:
-            schedule.metadata["num_item_types"] = scheme.num_types
-    return schedule
+
+    def select(knapsack_jobs, capacity, backend, oracle):
+        if not knapsack_jobs:
+            return [], d_prime, {}
+        scheme = round_jobs_to_types(knapsack_jobs, m, d, delta, oracle=oracle)
+        containers = expand_bounded_items(scheme.types)
+        chosen = compressible_knapsack(containers, capacity, scheme.params.rho, backend)
+        members = assign_members(selected_counts(chosen), scheme.types)
+        return members, d_prime, {"num_item_types": scheme.num_types}
+
+    return shelf_dual(jobs, m, d, select, algorithm="bounded", large_m=True, backend=backend, oracle=oracle)
 
 
 def bounded_schedule(
@@ -129,12 +158,10 @@ def bounded_schedule(
     m: int,
     eps: float = 0.1,
     *,
-    transform: str = "heap",
     validate: bool = True,
     backend: str = "vectorized",
 ) -> DualSearchResult:
-    """`(3/2+eps)`-approximation via Algorithm 3 (``transform="heap"``) or the
-    linear-time variant of Section 4.3.3 (``transform="bucket"``).
+    """`(3/2+eps)`-approximation via Algorithm 3 and dual binary search.
 
     ``backend="vectorized"`` (default) shares one batched γ-oracle across the
     whole dual search; ``backend="scalar"`` is the bit-identical reference.
@@ -142,7 +169,7 @@ def bounded_schedule(
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, None, _algorithm(transform))
+    backend, oracle = resolve_backend(jobs, m, backend, None, "bounded")
     # (3/2)(1+eps/10)^2 (1+eps/4) <= 3/2 + eps for eps <= 1: the dual step gets
     # eps/2 (of which delta = eps/10) and the binary search eps/4.
     dual_eps = eps / 2.0
@@ -150,11 +177,11 @@ def bounded_schedule(
     result = dual_binary_search(
         jobs,
         m,
-        lambda d: bounded_dual(jobs, m, d, dual_eps, transform=transform, backend=backend, oracle=oracle),
+        lambda d: bounded_dual(jobs, m, d, dual_eps, backend=backend, oracle=oracle),
         tolerance=tolerance,
         oracle=oracle,
     )
-    result.schedule.metadata["algorithm"] = _algorithm(transform)
+    result.schedule.metadata["algorithm"] = "bounded"
     result.schedule.metadata["eps"] = eps
     result.schedule.metadata["guarantee"] = 1.5 + eps
     result.schedule.metadata["backend"] = backend

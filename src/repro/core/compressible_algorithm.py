@@ -15,25 +15,17 @@ polynomial in ``log m``, in contrast to the ``O(n*m)`` MRT baseline.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
-from ..knapsack.compressible import solve_compressible_knapsack
-from ..knapsack.items import KnapsackItem
-from .allotment import gamma
 from .backend import resolve_backend
+from .bounded_algorithm import LARGE_M_FACTOR, compressible_knapsack, shelf_dual
 from .dual import DualSearchResult, dual_binary_search
-from .fptas import fptas_dual, fptas_machine_threshold
 from .job import MoldableJob
 from .schedule import Schedule
-from .shelves import build_three_shelf_schedule, shelf_profit, split_big_jobs
+from .shelves import shelf_items
 from .validation import assert_valid_schedule
 
 __all__ = ["compressible_dual", "compressible_schedule", "LARGE_M_FACTOR"]
-
-#: Above ``m >= LARGE_M_FACTOR * n`` the dual step delegates to the FPTAS dual
-#: with ``eps = 1/2`` (Section 4.2.5: "we only use Algorithm 1 if m < 16n").
-LARGE_M_FACTOR = 16
 
 
 def compressible_dual(
@@ -46,70 +38,19 @@ def compressible_dual(
     oracle=None,
 ) -> Optional[Schedule]:
     """One `(3/2+eps)`-dual step of Algorithm 1: schedule with makespan at most
-    ``(3/2)(1+4rho)d <= (3/2+eps)d`` (with ``rho = eps/6``) or reject ``d``.
-
-    ``backend="vectorized"`` computes γ-allotments with lockstep batched
-    binary searches and runs the compressible knapsack on the NumPy array
-    engine (bit-identical results); ``oracle`` lets repeated dual calls share
-    one :class:`repro.perf.oracle.BatchedOracle`.
-    """
-    if d <= 0:
-        return None
-    jobs = list(jobs)
-    n = len(jobs)
-    if n == 0:
-        return Schedule(m=m)
-    backend, oracle = resolve_backend(jobs, m, backend, oracle, "compressible")
-    gamma_fn = oracle.gamma if oracle is not None else gamma
-
-    if m >= LARGE_M_FACTOR * n:
-        # m >= 16n = 8n/(1/2): the FPTAS dual with eps=1/2 yields makespan <= 3d/2.
-        schedule = fptas_dual(jobs, m, d, 0.5, backend=backend, oracle=oracle)
-        if schedule is not None:
-            schedule.metadata["algorithm"] = "compressible_dual(large_m)"
-        return schedule
-
+    ``(3/2)(1+4rho)d <= (3/2+eps)d`` (with ``rho = eps/6``) or reject ``d``;
+    ``backend`` and ``oracle`` are as in
+    :func:`~repro.core.bounded_algorithm.shelf_dual`."""
     rho = eps / 6.0
+    # Corollary 10: the selection is scheduled for the inflated target d'.
     d_prime = (1.0 + 4.0 * rho) * d
-    split = split_big_jobs(jobs, m, d, oracle=oracle)
-    if split is None:
-        return None
-    shelf1, knapsack_jobs, capacity = split
-    if capacity < 0:
-        return None
 
-    items = [
-        KnapsackItem(
-            key=idx,
-            size=gamma_fn(job, d, m),
-            profit=shelf_profit(job, d, m, gamma_fn=gamma_fn),
-            payload=job,
-        )
-        for idx, job in enumerate(knapsack_jobs)
-    ]
-    compressible_keys = {item.key for item in items if item.size >= 1.0 / rho}
+    def select(knapsack_jobs, capacity, backend, oracle):
+        items = shelf_items(knapsack_jobs, d, m, oracle=oracle)
+        chosen = compressible_knapsack(items, capacity, rho, backend) if items else []
+        return [item.payload for item in chosen], d_prime, {}
 
-    if items:
-        n_bar = max(1, int(math.floor(capacity * rho / (1.0 - rho))) + 1)
-        solution = solve_compressible_knapsack(
-            items,
-            compressible_keys,
-            capacity,
-            rho,
-            alpha_min=1.0 / rho,
-            beta_max=float(capacity),
-            n_bar=n_bar,
-            backend=backend,
-        )
-        shelf1.extend(item.payload for item in solution.items)
-
-    # Corollary 10: schedule the selection for the inflated target d'.
-    schedule = build_three_shelf_schedule(jobs, m, d_prime, shelf1, oracle=oracle)
-    if schedule is not None:
-        schedule.metadata["algorithm"] = "compressible_dual"
-        schedule.metadata["d"] = d
-        schedule.metadata["d_prime"] = d_prime
-    return schedule
+    return shelf_dual(jobs, m, d, select, algorithm="compressible", large_m=True, backend=backend, oracle=oracle)
 
 
 def compressible_schedule(

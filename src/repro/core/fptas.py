@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allotment import gamma
-from .backend import auto_backend, resolve_backend
+from .backend import resolve_backend
 from .bounds import estimator_steps
 from .dual import DualSearchResult, dual_binary_search, dual_search_steps
 from .exact_small import exact_schedule, exact_solver_applicable
@@ -190,9 +190,9 @@ def ptas_schedule(
 
     The last branch substitutes the Jansen–Thöle PTAS the paper cites (see
     DESIGN.md, "Substitutions"); the returned schedule records the actual
-    guarantee in ``schedule.metadata['guarantee']``.  ``backend="auto"``
-    resolves on the ``"ptas"`` row of
-    :data:`~repro.core.backend.AUTO_VECTORIZED_MIN_N` before dispatching.
+    guarantee in ``schedule.metadata['guarantee']``.  ``backend`` is passed
+    through as given, so ``"auto"`` resolves on the row of the driver that
+    runs.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
@@ -200,8 +200,6 @@ def ptas_schedule(
     n = len(jobs)
     if n == 0:
         return DualSearchResult(Schedule(m=m), 0.0, 0.0, 0, 0)
-    if backend == "auto":
-        backend = auto_backend("ptas", n, m)
     if m >= fptas_machine_threshold(n, eps):
         return fptas_schedule(jobs, m, eps, validate=validate, backend=backend)
     if exact_solver_applicable(n, m, max_jobs=exact_limit):

@@ -11,13 +11,12 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..knapsack.dp import solve_knapsack, solve_knapsack_dense
-from ..knapsack.items import KnapsackItem
-from .allotment import gamma
 from .backend import resolve_backend
+from .bounded_algorithm import shelf_dual
 from .dual import DualSearchResult, dual_binary_search
 from .job import MoldableJob
 from .schedule import Schedule
-from .shelves import build_three_shelf_schedule, shelf_profit, split_big_jobs
+from .shelves import shelf_items
 from .validation import assert_valid_schedule
 
 __all__ = ["mrt_dual", "mrt_schedule"]
@@ -50,48 +49,20 @@ def mrt_dual(
         the paper attributes to the original algorithm), ``"pairs"`` the
         dominance-list DP (same optimum), ``"auto"`` picks dense for moderate
         capacities and pairs otherwise.
-    backend:
-        ``"vectorized"`` evaluates γ-allotments with lockstep batched binary
-        searches and sweeps the knapsack DP rows with NumPy;``"scalar"`` is
-        the pure-Python reference path.  Results are bit-for-bit identical.
-    oracle:
-        An existing :class:`repro.perf.oracle.BatchedOracle` for
-        ``(jobs, m)``; implies (and is required by) the vectorized backend
-        across repeated dual calls.
+    backend, oracle:
+        As in :func:`~repro.core.bounded_algorithm.shelf_dual`.
     """
-    if d <= 0:
-        return None
-    jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
-    backend, oracle = resolve_backend(jobs, m, backend, oracle, "mrt")
-    gamma_fn = oracle.gamma if oracle is not None else gamma
-    # Jobs that cannot finish within d even on all machines force rejection;
-    # jobs that cannot fit the d/2 shelf at all must run in shelf S1.
-    split = split_big_jobs(jobs, m, d, oracle=oracle)
-    if split is None:
-        return None
-    shelf1, knapsack_jobs, capacity = split
-    if capacity < 0:
-        return None
-
-    items = [
-        KnapsackItem(
-            key=idx,
-            size=gamma_fn(job, d, m),
-            profit=shelf_profit(job, d, m, gamma_fn=gamma_fn),
-            payload=job,
-        )
-        for idx, job in enumerate(knapsack_jobs)
-    ]
     if knapsack not in ("auto", "dense", "pairs"):
         raise ValueError(f"unknown knapsack engine {knapsack!r}")
-    use_dense = knapsack == "dense" or (knapsack == "auto" and capacity <= DENSE_KNAPSACK_LIMIT)
-    if use_dense:
-        _, chosen = solve_knapsack_dense(items, capacity, backend=backend)
-    else:
-        _, chosen = solve_knapsack(items, capacity, backend=backend)
-    shelf1.extend(item.payload for item in chosen)
 
-    return build_three_shelf_schedule(jobs, m, d, shelf1, oracle=oracle)
+    def select(knapsack_jobs, capacity, backend, oracle):
+        items = shelf_items(knapsack_jobs, d, m, oracle=oracle)
+        use_dense = knapsack == "dense" or (knapsack == "auto" and capacity <= DENSE_KNAPSACK_LIMIT)
+        solve = solve_knapsack_dense if use_dense else solve_knapsack
+        _, chosen = solve(items, capacity, backend=backend)
+        return [item.payload for item in chosen], d, {}
+
+    return shelf_dual(jobs, m, d, select, algorithm="mrt", backend=backend, oracle=oracle)
 
 
 def mrt_schedule(

@@ -143,7 +143,8 @@ def schedule_moldable(
         ``"compressible"``
             Algorithm 1 of Section 4.2.5.
         ``"bounded"`` / ``"bounded_linear"``
-            Algorithm 3 of Section 4.3 / its linear variant of Section 4.3.3.
+            Algorithm 3 of Section 4.3; ``"bounded_linear"`` (Section 4.3.3)
+            is an alias that runs the same code and returns the same schedule.
         ``"fptas"`` / ``"ptas"``
             Section 3 algorithms.
         ``"exact"``
@@ -195,11 +196,9 @@ def schedule_moldable(
         elif chosen == "compressible":
             res = compressible_schedule(jobs, m, eps, validate=validate, backend=backend)
             guarantee = 1.5 + eps
-        elif chosen == "bounded":
-            res = bounded_schedule(jobs, m, eps, transform="heap", validate=validate, backend=backend)
-            guarantee = 1.5 + eps
-        elif chosen == "bounded_linear":
-            res = bounded_schedule(jobs, m, eps, transform="bucket", validate=validate, backend=backend)
+        elif chosen in ("bounded", "bounded_linear"):
+            res = bounded_schedule(jobs, m, eps, validate=validate, backend=backend)
+            res.schedule.metadata["algorithm"] = chosen
             guarantee = 1.5 + eps
         elif chosen == "fptas":
             res = fptas_schedule(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)

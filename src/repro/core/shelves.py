@@ -16,18 +16,19 @@ target makespan ``d`` and a choice of which big jobs go into shelf ``S1``
 
 Only the *selection* of shelf-1 jobs differs between the algorithms (exact
 knapsack for the original MRT algorithm, compressible / bounded knapsack for
-the accelerated ones); they all call :func:`build_three_shelf_schedule`.
+the accelerated ones); they all run it through
+:func:`repro.core.bounded_algorithm.shelf_dual`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..knapsack.items import KnapsackItem
 from .allotment import gamma
 from .job import MoldableJob
 from .schedule import MachineSpan, Schedule
@@ -37,6 +38,7 @@ __all__ = [
     "split_big_jobs",
     "small_jobs_work",
     "shelf_profit",
+    "shelf_items",
     "TwoShelfSchedule",
     "build_two_shelf_schedule",
     "ThreeShelfDiagnostics",
@@ -142,6 +144,22 @@ def shelf_profit(job: MoldableJob, d: float, m: int, *, gamma_fn=None) -> float:
     if g_half is None or g_full is None:
         raise ValueError(f"job {job.name!r} cannot meet the threshold with m={m} machines")
     return max(0.0, job.work(g_half) - job.work(g_full))
+
+
+def shelf_items(jobs: Sequence[MoldableJob], d: float, m: int, *, oracle=None) -> List[KnapsackItem]:
+    """The shelf-1 knapsack over ``jobs`` at target ``d``: one item per job,
+    keyed by position, with size ``gamma_j(d)``, profit :func:`shelf_profit`
+    and the job as payload.  ``oracle`` answers the γ-lookups from its cache."""
+    gamma_fn = oracle.gamma if oracle is not None else gamma
+    return [
+        KnapsackItem(
+            key=idx,
+            size=gamma_fn(job, d, m),
+            profit=shelf_profit(job, d, m, gamma_fn=gamma_fn),
+            payload=job,
+        )
+        for idx, job in enumerate(jobs)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +368,6 @@ def build_three_shelf_schedule(
     d: float,
     shelf1_jobs: Iterable[MoldableJob],
     *,
-    transform: str = "heap",
-    bucket_ratio: Optional[float] = None,
     diagnostics: Optional[ThreeShelfDiagnostics] = None,
     oracle=None,
 ) -> Optional[Schedule]:
@@ -369,15 +385,6 @@ def build_three_shelf_schedule(
     shelf1_jobs:
         Big jobs placed in shelf S1 (any small members are ignored, as in
         Corollary 10).
-    transform:
-        ``"heap"`` (Section 4.3, exact processing times in a heap) or
-        ``"bucket"`` (Section 4.3.3, processing times bucketed geometrically —
-        the linear-time variant).  The produced schedules are feasible either
-        way; the flag only changes the data structure used to find piggyback
-        partners.
-    bucket_ratio:
-        Geometric ratio of the buckets for ``transform="bucket"``; defaults to
-        ``1.05``.
     oracle:
         Optional :class:`repro.perf.oracle.BatchedOracle` over ``(jobs, m)``
         (the vectorized drivers' fast path; bit-identical schedule).  The
@@ -391,8 +398,6 @@ def build_three_shelf_schedule(
     S1 does not fit, or (defensively) the construction cannot complete — the
     caller should then reject the target ``d``.
     """
-    if transform not in ("heap", "bucket"):
-        raise ValueError(f"unknown transform {transform!r}")
     diag = diagnostics if diagnostics is not None else ThreeShelfDiagnostics(d=d, m=m)
     diag.d = d
     diag.m = m
@@ -516,23 +521,10 @@ def build_three_shelf_schedule(
         hosts = [j for j in s1_alloc if j is not rider and _time_in_s1(j) > three_quarter]
         host: Optional[MoldableJob] = None
         if hosts:
-            if transform == "bucket":
-                ratio = bucket_ratio if bucket_ratio is not None else 1.05
-                # bucket hosts by geometrically rounded height and scan buckets
-                # from the shortest upward (Section 4.3.3)
-                buckets: Dict[int, List[MoldableJob]] = {}
-                for j in hosts:
-                    level = int(math.floor(math.log(max(_time_in_s1(j) / (d / 2.0), 1.0)) / math.log(ratio)))
-                    buckets.setdefault(level, []).append(j)
-                for level in sorted(buckets):
-                    candidate = min(buckets[level], key=_time_in_s1)
-                    if _leq(rider_time + _time_in_s1(candidate), three_half):
-                        host = candidate
-                        break
-            else:
-                candidate = min(hosts, key=_time_in_s1)
-                if _leq(rider_time + _time_in_s1(candidate), three_half):
-                    host = candidate
+            # one linear scan: the shortest host fits iff any host does
+            candidate = min(hosts, key=_time_in_s1)
+            if _leq(rider_time + _time_in_s1(candidate), three_half):
+                host = candidate
         if host is not None:
             piggyback.append((host, rider))
             s1_procs -= s1_alloc.pop(rider, 0)

@@ -9,22 +9,26 @@ Section 4.3        ``O(n (1/eps^2 log m (log m / eps + log^3(eps m)) + log n))``
 Section 4.3.3      ``O(n 1/eps^2 log m (log m / eps + log^3(eps m)))``
 =================  =====================================================
 
+Sections 4.3 and 4.3.3 share one implementation and one row here: the
+bucketed piggyback-host search of Section 4.3.3 returns the same host as the
+linear scan for the shortest one, so the two schedules are identical.
+
 Since those are asymptotic statements, the reproduction measures *wall-clock*
 running time of one dual step of each algorithm over sweeps of ``n``, ``m``
 and ``eps`` and reports
 
 * the measured times (the table rows), and
 * the fitted power-law exponents in ``n`` and ``m`` — the "shape" check: the
-  Section 4.3/4.3.3 algorithms should be roughly linear in ``n`` and
+  Section 4.3 algorithm should be roughly linear in ``n`` and
   polylogarithmic in ``m`` (small exponent), whereas Section 4.2.5 grows
-  super-linearly in ``n``; all three are far below the ``O(n*m)`` MRT baseline
+  super-linearly in ``n``; both are far below the ``O(n*m)`` MRT baseline
   for large ``m`` (see the crossover study).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.bounded_algorithm import bounded_dual
 from ..core.bounds import ludwig_tiwari_estimator
@@ -36,19 +40,10 @@ __all__ = ["ALGORITHM_LABELS", "run", "main"]
 
 ALGORITHM_LABELS = {
     "sec_4_2_5": "Section 4.2.5 (compressible knapsack)",
-    "sec_4_3": "Section 4.3 (bounded knapsack, heap transform)",
-    "sec_4_3_3": "Section 4.3.3 (bounded knapsack, bucket transform)",
+    "sec_4_3": "Section 4.3 / 4.3.3 (bounded knapsack)",
 }
 
-
-def _dual_runner(key: str) -> Callable:
-    if key == "sec_4_2_5":
-        return lambda jobs, m, d, eps: compressible_dual(jobs, m, d, eps)
-    if key == "sec_4_3":
-        return lambda jobs, m, d, eps: bounded_dual(jobs, m, d, eps, transform="heap")
-    if key == "sec_4_3_3":
-        return lambda jobs, m, d, eps: bounded_dual(jobs, m, d, eps, transform="bucket")
-    raise KeyError(key)
+_DUALS = {"sec_4_2_5": compressible_dual, "sec_4_3": bounded_dual}
 
 
 @dataclass
@@ -60,7 +55,7 @@ class Table1Row:
     seconds: float
     makespan: float
     accepted: bool
-    #: bounded-knapsack item types of an accepted Section 4.3 / 4.3.3 step
+    #: bounded-knapsack item types of an accepted Section 4.3 step
     #: (``None`` for Section 4.2.5, which has no types, and for rejections)
     item_types: Optional[int] = None
 
@@ -92,8 +87,8 @@ def run(
         instance = random_mixed_instance(n, m, seed=seed)
         omega = ludwig_tiwari_estimator(instance.jobs, m).omega
         d = 1.1 * omega
-        runner = _dual_runner(key)
-        seconds, schedule = timed(lambda: runner(instance.jobs, m, d, eps), repeat=repeat)
+        dual = _DUALS[key]
+        seconds, schedule = timed(lambda: dual(instance.jobs, m, d, eps), repeat=repeat)
         return Table1Row(
             algorithm=key,
             n=n,

@@ -23,15 +23,20 @@ from repro.workloads.generators import random_arrivals_instance, random_mixed_in
 
 EPS = 0.1
 
-#: (algorithm, m) per table row with a positive threshold; m=64 keeps the
-#: bounded rows on Algorithm 3 proper (m < 16n), m=2^20 puts fptas in its
-#: regime and sends bounded to its large-m branch (the fptas row).
+#: (algorithm, m, the row's threshold) per facade name whose "auto" crosses
+#: over: m=64 keeps bounded on Algorithm 3 proper (m < 16n), m=2^20 puts
+#: fptas in its regime and sends bounded and compressible to their large-m
+#: branch (the fptas row).  The bounded_linear alias resolves on bounded's
+#: row; ptas has no row and passes "auto" to the FPTAS or bounded driver.
 STRADDLES = [
     ("fptas", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
     ("two_approx", 64, AUTO_VECTORIZED_MIN_N["two_approx"]),
     ("bounded", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
-    ("bounded_linear", 64, AUTO_VECTORIZED_MIN_N["bounded_linear"]),
+    ("bounded_linear", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
     ("bounded", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
+    ("compressible", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
+    ("ptas", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
+    ("ptas", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
 ]
 
 
@@ -47,18 +52,20 @@ class TestTable:
     @pytest.mark.parametrize("algorithm", sorted(AUTO_VECTORIZED_MIN_N))
     def test_threshold_is_the_first_vectorized_n(self, algorithm):
         t = AUTO_VECTORIZED_MIN_N[algorithm]
-        # m=64 < 16(t-1) keeps the bounded rows off their large-m branch
-        assert auto_backend(algorithm, t, 64) == "vectorized"
+        # m=64 < 16n for n >= 5 keeps bounded and compressible off their
+        # large-m branch (a zero row is checked at n=5, not the empty n=0)
+        assert auto_backend(algorithm, max(t, 5), 64) == "vectorized"
         if t:
             assert auto_backend(algorithm, t - 1, 64) == "scalar"
 
-    def test_bounded_uses_the_fptas_row_at_large_m(self):
+    @pytest.mark.parametrize("algorithm", ["bounded", "compressible"])
+    def test_large_m_uses_the_fptas_row(self, algorithm):
         t = AUTO_VECTORIZED_MIN_N["fptas"]
-        for algorithm in ("bounded", "bounded_linear"):
-            assert auto_backend(algorithm, t - 1, 16 * (t - 1)) == "scalar"
-            assert auto_backend(algorithm, t, 16 * t) == "vectorized"
-            # just under the cut, Algorithm 3 proper: the bounded row
-            assert auto_backend(algorithm, t, 16 * t - 1) == "scalar"
+        assert auto_backend(algorithm, t - 1, 16 * (t - 1)) == "scalar"
+        assert auto_backend(algorithm, t, 16 * t) == "vectorized"
+        # just under the cut, the shelf dual proper: the driver's own row
+        own = "scalar" if t < AUTO_VECTORIZED_MIN_N[algorithm] else "vectorized"
+        assert auto_backend(algorithm, t, 16 * t - 1) == own
 
     def test_huge_m_resolves_to_scalar(self):
         jobs = random_mixed_instance(200, 64, seed=1).jobs
@@ -103,10 +110,9 @@ class TestStraddle:
             assert other.backend == backend
             assert _solved(auto) == _solved(other)
 
-    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "ptas"])
+    @pytest.mark.parametrize("algorithm", ["mrt", "compressible"])
     def test_zero_rows_stay_vectorized(self, algorithm):
-        # m=2^20 sends ptas to the FPTAS, whose own row would pick scalar
-        m = 1 << 20 if algorithm == "ptas" else 16
+        m = 16
         jobs = random_mixed_instance(3, m, seed=4).jobs
         auto = schedule_moldable(jobs, m, EPS, algorithm=algorithm)
         assert auto.backend == "vectorized"
@@ -114,6 +120,14 @@ class TestStraddle:
             random_mixed_instance(3, m, seed=4).jobs, m, EPS, algorithm=algorithm, backend="scalar"
         )
         assert _solved(auto) == _solved(scalar)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_bounded_linear_is_an_alias_of_bounded(self, backend):
+        jobs = random_mixed_instance(30, 64, seed=7).jobs
+        alias = schedule_moldable(jobs, 64, EPS, algorithm="bounded_linear", backend=backend)
+        bounded = schedule_moldable(jobs, 64, EPS, algorithm="bounded", backend=backend)
+        assert _solved(alias) == _solved(bounded)
+        assert alias.algorithm == alias.schedule.metadata["algorithm"] == "bounded_linear"
 
 
 class TestReportedBackend:

@@ -96,20 +96,18 @@ def test_rounding_of_no_jobs_is_empty_on_both_paths():
         assert round_jobs_to_types([], 8, 10.0, DELTA, oracle=oracle).types == []
 
 
-@pytest.mark.parametrize("transform", ["heap", "bucket"])
+@pytest.mark.parametrize("first", [0, 1], ids=["even", "odd"])
 @pytest.mark.parametrize("jobs,m,d", SPLIT_CASES)
-def test_three_shelf_schedule_matches_scalar(jobs, m, d, transform):
+def test_three_shelf_schedule_matches_scalar(jobs, m, d, first):
     forced, knapsack_jobs, _ = split_big_jobs(jobs, m, d)
     # alternate knapsack jobs into shelf 1: any selection must agree
-    shelf1 = forced + knapsack_jobs[::2]
+    shelf1 = forced + knapsack_jobs[first::2]
     diags = []
     schedules = []
     for oracle in (None, BatchedOracle(jobs, m)):
         diag = ThreeShelfDiagnostics(d=d, m=m)
         schedules.append(
-            build_three_shelf_schedule(
-                jobs, m, d, shelf1, transform=transform, bucket_ratio=1.05, diagnostics=diag, oracle=oracle
-            )
+            build_three_shelf_schedule(jobs, m, d, shelf1, diagnostics=diag, oracle=oracle)
         )
         diags.append(diag)
     assert diags[0] == diags[1]

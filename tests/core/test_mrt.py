@@ -67,6 +67,15 @@ class TestMrtDual:
         instance = random_mixed_instance(5, 4, seed=6)
         with pytest.raises(ValueError):
             mrt_dual(instance.jobs, 4, 100.0, knapsack="bogus")
+        # checked before the target: a rejected d must not mask the bad name
+        jobs = random_mixed_instance(20, 16, seed=6).jobs
+        omega = ludwig_tiwari_estimator(jobs, 16).omega
+        with pytest.raises(ValueError):
+            mrt_dual(jobs, 16, 0.1 * omega, knapsack="nope")
+
+    def test_invalid_knapsack_without_jobs(self):
+        with pytest.raises(ValueError):
+            mrt_dual([], 4, 1.0, knapsack="nope")
 
 
 class TestMrtSchedule:

@@ -10,10 +10,12 @@ from repro.core.shelves import (
     build_three_shelf_schedule,
     build_two_shelf_schedule,
     partition_small_big,
+    shelf_items,
     shelf_profit,
     small_jobs_work,
 )
 from repro.core.validation import assert_valid_schedule, validate_schedule
+from repro.perf.oracle import BatchedOracle
 from repro.simulator.engine import simulate_schedule
 from repro.workloads.generators import random_mixed_instance
 
@@ -59,6 +61,29 @@ class TestShelfProfit:
             shelf_profit(job, 10.0, 64)
 
 
+class TestShelfItems:
+    def test_one_item_per_job_keyed_by_position(self):
+        jobs = random_mixed_instance(12, 16, seed=3).jobs
+        d = 1.2 * ludwig_tiwari_estimator(jobs, 16).omega
+        big = partition_small_big(jobs, d)[1]
+        items = shelf_items(big, d, 16)
+        assert [item.key for item in items] == list(range(len(big)))
+        for item, job in zip(items, big):
+            assert item.payload is job
+            assert item.size == gamma(job, d, 16)
+            assert item.profit == shelf_profit(job, d, 16)
+
+    def test_oracle_gives_the_same_items(self):
+        jobs = random_mixed_instance(12, 16, seed=4).jobs
+        d = 1.2 * ludwig_tiwari_estimator(jobs, 16).omega
+        big = partition_small_big(jobs, d)[1]
+        scalar = shelf_items(big, d, 16)
+        columnar = shelf_items(big, d, 16, oracle=BatchedOracle(jobs, 16))
+        assert [(i.key, i.size, i.profit, i.payload) for i in columnar] == [
+            (i.key, i.size, i.profit, i.payload) for i in scalar
+        ]
+
+
 class TestTwoShelfSchedule:
     def test_structure(self):
         m = 4
@@ -93,7 +118,7 @@ class TestTwoShelfSchedule:
 
 
 class TestThreeShelfConstruction:
-    def _build(self, n, m, seed, d_factor=1.2, transform="heap"):
+    def _build(self, n, m, seed, d_factor=1.2):
         instance = random_mixed_instance(n, m, seed=seed)
         omega = ludwig_tiwari_estimator(instance.jobs, m).omega
         d = d_factor * omega
@@ -107,15 +132,12 @@ class TestThreeShelfConstruction:
                 shelf1.append(job)
                 used += g
         diag = ThreeShelfDiagnostics(d=d, m=m)
-        schedule = build_three_shelf_schedule(
-            instance.jobs, m, d, shelf1, transform=transform, diagnostics=diag
-        )
+        schedule = build_three_shelf_schedule(instance.jobs, m, d, shelf1, diagnostics=diag)
         return instance, d, schedule, diag
 
-    @pytest.mark.parametrize("transform", ["heap", "bucket"])
-    def test_feasible_and_within_bound(self, transform):
+    def test_feasible_and_within_bound(self):
         for seed in range(4):
-            instance, d, schedule, _ = self._build(30, 16, seed, transform=transform)
+            instance, d, schedule, _ = self._build(30, 16, seed)
             if schedule is None:
                 continue  # the greedy selection may violate the work bound; that's a valid rejection
             assert_valid_schedule(schedule, instance.jobs, max_makespan=1.5 * d)
@@ -165,10 +187,6 @@ class TestThreeShelfConstruction:
             assert diag.shelf0_processors + diag.shelf1_processors <= 32
             assert diag.small_jobs >= 0
             assert diag.shelf0_jobs + diag.shelf1_jobs + diag.shelf2_jobs >= 0
-
-    def test_invalid_transform(self):
-        with pytest.raises(ValueError):
-            build_three_shelf_schedule([], 2, 1.0, [], transform="nope")
 
     def test_rule_i_moves_short_wide_jobs_to_s0(self):
         """A shelf-1 job with time <= 3d/4 and >1 processors gives one up."""

@@ -56,8 +56,7 @@ class TestTable1:
             assert all(r.seconds >= 0 for r in entries)
             assert all(r.accepted for r in entries)
         assert all(r.item_types is None for r in rows["sec_4_2_5"])
-        for key in ("sec_4_3", "sec_4_3_3"):
-            assert all(isinstance(r.item_types, int) and r.item_types >= 1 for r in rows[key])
+        assert all(isinstance(r.item_types, int) and r.item_types >= 1 for r in rows["sec_4_3"])
         exps = table1.scaling_exponents(rows)
         assert set(exps) == set(table1.ALGORITHM_LABELS)
 

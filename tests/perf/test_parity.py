@@ -248,12 +248,12 @@ class TestAlgorithmBackendParity:
         assert s.makespan == v.makespan
         assert s.accepted_d == v.accepted_d
 
-    @given(monotone_instances(), st.sampled_from([0.1, 0.5]), st.sampled_from(["heap", "bucket"]))
+    @given(monotone_instances(), st.sampled_from([0.1, 0.5]))
     @settings(max_examples=30, deadline=None)
-    def test_bounded_backends_identical(self, instance, eps, transform):
+    def test_bounded_backends_identical(self, instance, eps):
         jobs, m = instance
-        s = bounded_schedule(jobs, m, eps, transform=transform, backend="scalar")
-        v = bounded_schedule(jobs, m, eps, transform=transform, backend="vectorized")
+        s = bounded_schedule(jobs, m, eps, backend="scalar")
+        v = bounded_schedule(jobs, m, eps, backend="vectorized")
         assert s.makespan == v.makespan
         assert s.accepted_d == v.accepted_d
 
