@@ -203,8 +203,7 @@ def _timed(fn: Callable[[], object], repeat: int, jobs) -> tuple[float, object]:
         # geometric-grid cache and the per-job processing-time memos.
         _geom_cached.cache_clear()
         for job in jobs:
-            job._cache.clear()
-            job._cache_evictions = 0
+            job.clear_memo()
         start = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - start
@@ -367,7 +366,7 @@ def _backend_shard(config: dict, seed: int, repeat: int) -> tuple:
         for warm in (True, False):
             oracle = BatchedOracle(jobs, m, warm_start=warm)
             for job in jobs:
-                job._cache.clear()
+                job.clear_memo()
             if algorithm == "fptas":
                 fptas_schedule(jobs, m, FPTAS_EPS, oracle=oracle)
             else:
@@ -556,7 +555,7 @@ def _serve_shard(config: dict, seed: int, repeat: int) -> tuple:
     solo_total = 0.0
     for inst in instances:
         for job in inst.jobs:
-            job._cache.clear()
+            job.clear_memo()
         solo_total += two_approximation(inst.jobs, m).makespan
     # generous healthy deadline (no false timeouts on slow CI runners); the
     # chaos leg runs a tight one so injected hangs cost ~2s, not an hour

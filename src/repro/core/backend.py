@@ -35,17 +35,25 @@ MAX_VECTORIZED_M = MAX_COLUMNAR_M
 
 # Smallest job count at which backend="auto" runs the vectorized backend, per
 # algorithm: the n where the two backends' wall times cross.  Measured
-# through the facade, fresh jobs per call, best of 3 per (n, backend) cell:
+# through the facade, fresh jobs per call, scalar and vectorized calls
+# interleaved, best of 9 per (n, backend) cell (best of 3 is too noisy on a
+# shared 2-core box):
 #   jobs = random_mixed_instance(n, m, seed=1).jobs
 #   schedule_moldable(jobs, m, 0.1, algorithm=alg, backend=backend)
 # On a 2-core Xeon, Python 3.11: bounded at m=64 (Algorithm 3 proper) crosses
-# at n~100; fptas at m=2**20 (also the m >= 16n branch of bounded and
-# compressible) at n~40; two_approx at m=64 and m=4000 at n~55-70.  A 0 keeps
-# the vectorized backend until the algorithm is measured.
+# at n~128; fptas at m=2**20 (also the m >= 16n branch of bounded and
+# compressible) at n~40-44; two_approx at m=64 at n~104 and at m=4000 at
+# n~64-72, so its row sits between the two.  Scalar/vectorized time ratios
+# of two passes:
+#   bounded    m=64     n=112: 0.95 / 1.00   n=128: 1.04 / 1.06
+#   fptas      m=2**20  n=36:  0.84 / 0.95   n=40:  0.96 / 1.07   n=44: 1.07 / 1.18
+#   two_approx m=64     n=80:  0.84 / 0.82   n=104: 1.00 / 0.99
+#   two_approx m=4000   n=64:  1.03 / 0.76   n=72:  1.30 / 1.05   n=80: 1.30 / 1.09
+# A 0 keeps the vectorized backend until the algorithm is measured.
 AUTO_VECTORIZED_MIN_N = {
     "fptas": 40,
-    "two_approx": 64,
-    "bounded": 96,
+    "two_approx": 80,
+    "bounded": 128,
     "mrt": 0,
     "compressible": 0,
 }

@@ -10,7 +10,9 @@ Throughout the library we follow the conventions of Jansen & Land (2018):
 
 All job classes in this module expose ``processing_time(k)`` as an O(1) oracle
 so that instances with an astronomically large machine count ``m`` (compact
-input encoding) can be handled in time polylogarithmic in ``m``.
+input encoding) can be handled in time polylogarithmic in ``m``.  Answers are
+memoised per job: a processor count is validated on its first evaluation, and
+every later call for it is one dict lookup.
 
 For batched evaluation the classes additionally expose
 :meth:`MoldableJob.times_for`, which maps a whole NumPy array of processor
@@ -50,8 +52,9 @@ class MoldableJob(ABC):
 
     Subclasses implement :meth:`_time` returning the processing time on ``k``
     processors for ``k >= 1``.  The public entry point
-    :meth:`processing_time` validates and memoises oracle calls; repeated
-    evaluation of ``t_j(k)`` for the same ``k`` is O(1).
+    :meth:`processing_time` memoises oracle calls and validates ``k`` on the
+    first evaluation of each count; a repeated ``t_j(k)`` is one dict lookup.
+    :meth:`clear_memo` empties the memo.
 
     Parameters
     ----------
@@ -82,25 +85,40 @@ class MoldableJob(ABC):
     def processing_time(self, k: int) -> float:
         """Processing time ``t_j(k)`` on ``k`` processors.
 
+        A memo hit is one dict lookup.  ``k`` is validated and normalised to
+        an ``int`` only on a miss, before the oracle runs: the memo holds
+        only ints ``>= 1``, so any ``k`` that hashes and compares equal to a
+        key (an int, bool, NumPy integer or integral float) is itself a valid
+        count.
+
         Raises
         ------
         ValueError
             If ``k`` is not a positive integer or the oracle returns a
             non-positive / non-finite value.
         """
-        if k != int(k) or k < 1:
-            raise ValueError(f"processor count must be a positive integer, got {k!r}")
-        k = int(k)
         cache = self._cache
-        cached = cache.get(k)
+        try:
+            cached = cache.get(k)
+        except TypeError:  # unhashable, so not a processor count
+            cached = None
         if cached is not None:
             if len(cache) >= self.MEMO_CAPACITY:
                 # LRU refresh (dicts preserve insertion order, so delete +
                 # re-insert moves the entry to the newest position); skipped
-                # below capacity where eviction can never bite.
+                # below capacity where eviction can never bite.  Re-insert
+                # under the int key, not an equal float or NumPy scalar.
                 del cache[k]
-                cache[k] = cached
+                cache[int(k)] = cached
             return cached
+        try:
+            count = int(k)
+            valid = count == k and count >= 1
+        except (TypeError, ValueError, OverflowError):  # None, inf, NaN, "x", ...
+            valid = False
+        if not valid:
+            raise ValueError(f"processor count must be a positive integer, got {k!r}")
+        k = count
         value = float(self._time(k))
         if not math.isfinite(value) or value <= 0.0:
             raise ValueError(
@@ -113,6 +131,12 @@ class MoldableJob(ABC):
             self._cache_evictions += 1
         cache[k] = value
         return value
+
+    def clear_memo(self) -> None:
+        """Forget every memoised ``t_j(k)`` and reset the eviction count, so
+        the next evaluations start cold (e.g. between timed runs)."""
+        self._cache.clear()
+        self._cache_evictions = 0
 
     def memo_stats(self) -> dict:
         """Instrumentation for the oracle memo: current size, capacity and the

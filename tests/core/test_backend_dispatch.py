@@ -157,10 +157,10 @@ class TestReportedBackend:
 
 class TestOnlineAuto:
     def test_epochs_straddling_a_threshold_match_both_backends(self):
-        # the first epoch re-plans its 70 arrivals vectorized (>= 64
-        # two_approx jobs); the second re-plans the last 20 arrivals plus the
-        # unstarted rest, 54 jobs, on the scalar reference
-        inst = random_arrivals_instance(90, 64, seed=12)
+        # the first epoch re-plans its 80 arrivals vectorized (two_approx's
+        # row is 80); the second re-plans the last 20 arrivals plus the
+        # unstarted rest, 59 jobs, on the scalar reference
+        inst = random_arrivals_instance(100, 64, seed=12)
 
         def run(backend, warm_start=True):
             return OnlineScheduler(
@@ -169,7 +169,7 @@ class TestOnlineAuto:
                 algorithm="two_approx",
                 backend=backend,
                 policy="count",
-                batch_size=70,
+                batch_size=80,
                 warm_start=warm_start,
             ).run(inst.arrivals)
 

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.job import (
     AmdahlJob,
@@ -73,21 +75,74 @@ class TestOracleJob:
             job.processing_time(2)
 
 
+INVALID_COUNTS = [math.inf, math.nan, None, "2", 2.5, 0, -1]
+
+
 class TestProcessorCountValidation:
-    def test_zero_processors_rejected(self):
-        job = AmdahlJob("a", 10.0, 0.1)
-        with pytest.raises(ValueError):
-            job.processing_time(0)
+    """Every ``k`` that is not a positive integer raises ValueError, whether
+    or not the memo already holds valid counts: the hit path, which skips the
+    check, must never admit one."""
 
-    def test_negative_processors_rejected(self):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("bad", INVALID_COUNTS, ids=repr)
+    def test_rejected(self, bad, warm):
         job = AmdahlJob("a", 10.0, 0.1)
-        with pytest.raises(ValueError):
-            job.processing_time(-2)
+        if warm:
+            for k in range(1, 65):
+                job.processing_time(k)
+        with pytest.raises(ValueError, match="processor count must be a positive integer"):
+            job.processing_time(bad)
+        assert all(type(key) is int for key in job._cache)
 
-    def test_fractional_processors_rejected(self):
-        job = AmdahlJob("a", 10.0, 0.1)
-        with pytest.raises(ValueError):
-            job.processing_time(1.5)
+    def test_unhashable_rejected(self):
+        with pytest.raises(ValueError, match="processor count must be a positive integer"):
+            AmdahlJob("a", 10.0, 0.1).processing_time([2])
+
+    def test_refresh_at_capacity_keeps_int_keys(self):
+        job = OracleJob("o", lambda k: 100.0 / k)
+        for k in range(1, job.MEMO_CAPACITY + 1):
+            job.processing_time(k)
+        assert job.processing_time(2.0) == 50.0  # hit at capacity: refreshes
+        assert job.processing_time(np.int64(3)) == 100.0 / 3
+        assert list(job._cache)[-2:] == [2, 3]
+        assert all(type(key) is int for key in job._cache)
+
+    def test_clear_memo(self):
+        job = OracleJob("o", lambda k: 100.0 / k)
+        for k in range(1, job.MEMO_CAPACITY + 3):
+            job.processing_time(k)
+        job.clear_memo()
+        assert job.memo_stats() == {"size": 0, "capacity": job.MEMO_CAPACITY, "evictions": 0}
+
+
+JOB_FACTORIES = [
+    lambda: TabulatedJob("t", [12.0, 7.0, 6.0, 5.5]),
+    lambda: OracleJob("o", lambda k: 100.0 / k + 0.25),
+    lambda: AmdahlJob("a", 37.0, 0.07),
+    lambda: PowerLawJob("p", 50.0, 0.6),
+    lambda: CommunicationJob("c", 100.0, 0.5),
+    lambda: RigidJob("r", 4.0, 8),
+]
+COUNT_TYPES = [int, np.int64, float]
+
+
+class TestMemoContract:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        make=st.sampled_from(JOB_FACTORIES),
+        k=st.integers(1, 2**53),
+        miss_as=st.sampled_from(COUNT_TYPES),
+        hit_as=st.sampled_from(COUNT_TYPES),
+    )
+    def test_hit_returns_first_evaluation(self, make, k, miss_as, hit_as):
+        """A hit returns the float a fresh job computes on its first
+        evaluation of ``k``, whichever integral type each call used."""
+        expected = make().processing_time(k)
+        job = make()
+        assert job.processing_time(miss_as(k)) == expected
+        hit = job.processing_time(hit_as(k))
+        assert hit == expected and type(hit) is float
+        assert list(job._cache) == [k] and type(next(iter(job._cache))) is int
 
 
 class TestAmdahlJob:
