@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .backend import check_oracle
 from .job import MoldableJob
 
 __all__ = ["gamma", "gamma_batch", "Allotment", "canonical_allotment"]
@@ -73,8 +74,9 @@ def gamma_batch(jobs: Sequence[MoldableJob], threshold: float, m: int, *, oracle
     Parameters
     ----------
     oracle:
-        An existing :class:`repro.perf.oracle.BatchedOracle` for ``(jobs, m)``
-        to reuse its per-threshold γ-cache; a transient one is built when
+        An existing executor (:mod:`repro.perf.oracle`) for exactly ``(jobs,
+        m)`` to reuse its per-threshold γ-cache (``ValueError`` otherwise); a
+        transient :class:`~repro.perf.oracle.BatchedOracle` is built when
         omitted.
     """
     if oracle is None:
@@ -82,10 +84,7 @@ def gamma_batch(jobs: Sequence[MoldableJob], threshold: float, m: int, *, oracle
 
         oracle = BatchedOracle(jobs, m)
     else:
-        if oracle.m != int(m):
-            raise ValueError(f"oracle was built for m={oracle.m}, got m={m}")
-        if len(jobs) != oracle.n or any(a is not b for a, b in zip(jobs, oracle.jobs)):
-            raise ValueError("oracle was built for a different job list")
+        check_oracle(oracle, jobs, m)
     return oracle.gamma_array(threshold)
 
 

@@ -1,18 +1,20 @@
 """Backend selection shared by the algorithm drivers.
 
-Every driver accepts ``backend="vectorized" | "scalar" | "auto"``.  The
-vectorized backend evaluates γ-allotments through a shared
-:class:`repro.perf.oracle.BatchedOracle` and runs the knapsack DPs on the
-NumPy array engines; the scalar backend is the pure-Python reference.  Both
-produce bit-for-bit identical schedules.
+Every driver accepts ``backend="vectorized" | "scalar" | "auto"`` and runs
+one body on the executor the backend names: a
+:class:`repro.perf.oracle.BatchedOracle` (γ-allotments by lockstep batched
+bisection, knapsack DPs on the NumPy array engines) or a
+:class:`repro.perf.oracle.ScalarOracle` (the pure-Python reference, exact at
+any ``m``).  Both produce bit-for-bit identical schedules; this module and
+the two oracle classes are the only places that know which one runs.
 
 ``"auto"`` is a measured size dispatch: the vectorized backend pays a fixed
 NumPy dispatch cost per γ-bisection level, so below a per-algorithm job
 count (:data:`AUTO_VECTORIZED_MIN_N`) the scalar reference is faster.
 ``"auto"`` resolves to ``"scalar"`` under that threshold and to
 ``"vectorized"`` at or above it.  An explicit ``"vectorized"`` or
-``"scalar"`` always means exactly that, a supplied oracle always means
-vectorized, and ``m > MAX_VECTORIZED_M`` always falls back to scalar.
+``"scalar"`` always means exactly that, a supplied oracle always means its
+own backend, and ``m > MAX_VECTORIZED_M`` always falls back to scalar.
 """
 
 from __future__ import annotations
@@ -88,29 +90,25 @@ def check_oracle(oracle, jobs, m) -> None:
 def resolve_backend(jobs, m, backend, oracle, algorithm=None):
     """Normalise a driver's ``(backend, oracle)`` pair.
 
-    A supplied :class:`~repro.perf.oracle.BatchedOracle` must pass
-    :func:`check_oracle` and implies the vectorized backend (that is what the
-    oracle exists for).  ``"auto"`` becomes :func:`auto_backend` of
-    ``algorithm`` (the driver's row of
-    :data:`AUTO_VECTORIZED_MIN_N`), ``len(jobs)`` and ``m``.
-    ``"vectorized"`` gets a freshly built oracle — unless ``m`` exceeds the
-    int64 range of the γ-arrays, in which case the scalar path is used.  The
-    scalar backend returns ``("scalar", None)``: it must not touch batched
-    state.
+    A supplied oracle must pass :func:`check_oracle` and implies its own
+    ``backend``.  ``"auto"`` becomes :func:`auto_backend` of ``algorithm``
+    (the driver's row of :data:`AUTO_VECTORIZED_MIN_N`), ``len(jobs)`` and
+    ``m``.  ``"vectorized"`` gets a freshly built
+    :class:`~repro.perf.oracle.BatchedOracle` — unless ``m`` exceeds the
+    int64 range of its γ-arrays — and ``"scalar"`` a
+    :class:`~repro.perf.oracle.ScalarOracle`.
     """
     if backend not in ("scalar", "vectorized", "auto"):
         raise ValueError(f"unknown backend {backend!r}")
     if oracle is not None:
         check_oracle(oracle, jobs, m)
-        return "vectorized", oracle
+        return oracle.backend, oracle
     if backend == "auto":
         backend = auto_backend(algorithm, len(jobs), m)
-    if backend == "vectorized":
-        if int(m) > MAX_VECTORIZED_M:
-            return "scalar", None
-        # Imported lazily: repro.perf pulls in repro.core.job, and the driver
-        # modules are themselves imported by repro.core's package init.
-        from ..perf.oracle import BatchedOracle
+    # Imported lazily: repro.perf pulls in repro.core.job, and the driver
+    # modules are themselves imported by repro.core's package init.
+    from ..perf.oracle import BatchedOracle, ScalarOracle
 
-        oracle = BatchedOracle(jobs, m)
-    return backend, oracle
+    if backend == "vectorized" and int(m) <= MAX_VECTORIZED_M:
+        return backend, BatchedOracle(jobs, m)
+    return "scalar", ScalarOracle(jobs, m)

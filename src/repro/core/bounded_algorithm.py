@@ -1,7 +1,9 @@
 """The shelf dual step (Section 4.1) and Algorithm 3 (Section 4.3).
 
 :func:`shelf_dual` is the Mounié–Rapine–Trystram step all the `(3/2+eps)`
-algorithms share; they differ only in the shelf-1 knapsack they pass it.
+algorithms share; they differ only in the shelf-1 knapsack they pass it.  It
+has one body for both backends: the split, the rounding and the shelf build
+read columns of the executor (:mod:`repro.perf.oracle`) the driver holds.
 
 Compared to Algorithm 1 the knapsack gets *much* smaller: the big jobs are
 first rounded into ``O(poly(1/eps) polylog(m))`` item **types**
@@ -70,8 +72,10 @@ def shelf_dual(
     ``backend="vectorized"`` evaluates γ-allotments with lockstep batched
     binary searches and runs the knapsack on the NumPy array engines;
     ``"scalar"`` is the bit-identical pure-Python reference.  ``oracle`` is
-    a :class:`repro.perf.oracle.BatchedOracle` for ``(jobs, m)`` shared by
-    repeated dual calls; it implies the vectorized backend.
+    the executor for ``(jobs, m)`` shared by repeated dual calls (a
+    :class:`~repro.perf.oracle.BatchedOracle` or
+    :class:`~repro.perf.oracle.ScalarOracle`); it implies its own backend.
+    Without one, the step builds the executor its backend names.
     """
     if d <= 0:
         return None
@@ -163,8 +167,9 @@ def bounded_schedule(
 ) -> DualSearchResult:
     """`(3/2+eps)`-approximation via Algorithm 3 and dual binary search.
 
-    ``backend="vectorized"`` (default) shares one batched γ-oracle across the
-    whole dual search; ``backend="scalar"`` is the bit-identical reference.
+    The whole dual search, the estimator bracket and the validation share
+    one executor: a batched γ-oracle for ``backend="vectorized"`` (default),
+    the bit-identical scalar reference for ``backend="scalar"``.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .allotment import Allotment, canonical_allotment
 from .backend import check_oracle
 from .job import MoldableJob, max_sequential_time, total_minimal_work
@@ -125,8 +123,8 @@ def ludwig_tiwari_estimator(
     slack is absorbed by the callers (they widen their binary-search interval
     accordingly).
 
-    This body is the scalar reference.  ``oracle`` optionally supplies a
-    :class:`repro.perf.oracle.BatchedOracle` for exactly ``(jobs, m)`` to run
+    This body is the scalar reference.  ``oracle`` optionally supplies an
+    executor (:mod:`repro.perf.oracle`) for exactly ``(jobs, m)`` to run
     :func:`estimator_steps` on instead (bit-identical result).
     """
     if not jobs:
@@ -182,10 +180,10 @@ def _phi_steps(oracle, tau: float):
     gammas = yield ("gamma", tau)
     if len(gammas) and gammas.max() > oracle.m:
         return None
-    ks = gammas.astype(np.float64)
-    times = yield ("eval", ks)
+    # the exact counts, not a float64 copy: past 2^53 a float would round k
+    times = yield ("eval", gammas)
     # left-to-right sum matches the scalar Allotment.total_work() bit for bit
-    return oracle.sequential_sum(ks * times) / oracle.m
+    return oracle.sequential_sum(gammas * times) / oracle.m
 
 
 def _allotment_steps(jobs: Sequence[MoldableJob], oracle, tau: float):
@@ -229,9 +227,8 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
     assert allot is not None, "upper end of the bracket must always be feasible"
     # batched average_load / max_time; the repeated γ(hi) is a cache hit
     gammas = yield ("gamma", hi)
-    ks = gammas.astype(np.float64)
-    times = yield ("eval", ks)
-    omega = max(oracle.sequential_sum(ks * times) / m, float(times.max()))
+    times = yield ("eval", gammas)
+    omega = max(oracle.sequential_sum(gammas * times) / m, float(times.max()))
     omega = max(omega / (1.0 + tol), trivial, lo)
     return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
 

@@ -69,7 +69,8 @@ def compressible_schedule(
     ``eps <= 1``.
 
     ``backend="vectorized"`` (default) shares one batched γ-oracle across the
-    whole dual search; ``backend="scalar"`` is the bit-identical reference.
+    whole dual search; ``backend="scalar"`` is the bit-identical reference, run the same way on
+    one :class:`~repro.perf.oracle.ScalarOracle`.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")

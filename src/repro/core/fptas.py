@@ -64,12 +64,14 @@ def fptas_dual(
     ``gamma_j((1+eps)d)`` processors, or reject.
 
     This body is the scalar reference; ``backend="vectorized"`` runs
-    :func:`fptas_dual_steps` (bit-identical decision and schedule)."""
+    :func:`fptas_dual_steps` (bit-identical decision and schedule).  The
+    body follows the resolved backend, not the oracle: the request
+    generator's int64 machine offsets hold only on the vectorized range."""
     if d <= 0:
         return None
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
     backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
-    if oracle is not None:
+    if backend == "vectorized":
         build = oracle.run(fptas_dual_steps(jobs, oracle, d, eps))
         return None if build is None else build()
     threshold = (1.0 + eps) * d
@@ -146,7 +148,7 @@ def fptas_schedule(
     jobs = list(jobs)
     check_fptas_instance(len(jobs) if enforce_threshold else 0, m, eps)
     backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
-    if oracle is not None and jobs:
+    if backend == "vectorized" and jobs:
         return oracle.run(fptas_steps(jobs, oracle, eps, validate=validate))
     inner = eps / 3.0
     result = dual_binary_search(jobs, m, lambda d: fptas_dual(jobs, m, d, inner), tolerance=inner)

@@ -80,7 +80,8 @@ def mrt_schedule(
 
     ``backend="vectorized"`` (default) shares one batched γ-oracle across the
     whole dual search, so successive thresholds reuse earlier γ-arrays as
-    bisection brackets; ``backend="scalar"`` is the bit-identical reference.
+    bisection brackets; ``backend="scalar"`` is the bit-identical reference, run the same way on
+    one :class:`~repro.perf.oracle.ScalarOracle`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -15,6 +15,10 @@ grouping big jobs into `O(poly(1/eps) * polylog(m))` item types:
 
 Two jobs with identical rounded data form the same type, so the bounded
 knapsack only sees the type multiset.
+
+The γ-allotments and processing times are read as columns of whichever
+executor (:mod:`repro.perf.oracle`) the driver holds; the rounding itself
+runs per value, so both backends produce identical schemes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from ..knapsack.compressible import round_down_geom, round_up_geom
 from ..knapsack.items import ItemType
-from .allotment import gamma
+from .backend import resolve_backend
 from .compression import CompressionParams, params_for_delta
 from .job import MoldableJob
 
@@ -92,41 +96,30 @@ def round_jobs_to_types(
     """Round the big jobs of a target ``d`` into bounded-knapsack item types.
 
     Every job must satisfy ``gamma_j(d)`` and ``gamma_j(d/2)`` defined (the
-    caller removes forced shelf-1 jobs beforehand).  With a
-    :class:`repro.perf.oracle.BatchedOracle` the γ-allotments and processing
-    times are read as columns (two γ-arrays and two batched kernel calls per
-    target) instead of per job; the rounding itself runs per value either
-    way, so both paths produce identical schemes.
+    caller removes forced shelf-1 jobs beforehand).  The γ-allotments and
+    processing times come from the ``oracle``'s columns: two γ-arrays and
+    two time columns per target.
     """
     params = params_for_delta(delta)
     rho = params.rho
     b = params.b
     half = d / 2.0
     jobs = list(big_jobs)
-
-    columnar = oracle is not None and len(jobs) > 0
-    if columnar:
-        pos = oracle.positions(jobs)
-        g_full_col = oracle.gamma_array(d)[pos]
-        g_half_col = oracle.gamma_array(half)[pos]
-        missing = np.flatnonzero((g_full_col > m) | (g_half_col > m)).tolist()
-        g_fulls = g_full_col.tolist()
-        g_halves = g_half_col.tolist()
-    else:
-        g_fulls = [gamma(job, d, m) for job in jobs]
-        g_halves = [gamma(job, half, m) for job in jobs]
-        missing = [i for i, (g1, g2) in enumerate(zip(g_fulls, g_halves)) if g1 is None or g2 is None]
-    if missing:
+    if oracle is None:
+        _, oracle = resolve_backend(jobs, m, "scalar", None)
+    pos = oracle.positions(jobs)
+    g_full_col = oracle.gamma_at(d, pos)
+    g_half_col = oracle.gamma_at(half, pos)
+    missing = np.flatnonzero((g_full_col > m) | (g_half_col > m))
+    if len(missing):
         raise ValueError(
             f"job {jobs[missing[0]].name!r} cannot meet the shelf heights; "
             "forced jobs must be removed before rounding"
         )
-    if columnar:
-        t_fulls = oracle.times_at(g_full_col, pos).tolist()
-        t_halves = oracle.times_at(g_half_col, pos).tolist()
-    else:
-        t_fulls = [job.processing_time(g) for job, g in zip(jobs, g_fulls)]
-        t_halves = [job.processing_time(g) for job, g in zip(jobs, g_halves)]
+    g_fulls = g_full_col.tolist()
+    g_halves = g_half_col.tolist()
+    t_fulls = oracle.times_at(g_full_col, pos).tolist()
+    t_halves = oracle.times_at(g_half_col, pos).tolist()
 
     # many jobs share a processor count, so round each distinct count once
     counts: Dict[int, int] = {}

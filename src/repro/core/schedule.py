@@ -609,10 +609,10 @@ class Schedule:
     def _resolve_durations(self, block: _ColumnBlock, oracle=None) -> None:
         """Fill the NaN (unresolved) rows of the duration column.
 
-        With a :class:`repro.perf.oracle.BatchedOracle` the durations of all
-        oracle-known jobs come from one batched kernel pass; remaining rows
-        fall back to per-job ``processing_time`` calls (bit-identical values
-        either way — the batched kernels guarantee it).
+        With an executor from :mod:`repro.perf.oracle` the durations of all
+        oracle-known jobs come from one ``times_at`` call (one batched kernel
+        pass on the vectorized one); remaining rows fall back to per-job
+        ``processing_time`` calls (bit-identical values either way).
         """
         duration = block.duration
         unresolved = np.isnan(duration)
@@ -634,9 +634,7 @@ class Schedule:
                     rest.append(i)
             if batch_rows:
                 r = np.asarray(batch_rows, dtype=np.int64)
-                duration[r] = oracle.bundle.eval_at(
-                    np.asarray(batch_jobs, dtype=np.int64), procs[r]
-                )
+                duration[r] = oracle.times_at(procs[r], np.asarray(batch_jobs, dtype=np.int64))
             rows = rest
         for i in rows:
             duration[i] = jobs[i].processing_time(int(procs[i]))

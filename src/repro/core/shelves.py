@@ -18,6 +18,14 @@ Only the *selection* of shelf-1 jobs differs between the algorithms (exact
 knapsack for the original MRT algorithm, compressible / bounded knapsack for
 the accelerated ones); they all run it through
 :func:`repro.core.bounded_algorithm.shelf_dual`.
+
+The construction is written once, against the column interface of the
+executors in :mod:`repro.perf.oracle`: the small/big partition, the
+γ-allotments at ``d``, ``d/2`` and ``3d/2`` and the shelf works are read
+from whole-instance columns, and the placements are collected in an
+:class:`~repro.perf.schedule_builder.ArraySchedule`.  The driver's oracle
+decides which backend answers; a function called without one runs on a
+:class:`~repro.perf.oracle.ScalarOracle`.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 
 from ..knapsack.items import KnapsackItem
 from .allotment import gamma
+from .backend import resolve_backend
 from .job import MoldableJob
 from .schedule import MachineSpan, Schedule
 
@@ -89,35 +98,22 @@ def split_big_jobs(
     ``(forced, knapsack_jobs, capacity)``: the big jobs that cannot meet
     ``d/2`` and so must run in shelf S1, the remaining big jobs, and the
     ``m - sum gamma_j(d)`` processors the forced jobs leave (possibly
-    negative).  With a :class:`repro.perf.oracle.BatchedOracle` the split is
-    made with masks over the ``t_j(1)``, γ(d) and γ(d/2) columns.
+    negative).  The split is made with masks over the ``oracle``'s
+    ``t_j(1)``, γ(d) and γ(d/2) columns.
     """
     if oracle is None:
-        _, big = partition_small_big(jobs, d)
-        forced: List[MoldableJob] = []
-        knapsack_jobs: List[MoldableJob] = []
-        capacity = m
-        for job in big:
-            g_full = gamma(job, d, m)
-            if g_full is None:
-                return None
-            if gamma(job, d / 2.0, m) is None:
-                forced.append(job)
-                capacity -= g_full
-            else:
-                knapsack_jobs.append(job)
-        return forced, knapsack_jobs, capacity
+        _, oracle = resolve_backend(jobs, m, "scalar", None)
     pos = oracle.positions(jobs)
     big = np.flatnonzero(~_leq_array(oracle.t1[pos], d / 2.0))
     if not len(big):
         return [], [], m
-    g_full = oracle.gamma_array(d)[pos[big]]
+    g_full = oracle.gamma_at(d, pos[big])
     if (g_full > m).any():
         return None
-    is_forced = oracle.gamma_array(d / 2.0)[pos[big]] > m
+    is_forced = oracle.gamma_at(d / 2.0, pos[big]) > m
     forced = [jobs[i] for i in big[is_forced].tolist()]
     knapsack_jobs = [jobs[i] for i in big[~is_forced].tolist()]
-    return forced, knapsack_jobs, m - int(g_full[is_forced].sum())
+    return forced, knapsack_jobs, m - sum(g_full[is_forced].tolist())  # exact at any m
 
 
 def small_jobs_work(small: Iterable[MoldableJob]) -> float:
@@ -125,22 +121,15 @@ def small_jobs_work(small: Iterable[MoldableJob]) -> float:
     return sum(job.processing_time(1) for job in small)
 
 
-def shelf_profit(job: MoldableJob, d: float, m: int, *, gamma_fn=None) -> float:
+def shelf_profit(job: MoldableJob, d: float, m: int) -> float:
     """Knapsack profit ``v_j(d) = w_j(gamma_j(d/2)) - w_j(gamma_j(d))``.
 
     The work saved by promoting a big job from shelf S2 to shelf S1.  Requires
     both gammas to be defined; monotony guarantees non-negativity (we clamp
     tiny negative values caused by floating point).
-
-    ``gamma_fn`` optionally substitutes a γ-oracle with the same signature as
-    :func:`repro.core.allotment.gamma` (e.g. a
-    :class:`repro.perf.oracle.BatchedOracle` answering from its per-threshold
-    γ-array cache).
     """
-    if gamma_fn is None:
-        gamma_fn = gamma
-    g_half = gamma_fn(job, d / 2.0, m)
-    g_full = gamma_fn(job, d, m)
+    g_half = gamma(job, d / 2.0, m)
+    g_full = gamma(job, d, m)
     if g_half is None or g_full is None:
         raise ValueError(f"job {job.name!r} cannot meet the threshold with m={m} machines")
     return max(0.0, job.work(g_half) - job.work(g_full))
@@ -149,16 +138,23 @@ def shelf_profit(job: MoldableJob, d: float, m: int, *, gamma_fn=None) -> float:
 def shelf_items(jobs: Sequence[MoldableJob], d: float, m: int, *, oracle=None) -> List[KnapsackItem]:
     """The shelf-1 knapsack over ``jobs`` at target ``d``: one item per job,
     keyed by position, with size ``gamma_j(d)``, profit :func:`shelf_profit`
-    and the job as payload.  ``oracle`` answers the γ-lookups from its cache."""
-    gamma_fn = oracle.gamma if oracle is not None else gamma
+    and the job as payload, read from the ``oracle``'s columns."""
+    if not jobs:
+        return []
+    if oracle is None:
+        _, oracle = resolve_backend(jobs, m, "scalar", None)
+    pos = oracle.positions(jobs)
+    g_full = oracle.gamma_at(d, pos)
+    g_half = oracle.gamma_at(d / 2.0, pos)
+    missing = np.flatnonzero((g_full > m) | (g_half > m))
+    if len(missing):
+        raise ValueError(f"job {jobs[missing[0]].name!r} cannot meet the threshold with m={m} machines")
+    # k * t_j(k) per job, as MoldableJob.work
+    works_full = (g_full * oracle.times_at(g_full, pos)).tolist()
+    works_half = (g_half * oracle.times_at(g_half, pos)).tolist()
     return [
-        KnapsackItem(
-            key=idx,
-            size=gamma_fn(job, d, m),
-            profit=shelf_profit(job, d, m, gamma_fn=gamma_fn),
-            payload=job,
-        )
-        for idx, job in enumerate(jobs)
+        KnapsackItem(key=idx, size=size, profit=max(0.0, w_half - w_full), payload=job)
+        for idx, (job, size, w_full, w_half) in enumerate(zip(jobs, g_full.tolist(), works_full, works_half))
     ]
 
 
@@ -214,22 +210,9 @@ def build_two_shelf_schedule(
     case the target ``d`` must be rejected or the job forced into shelf 1 by
     the caller.
     """
-    small, big = partition_small_big(jobs, d)
-    shelf1_ids = {id(j) for j in shelf1_jobs}
-    shelf1: Dict[MoldableJob, int] = {}
-    shelf2: Dict[MoldableJob, int] = {}
-    for job in big:
-        if id(job) in shelf1_ids:
-            g = gamma(job, d, m)
-            if g is None:
-                return None
-            shelf1[job] = g
-        else:
-            g = gamma(job, d / 2.0, m)
-            if g is None:
-                return None
-            shelf2[job] = g
-    return TwoShelfSchedule(d=d, m=m, shelf1=shelf1, shelf2=shelf2, small=small)
+    _, oracle = resolve_backend(jobs, m, "scalar", None)
+    columns = _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle)
+    return None if columns is None else columns[0]
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +226,6 @@ class _S0Entry:
 
     procs: int
     placements: List[Tuple[MoldableJob, int, float]] = field(default_factory=list)
-
-    def end(self) -> float:
-        return max((start + job.processing_time(procs) for job, procs, start in self.placements), default=0.0)
 
 
 @dataclass
@@ -269,32 +249,24 @@ class ThreeShelfDiagnostics:
 
 
 class _ScheduleAssembler:
-    """Placement collector shared by the object and columnar assembly modes.
+    """Placement collector: the placements accumulate as flat rows in an
+    :class:`repro.perf.schedule_builder.ArraySchedule` and the ``Schedule``
+    is materialized once in :meth:`finish`, with one batched
+    span-normalization pass.
 
-    In object mode every :meth:`add` goes straight to ``Schedule.add`` (the
-    scalar reference).  In columnar mode the placements accumulate as flat
-    rows in an :class:`repro.perf.schedule_builder.ArraySchedule` and the
-    ``Schedule`` is materialized once in :meth:`finish` — bit-identical
-    entries, one batched span-normalization pass instead of n.
-
-    Either way the assembler records the busy *pieces* ``(machine_first,
+    The assembler also records the busy *pieces* ``(machine_first,
     machine_end, start, end)`` that the small-job gap recovery sweeps, so the
-    gap index never needs the (possibly not yet materialized) entry objects.
+    gap index never needs the not yet materialized entry objects.
     """
 
-    __slots__ = ("m", "pieces", "_schedule", "_builder")
+    __slots__ = ("m", "pieces", "_builder")
 
-    def __init__(self, m: int, metadata: dict, columnar: bool) -> None:
+    def __init__(self, m: int, metadata: dict) -> None:
+        from ..perf.schedule_builder import ArraySchedule  # repro.perf imports repro.core
+
         self.m = m
         self.pieces: List[Tuple[int, int, float, float]] = []
-        if columnar:
-            from ..perf.schedule_builder import ArraySchedule
-
-            self._builder = ArraySchedule(m, metadata=metadata)
-            self._schedule = None
-        else:
-            self._builder = None
-            self._schedule = Schedule(m=m, metadata=metadata)
+        self._builder = ArraySchedule(m, metadata=metadata)
 
     def add(
         self,
@@ -307,34 +279,21 @@ class _ScheduleAssembler:
         pieces = self.pieces
         for first, count in spans:
             pieces.append((first, first + count, start, end))
-        if self._builder is not None:
-            self._builder.append(job, start, spans)
-        else:
-            self._schedule.add(job, start, spans)
+        self._builder.append(job, start, spans)
 
     def finish(self) -> Schedule:
-        if self._builder is not None:
-            return self._builder.build()
-        return self._schedule
-
-
-def _two_shelf_scalar(jobs, m, d, shelf1_jobs):
-    """:func:`build_two_shelf_schedule` with its total work and the small
-    jobs' ``t_j(1)``, in the shape of :func:`_two_shelf_columns`."""
-    two_shelf = build_two_shelf_schedule(jobs, m, d, shelf1_jobs)
-    if two_shelf is None:
-        return None
-    small_times = [job.processing_time(1) for job in two_shelf.small]
-    return two_shelf, two_shelf.total_work, small_times, None
+        return self._builder.build()
 
 
 def _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle):
-    """Columnar counterpart of :func:`_two_shelf_scalar`.
+    """The two-shelf picture, its total work, the small jobs' ``t_j(1)`` and
+    the oracle positions of the shelf-2 jobs, or ``None`` when a big job
+    cannot meet its shelf's height.
 
     Reads the small/big partition, the shelf allotments γ(d) / γ(d/2) and
-    the works from whole-instance oracle columns, with the scalar path's
-    arithmetic (``_leq``, ``k * t_j(k)``, left-to-right sums).  The last
-    element of the result is the oracle positions of the shelf-2 jobs.
+    the works from whole-instance oracle columns, with the arithmetic of
+    :func:`partition_small_big` and :class:`TwoShelfSchedule` (``_leq``,
+    ``k * t_j(k)``, left-to-right sums).
     """
     pos = oracle.positions(jobs)
     t1 = oracle.t1[pos]
@@ -343,9 +302,9 @@ def _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle):
     in_s1 = np.fromiter((id(j) in shelf1_ids for j in jobs), dtype=bool, count=len(jobs))
     s1 = np.flatnonzero(~small & in_s1)
     s2 = np.flatnonzero(~small & ~in_s1)
-    # a threshold is only searched when some job needs it, as on the scalar path
-    g1 = oracle.gamma_array(d)[pos[s1]] if len(s1) else s1
-    g2 = oracle.gamma_array(d / 2.0)[pos[s2]] if len(s2) else s2
+    # a threshold is only searched when some job needs it
+    g1 = oracle.gamma_at(d, pos[s1]) if len(s1) else s1
+    g2 = oracle.gamma_at(d / 2.0, pos[s2]) if len(s2) else s2
     if (g1 > m).any() or (g2 > m).any():
         return None
 
@@ -386,13 +345,10 @@ def build_three_shelf_schedule(
         Big jobs placed in shelf S1 (any small members are ignored, as in
         Corollary 10).
     oracle:
-        Optional :class:`repro.perf.oracle.BatchedOracle` over ``(jobs, m)``
-        (the vectorized drivers' fast path; bit-identical schedule).  The
-        partition, the γ-allotments at ``d``, ``d/2`` and ``3d/2``, the shelf
-        works and the small jobs' times are then read from whole-instance
-        columns — one γ-array per threshold instead of one γ-search per job
-        — and the placements are collected as flat columns and materialized
-        in one batched pass instead of per-placement ``Schedule.add`` calls.
+        The executor over ``(jobs, m)`` (:mod:`repro.perf.oracle`) whose
+        columns give the partition, the γ-allotments at ``d``, ``d/2`` and
+        ``3d/2``, the shelf works and the small jobs' times; a
+        :class:`~repro.perf.oracle.ScalarOracle` when omitted.
 
     Returns ``None`` when the selection violates the Lemma 6 work bound, shelf
     S1 does not fit, or (defensively) the construction cannot complete — the
@@ -403,9 +359,8 @@ def build_three_shelf_schedule(
     diag.m = m
 
     if oracle is None:
-        columns = _two_shelf_scalar(jobs, m, d, shelf1_jobs)
-    else:
-        columns = _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle)
+        _, oracle = resolve_backend(jobs, m, "scalar", None)
+    columns = _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle)
     if columns is None:
         diag.rejected_reason = "a big job cannot meet its shelf height on m machines"
         return None
@@ -485,12 +440,9 @@ def build_three_shelf_schedule(
     def current_p1() -> int:
         return s1_procs - len(piggyback)
 
-    if oracle is None:
-        needs = [gamma(job, three_half, m) for job in s2_alloc]
-    else:
-        needs = oracle.gamma_array(three_half)[s2_pos].tolist() if s2_alloc else []
+    needs = oracle.gamma_at(three_half, s2_pos).tolist() if s2_alloc else []
     # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so every need is defined.
-    assert all(g is not None and g <= m for g in needs)
+    assert all(g <= m for g in needs)
     move_heap: List[Tuple[int, int, MoldableJob]] = [
         (g, idx, job) for idx, (g, job) in enumerate(zip(needs, s2_alloc))
     ]
@@ -546,7 +498,7 @@ def build_three_shelf_schedule(
         diag.rejected_reason = "shelves S0+S1 exceed m processors after transformation"
         return None
 
-    assembler = _ScheduleAssembler(m, {"construction": "three_shelf", "d": d}, oracle is not None)
+    assembler = _ScheduleAssembler(m, {"construction": "three_shelf", "d": d})
     next_machine = 0
 
     def take(count: int) -> MachineSpan:

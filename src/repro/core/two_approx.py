@@ -81,9 +81,9 @@ def two_approximation(
         return TwoApproxResult(
             Schedule(m=m, metadata={"algorithm": "two_approximation", "backend": backend}),
             ludwig_tiwari_estimator(jobs, m),
-            oracle.gamma_probes if oracle is not None else None,
+            oracle.gamma_probes,
         )
-    if oracle is not None:
+    if backend == "vectorized":
         return oracle.run(two_approx_steps(jobs, oracle, validate=validate))
     estimate = ludwig_tiwari_estimator(jobs, m)
     # Sort longest-processing-time first: not required for the bound but a

@@ -21,19 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.allotment import gamma
 from ..core.bounds import ludwig_tiwari_estimator
 from ..core.mrt import mrt_dual
 from ..core.shelves import (
     ThreeShelfDiagnostics,
     build_three_shelf_schedule,
     build_two_shelf_schedule,
-    partition_small_big,
-    shelf_profit,
+    shelf_items,
+    split_big_jobs,
 )
 from ..core.validation import validate_schedule
 from ..knapsack.dp import solve_knapsack
-from ..knapsack.items import KnapsackItem
 from ..simulator.engine import simulate_schedule
 from ..simulator.gantt import render_shelves
 from ..workloads.generators import random_mixed_instance
@@ -60,26 +58,11 @@ class ShelfRow:
 
 def _shelf1_by_knapsack(jobs, m, d):
     """Select shelf-1 jobs exactly as the MRT algorithm does."""
-    _, big = partition_small_big(jobs, d)
-    shelf1 = []
-    knapsack_jobs = []
-    capacity = m
-    for job in big:
-        g_full = gamma(job, d, m)
-        if g_full is None:
-            return None
-        if gamma(job, d / 2.0, m) is None:
-            shelf1.append(job)
-            capacity -= g_full
-        else:
-            knapsack_jobs.append(job)
-    if capacity < 0:
+    split = split_big_jobs(jobs, m, d)
+    if split is None or split[2] < 0:
         return None
-    items = [
-        KnapsackItem(key=i, size=gamma(job, d, m), profit=shelf_profit(job, d, m), payload=job)
-        for i, job in enumerate(knapsack_jobs)
-    ]
-    _, chosen = solve_knapsack(items, capacity)
+    shelf1, knapsack_jobs, capacity = split
+    _, chosen = solve_knapsack(shelf_items(knapsack_jobs, d, m), capacity)
     shelf1.extend(item.payload for item in chosen)
     return shelf1
 

@@ -11,7 +11,8 @@ This package makes *batched* evaluation the fast path of the library:
   γ-binary-searches in lockstep (``O(log m)`` array operations instead of
   ``n·log m`` Python calls) and caches the γ-arrays per threshold; successive
   thresholds of a dual search reuse earlier results as bisection brackets
-  (the γ-breakpoint cache).
+  (the γ-breakpoint cache).  :class:`ScalarOracle` answers the same column
+  interface per job from the scalar reference, exactly at any ``m``.
 * :mod:`repro.perf.schedule_builder` — :class:`ArraySchedule` /
   :func:`schedule_from_arrays` assemble a :class:`~repro.core.schedule.Schedule`
   from flat columns (job index, start, span first/count) in one batched pass
@@ -31,12 +32,13 @@ instance size (:mod:`repro.core.backend`).
 
 from .arrays import JobArrayBundle
 from .megabatch import MegaBatch, MegaOracle, solve_mega
-from .oracle import BatchedOracle, lockstep_gamma_round
+from .oracle import BatchedOracle, ScalarOracle, lockstep_gamma_round
 from .schedule_builder import ArraySchedule, ScheduleColumns, schedule_from_arrays
 
 __all__ = [
     "JobArrayBundle",
     "BatchedOracle",
+    "ScalarOracle",
     "lockstep_gamma_round",
     "MegaBatch",
     "MegaOracle",

@@ -1,4 +1,4 @@
-"""Batched γ-allotments: all n binary searches in lockstep on arrays.
+"""The two executors of the drivers' γ-allotments and processing times.
 
 The algorithms of Jansen & Land evaluate the canonical processor count
 
@@ -6,8 +6,9 @@ The algorithms of Jansen & Land evaluate the canonical processor count
 
 for every job at many thresholds ``t`` (the dual binary search probes
 ``O(log 1/eps)`` targets ``d``, and each dual step needs ``gamma_j(d)``,
-``gamma_j(d/2)`` and ``gamma_j(3d/2)``).  The scalar path runs ``n`` separate
-binary searches of ``log m`` Python-level oracle calls each.
+``gamma_j(d/2)`` and ``gamma_j(3d/2)``).  :class:`ScalarOracle` runs ``n``
+separate binary searches of ``log m`` Python-level oracle calls each, exactly
+at any ``m``.
 
 :class:`BatchedOracle` instead advances *all* jobs' bisections together: one
 vectorized oracle evaluation (via :class:`~repro.perf.arrays.JobArrayBundle`)
@@ -49,19 +50,149 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.capacity import MAX_COLUMNAR_M
+from ..core.allotment import gamma
+from ..core.capacity import MAX_COLUMNAR_M, index_array
 from ..core.job import MoldableJob
 from .arrays import JobArrayBundle
 
-__all__ = ["BatchedOracle", "lockstep_gamma_round"]
+__all__ = ["BatchedOracle", "ScalarOracle", "lockstep_gamma_round"]
 
 
-class BatchedOracle:
-    """Vectorized γ/processing-time oracle over a fixed instance ``(jobs, m)``.
+class _Executor:
+    """What both executors share: the instance, the ``t_j(1)`` / ``t_j(m)``
+    columns, positional job lookup, the request loop and the exact
+    left-to-right sum.  A subclass answers :meth:`gamma_array` and
+    :meth:`times_at`.
 
     The instance must not change while the oracle is alive: γ-arrays are
     cached per threshold and job indices are positional.
     """
+
+    def __init__(self, jobs: Sequence[MoldableJob], m: int) -> None:
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        self.jobs: List[MoldableJob] = list(jobs)
+        self.m = int(m)
+        self.n = len(self.jobs)
+        self._index: Dict[int, int] = {id(job): i for i, job in enumerate(self.jobs)}
+        self._gamma_cache: Dict[float, Sequence[int]] = {}
+        self._t1: Optional[np.ndarray] = None
+        self._tm: Optional[np.ndarray] = None
+
+    @property
+    def t1(self) -> np.ndarray:
+        """``t_j(1)`` for all jobs (evaluated once)."""
+        if self._t1 is None:
+            self._t1 = self.times_at(1)
+            self._t1.setflags(write=False)
+        return self._t1
+
+    @property
+    def tm(self) -> np.ndarray:
+        """``t_j(m)`` for all jobs (evaluated once)."""
+        if self._tm is None:
+            self._tm = self.times_at(self.m)
+            self._tm.setflags(write=False)
+        return self._tm
+
+    def gamma_at(self, threshold: float, idx: np.ndarray) -> np.ndarray:
+        """``gamma_j(threshold)`` for the jobs at positions ``idx`` (``m + 1``
+        where even ``m`` machines are not enough)."""
+        return self.gamma_array(threshold)[idx]
+
+    def index_of(self, job: MoldableJob) -> int:
+        """Positional index of ``job`` in this oracle's job list."""
+        return self._index[id(job)]
+
+    def positions(self, jobs: Sequence[MoldableJob]) -> np.ndarray:
+        """Positional indices of ``jobs`` in this oracle's job list."""
+        index = self._index
+        return np.fromiter((index[id(job)] for job in jobs), dtype=np.int64, count=len(jobs))
+
+    def times_for(self, jobs: Sequence[MoldableJob], ks) -> np.ndarray:
+        """``t_j(ks_i)`` for an arbitrary job subset/permutation ``jobs``.
+
+        One batched kernel call per job class present — the event-queue
+        list scheduler uses this to resolve durations for a
+        priority-ordered job sequence without per-job Python calls."""
+        return self.times_at(ks, self.positions(jobs))
+
+    def run(self, steps):
+        """The solo executor: drive a driver's request generator on this
+        oracle and return the generator's return value.
+
+        The request-generator drivers (:func:`~repro.core.bounds.estimator_steps`,
+        :func:`~repro.core.two_approx.two_approx_steps`,
+        :func:`~repro.core.fptas.fptas_steps`) yield one request at a time:
+        ``("gamma", threshold)`` is answered with :meth:`gamma_array`,
+        ``("eval", ks)`` with :meth:`times_at` (``t_j(ks_j)`` for every job;
+        a scalar ``ks`` broadcasts).  :func:`repro.perf.megabatch.solve_mega`
+        answers the same requests for many generators in batched rounds, so
+        caches, ``stats`` and results agree solo and in a mega batch.  Answers go
+        through ``self``'s methods, so a subclass overriding them sees every
+        request.
+        """
+        reply = None
+        while True:
+            try:
+                kind, payload = steps.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            reply = self.gamma_array(payload) if kind == "gamma" else self.times_at(payload)
+
+    @staticmethod
+    def sequential_sum(values: np.ndarray) -> float:
+        """Left-to-right float sum, matching the scalar ``sum()`` over jobs
+        bit for bit (``np.sum`` pairwise summation would not)."""
+        return sum(values.tolist())
+
+
+class ScalarOracle(_Executor):
+    """The scalar executor: the column interface of :class:`BatchedOracle`
+    over a fixed instance ``(jobs, m)``, answered per job by the reference
+    :func:`repro.core.allotment.gamma` and ``processing_time``.
+
+    γ-values use the same sentinel ``m + 1`` and are cached per threshold
+    and job: as on the scalar reference, a γ-search runs only for the jobs
+    a step asks about (:meth:`gamma_at`).  Count columns are int64 while
+    they fit and exact Python ints beyond
+    (:func:`repro.core.capacity.index_array`), so any ``m`` the compact
+    encoding allows runs exactly.  The scalar executor counts no γ-probes.
+    """
+
+    backend = "scalar"
+    gamma_probes = None
+
+    def gamma_array(self, threshold: float) -> np.ndarray:
+        """``gamma_j(threshold)`` for all jobs, ``m + 1`` where
+        :func:`~repro.core.allotment.gamma` returns ``None``."""
+        return self.gamma_at(threshold, np.arange(self.n))
+
+    def gamma_at(self, threshold: float, idx: np.ndarray) -> np.ndarray:
+        threshold = float(threshold)
+        known = self._gamma_cache.get(threshold)
+        if known is None:
+            known = self._gamma_cache[threshold] = [None] * self.n
+        m, jobs, rows = self.m, self.jobs, idx.tolist()
+        for i in rows:
+            if known[i] is None:
+                g = gamma(jobs[i], threshold, m)
+                known[i] = m + 1 if g is None else g
+        return index_array([known[i] for i in rows])
+
+    def times_at(self, ks, idx: Optional[np.ndarray] = None) -> np.ndarray:
+        """``t_j(ks_j)`` for all jobs at per-job processor counts, or only for
+        the jobs at positions ``idx`` (then ``ks`` is aligned with ``idx``)."""
+        jobs = self.jobs if idx is None else [self.jobs[i] for i in idx.tolist()]
+        ks = np.asarray(ks)
+        ks = ks.tolist() if ks.ndim else [ks.item()] * len(jobs)
+        return np.array([job.processing_time(k) for job, k in zip(jobs, ks)], dtype=np.float64)
+
+
+class BatchedOracle(_Executor):
+    """Vectorized γ/processing-time oracle over a fixed instance ``(jobs, m)``."""
+
+    backend = "vectorized"
 
     def __init__(
         self,
@@ -71,8 +202,6 @@ class BatchedOracle:
         warm_start: bool = True,
         bundle=None,
     ) -> None:
-        if m < 1:
-            raise ValueError("m must be >= 1")
         if m > MAX_COLUMNAR_M:
             # γ-arrays store the sentinel m + 1 in int64, and tm / times_at
             # funnel counts through float64 — the same int64 contract
@@ -82,22 +211,16 @@ class BatchedOracle:
             raise ValueError(
                 f"m={m} exceeds the int64 range of the batched oracle; use the scalar backend"
             )
-        self.jobs: List[MoldableJob] = list(jobs)
-        self.m = int(m)
-        self.n = len(self.jobs)
+        super().__init__(jobs, m)
         self.warm_start = bool(warm_start)
         #: ``bundle`` is internal plumbing for the mega-batch layer: a
         #: segment view of a shared bundle may be injected so evaluations of
         #: many oracles coalesce; defaults to a private bundle over ``jobs``.
         self.bundle = bundle if bundle is not None else JobArrayBundle(self.jobs)
-        self._index: Dict[int, int] = {id(job): i for i, job in enumerate(self.jobs)}
-        self._t1: Optional[np.ndarray] = None
-        self._tm: Optional[np.ndarray] = None
         #: the γ-arrays at thresholds +inf and 0: the warm-start neighbours
         #: where no cached threshold lies above / below a new one
         self._ones = np.broadcast_to(np.int64(1), (self.n,))
         self._sentinels = np.broadcast_to(np.int64(self.m + 1), (self.n,))
-        self._gamma_cache: Dict[float, np.ndarray] = {}
         self._sorted_thresholds: List[float] = []
         #: instrumentation: lockstep searches run, bisection levels spent
         #: (counted per job class, so a mixed instance counts each class's
@@ -118,22 +241,6 @@ class BatchedOracle:
         return self.stats["oracle_evals"]
 
     # ------------------------------------------------------------- raw times
-    @property
-    def t1(self) -> np.ndarray:
-        """``t_j(1)`` for all jobs (evaluated once)."""
-        if self._t1 is None:
-            self._t1 = self.bundle.eval_all(1.0)
-            self._t1.setflags(write=False)
-        return self._t1
-
-    @property
-    def tm(self) -> np.ndarray:
-        """``t_j(m)`` for all jobs (evaluated once)."""
-        if self._tm is None:
-            self._tm = self.bundle.eval_all(float(self.m))
-            self._tm.setflags(write=False)
-        return self._tm
-
     def _neighbours(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, float]:
         """The γ-arrays of the nearest cached thresholds above and below a new
         ``threshold`` (or the edge arrays), and its position between the two
@@ -157,23 +264,6 @@ class BatchedOracle:
         if idx is None:
             return self.bundle.eval_all(ks)
         return self.bundle.eval_at(idx, np.asarray(ks, dtype=np.float64))
-
-    def times_for(self, jobs: Sequence[MoldableJob], ks) -> np.ndarray:
-        """``t_j(ks_i)`` for an arbitrary job subset/permutation ``jobs``.
-
-        One batched kernel call per job class present — the event-queue
-        list scheduler uses this to resolve durations for a
-        priority-ordered job sequence without per-job Python calls."""
-        return self.times_at(ks, self.positions(jobs))
-
-    def index_of(self, job: MoldableJob) -> int:
-        """Positional index of ``job`` in this oracle's job list."""
-        return self._index[id(job)]
-
-    def positions(self, jobs: Sequence[MoldableJob]) -> np.ndarray:
-        """Positional indices of ``jobs`` in this oracle's job list."""
-        index = self._index
-        return np.fromiter((index[id(job)] for job in jobs), dtype=np.int64, count=len(jobs))
 
     # ---------------------------------------------------------- cache priming
     def prime_from(self, other: "BatchedOracle") -> int:
@@ -252,37 +342,6 @@ class BatchedOracle:
             self.stats["threshold_cache_hits"] += 1
         g = int(gammas[self._index[id(job)]])
         return None if g > self.m else g
-
-    # ------------------------------------------------------------- executor
-    def run(self, steps):
-        """The solo executor: drive a driver's request generator on this
-        oracle and return the generator's return value.
-
-        The vectorized drivers (:func:`~repro.core.bounds.estimator_steps`,
-        :func:`~repro.core.two_approx.two_approx_steps`,
-        :func:`~repro.core.fptas.fptas_steps`) yield one request at a time:
-        ``("gamma", threshold)`` is answered with :meth:`gamma_array`,
-        ``("eval", ks)`` with :meth:`times_at` (``t_j(ks_j)`` for every job;
-        a scalar ``ks`` broadcasts).  :func:`repro.perf.megabatch.solve_mega`
-        answers the same requests for many generators in batched rounds, so
-        caches, ``stats`` and results agree on both executors.  Answers go
-        through ``self``'s methods, so a subclass overriding them sees every
-        request.
-        """
-        reply = None
-        while True:
-            try:
-                kind, payload = steps.send(reply)
-            except StopIteration as stop:
-                return stop.value
-            reply = self.gamma_array(payload) if kind == "gamma" else self.times_at(payload)
-
-    # ------------------------------------------------------------ aggregates
-    @staticmethod
-    def sequential_sum(values: np.ndarray) -> float:
-        """Left-to-right float sum, matching the scalar ``sum()`` over jobs
-        bit for bit (``np.sum`` pairwise summation would not)."""
-        return sum(values.tolist())
 
 
 # ---------------------------------------------------------------------------

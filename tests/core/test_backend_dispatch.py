@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
-from repro import schedule_moldable, solve_mega
+from repro import AmdahlJob, OracleJob, schedule_moldable, solve_mega
+from repro.core.allotment import gamma_batch
 from repro.core.backend import (
     AUTO_VECTORIZED_MIN_N,
     MAX_VECTORIZED_M,
     auto_backend,
     resolve_backend,
 )
-from repro.core.bounds import ludwig_tiwari_estimator
+from repro.core.bounds import ludwig_tiwari_estimator, makespan_lower_bound
 from repro.core.dual import dual_binary_search
 from repro.core.fptas import fptas_schedule
 from repro.core.replan import ReplanState
 from repro.core.two_approx import two_approximation
 from repro.io import schedule_from_dict, schedule_to_dict
 from repro.online import OnlineScheduler
-from repro.perf.oracle import BatchedOracle
+from repro.perf.oracle import BatchedOracle, ScalarOracle
 from repro.resilience import FaultPlan, MachineFailure, recover_with_faults
 from repro.workloads.generators import random_arrivals_instance, random_mixed_instance
 
@@ -71,10 +72,9 @@ class TestTable:
         jobs = random_mixed_instance(200, 64, seed=1).jobs
         for algorithm in AUTO_VECTORIZED_MIN_N:
             assert auto_backend(algorithm, 200, MAX_VECTORIZED_M + 1) == "scalar"
-            assert resolve_backend(jobs, MAX_VECTORIZED_M + 1, "auto", None, algorithm) == (
-                "scalar",
-                None,
-            )
+            backend, oracle = resolve_backend(jobs, MAX_VECTORIZED_M + 1, "auto", None, algorithm)
+            assert backend == "scalar" and isinstance(oracle, ScalarOracle)
+            assert oracle.m == MAX_VECTORIZED_M + 1 and oracle.jobs == jobs
         backend, oracle = resolve_backend(jobs, MAX_VECTORIZED_M, "auto", None, "two_approx")
         assert backend == "vectorized" and oracle is not None
 
@@ -263,6 +263,7 @@ class TestMismatchedOracle:
         "schedule_moldable_fptas": lambda jobs, m, oracle: schedule_moldable(
             jobs, m, EPS, algorithm="fptas", oracle=oracle
         ),
+        "gamma_batch": lambda jobs, m, oracle: gamma_batch(jobs, 1.0, m, oracle=oracle),
     }
 
     @pytest.mark.parametrize("kind", ["wrong_m", "other_jobs", "subset", "reordered"])
@@ -280,3 +281,75 @@ class TestMismatchedOracle:
         with_oracle = schedule_moldable(list(jobs), self.M, EPS, algorithm="two_approx", oracle=oracle)
         assert with_oracle.makespan == solo.makespan
         assert with_oracle.lower_bound == solo.lower_bound
+
+
+class TestScalarExecutorPastInt64:
+    """Beyond int64 every backend runs the scalar executor, whose count
+    columns must stay exact Python ints: an allotment here exceeds 2^63, so
+    a count rounded through float64 or wrapped in int64 changes the entries.
+    The pins are the scalar reference's output before the shelf step ran
+    on a :class:`ScalarOracle`."""
+
+    M = 1 << 80
+    LOWER_BOUND = 3.000000000002481e17
+    # the large-m branch of bounded and compressible: the FPTAS dual, eps 1/2
+    LARGE_M = (
+        4.907286023817844e17,
+        [
+            ("a", 0.0, ((0, 203778625322924392449),)),
+            ("b", 0.0, ((203778625322924392449, 81511450129169768448),)),
+            ("c", 0.0, ((285290075452094160897, 1572915631182),)),
+        ],
+    )
+    PINS = {
+        "mrt": (
+            5.3514346932306726e17,
+            [
+                ("b", 0.0, ((0, 74746310649363275777),)),
+                ("a", 0.0, ((74746310649363275777, 186865776623408201729),)),
+                ("c", 0.0, ((261612087272771477506, 5285196898568),)),
+            ],
+        ),
+        "bounded": LARGE_M,
+        "compressible": LARGE_M,
+        "two_approx": (
+            3.000002127537993e17,
+            [
+                ("a", 0.0, ((0, 333333096940390612993),)),
+                ("b", 0.0, ((333333096940390612993, 133333238776156233729),)),
+                ("c", 0.0, ((466666335716546846722, 1410080576246018177),)),
+            ],
+        ),
+        "fptas": (
+            3.81677801852499e17,
+            [
+                ("a", 0.0, ((0, 262001089700902780928),)),
+                ("b", 0.0, ((262001089700902780928, 104800435880361107457),)),
+                ("c", 0.0, ((366801525581263888385, 3672968581372),)),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("algorithm", sorted(PINS))
+    def test_entries_makespan_and_lower_bound_are_pinned(self, algorithm, backend):
+        jobs = [AmdahlJob("a", 1e38, 0.0), AmdahlJob("b", 4e37, 0.0), AmdahlJob("c", 3e29, 1e-12)]
+        result = schedule_moldable(jobs, self.M, 0.5, algorithm=algorithm, backend=backend)
+        makespan, entries = self.PINS[algorithm]
+        assert result.backend == "scalar"
+        assert _entries(result.schedule) == entries
+        assert max(e.processors for e in result.schedule.entries) > 1 << 63
+        assert result.makespan == makespan
+        assert result.lower_bound == self.LOWER_BOUND
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("algorithm", ["bounded", "compressible"])
+    def test_the_estimator_evaluates_exact_counts(self, algorithm, backend):
+        """The step job's γ is the odd count 2^79 + 1.  Evaluated at that
+        count rounded through float64 (2^79) it would read twice as long,
+        and the certified lower bound would move off the reference's."""
+        step = (1 << 79) + 1
+        jobs = [OracleJob("step", lambda k: 1e30 if k < step else 5e29), AmdahlJob("a", 1e50, 0.0)]
+        result = schedule_moldable(jobs, self.M, 0.5, algorithm=algorithm, backend=backend)
+        assert result.lower_bound == makespan_lower_bound(jobs, self.M) == 5e29
+        assert result.makespan == 8.178807994989434e29

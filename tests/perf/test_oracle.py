@@ -11,7 +11,7 @@ from repro.core.list_scheduling import list_schedule
 from repro.core.schedule import Schedule
 from repro.core.validation import validate_schedule
 from repro.perf.arrays import JobArrayBundle
-from repro.perf.oracle import BatchedOracle
+from repro.perf.oracle import BatchedOracle, ScalarOracle
 from repro.simulator.engine import SimulationError, simulate_schedule
 
 
@@ -76,7 +76,7 @@ class TestBatchedOracleCaches:
         jobs = [AmdahlJob(f"a{i}", 10.0 + i, 0.1) for i in range(4)]
         m = 10 ** 25
         backend, oracle = resolve_backend(jobs, m, "vectorized", None)
-        assert backend == "scalar" and oracle is None
+        assert backend == "scalar" and isinstance(oracle, ScalarOracle)
         assert m > MAX_VECTORIZED_M
         result = fptas_schedule(jobs, m, 0.5)  # default backend="vectorized"
         assert result.makespan == fptas_schedule(jobs, m, 0.5, backend="scalar").makespan
@@ -103,7 +103,7 @@ class TestBatchedOracleCaches:
         backend, oracle = resolve_backend(jobs, 1 << 62, "vectorized", None)
         assert backend == "vectorized" and oracle is not None
         backend, oracle = resolve_backend(jobs, (1 << 62) + 1, "vectorized", None)
-        assert backend == "scalar" and oracle is None
+        assert backend == "scalar" and isinstance(oracle, ScalarOracle)
 
     def test_supplied_oracle_implies_vectorized(self):
         """Passing an oracle to a dual step must use it even though the dual

@@ -37,7 +37,7 @@ from repro.knapsack.compressible import solve_compressible_knapsack
 from repro.knapsack.dp import solve_knapsack, solve_knapsack_dense
 from repro.knapsack.items import KnapsackItem
 from repro.perf.arrays import JobArrayBundle
-from repro.perf.oracle import BatchedOracle
+from repro.perf.oracle import BatchedOracle, ScalarOracle
 
 
 # --------------------------------------------------------------------------
@@ -144,6 +144,23 @@ class TestGammaBatchParity:
                     assert g == m + 1
                 else:
                     assert g == expected
+
+    @given(
+        job_lists(),
+        st.integers(min_value=1, max_value=1 << 14),
+        st.lists(st.floats(min_value=1e-3, max_value=2e3), min_size=1, max_size=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_oracle_columns_match_the_batched_oracle(self, jobs, m, thresholds):
+        scalar, batched = ScalarOracle(jobs, m), BatchedOracle(jobs, m)
+        assert np.array_equal(scalar.t1, batched.t1) and np.array_equal(scalar.tm, batched.tm)
+        backwards = np.arange(len(jobs))[::-1]
+        for threshold in thresholds:
+            gammas = scalar.gamma_array(threshold)
+            assert np.array_equal(gammas, batched.gamma_array(threshold))
+            ks = np.minimum(gammas, m)[backwards]
+            assert np.array_equal(scalar.times_at(ks, backwards), batched.times_at(ks, backwards))
+        assert scalar.gamma_probes is None
 
     def test_scalar_drop_in_gamma(self):
         jobs = [AmdahlJob(f"a{i}", 10.0 + i, 0.1) for i in range(5)]
