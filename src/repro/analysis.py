@@ -85,20 +85,12 @@ def analyze_schedule(
 
     # per-entry scalars straight from the schedule's columns; entry objects
     # are never materialised
-    cols = schedule.try_columns()
-    if cols is not None:
-        starts = cols.start.tolist()
-        durations = cols.duration.tolist()
-        ends = cols.end.tolist()
-        processors = cols.processors.tolist()
-        works = (cols.processors * cols.duration).tolist()
-    else:  # astronomically wide spans: per-entry fallback
-        entries = list(schedule.entries)
-        starts = [e.start for e in entries]
-        durations = [e.duration for e in entries]
-        ends = [e.end for e in entries]
-        processors = [e.processors for e in entries]
-        works = [e.work for e in entries]
+    cols = schedule.columns()
+    starts = cols.start.tolist()
+    durations = cols.duration.tolist()
+    ends = cols.end.tolist()
+    processors = cols.processors.tolist()
+    works = (cols.processors * cols.duration).tolist()
 
     per_job: List[JobMetrics] = []
     total_work = 0.0

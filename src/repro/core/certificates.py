@@ -55,18 +55,13 @@ def extract_certificate(schedule: Schedule, jobs: Sequence[MoldableJob]) -> Cert
     """Read a certificate (allotments + start order) off a schedule.
 
     Reads the schedule's flat columns (processor counts, start times)
-    directly; entry objects are only materialised on the astronomically-wide
-    fallback path.
+    directly; entry objects are never materialised.
     """
     index_of = {id(job): i for i, job in enumerate(jobs)}
     allotment: List[int] = [1] * len(jobs)
     starts: List[Tuple[float, int]] = []
-    cols = schedule.try_columns()
-    if cols is not None:
-        entry_rows = zip(schedule.jobs(), cols.processors.tolist(), cols.start.tolist())
-    else:
-        entry_rows = ((e.job, e.processors, e.start) for e in schedule.entries)
-    for job, processors, start in entry_rows:
+    cols = schedule.columns()
+    for job, processors, start in zip(schedule.jobs(), cols.processors.tolist(), cols.start.tolist()):
         idx = index_of.get(id(job))
         if idx is None:
             raise ValueError(f"schedule contains a job not in the instance: {job.name!r}")

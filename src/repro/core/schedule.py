@@ -44,6 +44,7 @@ when writing vectorized consumers.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,6 +99,20 @@ def _normalize_spans(spans: Sequence[MachineSpan]) -> Tuple[MachineSpan, ...]:
     return tuple(merged)
 
 
+def _finite_float(value, what: str) -> float:
+    """``float(value)`` for a finite real ``value``, else :class:`ValueError`:
+    the columns hold float64, and a NaN or infinite start would pass every
+    ordering check (an int beyond the float range would not convert)."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a finite float, got an int beyond the float range") from None
+    except TypeError:  # None, a string, ...
+        raise ValueError(f"{what} must be a finite float, got {value!r}") from None
+    raise ValueError(f"{what} must be a finite float, got {float(value)!r}")
+
+
 class ScheduledJob:
     """One job placed in a schedule.
 
@@ -116,8 +131,10 @@ class ScheduledJob:
         transformation) need to pin the duration explicitly; tests assert that
         overrides never *understate* the true processing time.
 
-    Instances are immutable.  Inside a :class:`Schedule` they are lazy *views*
-    over the schedule's columns, materialised on first access.
+    ``start`` and ``duration_override`` are stored as finite floats
+    (anything else raises :class:`ValueError`).  Instances are immutable.
+    Inside a :class:`Schedule` they are lazy *views* over the schedule's
+    columns, materialised on first access.
     """
 
     __slots__ = ("job", "start", "spans", "duration_override")
@@ -129,14 +146,18 @@ class ScheduledJob:
         spans: Sequence[MachineSpan],
         duration_override: Optional[float] = None,
     ) -> None:
-        object.__setattr__(self, "job", job)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "spans", _normalize_spans(spans))
-        object.__setattr__(self, "duration_override", duration_override)
+        spans = _normalize_spans(spans)
+        start = _finite_float(start, "start time")
         if start < 0:
             raise ValueError(f"start time must be non-negative, got {start}")
-        if not self.spans:
+        if not spans:
             raise ValueError("a scheduled job needs at least one machine span")
+        if duration_override is not None:
+            duration_override = _finite_float(duration_override, "duration override")
+        object.__setattr__(self, "job", job)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "duration_override", duration_override)
 
     def __setattr__(self, name, value):  # noqa: ANN001 - frozen semantics
         raise AttributeError(f"ScheduledJob is immutable (cannot set {name!r})")
@@ -371,7 +392,9 @@ class ScheduleColumns:
         before start events at equal times (so back-to-back placements never
         double-count) and *stable* within ties (so equal-time start events
         keep entry order, which downstream float accumulations rely on).
-        ``running[k]`` is the number of busy processors after event ``k``.
+        ``running[k]`` is the number of busy processors after event ``k``;
+        int64 columns whose prefix sums could overflow are swept in exact
+        object dtype, so the sweep is exact at any magnitude.
         """
         if self._sweep is None:
             n = self.n
@@ -380,15 +403,16 @@ class ScheduleColumns:
                 (np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
             )
             order = np.lexsort((kinds, times))
-            deltas = np.concatenate((self.processors, -self.processors))[order]
+            procs = self.processors
+            if not self.fits_int64_sweep():
+                procs = procs.astype(object)  # exact Python-int prefix sums
+            deltas = np.concatenate((procs, -procs))[order]
             self._sweep = (order, times[order], np.cumsum(deltas))
         return self._sweep
 
     def fits_int64_sweep(self) -> bool:
         """Whether int64 prefix sums over the ``2n`` events cannot overflow
-        (the one check shared by every sweep caller —
-        ``Schedule.peak_processor_usage``, the validator and the simulator —
-        so the fallback threshold cannot drift between them).
+        (:meth:`event_sweep` upcasts to object dtype when they could).
 
         Object-dtype processor columns always pass: their cumsum is exact
         Python-int arithmetic.  For int64 columns the check is *exact* via
@@ -400,12 +424,8 @@ class ScheduleColumns:
         return total_fits_int64(self.processors)
 
     def peak_busy(self) -> int:
-        """Maximum number of simultaneously busy processors.
-
-        Callers must check :meth:`fits_int64_sweep` first (see
-        ``Schedule.peak_processor_usage`` for the arbitrary-precision
-        fallback); below ``2**62`` total processors the sweep is exact.
-        """
+        """Maximum number of simultaneously busy processors (exact at any
+        total: see :meth:`event_sweep`)."""
         if self.n == 0:
             return 0
         _, _, running = self.event_sweep()
@@ -476,7 +496,6 @@ class Schedule:
         "_t_spans",
         "_views",
         "_cols",
-        "_overflowed",
         "_entry_seq",
     )
 
@@ -499,7 +518,6 @@ class Schedule:
         self._t_spans: List[Tuple[MachineSpan, ...]] = []
         self._views: List[Optional[ScheduledJob]] = []
         self._cols: Optional[ScheduleColumns] = None
-        self._overflowed = False
         self._entry_seq = _EntrySequence(self)
         if entries is not None:
             self.extend(entries)
@@ -529,7 +547,6 @@ class Schedule:
         self._t_spans.append(entry.spans)
         self._views.append(entry)
         self._cols = None
-        self._overflowed = False
 
     def _install_block(self, jobs: List[MoldableJob], block: _ColumnBlock) -> None:
         """Adopt finished columns wholesale (the zero-conversion builder path)."""
@@ -541,7 +558,6 @@ class Schedule:
         self._t_spans = []
         self._views = [None] * block.n
         self._cols = None
-        self._overflowed = False
 
     # -------------------------------------------------------------- columns
     def _consolidate(self) -> _ColumnBlock:
@@ -649,7 +665,9 @@ class Schedule:
         to per-job calls).
 
         Span values beyond int64 land in exact object-dtype columns (see
-        :mod:`repro.core.capacity`), so this no longer raises at any ``m``.
+        :mod:`repro.core.capacity`), and every start time and duration
+        override is a finite float by construction, so every consumer reads
+        these columns at any ``m``.
         """
         block = self._consolidate()
         cols = self._cols
@@ -659,23 +677,6 @@ class Schedule:
         if oracle is not None:
             cols._ensure_durations(oracle)
         return cols
-
-    def try_columns(self, *, oracle=None) -> Optional[ScheduleColumns]:
-        """Like :meth:`columns` but returns ``None`` instead of raising
-        :class:`OverflowError` (the caller then takes its scalar path).
-
-        Since the object-dtype escape hatch landed, consolidation succeeds
-        at any magnitude and this is equivalent to :meth:`columns`; the
-        guard (with its failed-consolidation cache) is kept as a safety net
-        for exotic column producers.
-        """
-        if self._overflowed:
-            return None
-        try:
-            return self.columns(oracle=oracle)
-        except OverflowError:
-            self._overflowed = True
-            return None
 
     # ---------------------------------------------------------------- query
     def __len__(self) -> int:
@@ -719,19 +720,14 @@ class Schedule:
     def makespan(self) -> float:
         if not self._jobs:
             return 0.0
-        cols = self.try_columns()
-        if cols is None:  # astronomically wide spans: per-entry fallback
-            return max(e.end for e in self.entries)
-        return float(cols.end.max())
+        return float(self.columns().end.max())
 
     @property
     def total_work(self) -> float:
         if not self._jobs:
             return 0.0
-        cols = self.try_columns()
-        if cols is None:
-            return sum(e.work for e in self.entries)
-        # python-sum in entry order: bit-identical to the per-entry loop
+        cols = self.columns()
+        # python-sum in entry order: bit-identical to a per-entry loop
         return sum((cols.processors * cols.duration).tolist())
 
     def jobs(self) -> List[MoldableJob]:
@@ -758,25 +754,7 @@ class Schedule:
         acquisitions at equal times, so back-to-back placements do not
         double-count).
         """
-        if not self._jobs:
-            return 0
-        cols = self.try_columns()
-        if cols is None or not cols.fits_int64_sweep():
-            # int64 prefix sums could overflow on astronomically wide spans
-            # (compact encoding): exact arbitrary-precision sweep instead.
-            events: List[Tuple[float, int]] = []
-            for e in self.entries:
-                p = e.processors
-                events.append((e.start, p))
-                events.append((e.end, -p))
-            events.sort()
-            busy = 0
-            peak = 0
-            for _, delta in events:
-                busy += delta
-                peak = max(peak, busy)
-            return peak
-        return cols.peak_busy()
+        return self.columns().peak_busy()
 
     def sorted_by_start(self) -> List[ScheduledJob]:
         return sorted(self.entries, key=lambda e: (e.start, -e.processors))

@@ -155,12 +155,14 @@ def schedule_moldable(
         :mod:`repro.perf`).  ``"auto"`` (default) picks the faster of the two
         by instance size: scalar below the chosen driver's row of
         :data:`repro.core.backend.AUTO_VECTORIZED_MIN_N`, vectorized at or
-        above it.  A supplied ``oracle`` always runs vectorized, and
-        ``m > MAX_VECTORIZED_M`` always runs scalar.  The backend that ran is
+        above it.  A supplied ``oracle`` is an executor and implies its own
+        backend (``oracle.backend``), and ``m > MAX_VECTORIZED_M`` always
+        runs scalar.  The backend that ran is
         :attr:`SchedulingResult.backend`.  Ignored by ``"exact"``.
     oracle:
-        Optional pre-built :class:`repro.perf.oracle.BatchedOracle` for
-        exactly ``(jobs, m)``.  Threaded to the drivers that accept one
+        Optional pre-built executor from :mod:`repro.perf.oracle` (a
+        ``BatchedOracle`` or a ``ScalarOracle``) for exactly ``(jobs, m)``.
+        Threaded to the drivers that accept one
         (``"two_approx"`` and ``"fptas"``) so callers issuing *consecutive*
         solves — the fault-recovery loop re-planning survivors epoch after
         epoch — can carry γ-caches across calls (see

@@ -596,7 +596,10 @@ def _insert_small_jobs(
     gap.  The next-fit rule of the paper is followed literally: the current
     job goes onto the current machine if it still fits, otherwise the machine
     is discarded and the next machine of the group (or the next group) is
-    tried; machines are never revisited.
+    tried; machines are never revisited.  A job that does not fit a fresh
+    machine fits no machine of its group, so the rest of the group is
+    discarded in one step (the placements are the same as discarding its
+    machines one by one, without the O(m) walk at large ``m``).
     """
     if not small:
         return True
@@ -625,8 +628,14 @@ def _insert_small_jobs(
                 fill = fill + t
                 placed = True
                 break
-            # discard this machine, move to the next in the group
-            span_offset += 1
+            if fill == gap_start:
+                # a fresh machine cannot take the job, and every machine of
+                # the group has the same gap: discard the whole group at once
+                idx += 1
+                span_offset = 0
+            else:
+                # discard this machine, move to the next in the group
+                span_offset += 1
             fill = None
         if not placed:
             return False

@@ -298,13 +298,12 @@ def _validate_columnar(
     max_makespan: Optional[float],
     require_all_jobs: bool,
     oracle=None,
-) -> Optional[ValidationReport]:
+) -> ValidationReport:
     """Columnar validation: the schedule's native columns, then
-    sort/prefix-sum checks.
+    sort/prefix-sum checks, exact at any ``m`` (span values beyond int64
+    ride object-dtype columns).
 
-    Returns ``None`` when the schedule cannot be safely put into int64
-    columns (astronomical machine counts); the caller falls back to the
-    scalar path.  Violation *messages* always come from the scalar helpers,
+    Violation *messages* always come from the scalar helpers,
     so reports are identical to :func:`_validate_scalar`.  No per-entry
     Python pass happens on this path: the columns are the schedule's own
     storage, and entry objects are materialised only for the (rare) rows
@@ -315,10 +314,7 @@ def _validate_columnar(
     from .schedule import spans_time_overlap
 
     m = schedule.m
-    cols = schedule.try_columns(oracle=oracle)
-    if cols is None:
-        return None
-
+    cols = schedule.columns(oracle=oracle)
     violations: List[str] = []
 
     # machine index bounds
@@ -351,23 +347,18 @@ def _validate_columnar(
     if suspicious is None or suspicious:
         violations.extend(_machine_conflicts(schedule.entries))
 
-    ms = float(cols.end.max()) if cols.n else 0.0
+    ms = float(cols.end.max())
     if max_makespan is not None and not _approx_le(ms, max_makespan):
         violations.append(
             Violation(MAKESPAN_EXCEEDED, f"makespan {ms:.6g} exceeds bound {max_makespan:.6g}")
         )
 
-    # peak busy machines: the shared event sort + prefix sum
-    if cols.fits_int64_sweep():
-        peak = cols.peak_busy()
-    else:
-        peak = schedule.peak_processor_usage()
-
     return ValidationReport(
         ok=not violations,
         violations=violations,
         makespan=ms,
-        peak_processors=peak,
+        # peak busy machines: the shared event sort + prefix sum
+        peak_processors=cols.peak_busy(),
     )
 
 
@@ -409,9 +400,7 @@ def validate_schedule(
         # astronomical m included: the columns carry exact object-dtype
         # machine indices beyond int64 (see repro.core.capacity), and every
         # columnar check below is dtype-agnostic
-        report = _validate_columnar(schedule, jobs, max_makespan, require_all_jobs, oracle)
-        if report is not None:
-            return report
+        return _validate_columnar(schedule, jobs, max_makespan, require_all_jobs, oracle)
     return _validate_scalar(schedule, jobs, max_makespan, require_all_jobs)
 
 

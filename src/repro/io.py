@@ -198,38 +198,25 @@ def load_instance(path: PathLike, *, with_releases: bool = False):
 
 def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
     entries: List[Dict[str, Any]] = []
-    cols = schedule.try_columns()
-    if cols is not None:
-        # straight off the columns; only override durations are read, so no
-        # oracle-time resolution happens for plain placements
-        names = [job.name for job in schedule.jobs()]
-        starts = cols.start.tolist()
-        overrides = cols.override_values()
-        bounds = cols.span_off.tolist()
-        span_first = cols.span_first.tolist()
-        span_count = (cols.span_end - cols.span_first).tolist()
-        for i in range(cols.n):
-            lo, hi = bounds[i], bounds[i + 1]
-            entries.append(
-                {
-                    "job": names[i],
-                    "start": starts[i],
-                    "spans": [
-                        [span_first[k], span_count[k]] for k in range(lo, hi)
-                    ],
-                    "duration_override": overrides[i],
-                }
-            )
-    else:  # astronomically wide spans: per-entry fallback
-        for entry in schedule.entries:
-            entries.append(
-                {
-                    "job": entry.job.name,
-                    "start": entry.start,
-                    "spans": [list(span) for span in entry.spans],
-                    "duration_override": entry.duration_override,
-                }
-            )
+    cols = schedule.columns()
+    # straight off the columns; only override durations are read, so no
+    # oracle-time resolution happens for plain placements
+    names = [job.name for job in schedule.jobs()]
+    starts = cols.start.tolist()
+    overrides = cols.override_values()
+    bounds = cols.span_off.tolist()
+    span_first = cols.span_first.tolist()
+    span_count = (cols.span_end - cols.span_first).tolist()
+    for i in range(cols.n):
+        lo, hi = bounds[i], bounds[i + 1]
+        entries.append(
+            {
+                "job": names[i],
+                "start": starts[i],
+                "spans": [[span_first[k], span_count[k]] for k in range(lo, hi)],
+                "duration_override": overrides[i],
+            }
+        )
     return {
         "format": "repro-schedule",
         "version": FORMAT_VERSION,
@@ -259,7 +246,7 @@ def schedule_from_dict(
             raise SerializationError(f"schedule references unknown job {name!r}")
         schedule.add(
             by_name[name],
-            float(item["start"]),
+            item["start"],
             [tuple(span) for span in item["spans"]],
             duration_override=item.get("duration_override"),
         )

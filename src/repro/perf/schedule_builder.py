@@ -46,6 +46,7 @@ from ..core.schedule import (
     Schedule,
     ScheduleColumns,
     _ColumnBlock,
+    _finite_float,
     grouped_running_count,
     spans_time_overlap,
 )
@@ -166,7 +167,8 @@ class ArraySchedule:
         length as ``jobs``).
         """
         base = len(self._jobs)
-        starts = np.asarray(starts, dtype=np.float64)
+        # kept as given: build() converts and checks every start at once
+        starts = starts.tolist() if isinstance(starts, np.ndarray) else list(starts)
         span_first = span_first if isinstance(span_first, np.ndarray) else index_array(span_first)
         span_count = span_count if isinstance(span_count, np.ndarray) else index_array(span_count)
         if len(starts) != len(jobs):
@@ -189,7 +191,7 @@ class ArraySchedule:
         if len(span_first) != len(span_count):
             raise ValueError("span_first and span_count must have the same length")
         self._jobs.extend(jobs)
-        self._starts.extend(starts.tolist())
+        self._starts.extend(starts)
         if duration_overrides is None:
             self._overrides.extend([None] * len(jobs))
         else:
@@ -208,7 +210,8 @@ class ArraySchedule:
 
         Raises :class:`ValueError` for exactly the inputs sequential
         ``Schedule.add`` would reject: non-positive span counts, negative
-        machine indices, negative start times, entries without spans, and
+        machine indices, start times or duration overrides that are not
+        finite floats, negative start times, entries without spans, and
         overlapping (double-booking) spans within one entry.
         """
         n = len(self._jobs)
@@ -216,7 +219,6 @@ class ArraySchedule:
         if n == 0:
             return schedule
 
-        starts = np.asarray(self._starts, dtype=np.float64)
         owner = np.asarray(self._span_owner, dtype=np.int64)
         # machine indices / counts beyond int64 (astronomical m) land in
         # exact object-dtype columns; every array op below is dtype-agnostic
@@ -246,7 +248,15 @@ class ArraySchedule:
                 f"overlapping machine spans ({int(of[i])}, {int(oc[i])}) and "
                 f"({int(of[i + 1])}, {int(oc[i + 1])}) double-book a machine"
             )
-        if starts.size and starts.min() < 0:
+        try:
+            starts = np.asarray(self._starts, dtype=np.float64)
+            finite = bool(np.isfinite(starts).all())
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            for value in self._starts:  # raises at the first bad start
+                _finite_float(value, "start time")
+        if starts.min() < 0:
             bad = float(starts[starts < 0][0])
             raise ValueError(f"start time must be non-negative, got {bad}")
         spans_per_entry = np.bincount(owner, minlength=n)
@@ -275,7 +285,7 @@ class ArraySchedule:
             for i, override in enumerate(self._overrides):
                 if override is not None:
                     has_override[i] = True
-                    duration[i] = override
+                    duration[i] = _finite_float(override, "duration override")
 
         block = _ColumnBlock(
             n, starts, procs, duration, has_override, span_off, run_first, run_count

@@ -91,11 +91,11 @@ def _simulate_columnar(schedule: Schedule) -> Optional[ExecutionTrace]:
 
     Returns ``None`` whenever the scalar loop's special cases could apply —
     near-coincident event times (its float-tolerance release logic), a
-    potential machine conflict, over-subscription, out-of-range spans, or
-    int64 columns whose prefix sums could overflow — so the caller falls
-    back to the scalar event loop.  Astronomical machine counts run
-    natively: beyond int64 the columns are exact object dtype (see
-    :mod:`repro.core.capacity`) and every sweep below is dtype-agnostic.
+    potential machine conflict, over-subscription or out-of-range spans —
+    so the caller falls back to the scalar event loop.  Astronomical
+    machine counts run natively: beyond int64 the columns are exact object
+    dtype (see :mod:`repro.core.capacity`), the shared event sweep is exact
+    at any processor total, and every sweep below is dtype-agnostic.
     The scalar loop remains a genuinely *independent* implementation of the
     feasibility rules (request it explicitly with ``backend="scalar"`` for
     cross-validation); when a trace is returned from this fast path it is
@@ -107,15 +107,11 @@ def _simulate_columnar(schedule: Schedule) -> Optional[ExecutionTrace]:
     n = len(schedule)
     if n == 0:
         return None
-    cols = schedule.try_columns()
-    if cols is None:
-        return None
+    cols = schedule.columns()
     # out-of-range spans: let the scalar loop raise with its exact message
     if (cols.span_first < 0).any() or (cols.span_end > m).any():
         return None
 
-    if not cols.fits_int64_sweep():
-        return None  # int64 prefix sums could overflow
     order, t_sorted, running = cols.event_sweep()
 
     # The scalar loop releases "almost done" jobs within float tolerance of a

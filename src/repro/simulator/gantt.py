@@ -37,11 +37,7 @@ def render_gantt(
     n = len(schedule)
     if n == 0:
         return "(empty schedule)"
-    cols = schedule.try_columns()
-    if cols is None:
-        # astronomically wide spans (counts beyond int64): keep the exact
-        # per-entry path so processor labels stay arbitrary-precision ints
-        return _render_gantt_entries(schedule, width=width, max_rows=max_rows, label_width=label_width)
+    cols = schedule.columns()
     starts, ends, procs = cols.start, cols.end, cols.processors
     horizon = float(ends.max())
     if horizon <= 0:
@@ -69,27 +65,6 @@ def render_gantt(
     return "\n".join(rows)
 
 
-def _render_gantt_entries(
-    schedule: Schedule, *, width: int, max_rows: int, label_width: int
-) -> str:
-    """Exact per-entry rendering (the pre-columnar reference path)."""
-    horizon = schedule.makespan
-    if horizon <= 0:
-        return "(zero-length schedule)"
-    rows: List[str] = []
-    rows.append(f"{'job':<{label_width}} |" + f" 0 {'·' * (width - 10)} {horizon:.3g}")
-    entries = schedule.sorted_by_start()
-    for entry in entries[:max_rows]:
-        start_col = int(round(entry.start / horizon * width))
-        end_col = max(start_col + 1, int(round(entry.end / horizon * width)))
-        bar = " " * start_col + "█" * (end_col - start_col)
-        label = f"{entry.job.name[:label_width - 1]:<{label_width - 1}}"
-        rows.append(f"{label} |{bar[:width]}| p={entry.processors}")
-    if len(entries) > max_rows:
-        rows.append(f"... ({len(entries) - max_rows} more jobs not shown)")
-    return "\n".join(rows)
-
-
 def render_shelves(
     schedule: Schedule,
     d: float,
@@ -106,47 +81,25 @@ def render_shelves(
     columns (one boolean mask per shelf), never on entry objects.
     """
     half = 1.5 * d
-    n = len(schedule)
-    cols = schedule.try_columns() if n else None
+    cols = schedule.columns()
+    start, duration, end, procs = cols.start, cols.duration, cols.end, cols.processors
+    starts_at_zero = start <= 1e-9
+    s0 = starts_at_zero & (duration > d * 1.0 + 1e-9)
+    s1 = starts_at_zero & ~s0 & (duration > d / 2.0 + 1e-9)
+    s2 = (
+        ~s0
+        & ~s1
+        & (np.abs(end - half) <= 1e-6 * max(half, 1.0))
+        & (duration > d / 4.0)
+    )
+    small = ~s0 & ~s1 & ~s2
     lines: List[str] = []
     lines.append(f"shelf structure for d = {d:.4g} (makespan bound 3d/2 = {half:.4g}, m = {schedule.m})")
-    if cols is not None:
-        start, duration, end, procs = cols.start, cols.duration, cols.end, cols.processors
-        starts_at_zero = start <= 1e-9
-        s0 = starts_at_zero & (duration > d * 1.0 + 1e-9)
-        s1 = starts_at_zero & ~s0 & (duration > d / 2.0 + 1e-9)
-        s2 = (
-            ~s0
-            & ~s1
-            & (np.abs(end - half) <= 1e-6 * max(half, 1.0))
-            & (duration > d / 4.0)
-        )
-        small = ~s0 & ~s1 & ~s2
-        stats = [
-            # object-dtype sum: processor totals stay exact even when a
-            # shelf's int64 counts would overflow a plain int64 sum
-            (shelf, int(np.count_nonzero(mask)), int(procs[mask].astype(object).sum()) if mask.any() else 0)
-            for shelf, mask in (("S0", s0), ("S1", s1), ("S2", s2), ("small", small))
-        ]
-    else:
-        # empty schedule, or counts beyond int64: exact per-entry grouping
-        groups = {"S0": [], "S1": [], "S2": [], "small": []}
-        for entry in schedule.entries:
-            duration = entry.duration
-            if entry.start <= 1e-9 and duration > d * 1.0 + 1e-9:
-                groups["S0"].append(entry)
-            elif entry.start <= 1e-9 and duration > d / 2.0 + 1e-9:
-                groups["S1"].append(entry)
-            elif abs(entry.end - half) <= 1e-6 * max(half, 1.0) and duration > d / 4.0:
-                groups["S2"].append(entry)
-            else:
-                groups["small"].append(entry)
-        stats = [
-            (shelf, len(entries), sum(e.processors for e in entries))
-            for shelf, entries in groups.items()
-        ]
-    for shelf, count, shelf_procs in stats:
-        lines.append(f"  {shelf:<5} jobs={count:<5} processors={shelf_procs}")
+    for shelf, mask in (("S0", s0), ("S1", s1), ("S2", s2), ("small", small)):
+        # object-dtype sum: processor totals stay exact even when a shelf's
+        # int64 counts would overflow a plain int64 sum
+        shelf_procs = int(procs[mask].astype(object).sum())
+        lines.append(f"  {shelf:<5} jobs={int(np.count_nonzero(mask)):<5} processors={shelf_procs}")
     lines.append("")
     lines.append(render_gantt(schedule, width=width, max_rows=max_rows))
     return "\n".join(lines)

@@ -112,6 +112,39 @@ class TestScheduleSerialization:
         with pytest.raises(SerializationError):
             schedule_from_dict(data, [a, b])
 
+    @pytest.mark.parametrize(
+        "key,token",
+        [
+            ("start", "NaN"),
+            ("start", "Infinity"),
+            ("start", "1e400"),  # parses as inf
+            ("start", "1" + "0" * 400),  # an int beyond the float range
+            ("duration_override", "NaN"),
+            ("duration_override", "-Infinity"),
+            ("start", '"1.0"'),  # a string is not a time
+        ],
+        ids=[
+            "start-nan", "start-inf", "start-1e400", "start-10**400",
+            "override-nan", "override-inf", "start-string",
+        ],
+    )
+    def test_non_finite_times_rejected_on_load(self, tmp_path, key, token):
+        """A hand-edited file can carry non-finite times that ``save_schedule``
+        never writes; loading rejects them instead of building a schedule
+        whose NaN start passes every overlap check."""
+        a = TabulatedJob("a", [2.0])
+        b = TabulatedJob("b", [1.0])
+        result = schedule_moldable([a, b], 1, 0.3, algorithm="two_approx")
+        path = tmp_path / "schedule.json"
+        save_schedule(path, result.schedule)
+        data = json.loads(path.read_text())
+        assert load_schedule(path, [a, b]) == result.schedule
+        data["entries"][0][key] = "TOKEN"
+        path.write_text(json.dumps(data).replace('"TOKEN"', token))
+        field = {"start": "start time", "duration_override": "duration override"}[key]
+        with pytest.raises(ValueError, match=f"{field} must be a finite float"):
+            load_schedule(path, [a, b], validate=False)
+
     def test_corrupted_schedule_fails_validation(self):
         instance = random_mixed_instance(8, 8, seed=5)
         result = schedule_moldable(instance.jobs, 8, 0.3, algorithm="two_approx")

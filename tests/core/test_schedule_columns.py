@@ -135,7 +135,7 @@ class TestColumnarStorage:
         schedule = Schedule(m=4 * wide)
         schedule.add(job, 0.0, [(0, wide)])
         schedule.add(job, 0.0, [(2 * wide, wide)])
-        cols = schedule.try_columns()
+        cols = schedule.columns()
         assert cols is not None
         assert cols.processors.dtype == object
         assert cols.processors.tolist() == [wide, wide]

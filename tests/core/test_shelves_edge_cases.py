@@ -1,8 +1,11 @@
 """Additional edge-case tests for the shelf construction."""
 
+import signal
+
 import pytest
 
-from repro.core.job import TabulatedJob
+from repro.core.job import AmdahlJob, OracleJob, TabulatedJob
+from repro.core.scheduler import schedule_moldable
 from repro.core.shelves import build_three_shelf_schedule, build_two_shelf_schedule
 from repro.core.validation import assert_valid_schedule
 from repro.simulator.engine import simulate_schedule
@@ -112,3 +115,38 @@ class TestShelf2Placement:
         # each of the three jobs needs 2 processors to meet d/2
         assert two.shelf2_processors == 6 > m
         assert not two.is_feasible
+
+
+class TestSmallJobInsertionAtHugeM:
+    """A small job that misfits a fresh machine misfits its whole gap group
+    (every machine of a group has the same gap); next-fit must skip the group
+    in one step, not walk its ~2**80 machines one by one."""
+
+    @staticmethod
+    def _timeout(signum, frame):
+        raise TimeoutError("small-job insertion walked the gap group machine by machine")
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize(
+        "algorithm,makespan,small_entry",
+        [
+            ("mrt", 5.9999999999999995e38, (5e38, ((0, 1),))),
+            ("bounded", 5e38, (0.0, ((2**60 + 1, 1),))),
+            ("compressible", 5e38, (0.0, ((2**60 + 1, 1),))),
+        ],
+    )
+    def test_misfit_skips_the_whole_group(self, algorithm, makespan, small_entry, backend):
+        jobs = [
+            OracleJob("step", lambda k: 1e39 if k < 2**60 + 1 else 5e38),
+            AmdahlJob("a", 1e38, 0.0),
+        ]
+        previous = signal.signal(signal.SIGALRM, self._timeout)
+        signal.alarm(5)  # fail instead of hanging the suite
+        try:
+            result = schedule_moldable(jobs, 2**80, 0.5, algorithm=algorithm, backend=backend)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result.makespan == makespan
+        placements = [(e.job.name, e.start, e.spans) for e in result.schedule.entries]
+        assert placements == [("step", 0.0, ((0, 2**60 + 1),)), ("a", *small_entry)]

@@ -123,24 +123,30 @@ class TestArrayScheduleParity:
             assert a.spans == b.spans and a.start == b.start and a.job is b.job
 
     @pytest.mark.parametrize(
-        "spans,start",
+        "spans,start,override",
         [
-            ([(0, 3), (2, 2)], 0.0),  # overlapping spans double-book
-            ([(0, 0)], 0.0),  # non-positive count
-            ([(-1, 2)], 0.0),  # negative machine index
-            ([], 0.0),  # no spans at all
-            ([(0, 1)], -1.0),  # negative start
+            ([(0, 3), (2, 2)], 0.0, None),  # overlapping spans double-book
+            ([(0, 0)], 0.0, None),  # non-positive count
+            ([(-1, 2)], 0.0, None),  # negative machine index
+            ([], 0.0, None),  # no spans at all
+            ([(0, 1)], -1.0, None),  # negative start
+            ([(0, 1)], float("nan"), None),  # NaN start passes every ordering check
+            ([(0, 1)], float("inf"), None),  # infinite start
+            ([(0, 1)], 10**400, None),  # int beyond the float range
+            ([(0, 1)], 0.0, float("nan")),  # NaN duration override
+            ([(0, 1)], 0.0, float("-inf")),  # infinite duration override
+            ([(0, 1)], 0.0, 10**400),  # override beyond the float range
         ],
     )
-    def test_error_parity_with_sequential_add(self, spans, start):
+    def test_error_parity_with_sequential_add(self, spans, start, override):
         job = make_job(0)
         reference_error = builder_error = None
         try:
-            Schedule(m=10).add(job, start, spans)
+            Schedule(m=10).add(job, start, spans, duration_override=override)
         except ValueError as exc:
             reference_error = str(exc)
         builder = ArraySchedule(10)
-        builder.append(job, start, spans)
+        builder.append(job, start, spans, duration_override=override)
         try:
             builder.build()
         except ValueError as exc:
