@@ -5,7 +5,17 @@ returns a feasible schedule of length at most ``c*d`` or rejects, with the
 promise that it never rejects a ``d`` for which a schedule of length ``d``
 exists.  Combined with a constant-factor estimator bracketing the optimum, a
 geometric binary search over ``d`` turns the dual algorithm into a
-``c*(1+tolerance)``-approximation using ``O(log(1/tolerance))`` dual calls.
+``c*(1+tolerance)``-approximation.
+
+The search first probes ``floor_d``, where it would end if every probe
+accepted (a point within ``(1+tolerance)`` of the bracket's lower end, found
+without a call).  When the floor accepts, that one call is the whole search;
+otherwise the plain search runs — accept the bracket's upper end, then bisect
+— at one call more than that search alone.  For a dual that is monotone in
+``d`` both routes return the same schedule.  A non-monotone dual may get the
+floor's schedule where the plain search would have ended higher; it is still
+within the guarantee, since ``floor_d <= (1+tolerance)*lower <=
+(1+tolerance)*OPT``.
 
 The search loop is written once, as the request generator
 :func:`dual_search_steps`; :func:`dual_binary_search` runs it with a dual
@@ -39,7 +49,12 @@ class DualSearchResult:
     schedule: Schedule
     accepted_d: float
     lower_bound: float
+    #: bisection midpoints walked; when the floor probe accepts, these are
+    #: the midpoints walked to find ``floor_d``, with no call at any of them.
     iterations: int
+    #: dual step calls actually made (the traced ``core.dual.dual_calls``
+    #: reads it): 1 when the floor accepts, else the floor probe plus the
+    #: upper-end probes plus one per midpoint.
     dual_calls: int
     #: total γ-probes spent by the batched oracle across the search (the
     #: estimator bracket plus every dual step); ``None`` on the scalar path.
@@ -54,7 +69,8 @@ class DualSearchResult:
         return self.schedule.makespan
 
 
-#: Cap on the bisection iterations once the upper end is accepted.
+#: Cap on the bisection iterations once the upper end is accepted, and on
+#: the midpoints walked to find the floor.
 MAX_ITERATIONS = 200
 
 
@@ -72,6 +88,23 @@ def dual_search_steps(step, lower, upper, tolerance: float, estimate=None):
         upper = max(estimate.upper_bound, lower * (1 + tolerance))
     lower = max(lower, 1e-300)
     upper = max(upper, lower)
+
+    # If every probe accepts, the search only ever lowers ``upper`` to the
+    # midpoint, so it ends at ``floor_d``, which needs no call to find.  Probe
+    # it first: for a dual monotone in ``d`` an accept there means the whole
+    # search would have accepted, with the same final step.
+    floor_d, walked = upper, 0
+    while floor_d > lower * (1.0 + tolerance) and walked < MAX_ITERATIONS:
+        floor_d = geometric_midpoint(lower, floor_d)
+        walked += 1
+    floor_calls = 0
+    if walked:
+        best = yield from step(floor_d)
+        if best is not None:
+            if callable(best):
+                best = best()
+            return DualSearchResult(best, floor_d, lower, walked, 1, estimate=estimate)
+        floor_calls = 1
 
     # Make sure the upper end of the bracket is accepted; widen defensively if
     # the estimator slack made it marginally too small.
@@ -100,7 +133,7 @@ def dual_search_steps(step, lower, upper, tolerance: float, estimate=None):
 
     if callable(best):
         best = best()
-    return DualSearchResult(best, best_d, lower, iterations, dual_calls, estimate=estimate)
+    return DualSearchResult(best, best_d, lower, iterations, floor_calls + dual_calls, estimate=estimate)
 
 
 def _requestless(dual_fn: DualFunction):

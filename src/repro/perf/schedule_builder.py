@@ -248,14 +248,13 @@ class ArraySchedule:
                 f"overlapping machine spans ({int(of[i])}, {int(oc[i])}) and "
                 f"({int(of[i + 1])}, {int(oc[i + 1])}) double-book a machine"
             )
-        try:
-            starts = np.asarray(self._starts, dtype=np.float64)
-            finite = bool(np.isfinite(starts).all())
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            for value in self._starts:  # raises at the first bad start
-                _finite_float(value, "start time")
+        # only bool / int / float columns convert at once: a float64 cast
+        # would also parse a numeric string, which ``Schedule.add`` rejects
+        starts = np.asarray(self._starts)
+        if starts.dtype.kind in "biuf" and np.isfinite(starts).all():
+            starts = starts.astype(np.float64, copy=False)
+        else:  # value by value (strings, ints past int64, NaN, ...); raises at a bad one
+            starts = np.array([_finite_float(value, "start time") for value in self._starts])
         if starts.min() < 0:
             bad = float(starts[starts < 0][0])
             raise ValueError(f"start time must be non-negative, got {bad}")

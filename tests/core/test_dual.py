@@ -3,11 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.dual import dual_binary_search
+from repro.core.bounded_algorithm import bounded_schedule
+from repro.core.bounds import geometric_midpoint
+from repro.core.compressible_algorithm import compressible_schedule
+from repro.core.dual import MAX_ITERATIONS, dual_binary_search
+from repro.core.fptas import fptas_schedule
 from repro.core.job import AmdahlJob, TabulatedJob
+from repro.core.mrt import mrt_schedule
 from repro.core.schedule import Schedule
-from repro.workloads.generators import random_mixed_instance
+from repro.workloads.generators import random_amdahl_instance, random_mixed_instance
 
 
 def make_threshold_dual(jobs, m, threshold, factor=1.5):
@@ -93,3 +99,131 @@ class TestDualBinarySearch:
         dual, calls = make_threshold_dual(jobs, 4, 9.0)
         dual_binary_search(jobs, 4, dual, tolerance=1e-4, lower=1.0, upper=16.0)
         assert len(calls) <= 10 + math.ceil(math.log2(math.log(16.0) / math.log(1 + 1e-4)))
+
+
+def reference_search(dual, lower, upper, tolerance):
+    """The plain search the floor probe must agree with: accept ``upper``
+    (doubling it on rejection), then bisect geometrically.  Returns
+    ``(schedule, accepted_d, lower_bound, iterations, dual_calls)``."""
+    lower = max(lower, 1e-300)
+    upper = max(upper, lower)
+    best = dual(upper)
+    calls = 1
+    while best is None and calls <= 64:
+        upper *= 2.0
+        best = dual(upper)
+        calls += 1
+    best_d = upper
+    iterations = 0
+    while upper > lower * (1.0 + tolerance) and iterations < MAX_ITERATIONS:
+        mid = geometric_midpoint(lower, upper)
+        candidate = dual(mid)
+        calls += 1
+        iterations += 1
+        if candidate is not None:
+            best, best_d, upper = candidate, mid, mid
+        else:
+            lower = mid
+    return best, best_d, lower, iterations, calls
+
+
+def placements(schedule):
+    return [(e.job.name, e.start, e.spans, e.duration_override) for e in schedule.entries]
+
+
+class TestFloorProbe:
+    """The search probes the end of the all-accept path first."""
+
+    JOBS = [TabulatedJob("a", [10.0])]
+
+    def test_always_accept_makes_one_call_at_the_floor(self):
+        dual, calls = make_threshold_dual(self.JOBS, 2, 0.0)
+        result = dual_binary_search(self.JOBS, 2, dual, tolerance=0.01, lower=1.0, upper=20.0)
+        _, ref_d, ref_lower, ref_iterations, _ = reference_search(
+            make_threshold_dual(self.JOBS, 2, 0.0)[0], 1.0, 20.0, 0.01
+        )
+        assert calls == [result.accepted_d]
+        assert result.dual_calls == 1
+        assert result.accepted_d == ref_d
+        assert result.lower_bound == ref_lower == 1.0
+        assert result.iterations == ref_iterations
+
+    def test_rejected_floor_falls_back_to_the_plain_search(self):
+        dual, calls = make_threshold_dual(self.JOBS, 2, 7.0)
+        result = dual_binary_search(self.JOBS, 2, dual, tolerance=0.01, lower=1.0, upper=20.0)
+        ref_schedule, ref_d, ref_lower, ref_iterations, ref_calls = reference_search(
+            make_threshold_dual(self.JOBS, 2, 7.0)[0], 1.0, 20.0, 0.01
+        )
+        assert calls[0] <= 1.01  # the floor, rejected
+        assert result.accepted_d == ref_d
+        assert result.lower_bound == ref_lower
+        assert result.iterations == ref_iterations
+        assert placements(result.schedule) == placements(ref_schedule)
+        assert result.dual_calls == ref_calls + 1 == len(calls)
+
+    def test_non_monotone_dual_keeps_the_floor_schedule(self):
+        lower, upper, tolerance = 1.0, 20.0, 0.01
+
+        def dual(d):
+            # accepts near the lower end and at the top, rejects in between
+            if lower * (1 + tolerance) < d < upper:
+                return None
+            schedule = Schedule(m=2)
+            schedule.add(self.JOBS[0], 0.0, [(0, 1)], duration_override=d)
+            return schedule
+
+        result = dual_binary_search(self.JOBS, 2, dual, tolerance=tolerance, lower=lower, upper=upper)
+        assert result.dual_calls == 1
+        assert result.accepted_d <= (1 + tolerance) * lower
+        assert result.makespan == result.accepted_d
+        # the plain search would have climbed back to the top of the bracket
+        assert reference_search(dual, lower, upper, tolerance)[1] > result.accepted_d
+
+    def test_tight_bracket_probes_only_upper(self):
+        dual, calls = make_threshold_dual(self.JOBS, 2, 0.0)
+        result = dual_binary_search(self.JOBS, 2, dual, tolerance=0.1, lower=10.0, upper=10.5)
+        assert calls == [10.5]
+        assert (result.accepted_d, result.iterations, result.dual_calls) == (10.5, 0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lower=st.floats(1e-3, 1e3),
+        spread=st.floats(1.0, 64.0),
+        position=st.floats(0.0, 1.5),
+        tolerance=st.floats(1e-4, 1.0),
+    )
+    def test_matches_the_plain_search_on_monotone_duals(self, lower, spread, position, tolerance):
+        upper = lower * spread
+        threshold = lower * spread**position  # may sit past upper: widening
+        dual, _ = make_threshold_dual(self.JOBS, 2, threshold)
+        result = dual_binary_search(self.JOBS, 2, dual, tolerance=tolerance, lower=lower, upper=upper)
+        _, ref_d, ref_lower, ref_iterations, _ = reference_search(dual, lower, upper, tolerance)
+        assert (result.accepted_d, result.lower_bound, result.iterations) == (
+            ref_d,
+            ref_lower,
+            ref_iterations,
+        )
+
+
+class TestOneDualCallPerSolve:
+    """The search never rejects on these instances, so every dual driver
+    accepts its first probe: a six-step search fails here, not only on a timer."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("generator", [random_mixed_instance, random_amdahl_instance])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shelf_drivers(self, backend, generator, seed):
+        jobs = generator(20, 64, seed=seed).jobs
+        for driver in (bounded_schedule, mrt_schedule, compressible_schedule):
+            result = driver(jobs, 64, 0.2, backend=backend)
+            assert result.dual_calls == 1, driver.__name__
+            assert result.iterations > 0, driver.__name__
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("generator", [random_mixed_instance, random_amdahl_instance])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fptas(self, backend, generator, seed):
+        eps = 0.5
+        m = 2**12  # >= 8n/eps
+        result = fptas_schedule(generator(20, m, seed=seed).jobs, m, eps, backend=backend)
+        assert result.dual_calls == 1

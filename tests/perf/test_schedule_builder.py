@@ -136,6 +136,8 @@ class TestArrayScheduleParity:
             ([(0, 1)], 0.0, float("nan")),  # NaN duration override
             ([(0, 1)], 0.0, float("-inf")),  # infinite duration override
             ([(0, 1)], 0.0, 10**400),  # override beyond the float range
+            ([(0, 1)], "1.5", None),  # a numeric string is not a float start
+            ([(0, 1)], 0.0, "2.0"),  # nor a float duration override
         ],
     )
     def test_error_parity_with_sequential_add(self, spans, start, override):
