@@ -25,14 +25,13 @@ from .capacity import MAX_COLUMNAR_M
 
 __all__ = ["resolve_backend", "auto_backend", "check_oracle", "AUTO_VECTORIZED_MIN_N", "MAX_VECTORIZED_M"]
 
-#: Largest machine count the vectorized backend supports: γ-arrays use the
-#: sentinel ``m + 1`` in int64 and the oracle funnels counts through float64,
-#: so the boundary is the shared int64-contract limit from
-#: :mod:`repro.core.capacity` (2^62), not the raw int64 ceiling — counts in
-#: (2^53, 2^63) would round under a lossy ``float(m)`` cast.  Astronomically
-#: larger ``m`` (the compact input encoding allows it) silently falls back to
-#: the scalar path, which handles arbitrary Python ints — results are
-#: bit-identical either way.
+#: Largest machine count the vectorized backend supports: γ-arrays and the
+#: counts handed to the kernels are int64 (with the sentinel ``m + 1``), so
+#: the boundary is the shared int64-contract limit from
+#: :mod:`repro.core.capacity` (2^62).  Astronomically larger ``m`` (the
+#: compact input encoding allows it) silently falls back to the scalar
+#: executor, which handles arbitrary Python ints — results are bit-identical
+#: either way.
 MAX_VECTORIZED_M = MAX_COLUMNAR_M
 
 # Smallest job count at which backend="auto" runs the vectorized backend, per

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .allotment import Allotment, canonical_allotment
+from .allotment import Allotment
 from .backend import check_oracle
 from .job import MoldableJob, max_sequential_time, total_minimal_work
 
@@ -94,15 +94,6 @@ ESTIMATOR_TOL = 1e-6
 ESTIMATOR_MAX_ITER = 128
 
 
-def _phi(jobs: Sequence[MoldableJob], m: int, tau: float) -> Optional[float]:
-    """Average-load value ``sum_j w_j(gamma_j(tau)) / m`` or ``None`` if some
-    job cannot meet ``tau``."""
-    allot = canonical_allotment(jobs, tau, m)
-    if allot is None:
-        return None
-    return allot.average_load(m)
-
-
 def ludwig_tiwari_estimator(
     jobs: Sequence[MoldableJob],
     m: int,
@@ -123,71 +114,41 @@ def ludwig_tiwari_estimator(
     slack is absorbed by the callers (they widen their binary-search interval
     accordingly).
 
-    This body is the scalar reference.  ``oracle`` optionally supplies an
-    executor (:mod:`repro.perf.oracle`) for exactly ``(jobs, m)`` to run
-    :func:`estimator_steps` on instead (bit-identical result).
+    Runs :func:`estimator_steps` on ``oracle``, the executor
+    (:mod:`repro.perf.oracle`) for exactly ``(jobs, m)``, or without one on a
+    :class:`~repro.perf.oracle.ScalarOracle`, which is exact at any ``m``.
+    Every executor gives the same result bit for bit.
     """
     if not jobs:
         empty = Allotment({})
         return EstimatorResult(omega=0.0, allotment=empty)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if oracle is not None:
+    if oracle is None:
+        # imported lazily: repro.perf imports the driver modules, which import this one
+        from ..perf.oracle import ScalarOracle
+
+        oracle = ScalarOracle(jobs, m)
+    else:
         check_oracle(oracle, jobs, m)
-        return oracle.run(estimator_steps(jobs, oracle))
-
-    tol = ESTIMATOR_TOL
-    lo = max(max_sequential_time(jobs, m), 1e-300)
-    hi = max(serial_upper_bound(jobs), lo)
-
-    # g(hi) is finite (every job fits on one machine within the serial bound).
-    # Invariant we move towards: phi(hi) <= hi  and  (phi(lo) > lo or lo is the
-    # global max_j t_j(m) floor).
-    phi_lo = _phi(jobs, m, lo)
-    if phi_lo is not None and phi_lo <= lo:
-        # the crossover is at or below the floor; the floor itself is optimal
-        allot = canonical_allotment(jobs, lo, m)
-        assert allot is not None
-        # like the bisection exit below, never report less than the trivial
-        # bound: a float work sum may round a hair under sum_j t_j(1) / m
-        omega = max(phi_lo, lo, trivial_lower_bound(jobs, m))
-        return EstimatorResult(omega=omega, allotment=allot)
-
-    for _ in range(ESTIMATOR_MAX_ITER):
-        if hi <= lo * (1.0 + tol):
-            break
-        mid = geometric_midpoint(lo, hi)
-        phi_mid = _phi(jobs, m, mid)
-        if phi_mid is None or phi_mid > mid:
-            lo = mid
-        else:
-            hi = mid
-
-    allot = canonical_allotment(jobs, hi, m)
-    assert allot is not None, "upper end of the bracket must always be feasible"
-    omega = max(allot.average_load(m), allot.max_time())
-    # omega as computed is an achievable value of g, hence >= min g >= ... but
-    # we also need a certified lower bound; combine with the trivial bound.
-    lower = max(trivial_lower_bound(jobs, m), lo)
-    omega = max(omega / (1.0 + tol), lower)
-    # The bisection slack means the witnessing allotment only guarantees a
-    # schedule of length 2 * omega * (1 + 2 tol); record that honestly.
-    return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
+    return oracle.run(estimator_steps(jobs, oracle))
 
 
 def _phi_steps(oracle, tau: float):
-    """Request-generator twin of :func:`_phi`."""
+    """Average-load value ``sum_j w_j(gamma_j(tau)) / m``, or ``None`` if
+    some job cannot meet ``tau``."""
     gammas = yield ("gamma", tau)
     if len(gammas) and gammas.max() > oracle.m:
         return None
     # the exact counts, not a float64 copy: past 2^53 a float would round k
     times = yield ("eval", gammas)
-    # left-to-right sum matches the scalar Allotment.total_work() bit for bit
+    # left-to-right, as Allotment.total_work() sums
     return oracle.sequential_sum(gammas * times) / oracle.m
 
 
 def _allotment_steps(jobs: Sequence[MoldableJob], oracle, tau: float):
-    """Request-generator twin of ``canonical_allotment``."""
+    """The canonical allotment for ``tau`` (``canonical_allotment``), or
+    ``None`` if some job cannot meet ``tau``."""
     gammas = yield ("gamma", tau)
     if len(gammas) and gammas.max() > oracle.m:
         return None
@@ -235,7 +196,7 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
 
 def makespan_lower_bound(jobs: Sequence[MoldableJob], m: int) -> float:
     """Best certified lower bound available: the Ludwig–Tiwari ``omega``,
-    which already dominates the trivial bound (scalar path)."""
+    which already dominates the trivial bound (on the scalar executor)."""
     if not jobs:
         return 0.0
     return ludwig_tiwari_estimator(jobs, m).omega

@@ -55,6 +55,7 @@ __all__ = [
     "capacity_tier",
     "capacity_ops",
     "index_array",
+    "exact_add",
     "float_exact",
     "total_fits_int64",
     "WideArray",
@@ -128,6 +129,16 @@ def index_array(values: Sequence[int]) -> np.ndarray:
         return np.asarray(values, dtype=np.int64)
     except (OverflowError, TypeError):
         return np.array([int(v) for v in values], dtype=object)
+
+
+def exact_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` for non-negative index/count columns: int64 while every sum
+    fits, else exact Python ints (two int64 columns can each fit while their
+    sum passes 2^63 and wraps negative)."""
+    total = a + b
+    if total.dtype == np.int64 and (total < a).any():
+        return a.astype(object) + b.astype(object)
+    return total
 
 
 class WideArray:

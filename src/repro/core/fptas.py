@@ -10,14 +10,16 @@ fits, so the step is a `(1+eps)`-dual algorithm.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .allotment import gamma
 from .backend import resolve_backend
 from .bounds import estimator_steps
-from .dual import DualSearchResult, dual_binary_search, dual_search_steps
+from .capacity import index_array
+# dual_binary_search is unused here but stays importable: perfbench/layers.py patches it by name
+from .dual import DualSearchResult, dual_binary_search, dual_search_steps  # noqa: F401
 from .exact_small import exact_schedule, exact_solver_applicable
 from .job import MoldableJob
 from .schedule import Schedule
@@ -63,34 +65,14 @@ def fptas_dual(
     """One `(1+eps)`-dual step (Section 3): all jobs start at 0 with
     ``gamma_j((1+eps)d)`` processors, or reject.
 
-    This body is the scalar reference; ``backend="vectorized"`` runs
-    :func:`fptas_dual_steps` (bit-identical decision and schedule).  The
-    body follows the resolved backend, not the oracle: the request
-    generator's int64 machine offsets hold only on the vectorized range."""
+    Runs :func:`fptas_dual_steps` on ``oracle`` or on the executor
+    ``backend`` names."""
     if d <= 0:
         return None
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
-    backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
-    if backend == "vectorized":
-        build = oracle.run(fptas_dual_steps(jobs, oracle, d, eps))
-        return None if build is None else build()
-    threshold = (1.0 + eps) * d
-    counts = []
-    total = 0
-    for job in jobs:
-        g = gamma(job, threshold, m)
-        if g is None:
-            return None
-        counts.append(g)
-        total += g
-        if total > m:
-            return None
-    schedule = Schedule(m=m, metadata={"algorithm": "fptas_dual", "d": d, "eps": eps})
-    next_machine = 0
-    for job, count in zip(jobs, counts):
-        schedule.add(job, 0.0, [(next_machine, count)])
-        next_machine += count
-    return schedule
+    _, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
+    build = oracle.run(fptas_dual_steps(jobs, oracle, d, eps))
+    return None if build is None else build()
 
 
 def fptas_dual_steps(jobs: Sequence[MoldableJob], oracle, d: float, eps: float):
@@ -104,7 +86,10 @@ def fptas_dual_steps(jobs: Sequence[MoldableJob], oracle, d: float, eps: float):
     gammas = yield ("gamma", (1.0 + eps) * d)
     if len(gammas) and int(gammas.max()) > m:
         return None
-    if sum(gammas.tolist()) > m:  # exact (Python int) total
+    # exact (Python int) machine offsets: past int64 the counts may fit while
+    # their running total does not
+    offsets = list(accumulate(gammas.tolist(), initial=0))
+    if offsets[-1] > m:
         return None
     metadata = {"algorithm": "fptas_dual", "d": d, "eps": eps}
 
@@ -112,12 +97,9 @@ def fptas_dual_steps(jobs: Sequence[MoldableJob], oracle, d: float, eps: float):
         from ..perf.schedule_builder import schedule_from_arrays
 
         n = len(gammas)
-        offsets = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(gammas[:-1], out=offsets[1:])
         rows = np.arange(n, dtype=np.int64)
         starts = np.zeros(n, dtype=np.float64)
-        return schedule_from_arrays(jobs, m, rows, starts, offsets, gammas, metadata=metadata)
+        return schedule_from_arrays(jobs, m, rows, starts, index_array(offsets[:-1]), gammas, metadata=metadata)
 
     return build
 
@@ -128,7 +110,6 @@ def fptas_schedule(
     eps: float,
     *,
     validate: bool = True,
-    enforce_threshold: bool = True,
     backend: str = "vectorized",
     oracle=None,
 ) -> DualSearchResult:
@@ -138,21 +119,19 @@ def fptas_schedule(
     ``eps/3`` each so that the overall factor ``(1+eps/3)^2 <= 1+eps`` holds
     for ``eps <= 1``.
 
-    ``backend="vectorized"`` (default) runs :func:`fptas_steps` on one
-    batched γ-oracle; ``backend="scalar"`` is the bit-identical reference.
-    ``oracle`` optionally supplies a pre-built
-    :class:`repro.perf.oracle.BatchedOracle` for exactly ``(jobs, m)``
-    (implies the vectorized backend; its probe instrumentation lands in the
-    result's ``gamma_probes``).
+    Runs :func:`fptas_steps` on ``oracle``, a pre-built executor from
+    :mod:`repro.perf.oracle` for exactly ``(jobs, m)``, or on the executor
+    ``backend`` names: ``"vectorized"`` (default) one batched γ-oracle,
+    ``"scalar"`` the per-job reference (bit-identical results).  A batched
+    oracle's probe count lands in the result's ``gamma_probes``.
     """
     jobs = list(jobs)
-    check_fptas_instance(len(jobs) if enforce_threshold else 0, m, eps)
-    backend, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
-    if backend == "vectorized" and jobs:
-        return oracle.run(fptas_steps(jobs, oracle, eps, validate=validate))
-    inner = eps / 3.0
-    result = dual_binary_search(jobs, m, lambda d: fptas_dual(jobs, m, d, inner), tolerance=inner)
-    return _finish(result, jobs, eps, backend, validate, None)
+    check_fptas_instance(len(jobs), m, eps)
+    _, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
+    if not jobs:
+        result = DualSearchResult(Schedule(m=m), 0.0, 0.0, 0, 0)
+        return _finish(result, jobs, eps, validate, oracle)
+    return oracle.run(fptas_steps(jobs, oracle, eps, validate=validate))
 
 
 def fptas_steps(jobs: Sequence[MoldableJob], oracle, eps: float, *, validate: bool = True):
@@ -165,11 +144,11 @@ def fptas_steps(jobs: Sequence[MoldableJob], oracle, eps: float, *, validate: bo
         lambda d: fptas_dual_steps(jobs, oracle, d, inner), None, None, inner, estimate
     )
     result.gamma_probes = oracle.gamma_probes
-    return _finish(result, jobs, eps, "vectorized", validate, oracle)
+    return _finish(result, jobs, eps, validate, oracle)
 
 
-def _finish(result, jobs, eps, backend, validate, oracle) -> DualSearchResult:
-    result.schedule.metadata.update(algorithm="fptas", eps=eps, guarantee=1.0 + eps, backend=backend)
+def _finish(result, jobs, eps, validate, oracle) -> DualSearchResult:
+    result.schedule.metadata.update(algorithm="fptas", eps=eps, guarantee=1.0 + eps, backend=oracle.backend)
     if validate and jobs:
         assert_valid_schedule(result.schedule, jobs, oracle=oracle)
     return result

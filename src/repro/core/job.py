@@ -34,6 +34,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .capacity import MAX_EXACT_FLOAT_M
+
 __all__ = [
     "MoldableJob",
     "TabulatedJob",
@@ -149,9 +151,11 @@ class MoldableJob(ABC):
 
     # ------------------------------------------------------------ batched API
     def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized oracle kernel: processing times for a float64 array of
-        (already validated) processor counts.  Subclasses with closed-form
-        models override this; the fallback loops over the scalar oracle."""
+        """Vectorized oracle kernel: processing times for an array of
+        (already validated) processor counts, exact integers or integral
+        float64.  Subclasses with closed-form models override this (float64
+        arithmetic upcasts the counts); the fallback loops over the scalar
+        oracle."""
         return np.array([self.processing_time(int(k)) for k in ks], dtype=np.float64)
 
     def times_for(self, ks) -> np.ndarray:
@@ -178,7 +182,8 @@ class MoldableJob(ABC):
                 raise ValueError("processor counts must be positive integers")
         if np.any(arr < 1):
             raise ValueError("processor counts must be positive integers")
-        return self._times_batch(arr.astype(np.float64))
+        # exact integer counts stay exact: a float64 copy rounds past 2^53
+        return self._times_batch(arr if np.issubdtype(arr.dtype, np.integer) else arr.astype(np.float64))
 
     def work(self, k: int) -> float:
         """Work ``w_j(k) = k * t_j(k)``."""
@@ -278,9 +283,13 @@ class OracleJob(MoldableJob):
         return self.func(k)
 
     def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        if self.times_vectorized is not None:
-            return np.asarray(self.times_vectorized(ks), dtype=np.float64)
-        return super()._times_batch(ks)
+        if self.times_vectorized is None:
+            return super()._times_batch(ks)
+        out = np.array(self.times_vectorized(np.asarray(ks, dtype=np.float64)), dtype=np.float64)
+        # the hook takes float64 counts, which round past 2^53: ask func there
+        for i in np.flatnonzero(ks > MAX_EXACT_FLOAT_M).tolist():
+            out[i] = self.processing_time(int(ks[i]))
+        return out
 
 
 def _check_positive_finite(name: str, value: float) -> None:

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .allotment import Allotment
-from .capacity import capacity_ops
+from .capacity import capacity_ops, index_array
 from .job import MoldableJob
 from .schedule import MachineSpan, Schedule
 
@@ -266,9 +266,7 @@ def _resolve_durations(
     if allotted_times is not None:
         return [allotted_times[job] for job in sequence]
     if oracle is not None:
-        return oracle.times_for(
-            sequence, np.asarray(needs, dtype=np.float64)
-        ).tolist()
+        return oracle.times_for(sequence, index_array(needs)).tolist()
     return [job.processing_time(k) for job, k in zip(sequence, needs)]
 
 

@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import MAX_COLUMNAR_M, index_array, total_fits_int64
+from .capacity import MAX_COLUMNAR_M, exact_add, index_array, total_fits_int64
 from .job import MoldableJob
 
 __all__ = [
@@ -345,7 +345,7 @@ class ScheduleColumns:
             np.arange(block.n, dtype=np.int64), spans_per_entry
         )
         cols.span_first = block.span_first
-        cols.span_end = block.span_first + block.span_count
+        cols.span_end = exact_add(block.span_first, block.span_count)
         cols.span_off = block.span_off
         cols._schedule = schedule
         cols._block = block

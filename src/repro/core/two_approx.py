@@ -17,7 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .backend import resolve_backend
+# perfbench/layers.py patches ludwig_tiwari_estimator by name in this module
 from .bounds import EstimatorResult, estimator_steps, ludwig_tiwari_estimator
+from .capacity import index_array
 from .job import MoldableJob
 from .list_scheduling import list_schedule
 from .schedule import Schedule
@@ -64,16 +66,12 @@ def two_approximation(
 ) -> TwoApproxResult:
     """Compute a 2-approximate schedule for monotone moldable jobs.
 
-    ``backend="vectorized"`` (default) runs :func:`two_approx_steps` on a
-    batched oracle, the estimator's γ-searches in lockstep on arrays;
-    ``backend="scalar"`` is the bit-identical reference body below.
-    ``oracle`` optionally supplies a pre-built
-    :class:`repro.perf.oracle.BatchedOracle` for exactly ``(jobs, m)``
-    (implies the vectorized backend; lets callers read its probe
-    instrumentation afterwards).  The list-scheduling phase follows the
-    backend: the vectorized path runs the batched ``"event_queue_indexed"``
-    list scheduler, the scalar path the ``"heap"`` reference loop
-    (bit-identical schedules).
+    Runs :func:`two_approx_steps` on ``oracle``, a pre-built executor from
+    :mod:`repro.perf.oracle` for exactly ``(jobs, m)`` (lets callers read a
+    batched oracle's probe instrumentation afterwards), or on the executor
+    ``backend`` names: ``"vectorized"`` (default) a batched oracle, the
+    estimator's γ-searches in lockstep on arrays, ``"scalar"`` the per-job
+    reference.  Both give bit-identical schedules.
     """
     jobs = list(jobs)
     backend, oracle = resolve_backend(jobs, m, backend, oracle, "two_approx")
@@ -83,41 +81,38 @@ def two_approximation(
             ludwig_tiwari_estimator(jobs, m),
             oracle.gamma_probes,
         )
-    if backend == "vectorized":
-        return oracle.run(two_approx_steps(jobs, oracle, validate=validate))
-    estimate = ludwig_tiwari_estimator(jobs, m)
-    # Sort longest-processing-time first: not required for the bound but a
-    # standard practical improvement.
-    order = sorted(jobs, key=lambda j: estimate.allotment[j] * 0 - j.processing_time(estimate.allotment[j]))
-    schedule = list_schedule(jobs, estimate.allotment, m, order=order, backend="heap")
-    return _finish(schedule, jobs, estimate, "scalar", validate, None)
+    return oracle.run(two_approx_steps(jobs, oracle, validate=validate))
 
 
 def two_approx_steps(jobs: Sequence[MoldableJob], oracle, *, validate: bool = True):
     """:func:`two_approximation` as a request generator (the protocol of
     :meth:`repro.perf.oracle.BatchedOracle.run`) for non-empty ``jobs`` and
-    an oracle built for exactly ``(jobs, m)``."""
+    an oracle built for exactly ``(jobs, m)``.
+
+    The list-scheduling phase follows the executor: the batched
+    ``"event_queue_indexed"`` list scheduler on a batched oracle, the
+    ``"heap"`` reference loop on the scalar one (bit-identical schedules)."""
     estimate = yield from estimator_steps(jobs, oracle)
-    # columnar: evaluate all allotted processing times in one batched kernel
-    # pass; argsort(stable) reproduces the scalar LPT sorted() order.  The
-    # same times double as the list scheduler's durations.
+    # evaluate all allotted processing times in one request, at the exact
+    # counts; argsort(stable) is the stable LPT order of sorted() by -t_j.
+    # The same times double as the list scheduler's durations.
     counts = estimate.allotment.counts
-    times = yield ("eval", np.array([counts[j] for j in jobs], dtype=np.float64))
+    times = yield ("eval", index_array([counts[j] for j in jobs]))
     order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
     schedule = list_schedule(
         jobs,
         estimate.allotment,
         oracle.m,
         order=order,
-        backend="event_queue_indexed",
+        backend="event_queue_indexed" if oracle.backend == "vectorized" else "heap",
         allotted_times=dict(zip(jobs, times.tolist())),
         oracle=oracle,
     )
-    return _finish(schedule, jobs, estimate, "vectorized", validate, oracle)
+    return _finish(schedule, jobs, estimate, validate, oracle)
 
 
-def _finish(schedule, jobs, estimate, backend, validate, oracle) -> TwoApproxResult:
-    schedule.metadata.update(algorithm="two_approximation", omega=estimate.omega, backend=backend)
+def _finish(schedule, jobs, estimate, validate, oracle) -> TwoApproxResult:
+    schedule.metadata.update(algorithm="two_approximation", omega=estimate.omega, backend=oracle.backend)
     if validate:
         assert_valid_schedule(schedule, jobs, oracle=oracle)
-    return TwoApproxResult(schedule, estimate, oracle.gamma_probes if oracle is not None else None)
+    return TwoApproxResult(schedule, estimate, oracle.gamma_probes)

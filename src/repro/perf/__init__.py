@@ -12,7 +12,8 @@ This package makes *batched* evaluation the fast path of the library:
   ``n·log m`` Python calls) and caches the γ-arrays per threshold; successive
   thresholds of a dual search reuse earlier results as bisection brackets
   (the γ-breakpoint cache).  :class:`ScalarOracle` answers the same column
-  interface per job from the scalar reference, exactly at any ``m``.
+  interface per job (``allotment.gamma`` and ``processing_time``), exactly
+  at any ``m``.
 * :mod:`repro.perf.schedule_builder` — :class:`ArraySchedule` /
   :func:`schedule_from_arrays` assemble a :class:`~repro.core.schedule.Schedule`
   from flat columns (job index, start, span first/count) in one batched pass
@@ -24,10 +25,10 @@ The scalar-vs-vectorized regression harness that times these paths
 (``BENCH_perf.json``) lives outside the package, in
 ``benchmarks/bench_perf_suite.py``.
 
-All vectorized paths are bit-for-bit compatible with the scalar reference
-implementations; the algorithm drivers select between them via their
-``backend="vectorized" | "scalar" | "auto"`` flag, where ``"auto"`` picks by
-instance size (:mod:`repro.core.backend`).
+Every algorithm driver is one body that runs on either executor, bit for
+bit the same; the drivers' ``backend="vectorized" | "scalar" | "auto"`` flag
+picks the executor, where ``"auto"`` picks by instance size
+(:mod:`repro.core.backend`).
 """
 
 from .arrays import JobArrayBundle

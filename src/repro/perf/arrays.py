@@ -13,6 +13,11 @@ operation so that results are bit-for-bit identical to
 ``tests/perf/test_parity.py``).  Jobs of unknown subclasses — and
 :class:`~repro.core.job.OracleJob`, whose oracle is an arbitrary callable —
 land in a fallback group that loops over the scalar (memoised) oracle.
+
+Processor counts reach every group as the caller's exact integers: the
+closed-form kernels upcast them to float64 themselves, while the fallback,
+rigid and hook groups compare and call with the exact count wherever a
+float64 would round it (past 2^53).
 """
 
 from __future__ import annotations
@@ -142,7 +147,11 @@ class _RigidGroup(_Group):
     __slots__ = ("size", "duration", "penalty")
 
     def finalize(self) -> None:
-        self.size = np.array([j.size for j in self.jobs], dtype=np.float64)
+        # exact int64 sizes, compared with exact counts: a float64 size or
+        # count rounds past 2^53.  A size past int64 exceeds every count the
+        # batched oracle sees (m <= 2^62), so clamping it keeps every answer.
+        cap = np.iinfo(np.int64).max
+        self.size = np.array([min(j.size, cap) for j in self.jobs], dtype=np.int64)
         self.duration = np.array([j.duration for j in self.jobs], dtype=np.float64)
         self.penalty = np.array([j.penalty for j in self.jobs], dtype=np.float64)
 
@@ -176,17 +185,14 @@ class _OracleHookGroup(_Group):
         out = np.empty(len(pos), dtype=np.float64)
         order = np.argsort(pos, kind="stable")
         sorted_pos = pos[order]
-        # the hook contract hands the callable a float64 array
-        sorted_ks = np.asarray(ks[order], dtype=np.float64)
+        sorted_ks = ks[order]
         breaks = np.flatnonzero(sorted_pos[1:] != sorted_pos[:-1]) + 1
         starts = np.concatenate(([0], breaks))
         stops = np.concatenate((breaks, [len(sorted_pos)]))
         jobs = self.jobs
         for a, b in zip(starts.tolist(), stops.tolist()):
-            job = jobs[sorted_pos[a]]
-            out[order[a:b]] = np.asarray(
-                job.times_vectorized(sorted_ks[a:b]), dtype=np.float64
-            )
+            # OracleJob._times_batch: the float64 hook call, exact past 2^53
+            out[order[a:b]] = jobs[sorted_pos[a]]._times_batch(sorted_ks[a:b])
         return out
 
 
@@ -267,7 +273,7 @@ class JobArrayBundle:
         """``t_{jobs[job_idx[i]]}(ks[i])`` for all ``i``, one kernel call per
         job-class group present among ``job_idx``."""
         job_idx = np.asarray(job_idx, dtype=np.int64)
-        ks = np.asarray(ks, dtype=np.float64)
+        ks = np.asarray(ks)
         out = np.empty(len(job_idx), dtype=np.float64)
         if len(job_idx) == 0:
             return out
@@ -288,7 +294,7 @@ class JobArrayBundle:
         whole-instance evaluation is exactly one kernel call per job class
         with no per-call masking."""
         n = len(self.jobs)
-        ks = np.broadcast_to(np.asarray(ks, dtype=np.float64), (n,))
+        ks = np.broadcast_to(np.asarray(ks), (n,))
         out = np.empty(n, dtype=np.float64)
         for group, idx, pos in self._parts:
             out[idx] = group.eval(pos, ks[idx])

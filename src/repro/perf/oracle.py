@@ -204,7 +204,7 @@ class BatchedOracle(_Executor):
     ) -> None:
         if m > MAX_COLUMNAR_M:
             # γ-arrays store the sentinel m + 1 in int64, and tm / times_at
-            # funnel counts through float64 — the same int64 contract
+            # hand int64 counts to the kernels — the same int64 contract
             # boundary as repro.core.capacity.capacity_tier (2^62).  The
             # compact input encoding allows larger m, but those instances must
             # use the scalar path (resolve_backend falls back automatically).
@@ -263,7 +263,7 @@ class BatchedOracle(_Executor):
         the jobs at positions ``idx`` (then ``ks`` is aligned with ``idx``)."""
         if idx is None:
             return self.bundle.eval_all(ks)
-        return self.bundle.eval_at(idx, np.asarray(ks, dtype=np.float64))
+        return self.bundle.eval_at(idx, ks)
 
     # ---------------------------------------------------------- cache priming
     def prime_from(self, other: "BatchedOracle") -> int:

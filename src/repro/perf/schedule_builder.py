@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.capacity import index_array
+from ..core.capacity import exact_add, index_array
 from ..core.job import MoldableJob
 from ..core.schedule import (
     MAX_COLUMNAR_M,
@@ -239,7 +239,7 @@ class ArraySchedule:
         of = first[order]
         oc = count[order]
         oo = owner[order]
-        ends = of + oc
+        ends = exact_add(of, oc)
         same_owner = oo[1:] == oo[:-1]
         overlap = same_owner & (of[1:] < ends[:-1])
         if overlap.any():

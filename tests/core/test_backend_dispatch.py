@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import AmdahlJob, OracleJob, schedule_moldable, solve_mega
+from repro import AmdahlJob, OracleJob, RigidJob, schedule_moldable, solve_mega
 from repro.core.allotment import gamma_batch
 from repro.core.backend import (
     AUTO_VECTORIZED_MIN_N,
@@ -353,3 +353,58 @@ class TestScalarExecutorPastInt64:
         result = schedule_moldable(jobs, self.M, 0.5, algorithm=algorithm, backend=backend)
         assert result.lower_bound == makespan_lower_bound(jobs, self.M) == 5e29
         assert result.makespan == 8.178807994989434e29
+
+
+class TestCountsPast2To53:
+    """Below the int64 boundary the batched oracle hands exact int64 counts
+    to every kernel.  Rounded through float64, a γ of 2^53 + 1 became 2^53:
+    the step job read its 1e6 branch and certified a lower bound above OPT,
+    and the rigid job got 2^53 processors with a 1.0 duration column while
+    its entry ran 1e6.  Both backends must now agree entry for entry."""
+
+    M = 1 << 60
+    STEP = (1 << 53) + 1
+
+    def step_jobs(self):
+        step = self.STEP
+        return [
+            OracleJob("step", lambda k: 1e6 if k < step else 1.0),
+            AmdahlJob("a", 2.0, 0.0),
+            AmdahlJob("b", 3.0, 0.0),
+        ]
+
+    def rigid_jobs(self):
+        return [RigidJob("r", 1.0, self.STEP), AmdahlJob("a", 2.0, 0.0)]
+
+    def hook_jobs(self):
+        """The step as an OracleJob with a float64 hook, exact at every
+        count float64 holds: past 2^53 the hook would see 2^53 + 1 as 2^53,
+        so the exact oracle answers there."""
+        step = self.STEP
+        return [
+            OracleJob(
+                "step",
+                lambda k: 1e6 if k < step else 1.0,
+                times_vectorized=lambda ks: np.where(ks <= 2.0**53, 1e6, 1.0),
+            ),
+            AmdahlJob("a", 2.0, 0.0),
+        ]
+
+    @pytest.mark.parametrize("algorithm", ["two_approx", "fptas", "bounded", "mrt"])
+    @pytest.mark.parametrize("make", ["step_jobs", "rigid_jobs", "hook_jobs"])
+    def test_backends_agree(self, make, algorithm):
+        results = [
+            schedule_moldable(getattr(self, make)(), self.M, EPS, algorithm=algorithm, backend=backend)
+            for backend in ("scalar", "vectorized")
+        ]
+        scalar, vectorized = results
+        assert vectorized.backend == "vectorized"
+        assert _entries(vectorized.schedule) == _entries(scalar.schedule)
+        assert (vectorized.makespan, vectorized.lower_bound) == (scalar.makespan, scalar.lower_bound)
+        for result in results:
+            # the step's count is exact, so it runs its 1.0 branch; every
+            # entry's own end agrees with the makespan the columns report
+            assert result.lower_bound == 1.0
+            assert max(e.end for e in result.schedule.entries) == result.makespan
+            allotted = {e.job.name: e.processors for e in result.schedule.entries}
+            assert allotted.get("step", allotted.get("r")) == self.STEP

@@ -4,7 +4,11 @@ import math
 
 import pytest
 
+from repro.core.allotment import canonical_allotment
+from repro.core.backend import MAX_VECTORIZED_M
 from repro.core.bounds import (
+    ESTIMATOR_MAX_ITER,
+    ESTIMATOR_TOL,
     geometric_midpoint,
     ludwig_tiwari_estimator,
     makespan_lower_bound,
@@ -12,12 +16,84 @@ from repro.core.bounds import (
     trivial_lower_bound,
 )
 from repro.core.exact_small import exact_makespan
-from repro.core.job import AmdahlJob, PowerLawJob, TabulatedJob
+from repro.core.job import AmdahlJob, PowerLawJob, TabulatedJob, max_sequential_time
 from repro.core.list_scheduling import list_schedule
 from repro.core.scheduler import schedule_moldable
 from repro.core.validation import assert_valid_schedule
-from repro.perf.oracle import BatchedOracle
+from repro.perf.oracle import BatchedOracle, ScalarOracle
+from repro.workloads import generators
 from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
+
+
+def reference_estimator(jobs, m):
+    """The estimator's scalar bisection, kept as an independent reference
+    for :func:`repro.core.bounds.estimator_steps`, which every executor runs.
+    Returns ``(omega, ratio, allotment)``."""
+    tol = ESTIMATOR_TOL
+
+    def phi(tau):
+        allot = canonical_allotment(jobs, tau, m)
+        return None if allot is None else allot.average_load(m)
+
+    lo = max(max_sequential_time(jobs, m), 1e-300)
+    hi = max(serial_upper_bound(jobs), lo)
+    phi_lo = phi(lo)
+    if phi_lo is not None and phi_lo <= lo:
+        allot = canonical_allotment(jobs, lo, m)
+        return max(phi_lo, lo, trivial_lower_bound(jobs, m)), 2.0, allot
+    for _ in range(ESTIMATOR_MAX_ITER):
+        if hi <= lo * (1.0 + tol):
+            break
+        mid = geometric_midpoint(lo, hi)
+        phi_mid = phi(mid)
+        if phi_mid is None or phi_mid > mid:
+            lo = mid
+        else:
+            hi = mid
+    allot = canonical_allotment(jobs, hi, m)
+    omega = max(allot.average_load(m), allot.max_time())
+    omega = max(omega / (1.0 + tol), max(trivial_lower_bound(jobs, m), lo))
+    return omega, 2.0 * (1.0 + 2.0 * tol), allot
+
+
+#: the analytic families whose generators take any m (tabulated jobs hold a
+#: table of m times, so they stop at moderate m)
+FAMILIES = [
+    "amdahl",
+    "power_law",
+    "communication",
+    "mixed",
+    "power_work",
+    "bimodal",
+    "quantized",
+    "chain",
+]
+#: (n, m): small, moderate, past 2^53 and past int64
+SIZES = [(20, 16), (50, 64), (8, 1 << 60), (12, 1 << 80)]
+
+
+def family_instance(family, n, m, seed):
+    return getattr(generators, f"random_{family}_instance")(n, m, seed=seed).jobs
+
+
+class TestEstimatorMatchesReference:
+    """Both executors against the reference bisection: omega, ratio and the
+    allotment, bit for bit, at every magnitude."""
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_both_executors(self, family, n, m):
+        for seed in (1, 2, 3):
+            jobs = family_instance(family, n, m, seed)
+            omega, ratio, allot = reference_estimator(jobs, m)
+            oracles = [None, ScalarOracle(jobs, m)]
+            if m <= MAX_VECTORIZED_M:
+                oracles.append(BatchedOracle(jobs, m))
+            for oracle in oracles:
+                result = ludwig_tiwari_estimator(jobs, m, oracle=oracle)
+                assert (result.omega, result.ratio) == (omega, ratio)
+                assert result.allotment.counts == allot.counts
+            assert makespan_lower_bound(jobs, m) == omega
 
 
 class TestTrivialBounds:

@@ -20,6 +20,7 @@ from repro.core.capacity import (
     WIDE_OPS,
     capacity_ops,
     capacity_tier,
+    exact_add,
     float_exact,
     index_array,
     total_fits_int64,
@@ -62,6 +63,17 @@ class TestTierSelection:
         assert capacity_ops(64) is INT64_OPS
         assert capacity_ops(1 << 70) is WIDE_OPS
         assert capacity_ops(1 << 100) is OBJECT_OPS
+
+
+class TestExactAdd:
+    def test_sums_that_fit_stay_int64(self):
+        out = exact_add(np.array([1, 2], dtype=np.int64), np.array([3, (1 << 62)], dtype=np.int64))
+        assert out.dtype == np.int64 and out.tolist() == [4, (1 << 62) + 2]
+
+    def test_a_sum_past_int64_goes_exact(self):
+        a = np.array([1, 3 << 61], dtype=np.int64)
+        out = exact_add(a, a)
+        assert out.dtype == object and out.tolist() == [2, 3 << 62]
 
 
 class TestFloatBoundary:

@@ -2,16 +2,120 @@
 
 import pytest
 
-from repro.core.bounds import makespan_lower_bound
+from repro.core.allotment import gamma
+from repro.core.bounds import makespan_lower_bound, serial_upper_bound
+from repro.core.dual import dual_binary_search
 from repro.core.exact_small import exact_makespan
 from repro.core.fptas import fptas_dual, fptas_machine_threshold, fptas_schedule, ptas_schedule
 from repro.core.job import AmdahlJob, PowerLawJob
+from repro.core.schedule import Schedule
 from repro.core.validation import assert_valid_schedule
+from repro.workloads import generators
 from repro.workloads.generators import (
     random_amdahl_instance,
     random_monotone_tabulated_instance,
     random_power_law_instance,
 )
+
+BACKENDS = ["scalar", "vectorized"]
+
+
+def reference_fptas_dual(jobs, m, d, eps):
+    """The dual step as a per-job loop, kept as an independent reference for
+    :func:`repro.core.fptas.fptas_dual_steps`, which every executor runs."""
+    if d <= 0:
+        return None
+    threshold = (1.0 + eps) * d
+    counts = []
+    total = 0
+    for job in jobs:
+        g = gamma(job, threshold, m)
+        if g is None:
+            return None
+        counts.append(g)
+        total += g
+        if total > m:
+            return None
+    schedule = Schedule(m=m, metadata={"algorithm": "fptas_dual", "d": d, "eps": eps})
+    next_machine = 0
+    for job, count in zip(jobs, counts):
+        schedule.add(job, 0.0, [(next_machine, count)])
+        next_machine += count
+    return schedule
+
+
+def reference_fptas_schedule(jobs, m, eps):
+    inner = eps / 3.0
+    return dual_binary_search(jobs, m, lambda d: reference_fptas_dual(jobs, m, d, inner), tolerance=inner)
+
+
+def entries(schedule):
+    return [(e.job.name, e.start, e.spans) for e in schedule.entries]
+
+
+#: the analytic families whose generators take any m
+FAMILIES = ["amdahl", "power_law", "communication", "mixed", "power_work", "bimodal", "quantized", "chain"]
+#: m in the FPTAS regime for n = 10: moderate, past 2^53, past int64
+MACHINES = [1 << 20, 1 << 60, 1 << 80]
+
+
+def gamma_sum_past_int64(count, t1):
+    """``count`` jobs whose γ-values each fit int64 while their sum does not,
+    behind a serial job that pins d near 1: with three jobs of 6e18 the last
+    machine offset passes 2^63 too, with two of 7e18 only the last span's
+    end does."""
+    return [AmdahlJob("c", 1.0, 1.0)] + [AmdahlJob(f"b{i}", t1, 0.0) for i in range(count)]
+
+
+class TestMatchesReference:
+    """Both executors against the reference loops: the same accept/reject
+    decisions and the same entries, at every magnitude."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("m", MACHINES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fptas_dual(self, family, m, backend):
+        for seed in (1, 2, 3):
+            jobs = getattr(generators, f"random_{family}_instance")(10, m, seed=seed).jobs
+            lb = makespan_lower_bound(jobs, m)
+            for factor in (0.5, 1.0, 1.3, 2.0):
+                expected = reference_fptas_dual(jobs, m, factor * lb, 0.1)
+                got = fptas_dual(jobs, m, factor * lb, 0.1, backend=backend)
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert entries(got) == entries(expected)
+                    assert got.makespan == expected.makespan
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("m", MACHINES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fptas_schedule(self, family, m, backend):
+        for seed in (1, 2, 3):
+            jobs = getattr(generators, f"random_{family}_instance")(10, m, seed=seed).jobs
+            expected = reference_fptas_schedule(jobs, m, 0.2)
+            got = fptas_schedule(jobs, m, 0.2, backend=backend)
+            assert entries(got.schedule) == entries(expected.schedule)
+            assert (got.makespan, got.accepted_d, got.lower_bound) == (
+                expected.makespan,
+                expected.accepted_d,
+                expected.lower_bound,
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("count, t1", [(3, 6e18), (2, 7e18)])
+    def test_gamma_sum_past_int64(self, count, t1, backend):
+        """The machine offsets and span ends stay exact where the γ-values
+        fit int64 but their running sum passes 2^63 (an int64 sum wraps)."""
+        jobs = gamma_sum_past_int64(count, t1)
+        m = 1 << 80
+        expected = reference_fptas_schedule(jobs, m, 0.5)
+        got = fptas_schedule(jobs, m, 0.5, backend=backend)
+        assert entries(got.schedule) == entries(expected.schedule)
+        assert got.makespan == expected.makespan
+        counts = [e.processors for e in got.schedule.entries]
+        assert max(counts) < 1 << 63 < sum(counts)
+        d = 1.5 * got.accepted_d
+        assert entries(fptas_dual(jobs, m, d, 0.1, backend=backend)) == entries(reference_fptas_dual(jobs, m, d, 0.1))
 
 
 class TestFptasDual:
@@ -41,6 +145,25 @@ class TestFptasDual:
         jobs = [AmdahlJob("a", 10.0, 0.1)]
         assert fptas_dual(jobs, 100, 0.0, 0.1) is None
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_below_the_threshold_accepts_only_valid_schedules(self, backend):
+        """m = 5 is far below 8n/eps, so the dual may reject targets a
+        schedule exists for; every schedule it accepts must still be
+        feasible and within (1+eps)d."""
+        eps = 0.5
+        for seed in range(3):
+            jobs = random_monotone_tabulated_instance(3, 5, seed=seed).jobs
+            lb = makespan_lower_bound(jobs, 5)
+            targets = [lb * f for f in (1.0, 1.25, 1.5, 2.0)] + [serial_upper_bound(jobs)]
+            accepted = 0
+            for d in targets:
+                schedule = fptas_dual(jobs, 5, d, eps, backend=backend)
+                if schedule is not None:
+                    accepted += 1
+                    assert_valid_schedule(schedule, jobs, max_makespan=(1 + eps) * d * (1 + 1e-9))
+            # on one machine per job, every job meets the serial bound
+            assert accepted >= 1
+
     def test_makespan_within_one_plus_eps_of_target(self):
         jobs = [PowerLawJob(f"p{i}", 50.0, 0.6) for i in range(6)]
         d = 12.0
@@ -56,16 +179,6 @@ class TestFptasSchedule:
         eps = 0.1
         with pytest.raises(ValueError):
             fptas_schedule(jobs, 100, eps)  # 100 < 8*10/0.1 = 800
-
-    def test_guarantee_vs_exact_optimum(self):
-        """(1+eps) OPT on tiny instances where the optimum is computable."""
-        for seed in range(3):
-            instance = random_monotone_tabulated_instance(3, 5, seed=seed)
-            # m=5 does not satisfy m >= 8n/eps; disable the threshold check to
-            # exercise the dual anyway — the guarantee may then not hold, so we
-            # only check feasibility here.
-            result = fptas_schedule(instance.jobs, 5, 0.5, enforce_threshold=False)
-            assert_valid_schedule(result.schedule, instance.jobs)
 
     def test_guarantee_vs_lower_bound_large_m(self):
         for eps in (0.05, 0.1, 0.3):

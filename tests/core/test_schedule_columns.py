@@ -269,3 +269,36 @@ class TestSharedSweepPinning:
         times, busy = cols.busy_profile()
         trace = simulate_schedule(schedule)
         assert trace.utilization_profile == list(zip(times.tolist(), busy.tolist()))
+
+
+class TestSpanEndsPastInt64:
+    """Span starts and counts that each fit int64 while their ends pass 2^63:
+    an int64 sum wraps negative, so the ends must go exact instead."""
+
+    BIG = 3 << 61  # 1.5 * 2^62: BIG + BIG passes 2^63
+
+    def jobs(self):
+        return [TabulatedJob("a", [1.0]), TabulatedJob("b", [1.0])]
+
+    def test_ends_are_exact_and_the_schedule_validates(self):
+        jobs = self.jobs()
+        schedule = Schedule(m=1 << 80)
+        schedule.add(jobs[0], 0.0, [(0, self.BIG)])
+        schedule.add(jobs[1], 0.0, [(self.BIG, self.BIG)])
+        cols = schedule.columns()
+        assert cols.span_end.tolist() == [self.BIG, 2 * self.BIG]
+        assert cols.peak_busy() == 2 * self.BIG
+        assert validate_schedule(schedule, jobs).ok
+
+    def test_an_overlap_past_int64_is_reported(self):
+        jobs = self.jobs()
+        schedule = Schedule(m=1 << 80)
+        schedule.add(jobs[0], 0.0, [(self.BIG, self.BIG)])
+        schedule.add(jobs[1], 0.0, [(self.BIG + 1, 1)])
+        assert not validate_schedule(schedule, jobs).ok
+
+    def test_the_builder_rejects_an_overlap_within_one_entry(self):
+        builder = ArraySchedule(1 << 80)
+        builder.append(self.jobs()[0], 0.0, [(self.BIG, self.BIG), (self.BIG + 1, 2)])
+        with pytest.raises(ValueError, match="overlapping"):
+            builder.build()

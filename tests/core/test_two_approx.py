@@ -2,15 +2,70 @@
 
 import pytest
 
+from repro.core.backend import MAX_VECTORIZED_M
+from repro.core.bounds import ludwig_tiwari_estimator
 from repro.core.exact_small import exact_makespan
 from repro.core.job import AmdahlJob, TabulatedJob
+from repro.core.list_scheduling import list_schedule
 from repro.core.two_approx import two_approximation
 from repro.core.validation import assert_valid_schedule
+from repro.workloads import generators
 from repro.workloads.generators import (
     planted_partition_instance,
     random_mixed_instance,
     random_monotone_tabulated_instance,
 )
+
+
+def reference_two_approximation(jobs, m):
+    """The 2-approximation as per-job calls, kept as an independent
+    reference for :func:`repro.core.two_approx.two_approx_steps`, which every
+    executor runs: the estimator's allotment, list scheduled longest
+    processing time first by the ``"heap"`` scheduler."""
+    estimate = ludwig_tiwari_estimator(jobs, m)
+    allot = estimate.allotment
+    order = sorted(jobs, key=lambda j: -j.processing_time(allot[j]))
+    return list_schedule(jobs, allot, m, order=order, backend="heap"), estimate
+
+
+#: the analytic families whose generators take any m
+FAMILIES = ["amdahl", "power_law", "communication", "mixed", "power_work", "bimodal", "quantized", "chain"]
+#: (n, m): small, moderate, past 2^53 and past int64
+SIZES = [(20, 16), (50, 64), (8, 1 << 60), (12, 1 << 80)]
+
+
+class TestMatchesReference:
+    """Both executors against the reference body: the same entries, makespan
+    and omega, at every magnitude (past 2^62 both run the scalar executor)."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("n, m", SIZES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_both_executors(self, family, n, m, backend):
+        for seed in (1, 2, 3):
+            jobs = getattr(generators, f"random_{family}_instance")(n, m, seed=seed).jobs
+            schedule, estimate = reference_two_approximation(jobs, m)
+            result = two_approximation(jobs, m, backend=backend)
+            got = [(e.job.name, e.start, e.spans) for e in result.schedule.entries]
+            assert got == [(e.job.name, e.start, e.spans) for e in schedule.entries]
+            assert result.makespan == schedule.makespan
+            assert result.estimate.omega == estimate.omega
+            ran = "vectorized" if backend == "vectorized" and m <= MAX_VECTORIZED_M else "scalar"
+            assert result.schedule.metadata["backend"] == ran
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_span_ends_past_int64(self, backend):
+        """Two jobs of ~7e18 processors each: every count and start fits
+        int64, the second span's end does not."""
+        m = 1 << 80
+        jobs = [AmdahlJob("c", 1.0, 1.0), AmdahlJob("b0", 7e18, 0.0), AmdahlJob("b1", 7e18, 0.0)]
+        schedule, estimate = reference_two_approximation(jobs, m)
+        result = two_approximation(jobs, m, backend=backend)
+        assert [(e.job.name, e.start, e.spans) for e in result.schedule.entries] == [
+            (e.job.name, e.start, e.spans) for e in schedule.entries
+        ]
+        assert result.makespan == schedule.makespan
+        assert max(e.processors for e in schedule.entries) < 1 << 63 < schedule.columns().span_end.max()
 
 
 class TestTwoApproximation:

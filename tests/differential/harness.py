@@ -1,15 +1,16 @@
 """Cross-backend differential testing harness.
 
-The repository ships two bit-identical implementations of every algorithm
-driver — exactly the structure differential testing exploits: run both on
-the same random instance and *any* disagreement is a bug in one of them, no
-oracle needed.  The comparison covers :data:`BACKENDS`:
+Every algorithm driver is one body that runs on two bit-identical
+executors (:mod:`repro.perf.oracle`) — exactly the structure differential
+testing exploits: run both on the same random instance and *any*
+disagreement is a bug in one of them, no oracle needed.  The comparison
+covers :data:`BACKENDS`:
 
-* ``"scalar"`` — the pure-Python reference (heap wake-up loop for list
-  scheduling, per-entry ``Schedule.add`` assembly);
-* ``"vectorized"`` — the batched-oracle drivers; for ``two_approx`` the
-  list-scheduling phase runs the batched event-queue scheduler with the
-  incremental need-bucket candidate index (the driver's default).
+* ``"scalar"`` — the body on the per-job ``ScalarOracle`` (heap wake-up
+  loop for list scheduling);
+* ``"vectorized"`` — the body on the lockstep ``BatchedOracle``; for
+  ``two_approx`` the list-scheduling phase runs the batched event-queue
+  scheduler with the incremental need-bucket candidate index.
 
 A *case* is a small JSON-able dict ``{driver, family, n, m, eps, seed}``:
 the instance is regenerated from the family generator and the seed, so a
@@ -126,8 +127,8 @@ HUGE_M_CHOICES = (
 
 DRIVERS = ("mrt", "compressible", "bounded", "fptas", "two_approx")
 
-#: The comparison: the scalar reference and the vectorized implementation,
-#: compared against the reference.
+#: The comparison: the scalar executor, and the vectorized executor compared
+#: against it.
 BACKENDS = ("scalar", "vectorized")
 
 #: The ``online`` family also runs ``"auto"``, whose per-epoch size dispatch

@@ -121,6 +121,41 @@ class TestTimesForParity:
         assert np.array_equal(job.times_for(np.array([1.0, 4.0])), job.times_for(np.array([1, 4])))
 
 
+class TestCountsPast2To53:
+    """int64 counts past 2^53 reach the kernels exactly: float64 would round
+    2^53 + 1 down to 2^53, where each job below changes its answer."""
+
+    STEP = (1 << 53) + 1
+    KS = np.array([1 << 53, STEP, 1 << 60], dtype=np.int64)
+
+    def jobs(self):
+        step = self.STEP
+        return [
+            OracleJob("fallback", lambda k: 1e6 if k < step else 1.0),
+            OracleJob(
+                "hook",
+                lambda k: 1e6 if k < step else 1.0,
+                times_vectorized=lambda ks: np.where(ks <= 2.0**53, 1e6, 1.0),
+            ),
+            RigidJob("rigid", 1.0, step),
+            AmdahlJob("amdahl", 3.0, 0.25),
+        ]
+
+    def test_times_for(self):
+        for job in self.jobs():
+            expected = [job.processing_time(k) for k in self.KS.tolist()]
+            assert job.times_for(self.KS).tolist() == expected, job.name
+
+    def test_bundle_eval_at_and_eval_all(self):
+        jobs = self.jobs()
+        bundle = JobArrayBundle(jobs)
+        for k in self.KS.tolist():
+            expected = [job.processing_time(k) for job in jobs]
+            assert bundle.eval_all(np.int64(k)).tolist() == expected
+            idx = np.arange(len(jobs), dtype=np.int64)
+            assert bundle.eval_at(idx, np.full(len(jobs), k, dtype=np.int64)).tolist() == expected
+
+
 # --------------------------------------------------------------------------
 # gamma_batch parity
 # --------------------------------------------------------------------------
