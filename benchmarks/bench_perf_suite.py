@@ -25,16 +25,22 @@ of their own, so they always run in the parent.  ``--smoke`` runs a small
 configuration suitable for CI; with ``--families`` it assigns one family per
 algorithm round-robin, so a short run still touches every requested family.
 
-``--check BASELINE`` fails (exit 1) when a per-algorithm speedup drops below
-``baseline / REGRESSION_FACTOR`` (speedups, unlike seconds, transfer across
-machines), when the baseline lacks a per-algorithm aggregate the run
-produces, when any absolute floor of :data:`GATES` is undershot, or when the
-two legs of any row disagree on the makespan.  Every failure names its rows.
+``--check BASELINE`` fails (exit 1) when either timed leg of a row takes more
+than ``REGRESSION_FACTOR`` times its baseline row's seconds, when the baseline
+lacks a row the run produces, when any absolute floor of :data:`GATES` is
+undershot, or when the two legs of any row disagree on the makespan.  Every
+failure names its rows.  Seconds do not transfer across machines or across
+phases of a shared host, so every row also records a :func:`yardstick`
+reading (a fixed pure-Python job timed around the row), and a leg is compared
+at the baseline row's speed: scaled by ``baseline yardstick / row
+yardstick``.  Each leg is gated on its own, so a faster scalar reference
+cannot read as a vectorized regression.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import multiprocessing
@@ -83,8 +89,14 @@ ALL_ALGORITHMS = TABLE1_ALGORITHMS + (
 SCHEDULE_EPS = 0.1
 FPTAS_EPS = 0.5
 
-#: A per-algorithm speedup may fall to ``baseline / REGRESSION_FACTOR``.
+#: A row's leg may take up to ``REGRESSION_FACTOR`` times its baseline seconds
+#: (both at the baseline row's machine speed).
 REGRESSION_FACTOR = 2.0
+
+#: Yardstick readings taken before and after each row's legs.  The row keeps
+#: the fastest, as its legs keep their fastest repeat: a transient slowdown
+#: then moves neither.
+_YARDSTICK_READINGS = 3
 
 #: Instance families of the sweep.  ``tiny_n_huge_m`` reuses the mixed
 #: generator but with a config shape (n=64, m=2^22) that drives every
@@ -161,6 +173,9 @@ class BenchRow:
     #: same instances — bit-identical per-instance results, so the speedup is
     #: pure dispatch amortisation.
     mega_fleet: int = 0
+    #: Fastest :func:`yardstick` seconds around the row's legs: the machine
+    #: speed the seconds gate scales them by (0 = not measured).
+    yardstick_seconds: float = 0.0
 
 
 @dataclass
@@ -192,6 +207,20 @@ def _runner_for(algorithm: str) -> Callable:
     if algorithm == "two_approx":
         return lambda jobs, m, backend: two_approximation(jobs, m, backend=backend)
     raise KeyError(algorithm)
+
+
+def yardstick() -> float:
+    """Seconds a fixed pure-Python job (build, hash and sort 10k tuples) takes
+    now.  Other tenants of a shared host slow this process for phases of
+    seconds to minutes; the yardstick slows with it, so a leg's seconds
+    divided by the yardstick's compare across runs and machines.  Collected
+    first, so a garbage backlog left by the previous row is not timed."""
+    gc.collect()
+    t0 = time.perf_counter()
+    items = [((i * 7919) % 10007, str(i)) for i in range(10000)]
+    dict(items)
+    items.sort()
+    return time.perf_counter() - t0
 
 
 def _timed(fn: Callable[[], object], repeat: int, jobs) -> tuple[float, object]:
@@ -675,9 +704,11 @@ def _bench_shard(task: tuple) -> BenchRow:
     config, seed, repeat = task
     algorithm = config["algorithm"]
     shard = _SHARDS.get(algorithm, _backend_shard)
+    speed = [yardstick() for _ in range(_YARDSTICK_READINGS)]
     scalar_seconds, scalar_makespan, vec_seconds, vec_makespan, extra = shard(
         config, seed, repeat
     )
+    speed += [yardstick() for _ in range(_YARDSTICK_READINGS)]
     extra.setdefault("makespans_identical", scalar_makespan == vec_makespan)
     return BenchRow(
         algorithm=algorithm,
@@ -690,6 +721,7 @@ def _bench_shard(task: tuple) -> BenchRow:
         speedup=scalar_seconds / vec_seconds if vec_seconds > 0 else math.inf,
         scalar_makespan=scalar_makespan,
         vectorized_makespan=vec_makespan,
+        yardstick_seconds=min(speed),
         **extra,
     )
 
@@ -975,13 +1007,6 @@ def _rows_of(*algorithms: str, n1000: bool = False, worst=lambda r: r.speedup) -
     return select
 
 
-def _assembly_rows(rows: Sequence[BenchRow]) -> List[BenchRow]:
-    """The fptas/two_approx n>=1000 rows behind the gated assembly geomean:
-    the Table-1 (mixed-family) ones when the run swept any, else all."""
-    swept = _rows_of("fptas", "two_approx", n1000=True)(rows)
-    return [r for r in swept if r.family == "mixed"] or swept
-
-
 def _speedup(row: BenchRow) -> str:
     return f"{row.speedup:.2f}x"
 
@@ -1011,12 +1036,6 @@ def _healthy_rate(row: BenchRow) -> float:
 
 #: The absolute floors of ``--check``.
 GATES: Tuple[Gate, ...] = (
-    # columnar schedule assembly; the mixed-family geomean, or the
-    # all-family one when the run swept no mixed rows
-    Gate(
-        ("fptas_two_approx_table1_geomean_n1000", "fptas_two_approx_geomean_n1000"),
-        8.0, "columnar-assembly floor", "x", _assembly_rows, _speedup,
-    ),
     # scalar heap loop vs batched event-queue list scheduling (no-tie chain
     # rows included)
     Gate(
@@ -1069,60 +1088,69 @@ def _unit(key: str) -> str:
     return "x"
 
 
+#: Rows the seconds gate skips: the serve legs time process start-up and
+#: injected chaos waits, and the fleet-serving floors gate them instead.
+_UNGATED_LEGS = ("serve",)
+
+
+def _row_key(row: dict) -> tuple:
+    """What identifies a row across runs: its configuration."""
+    return (row["algorithm"], row["family"], row["n"], row["m"], row.get("mega_fleet", 0))
+
+
+def _leg_failures(row: BenchRow, reference: dict) -> List[str]:
+    """``row``'s legs that take more than ``REGRESSION_FACTOR`` times their
+    ``reference`` (baseline row) seconds, both at the reference's speed."""
+    speed, reference_speed = row.yardstick_seconds, reference.get("yardstick_seconds", 0.0)
+    scale = reference_speed / speed if speed > 0 and reference_speed > 0 else 1.0
+    failures = []
+    names = _LEG_NAMES.get(row.algorithm, ("scalar", "vectorized"))
+    for name, leg in zip(names, ("scalar_seconds", "vectorized_seconds")):
+        seconds, limit = getattr(row, leg) * scale, reference[leg] * REGRESSION_FACTOR
+        if seconds > limit:
+            failures.append(
+                f"{_row_label(row)}: {name} leg {seconds:.4f}s at baseline speed "
+                f"exceeds {limit:.4f}s (baseline {reference[leg]:.4f}s x factor "
+                f"{REGRESSION_FACTOR:g})"
+            )
+    return failures
+
+
 def check_regression(
     report: BenchReport, baseline_path: str, *, gates: Sequence[Gate] = GATES
 ) -> List[str]:
     """Compare a report against a baseline report and the absolute floors.
 
     Returns human-readable failures (empty = gate passes), each naming its
-    rows.  A per-algorithm ``speedup_*`` aggregate fails when it drops below
-    ``baseline / REGRESSION_FACTOR``, or when the baseline lacks it (the
-    baseline is stale and must be re-recorded).  A baseline with no speedup
-    aggregates at all means "floors only".  Each of ``gates`` fails when
-    its aggregate is under its floor, and any row whose two legs disagree on
-    the makespan fails the identity check.
+    rows.  Each timed leg of a row (both backends, or the row's two
+    :data:`_LEG_NAMES`) fails when it takes more than ``REGRESSION_FACTOR``
+    times the baseline row's seconds, scaled to the baseline row's
+    :func:`yardstick` speed; a row the baseline lacks fails too (the
+    baseline is stale and must be re-recorded).  A baseline with no rows at
+    all means "floors only".  Each of ``gates`` fails when its aggregate is
+    under its floor, and any row whose two legs disagree on the makespan
+    fails the identity check.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     failures: List[str] = []
-    baseline_aggregates = baseline.get("aggregates", {})
-    baseline_has_speedups = any(k.startswith("speedup_") for k in baseline_aggregates)
+    references = {_row_key(row): row for row in baseline.get("rows", [])}
 
     def _named(rows: Sequence[BenchRow], detail: Callable[[BenchRow], str]) -> str:
         return ", ".join(f"{_row_label(r)}: {detail(r)}" for r in rows)
 
-    for key, current in report.aggregates.items():
-        if not key.startswith("speedup_"):
-            continue
-        algorithm_rows = _named(
-            _rows_of(key[len("speedup_") :].removesuffix("_n1000"))(report.rows), _speedup
-        )
-        rows_suffix = f" — rows: {algorithm_rows}" if algorithm_rows else ""
-        reference = baseline_aggregates.get(key)
-        if reference is None:
-            # Only the bare per-algorithm keys are required — every mode
-            # records one for each algorithm it sweeps; the ``_n1000``
-            # refinements and the all-row geomean depend on the recording
-            # mode's instance sizes and stay a silent skip.
-            if (
-                baseline_has_speedups
-                and key != "speedup_geomean_all"
-                and not key.endswith("_n1000")
-            ):
+    if references:
+        for row in report.rows:
+            if row.algorithm in _UNGATED_LEGS:
+                continue
+            reference = references.get(_row_key(asdict(row)))
+            if reference is None:
                 failures.append(
-                    f"{key}: baseline {baseline_path!r} has no reference for "
-                    f"this aggregate — re-record the baseline to cover the "
-                    f"new rows" + rows_suffix
+                    f"{_row_label(row)}: baseline {baseline_path!r} has no such row "
+                    f"— re-record the baseline to cover the new rows"
                 )
-            continue
-        if not math.isfinite(reference):
-            continue
-        floor = reference / REGRESSION_FACTOR
-        if current < floor:
-            failures.append(
-                f"{key}: speedup {current:.2f}x fell below {floor:.2f}x "
-                f"(baseline {reference:.2f}x / factor {REGRESSION_FACTOR})" + rows_suffix
-            )
+            else:
+                failures += _leg_failures(row, reference)
     for gate in gates:
         key = next((k for k in gate.keys if k in report.aggregates), None)
         # a NaN aggregate (no finite ratio to average) is not a breach
@@ -1177,9 +1205,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check",
         metavar="BASELINE",
-        help="compare against a baseline BENCH_perf.json and exit non-zero on a "
-        f"{REGRESSION_FACTOR:g}x speedup regression, a stale baseline, an "
-        "undershot floor (GATES) or a makespan mismatch",
+        help="compare against a baseline BENCH_perf.json and exit non-zero when a "
+        f"leg takes over {REGRESSION_FACTOR:g}x its baseline seconds (at the "
+        "baseline's yardstick speed), on a stale baseline, an undershot floor "
+        "(GATES) or a makespan mismatch",
     )
     args = parser.parse_args(argv)
 

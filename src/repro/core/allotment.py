@@ -28,7 +28,7 @@ from .job import MoldableJob
 __all__ = ["gamma", "gamma_batch", "Allotment", "canonical_allotment"]
 
 
-def gamma(job: MoldableJob, threshold: float, m: int) -> Optional[int]:
+def gamma(job: MoldableJob, threshold: float, m: int, *, _bracket=None) -> Optional[int]:
     """Return ``gamma_j(threshold)`` or ``None`` if even ``m`` processors are
     not enough (``t_j(m) > threshold``).
 
@@ -42,19 +42,27 @@ def gamma(job: MoldableJob, threshold: float, m: int) -> Optional[int]:
         Number of available machines.
 
     Raises ``ValueError`` for a NaN ``threshold``.
+
+    ``_bracket`` is internal to the executors: a pair ``(lo, hi)`` with
+    ``lo <= gamma_j(threshold) <= hi``, where ``hi = m + 1`` stands for
+    "possibly infeasible" (:class:`repro.perf.oracle.ScalarOracle` reads it
+    off the γ-values of neighbouring thresholds).  Omitted, the bracket is
+    ``(1, m + 1)``: the cold search of ``O(log m)`` oracle calls.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if threshold <= 0:
+    if not threshold > 0:
+        if threshold != threshold:
+            raise ValueError("gamma threshold must be a number, got NaN")
         return None
-    if job.processing_time(m) > threshold:
-        return None
-    if job.processing_time(1) <= threshold:
-        return 1
-    if threshold != threshold:  # NaN: every comparison above was false
-        raise ValueError("gamma threshold must be a number, got NaN")
-    lo, hi = 1, m  # t(lo) > threshold, t(hi) <= threshold
-    while hi - lo > 1:
+    lo, hi = (1, m + 1) if _bracket is None else _bracket
+    if hi > m:
+        if job.processing_time(m) > threshold:
+            return None
+        hi = m
+    if job.processing_time(lo) <= threshold:
+        return lo
+    while hi - lo > 1:  # t(lo) > threshold, t(hi) <= threshold
         mid = (lo + hi) // 2
         if job.processing_time(mid) <= threshold:
             hi = mid

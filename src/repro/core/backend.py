@@ -38,25 +38,31 @@ MAX_VECTORIZED_M = MAX_COLUMNAR_M
 # algorithm: the n where the two backends' wall times cross.  Measured
 # through the facade, fresh jobs per call, scalar and vectorized calls
 # interleaved, best of 9 per (n, backend) cell (best of 3 is too noisy on a
-# shared 2-core box):
-#   jobs = random_mixed_instance(n, m, seed=1).jobs
+# shared 2-core box), seeds 1-3:
+#   jobs = random_mixed_instance(n, m, seed=s).jobs
 #   schedule_moldable(jobs, m, 0.1, algorithm=alg, backend=backend)
-# On a 2-core Xeon, Python 3.11: bounded at m=64 (Algorithm 3 proper) crosses
-# at n~128; fptas at m=2**20 (also the m >= 16n branch of bounded and
-# compressible) at n~40-44; two_approx at m=64 at n~104 and at m=4000 at
-# n~64-72, so its row sits between the two.  Scalar/vectorized time ratios
-# of two passes:
-#   bounded    m=64     n=112: 0.95 / 1.00   n=128: 1.04 / 1.06
-#   fptas      m=2**20  n=36:  0.84 / 0.95   n=40:  0.96 / 1.07   n=44: 1.07 / 1.18
-#   two_approx m=64     n=80:  0.84 / 0.82   n=104: 1.00 / 0.99
-#   two_approx m=4000   n=64:  1.03 / 0.76   n=72:  1.30 / 1.05   n=80: 1.30 / 1.09
-# A 0 keeps the vectorized backend until the algorithm is measured.
+# On a 2-core Xeon, Python 3.11, with the scalar executor's bracketed γ
+# searches.  Scalar/vectorized time ratios (seeds 1 / 2 / 3; above 1 the
+# vectorized backend is faster):
+#   fptas        m=2**20  n=192: 0.91/0.83/0.84  n=240: 0.98/0.98/0.96  n=256: 1.06/1.01/1.00
+#                m=2**22  n=200: 0.93/0.88/0.89  n=256: 1.08/1.02/1.05
+#   two_approx   m=8n     n=160: 0.76/0.74/0.73  n=256: 1.02/1.05/1.03
+#                m=64     n=96:  0.82/0.61/0.76  n=128: 1.09/1.31/1.23  n=160: 1.42/1.56/1.41
+#   bounded      m=8n     n=224: 0.90/0.89/0.87  n=256: 0.95/0.94/0.94  n=320: 1.08/1.08/1.04
+#                m=64     n=192: 1.03/1.01/1.03  n=224: 1.12/1.11/1.08
+#   mrt          m=8n     n=96:  1.09/1.10/1.15  n=112: 1.30/1.36/1.40
+#                m=64     n=112: 0.74/0.74/0.73  n=192: 1.15/1.17/1.12
+#   compressible m=8n     n=176: 0.80/0.79/0.79  n=256: 0.98/0.95/1.03
+#                m=64     n=128: 1.09/0.95/0.89  n=176: 1.09/1.06/1.11
+# Where the m=8n and m=64 crossovers differ, the threshold sits between
+# them, so neither regime loses more than ~1.4x.  fptas at m=2**20 is also
+# the m >= 16n branch of bounded and compressible.
 AUTO_VECTORIZED_MIN_N = {
-    "fptas": 40,
-    "two_approx": 80,
-    "bounded": 128,
-    "mrt": 0,
-    "compressible": 0,
+    "fptas": 240,
+    "two_approx": 160,
+    "bounded": 224,
+    "mrt": 112,
+    "compressible": 176,
 }
 
 

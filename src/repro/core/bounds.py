@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .allotment import Allotment
 from .backend import check_oracle
 from .job import MoldableJob, max_sequential_time, total_minimal_work
@@ -135,15 +137,15 @@ def ludwig_tiwari_estimator(
 
 
 def _phi_steps(oracle, tau: float):
-    """Average-load value ``sum_j w_j(gamma_j(tau)) / m``, or ``None`` if
-    some job cannot meet ``tau``."""
+    """The γ-array at ``tau`` and the average load ``sum_j w_j(gamma_j(tau))
+    / m`` (``None`` if some job cannot meet ``tau``)."""
     gammas = yield ("gamma", tau)
     if len(gammas) and gammas.max() > oracle.m:
-        return None
+        return gammas, None
     # the exact counts, not a float64 copy: past 2^53 a float would round k
     times = yield ("eval", gammas)
     # left-to-right, as Allotment.total_work() sums
-    return oracle.sequential_sum(gammas * times) / oracle.m
+    return gammas, oracle.sequential_sum(gammas * times) / oracle.m
 
 
 def _allotment_steps(jobs: Sequence[MoldableJob], oracle, tau: float):
@@ -168,21 +170,28 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
     hi = max(t1_sum, lo)
     trivial = max(tm_max, t1_sum / m)
 
-    phi_lo = yield from _phi_steps(oracle, lo)
+    gammas_lo, phi_lo = yield from _phi_steps(oracle, lo)
     if phi_lo is not None and phi_lo <= lo:
         allot = yield from _allotment_steps(jobs, oracle, lo)
         assert allot is not None
         return EstimatorResult(omega=max(phi_lo, lo, trivial), allotment=allot)
 
+    gammas_hi = None
+    flat = False
     for _ in range(ESTIMATOR_MAX_ITER):
         if hi <= lo * (1.0 + tol):
             break
         mid = geometric_midpoint(lo, hi)
-        phi_mid = yield from _phi_steps(oracle, mid)
+        # once γ(lo) == γ(hi), every later midpoint has γ(mid) == γ(hi) (γ is
+        # non-increasing in the threshold), so φ(mid) is the last φ computed,
+        # bit for bit: finish the bisection without requests
+        if not flat:
+            gammas_mid, phi_mid = yield from _phi_steps(oracle, mid)
         if phi_mid is None or phi_mid > mid:
-            lo = mid
+            lo, gammas_lo = mid, gammas_mid
         else:
-            hi = mid
+            hi, gammas_hi = mid, gammas_mid
+        flat = flat or (gammas_hi is not None and np.array_equal(gammas_lo, gammas_hi))
 
     allot = yield from _allotment_steps(jobs, oracle, hi)
     assert allot is not None, "upper end of the bracket must always be feasible"

@@ -170,13 +170,18 @@ class MoldableJob(ABC):
         Unlike :meth:`processing_time`, values are not memoised (callers batch
         precisely to avoid per-``k`` bookkeeping) and closed-form kernels skip
         the per-value finiteness check — their constructor validation already
-        guarantees positive finite times.
+        guarantees positive finite times.  The exception is an object array
+        (how counts past int64 arrive): each entry is answered by
+        :meth:`processing_time` as the exact Python int it is.
         """
         arr = np.asarray(ks)
         if arr.ndim != 1:
             raise ValueError(f"ks must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             return np.empty(0, dtype=np.float64)
+        if arr.dtype == object:
+            # a float64 copy would round counts past 2^53 to another count
+            return np.array([self.processing_time(k) for k in arr.tolist()], dtype=np.float64)
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(arr == np.floor(arr)):
                 raise ValueError("processor counts must be positive integers")

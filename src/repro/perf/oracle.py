@@ -6,33 +6,35 @@ The algorithms of Jansen & Land evaluate the canonical processor count
 
 for every job at many thresholds ``t`` (the dual binary search probes
 ``O(log 1/eps)`` targets ``d``, and each dual step needs ``gamma_j(d)``,
-``gamma_j(d/2)`` and ``gamma_j(3d/2)``).  :class:`ScalarOracle` runs ``n``
-separate binary searches of ``log m`` Python-level oracle calls each, exactly
-at any ``m``.
+``gamma_j(d/2)`` and ``gamma_j(3d/2)``).  Both executors cache γ per
+threshold and keep the cached thresholds sorted, and both warm-start a new
+threshold from the same **brackets** (:meth:`_Executor._neighbours`):
+``t' > t`` implies ``gamma_j(t') <= gamma_j(t)`` for non-increasing
+``t_j``, so the cached γ-values of the two nearest neighbouring thresholds
+are valid per-job lower/upper brackets.
+
+:class:`ScalarOracle` runs one Python-level binary search per job, exactly
+at any ``m``, but only inside the job's bracket: a job whose two neighbours
+agree costs no probe, and only a job with no cached neighbour pays the cold
+``log m`` search of :func:`repro.core.allotment.gamma`.
 
 :class:`BatchedOracle` instead advances *all* jobs' bisections together: one
 vectorized oracle evaluation (via :class:`~repro.perf.arrays.JobArrayBundle`)
-per bisection level, ``O(log m)`` array operations total.  Results are cached
-per threshold, and every new threshold starts from two kinds of γ *warm
-start*:
+per bisection level, ``O(log m)`` array operations total.  Besides the
+brackets, its warm start has **a predicted γ**, probed by the first two
+bisection levels instead of the bracket midpoint: the prediction, then its
+neighbour on the side the first probe points to — so a prediction off by at
+most one closes the bracket in two evaluations regardless of its width.
+Closed-form job classes (Amdahl, power law, communication) predict by
+inverting their curve at the threshold (the ``guess`` kernels of
+:mod:`repro.perf.arrays`); tabulated, rigid and callable jobs interpolate
+the two neighbouring γ-arrays in log-threshold space.
 
-* **brackets**: ``t' > t`` implies ``gamma_j(t') <= gamma_j(t)``, so the
-  cached γ-arrays of the two nearest neighbouring thresholds are valid
-  per-job lower/upper brackets;
-* **a predicted γ**, probed by the first two bisection levels instead of the
-  bracket midpoint: the prediction, then its neighbour on the side the first
-  probe points to — so a prediction off by at most one closes the bracket in
-  two evaluations regardless of its width.  Closed-form job classes (Amdahl,
-  power law, communication) predict by inverting their curve at the
-  threshold (the ``guess`` kernels of :mod:`repro.perf.arrays`);
-  tabulated, rigid and callable jobs interpolate the two neighbouring
-  γ-arrays in log-threshold space.
-
-``warm_start=False`` disables both (every threshold runs the full cold
-``log m`` lockstep bisection); probe counts are instrumented either way in
-``stats`` (``oracle_evals`` is the total number of per-job kernel probes,
-``warm_probes`` the subset spent on predictions) so regression tests can pin
-the savings.  :func:`lockstep_gamma_round` runs many oracles' searches as
+``warm_start=False`` disables brackets and predictions on a batched oracle
+(every threshold runs the full cold ``log m`` lockstep bisection); probe
+counts are instrumented either way in ``stats`` (``oracle_evals`` is the
+total number of per-job kernel probes, ``warm_probes`` the subset spent on
+predictions) so regression tests can pin the savings.  :func:`lockstep_gamma_round` runs many oracles' searches as
 one flat bisection over their concatenated jobs — the mega batch's round.
 
 γ-arrays use the sentinel ``m + 1`` for "infeasible even on all m machines"
@@ -44,7 +46,7 @@ narrowing relies on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,6 +78,8 @@ class _Executor:
         self.n = len(self.jobs)
         self._index: Dict[int, int] = {id(job): i for i, job in enumerate(self.jobs)}
         self._gamma_cache: Dict[float, Sequence[int]] = {}
+        #: the cached thresholds in ascending order, for :meth:`_neighbours`
+        self._sorted_thresholds: List[float] = []
         self._t1: Optional[np.ndarray] = None
         self._tm: Optional[np.ndarray] = None
 
@@ -99,6 +103,17 @@ class _Executor:
         """``gamma_j(threshold)`` for the jobs at positions ``idx`` (``m + 1``
         where even ``m`` machines are not enough)."""
         return self.gamma_array(threshold)[idx]
+
+    def _neighbours(self, threshold: float) -> Tuple[Optional[float], Optional[float]]:
+        """The nearest cached thresholds strictly above and strictly below
+        ``threshold`` (``None`` where there is none): the γ warm start.
+
+        ``t' > t`` implies ``gamma_j(t') <= gamma_j(t)`` for non-increasing
+        ``t_j``, so their γ-values bracket every job's ``gamma_j(threshold)``
+        from below and above."""
+        ts = self._sorted_thresholds
+        i, j = bisect_left(ts, threshold), bisect_right(ts, threshold)
+        return (ts[j] if j < len(ts) else None), (ts[i - 1] if i else None)
 
     def index_of(self, job: MoldableJob) -> int:
         """Positional index of ``job`` in this oracle's job list."""
@@ -149,12 +164,15 @@ class _Executor:
 
 class ScalarOracle(_Executor):
     """The scalar executor: the column interface of :class:`BatchedOracle`
-    over a fixed instance ``(jobs, m)``, answered per job by the reference
+    over a fixed instance ``(jobs, m)``, answered per job by
     :func:`repro.core.allotment.gamma` and ``processing_time``.
 
     γ-values use the same sentinel ``m + 1`` and are cached per threshold
-    and job: as on the scalar reference, a γ-search runs only for the jobs
-    a step asks about (:meth:`gamma_at`).  Count columns are int64 while
+    and job: a γ-search runs only for the jobs a step asks about
+    (:meth:`gamma_at`), and only inside the bracket the γ-values of the
+    nearest cached thresholds give it (``None`` entries, for jobs a
+    neighbour was not asked about, bracket nothing).  The answers equal the
+    cold search's for non-increasing ``t_j``.  Count columns are int64 while
     they fit and exact Python ints beyond
     (:func:`repro.core.capacity.index_array`), so any ``m`` the compact
     encoding allows runs exactly.  The scalar executor counts no γ-probes.
@@ -170,14 +188,26 @@ class ScalarOracle(_Executor):
 
     def gamma_at(self, threshold: float, idx: np.ndarray) -> np.ndarray:
         threshold = float(threshold)
+        if threshold != threshold:
+            raise ValueError("gamma threshold must be a number, got NaN")
         known = self._gamma_cache.get(threshold)
         if known is None:
             known = self._gamma_cache[threshold] = [None] * self.n
+            insort(self._sorted_thresholds, threshold)
+        t_above, t_below = self._neighbours(threshold)
+        above = self._gamma_cache[t_above] if t_above is not None else None
+        below = self._gamma_cache[t_below] if t_below is not None else None
         m, jobs, rows = self.m, self.jobs, idx.tolist()
         for i in rows:
             if known[i] is None:
-                g = gamma(jobs[i], threshold, m)
-                known[i] = m + 1 if g is None else g
+                # a neighbour's entry is None where no step asked about job i
+                lo = above[i] if above is not None and above[i] is not None else 1
+                hi = below[i] if below is not None and below[i] is not None else m + 1
+                if lo == hi:
+                    known[i] = lo  # both neighbours agree: no probe
+                else:
+                    g = gamma(jobs[i], threshold, m, _bracket=(lo, hi))
+                    known[i] = m + 1 if g is None else g
         return index_array([known[i] for i in rows])
 
     def times_at(self, ks, idx: Optional[np.ndarray] = None) -> np.ndarray:
@@ -221,7 +251,6 @@ class BatchedOracle(_Executor):
         #: where no cached threshold lies above / below a new one
         self._ones = np.broadcast_to(np.int64(1), (self.n,))
         self._sentinels = np.broadcast_to(np.int64(self.m + 1), (self.n,))
-        self._sorted_thresholds: List[float] = []
         #: instrumentation: lockstep searches run, bisection levels spent
         #: (counted per job class, so a mixed instance counts each class's
         #: levels separately), vectorized oracle values computed (= γ-probes),
@@ -241,20 +270,20 @@ class BatchedOracle(_Executor):
         return self.stats["oracle_evals"]
 
     # ------------------------------------------------------------- raw times
-    def _neighbours(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, float]:
-        """The γ-arrays of the nearest cached thresholds above and below a new
-        ``threshold`` (or the edge arrays), and its position between the two
-        in log space when both are cached and positive (else NaN)."""
+    def _warm_start(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The γ-arrays of the :meth:`_neighbours` of a new ``threshold`` (or
+        the edge arrays), and its position between the two in log space when
+        both are cached and positive (else NaN)."""
         if not self.warm_start:
             return self._ones, self._sentinels, math.nan
-        ts = self._sorted_thresholds
-        i = bisect_right(ts, threshold)
-        above = self._gamma_cache[ts[i]] if i < len(ts) else self._ones
-        below = self._gamma_cache[ts[i - 1]] if i else self._sentinels
+        t_above, t_below = self._neighbours(threshold)
+        cache = self._gamma_cache
+        above = self._ones if t_above is None else cache[t_above]
+        below = self._sentinels if t_below is None else cache[t_below]
         frac = math.nan
-        if 0 < i < len(ts) and ts[i - 1] > 0.0:
-            base = math.log(ts[i - 1])
-            span = math.log(ts[i]) - base
+        if t_above is not None and t_below is not None and t_below > 0.0:
+            base = math.log(t_below)
+            span = math.log(t_above) - base
             frac = (math.log(threshold) - base) / span if span > 0 else 0.5
         return above, below, frac
 
@@ -419,7 +448,7 @@ def _flat_search(oracles: List[BatchedOracle], thresholds: List[float]) -> List[
     n_req = len(oracles)
     cat = np.concatenate if n_req > 1 else itemgetter(0)
     sizes = [o.n for o in oracles]
-    above, below, fracs = zip(*[o._neighbours(t) for o, t in zip(oracles, thresholds)])
+    above, below, fracs = zip(*[o._warm_start(t) for o, t in zip(oracles, thresholds)])
     owner = np.repeat(np.arange(n_req), sizes)
     thr = np.array(thresholds)[owner]
     m = np.array([o.m for o in oracles], dtype=np.int64)[owner]

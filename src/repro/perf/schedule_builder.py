@@ -270,9 +270,11 @@ class ArraySchedule:
         run_count = ends[run_last_idx] - run_first
         run_owner = oo[run_start_idx]
 
-        # exact per-entry processor totals: segment sums over the sorted spans
+        # exact per-entry processor totals: segment sums over the sorted spans.
+        # An entry's spans do not overlap, so its total is at most its last
+        # span end: int64 sums cannot wrap unless some end already went exact
         entry_start = np.flatnonzero(np.concatenate(([True], oo[1:] != oo[:-1])))
-        procs = np.add.reduceat(oc, entry_start)
+        procs = np.add.reduceat(oc.astype(ends.dtype, copy=False), entry_start)
 
         runs_per_entry = np.bincount(run_owner, minlength=n)
         span_off = np.zeros(n + 1, dtype=np.int64)

@@ -25,14 +25,17 @@ from repro.workloads.generators import random_arrivals_instance, random_mixed_in
 EPS = 0.1
 
 #: (algorithm, m, the row's threshold) per facade name whose "auto" crosses
-#: over: m=64 keeps bounded on Algorithm 3 proper (m < 16n), m=2^20 puts
-#: fptas in its regime and sends bounded and compressible to their large-m
-#: branch (the fptas row).  The bounded_linear alias resolves on bounded's
-#: row; ptas has no row and passes "auto" to the FPTAS or bounded driver.
+#: over: m=64 keeps bounded, mrt and compressible on their shelf duals
+#: (m < 16n), m=2^20 puts fptas in its regime and sends bounded and
+#: compressible to their large-m branch (the fptas row).  The bounded_linear
+#: alias resolves on bounded's row; ptas has no row and passes "auto" to the
+#: FPTAS or bounded driver.
 STRADDLES = [
     ("fptas", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
     ("two_approx", 64, AUTO_VECTORIZED_MIN_N["two_approx"]),
     ("bounded", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
+    ("mrt", 64, AUTO_VECTORIZED_MIN_N["mrt"]),
+    ("compressible", 64, AUTO_VECTORIZED_MIN_N["compressible"]),
     ("bounded_linear", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
     ("bounded", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
     ("compressible", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
@@ -111,15 +114,16 @@ class TestStraddle:
             assert _solved(auto) == _solved(other)
 
     @pytest.mark.parametrize("algorithm", ["mrt", "compressible"])
-    def test_zero_rows_stay_vectorized(self, algorithm):
+    def test_small_shelf_duals_run_scalar(self, algorithm):
         m = 16
         jobs = random_mixed_instance(3, m, seed=4).jobs
         auto = schedule_moldable(jobs, m, EPS, algorithm=algorithm)
-        assert auto.backend == "vectorized"
-        scalar = schedule_moldable(
-            random_mixed_instance(3, m, seed=4).jobs, m, EPS, algorithm=algorithm, backend="scalar"
+        assert auto.backend == "scalar"
+        vectorized = schedule_moldable(
+            random_mixed_instance(3, m, seed=4).jobs, m, EPS, algorithm=algorithm,
+            backend="vectorized",
         )
-        assert _solved(auto) == _solved(scalar)
+        assert _solved(auto) == _solved(vectorized)
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_bounded_linear_is_an_alias_of_bounded(self, backend):
@@ -157,10 +161,11 @@ class TestReportedBackend:
 
 class TestOnlineAuto:
     def test_epochs_straddling_a_threshold_match_both_backends(self):
-        # the first epoch re-plans its 80 arrivals vectorized (two_approx's
-        # row is 80); the second re-plans the last 20 arrivals plus the
-        # unstarted rest, 59 jobs, on the scalar reference
-        inst = random_arrivals_instance(100, 64, seed=12)
+        # the first epoch re-plans its t arrivals vectorized (t is
+        # two_approx's row); the second re-plans the last 20 arrivals plus
+        # the unstarted rest, fewer than t jobs, on the scalar executor
+        t = AUTO_VECTORIZED_MIN_N["two_approx"]
+        inst = random_arrivals_instance(t + 20, 64, seed=12)
 
         def run(backend, warm_start=True):
             return OnlineScheduler(
@@ -169,7 +174,7 @@ class TestOnlineAuto:
                 algorithm="two_approx",
                 backend=backend,
                 policy="count",
-                batch_size=80,
+                batch_size=t,
                 warm_start=warm_start,
             ).run(inst.arrivals)
 

@@ -9,6 +9,7 @@ from repro.core.backend import MAX_VECTORIZED_M
 from repro.core.bounds import (
     ESTIMATOR_MAX_ITER,
     ESTIMATOR_TOL,
+    estimator_steps,
     geometric_midpoint,
     ludwig_tiwari_estimator,
     makespan_lower_bound,
@@ -25,13 +26,16 @@ from repro.workloads import generators
 from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
 
 
-def reference_estimator(jobs, m):
+def reference_estimator(jobs, m, taus=None):
     """The estimator's scalar bisection, kept as an independent reference
     for :func:`repro.core.bounds.estimator_steps`, which every executor runs.
-    Returns ``(omega, ratio, allotment)``."""
+    Returns ``(omega, ratio, allotment)``; every threshold whose φ it
+    evaluates is appended to ``taus`` when given."""
     tol = ESTIMATOR_TOL
 
     def phi(tau):
+        if taus is not None:
+            taus.append(tau)
         allot = canonical_allotment(jobs, tau, m)
         return None if allot is None else allot.average_load(m)
 
@@ -94,6 +98,58 @@ class TestEstimatorMatchesReference:
                 assert (result.omega, result.ratio) == (omega, ratio)
                 assert result.allotment.counts == allot.counts
             assert makespan_lower_bound(jobs, m) == omega
+
+
+def _gamma_requests(oracle, jobs):
+    """Run ``estimator_steps`` on ``oracle``; return its result and the
+    thresholds of its ``("gamma", …)`` requests, in order."""
+    steps = estimator_steps(jobs, oracle)
+    thresholds = []
+
+    def spy():
+        reply = None
+        while True:
+            try:
+                request = steps.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            if request[0] == "gamma":
+                thresholds.append(request[1])
+            reply = yield request
+
+    return oracle.run(spy()), thresholds
+
+
+class TestEstimatorStepShortcut:
+    """Once γ(lo) == γ(hi), φ is constant on the bracket: the estimator
+    finishes its bisection without requests, with the reference's result."""
+
+    @pytest.mark.parametrize("executor", [ScalarOracle, BatchedOracle])
+    def test_fewer_gamma_requests_than_iterations(self, executor):
+        jobs = random_mixed_instance(20, 16, seed=3).jobs
+        taus = []
+        omega, ratio, allot = reference_estimator(jobs, 16, taus)
+        result, requested = _gamma_requests(executor(jobs, 16), jobs)
+        assert (result.omega, result.ratio) == (omega, ratio)
+        assert result.allotment.counts == allot.counts
+        iterations = len(taus) - 1  # the first φ is the bracket's floor
+        # the floor, the probed midpoints, and γ(hi) twice for the allotment
+        probed = requested[1:-2]
+        assert len(probed) < iterations
+        # the probes it does make are the reference's first midpoints
+        assert probed == taus[1 : 1 + len(probed)]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_probed_midpoints_are_a_prefix_of_the_reference(self, family):
+        for seed in (1, 2, 3):
+            jobs = family_instance(family, 20, 16, seed)
+            taus = []
+            reference_estimator(jobs, 16, taus)
+            _, requested = _gamma_requests(ScalarOracle(jobs, 16), jobs)
+            if len(taus) == 1:  # the floor already fits
+                continue
+            probed = requested[1:-2]
+            assert probed == taus[1 : 1 + len(probed)]
 
 
 class TestTrivialBounds:

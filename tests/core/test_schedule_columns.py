@@ -297,6 +297,18 @@ class TestSpanEndsPastInt64:
         schedule.add(jobs[1], 0.0, [(self.BIG + 1, 1)])
         assert not validate_schedule(schedule, jobs).ok
 
+    def test_the_builder_sums_an_entrys_spans_exactly(self):
+        """Two spans of one entry each fit int64 while their sum passes 2^63:
+        an int64 segment sum would wrap negative."""
+        job = self.jobs()[0]
+        builder = ArraySchedule(1 << 80)
+        builder.append(job, 0.0, [(0, self.BIG), (self.BIG + 5, self.BIG)])
+        schedule = builder.build()
+        assert schedule.columns().processors.tolist() == [2 * self.BIG]
+        assert schedule.columns().duration.tolist() == [1.0]
+        assert schedule.entries[0].processors == 2 * self.BIG
+        assert validate_schedule(schedule, [job]).ok
+
     def test_the_builder_rejects_an_overlap_within_one_entry(self):
         builder = ArraySchedule(1 << 80)
         builder.append(self.jobs()[0], 0.0, [(self.BIG, self.BIG), (self.BIG + 1, 2)])

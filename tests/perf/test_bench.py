@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -238,9 +239,6 @@ def _report(rows):
 #: Per gated aggregate: its floor, the algorithms whose rows a failure
 #: names, and one row entry the failure over :func:`_gate_rows` must carry.
 GATE_SPECS = {
-    "fptas_two_approx_table1_geomean_n1000": (
-        8.0, {"fptas", "two_approx"}, "two_approx/mixed (n=2000, m=16000): 6.00x",
-    ),
     "speedup_list_schedule_n1000": (
         2.0, {"list_schedule"}, "list_schedule/chain (n=2000, m=125): 1.10x",
     ),
@@ -304,23 +302,11 @@ class TestGates:
         report.aggregates = {key: gate.floor}
         assert not check_regression(report, floors_only)
 
-    def test_assembly_floor_names_mixed_rows_slowest_first(self, floors_only):
-        rows = [
-            _row("two_approx", "mixed", 2000, 5.0),
-            _row("fptas", "mixed", 2000, 3.0),
-            _row("fptas", "comm", 2000, 1.0),
-        ]
-        message = "\n".join(check_regression(_report(rows), floors_only))
-        assert "fptas_two_approx_table1_geomean_n1000" in message
-        assert message.index("fptas/mixed") < message.index("two_approx/mixed")
-        # only the Table-1 rows feed the gated geomean
-        assert "fptas/comm" not in message
-
-    def test_assembly_floor_falls_back_to_all_families(self, floors_only):
-        rows = [_row("fptas", "comm", 2000, 5.0), _row("two_approx", "bimodal", 2000, 6.0)]
-        message = "\n".join(check_regression(_report(rows), floors_only))
-        assert message.startswith("fptas_two_approx_geomean_n1000: ")
-        assert "fptas/comm" in message and "two_approx/bimodal" in message
+    def test_ratios_without_a_floor_are_not_gated(self, floors_only):
+        """A low fptas/two_approx speedup is no failure by itself: the legs
+        are gated by their seconds."""
+        rows = [_row("fptas", "mixed", 2000, 0.9), _row("two_approx", "mixed", 2000, 1.0)]
+        assert not check_regression(_report(rows), floors_only)
 
     def test_gates_parameter_takes_a_sub_table(self, floors_only):
         report = _report([_chain_row(1.1), _mega_row(1.2)])
@@ -352,11 +338,12 @@ class TestAggregatesAndGate:
 
     def test_relative_regression_failure_names_rows(self, tmp_path):
         report = _report([_row("mrt", "comm", 1000, 4.0)])
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"aggregates": {"speedup_mrt": 20.0}}))
-        (failure,) = check_regression(report, str(baseline))
-        assert failure.startswith("speedup_mrt: speedup 4.00x fell below 10.00x")
-        assert "mrt/comm" in failure
+        reference = _row("mrt", "comm", 1000, 4.0)
+        reference.vectorized_seconds = 0.4
+        baseline = _baseline(tmp_path, [reference])
+        (failure,) = check_regression(report, baseline)
+        assert failure.startswith("mrt/comm (n=1000, m=8000): vectorized leg 1.0000s")
+        assert "exceeds 0.8000s (baseline 0.4000s x factor 2)" in failure
 
     def test_makespan_mismatch_names_the_offending_rows(self, floors_only):
         """A red gate must point at the failing algorithm/family pair, not
@@ -453,21 +440,82 @@ class TestAggregatesAndGate:
 
     def test_stale_baseline_missing_row_fails_with_named_message(self, tmp_path):
         """A baseline that predates freshly added rows must fail the gate
-        with a message naming the missing aggregate and its rows — not pass
-        silently and not raise a KeyError."""
+        with a message naming the missing row — not pass silently and not
+        raise a KeyError."""
         report = _report([_row("mrt", "mixed", 1000, 5.0), _chain_row(1.6)])
-        baseline = tmp_path / "baseline.json"
         # an old baseline: knows mrt, predates the list_schedule rows
-        baseline.write_text(
-            json.dumps({"aggregates": {"speedup_mrt": 5.0, "speedup_mrt_n1000": 5.0}})
-        )
-        message = "\n".join(check_regression(report, str(baseline), gates=()))
-        assert "speedup_list_schedule" in message
-        assert "no reference" in message and "re-record" in message
-        assert "list_schedule/chain" in message
-        # a deliberately aggregate-free baseline still means "floors only"
-        baseline.write_text(json.dumps({"aggregates": {}}))
-        assert not check_regression(report, str(baseline), gates=())
+        baseline = _baseline(tmp_path, [_row("mrt", "mixed", 1000, 5.0)])
+        (failure,) = check_regression(report, baseline, gates=())
+        assert failure.startswith("list_schedule/chain (n=2000, m=125): ")
+        assert "no such row" in failure and "re-record" in failure
+        # a deliberately row-free baseline still means "floors only"
+        with open(baseline, "w") as fh:
+            json.dump({"aggregates": {}}, fh)
+        assert not check_regression(report, baseline, gates=())
+
+
+def _baseline(tmp_path, rows):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"aggregates": {}, "rows": [asdict(r) for r in rows]}))
+    return str(path)
+
+
+class TestSecondsGate:
+    """Each leg against its baseline row's seconds, at the baseline's
+    yardstick speed."""
+
+    def _pair(self, scalar=1.0, vectorized=1.0, speed=0.01):
+        reference = _row("two_approx", "mixed", 2000, 1.0)
+        reference.yardstick_seconds = 0.01
+        row = _row("two_approx", "mixed", 2000, 1.0)
+        row.scalar_seconds, row.vectorized_seconds = scalar, vectorized
+        row.yardstick_seconds = speed
+        return reference, row
+
+    def test_each_leg_may_take_twice_its_baseline(self, tmp_path):
+        reference, row = self._pair(scalar=2.0, vectorized=2.0)
+        assert not check_regression(_report([row]), _baseline(tmp_path, [reference]))
+        row.vectorized_seconds = 2.01
+        (failure,) = check_regression(_report([row]), _baseline(tmp_path, [reference]))
+        assert failure.startswith("two_approx/mixed (n=2000, m=16000): vectorized leg 2.0100s")
+
+    def test_both_legs_are_gated(self, tmp_path):
+        reference, row = self._pair(scalar=3.0, vectorized=3.0)
+        failures = check_regression(_report([row]), _baseline(tmp_path, [reference]))
+        assert [f.split(": ")[1].split(" leg")[0] for f in failures] == ["scalar", "vectorized"]
+
+    def test_a_faster_scalar_leg_is_no_vectorized_regression(self, tmp_path):
+        reference, row = self._pair(scalar=0.1, vectorized=1.0)
+        assert not check_regression(_report([row]), _baseline(tmp_path, [reference]))
+
+    def test_legs_are_compared_at_the_baselines_speed(self, tmp_path):
+        # the machine runs the yardstick 3x slower: 3x slower legs pass
+        reference, row = self._pair(scalar=3.0, vectorized=3.0, speed=0.03)
+        assert not check_regression(_report([row]), _baseline(tmp_path, [reference]))
+        # and 3x faster: legs at the baseline's seconds read 3x slower
+        reference, row = self._pair(scalar=1.0, vectorized=1.0, speed=0.01 / 3)
+        assert len(check_regression(_report([row]), _baseline(tmp_path, [reference]))) == 2
+
+    def test_failures_name_the_rows_legs(self, tmp_path):
+        reference = _replan_row("online", warm_seconds=0.5)
+        row = _replan_row("online", warm_seconds=1.5)
+        (failure,) = check_regression(_report([row]), _baseline(tmp_path, [reference]))
+        assert failure.startswith("online/mixed (n=80, m=64): warm leg 1.5000s")
+
+    def test_megabatch_rows_are_told_apart_by_fleet(self, tmp_path):
+        references = [_mega_row(3.0, fleet=8), _mega_row(3.0, fleet=32)]
+        references[1].vectorized_seconds = 4.0
+        row = _mega_row(3.0, fleet=32)
+        row.vectorized_seconds = 7.0
+        assert not check_regression(_report([row]), _baseline(tmp_path, references))
+
+    def test_serve_legs_are_not_seconds_gated(self, tmp_path):
+        reference = _serve_bench_row(healthy=1.0, chaos=4.0)
+        row = _serve_bench_row(healthy=5.0, chaos=20.0)  # still above the floors
+        assert not check_regression(_report([row]), _baseline(tmp_path, [reference]))
+        # and a baseline without serve rows is not stale for them
+        other = _baseline(tmp_path, [_row("mrt", "mixed", 1000, 1.0)])
+        assert not check_regression(_report([row]), other)
 
 
 class TestShardedRun:

@@ -146,6 +146,18 @@ class TestCountsPast2To53:
             expected = [job.processing_time(k) for k in self.KS.tolist()]
             assert job.times_for(self.KS).tolist() == expected, job.name
 
+    def test_times_for_past_int64_is_exact(self):
+        """Counts past int64 arrive as an object array of Python ints; a
+        float64 copy would round 2^79 + 1 down to 2^79."""
+        step = (1 << 79) + 1
+        job = OracleJob("s", lambda k: 1e6 if k < step else 1.0)
+        ks = np.array([1 << 79, step, 1 << 80])
+        assert ks.dtype == object
+        assert job.times_for(ks).tolist() == [1e6, 1.0, 1.0]
+        assert job.times_for(np.array([step])).tolist() == [job.processing_time(step)]
+        with pytest.raises(ValueError, match="positive integer"):
+            job.times_for(np.array([step, 0]))
+
     def test_bundle_eval_at_and_eval_all(self):
         jobs = self.jobs()
         bundle = JobArrayBundle(jobs)
