@@ -3,10 +3,10 @@
 Every driver accepts ``backend="vectorized" | "scalar" | "auto"`` and runs
 one body on the executor the backend names: a
 :class:`repro.perf.oracle.BatchedOracle` (γ-allotments by lockstep batched
-bisection, knapsack DPs on the NumPy array engines) or a
-:class:`repro.perf.oracle.ScalarOracle` (the pure-Python reference, exact at
-any ``m``).  Both produce bit-for-bit identical schedules; this module and
-the two oracle classes are the only places that know which one runs.
+bisection) or a :class:`repro.perf.oracle.ScalarOracle` (per-job γ-searches,
+exact at any ``m``).  The knapsack DPs are the same NumPy engines on both.
+Both produce bit-for-bit identical schedules; this module and the two
+oracle classes are the only places that know which one runs.
 
 ``"auto"`` is a measured size dispatch: the vectorized backend pays a fixed
 NumPy dispatch cost per γ-bisection level, so below a per-algorithm job
@@ -42,18 +42,23 @@ MAX_VECTORIZED_M = MAX_COLUMNAR_M
 #   jobs = random_mixed_instance(n, m, seed=s).jobs
 #   schedule_moldable(jobs, m, 0.1, algorithm=alg, backend=backend)
 # On a 2-core Xeon, Python 3.11, with the scalar executor's bracketed γ
-# searches.  Scalar/vectorized time ratios (seeds 1 / 2 / 3; above 1 the
-# vectorized backend is faster):
+# searches and both executors on the same NumPy knapsack engine.
+# Scalar/vectorized time ratios (seeds 1 / 2 / 3; above 1 the vectorized
+# backend is faster):
 #   fptas        m=2**20  n=192: 0.91/0.83/0.84  n=240: 0.98/0.98/0.96  n=256: 1.06/1.01/1.00
 #                m=2**22  n=200: 0.93/0.88/0.89  n=256: 1.08/1.02/1.05
 #   two_approx   m=8n     n=160: 0.76/0.74/0.73  n=256: 1.02/1.05/1.03
 #                m=64     n=96:  0.82/0.61/0.76  n=128: 1.09/1.31/1.23  n=160: 1.42/1.56/1.41
-#   bounded      m=8n     n=224: 0.90/0.89/0.87  n=256: 0.95/0.94/0.94  n=320: 1.08/1.08/1.04
-#                m=64     n=192: 1.03/1.01/1.03  n=224: 1.12/1.11/1.08
-#   mrt          m=8n     n=96:  1.09/1.10/1.15  n=112: 1.30/1.36/1.40
-#                m=64     n=112: 0.74/0.74/0.73  n=192: 1.15/1.17/1.12
-#   compressible m=8n     n=176: 0.80/0.79/0.79  n=256: 0.98/0.95/1.03
-#                m=64     n=128: 1.09/0.95/0.89  n=176: 1.09/1.06/1.11
+#   bounded      m=8n     n=160: 0.77/0.75/0.76  n=224: 0.89/0.87/0.88  n=288: 1.03/1.03/1.03
+#                         n=352: 1.15/1.13/1.11
+#                m=64     n=128: 0.83/0.86/0.86  n=160: 0.92/0.94/0.92  n=192: 1.08/1.03/1.04
+#                         n=224: 1.10/1.08/1.07
+#   mrt          m=8n     n=112: 0.67/0.64/0.66  n=160: 0.81/0.80/0.80  n=192: 0.89/0.87/0.87
+#                         n=208: 0.91/0.92/0.89  n=224: 0.97/0.92/0.92  n=288: 1.08/1.07/1.08
+#                m=64     n=112: 0.73/0.76/0.74  n=160: 0.98/1.00/0.99  n=192: 1.11/1.11/1.10
+#                         n=208: 1.16/1.15/1.13  n=224: 1.21/1.17/1.18
+#   compressible m=8n     n=176: 0.82/0.80/0.81  n=256: 1.02/1.00/1.01  n=320: 1.17/1.13/1.13
+#                m=64     n=96:  0.70/0.62/0.70  n=128: 0.81/0.95/0.90  n=176: 1.10/1.06/1.07
 # Where the m=8n and m=64 crossovers differ, the threshold sits between
 # them, so neither regime loses more than ~1.4x.  fptas at m=2**20 is also
 # the m >= 16n branch of bounded and compressible.
@@ -61,7 +66,7 @@ AUTO_VECTORIZED_MIN_N = {
     "fptas": 240,
     "two_approx": 160,
     "bounded": 224,
-    "mrt": 112,
+    "mrt": 208,
     "compressible": 176,
 }
 

@@ -61,7 +61,7 @@ def shelf_dual(
     ``None`` to reject ``d``.
 
     Big jobs that cannot meet ``d/2`` are forced into shelf S1.
-    ``select(knapsack_jobs, capacity, backend, oracle)`` returns ``(jobs,
+    ``select(knapsack_jobs, capacity, oracle)`` returns ``(jobs,
     d', metadata)``: which other big jobs join them within the ``capacity``
     processors left, the target the three-shelf schedule is built for, and
     extra schedule metadata.  ``algorithm`` names the driver's row of
@@ -70,8 +70,9 @@ def shelf_dual(
     ``eps = 1/2``, whose makespan is at most ``3d/2`` there.
 
     ``backend="vectorized"`` evaluates γ-allotments with lockstep batched
-    binary searches and runs the knapsack on the NumPy array engines;
-    ``"scalar"`` is the bit-identical pure-Python reference.  ``oracle`` is
+    binary searches; ``"scalar"`` is the bit-identical per-job reference.
+    The knapsack is the same on both: the NumPy dominance-list engine of
+    :mod:`repro.knapsack.dp`.  ``oracle`` is
     the executor for ``(jobs, m)`` shared by repeated dual calls (a
     :class:`~repro.perf.oracle.BatchedOracle` or
     :class:`~repro.perf.oracle.ScalarOracle`); it implies its own backend.
@@ -100,7 +101,7 @@ def shelf_dual(
     if capacity < 0:
         return None
 
-    chosen, d_prime, metadata = select(knapsack_jobs, capacity, backend, oracle)
+    chosen, d_prime, metadata = select(knapsack_jobs, capacity, oracle)
     shelf1.extend(chosen)
     schedule = build_three_shelf_schedule(jobs, m, d_prime, shelf1, oracle=oracle)
     if schedule is not None:
@@ -111,9 +112,7 @@ def shelf_dual(
     return schedule
 
 
-def compressible_knapsack(
-    items: Sequence[KnapsackItem], capacity: int, rho: float, backend: str
-) -> List[KnapsackItem]:
+def compressible_knapsack(items: Sequence[KnapsackItem], capacity: int, rho: float) -> List[KnapsackItem]:
     """Algorithm 2 over ``items`` (Corollary 10): items of size at least
     ``1/rho`` are compressible by a ``rho`` fraction."""
     compressible_keys = {item.key for item in items if item.size >= 1.0 / rho}
@@ -126,7 +125,6 @@ def compressible_knapsack(
         alpha_min=1.0 / rho,
         beta_max=float(capacity),
         n_bar=n_bar,
-        backend=backend,
     )
     return solution.items
 
@@ -145,12 +143,12 @@ def bounded_dual(
     delta = eps / 5.0
     d_prime = (1.0 + delta) ** 2 * d
 
-    def select(knapsack_jobs, capacity, backend, oracle):
+    def select(knapsack_jobs, capacity, oracle):
         if not knapsack_jobs:
             return [], d_prime, {}
         scheme = round_jobs_to_types(knapsack_jobs, m, d, delta, oracle=oracle)
         containers = expand_bounded_items(scheme.types)
-        chosen = compressible_knapsack(containers, capacity, scheme.params.rho, backend)
+        chosen = compressible_knapsack(containers, capacity, scheme.params.rho)
         members = assign_members(selected_counts(chosen), scheme.types)
         return members, d_prime, {"num_item_types": scheme.num_types}
 

@@ -45,9 +45,9 @@ def compressible_dual(
     # Corollary 10: the selection is scheduled for the inflated target d'.
     d_prime = (1.0 + 4.0 * rho) * d
 
-    def select(knapsack_jobs, capacity, backend, oracle):
+    def select(knapsack_jobs, capacity, oracle):
         items = shelf_items(knapsack_jobs, d, m, oracle=oracle)
-        chosen = compressible_knapsack(items, capacity, rho, backend) if items else []
+        chosen = compressible_knapsack(items, capacity, rho) if items else []
         return [item.payload for item in chosen], d_prime, {}
 
     return shelf_dual(jobs, m, d, select, algorithm="compressible", large_m=True, backend=backend, oracle=oracle)

@@ -55,11 +55,11 @@ def mrt_dual(
     if knapsack not in ("auto", "dense", "pairs"):
         raise ValueError(f"unknown knapsack engine {knapsack!r}")
 
-    def select(knapsack_jobs, capacity, backend, oracle):
+    def select(knapsack_jobs, capacity, oracle):
         items = shelf_items(knapsack_jobs, d, m, oracle=oracle)
         use_dense = knapsack == "dense" or (knapsack == "auto" and capacity <= DENSE_KNAPSACK_LIMIT)
         solve = solve_knapsack_dense if use_dense else solve_knapsack
-        _, chosen = solve(items, capacity, backend=backend)
+        _, chosen = solve(items, capacity)
         return [item.payload for item in chosen], d, {}
 
     return shelf_dual(jobs, m, d, select, algorithm="mrt", backend=backend, oracle=oracle)

@@ -150,9 +150,9 @@ def schedule_moldable(
         ``"exact"``
             Branch-and-bound optimum (tiny instances only).
     backend:
-        ``"vectorized"`` runs γ-allotments and knapsack DPs on the NumPy fast
-        path, ``"scalar"`` on the bit-identical pure-Python reference (see
-        :mod:`repro.perf`).  ``"auto"`` (default) picks the faster of the two
+        ``"vectorized"`` runs γ-allotments on the NumPy fast path,
+        ``"scalar"`` on the bit-identical per-job reference (see
+        :mod:`repro.perf`); both run the same knapsack DPs.  ``"auto"`` (default) picks the faster of the two
         by instance size: scalar below the chosen driver's row of
         :data:`repro.core.backend.AUTO_VECTORIZED_MIN_N`, vectorized at or
         above it.  A supplied ``oracle`` is an executor and implies its own

@@ -3,8 +3,11 @@
 The `(3/2+ε)`-dual algorithms of the paper reduce shelf selection to (variants
 of) the knapsack problem:
 
-* :mod:`repro.knapsack.dp` — exact 0/1 knapsack (dense table and Lawler's
-  dominance-list dynamic program);
+* :mod:`repro.knapsack.dp` — exact 0/1 knapsack: the dense table and
+  Lawler's dominance-list dynamic program, both on NumPy arrays.  The
+  dominance list (:class:`~repro.knapsack.dp.DominanceList`) is the one
+  engine behind every solver below, whichever executor a scheduling
+  algorithm runs on;
 * :mod:`repro.knapsack.multi` — solving one knapsack for *many* capacities in
   a single pass (Section 4.2.4 of the paper);
 * :mod:`repro.knapsack.compressible` — the knapsack problem with compressible

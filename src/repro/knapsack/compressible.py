@@ -34,8 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .array_dp import ArrayDominanceList
-from .dp import DominanceList
+from .dp import DominanceList, check_capacities
 from .items import KnapsackItem
 from .multi import solve_knapsack_multi
 
@@ -250,8 +249,6 @@ def solve_compressible_multi(
     rho: float,
     n_bar: int,
     alpha_min: float,
-    *,
-    backend: str = "scalar",
 ) -> Dict[float, Tuple[float, List[KnapsackItem]]]:
     """Solve the compressible-items sub-instance for every capacity.
 
@@ -261,52 +258,15 @@ def solve_compressible_multi(
     Eq. (14) accounts for).  Profits are at least the exact optimum of the
     corresponding uncompressed problems.
 
-    ``backend="vectorized"`` runs the normalised dominance DP on the array
-    engine (:mod:`repro.knapsack.array_dp`) with the vectorized normaliser.
+    One dominance-list pass up to ``max(capacities)`` records every new
+    state's size through :meth:`AdaptiveNormalizer.normalize_array`.
     """
+    check_capacities(capacities, finite=True)
     if not capacities:
         return {}
-    if backend == "vectorized":
-        return _solve_compressible_multi_array(items, capacities, rho, n_bar, alpha_min)
     normalizer = AdaptiveNormalizer(capacities, alpha_min, rho, n_bar)
     max_cap = max(capacities)
     dom = DominanceList()
-    for index, item in enumerate(items):
-        if item.size > max_cap / (1.0 - rho) + 1e-9:
-            continue
-        dom.add_item(item, index, max_cap, size_transform=normalizer.normalize)
-
-    pairs = dom.pairs
-    sizes = [p.size for p in pairs]
-    best_prefix: List[int] = []
-    best_idx = 0
-    for i, pair in enumerate(pairs):
-        if pair.profit > pairs[best_idx].profit:
-            best_idx = i
-        best_prefix.append(best_idx)
-
-    results: Dict[float, Tuple[float, List[KnapsackItem]]] = {}
-    for cap in capacities:
-        idx = bisect_right(sizes, cap + 1e-9) - 1
-        if idx < 0:
-            results[cap] = (0.0, [])
-            continue
-        pair = pairs[best_prefix[idx]]
-        results[cap] = (pair.profit, pair.backtrack(items))
-    return results
-
-
-def _solve_compressible_multi_array(
-    items: Sequence[KnapsackItem],
-    capacities: Sequence[float],
-    rho: float,
-    n_bar: int,
-    alpha_min: float,
-) -> Dict[float, Tuple[float, List[KnapsackItem]]]:
-    """Array-engine variant of :func:`solve_compressible_multi`."""
-    normalizer = AdaptiveNormalizer(capacities, alpha_min, rho, n_bar)
-    max_cap = max(capacities)
-    dom = ArrayDominanceList()
     for index, item in enumerate(items):
         if item.size > max_cap / (1.0 - rho) + 1e-9:
             continue
@@ -359,7 +319,6 @@ def solve_compressible_knapsack(
     alpha_min: Optional[float] = None,
     beta_max: Optional[float] = None,
     n_bar: Optional[int] = None,
-    backend: str = "scalar",
 ) -> CompressibleSolution:
     """Algorithm 2: knapsack with compressible items.
 
@@ -384,10 +343,6 @@ def solve_compressible_knapsack(
         Upper bound on the number of compressible items in any solution;
         defaults to ``floor(capacity * rho / (1 - rho)) + 1`` (each
         compressible item has size at least ``1/rho``).
-    backend:
-        ``"scalar"`` runs both sub-solvers on the Python dominance-list
-        engine, ``"vectorized"`` on the NumPy array engine
-        (:mod:`repro.knapsack.array_dp`).
 
     Returns
     -------
@@ -395,12 +350,9 @@ def solve_compressible_knapsack(
         With ``profit >= OPT(I, ∅, C, 0)`` (the optimum of the *uncompressed*
         instance) and ``compressed_size() <= C``.
     """
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
+    check_capacities((capacity,), finite=True)
     if not 0 < rho <= 0.25:
         raise ValueError("rho must lie in (0, 1/4]")
-    if backend not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown backend {backend!r}")
     comp_keys: Set = set(compressible_keys)
     comp_items = [i for i in items if i.key in comp_keys]
     incomp_items = [i for i in items if i.key not in comp_keys]
@@ -431,12 +383,8 @@ def solve_compressible_knapsack(
     beta_of[0.0] = min(beta_max, capacity)
     betas = sorted(set(beta_of.values()))
 
-    incomp_solutions = solve_knapsack_multi(incomp_items, betas, backend=backend)
-    comp_solutions = (
-        solve_compressible_multi(comp_items, cap_grid, rho, n_bar, alpha_min, backend=backend)
-        if cap_grid
-        else {}
-    )
+    incomp_solutions = solve_knapsack_multi(incomp_items, betas)
+    comp_solutions = solve_compressible_multi(comp_items, cap_grid, rho, n_bar, alpha_min) if cap_grid else {}
 
     best: Optional[CompressibleSolution] = None
     for alpha in [0.0] + cap_grid:

@@ -17,7 +17,7 @@ from repro.workloads.generators import (
 )
 
 
-def _no_select(knapsack_jobs, capacity, backend, oracle):
+def _no_select(knapsack_jobs, capacity, oracle):
     raise AssertionError("select called")
 
 
@@ -45,7 +45,7 @@ class TestShelfDual:
         forced, knapsack_jobs, capacity = split_big_jobs(instance.jobs, 16, d)
         seen = []
 
-        def select(jobs, cap, backend, oracle):
+        def select(jobs, cap, oracle):
             seen.append(([job.name for job in jobs], cap))
             return [], 1.1 * d, {"extra": 1}
 

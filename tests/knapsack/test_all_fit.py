@@ -2,8 +2,8 @@
 
 When every item fits together under the smallest capacity,
 :func:`repro.knapsack.dp.all_fit_solution` must return exactly what the DP
-would: the same float profit and the same chosen items in the same order, on
-both engines.  Its guards must decline everything else, so the DP runs.
+would: the same float profit and the same chosen items in the same order.
+Its guards must decline everything else, so the DP runs.
 """
 
 from __future__ import annotations
@@ -16,35 +16,30 @@ from hypothesis import strategies as st
 
 from repro import schedule_moldable
 from repro.knapsack import dp, multi
-from repro.knapsack.array_dp import ArrayDominanceList
 from repro.knapsack.dp import DominanceList, all_fit_solution, solve_knapsack
 from repro.knapsack.items import KnapsackItem
 from repro.knapsack.multi import solve_knapsack_multi
 from repro.workloads.generators import random_mixed_instance
 
-BACKENDS = ("scalar", "vectorized")
-
-
-def _forced_dp(items, capacities, backend):
+def _forced_dp(items, capacities):
     """The DP's answer for each capacity, with the all-fit exit disabled."""
     with pytest.MonkeyPatch.context() as mp:
         for module in (dp, multi):
             mp.setattr(module, "all_fit_solution", lambda items, capacities: None)
-        single = {cap: solve_knapsack(items, cap, backend=backend) for cap in capacities}
-        together = solve_knapsack_multi(items, capacities, backend=backend)
+        single = {cap: solve_knapsack(items, cap) for cap in capacities}
+        together = solve_knapsack_multi(items, capacities)
     assert together == single
     return single
 
 
 def _assert_matches_dp(items, capacities):
-    """Public solvers on both engines equal the forced DP, bit for bit."""
-    for backend in BACKENDS:
-        expected = _forced_dp(items, capacities, backend)
-        got = solve_knapsack_multi(items, capacities, backend=backend)
-        for cap in capacities:
-            for solution in (got[cap], solve_knapsack(items, cap, backend=backend)):
-                assert solution[0] == expected[cap][0]
-                assert [i.key for i in solution[1]] == [i.key for i in expected[cap][1]]
+    """The public solvers equal the forced DP, bit for bit."""
+    expected = _forced_dp(items, capacities)
+    got = solve_knapsack_multi(items, capacities)
+    for cap in capacities:
+        for solution in (got[cap], solve_knapsack(items, cap)):
+            assert solution[0] == expected[cap][0]
+            assert [i.key for i in solution[1]] == [i.key for i in expected[cap][1]]
 
 
 def _items(sizes, profits):
@@ -149,26 +144,24 @@ class TestGuards:
 
 def _count_add_item(monkeypatch):
     calls = []
-    for cls in (DominanceList, ArrayDominanceList):
-        original = cls.add_item
+    original = DominanceList.add_item
 
-        def counted(self, *args, _original=original, **kwargs):
-            calls.append(args[1])
-            return _original(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        calls.append(args[1])
+        return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "add_item", counted)
+    monkeypatch.setattr(DominanceList, "add_item", counted)
     return calls
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_zero_profit_items_never_reach_the_dp(monkeypatch, backend):
+def test_zero_profit_items_never_reach_the_dp(monkeypatch):
     items = _items([3, 4, 2, 5, 1], [4.0, 0.0, 3.0, 0.0, 1.0])
     calls = _count_add_item(monkeypatch)
-    profit, chosen = solve_knapsack(items, 6.0, backend=backend)
+    profit, chosen = solve_knapsack(items, 6.0)
     assert (profit, [i.key for i in chosen]) == (8.0, [0, 2, 4])
     assert calls == [0, 2, 4]
     calls.clear()
-    solve_knapsack_multi(items, [6.0, 8.0], backend=backend)
+    solve_knapsack_multi(items, [6.0, 8.0])
     assert calls == [0, 2, 4]
 
 

@@ -1,10 +1,11 @@
-"""The array dominance-list engine against the scalar reference, step by step.
+"""The array dominance-list engine against the Python reference, step by step.
 
-:class:`ArrayDominanceList` must keep exactly the states of
-:class:`DominanceList` after every ``add_item`` — same sizes, same profits,
-and the same chosen items when any state is backtracked — including on the
-tie cases the merge order decides: equal sizes, equal or zero profits,
-profits a few ulps apart and sizes within the ``1e-12`` capacity slack.
+:class:`repro.knapsack.dp.DominanceList` must keep exactly the states of the
+textbook pair-list DP (:class:`reference_dp.ReferenceDominanceList`) after
+every ``add_item`` — same sizes, same profits, and the same chosen items
+when any state is backtracked — including on the tie cases the merge order
+decides: equal sizes, equal or zero profits, profits a few ulps apart and
+sizes within the ``1e-12`` capacity slack.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.knapsack.array_dp import ArrayDominanceList
+from reference_dp import ReferenceDominanceList
+
 from repro.knapsack.compressible import AdaptiveNormalizer
 from repro.knapsack.dp import DominanceList
 from repro.knapsack.items import KnapsackItem
@@ -46,21 +48,21 @@ _profits = st.one_of(
 _items = st.lists(st.tuples(_sizes, _profits), min_size=1, max_size=10)
 
 
-def _assert_same_states(array: ArrayDominanceList, scalar: DominanceList, items) -> None:
-    pairs = scalar.pairs
+def _assert_same_states(array: DominanceList, reference: ReferenceDominanceList, items) -> None:
+    pairs = reference.pairs
     assert array.sizes.tolist() == [p.size for p in pairs]
     assert array.profits.tolist() == [p.profit for p in pairs]
     for index, pair in enumerate(pairs):
         assert [i.key for i in array.backtrack(index, items)] == [i.key for i in pair.backtrack(items)]
 
 
-def _run_both(items, capacity, scalar_transform=None, array_transform=None) -> None:
-    array = ArrayDominanceList()
-    scalar = DominanceList()
+def _run_both(items, capacity, reference_transform=None, array_transform=None) -> None:
+    array = DominanceList()
+    reference = ReferenceDominanceList()
     for index, item in enumerate(items):
-        scalar.add_item(item, index, capacity, size_transform=scalar_transform)
+        reference.add_item(item, index, capacity, size_transform=reference_transform)
         array.add_item(item, index, capacity, size_transform=array_transform)
-        _assert_same_states(array, scalar, items)
+        _assert_same_states(array, reference, items)
 
 
 def _knapsack_items(raw):
@@ -87,14 +89,14 @@ def test_array_engine_matches_scalar_under_adaptive_normalizer(raw, capacities, 
     _run_both(
         _knapsack_items(raw),
         max(capacities),
-        scalar_transform=normalizer.normalize,
+        reference_transform=normalizer.normalize,
         array_transform=normalizer.normalize_array,
     )
 
 
 def test_capacity_cuts_every_new_state():
     items = _knapsack_items([(3.0, 1.0), (5.0, 9.0)])
-    array = ArrayDominanceList()
+    array = DominanceList()
     array.add_item(items[0], 0, 4.0)
     array.add_item(items[1], 1, 4.0)  # 5 > 4 on its own: nothing new fits
     assert array.sizes.tolist() == [0.0, 3.0]
@@ -105,7 +107,7 @@ def test_equal_size_keeps_the_more_profitable_state():
     # adding (1, 3) makes a new state (1, 3) that ties the old state (1, 2)
     # in size and replaces it
     items = _knapsack_items([(2.0, 1.0), (0.0, 0.0), (1.0, 2.0), (1.0, 3.0)])
-    array = ArrayDominanceList()
+    array = DominanceList()
     for index, item in enumerate(items):
         array.add_item(item, index, 10.0)
     assert array.sizes.tolist() == [0.0, 1.0, 2.0, 4.0]
@@ -116,10 +118,10 @@ def test_equal_size_keeps_the_more_profitable_state():
 
 def test_equal_size_near_tie_keeps_the_scalar_winner():
     # the new state (1, 1 + ulp) ties the old state (1, 1) in size and beats
-    # it by less than the profit tolerance: the scalar merge puts the more
+    # it by less than the profit tolerance: the textbook merge puts the more
     # profitable state first, so it is the one kept
     items = _knapsack_items([(1.0, 1.0), (1.0, 1.0 + _ULP_1)])
-    array = ArrayDominanceList()
+    array = DominanceList()
     for index, item in enumerate(items):
         array.add_item(item, index, 10.0)
     assert array.sizes.tolist() == [0.0, 1.0, 2.0]
@@ -132,9 +134,9 @@ def test_near_tie_is_measured_against_the_last_kept_state():
     # adding (2.5, 1 + 3 ulp) makes a new state (2.5, 1 + 3 ulp) that is
     # dominated by (1, 1) within the profit tolerance; the old state
     # (3, 1 + 6 ulp) beats the last kept state (1, 1) by more than the
-    # tolerance but the dominated one by less, and the scalar engine keeps it
+    # tolerance but the dominated one by less, and the textbook merge keeps it
     items = _knapsack_items([(1.0, 1.0), (3.0, 1.0 + 6 * _ULP_1), (2.5, 1.0 + 3 * _ULP_1)])
-    array = ArrayDominanceList()
+    array = DominanceList()
     for index, item in enumerate(items):
         array.add_item(item, index, 100.0)
     assert array.sizes.tolist()[:4] == [0.0, 1.0, 3.0, 3.5]

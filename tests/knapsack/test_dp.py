@@ -1,12 +1,15 @@
 """Tests for the exact 0/1 knapsack solvers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from repro.knapsack.compressible import solve_compressible_knapsack, solve_compressible_multi
 from repro.knapsack.dp import solve_knapsack, solve_knapsack_dense
 from repro.knapsack.items import KnapsackItem
+from repro.knapsack.multi import solve_knapsack_multi
 
 
 def brute_force(items, capacity):
@@ -106,3 +109,52 @@ class TestSolveKnapsackDense:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             solve_knapsack_dense([], -3)
+
+
+def _two_items():
+    return [KnapsackItem(key="a", size=5, profit=3.0), KnapsackItem(key="b", size=7, profit=4.0)]
+
+
+# every public knapsack entry point, called at one capacity
+ENTRY_POINTS = {
+    "solve_knapsack": lambda items, cap: solve_knapsack(items, cap),
+    "solve_knapsack_dense": lambda items, cap: solve_knapsack_dense(items, cap),
+    "solve_knapsack_multi": lambda items, cap: solve_knapsack_multi(items, [cap, 6.0]),
+    "solve_compressible_multi": lambda items, cap: solve_compressible_multi(items, [6.0, cap], 0.1, 2, 1.0),
+    "solve_compressible_knapsack": lambda items, cap: solve_compressible_knapsack(items, {"b"}, cap, 0.1),
+}
+
+
+class TestCapacityCheck:
+    """A capacity that is not ``>= 0`` is rejected, NaN included: ``NaN < 0``
+    is false, and ``min([nan, 6.0])`` is NaN, so a sign check alone lets it
+    through to a silently wrong answer."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("capacity", [math.nan, -1.0, -math.inf])
+    def test_rejected(self, entry, capacity):
+        with pytest.raises(ValueError, match="non-negative"):
+            ENTRY_POINTS[entry](_two_items(), capacity)
+
+    def test_nan_used_to_select_every_item(self):
+        # without the check the solver answered (7.0, [a, b]) here, and gave
+        # capacity 6.0 both items (total size 12) in the multi-capacity call
+        with pytest.raises(ValueError):
+            solve_knapsack(_two_items(), math.nan)
+        with pytest.raises(ValueError):
+            solve_knapsack_multi(_two_items(), [math.nan, 6.0])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_zero_capacity_passes(self, entry):
+        ENTRY_POINTS[entry](_two_items(), 0.0)
+
+    @pytest.mark.parametrize("entry", ["solve_knapsack", "solve_knapsack_multi"])
+    def test_infinite_capacity_takes_every_item(self, entry):
+        result = ENTRY_POINTS[entry](_two_items(), math.inf)
+        profit, chosen = result[math.inf] if isinstance(result, dict) else result
+        assert (profit, [i.key for i in chosen]) == (7.0, ["a", "b"])
+
+    @pytest.mark.parametrize("entry", ["solve_knapsack_dense", "solve_compressible_multi", "solve_compressible_knapsack"])
+    def test_infinite_capacity_rejected_where_a_grid_needs_it_finite(self, entry):
+        with pytest.raises(ValueError, match="finite non-negative"):
+            ENTRY_POINTS[entry](_two_items(), math.inf)

@@ -8,11 +8,13 @@ Covers, per the perf-subsystem contract:
 * ``gamma_batch`` / ``BatchedOracle.gamma_array`` (including bracket reuse
   across successive thresholds) against the scalar binary search;
 * the array knapsack DPs against the Python dominance-list / dense-table
-  engines;
+  references in ``tests/knapsack/reference_dp.py``;
 * whole-algorithm runs: identical makespans from both backends.
 """
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,13 @@ from repro.knapsack.dp import solve_knapsack, solve_knapsack_dense
 from repro.knapsack.items import KnapsackItem
 from repro.perf.arrays import JobArrayBundle
 from repro.perf.oracle import BatchedOracle, ScalarOracle
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "knapsack"))
+from reference_dp import (  # noqa: E402
+    reference_compressible_knapsack,
+    reference_knapsack,
+    reference_knapsack_dense,
+)
 
 
 # --------------------------------------------------------------------------
@@ -246,8 +255,8 @@ class TestArrayKnapsackParity:
     @settings(max_examples=150, deadline=None)
     def test_dominance_engines_agree(self, instance):
         items, capacity = instance
-        p_s, c_s = solve_knapsack(items, capacity, backend="scalar")
-        p_v, c_v = solve_knapsack(items, capacity, backend="vectorized")
+        p_s, c_s = reference_knapsack(items, capacity)
+        p_v, c_v = solve_knapsack(items, capacity)
         assert p_s == p_v
         assert [i.key for i in c_s] == [i.key for i in c_v]
 
@@ -255,8 +264,8 @@ class TestArrayKnapsackParity:
     @settings(max_examples=100, deadline=None)
     def test_dense_engines_agree(self, instance):
         items, capacity = instance
-        p_s, c_s = solve_knapsack_dense(items, capacity, backend="scalar")
-        p_v, c_v = solve_knapsack_dense(items, capacity, backend="vectorized")
+        p_s, c_s = reference_knapsack_dense(items, capacity)
+        p_v, c_v = solve_knapsack_dense(items, capacity)
         assert p_s == p_v
         assert [i.key for i in c_s] == [i.key for i in c_v]
 
@@ -265,8 +274,8 @@ class TestArrayKnapsackParity:
     def test_compressible_engines_agree(self, instance, rho):
         items, capacity = instance
         compressible_keys = {i.key for i in items if i.size >= 1.0 / rho}
-        s = solve_compressible_knapsack(items, compressible_keys, capacity, rho, backend="scalar")
-        v = solve_compressible_knapsack(items, compressible_keys, capacity, rho, backend="vectorized")
+        s = reference_compressible_knapsack(items, compressible_keys, capacity, rho)
+        v = solve_compressible_knapsack(items, compressible_keys, capacity, rho)
         assert s.profit == v.profit
         assert [i.key for i in s.items] == [i.key for i in v.items]
 
