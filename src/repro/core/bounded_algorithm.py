@@ -1,9 +1,13 @@
-"""The shelf dual step (Section 4.1) and Algorithm 3 (Section 4.3).
+"""The shelf dual step (Section 4.1), the search around it, and Algorithm 3
+(Section 4.3).
 
 :func:`shelf_dual` is the Mounié–Rapine–Trystram step all the `(3/2+eps)`
 algorithms share; they differ only in the shelf-1 knapsack they pass it.  It
 has one body for both backends: the split, the rounding and the shelf build
 read columns of the executor (:mod:`repro.perf.oracle`) the driver holds.
+:func:`shelf_schedule` is the driver body MRT, Algorithm 1 and Algorithm 3
+share: one executor, one dual binary search, the metadata and the
+validation; each driver supplies only its dual step and its eps split.
 
 Compared to Algorithm 1 the knapsack gets *much* smaller: the big jobs are
 first rounded into ``O(poly(1/eps) polylog(m))`` item **types**
@@ -30,7 +34,7 @@ from ..knapsack.bounded import assign_members, expand_bounded_items, selected_co
 from ..knapsack.compressible import solve_compressible_knapsack
 from ..knapsack.items import KnapsackItem
 from .backend import resolve_backend
-from .dual import DualSearchResult, dual_binary_search
+from .dual import DualSearchResult, check_eps, dual_binary_search
 from .fptas import fptas_dual
 from .job import MoldableJob
 from .rounding import round_jobs_to_types
@@ -38,7 +42,7 @@ from .schedule import Schedule
 from .shelves import build_three_shelf_schedule, split_big_jobs
 from .validation import assert_valid_schedule
 
-__all__ = ["shelf_dual", "bounded_dual", "bounded_schedule", "LARGE_M_FACTOR"]
+__all__ = ["shelf_dual", "shelf_schedule", "bounded_dual", "bounded_schedule", "LARGE_M_FACTOR"]
 
 #: Above ``m >= LARGE_M_FACTOR * n`` the compressible and bounded dual steps
 #: delegate to the FPTAS dual with ``eps = 1/2`` (Section 4.2.5: "we only use
@@ -54,7 +58,6 @@ def shelf_dual(
     *,
     algorithm: str,
     large_m: bool = False,
-    backend: str = "scalar",
     oracle=None,
 ) -> Optional[Schedule]:
     """One shelf dual step at target ``d`` (Section 4.1): a schedule, or
@@ -64,19 +67,16 @@ def shelf_dual(
     ``select(knapsack_jobs, capacity, oracle)`` returns ``(jobs,
     d', metadata)``: which other big jobs join them within the ``capacity``
     processors left, the target the three-shelf schedule is built for, and
-    extra schedule metadata.  ``algorithm`` names the driver's row of
-    :data:`~repro.core.backend.AUTO_VECTORIZED_MIN_N` and its metadata;
+    extra schedule metadata.  ``algorithm`` names the step in the metadata;
     ``large_m`` sends ``m >= LARGE_M_FACTOR * n`` to the FPTAS dual with
     ``eps = 1/2``, whose makespan is at most ``3d/2`` there.
 
-    ``backend="vectorized"`` evaluates γ-allotments with lockstep batched
-    binary searches; ``"scalar"`` is the bit-identical per-job reference.
-    The knapsack is the same on both: the NumPy dominance-list engine of
-    :mod:`repro.knapsack.dp`.  ``oracle`` is
-    the executor for ``(jobs, m)`` shared by repeated dual calls (a
-    :class:`~repro.perf.oracle.BatchedOracle` or
-    :class:`~repro.perf.oracle.ScalarOracle`); it implies its own backend.
-    Without one, the step builds the executor its backend names.
+    ``oracle`` is the executor for ``(jobs, m)`` shared by repeated dual
+    calls: a :class:`~repro.perf.oracle.BatchedOracle` evaluates
+    γ-allotments with lockstep batched binary searches, a
+    :class:`~repro.perf.oracle.ScalarOracle` (the default) is the
+    bit-identical per-job reference.  The knapsack is the same on both: the
+    NumPy dominance-list engine of :mod:`repro.knapsack.dp`.
     """
     if d <= 0:
         return None
@@ -84,10 +84,10 @@ def shelf_dual(
     n = len(jobs)
     if n == 0:
         return Schedule(m=m)
-    backend, oracle = resolve_backend(jobs, m, backend, oracle, algorithm)
+    _, oracle = resolve_backend(jobs, m, "scalar", oracle)
 
     if large_m and m >= LARGE_M_FACTOR * n:
-        schedule = fptas_dual(jobs, m, d, 0.5, backend=backend, oracle=oracle)
+        schedule = fptas_dual(jobs, m, d, 0.5, oracle=oracle)
         if schedule is not None:
             schedule.metadata["algorithm"] = f"{algorithm}_dual(large_m)"
         return schedule
@@ -135,11 +135,10 @@ def bounded_dual(
     d: float,
     eps: float,
     *,
-    backend: str = "scalar",
     oracle=None,
 ) -> Optional[Schedule]:
-    """One `(3/2+eps)`-dual step of Algorithm 3; ``backend`` and ``oracle``
-    are as in :func:`shelf_dual`."""
+    """One `(3/2+eps)`-dual step of Algorithm 3; ``oracle`` is as in
+    :func:`shelf_dual`."""
     delta = eps / 5.0
     d_prime = (1.0 + delta) ** 2 * d
 
@@ -152,7 +151,37 @@ def bounded_dual(
         members = assign_members(selected_counts(chosen), scheme.types)
         return members, d_prime, {"num_item_types": scheme.num_types}
 
-    return shelf_dual(jobs, m, d, select, algorithm="bounded", large_m=True, backend=backend, oracle=oracle)
+    return shelf_dual(jobs, m, d, select, algorithm="bounded", large_m=True, oracle=oracle)
+
+
+def shelf_schedule(
+    jobs: Sequence[MoldableJob],
+    m: int,
+    eps: float,
+    step: Callable,
+    tolerance: float,
+    *,
+    algorithm: str,
+    validate: bool,
+    backend: str,
+    oracle,
+) -> DualSearchResult:
+    """The `(3/2+eps)`-approximation around the dual step ``step(jobs, d,
+    oracle)``, searched to the relative ``tolerance``.
+
+    The whole dual search, the estimator bracket and the validation share
+    one executor: ``oracle`` (checked against ``(jobs, m)``), or the one
+    ``backend`` names on the ``algorithm`` row of
+    :data:`~repro.core.backend.AUTO_VECTORIZED_MIN_N`.
+    """
+    check_eps(eps)
+    jobs = list(jobs)
+    backend, oracle = resolve_backend(jobs, m, backend, oracle, algorithm)
+    result = dual_binary_search(jobs, m, lambda d: step(jobs, d, oracle), tolerance=tolerance, oracle=oracle)
+    result.schedule.metadata.update(algorithm=algorithm, eps=eps, guarantee=1.5 + eps, backend=backend)
+    if validate and jobs:
+        assert_valid_schedule(result.schedule, jobs, oracle=oracle)
+    return result
 
 
 def bounded_schedule(
@@ -162,32 +191,21 @@ def bounded_schedule(
     *,
     validate: bool = True,
     backend: str = "vectorized",
+    oracle=None,
 ) -> DualSearchResult:
-    """`(3/2+eps)`-approximation via Algorithm 3 and dual binary search.
-
-    The whole dual search, the estimator bracket and the validation share
-    one executor: a batched γ-oracle for ``backend="vectorized"`` (default),
-    the bit-identical scalar reference for ``backend="scalar"``.
-    """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, None, "bounded")
+    """`(3/2+eps)`-approximation via Algorithm 3 and dual binary search, run
+    by :func:`shelf_schedule` on ``oracle`` or on the executor ``backend``
+    names (``"vectorized"`` by default)."""
     # (3/2)(1+eps/10)^2 (1+eps/4) <= 3/2 + eps for eps <= 1: the dual step gets
     # eps/2 (of which delta = eps/10) and the binary search eps/4.
-    dual_eps = eps / 2.0
-    tolerance = eps / 4.0
-    result = dual_binary_search(
+    return shelf_schedule(
         jobs,
         m,
-        lambda d: bounded_dual(jobs, m, d, dual_eps, backend=backend, oracle=oracle),
-        tolerance=tolerance,
+        eps,
+        lambda jobs, d, oracle: bounded_dual(jobs, m, d, eps / 2.0, oracle=oracle),
+        eps / 4.0,
+        algorithm="bounded",
+        validate=validate,
+        backend=backend,
         oracle=oracle,
     )
-    result.schedule.metadata["algorithm"] = "bounded"
-    result.schedule.metadata["eps"] = eps
-    result.schedule.metadata["guarantee"] = 1.5 + eps
-    result.schedule.metadata["backend"] = backend
-    if validate and jobs:
-        assert_valid_schedule(result.schedule, jobs, oracle=oracle)
-    return result

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .backend import resolve_backend
-from .bounded_algorithm import LARGE_M_FACTOR, compressible_knapsack, shelf_dual
-from .dual import DualSearchResult, dual_binary_search
+from .bounded_algorithm import LARGE_M_FACTOR, compressible_knapsack, shelf_dual, shelf_schedule
+# unused here but importable: perfbench/layers.py patches them by name
+from .dual import DualSearchResult, dual_binary_search  # noqa: F401
 from .job import MoldableJob
 from .schedule import Schedule
 from .shelves import shelf_items
-from .validation import assert_valid_schedule
+from .validation import assert_valid_schedule  # noqa: F401
 
 __all__ = ["compressible_dual", "compressible_schedule", "LARGE_M_FACTOR"]
 
@@ -34,13 +34,11 @@ def compressible_dual(
     d: float,
     eps: float,
     *,
-    backend: str = "scalar",
     oracle=None,
 ) -> Optional[Schedule]:
     """One `(3/2+eps)`-dual step of Algorithm 1: schedule with makespan at most
     ``(3/2)(1+4rho)d <= (3/2+eps)d`` (with ``rho = eps/6``) or reject ``d``;
-    ``backend`` and ``oracle`` are as in
-    :func:`~repro.core.bounded_algorithm.shelf_dual`."""
+    ``oracle`` is as in :func:`~repro.core.bounded_algorithm.shelf_dual`."""
     rho = eps / 6.0
     # Corollary 10: the selection is scheduled for the inflated target d'.
     d_prime = (1.0 + 4.0 * rho) * d
@@ -50,7 +48,7 @@ def compressible_dual(
         chosen = compressible_knapsack(items, capacity, rho) if items else []
         return [item.payload for item in chosen], d_prime, {}
 
-    return shelf_dual(jobs, m, d, select, algorithm="compressible", large_m=True, backend=backend, oracle=oracle)
+    return shelf_dual(jobs, m, d, select, algorithm="compressible", large_m=True, oracle=oracle)
 
 
 def compressible_schedule(
@@ -60,35 +58,25 @@ def compressible_schedule(
     *,
     validate: bool = True,
     backend: str = "vectorized",
+    oracle=None,
 ) -> DualSearchResult:
     """`(3/2+eps)`-approximation via Algorithm 1 and dual binary search.
 
     The accuracy budget is split between the dual step (``eps/2``) and the
     binary search (``eps/4``): the final makespan is at most
     ``(3/2 + eps/2)(1 + eps/4) <= (3/2 + eps)`` times the optimum for
-    ``eps <= 1``.
-
-    ``backend="vectorized"`` (default) shares one batched γ-oracle across the
-    whole dual search; ``backend="scalar"`` is the bit-identical reference, run the same way on
-    one :class:`~repro.perf.oracle.ScalarOracle`.
+    ``eps <= 1``.  Runs :func:`~repro.core.bounded_algorithm.shelf_schedule`
+    on ``oracle`` or on the executor ``backend`` names (``"vectorized"`` by
+    default).
     """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, None, "compressible")
-    dual_eps = eps / 2.0
-    tolerance = eps / 4.0
-    result = dual_binary_search(
+    return shelf_schedule(
         jobs,
         m,
-        lambda d: compressible_dual(jobs, m, d, dual_eps, backend=backend, oracle=oracle),
-        tolerance=tolerance,
+        eps,
+        lambda jobs, d, oracle: compressible_dual(jobs, m, d, eps / 2.0, oracle=oracle),
+        eps / 4.0,
+        algorithm="compressible",
+        validate=validate,
+        backend=backend,
         oracle=oracle,
     )
-    result.schedule.metadata["algorithm"] = "compressible"
-    result.schedule.metadata["eps"] = eps
-    result.schedule.metadata["guarantee"] = 1.5 + eps
-    result.schedule.metadata["backend"] = backend
-    if validate and jobs:
-        assert_valid_schedule(result.schedule, jobs, oracle=oracle)
-    return result

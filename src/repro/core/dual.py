@@ -37,9 +37,17 @@ from .bounds import EstimatorResult, geometric_midpoint, ludwig_tiwari_estimator
 from .job import MoldableJob
 from .schedule import Schedule
 
-__all__ = ["DualSearchResult", "dual_binary_search", "dual_search_steps", "run_requestless"]
+__all__ = ["DualSearchResult", "check_eps", "dual_binary_search", "dual_search_steps", "run_requestless"]
 
 DualFunction = Callable[[float], Optional[Schedule]]
+
+
+def check_eps(eps: float) -> None:
+    """Reject an accuracy parameter outside ``(0, 1]`` (NaN included): every
+    eps-driven driver splits ``eps`` between its dual step and its search on
+    the assumption ``eps <= 1``."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
 
 
 @dataclass

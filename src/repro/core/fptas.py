@@ -19,7 +19,7 @@ from .backend import resolve_backend
 from .bounds import estimator_steps
 from .capacity import index_array
 # dual_binary_search is unused here but stays importable: perfbench/layers.py patches it by name
-from .dual import DualSearchResult, dual_binary_search, dual_search_steps  # noqa: F401
+from .dual import DualSearchResult, check_eps, dual_binary_search, dual_search_steps  # noqa: F401
 from .exact_small import exact_schedule, exact_solver_applicable
 from .job import MoldableJob
 from .schedule import Schedule
@@ -33,6 +33,7 @@ __all__ = [
     "fptas_schedule",
     "fptas_steps",
     "ptas_schedule",
+    "PTAS_EXACT_LIMIT",
 ]
 
 
@@ -44,8 +45,7 @@ def fptas_machine_threshold(n: int, eps: float) -> float:
 def check_fptas_instance(n: int, m: int, eps: float) -> None:
     """Raise ``ValueError`` unless ``eps`` lies in (0, 1] and a non-empty
     instance of ``n`` jobs meets the FPTAS condition ``m >= 8n/eps``."""
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    check_eps(eps)
     if n > 0 and m < fptas_machine_threshold(n, eps):
         raise ValueError(
             f"the FPTAS requires m >= 8n/eps = {fptas_machine_threshold(n, eps):.1f}, got m={m}; "
@@ -59,18 +59,17 @@ def fptas_dual(
     d: float,
     eps: float,
     *,
-    backend: str = "scalar",
     oracle=None,
 ) -> Optional[Schedule]:
     """One `(1+eps)`-dual step (Section 3): all jobs start at 0 with
     ``gamma_j((1+eps)d)`` processors, or reject.
 
-    Runs :func:`fptas_dual_steps` on ``oracle`` or on the executor
-    ``backend`` names."""
+    Runs :func:`fptas_dual_steps` on ``oracle``, an executor for exactly
+    ``(jobs, m)``, or on a :class:`~repro.perf.oracle.ScalarOracle`."""
     if d <= 0:
         return None
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
-    _, oracle = resolve_backend(jobs, m, backend, oracle, "fptas")
+    _, oracle = resolve_backend(jobs, m, "scalar", oracle)
     build = oracle.run(fptas_dual_steps(jobs, oracle, d, eps))
     return None if build is None else build()
 
@@ -154,36 +153,40 @@ def _finish(result, jobs, eps, validate, oracle) -> DualSearchResult:
     return result
 
 
+#: :func:`ptas_schedule` solves instances of at most this many jobs exactly
+PTAS_EXACT_LIMIT = 6
+
+
 def ptas_schedule(
     jobs: Sequence[MoldableJob],
     m: int,
     eps: float,
     *,
     validate: bool = True,
-    exact_limit: int = 6,
     backend: str = "vectorized",
+    oracle=None,
 ) -> DualSearchResult:
     """PTAS dispatcher for the general case (Section 3.2).
 
     * ``m >= 8n/eps`` — use the FPTAS (fully faithful to the paper);
-    * otherwise, if the instance is tiny, solve it exactly by branch and bound;
+    * otherwise, if the instance is tiny (:data:`PTAS_EXACT_LIMIT`), solve
+      it exactly by branch and bound;
     * otherwise fall back to the `(3/2+eps)` bounded-knapsack algorithm.
 
     The last branch substitutes the Jansen–Thöle PTAS the paper cites (see
     DESIGN.md, "Substitutions"); the returned schedule records the actual
-    guarantee in ``schedule.metadata['guarantee']``.  ``backend`` is passed
-    through as given, so ``"auto"`` resolves on the row of the driver that
-    runs.
+    guarantee in ``schedule.metadata['guarantee']``.  ``backend`` and
+    ``oracle`` are passed through as given, so ``"auto"`` resolves on the
+    row of the driver that runs; the exact branch runs without either.
     """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    check_eps(eps)
     jobs = list(jobs)
     n = len(jobs)
     if n == 0:
         return DualSearchResult(Schedule(m=m), 0.0, 0.0, 0, 0)
     if m >= fptas_machine_threshold(n, eps):
-        return fptas_schedule(jobs, m, eps, validate=validate, backend=backend)
-    if exact_solver_applicable(n, m, max_jobs=exact_limit):
+        return fptas_schedule(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)
+    if exact_solver_applicable(n, m, max_jobs=PTAS_EXACT_LIMIT):
         schedule = exact_schedule(jobs, m)
         schedule.metadata["algorithm"] = "ptas_exact"
         schedule.metadata["guarantee"] = 1.0
@@ -194,7 +197,6 @@ def ptas_schedule(
     # documented substitution: the (3/2+eps) algorithm instead of Jansen-Thöle
     from .bounded_algorithm import bounded_schedule
 
-    result = bounded_schedule(jobs, m, eps, validate=validate, backend=backend)
+    result = bounded_schedule(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)
     result.schedule.metadata["algorithm"] = "ptas_fallback_bounded"
-    result.schedule.metadata["guarantee"] = 1.5 + eps
     return result

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .capacity import MAX_EXACT_FLOAT_M
+from .capacity import MAX_EXACT_FLOAT_M, index_array
 
 __all__ = [
     "MoldableJob",
@@ -150,14 +150,6 @@ class MoldableJob(ABC):
         }
 
     # ------------------------------------------------------------ batched API
-    def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized oracle kernel: processing times for an array of
-        (already validated) processor counts, exact integers or integral
-        float64.  Subclasses with closed-form models override this (float64
-        arithmetic upcasts the counts); the fallback loops over the scalar
-        oracle."""
-        return np.array([self.processing_time(int(k)) for k in ks], dtype=np.float64)
-
     def times_for(self, ks) -> np.ndarray:
         """Processing times ``t_j(k)`` for a whole array of processor counts.
 
@@ -167,28 +159,34 @@ class MoldableJob(ABC):
         Closed-form job models answer without any per-``k`` Python call, and
         the results are bit-for-bit identical to the scalar path.
 
-        Unlike :meth:`processing_time`, values are not memoised (callers batch
-        precisely to avoid per-``k`` bookkeeping) and closed-form kernels skip
-        the per-value finiteness check — their constructor validation already
-        guarantees positive finite times.  The exception is an object array
-        (how counts past int64 arrive): each entry is answered by
-        :meth:`processing_time` as the exact Python int it is.
+        The counts go through this job's kernel of
+        :class:`repro.perf.arrays.JobArrayBundle`, the one every vectorized
+        driver uses.  Unlike :meth:`processing_time`, values are not memoised
+        (callers batch precisely to avoid per-``k`` bookkeeping) and
+        closed-form kernels skip the per-value finiteness check — their
+        constructor validation already guarantees positive finite times.  The
+        exception is an object array (how counts past int64 arrive): each
+        entry is answered by :meth:`processing_time` as the exact Python int
+        it is.
         """
+        from ..perf.arrays import JobArrayBundle  # lazy: repro.perf imports this module
+
         arr = np.asarray(ks)
         if arr.ndim != 1:
             raise ValueError(f"ks must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             return np.empty(0, dtype=np.float64)
+        if arr.dtype != object and not np.issubdtype(arr.dtype, np.integer):
+            if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+                raise ValueError("processor counts must be positive integers")
+            # integral floats as exact ints: int64, or Python ints past it
+            arr = index_array([int(k) for k in arr.tolist()])
         if arr.dtype == object:
             # a float64 copy would round counts past 2^53 to another count
             return np.array([self.processing_time(k) for k in arr.tolist()], dtype=np.float64)
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.floor(arr)):
-                raise ValueError("processor counts must be positive integers")
         if np.any(arr < 1):
             raise ValueError("processor counts must be positive integers")
-        # exact integer counts stay exact: a float64 copy rounds past 2^53
-        return self._times_batch(arr if np.issubdtype(arr.dtype, np.integer) else arr.astype(np.float64))
+        return JobArrayBundle([self]).eval_at(np.zeros(len(arr), dtype=np.int64), arr)
 
     def work(self, k: int) -> float:
         """Work ``w_j(k) = k * t_j(k)``."""
@@ -240,14 +238,6 @@ class TabulatedJob(MoldableJob):
             return self.times[k - 1]
         return self.times[-1]
 
-    def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        table = np.asarray(self.times, dtype=np.float64)
-        # clamp in float space *before* the int64 cast: a float64 k >= 2**63
-        # (astronomical machine counts round up to exactly 2**63) overflows
-        # ``astype(np.int64)`` into a negative index
-        idx = np.minimum(ks, float(len(table))).astype(np.int64) - 1
-        return table[idx]
-
 
 class OracleJob(MoldableJob):
     """Job whose processing time is given by an arbitrary callable.
@@ -288,8 +278,8 @@ class OracleJob(MoldableJob):
         return self.func(k)
 
     def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        if self.times_vectorized is None:
-            return super()._times_batch(ks)
+        """``times_vectorized`` at exact counts ``ks`` (the hook group of
+        :mod:`repro.perf.arrays` calls this)."""
         out = np.array(self.times_vectorized(np.asarray(ks, dtype=np.float64)), dtype=np.float64)
         # the hook takes float64 counts, which round past 2^53: ask func there
         for i in np.flatnonzero(ks > MAX_EXACT_FLOAT_M).tolist():
@@ -326,10 +316,6 @@ class AmdahlJob(MoldableJob):
         f = self.serial_fraction
         return self.t1 * (f + (1.0 - f) / k)
 
-    def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        f = self.serial_fraction
-        return self.t1 * (f + (1.0 - f) / ks)
-
 
 class PowerLawJob(MoldableJob):
     """Power-law job: ``t(k) = t1 / k**alpha`` with ``0 <= alpha <= 1``.
@@ -351,11 +337,6 @@ class PowerLawJob(MoldableJob):
 
     def _time(self, k: int) -> float:
         return self.t1 / (k ** self.alpha)
-
-    def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        # float_power, not power: numpy's power may differ from CPython's **
-        # by one ulp, which would break scalar/vectorized bit-parity.
-        return self.t1 / np.float_power(ks, self.alpha)
 
 
 class CommunicationJob(MoldableJob):
@@ -398,12 +379,6 @@ class CommunicationJob(MoldableJob):
         k_eff = min(k, self.k_star)
         return self._raw(k_eff)
 
-    def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        if self.k_star is None:
-            return self.t1 / ks
-        k_eff = np.minimum(ks, float(self.k_star))
-        return self.t1 / k_eff + self.overhead * (k_eff - 1)
-
 
 class RigidJob(MoldableJob):
     """A "rigid" parallel job disguised as a moldable one.
@@ -433,9 +408,6 @@ class RigidJob(MoldableJob):
         if k >= self.size:
             return self.duration
         return self.penalty
-
-    def _times_batch(self, ks: np.ndarray) -> np.ndarray:
-        return np.where(ks >= self.size, self.duration, self.penalty)
 
 
 # --------------------------------------------------------------------------

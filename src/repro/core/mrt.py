@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..knapsack.dp import solve_knapsack, solve_knapsack_dense
-from .backend import resolve_backend
-from .bounded_algorithm import shelf_dual
-from .dual import DualSearchResult, dual_binary_search
+from .bounded_algorithm import shelf_dual, shelf_schedule
+# unused here but importable: perfbench/layers.py patches them by name
+from .dual import DualSearchResult, dual_binary_search  # noqa: F401
 from .job import MoldableJob
 from .schedule import Schedule
 from .shelves import shelf_items
-from .validation import assert_valid_schedule
+from .validation import assert_valid_schedule  # noqa: F401
 
 __all__ = ["mrt_dual", "mrt_schedule"]
 
@@ -33,7 +33,6 @@ def mrt_dual(
     d: float,
     *,
     knapsack: str = "auto",
-    backend: str = "scalar",
     oracle=None,
 ) -> Optional[Schedule]:
     """One dual step of the MRT algorithm: schedule with makespan ``<= 3d/2``
@@ -49,7 +48,7 @@ def mrt_dual(
         the paper attributes to the original algorithm), ``"pairs"`` the
         dominance-list DP (same optimum), ``"auto"`` picks dense for moderate
         capacities and pairs otherwise.
-    backend, oracle:
+    oracle:
         As in :func:`~repro.core.bounded_algorithm.shelf_dual`.
     """
     if knapsack not in ("auto", "dense", "pairs"):
@@ -62,7 +61,7 @@ def mrt_dual(
         _, chosen = solve(items, capacity)
         return [item.payload for item in chosen], d, {}
 
-    return shelf_dual(jobs, m, d, select, algorithm="mrt", backend=backend, oracle=oracle)
+    return shelf_dual(jobs, m, d, select, algorithm="mrt", oracle=oracle)
 
 
 def mrt_schedule(
@@ -72,33 +71,23 @@ def mrt_schedule(
     *,
     validate: bool = True,
     backend: str = "vectorized",
+    oracle=None,
 ) -> DualSearchResult:
     """`(3/2 + eps)`-approximation via the MRT dual algorithm and binary search.
 
     The binary-search tolerance is chosen so that the final makespan is at most
-    ``(3/2)(1 + 2*eps/3) <= 3/2 + eps`` times the optimum.
-
-    ``backend="vectorized"`` (default) shares one batched γ-oracle across the
-    whole dual search, so successive thresholds reuse earlier γ-arrays as
-    bisection brackets; ``backend="scalar"`` is the bit-identical reference, run the same way on
-    one :class:`~repro.perf.oracle.ScalarOracle`.
+    ``(3/2)(1 + 2*eps/3) <= 3/2 + eps`` times the optimum.  Runs
+    :func:`~repro.core.bounded_algorithm.shelf_schedule` on ``oracle`` or on
+    the executor ``backend`` names (``"vectorized"`` by default).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    jobs = list(jobs)
-    backend, oracle = resolve_backend(jobs, m, backend, None, "mrt")
-    tolerance = 2.0 * eps / 3.0
-    result = dual_binary_search(
+    return shelf_schedule(
         jobs,
         m,
-        lambda d: mrt_dual(jobs, m, d, backend=backend, oracle=oracle),
-        tolerance=tolerance,
+        eps,
+        lambda jobs, d, oracle: mrt_dual(jobs, m, d, oracle=oracle),
+        2.0 * eps / 3.0,
+        algorithm="mrt",
+        validate=validate,
+        backend=backend,
         oracle=oracle,
     )
-    result.schedule.metadata["algorithm"] = "mrt"
-    result.schedule.metadata["eps"] = eps
-    result.schedule.metadata["guarantee"] = 1.5 + eps
-    result.schedule.metadata["backend"] = backend
-    if validate and jobs:
-        assert_valid_schedule(result.schedule, jobs, oracle=oracle)
-    return result

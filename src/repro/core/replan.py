@@ -32,15 +32,15 @@ rest at a barrier* — so the machinery lives here once:
    the stitched schedule is conflict-free by construction and passes the
    unmodified validator.
 
-Consecutive re-plans share γ-search work: each epoch that resolves to a
-vectorized ``two_approx`` or ``fptas`` solve (the drivers that accept an
-external oracle) gets a :class:`~repro.perf.oracle.BatchedOracle` built with
-the caller's ``warm_start`` flag and primed from the previous such epoch's
-oracle (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so the dual
-search starts from the cached thresholds of the epoch before it.  With
-``backend="auto"`` the backend is decided per epoch from the epoch's own
-size (:func:`~repro.core.backend.auto_backend`), so small epochs run the
-scalar reference and build no oracle.  The state is
+Each epoch builds its executor with :func:`~repro.core.backend.resolve_backend`
+on its driver's row of :data:`~repro.core.scheduler.DRIVERS` (decided per
+epoch by the epoch's size under ``backend="auto"``) and hands it to the
+segment solve; ``exact`` runs none and ``ptas`` picks its branch's itself.
+A vectorized epoch's :class:`~repro.perf.oracle.BatchedOracle` takes the
+caller's ``warm_start`` flag and, when it is set, is primed from the
+previous vectorized epoch's oracle
+(:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so the dual search
+starts from the cached thresholds of the epoch before it.  The state is
 deterministic: identical epoch sequences produce identical stitched schedules
 under every backend (the differential ``faulty`` and ``online`` families pin
 this bit for bit).
@@ -53,11 +53,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.core.backend import MAX_VECTORIZED_M, auto_backend
+from repro.core.backend import resolve_backend
 from repro.core.fptas import fptas_machine_threshold
 from repro.core.job import MoldableJob
 from repro.core.schedule import Schedule
-from repro.core.scheduler import auto_algorithm, schedule_moldable
+from repro.core.scheduler import DRIVERS, auto_algorithm, schedule_moldable
 from repro.perf.oracle import BatchedOracle
 
 __all__ = [
@@ -292,13 +292,10 @@ class ReplanState:
         """Re-plan every pending job not draining in ``continuing`` on the
         ``available`` machine intervals, anchored at the drain barrier.
 
-        The segment solve reuses γ-search work when it resolves to a
-        vectorized ``two_approx`` or ``fptas`` solve: a fresh
-        :class:`~repro.perf.oracle.BatchedOracle` is built with this state's
-        ``warm_start`` flag and primed from the previous epoch's oracle, and
-        its probe count lands in :attr:`gamma_probes`.  After the call,
-        :attr:`current` holds the continuing entries plus the freshly placed
-        segment.
+        The segment solve runs on the epoch's executor (see the module
+        docstring); a batched one adds its probes to :attr:`gamma_probes`.
+        After the call, :attr:`current` holds the continuing entries plus
+        the freshly placed segment.
         """
         draining = {id(p.job) for p in continuing}
         to_plan = [j for j in self.jobs if id(j) in self.pending and id(j) not in draining]
@@ -324,15 +321,12 @@ class ReplanState:
             if seg_algorithm == "auto"
             else seg_algorithm
         )
-        oracle: Optional[BatchedOracle] = None
-        # only two_approx / fptas accept an external oracle — don't build one
-        # the driver ignores or a scalar solve never reads
-        if chosen in ("two_approx", "fptas"):
-            backend = self.backend
-            if backend == "auto":
-                backend = auto_backend(chosen, len(to_plan), m_avail)
-            if backend == "vectorized" and m_avail <= MAX_VECTORIZED_M:
-                oracle = BatchedOracle(to_plan, m_avail, warm_start=self.warm_start)
+        oracle = None
+        row = DRIVERS[chosen].row
+        if row is not None:
+            _, oracle = resolve_backend(to_plan, m_avail, self.backend, None, row)
+            if oracle.backend == "vectorized":
+                oracle.warm_start = self.warm_start
                 if self.warm_start and self.prev_oracle is not None:
                     oracle.prime_from(self.prev_oracle)
         t0 = perf_counter()
@@ -348,11 +342,10 @@ class ReplanState:
         latency = perf_counter() - t0
         self.replan_latencies.append(latency)
         if segment.backend == "vectorized":
-            self.gamma_probes = (self.gamma_probes or 0) + (
-                oracle.gamma_probes if oracle is not None else 0
-            )
-        if oracle is not None:
-            self.prev_oracle = oracle
+            self.gamma_probes = self.gamma_probes or 0
+            if oracle is not None:
+                self.gamma_probes += oracle.gamma_probes
+                self.prev_oracle = oracle
         prefix = availability_prefix(available)
         placed = [
             PlacedEntry(

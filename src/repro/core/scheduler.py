@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from .bounded_algorithm import bounded_schedule
 from .bounds import makespan_lower_bound
 from .compressible_algorithm import compressible_schedule
+from .dual import DualSearchResult, check_eps
 from .exact_small import exact_schedule, exact_solver_applicable
 from .fptas import fptas_machine_threshold, fptas_schedule, ptas_schedule
 from .job import MoldableJob
@@ -24,6 +25,8 @@ from .validation import assert_valid_schedule
 
 __all__ = [
     "ALGORITHMS",
+    "DRIVERS",
+    "Driver",
     "SchedulingResult",
     "auto_algorithm",
     "check_distinct_jobs",
@@ -31,19 +34,6 @@ __all__ = [
     "driver_result",
     "schedule_moldable",
 ]
-
-ALGORITHMS = (
-    "auto",
-    "two_approx",
-    "mrt",
-    "compressible",
-    "bounded",
-    "bounded_linear",
-    "fptas",
-    "ptas",
-    "exact",
-)
-
 
 @dataclass
 class SchedulingResult:
@@ -103,9 +93,58 @@ def check_distinct_jobs(jobs: Sequence[MoldableJob]) -> None:
 def auto_algorithm(n: int, m: int, eps: float) -> str:
     """The driver ``algorithm="auto"`` runs: the FPTAS when ``m >= 8n/eps``
     (Theorem 2), otherwise the bounded-knapsack algorithm (Theorem 3)."""
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    check_eps(eps)
     return "fptas" if m >= fptas_machine_threshold(n, eps) else "bounded"
+
+
+class Driver(NamedTuple):
+    """One facade algorithm: its driver and where its executor comes from."""
+
+    #: ``run(jobs, m, eps, *, validate, backend, oracle)`` returns a result
+    #: with ``schedule`` and ``estimate``; the schedule's metadata carries
+    #: the driver's ``guarantee``
+    run: Callable
+    #: the row of :data:`~repro.core.backend.AUTO_VECTORIZED_MIN_N` the
+    #: driver resolves its executor on; ``None`` when it picks none itself
+    #: (``exact`` runs without one, ``ptas`` resolves per branch)
+    row: Optional[str]
+
+
+def _two_approx(jobs, m, eps, **kwargs):
+    return two_approximation(jobs, m, **kwargs)
+
+
+def _bounded_linear(jobs, m, eps, **kwargs):
+    # Section 4.3.3's bucketed host search returns the host a linear scan
+    # finds, so the alias runs Algorithm 3 and only relabels the schedule
+    res = bounded_schedule(jobs, m, eps, **kwargs)
+    res.schedule.metadata["algorithm"] = "bounded_linear"
+    return res
+
+
+def _exact(jobs, m, eps, *, validate=True, backend=None, oracle=None):
+    if not exact_solver_applicable(len(jobs), m):
+        raise ValueError("the exact algorithm only handles tiny instances (n <= 7, m <= 8)")
+    schedule = exact_schedule(jobs, m)
+    schedule.metadata["guarantee"] = 1.0
+    if validate:
+        assert_valid_schedule(schedule, jobs)
+    return DualSearchResult(schedule, schedule.makespan, schedule.makespan, 0, 0)
+
+
+#: The driver behind every facade algorithm except ``"auto"``.
+DRIVERS: Dict[str, Driver] = {
+    "two_approx": Driver(_two_approx, "two_approx"),
+    "mrt": Driver(mrt_schedule, "mrt"),
+    "compressible": Driver(compressible_schedule, "compressible"),
+    "bounded": Driver(bounded_schedule, "bounded"),
+    "bounded_linear": Driver(_bounded_linear, "bounded"),
+    "fptas": Driver(fptas_schedule, "fptas"),
+    "ptas": Driver(ptas_schedule, None),
+    "exact": Driver(_exact, None),
+}
+
+ALGORITHMS = ("auto", *DRIVERS)
 
 
 def schedule_moldable(
@@ -161,13 +200,12 @@ def schedule_moldable(
         :attr:`SchedulingResult.backend`.  Ignored by ``"exact"``.
     oracle:
         Optional pre-built executor from :mod:`repro.perf.oracle` (a
-        ``BatchedOracle`` or a ``ScalarOracle``) for exactly ``(jobs, m)``.
-        Threaded to the drivers that accept one
-        (``"two_approx"`` and ``"fptas"``) so callers issuing *consecutive*
-        solves — the fault-recovery loop re-planning survivors epoch after
-        epoch — can carry γ-caches across calls (see
-        ``BatchedOracle.prime_from``).  The remaining drivers build their own
-        oracles internally and ignore this argument.
+        ``BatchedOracle`` or a ``ScalarOracle``) for exactly ``(jobs, m)``;
+        one built for other jobs or another ``m`` raises ``ValueError``.
+        Every driver except ``"exact"`` runs on it, so callers issuing
+        *consecutive* solves — the re-planning loops of fault recovery and
+        online arrivals — can carry γ-caches across calls (see
+        ``BatchedOracle.prime_from``) and read its probe counters afterwards.
     """
     jobs = list(jobs)
     check_machine_count(m)
@@ -179,49 +217,24 @@ def schedule_moldable(
         return SchedulingResult(Schedule(m=m), algorithm, eps, 0.0, None)
 
     chosen = auto_algorithm(len(jobs), m, eps) if algorithm == "auto" else algorithm
-
-    if chosen == "exact":
-        if not exact_solver_applicable(len(jobs), m):
-            raise ValueError("the exact algorithm only handles tiny instances (n <= 7, m <= 8)")
-        schedule = exact_schedule(jobs, m)
-        if validate:
-            assert_valid_schedule(schedule, jobs)
-        estimate = None
-        guarantee: Optional[float] = 1.0
-    else:
-        if chosen == "two_approx":
-            res = two_approximation(jobs, m, validate=validate, backend=backend, oracle=oracle)
-            guarantee = 2.0
-        elif chosen == "mrt":
-            res = mrt_schedule(jobs, m, eps, validate=validate, backend=backend)
-            guarantee = 1.5 + eps
-        elif chosen == "compressible":
-            res = compressible_schedule(jobs, m, eps, validate=validate, backend=backend)
-            guarantee = 1.5 + eps
-        elif chosen in ("bounded", "bounded_linear"):
-            res = bounded_schedule(jobs, m, eps, validate=validate, backend=backend)
-            res.schedule.metadata["algorithm"] = chosen
-            guarantee = 1.5 + eps
-        elif chosen == "fptas":
-            res = fptas_schedule(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)
-            guarantee = 1.0 + eps
-        elif chosen == "ptas":
-            res = ptas_schedule(jobs, m, eps, validate=validate, backend=backend)
-            guarantee = res.schedule.metadata.get("guarantee")
-        else:  # pragma: no cover - exhaustiveness guard
-            raise AssertionError(chosen)
-        schedule, estimate = res.schedule, res.estimate
-
-    return driver_result(jobs, m, eps, chosen, schedule, estimate, guarantee)
+    res = DRIVERS[chosen].run(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)
+    return driver_result(jobs, m, eps, chosen, res.schedule, res.estimate)
 
 
-def driver_result(jobs, m, eps, chosen, schedule, estimate, guarantee) -> SchedulingResult:
+def driver_result(jobs, m, eps, chosen, schedule, estimate) -> SchedulingResult:
     """The facade's :class:`SchedulingResult` for a driver's ``schedule`` and
-    ``estimate`` (shared with :func:`repro.perf.megabatch.solve_mega`)."""
+    ``estimate`` (shared with :func:`repro.perf.megabatch.solve_mega`); the
+    guarantee is the one the driver wrote into the schedule's metadata."""
     # The driver's Ludwig–Tiwari omega already dominates the trivial bound and
     # is bit-identical on every backend, so it *is* makespan_lower_bound(jobs,
     # m); only drivers that never estimated (exact, ptas's tiny exact branch)
     # pay for a fresh one.
     lower = estimate.omega if estimate is not None else makespan_lower_bound(jobs, m)
     schedule.metadata.setdefault("algorithm", chosen)
-    return SchedulingResult(schedule=schedule, algorithm=chosen, eps=eps, lower_bound=lower, guarantee=guarantee)
+    return SchedulingResult(
+        schedule=schedule,
+        algorithm=chosen,
+        eps=eps,
+        lower_bound=lower,
+        guarantee=schedule.metadata.get("guarantee"),
+    )

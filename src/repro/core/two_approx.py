@@ -112,7 +112,9 @@ def two_approx_steps(jobs: Sequence[MoldableJob], oracle, *, validate: bool = Tr
 
 
 def _finish(schedule, jobs, estimate, validate, oracle) -> TwoApproxResult:
-    schedule.metadata.update(algorithm="two_approximation", omega=estimate.omega, backend=oracle.backend)
+    schedule.metadata.update(
+        algorithm="two_approximation", guarantee=2.0, omega=estimate.omega, backend=oracle.backend
+    )
     if validate:
         assert_valid_schedule(schedule, jobs, oracle=oracle)
     return TwoApproxResult(schedule, estimate, oracle.gamma_probes)

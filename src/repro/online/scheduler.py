@@ -25,16 +25,15 @@ Epoch policies:
 
 The default ``backend="auto"`` is decided per epoch by the epoch's size
 (:func:`~repro.core.backend.auto_backend`): online epochs are small, so most
-run the scalar reference.  Consecutive vectorized ``two_approx`` / ``fptas``
-re-plans share γ-search work exactly as in recovery: each such epoch's
-:class:`~repro.perf.oracle.BatchedOracle` is built with the ``warm_start``
-flag and primed from the previous one.  Because
-every online epoch adds new jobs, cross-epoch priming usually transfers
-nothing (:meth:`~repro.perf.oracle.BatchedOracle.prime_from` is exact or
-nothing); the measured probe reduction comes from the within-epoch
-bracket/prediction warm start, and the warm/cold toggle never changes
-the schedule — warm and cold runs are bit-identical in every placement
-(the differential ``online`` family pins this across all backends).
+run the scalar reference.  Each epoch's executor is built and primed
+exactly as in recovery (:class:`~repro.core.replan.ReplanState`), but
+because every online epoch plans its new arrivals, cross-epoch priming
+never transfers anything (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`
+transfers nothing when a job is unknown to the older oracle); the measured
+probe reduction comes from the within-epoch bracket/prediction warm start,
+and the warm/cold toggle never changes the schedule — warm and cold runs
+are bit-identical in every placement (the differential ``online`` family
+pins this across all backends).
 
 The stitched result is validator-clean and respects every release by
 construction: a job's segment starts at or after its epoch's barrier, which
@@ -47,7 +46,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.bounds import makespan_lower_bound, release_aware_lower_bound
+# makespan_lower_bound is unused here but importable: perfbench/layers.py patches it by name
+from repro.core.bounds import makespan_lower_bound, release_aware_lower_bound  # noqa: F401
 from repro.core.job import MoldableJob
 from repro.core.replan import EPOCH_EPS, ReplanError, ReplanState
 from repro.core.schedule import Schedule
@@ -333,9 +333,8 @@ class OnlineScheduler:
                         f"its release {release_of[id(entry.job)]}"
                     )
 
-        lower = release_aware_lower_bound(
-            jobs, releases, self.m, base=makespan_lower_bound(jobs, self.m)
-        )
+        # the clairvoyant solve's lower bound is makespan_lower_bound(jobs, m)
+        lower = release_aware_lower_bound(jobs, releases, self.m, base=offline.lower_bound)
         report = RegretReport(
             online_makespan=stitched.makespan,
             offline_makespan=offline.schedule.makespan,

@@ -187,11 +187,9 @@ def _solve_steps(seg: _Segment):
     driver's generator, then the facade's result assembly."""
     if seg.chosen == "two_approx":
         res = yield from two_approx_steps(seg.jobs, seg.oracle, validate=seg.validate)
-        guarantee = 2.0
     else:  # fptas
         res = yield from fptas_steps(seg.jobs, seg.oracle, seg.eps, validate=seg.validate)
-        guarantee = 1.0 + seg.eps
-    return driver_result(seg.jobs, seg.m, seg.eps, seg.chosen, res.schedule, res.estimate, guarantee)
+    return driver_result(seg.jobs, seg.m, seg.eps, seg.chosen, res.schedule, res.estimate)
 
 
 def _drive(batch: MegaBatch, oracle: MegaOracle) -> List[SchedulingResult]:

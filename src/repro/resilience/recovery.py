@@ -35,8 +35,8 @@ stitched end-to-end schedule is conflict-free *by construction* and passes
 the unmodified :func:`~repro.core.validation.validate_schedule` (with the
 killed jobs removed from the expected set).
 
-Consecutive vectorized ``two_approx`` / ``fptas`` re-plans reuse γ-search
-work two ways: the per-epoch
+Consecutive vectorized re-plans (of every driver but ``exact`` and the
+``ptas`` dispatcher) reuse γ-search work two ways: the per-epoch
 :class:`~repro.perf.oracle.BatchedOracle` is built with ``warm_start=True``
 *and* primed from the previous epoch's oracle
 (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so each epoch's dual

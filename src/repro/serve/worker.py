@@ -25,16 +25,13 @@ import time
 import traceback
 from typing import Optional
 
+from ..core.backend import MAX_VECTORIZED_M
 from ..core.scheduler import schedule_moldable
 from ..io import schedule_to_dict
 from ..perf.oracle import BatchedOracle
 from .policy import ChaosPolicy, LadderStep
 
 __all__ = ["ChaosError", "worker_main", "solve_task", "solve_pack"]
-
-#: Algorithms whose solve consults a caller-supplied oracle (mid-solve chaos
-#: can hook their inner loop); ``"auto"`` may resolve to one of them.
-_ORACLE_ALGORITHMS = ("two_approx", "fptas", "auto")
 
 
 class ChaosError(RuntimeError):
@@ -96,8 +93,9 @@ def solve_task(task: dict, chaos: Optional[ChaosPolicy]) -> dict:
     if (
         action is not None
         and chaos.mid_solve
-        and algorithm in _ORACLE_ALGORITHMS
+        and algorithm != "exact"  # every other driver runs on the caller's oracle
         and step.backend == "vectorized"
+        and int(m) <= MAX_VECTORIZED_M
     ):
         oracle = _ChaosOracle(
             jobs,

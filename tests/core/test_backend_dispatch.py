@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import AmdahlJob, OracleJob, RigidJob, schedule_moldable, solve_mega
+from repro.core.scheduler import ALGORITHMS
 from repro.core.allotment import gamma_batch
 from repro.core.backend import (
     AUTO_VECTORIZED_MIN_N,
@@ -194,18 +195,37 @@ class TestOnlineAuto:
         assert result.report.gamma_probes is None
         assert result.offline.backend == "scalar"
 
-    def test_replan_state_skips_the_oracle_for_scalar_epochs(self):
+    def test_replan_state_hands_every_epoch_its_executor(self, monkeypatch):
+        import repro.core.replan as replan
+
+        handed = []
+        solve = replan.schedule_moldable
+
+        def spy(*args, **kwargs):
+            handed.append(kwargs["oracle"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(replan, "schedule_moldable", spy)
         jobs = random_mixed_instance(6, 8, seed=14).jobs
-        for algorithm in ("two_approx", "auto"):
-            state = ReplanState(m=8, eps=EPS, algorithm=algorithm)
+
+        def replan_once(algorithm, backend):
+            state = ReplanState(m=8, eps=EPS, algorithm=algorithm, backend=backend)
             state.add_jobs(jobs)
-            outcome = state.replan_pending(0.0, [], [(0, 8)])
-            assert outcome.backend == "scalar"
+            return state, state.replan_pending(0.0, [], [(0, 8)])
+
+        for algorithm in ("two_approx", "bounded", "auto"):
+            state, outcome = replan_once(algorithm, "auto")
+            assert outcome.backend == "scalar" and isinstance(handed[-1], ScalarOracle)
+            # only a batched epoch primes the next one and counts probes
             assert state.prev_oracle is None and state.gamma_probes is None
-        state = ReplanState(m=8, eps=EPS, algorithm="two_approx", backend="vectorized")
-        state.add_jobs(jobs)
-        assert state.replan_pending(0.0, [], [(0, 8)]).backend == "vectorized"
-        assert state.prev_oracle is not None and state.gamma_probes > 0
+        for algorithm in ("two_approx", "mrt", "compressible", "bounded", "bounded_linear"):
+            state, outcome = replan_once(algorithm, "vectorized")
+            assert outcome.backend == "vectorized" and isinstance(handed[-1], BatchedOracle)
+            assert state.prev_oracle is handed[-1] and state.gamma_probes > 0
+        # exact runs no executor; ptas picks its branch's executor itself
+        for algorithm in ("exact", "ptas"):
+            replan_once(algorithm, "vectorized")
+            assert handed[-1] is None
 
 
 class TestMachineCountBoundary:
@@ -278,6 +298,22 @@ class TestMismatchedOracle:
         oracle, message = self._bad_oracle(kind, jobs)
         with pytest.raises(ValueError, match=message):
             self.ENTRY_POINTS[entry](jobs, self.M, oracle)
+
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "exact"])
+    def test_every_driver_but_exact_checks_the_facade_oracle(self, algorithm):
+        jobs = self._jobs()
+        oracle, message = self._bad_oracle("other_jobs", jobs)
+        with pytest.raises(ValueError, match=message):
+            schedule_moldable(jobs, self.M, EPS, algorithm=algorithm, oracle=oracle)
+
+    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "bounded", "bounded_linear", "ptas"])
+    def test_shelf_drivers_run_on_a_matching_facade_oracle(self, algorithm):
+        jobs = random_mixed_instance(20, 16, seed=1).jobs
+        oracle = BatchedOracle(jobs, 16)
+        result = schedule_moldable(jobs, 16, EPS, algorithm=algorithm, oracle=oracle)
+        assert oracle.gamma_probes > 0 and result.backend == "vectorized"
+        scalar = schedule_moldable(jobs, 16, EPS, algorithm=algorithm, backend="scalar")
+        assert _entries(result.schedule) == _entries(scalar.schedule)
 
     def test_same_jobs_in_a_new_list_are_accepted(self):
         jobs = self._jobs()

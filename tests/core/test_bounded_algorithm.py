@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.backend import resolve_backend
 from repro.core.bounded_algorithm import LARGE_M_FACTOR, bounded_dual, bounded_schedule, shelf_dual
 from repro.core.bounds import ludwig_tiwari_estimator, makespan_lower_bound, serial_upper_bound
 from repro.core.exact_small import exact_makespan
@@ -49,7 +50,8 @@ class TestShelfDual:
             seen.append(([job.name for job in jobs], cap))
             return [], 1.1 * d, {"extra": 1}
 
-        schedule = shelf_dual(instance.jobs, 16, d, select, algorithm="t", backend=backend)
+        _, oracle = resolve_backend(instance.jobs, 16, backend, None)
+        schedule = shelf_dual(instance.jobs, 16, d, select, algorithm="t", oracle=oracle)
         assert seen == [([job.name for job in knapsack_jobs], capacity)]
         if schedule is not None:
             assert schedule.metadata["algorithm"] == "t_dual"

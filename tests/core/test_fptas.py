@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.allotment import gamma
+from repro.core.backend import resolve_backend
 from repro.core.bounds import makespan_lower_bound, serial_upper_bound
 from repro.core.dual import dual_binary_search
 from repro.core.exact_small import exact_makespan
@@ -18,6 +19,11 @@ from repro.workloads.generators import (
 )
 
 BACKENDS = ["scalar", "vectorized"]
+
+
+def executor(jobs, m, backend):
+    """The executor ``backend`` names for ``(jobs, m)``."""
+    return resolve_backend(jobs, m, backend, None)[1]
 
 
 def reference_fptas_dual(jobs, m, d, eps):
@@ -80,7 +86,7 @@ class TestMatchesReference:
             lb = makespan_lower_bound(jobs, m)
             for factor in (0.5, 1.0, 1.3, 2.0):
                 expected = reference_fptas_dual(jobs, m, factor * lb, 0.1)
-                got = fptas_dual(jobs, m, factor * lb, 0.1, backend=backend)
+                got = fptas_dual(jobs, m, factor * lb, 0.1, oracle=executor(jobs, m, backend))
                 assert (got is None) == (expected is None)
                 if got is not None:
                     assert entries(got) == entries(expected)
@@ -115,7 +121,7 @@ class TestMatchesReference:
         counts = [e.processors for e in got.schedule.entries]
         assert max(counts) < 1 << 63 < sum(counts)
         d = 1.5 * got.accepted_d
-        assert entries(fptas_dual(jobs, m, d, 0.1, backend=backend)) == entries(reference_fptas_dual(jobs, m, d, 0.1))
+        assert entries(fptas_dual(jobs, m, d, 0.1, oracle=executor(jobs, m, backend))) == entries(reference_fptas_dual(jobs, m, d, 0.1))
 
 
 class TestFptasDual:
@@ -157,7 +163,7 @@ class TestFptasDual:
             targets = [lb * f for f in (1.0, 1.25, 1.5, 2.0)] + [serial_upper_bound(jobs)]
             accepted = 0
             for d in targets:
-                schedule = fptas_dual(jobs, 5, d, eps, backend=backend)
+                schedule = fptas_dual(jobs, 5, d, eps, oracle=executor(jobs, 5, backend))
                 if schedule is not None:
                     accepted += 1
                     assert_valid_schedule(schedule, jobs, max_makespan=(1 + eps) * d * (1 + 1e-9))

@@ -98,6 +98,15 @@ class TestFacade:
             schedule_moldable(instance.jobs, 16, eps, algorithm=algorithm)
 
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5])
+    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "bounded", "bounded_linear", "fptas"])
+    def test_every_eps_driver_requires_eps_in_the_unit_interval(self, algorithm, eps):
+        """mrt once returned guarantee=nan for eps=nan and inf for eps=inf."""
+        instance = random_mixed_instance(20, 16, seed=1)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            schedule_moldable(instance.jobs, 16, eps, algorithm=algorithm)
+
+
 def _instance_for(algorithm):
     """``(fresh jobs factory, m)`` of an instance ``algorithm`` accepts.  The
     non-exact instance is too large for ptas's tiny exact branch."""

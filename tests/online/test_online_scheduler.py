@@ -159,6 +159,15 @@ class TestWarmStart:
         assert entry_tuples(vec.schedule) == entry_tuples(scal.schedule)
         assert scal.report.gamma_probes is None
 
+    def test_vectorized_bounded_epochs_count_their_probes(self):
+        """The default algorithm's epochs run on the executor the re-plan
+        builds, so their probes reach the report."""
+        inst = random_arrivals_instance(80, 64, seed=1)
+        result = OnlineScheduler(64, backend="vectorized").run(inst.arrivals)
+        assert {e.replan_algorithm for e in result.report.epochs} == {"bounded"}
+        assert {e.replan_backend for e in result.report.epochs} == {"vectorized"}
+        assert result.report.gamma_probes > 0
+
 
 class TestRegretReport:
     def test_summary_lines_mention_everything(self, arrivals_instance):

@@ -124,6 +124,35 @@ class TestTimesForParity:
         with pytest.raises(ValueError):
             job.times_for(np.array([[1, 2]]))
 
+    def test_times_for_float_counts_on_every_class(self):
+        """Integral float64 counts give the scalar oracle's answers on every
+        job class, including a subclass whose override no kernel knows."""
+
+        class SlowAmdahl(AmdahlJob):
+            __slots__ = ()
+
+            def _time(self, k):
+                return 2.0 * super()._time(k)
+
+        jobs = [
+            AmdahlJob("a", 10.0, 0.2),
+            SlowAmdahl("s", 10.0, 0.2),
+            PowerLawJob("p", 8.0, 0.5),
+            CommunicationJob("c", 50.0, 0.5),
+            CommunicationJob("c0", 50.0, 0.0),
+            TabulatedJob("t", [9.0, 5.0, 4.0]),
+            RigidJob("r", 3.0, 4),
+            OracleJob("o", lambda k: 12.0 / k),
+            OracleJob("h", lambda k: 12.0 / k, times_vectorized=lambda ks: 12.0 / ks),
+        ]
+        ks = [1, 2, 3, 4, 7, 64, 1 << 40]
+        for job in jobs:
+            got = job.times_for(np.array(ks, dtype=np.float64)).tolist()
+            assert got == [job.processing_time(k) for k in ks], job.name
+        # past int64 a float count reaches the job as the exact int it is
+        huge = RigidJob("huge", 1.0, 1 << 70)
+        assert huge.times_for(np.array([2.0**64])).tolist() == [huge.processing_time(1 << 64)]
+
     def test_times_for_accepts_float_integers_and_empty(self):
         job = PowerLawJob("p", 8.0, 0.5)
         assert job.times_for(np.array([], dtype=np.int64)).shape == (0,)

@@ -198,3 +198,38 @@ class TestDegradationLadderExhaustion:
         # three-rung default ladder: the fourth attempt stays on rung 2)
         assert [a.step for a in outcome.attempts] == [0, 1, 2, 2]
         assert "ChaosError" in outcome.error
+
+
+class TestChaosOracleHandOff:
+    """In-process ``solve_task``: a drawn ``raise`` fires inside the
+    γ-bisection of every driver but ``exact`` on the vectorized rung."""
+
+    @staticmethod
+    def _task(algorithm, jobs, m):
+        return {
+            "name": "chaos",
+            "attempt": 0,
+            "step": {"backend": "vectorized", "algorithm": None},
+            "jobs": jobs,
+            "m": m,
+            "eps": 0.1,
+            "algorithm": algorithm,
+        }
+
+    @pytest.mark.parametrize("algorithm", ["two_approx", "mrt", "compressible", "bounded"])
+    def test_raise_fires_mid_solve(self, algorithm):
+        from repro.serve.worker import ChaosError, solve_task
+
+        jobs = random_mixed_instance(12, 24, seed=5).jobs
+        with pytest.raises(ChaosError) as info:
+            solve_task(self._task(algorithm, jobs, 24), ChaosPolicy(raise_prob=1.0))
+        assert any(entry.name == "gamma_array" for entry in info.traceback)
+
+    def test_past_the_vectorized_boundary_the_raise_fires_after_the_solve(self):
+        from repro import AmdahlJob
+        from repro.serve.worker import ChaosError, solve_task
+
+        jobs = [AmdahlJob(f"a{i}", 10.0 + i, 0.1) for i in range(4)]
+        with pytest.raises(ChaosError) as info:
+            solve_task(self._task("two_approx", jobs, 1 << 80), ChaosPolicy(raise_prob=1.0))
+        assert not any(entry.name == "gamma_array" for entry in info.traceback)
