@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for three design choices.
 
 * accuracy sweep: how the dual-step runtime of Algorithm 3 depends on ``eps``
   (the paper predicts a ``1/eps^2``-ish growth of the knapsack size);

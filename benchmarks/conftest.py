@@ -1,9 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark maps to an entry of the per-experiment index in DESIGN.md /
-EXPERIMENTS.md.  The benchmarks use modest instance sizes so that the whole
-suite completes in a few minutes; the experiment drivers in
-``repro.experiments`` run the same code on larger sweeps.
+The benchmarks use modest instance sizes so that the whole suite completes
+in a few minutes; the experiment drivers in ``repro.experiments`` run the
+same code on larger sweeps.
 """
 
 from __future__ import annotations

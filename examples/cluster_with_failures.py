@@ -78,9 +78,9 @@ def main() -> None:
     for line in result.report.summary_lines():
         print(f"  {line}")
 
-    # ------------------------------------------------- independent re-checks
+    # ------------------------------------------------------------ re-checks
     verdict = validate_schedule(result.schedule, result.survivors)
-    trace = simulate_schedule(result.schedule, backend="scalar")
+    trace = simulate_schedule(result.schedule)
     print(f"\nstitched schedule validates on survivors: {verdict.ok}")
     print(f"simulator replay matches: {trace.makespan == result.schedule.makespan}")
     replay = type(plan).from_json(plan.to_json())

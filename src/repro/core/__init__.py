@@ -15,7 +15,6 @@ The public surface mirrors the paper's structure:
 from .allotment import Allotment, canonical_allotment, gamma, gamma_batch
 from .bounded_algorithm import bounded_dual, bounded_schedule
 from .certificates import Certificate, extract_certificate, replay_certificate, verify_certificate
-from .heuristics import lpt_moldable, max_parallelism_baseline, sequential_baseline
 from .bounds import (
     EstimatorResult,
     ludwig_tiwari_estimator,
@@ -161,14 +160,11 @@ __all__ = [
     "RoundedJob",
     "RoundingScheme",
     "round_jobs_to_types",
-    # certificates & heuristics
+    # certificates
     "Certificate",
     "extract_certificate",
     "replay_certificate",
     "verify_certificate",
-    "sequential_baseline",
-    "max_parallelism_baseline",
-    "lpt_moldable",
     # facade
     "ALGORITHMS",
     "SchedulingResult",

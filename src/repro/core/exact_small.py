@@ -5,8 +5,8 @@ solutions are only computed for tiny instances.  They serve two purposes:
 
 * certifying approximation ratios in the test suite (the measured ratio of the
   approximation algorithms is compared against the *true* optimum);
-* the small-instance branch of the PTAS dispatcher (Section 3.2 substitution,
-  see DESIGN.md).
+* the small-instance branch of the PTAS dispatcher (a substitution for the
+  Section 3.2 PTAS; see :func:`repro.core.fptas.ptas_schedule`).
 
 The search enumerates, for every allotment vector, the left-shifted schedules
 generated by placing jobs in every order at their earliest feasible start

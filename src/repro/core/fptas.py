@@ -173,9 +173,9 @@ def ptas_schedule(
       it exactly by branch and bound;
     * otherwise fall back to the `(3/2+eps)` bounded-knapsack algorithm.
 
-    The last branch substitutes the Jansen–Thöle PTAS the paper cites (see
-    DESIGN.md, "Substitutions"); the returned schedule records the actual
-    guarantee in ``schedule.metadata['guarantee']``.  ``backend`` and
+    The last branch substitutes the Jansen–Thöle PTAS the paper cites; the
+    returned schedule records the actual guarantee in
+    ``schedule.metadata['guarantee']``.  ``backend`` and
     ``oracle`` are passed through as given, so ``"auto"`` resolves on the
     row of the driver that runs; the exact branch runs without either.
     """

@@ -306,10 +306,10 @@ class ScheduleColumns:
         int64, length ``n+1``: entry ``i`` owns span rows
         ``span_off[i]:span_off[i+1]``.
 
-    The peak-busy event sweep shared by the validator, the simulator's
-    columnar backend and :meth:`Schedule.peak_processor_usage` lives here
-    (:meth:`event_sweep` / :meth:`peak_busy` / :meth:`busy_profile`), so the
-    three consumers cannot drift apart on tie-breaking rules.
+    The peak-busy event sweep shared by the validator, the simulator and
+    :meth:`Schedule.peak_processor_usage` lives here
+    (:meth:`event_sweep` / :meth:`peak_busy`), so the three consumers
+    cannot drift apart on tie-breaking rules.
     """
 
     __slots__ = (
@@ -430,15 +430,6 @@ class ScheduleColumns:
             return 0
         _, _, running = self.event_sweep()
         return max(0, int(running.max()))
-
-    def busy_profile(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Piecewise-constant utilisation: ``(times, busy)`` change points
-        (the busy count after the last event of each distinct instant)."""
-        if self.n == 0:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        _, t_sorted, running = self.event_sweep()
-        change = np.concatenate((t_sorted[1:] != t_sorted[:-1], [True]))
-        return t_sorted[change], running[change]
 
 
 class _EntrySequence:

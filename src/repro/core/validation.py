@@ -1,27 +1,28 @@
 """Schedule and job validation.
 
-Every algorithm in this library validates the schedules it returns; these
-helpers implement the checks:
+Every algorithm in this library validates the schedules it returns;
+:func:`validate_schedule` implements the checks:
 
 * **Completeness** — every input job is scheduled exactly once.
 * **Machine bounds** — all machine spans lie within ``[0, m)``.
-* **No conflicts** — no machine executes two jobs at the same time.  The check
-  is performed with a sweep over machine-span boundaries so it never iterates
-  over the (possibly astronomically many) machines.
-
-The default (``backend="auto"``) validation path is *columnar*: the schedule
-is flattened once into NumPy arrays (:class:`repro.perf.schedule_builder.ScheduleColumns`)
-and every check runs as an O(n log n) sort/prefix-sum pass — validating a
-10^5-job schedule costs about as much as building it.  The vectorized conflict
-sweep is an exact over-approximation: whenever it sees a *potential* overlap
-(or the span nesting is too pathological to expand) it re-runs the tolerant
-scalar sweep, which remains the single source of truth for violation messages.
-``backend="scalar"`` forces the pure-Python reference path; both backends
-produce identical reports.
+* **No conflicts** — no machine executes two jobs at the same time.
 * **Duration consistency** — the recorded duration of each placement is at
   least the oracle processing time for the allotted processor count
   (durations may be *over*-stated by shelf constructions but never
   under-stated).
+
+The checks read the schedule's columns
+(:class:`repro.core.schedule.ScheduleColumns`) and run as O(n log n)
+sort/prefix-sum passes, so validating a 10^5-job schedule costs about as
+much as building it, and no check iterates over the (possibly
+astronomically many) machines.  The conflict check is a two-stage sweep:
+the exact columnar sweep (:func:`repro.core.schedule.spans_time_overlap`)
+flags any *potential* overlap, and only then does the tolerant sweep over
+machine-span boundaries (:func:`_machine_conflicts`) decide, treating
+overlaps within float tolerance as touching, and word the messages.
+:func:`placement_violations` bundles the bounds and conflict checks; the
+discrete-event simulator (:mod:`repro.simulator.engine`) takes its verdict
+from the same function.
 
 Job-level monotony checks (`non-increasing processing time`, `non-decreasing
 work`) are also provided; they are O(k_max) and intended for tests and
@@ -33,8 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .job import MoldableJob
-from .schedule import Schedule, ScheduledJob
+from .schedule import Schedule, ScheduleColumns, ScheduledJob, spans_time_overlap
 
 __all__ = [
     "ValidationError",
@@ -79,10 +82,9 @@ MAKESPAN_EXCEEDED = "MAKESPAN_EXCEEDED"
 class Violation(str):
     """A violation message carrying a machine-readable ``code``.
 
-    A ``str`` subclass: everything that treated violations as plain messages
-    (substring checks, ``"; ".join(...)``, equality between the scalar and
-    columnar validation backends) keeps working unchanged, while tests can
-    assert on ``violation.code`` instead of brittle message substrings.
+    A ``str`` subclass: violations compare, join (``"; ".join(...)``) and
+    match substrings like plain messages, while tests can assert on
+    ``violation.code`` instead of brittle message substrings.
     """
 
     __slots__ = ("code",)
@@ -133,8 +135,10 @@ def _machine_conflicts(entries: Sequence[ScheduledJob]) -> List[str]:
 
     Spans are cut at every distinct boundary; within one elementary machine
     interval the covering placements must have pairwise disjoint time
-    intervals, which we verify by sorting by start time and checking adjacent
-    pairs.
+    intervals, which we verify by sorting by start time and checking each
+    entry against its predecessor and, when that pair does not overlap,
+    against the longest-running earlier entry (an entry shorter than the
+    tolerance between two others must not hide their overlap).
     """
     violations: List[str] = []
     # (machine_first, machine_end, entry)
@@ -151,11 +155,24 @@ def _machine_conflicts(entries: Sequence[ScheduledJob]) -> List[str]:
     # map each piece to the elementary intervals it covers; to stay near-linear
     # we sweep over cuts with an active list.
     pieces.sort(key=lambda p: p[0])
-    import bisect
 
     active: List[Tuple[int, ScheduledJob]] = []  # (machine_end, entry)
     idx = 0
     reported: set[tuple[int, int]] = set()
+
+    def report(a: ScheduledJob, b: ScheduledJob, lo: int, hi: int) -> None:
+        key = (id(a), id(b))
+        if key not in reported:
+            reported.add(key)
+            violations.append(
+                Violation(
+                    CONFLICT,
+                    f"machine conflict on machines [{lo}, {hi}): "
+                    f"job {a.job.name!r} [{a.start:.6g}, {a.end:.6g}) overlaps "
+                    f"job {b.job.name!r} [{b.start:.6g}, {b.end:.6g})",
+                )
+            )
+
     for ci in range(len(cuts) - 1):
         seg_start = cuts[ci]
         # add pieces starting here
@@ -165,25 +182,20 @@ def _machine_conflicts(entries: Sequence[ScheduledJob]) -> List[str]:
         # drop pieces that ended
         active = [(end, e) for end, e in active if end > seg_start]
         if len(active) > 1:
-            # check pairwise time overlap among active entries on this segment
+            # check time overlap among active entries on this segment
             stacked = sorted(active, key=lambda p: p[1].start)
+            longest = stacked[0][1]
             for i in range(len(stacked) - 1):
                 a = stacked[i][1]
                 b = stacked[i + 1][1]
+                if a.end > longest.end:
+                    longest = a
                 if a is b:
                     continue
                 if _overlap(a.start, a.end, b.start, b.end):
-                    key = (id(a), id(b))
-                    if key not in reported:
-                        reported.add(key)
-                        violations.append(
-                            Violation(
-                                CONFLICT,
-                                f"machine conflict on machines [{seg_start}, {cuts[ci + 1]}): "
-                                f"job {a.job.name!r} [{a.start:.6g}, {a.end:.6g}) overlaps "
-                                f"job {b.job.name!r} [{b.start:.6g}, {b.end:.6g})",
-                            )
-                        )
+                    report(a, b, seg_start, cuts[ci + 1])
+                elif longest is not a and _overlap(longest.start, longest.end, b.start, b.end):
+                    report(longest, b, seg_start, cuts[ci + 1])
     return violations
 
 
@@ -248,95 +260,27 @@ def _completeness_violations(
     return violations
 
 
-def _validate_scalar(
-    schedule: Schedule,
-    jobs: Optional[Iterable[MoldableJob]],
-    max_makespan: Optional[float],
-    require_all_jobs: bool,
-) -> ValidationReport:
-    """The pure-Python reference validation path."""
-    violations: List[str] = []
-    entries = schedule.entries
-
-    violations.extend(_bounds_violations(entries, schedule.m))
-
-    # duration consistency
-    for entry in entries:
-        oracle = entry.job.processing_time(entry.processors)
-        message = _duration_violation(entry, oracle)
-        if message is not None:
-            violations.append(message)
-
-    if jobs is not None and require_all_jobs:
-        violations.extend(_completeness_violations(schedule.jobs(), jobs))
-
-    violations.extend(_machine_conflicts(entries))
-
-    ms = schedule.makespan
-    if max_makespan is not None and not _approx_le(ms, max_makespan):
-        violations.append(
-            Violation(MAKESPAN_EXCEEDED, f"makespan {ms:.6g} exceeds bound {max_makespan:.6g}")
-        )
-
-    return ValidationReport(
-        ok=not violations,
-        violations=violations,
-        makespan=ms,
-        peak_processors=schedule.peak_processor_usage(),
-    )
-
-
-#: Expansion budget of the vectorized conflict sweep: schedules whose spans
+#: Expansion budget of the columnar conflict sweep: schedules whose spans
 #: nest so pathologically that cutting them at all boundaries exceeds this
-#: many pieces re-run the scalar sweep instead.
+#: many pieces go straight to the tolerant sweep instead.
 _CONFLICT_INCIDENCE_CAP = 1_000_000
 
 
-def _validate_columnar(
-    schedule: Schedule,
-    jobs: Optional[Iterable[MoldableJob]],
-    max_makespan: Optional[float],
-    require_all_jobs: bool,
-    oracle=None,
-) -> ValidationReport:
-    """Columnar validation: the schedule's native columns, then
-    sort/prefix-sum checks, exact at any ``m`` (span values beyond int64
-    ride object-dtype columns).
+def placement_violations(
+    schedule: Schedule, cols: ScheduleColumns
+) -> Tuple[List[str], List[str]]:
+    """The machine-bounds and the machine-conflict violations of a schedule,
+    as two lists, read from its columns ``cols``.
 
-    Violation *messages* always come from the scalar helpers,
-    so reports are identical to :func:`_validate_scalar`.  No per-entry
-    Python pass happens on this path: the columns are the schedule's own
-    storage, and entry objects are materialised only for the (rare) rows
-    that need a violation message.
+    Both lists are empty without any per-entry Python pass unless a span
+    leaves ``[0, m)`` or the exact columnar sweep sees a potential overlap;
+    only then are entries materialised, for the tolerant verdict and the
+    messages.
     """
-    import numpy as np
-
-    from .schedule import spans_time_overlap
-
     m = schedule.m
-    cols = schedule.columns(oracle=oracle)
-    violations: List[str] = []
-
-    # machine index bounds
+    bounds: List[str] = []
     if (cols.span_end > m).any() or (cols.processors > m).any():
-        violations.extend(_bounds_violations(schedule.entries, m))
-
-    # duration consistency (only overridden entries can violate; the others'
-    # durations are the oracle times by construction)
-    if cols.has_override.any():
-        for i in np.flatnonzero(cols.has_override).tolist():
-            entry = schedule.entries[i]
-            oracle_time = entry.job.processing_time(entry.processors)
-            message = _duration_violation(entry, oracle_time)
-            if message is not None:
-                violations.append(message)
-
-    if jobs is not None and require_all_jobs:
-        violations.extend(_completeness_violations(schedule.jobs(), jobs))
-
-    # machine conflicts: exact vectorized sweep; any *potential* overlap (or
-    # an over-budget expansion) re-runs the tolerant scalar sweep for the
-    # authoritative verdict and messages.
+        bounds = _bounds_violations(schedule.entries, m)
     suspicious = spans_time_overlap(
         cols.span_first,
         cols.span_end,
@@ -344,10 +288,59 @@ def _validate_columnar(
         cols.end[cols.span_owner],
         max_incidences=max(_CONFLICT_INCIDENCE_CAP, 8 * len(cols.span_first)),
     )
+    conflicts: List[str] = []
     if suspicious is None or suspicious:
-        violations.extend(_machine_conflicts(schedule.entries))
+        conflicts = _machine_conflicts(schedule.entries)
+    return bounds, conflicts
 
-    ms = float(cols.end.max())
+
+def validate_schedule(
+    schedule: Schedule,
+    jobs: Optional[Iterable[MoldableJob]] = None,
+    *,
+    max_makespan: Optional[float] = None,
+    require_all_jobs: bool = True,
+    oracle=None,
+) -> ValidationReport:
+    """Check a schedule for feasibility.
+
+    Exact at any ``m``: span values beyond int64 ride exact object-dtype
+    columns (see :mod:`repro.core.capacity`), and every check is
+    dtype-agnostic.  Entry objects are materialised only for the rows a
+    violation message needs.
+
+    Parameters
+    ----------
+    schedule:
+        The schedule to validate.
+    jobs:
+        If given and ``require_all_jobs`` is true, every job must appear in the
+        schedule exactly once (and no foreign job may appear).
+    max_makespan:
+        Optional upper bound the makespan must respect.
+    oracle:
+        Optional :class:`repro.perf.oracle.BatchedOracle` covering the
+        schedule's jobs; entry durations are then evaluated in one batched
+        kernel pass instead of per-entry oracle calls (bit-identical values).
+    """
+    cols = schedule.columns(oracle=oracle)
+    bounds, conflicts = placement_violations(schedule, cols)
+    violations: List[str] = list(bounds)
+
+    # duration consistency (only overridden entries can violate; the others'
+    # durations are the oracle times by construction)
+    for i in np.flatnonzero(cols.has_override).tolist():
+        entry = schedule.entries[i]
+        message = _duration_violation(entry, entry.job.processing_time(entry.processors))
+        if message is not None:
+            violations.append(message)
+
+    if jobs is not None and require_all_jobs:
+        violations.extend(_completeness_violations(schedule.jobs(), jobs))
+
+    violations.extend(conflicts)
+
+    ms = float(cols.end.max()) if cols.n else 0.0
     if max_makespan is not None and not _approx_le(ms, max_makespan):
         violations.append(
             Violation(MAKESPAN_EXCEEDED, f"makespan {ms:.6g} exceeds bound {max_makespan:.6g}")
@@ -360,48 +353,6 @@ def _validate_columnar(
         # peak busy machines: the shared event sort + prefix sum
         peak_processors=cols.peak_busy(),
     )
-
-
-def validate_schedule(
-    schedule: Schedule,
-    jobs: Optional[Iterable[MoldableJob]] = None,
-    *,
-    max_makespan: Optional[float] = None,
-    require_all_jobs: bool = True,
-    backend: str = "auto",
-    oracle=None,
-) -> ValidationReport:
-    """Check a schedule for feasibility.
-
-    Parameters
-    ----------
-    schedule:
-        The schedule to validate.
-    jobs:
-        If given and ``require_all_jobs`` is true, every job must appear in the
-        schedule exactly once (and no foreign job may appear).
-    max_makespan:
-        Optional upper bound the makespan must respect.
-    backend:
-        ``"auto"`` (default) runs the columnar NumPy checks at any machine
-        count (span values beyond int64 ride exact object-dtype columns),
-        falling back to the scalar sweep only for violation messages;
-        ``"scalar"`` forces the pure-Python reference path.  Both produce
-        identical reports.
-    oracle:
-        Optional :class:`repro.perf.oracle.BatchedOracle` covering the
-        schedule's jobs; the columnar path then evaluates entry durations in
-        one batched kernel pass instead of per-entry oracle calls
-        (bit-identical values).
-    """
-    if backend not in ("auto", "vectorized", "scalar"):
-        raise ValueError(f"unknown validation backend {backend!r}")
-    if backend != "scalar" and len(schedule):
-        # astronomical m included: the columns carry exact object-dtype
-        # machine indices beyond int64 (see repro.core.capacity), and every
-        # columnar check below is dtype-agnostic
-        return _validate_columnar(schedule, jobs, max_makespan, require_all_jobs, oracle)
-    return _validate_scalar(schedule, jobs, max_makespan, require_all_jobs)
 
 
 def assert_valid_schedule(

@@ -11,7 +11,7 @@ exact MRT knapsack to select shelf 1), reports the shelf statistics and checks
 the structural claims:
 
 * the two-shelf picture can indeed exceed ``m`` processors in shelf S2;
-* after the transformation the schedule is feasible, validated independently
+* after the transformation the schedule is feasible, validated and replayed
   by the discrete-event simulator;
 * the makespan never exceeds ``3d/2``.
 """
@@ -32,7 +32,7 @@ from ..core.shelves import (
 )
 from ..core.validation import validate_schedule
 from ..knapsack.dp import solve_knapsack
-from ..simulator.engine import simulate_schedule
+from ..simulator.engine import SimulationError, simulate_schedule
 from ..simulator.gantt import render_shelves
 from ..workloads.generators import random_mixed_instance
 from .common import Table
@@ -102,7 +102,7 @@ def run(*, cases=((30, 16), (60, 32), (120, 64), (200, 128)), seed: int = 23, d_
             trace_ok = True
             try:
                 simulate_schedule(schedule)
-            except Exception:
+            except SimulationError:
                 trace_ok = False
             row.makespan = schedule.makespan
             row.makespan_within_bound = report.ok

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..core.bounds import makespan_lower_bound
 from ..core.exact_small import exact_makespan
 from ..core.scheduler import schedule_moldable
-from ..simulator.engine import simulate_schedule
+from ..simulator.engine import SimulationError, simulate_schedule
 from ..workloads.generators import (
     planted_partition_instance,
     random_amdahl_instance,
@@ -56,7 +56,7 @@ def _evaluate(jobs, m, eps, algorithm, family, reference, reference_value) -> Qu
     sim_ok = True
     try:
         simulate_schedule(result.schedule)
-    except Exception:
+    except SimulationError:
         sim_ok = False
     ratio = result.makespan / reference_value if reference_value > 0 else 1.0
     within = None

@@ -19,8 +19,8 @@ The result's :meth:`FaultyExecution.trace_schedule` re-emits the replay as
 a plain :class:`~repro.core.schedule.Schedule` whose interrupted entries
 carry a truncated ``duration_override`` — exactly the mid-run-stop /
 partial-work trace shape the discrete-event simulator
-(:func:`repro.simulator.engine.simulate_schedule`) must handle identically
-under its scalar and columnar backends.
+(:func:`repro.simulator.engine.simulate_schedule`) replays without
+checking recorded durations against the oracle.
 """
 
 from __future__ import annotations

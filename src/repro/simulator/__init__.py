@@ -1,21 +1,19 @@
-"""Discrete-event execution of schedules and online list-scheduling simulation.
+"""Discrete-event execution of schedules and Gantt renderings.
 
 The simulator executes a :class:`repro.core.schedule.Schedule` on ``m``
-machines event by event, independently re-checking feasibility and measuring
-utilisation over time; it is the "hardware" substrate on which the produced
-schedules are validated, and it powers the ASCII Gantt/shelf renderings used
-to reproduce Figures 1–3 of the paper.
+machines event by event, measuring utilisation over time and, in strict
+mode, rejecting infeasible placements with the validator's verdict; it
+powers the ASCII Gantt/shelf renderings used to reproduce Figures 1–3 of
+the paper.
 """
 
 from .engine import ExecutionTrace, SimulationError, simulate_schedule
-from .list_sim import OnlineListScheduler
 from .gantt import render_gantt, render_shelves
 
 __all__ = [
     "ExecutionTrace",
     "SimulationError",
     "simulate_schedule",
-    "OnlineListScheduler",
     "render_gantt",
     "render_shelves",
 ]

@@ -7,7 +7,9 @@ validator, the simulator and ``Schedule.peak_processor_usage`` — to the
 *same* shared sweep result on near-tie event orderings.
 """
 
+import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,11 @@ from repro.core.schedule import MAX_COLUMNAR_M, Schedule, ScheduleColumns
 from repro.core.validation import validate_schedule
 from repro.perf.schedule_builder import ArraySchedule
 from repro.simulator.engine import simulate_schedule
+
+from reference_validation import reference_validate
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "simulator"))
+from reference_sim import reference_simulate  # noqa: E402
 
 
 def make_job(name="j", times=(10.0, 6.0, 4.0, 3.0)):
@@ -209,11 +216,9 @@ class TestSharedSweepPinning:
         peaks = {
             "schedule": schedule.peak_processor_usage(),
             "validator_columnar": validate_schedule(schedule, jobs).peak_processors,
-            "validator_scalar": validate_schedule(
-                schedule, jobs, backend="scalar"
-            ).peak_processors,
-            "simulator_auto": simulate_schedule(schedule).peak_busy,
-            "simulator_scalar": simulate_schedule(schedule, backend="scalar").peak_busy,
+            "validator_reference": reference_validate(schedule, jobs).peak_processors,
+            "simulator_columnar": simulate_schedule(schedule).peak_busy,
+            "simulator_reference": reference_simulate(schedule).peak_busy,
         }
         return peaks
 
@@ -266,9 +271,12 @@ class TestSharedSweepPinning:
             schedule.add(job, float(i % 2), [(i, 1)])
         cols = schedule.columns()
         assert cols.peak_busy() == schedule.peak_processor_usage()
-        times, busy = cols.busy_profile()
+        _, times, running = cols.event_sweep()
         trace = simulate_schedule(schedule)
-        assert trace.utilization_profile == list(zip(times.tolist(), busy.tolist()))
+        # no two distinct event times lie within tolerance: one profile
+        # point per instant, the busy count after its last event
+        last = np.concatenate((times[1:] != times[:-1], [True]))
+        assert trace.utilization_profile == list(zip(times[last].tolist(), running[last].tolist()))
 
 
 class TestSpanEndsPastInt64:

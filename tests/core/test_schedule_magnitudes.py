@@ -14,6 +14,9 @@ to how the columns are read cannot move any of them.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
 from repro.analysis import analyze_schedule
@@ -24,6 +27,11 @@ from repro.core.validation import validate_schedule
 from repro.io import schedule_from_dict, schedule_to_dict
 from repro.simulator.engine import simulate_schedule
 from repro.simulator.gantt import render_gantt, render_shelves
+
+from reference_validation import reference_validate
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "simulator"))
+from reference_sim import reference_simulate  # noqa: E402
 
 HALF = 1 << 61  # m = 2**62 split in two
 WIDE = 1 << 70  # span count of the object-dtype case
@@ -216,19 +224,23 @@ def test_schedule_aggregates(case):
     assert schedule.peak_processor_usage() == expected["peak"]
 
 
-@pytest.mark.parametrize("backend", ["auto", "scalar"])
-def test_validate_schedule(case, backend):
+@pytest.mark.parametrize(
+    "validate", [validate_schedule, reference_validate], ids=["library", "reference"]
+)
+def test_validate_schedule(case, validate):
     schedule, jobs, expected = case
-    report = validate_schedule(schedule, jobs, backend=backend)
+    report = validate(schedule, jobs)
     assert report.ok and report.violations == []
     assert report.makespan == expected["makespan"]
     assert report.peak_processors == expected["peak"]
 
 
-@pytest.mark.parametrize("backend", ["auto", "scalar"])
-def test_simulate_schedule(case, backend):
+@pytest.mark.parametrize(
+    "simulate", [simulate_schedule, reference_simulate], ids=["library", "reference"]
+)
+def test_simulate_schedule(case, simulate):
     schedule, _, expected = case
-    trace = simulate_schedule(schedule, backend=backend)
+    trace = simulate(schedule)
     assert trace.makespan == expected["makespan"]
     assert trace.total_work == expected["total_work"]
     assert trace.utilization_profile == expected["profile"]

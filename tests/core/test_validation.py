@@ -2,14 +2,21 @@
 
 import pytest
 
+from reference_validation import reference_validate
+
 from repro.core.job import RigidJob, TabulatedJob
 from repro.core.schedule import Schedule
 from repro.core.validation import (
+    BAD_SPAN,
+    CONFLICT,
+    MAKESPAN_EXCEEDED,
+    MISSING_JOB,
     ValidationError,
     assert_valid_schedule,
     check_monotone_job,
     is_monotone_work,
     is_nonincreasing_time,
+    placement_violations,
     validate_schedule,
 )
 
@@ -122,6 +129,45 @@ class TestValidateSchedule:
         report = validate_schedule(schedule, [a, b])
         assert not report.ok
 
+    def test_conflict_hidden_behind_sub_tolerance_job(self):
+        """A job shorter than the float tolerance between two overlapping
+        ones must not hide their conflict: ``a`` and ``c`` share machine 0
+        for 0.5 time units, and neither is start-adjacent to the other."""
+        a = TabulatedJob("a", [3.0])
+        b = TabulatedJob("b", [1e-10])
+        c = TabulatedJob("c", [0.5])
+        schedule = Schedule(m=1)
+        schedule.add(a, 2.0, [(0, 1)])
+        schedule.add(b, 4.0, [(0, 1)])
+        schedule.add(c, 4.0000000001, [(0, 1)])
+        report = validate_schedule(schedule, [a, b, c])
+        assert not report.ok
+        assert report.codes == [CONFLICT]
+        assert "job 'a'" in report.violations[0] and "job 'c'" in report.violations[0]
+        assert report.violations == reference_validate(schedule, [a, b, c]).violations
+
+    def test_hidden_conflict_reported_alongside_the_adjacent_one(self):
+        """``a`` overlaps both later jobs; ``b`` and ``c`` are start-adjacent
+        and disjoint, so the ``a``/``c`` pair comes from the longest-running
+        earlier entry."""
+        a, b, c = TabulatedJob("a", [10.0]), TabulatedJob("b", [1.0]), TabulatedJob("c", [1.0])
+        schedule = Schedule(m=1)
+        schedule.add(a, 0.0, [(0, 1)])
+        schedule.add(b, 1.0, [(0, 1)])
+        schedule.add(c, 3.0, [(0, 1)])
+        report = validate_schedule(schedule, [a, b, c])
+        assert report.codes == [CONFLICT, CONFLICT]
+        assert "job 'b'" in report.violations[0] and "job 'c'" in report.violations[1]
+        assert report.violations == reference_validate(schedule, [a, b, c]).violations
+
+    def test_empty_schedule_still_checks_jobs_and_bound(self):
+        a = make_job("a")
+        report = validate_schedule(Schedule(m=2), [a], max_makespan=-1.0)
+        assert report.codes == [MISSING_JOB, MAKESPAN_EXCEEDED]
+        assert (report.makespan, report.peak_processors) == (0.0, 0)
+        assert report == reference_validate(Schedule(m=2), [a], max_makespan=-1.0)
+        assert validate_schedule(Schedule(m=2), max_makespan=0.0).ok
+
     def test_disjoint_spans_no_conflict(self):
         a, b = make_job("a"), make_job("b")
         schedule = Schedule(m=10 ** 9)
@@ -157,13 +203,13 @@ class TestMonotonyChecks:
 
 
 class TestColumnarValidationParity:
-    """The columnar fast path must produce reports identical to the scalar
-    reference — including violation messages, which always come from the
-    scalar sweep."""
+    """The columnar checks must produce reports identical to the
+    entry-by-entry reference (``reference_validation.py``) — including
+    violation messages."""
 
     def _both(self, schedule, jobs, **kwargs):
         fast = validate_schedule(schedule, jobs, **kwargs)
-        slow = validate_schedule(schedule, jobs, backend="scalar", **kwargs)
+        slow = reference_validate(schedule, jobs, **kwargs)
         assert fast.ok == slow.ok
         assert fast.violations == slow.violations
         assert fast.makespan == slow.makespan
@@ -201,11 +247,44 @@ class TestColumnarValidationParity:
         schedule.add(b, 0.0, [(2, 2)], duration_override=11.0)
         oracle = BatchedOracle([a, b], 4)
         fast = validate_schedule(schedule, [a, b], oracle=oracle)
-        slow = validate_schedule(schedule, [a, b], backend="scalar")
+        slow = reference_validate(schedule, [a, b])
         assert fast.ok == slow.ok
         assert fast.makespan == slow.makespan
         assert fast.peak_processors == slow.peak_processors
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            validate_schedule(Schedule(m=1), backend="quantum")
+
+class TestPlacementViolations:
+    """The bounds and conflict checks the validator and the simulator share."""
+
+    def test_clean_schedule_materialises_no_entry(self):
+        from repro.perf.schedule_builder import ArraySchedule
+
+        builder = ArraySchedule(4)
+        for i in range(4):
+            builder.append(make_job(f"j{i}"), 0.0, [(i, 1)])
+        schedule = builder.build()
+        assert placement_violations(schedule, schedule.columns()) == ([], [])
+        assert all(view is None for view in schedule._views)
+
+    def test_bounds_and_conflicts_come_apart(self):
+        a, b = make_job("a"), make_job("b")
+        schedule = Schedule(m=2)
+        schedule.add(a, 0.0, [(1, 2)])  # machine 2 does not exist
+        schedule.add(b, 1.0, [(0, 2)])  # shares machine 1 with a
+        bounds, conflicts = placement_violations(schedule, schedule.columns())
+        assert [v.code for v in bounds] == [BAD_SPAN]
+        assert [v.code for v in conflicts] == [CONFLICT]
+        report = validate_schedule(schedule, [a, b])
+        assert report.violations == bounds + conflicts
+
+    def test_the_simulator_raises_the_first_violation(self):
+        from repro.simulator.engine import SimulationError, simulate_schedule
+
+        a, b = make_job("a"), make_job("b")
+        schedule = Schedule(m=3)
+        schedule.add(a, 0.0, [(0, 2)])
+        schedule.add(b, 1.0, [(1, 1)])
+        _, conflicts = placement_violations(schedule, schedule.columns())
+        with pytest.raises(SimulationError) as info:
+            simulate_schedule(schedule)
+        assert str(info.value) == conflicts[0]

@@ -21,11 +21,14 @@ every backend and asserts
   counts and machine spans (compared columnar, so a 10^3-entry schedule
   costs a handful of array comparisons);
 * identical makespans (also re-checked via the schedule columns);
-* identical validator verdicts: the columnar and the scalar validation
-  backends must return the same ``ok``, the same violation messages, the
-  same makespan and the same peak processor count on every schedule;
-* an agreeing independent simulator replay (the discrete-event engine's
-  scalar loop shares no code with the validator) for every non-scalar
+* identical validator verdicts: the library validator and the
+  entry-by-entry reference (``tests/core/reference_validation.py``) must
+  return the same ``ok``, the same violation messages, the same makespan
+  and the same peak processor count on every schedule;
+* an agreeing replay by the reference event loop
+  (``tests/simulator/reference_sim.py``, which shares no code with the
+  validator's conflict check), and the identical trace from
+  :func:`repro.simulator.engine.simulate_schedule`, for every non-scalar
   backend.
 
 :func:`save_failure` serialises a failing case into ``corpus/`` — the
@@ -39,7 +42,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Dict
@@ -68,6 +73,11 @@ from repro.workloads.generators import (
     random_power_work_instance,
     random_quantized_instance,
 )
+
+_TESTS = os.path.join(os.path.dirname(__file__), "..")
+sys.path[:0] = [os.path.join(_TESTS, "core"), os.path.join(_TESTS, "simulator")]
+from reference_sim import reference_simulate  # noqa: E402
+from reference_validation import reference_validate  # noqa: E402
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -205,13 +215,25 @@ def _assert_schedules_identical(
 
 def _assert_validator_verdicts_agree(schedule: Schedule, jobs, case: dict) -> None:
     columnar = validate_schedule(schedule, jobs)
-    scalar = validate_schedule(schedule, jobs, backend="scalar")
+    reference = reference_validate(schedule, jobs)
     context = f"case {case!r}"
-    assert columnar.ok == scalar.ok, context
-    assert columnar.violations == scalar.violations, context
-    assert columnar.makespan == scalar.makespan, context
-    assert columnar.peak_processors == scalar.peak_processors, context
+    assert columnar.ok == reference.ok, context
+    assert columnar.violations == reference.violations, context
+    assert columnar.makespan == reference.makespan, context
+    assert columnar.peak_processors == reference.peak_processors, context
     assert columnar.ok, f"{context}: {columnar.violations}"
+
+
+def _assert_replay_agrees(schedule: Schedule, context: str) -> None:
+    """Independent cross-check: the reference event loop accepts the
+    schedule and reproduces its makespan, and the library's replay gives
+    the identical trace."""
+    try:
+        reference = reference_simulate(schedule)
+    except SimulationError as exc:  # pragma: no cover - a real finding
+        raise AssertionError(f"reference event loop rejected the schedule of {context}: {exc}")
+    assert reference.makespan == schedule.makespan, context
+    assert simulate_schedule(schedule) == reference, context
 
 
 def fault_plan_for(case: dict, jobs) -> FaultPlan:
@@ -271,15 +293,7 @@ def _run_recovery_case(case: dict) -> None:
         assert scalar.report.jobs_killed == result.report.jobs_killed, context
         assert scalar.report.jobs_restarted == result.report.jobs_restarted, context
 
-        # independent cross-check: the discrete-event simulator accepts the
-        # stitched schedule and reproduces its makespan
-        try:
-            trace = simulate_schedule(result.schedule, backend="scalar")
-        except SimulationError as exc:  # pragma: no cover - a real finding
-            raise AssertionError(
-                f"simulator rejected a stitched recovery schedule for {context}: {exc}"
-            )
-        assert trace.makespan == result.schedule.makespan, context
+        _assert_replay_agrees(result.schedule, context)
 
 
 def online_policy_for(case: dict, instance) -> dict:
@@ -345,15 +359,7 @@ def _run_online_case(case: dict) -> None:
             e.barrier for e in result.report.epochs
         ], context
 
-        # independent cross-check: the discrete-event simulator accepts the
-        # stitched schedule and reproduces its makespan
-        try:
-            trace = simulate_schedule(result.schedule, backend="scalar")
-        except SimulationError as exc:  # pragma: no cover - a real finding
-            raise AssertionError(
-                f"simulator rejected a stitched online schedule for {context}: {exc}"
-            )
-        assert trace.makespan == result.schedule.makespan, context
+        _assert_replay_agrees(result.schedule, context)
 
         if backend == "vectorized":
             # the warm-start toggle must never change the schedule, only the
@@ -467,16 +473,7 @@ def run_case(case: dict) -> None:
         )
         _assert_schedules_identical(scalar, schedule, case, backend)
         _assert_validator_verdicts_agree(schedule, jobs, case)
-
-        # independent cross-check: the discrete-event simulator's scalar loop
-        try:
-            trace = simulate_schedule(schedule, backend="scalar")
-        except SimulationError as exc:  # pragma: no cover - a real finding
-            raise AssertionError(
-                f"simulator rejected a validated schedule for case {case!r} "
-                f"(backend {backend!r}): {exc}"
-            )
-        assert trace.makespan == schedule.makespan, f"case {case!r}, backend {backend!r}"
+        _assert_replay_agrees(schedule, f"case {case!r}, backend {backend!r}")
 
 
 def case_id(case: dict) -> str:

@@ -12,6 +12,8 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.common import Table, fit_power_law, geometric_levels, timed
+from repro.simulator.engine import SimulationError
+from repro.workloads.generators import random_mixed_instance
 
 
 class TestCommonHelpers:
@@ -85,6 +87,37 @@ class TestFig2Fig3:
             assert row.simulator_ok
             # the 3-shelf schedule never uses more processors than available
             assert row.two_shelf_s1_procs <= row.m
+
+
+class TestSimulatorFailuresStayVisible:
+    """The studies report a schedule the simulator rejects as
+    ``simulator_ok=False``, but any other exception from the simulator is
+    a crash and must propagate."""
+
+    @staticmethod
+    def _raising(exc):
+        def simulate(schedule, **kwargs):
+            raise exc
+
+        return simulate
+
+    @pytest.mark.parametrize("module", [fig2_fig3_shelves, quality_study])
+    def test_simulation_error_is_reported(self, module, monkeypatch):
+        monkeypatch.setattr(module, "simulate_schedule", self._raising(SimulationError("x")))
+        assert not self._first_row(module).simulator_ok
+
+    @pytest.mark.parametrize("module", [fig2_fig3_shelves, quality_study])
+    def test_other_exceptions_propagate(self, module, monkeypatch):
+        monkeypatch.setattr(module, "simulate_schedule", self._raising(TypeError("crash")))
+        with pytest.raises(TypeError, match="crash"):
+            self._first_row(module)
+
+    @staticmethod
+    def _first_row(module):
+        if module is fig2_fig3_shelves:
+            return module.run(cases=((25, 12),), seed=4)[0]
+        instance = random_mixed_instance(6, 8, seed=1)
+        return module._evaluate(instance.jobs, 8, 0.25, "two_approx", "mixed", "lower_bound", 1.0)
 
 
 class TestFig4:

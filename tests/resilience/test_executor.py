@@ -1,5 +1,8 @@
 """Fault-aware replay: fates, preserved work, truncated traces."""
 
+import os
+import sys
+
 import pytest
 
 from repro.core.job import AmdahlJob
@@ -14,6 +17,9 @@ from repro.resilience import (
     execute_with_faults,
 )
 from repro.simulator.engine import simulate_schedule
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "simulator"))
+from reference_sim import reference_simulate  # noqa: E402
 
 
 def constant_job(name: str, t: float) -> AmdahlJob:
@@ -102,9 +108,9 @@ class TestTraceSchedule:
         assert set(by_name) == {"A", "B"}
         assert by_name["A"].duration == 5.0  # truncated at the failure
         assert by_name["B"].duration == 10.0
-        # the simulator replays the truncated trace (both backends agree)
+        # the simulator replays the truncated trace like the reference loop
         t_auto = simulate_schedule(trace)
-        t_scalar = simulate_schedule(trace, backend="scalar")
+        t_scalar = reference_simulate(trace)
         assert t_auto.makespan == t_scalar.makespan == 10.0
 
     def test_completed_schedule_contains_only_finished_runs(self, abc_schedule):

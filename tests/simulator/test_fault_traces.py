@@ -1,13 +1,12 @@
-"""Scalar-vs-columnar simulator parity on fault-truncated traces.
+"""Simulator parity with the reference event loop on fault-truncated traces.
 
 The fault executor's :meth:`FaultyExecution.trace_schedule` produces the
 mid-run-stop / partial-work trace shape: entries whose ``duration_override``
 *understates* the oracle processing time (a validator violation by design —
 the run genuinely stopped early).  The discrete-event simulator must replay
-these identically under its columnar fast path and its scalar reference
-loop, and must keep raising :class:`SimulationError` for genuinely invalid
-traces.  The astronomical-m route (``m > 2^62``, beyond the columnar cap)
-must fall back to the scalar loop transparently.
+these identically to the reference event loop (``reference_sim.py``), and
+must keep raising :class:`SimulationError` for genuinely invalid traces,
+also past ``m = 2^62``.
 """
 
 import pytest
@@ -25,15 +24,17 @@ from repro.resilience import (
 from repro.simulator.engine import SimulationError, simulate_schedule
 from repro.workloads.generators import random_mixed_instance
 
+from reference_sim import reference_simulate
 
-def assert_backends_agree(schedule):
-    auto = simulate_schedule(schedule)
-    scalar = simulate_schedule(schedule, backend="scalar")
-    assert auto.makespan == scalar.makespan
-    assert auto.total_work == scalar.total_work
-    assert auto.events == scalar.events
-    assert auto.peak_busy == scalar.peak_busy
-    return auto
+
+def assert_matches_reference(schedule):
+    trace = simulate_schedule(schedule)
+    reference = reference_simulate(schedule)
+    assert trace.makespan == reference.makespan
+    assert trace.total_work == reference.total_work
+    assert trace.events == reference.events
+    assert trace.peak_busy == reference.peak_busy
+    return trace
 
 
 class TestTruncatedTraceParity:
@@ -47,7 +48,7 @@ class TestTruncatedTraceParity:
             horizon=horizon,
         )
         trace_schedule = execute_with_faults(schedule, plan).trace_schedule()
-        assert_backends_agree(trace_schedule)
+        assert_matches_reference(trace_schedule)
 
     def test_manual_partial_work_entry(self):
         inst = random_mixed_instance(6, 8, seed=3)
@@ -58,7 +59,7 @@ class TestTruncatedTraceParity:
         for e in schedule.entries:
             override = e.duration / 3.0 if e is victim else e.duration_override
             clone.add(e.job, e.start, e.spans, duration_override=override)
-        trace = assert_backends_agree(clone)
+        trace = assert_matches_reference(clone)
         assert trace.total_work < schedule.total_work
 
     def test_stitched_recovery_schedules_replay_identically(self):
@@ -68,7 +69,7 @@ class TestTruncatedTraceParity:
             [j.name for j in inst.jobs], 16, seed=42, failures=2, kills=1, horizon=horizon
         )
         res = recover_with_faults(inst.jobs, 16, plan, eps=0.25, algorithm="two_approx")
-        trace = assert_backends_agree(res.schedule)
+        trace = assert_matches_reference(res.schedule)
         assert trace.makespan == res.makespan
 
     def test_overlapping_truncated_entries_still_raise(self):
@@ -87,7 +88,7 @@ class TestTruncatedTraceParity:
         with pytest.raises(SimulationError):
             simulate_schedule(clone)
         with pytest.raises(SimulationError):
-            simulate_schedule(clone, backend="scalar")
+            reference_simulate(clone)
 
     def test_strict_false_keeps_going(self):
         j1, j2 = random_mixed_instance(2, 4, seed=1).jobs
@@ -99,15 +100,15 @@ class TestTruncatedTraceParity:
 
 
 class TestAstronomicalMachineCounts:
-    """m > 2^62 exceeds the columnar cap: simulate/validate must take the
-    scalar fallback, and recovery must produce identical answers there."""
+    """Past m = 2^62 the schedule columns hold exact object-dtype machine
+    indices; the replay must still match the reference loop there."""
 
     def test_simulator_falls_back_beyond_columnar_cap(self):
         m = MAX_COLUMNAR_M + 5
         inst = random_mixed_instance(4, 64, seed=11)
         schedule = schedule_moldable(inst.jobs, m, 0.5, algorithm="two_approx").schedule
-        assert schedule.m > MAX_COLUMNAR_M  # backend="auto" must take the scalar loop
-        assert_backends_agree(schedule)
+        assert schedule.m > MAX_COLUMNAR_M
+        assert_matches_reference(schedule)
 
     def test_truncated_trace_beyond_columnar_cap(self):
         m = MAX_COLUMNAR_M + 5
@@ -115,12 +116,12 @@ class TestAstronomicalMachineCounts:
         schedule = schedule_moldable(inst.jobs, m, 0.5, algorithm="two_approx").schedule
         plan = FaultPlan(m=m, failures=(MachineFailure(time=0.5, first=0, count=m - 3),))
         trace_schedule = execute_with_faults(schedule, plan).trace_schedule()
-        assert_backends_agree(trace_schedule)
+        assert_matches_reference(trace_schedule)
 
     def test_recovery_beyond_columnar_cap_matches_small_m_shape(self):
         m = MAX_COLUMNAR_M + 5
         inst = random_mixed_instance(4, 64, seed=11)
         plan = FaultPlan(m=m, failures=(MachineFailure(time=0.5, first=0, count=m - 3),))
         res = recover_with_faults(inst.jobs, m, plan, eps=0.5, algorithm="two_approx")
-        trace = assert_backends_agree(res.schedule)
+        trace = assert_matches_reference(res.schedule)
         assert trace.makespan == res.makespan
