@@ -34,7 +34,8 @@ phases of a shared host, so every row also records a :func:`yardstick`
 reading (a fixed pure-Python job timed around the row), and a leg is compared
 at the baseline row's speed: scaled by ``baseline yardstick / row
 yardstick``.  Each leg is gated on its own, so a faster scalar reference
-cannot read as a vectorized regression.
+cannot read as a vectorized regression.  A leg's seconds are per call: each
+repeat calls it until the calls fill :data:`_MIN_LEG_SECONDS`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+# the scalar leg of the list-scheduling rows times the tests' reference loop
+sys.path.insert(0, os.path.join(_ROOT, "tests", "core"))
 
 from repro.core.fptas import fptas_schedule  # noqa: E402
 from repro.core.scheduler import DRIVERS  # noqa: E402
@@ -64,6 +68,7 @@ from repro.workloads.generators import (  # noqa: E402
     random_mixed_instance,
     random_power_work_instance,
 )
+from reference_list_scheduling import reference_list_schedule  # noqa: E402
 
 #: Algorithms whose n>=1000 speedups form the headline geometric mean (the
 #: paper's Table 1 covers the (3/2+eps) dual algorithms; MRT is its baseline).
@@ -74,10 +79,11 @@ TABLE1_ALGORITHMS = ("mrt", "compressible", "bounded_heap")
 PROBE_ALGORITHMS = ("fptas", "two_approx")
 
 #: All backend-swept algorithms: the Table-1 set, the columnar-assembly
-#: headliners and the isolated list-scheduling phase (scalar heap loop vs
-#: batched event-queue backend on a fixed estimator allotment).  The
-#: recovery, online, serve, huge_m and megabatch shards are end-to-end loops
-#: or pin their own axis, so they stay out of the tiny_n_huge_m sweep.
+#: headliners and the isolated list-scheduling phase (the tests' scalar heap
+#: reference vs the library's event-queue scheduler on a fixed estimator
+#: allotment).  The recovery, online, serve, huge_m and megabatch shards are
+#: end-to-end loops or pin their own axis, so they stay out of the
+#: tiny_n_huge_m sweep.
 ALL_ALGORITHMS = TABLE1_ALGORITHMS + (
     "fptas",
     "two_approx",
@@ -115,8 +121,8 @@ DEFAULT_FAMILIES = tuple(FAMILIES)
 _TINY_N = 64
 _TINY_M = 1 << 22
 
-#: Machine counts of the ``huge_m`` rows (scalar heap loop vs the
-#: wide-integer columnar event-queue backend): just past the exact-float
+#: Machine counts of the ``huge_m`` rows (scalar heap reference vs the
+#: event-queue scheduler on wide integers): just past the exact-float
 #: boundary, past int64, and firmly in the wide-limb tier.
 _HUGE_MS = ((1 << 53) + 1, 1 << 64, 1 << 80)
 
@@ -216,20 +222,32 @@ def yardstick() -> float:
     return time.perf_counter() - t0
 
 
+#: Least wall time of one repeat of a leg: the repeat's seconds are the mean
+#: over as many back-to-back calls as that takes.  Single calls of 5-30 ms
+#: are too short for the 2x seconds gate on a shared host.
+_MIN_LEG_SECONDS = 0.2
+
+
 def _timed(fn: Callable[[], object], repeat: int, jobs) -> tuple[float, object]:
+    """Best over ``repeat`` repeats of the mean seconds per call of ``fn``,
+    where each repeat calls ``fn`` until the calls add up to
+    :data:`_MIN_LEG_SECONDS`; returns it with the last call's result."""
     best = math.inf
     result = None
     for _ in range(max(1, repeat)):
-        # Clear every cross-run memo so neither backend benefits from a
-        # previous (possibly other-backend) run of the same instance: the
-        # geometric-grid cache and the per-job processing-time memos.
-        _geom_cached.cache_clear()
-        for job in jobs:
-            job.clear_memo()
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
+        total, calls = 0.0, 0
+        while calls == 0 or total < _MIN_LEG_SECONDS:
+            # Clear every cross-run memo so neither backend benefits from a
+            # previous (possibly other-backend) run of the same instance: the
+            # geometric-grid cache and the per-job processing-time memos.
+            _geom_cached.cache_clear()
+            for job in jobs:
+                job.clear_memo()
+            start = time.perf_counter()
+            result = fn()
+            total += time.perf_counter() - start
+            calls += 1
+        best = min(best, total / calls)
     return best, result
 
 
@@ -399,16 +417,15 @@ def _backend_shard(config: dict, seed: int, repeat: int) -> tuple:
 
 
 def _list_schedule_shard(config: dict, seed: int, repeat: int) -> tuple:
-    """Time the isolated list-scheduling phase: scalar heap loop vs batched
-    ``event_queue_indexed`` backend on the *same* estimator allotment and LPT
-    order (prepared once, untimed).
+    """Time the isolated list-scheduling phase: the tests' scalar heap
+    reference (``tests/core/reference_list_scheduling.py``) vs the library's
+    event-queue scheduler on the *same* estimator allotment and LPT order
+    (prepared once, untimed).
 
-    ``huge_m`` rows time the same pair at astronomical m, where the columnar
-    backend runs on wide integers.  ``BatchedOracle`` rejects m beyond the
-    float64 integer range — exactly the regime those rows measure — so their
-    allotment comes from the scalar estimator.  Both of their legs finish in
-    tens of milliseconds, so best-of-3 keeps the ratio out of cold-start
-    noise at no real cost.
+    ``huge_m`` rows time the same pair at astronomical m, where the
+    event-queue scheduler runs on wide integers.  ``BatchedOracle`` rejects m
+    beyond the float64 integer range — exactly the regime those rows measure
+    — so their allotment comes from the scalar estimator.
     """
     import numpy as np
 
@@ -418,23 +435,17 @@ def _list_schedule_shard(config: dict, seed: int, repeat: int) -> tuple:
 
     m = config["m"]
     jobs = FAMILIES[config["family"]](config["n"], m, seed=seed).jobs
-    huge = config["algorithm"] == "huge_m"
-    if huge:
-        repeat = max(repeat, 3)
-    oracle = None if huge else BatchedOracle(jobs, m)
+    oracle = None if config["algorithm"] == "huge_m" else BatchedOracle(jobs, m)
     allotment = ludwig_tiwari_estimator(jobs, m, oracle=oracle).allotment
     counts = allotment.counts
     times = np.array([job.processing_time(counts[job]) for job in jobs], dtype=np.float64)
     order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
     allotted = dict(zip(jobs, times.tolist()))
     scalar_seconds, scalar_result = _timed(
-        lambda: list_schedule(jobs, allotment, m, order=order, backend="heap"), repeat, jobs
+        lambda: reference_list_schedule(jobs, allotment, m, order=order), repeat, jobs
     )
     vec_seconds, vec_result = _timed(
-        lambda: list_schedule(
-            jobs, allotment, m, order=order, backend="event_queue_indexed",
-            allotted_times=allotted,
-        ),
+        lambda: list_schedule(jobs, allotment, m, order=order, allotted_times=allotted),
         repeat,
         jobs,
     )
@@ -1029,7 +1040,7 @@ def _healthy_rate(row: BenchRow) -> float:
 
 #: The absolute floors of ``--check``.
 GATES: Tuple[Gate, ...] = (
-    # scalar heap loop vs batched event-queue list scheduling (no-tie chain
+    # scalar heap reference vs event-queue list scheduling (no-tie chain
     # rows included)
     Gate(
         ("speedup_list_schedule_n1000",), 2.0, "event-queue floor", "x",
@@ -1055,7 +1066,7 @@ GATES: Tuple[Gate, ...] = (
         ("serve_throughput_chaos",), 0.5, "fleet-serving floor", "/s",
         _rows_of("serve", worst=_healthy_rate), _fleet_legs,
     ),
-    # scalar heap loop vs wide-integer columnar event queue at m past 2^53
+    # scalar heap reference vs the event queue on wide integers at m past 2^53
     Gate(
         ("speedup_huge_m",), 2.0, "astronomical-m floor", "x",
         _rows_of("huge_m"), _speedup,

@@ -42,13 +42,16 @@ MAX_VECTORIZED_M = MAX_COLUMNAR_M
 #   jobs = random_mixed_instance(n, m, seed=s).jobs
 #   schedule_moldable(jobs, m, 0.1, algorithm=alg, backend=backend)
 # On a 2-core Xeon, Python 3.11, with the scalar executor's bracketed γ
-# searches and both executors on the same NumPy knapsack engine.
+# searches and both executors on the same NumPy knapsack engine and the same
+# event-queue list scheduler.
 # Scalar/vectorized time ratios (seeds 1 / 2 / 3; above 1 the vectorized
 # backend is faster):
 #   fptas        m=2**20  n=192: 0.91/0.83/0.84  n=240: 0.98/0.98/0.96  n=256: 1.06/1.01/1.00
 #                m=2**22  n=200: 0.93/0.88/0.89  n=256: 1.08/1.02/1.05
-#   two_approx   m=8n     n=160: 0.76/0.74/0.73  n=256: 1.02/1.05/1.03
-#                m=64     n=96:  0.82/0.61/0.76  n=128: 1.09/1.31/1.23  n=160: 1.42/1.56/1.41
+#   two_approx   m=8n     n=160: 0.64/0.66/0.69  n=224: 0.77/0.79/0.70  n=288: 1.00/0.70/0.95
+#                         n=352: 1.06/1.02/1.01  n=416: 1.30/1.30/1.14
+#                m=64     n=96:  0.72/0.60/0.70  n=128: 0.88/1.07/0.99  n=160: 1.06/1.16/1.10
+#                         n=192: 1.31/1.23/1.30  n=224: 1.33/1.31/1.31
 #   bounded      m=8n     n=160: 0.77/0.75/0.76  n=224: 0.89/0.87/0.88  n=288: 1.03/1.03/1.03
 #                         n=352: 1.15/1.13/1.11
 #                m=64     n=128: 0.83/0.86/0.86  n=160: 0.92/0.94/0.92  n=192: 1.08/1.03/1.04
@@ -64,7 +67,7 @@ MAX_VECTORIZED_M = MAX_COLUMNAR_M
 # the m >= 16n branch of bounded and compressible.
 AUTO_VECTORIZED_MIN_N = {
     "fptas": 240,
-    "two_approx": 160,
+    "two_approx": 224,
     "bounded": 224,
     "mrt": 208,
     "compressible": 176,

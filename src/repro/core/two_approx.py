@@ -89,9 +89,10 @@ def two_approx_steps(jobs: Sequence[MoldableJob], oracle, *, validate: bool = Tr
     :meth:`repro.perf.oracle.BatchedOracle.run`) for non-empty ``jobs`` and
     an oracle built for exactly ``(jobs, m)``.
 
-    The list-scheduling phase follows the executor: the batched
-    ``"event_queue_indexed"`` list scheduler on a batched oracle, the
-    ``"heap"`` reference loop on the scalar one (bit-identical schedules)."""
+    The executor answers the estimator's γ requests and one ``eval`` request
+    for the allotted processing times; those times give the LPT order and
+    are handed to :func:`~repro.core.list_scheduling.list_schedule` as its
+    durations, so the list-scheduling phase is the same on every executor."""
     estimate = yield from estimator_steps(jobs, oracle)
     # evaluate all allotted processing times in one request, at the exact
     # counts; argsort(stable) is the stable LPT order of sorted() by -t_j.
@@ -104,9 +105,7 @@ def two_approx_steps(jobs: Sequence[MoldableJob], oracle, *, validate: bool = Tr
         estimate.allotment,
         oracle.m,
         order=order,
-        backend="event_queue_indexed" if oracle.backend == "vectorized" else "heap",
         allotted_times=dict(zip(jobs, times.tolist())),
-        oracle=oracle,
     )
     return _finish(schedule, jobs, estimate, validate, oracle)
 

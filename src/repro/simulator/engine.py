@@ -11,6 +11,8 @@ it costs O(n log n) at any machine count.  It treats float noise the way an
 event loop visiting one event at a time does: a running job whose end lies
 within float tolerance of a later start is released at the first such start,
 and utilisation change points closer than ``1e-9`` merge into the later one.
+A job whose end is not after its start (a recorded duration of 0, or one
+lost to rounding at a large start time) holds no machine at any time.
 
 In strict mode a span outside ``[0, m)`` or a machine conflict raises
 :class:`SimulationError` with the validator's message: the verdict comes from
@@ -123,20 +125,20 @@ def simulate_schedule(schedule: Schedule, *, strict: bool = True) -> ExecutionTr
     position[start_order] = np.arange(n, dtype=np.int64)
 
     # A job is released at the first start after its own whose time its end
-    # lies within tolerance of, if that start comes before its finish event
-    # (a job ending at or before its start finishes first, so only such a
-    # start releases it).  Its -procs delta moves onto that start.
+    # lies within tolerance of, if that start comes before its finish event.
+    # Its -procs delta moves onto that start.
     release = np.maximum(_first_start_within_tolerance(starts, end), position + 1)
-    ends_first = end <= start
     early = release < n
-    early[early] = (starts[release[early]] < end[early]) | ends_first[early]
+    early[early] = starts[release[early]] < end[early]
 
     procs = cols.processors
     if not cols.fits_int64_sweep():
         procs = procs.astype(object)  # exact Python-int prefix sums
+    # a job ending at or before its start holds no machine at any time
+    procs = np.where(end <= start, 0, procs)
     start_delta = procs.copy()
     np.subtract.at(start_delta, start_order[release[early]], procs[early])
-    finish_delta = np.where(early | ends_first, 0, -procs)
+    finish_delta = np.where(early, 0, -procs)
     running = np.cumsum(np.concatenate((start_delta, finish_delta))[order])
 
     if strict:

@@ -288,8 +288,8 @@ def random_chain_instance(
     one, so the list scheduler's event queue degenerates to one completion
     per epoch: the adversarial workload for any per-epoch O(n) candidate
     scan (n epochs × O(n) = O(n²) scans), and the showcase for the
-    incremental candidate index
-    (``list_schedule(backend="event_queue_indexed")``), which answers each
+    incremental candidate index of
+    :func:`~repro.core.list_scheduling.list_schedule`, which answers each
     epoch's admission query from its need buckets instead.
     """
     rng = _rng(seed)

@@ -73,9 +73,11 @@ class TestTable:
         assert auto_backend(algorithm, t, 16 * t - 1) == own
 
     def test_huge_m_resolves_to_scalar(self):
-        jobs = random_mixed_instance(200, 64, seed=1).jobs
+        # enough jobs that two_approx runs vectorized at m <= MAX_VECTORIZED_M
+        n = AUTO_VECTORIZED_MIN_N["two_approx"]
+        jobs = random_mixed_instance(n, 64, seed=1).jobs
         for algorithm in AUTO_VECTORIZED_MIN_N:
-            assert auto_backend(algorithm, 200, MAX_VECTORIZED_M + 1) == "scalar"
+            assert auto_backend(algorithm, n, MAX_VECTORIZED_M + 1) == "scalar"
             backend, oracle = resolve_backend(jobs, MAX_VECTORIZED_M + 1, "auto", None, algorithm)
             assert backend == "scalar" and isinstance(oracle, ScalarOracle)
             assert oracle.m == MAX_VECTORIZED_M + 1 and oracle.jobs == jobs

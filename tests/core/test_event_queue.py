@@ -1,10 +1,10 @@
 """Event-epoch grouping semantics of the batched event-queue list scheduler.
 
-The scalar heap loop groups completions within :func:`epoch_tolerance` of
+The scalar heap loop (``reference_list_scheduling.py``) groups completions within :func:`epoch_tolerance` of
 the earliest pending completion into one wake-up — ``max(1e-15 absolute,
 two ulp relative)``, so grouping keeps working at magnitudes where float64
 resolution has outgrown the historical absolute ``1e-15`` — and the
-event-queue backend must reproduce that grouping *exactly*: near-tie
+event-queue scheduler must reproduce that grouping *exactly*: near-tie
 floats just past the window (at every magnitude) must NOT merge epochs,
 ties inside it MUST, and the tolerance window is anchored at the earliest
 completion only (no chaining), following the PR-3 near-tie sweep
@@ -16,7 +16,6 @@ cannot hide behind a still-identical schedule or vice versa.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allotment import Allotment
@@ -24,12 +23,13 @@ from repro.core.job import TabulatedJob
 from repro.core.list_scheduling import (
     EPOCH_REL_TOLERANCE,
     EPOCH_TOLERANCE,
-    LIST_BACKENDS,
     epoch_tolerance,
     list_schedule,
 )
 from repro.core.schedule import MAX_COLUMNAR_M
 from repro.core.validation import validate_schedule
+
+from reference_list_scheduling import reference_list_schedule
 
 ULP16 = np.nextafter(16.0, 32.0) - 16.0  # 3.55e-15 > EPOCH_TOLERANCE
 ULP1 = np.nextafter(1.0, 2.0) - 1.0  # 2.22e-16 < EPOCH_TOLERANCE
@@ -56,9 +56,9 @@ def _assert_identical(a, b, ctx=""):
         assert np.array_equal(getattr(ca, f), getattr(cb, f)), (ctx, f)
 
 
-def _run(jobs, allot, m, backend="event_queue_indexed", **kw):
+def _run(jobs, allot, m, **kw):
     stats = {}
-    schedule = list_schedule(jobs, allot, m, backend=backend, stats=stats, **kw)
+    schedule = list_schedule(jobs, allot, m, stats=stats, **kw)
     return schedule, stats
 
 
@@ -69,7 +69,7 @@ class TestEpochGroupingPins:
         assert stats["epochs"] == 1
         assert stats["events"] == 4
         assert stats["max_epoch_completions"] == 4
-        _assert_identical(list_schedule(jobs, allot, 4, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 4), schedule)
 
     def test_three_ulp_apart_at_16_does_not_merge(self):
         """At magnitude 16 the relative window is exactly two ulp
@@ -82,7 +82,7 @@ class TestEpochGroupingPins:
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 2
         assert stats["max_epoch_completions"] == 1
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
     def test_two_ulp_apart_at_16_merges(self):
         """Both sides of the relative boundary at magnitude 16: two ulp is
@@ -96,7 +96,7 @@ class TestEpochGroupingPins:
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 1
         assert stats["max_epoch_completions"] == 2
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
     def test_relative_window_scales_to_large_magnitudes(self):
         """At magnitude 2^20 the window is 2^20 * 2^-51 = still exactly two
@@ -110,13 +110,13 @@ class TestEpochGroupingPins:
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 1
         assert stats["max_epoch_completions"] == 2
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
         jobs, allot = _jobs_with_durations([M20, M20 + 3 * ULP20])
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 2
         assert stats["max_epoch_completions"] == 1
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
     def test_relative_window_is_capped_at_magnitude_2_60(self):
         """Above 2^60 the relative term stops growing: the window anchors at
@@ -135,12 +135,12 @@ class TestEpochGroupingPins:
         jobs, allot = _jobs_with_durations([m62, m62 + ulp62])
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 2
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
         jobs, allot = _jobs_with_durations([m62, m62])
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 1
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
     def test_two_ulp_still_merges_at_the_cap_anchor(self):
         """At the 2^60 anchor itself the window is exactly two ulp (2^60 *
@@ -153,12 +153,12 @@ class TestEpochGroupingPins:
         jobs, allot = _jobs_with_durations([m60, m60 + 2 * ulp60])
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 1
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
         jobs, allot = _jobs_with_durations([m60, m60 + 3 * ulp60])
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 2
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
     def test_absolute_floor_governs_below_magnitude_two(self):
         """Below EPOCH_TOLERANCE / EPOCH_REL_TOLERANCE (~2.25) the absolute
@@ -170,7 +170,7 @@ class TestEpochGroupingPins:
         jobs, allot = _jobs_with_durations([1.0, 1.0 + 4 * ULP1])
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 1
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
     def test_one_ulp_apart_below_tolerance_merges(self):
         """At magnitude 1 one ulp (2.2e-16) sits inside the tolerance: the
@@ -181,7 +181,7 @@ class TestEpochGroupingPins:
         schedule, stats = _run(jobs, allot, 2)
         assert stats["epochs"] == 1
         assert stats["max_epoch_completions"] == 2
-        _assert_identical(list_schedule(jobs, allot, 2, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 2), schedule)
 
     def test_tolerance_window_is_anchored_not_chained(self):
         """Three completions at 1.0, 1.0+4u, 1.0+8u: the window is anchored
@@ -195,7 +195,7 @@ class TestEpochGroupingPins:
         schedule, stats = _run(jobs, allot, 3)
         assert stats["epochs"] == 2
         assert stats["max_epoch_completions"] == 2
-        _assert_identical(list_schedule(jobs, allot, 3, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, 3), schedule)
 
     def test_epoch_starts_all_fitting_jobs_at_once(self):
         """A merged epoch's released machines admit the whole next wave in
@@ -207,7 +207,7 @@ class TestEpochGroupingPins:
         # epoch at t=2 (wave 1 done, wave 2 starts), epoch at t=6
         assert stats["epochs"] == 2
         assert stats["max_epoch_completions"] == 4
-        heap = list_schedule(jobs, allot, 4, backend="heap")
+        heap = reference_list_schedule(jobs, allot, 4)
         _assert_identical(heap, schedule)
         assert schedule.makespan == 6.0
 
@@ -225,7 +225,7 @@ class TestMultiSpanLeftovers:
         jobs = [x, y, z, w, v]
         allot = Allotment({x: 1, y: 1, z: 1, w: 1, v: 2})
         schedule, stats = _run(jobs, allot, 4)
-        heap = list_schedule(jobs, allot, 4, backend="heap")
+        heap = reference_list_schedule(jobs, allot, 4)
         _assert_identical(heap, schedule)
         # y and w complete in one epoch; v reuses their non-adjacent machines
         assert stats["max_epoch_completions"] == 2
@@ -239,46 +239,37 @@ class TestMultiSpanLeftovers:
         ragged tail so span splits land mid-span."""
         jobs, allot = _jobs_with_durations([8.0] * 120 + [2.0] * 120)
         schedule, stats = _run(jobs, allot, 97)
-        heap = list_schedule(jobs, allot, 97, backend="heap")
+        heap = reference_list_schedule(jobs, allot, 97)
         _assert_identical(heap, schedule)
         assert stats["max_epoch_completions"] >= 90
 
 
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        jobs, allot = _jobs_with_durations([1.0])
-        with pytest.raises(ValueError, match="unknown list scheduling backend"):
-            list_schedule(jobs, allot, 1, backend="quantum")
-
-    def test_backends_registry(self):
-        assert LIST_BACKENDS == ("heap", "event_queue_indexed")
-
+class TestCapacityTiers:
     def test_astronomical_m_runs_natively(self):
-        """Machine counts beyond the int64 span range used to divert to the
-        scalar heap; the wide-limb capacity tier now keeps the event queue
-        vectorized, bit-identical to the heap reference."""
+        """Machine counts beyond the int64 span range run on the wide-limb
+        capacity tier, bit-identical to the heap reference."""
         m = MAX_COLUMNAR_M * 4
         jobs = [TabulatedJob("big", [3.0, 3.0]), TabulatedJob("small", [5.0])]
         allot = Allotment({jobs[0]: m - 1, jobs[1]: 1})
         schedule, stats = _run(jobs, allot, m)
         assert schedule.makespan == 5.0
-        assert "epochs" in stats  # the event queue ran, no heap fallback
+        assert "epochs" in stats
         assert stats["capacity_tier"] == "wide"
-        _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, m), schedule)
 
     def test_huge_total_need_runs_natively(self):
         """Needs whose prefix sums overflow int64 (regression: 40 jobs of
         2^61 processors on m = 2^62 crashed the batched admission path) now
-        promote to the wide tier instead of diverting to the heap."""
+        promote to the wide tier."""
         m = MAX_COLUMNAR_M
         need = 1 << 61
         jobs = [TabulatedJob(f"h{i}", [10.0]) for i in range(40)]
         allot = Allotment({j: need for j in jobs})
         schedule, stats = _run(jobs, allot, m)
         assert schedule.makespan == 200.0
-        assert "epochs" in stats  # the event queue ran, no heap fallback
+        assert "epochs" in stats
         assert stats["capacity_tier"] == "wide"
-        _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, m), schedule)
 
     def test_unified_guard_at_the_exact_int64_boundary(self):
         """One tier cut: total_need equal to ``MAX_COLUMNAR_M - m`` stays on
@@ -293,7 +284,7 @@ class TestBackendSelection:
             schedule, stats = _run(jobs, allot, m)
             assert stats["capacity_tier"] == tier, (extra, tier)
             _assert_identical(
-                list_schedule(jobs, allot, m, backend="heap"), schedule
+                reference_list_schedule(jobs, allot, m), schedule
             )
 
     def test_object_tier_beyond_wide_range(self):
@@ -304,12 +295,11 @@ class TestBackendSelection:
         allot = Allotment({jobs[0]: m - 1, jobs[1]: 1})
         schedule, stats = _run(jobs, allot, m)
         assert stats["capacity_tier"] == "object"
-        _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
+        _assert_identical(reference_list_schedule(jobs, allot, m), schedule)
 
     def test_stats_contract(self):
         jobs, allot = _jobs_with_durations([1.0, 2.0, 3.0])
         _, stats = _run(jobs, allot, 2)
-        assert stats["backend"] == "event_queue_indexed"
         assert stats["capacity_tier"] == "int64"
         assert stats["events"] == 3
         assert stats["epochs"] >= 1
@@ -343,7 +333,7 @@ class TestEpochGroupingProperties:
             for i, (d, k) in enumerate(zip(durations, needs))
         ]
         allot = Allotment({job: k for job, k in zip(jobs, needs)})
-        heap = list_schedule(jobs, allot, m, backend="heap")
+        heap = reference_list_schedule(jobs, allot, m)
         indexed, stats = _run(jobs, allot, m)
         _assert_identical(heap, indexed, (m, durations, needs))
         # every completion is seen exactly once, and epochs are bounded by
@@ -387,7 +377,7 @@ class TestCandidateIndexProperties:
             for i, (d, k) in enumerate(zip(durations, needs))
         ]
         allot = Allotment({job: k for job, k in zip(jobs, needs)})
-        heap = list_schedule(jobs, allot, m, backend="heap")
+        heap = reference_list_schedule(jobs, allot, m)
         indexed, index_stats = _run(jobs, allot, m)
         _assert_identical(heap, indexed, (m, durations, needs))
         ends = heap.columns().end.tolist()
@@ -414,7 +404,7 @@ class TestCandidateIndexProperties:
         rng = np.random.default_rng(seed)
         needs = [int(k) for k in rng.integers(1, m + 1, size=n)]
         allot = Allotment({job: k for job, k in zip(instance.jobs, needs)})
-        heap = list_schedule(instance.jobs, allot, m, backend="heap")
+        heap = reference_list_schedule(instance.jobs, allot, m)
         indexed, index_stats = _run(instance.jobs, allot, m)
         _assert_identical(heap, indexed, (n, m, seed))
         assert index_stats["events"] == n, (n, m, seed)

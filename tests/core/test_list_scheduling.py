@@ -4,9 +4,14 @@ import pytest
 
 from repro.core.allotment import Allotment, canonical_allotment
 from repro.core.job import TabulatedJob
-from repro.core.list_scheduling import LIST_BACKENDS, list_schedule, list_schedule_bound
+from repro.core.list_scheduling import list_schedule, list_schedule_bound
 from repro.core.validation import assert_valid_schedule
 from repro.workloads.generators import random_mixed_instance
+
+from reference_list_scheduling import reference_list_schedule
+
+#: the library scheduler and the heap reference share their input checks
+SCHEDULERS = [list_schedule, reference_list_schedule]
 
 
 def make_rigid(name, duration, size, m):
@@ -90,8 +95,8 @@ class TestListSchedule:
         with pytest.raises(ValueError):
             list_schedule([a, b], Allotment({a: 1, b: 1}), m, order=[a])
 
-    @pytest.mark.parametrize("backend", LIST_BACKENDS)
-    def test_repeated_job_rejected(self, backend):
+    @pytest.mark.parametrize("schedule_fn", SCHEDULERS)
+    def test_repeated_job_rejected(self, schedule_fn):
         """A job object listed twice is rejected up front, not scheduled
         twice."""
         m = 2
@@ -99,12 +104,12 @@ class TestListSchedule:
         b = make_rigid("b", 1.0, 1, m)
         allot = Allotment({a: 1, b: 1})
         with pytest.raises(ValueError, match="repeat"):
-            list_schedule([a, a, b], allot, m, backend=backend)
+            schedule_fn([a, a, b], allot, m)
         with pytest.raises(ValueError, match="repeat"):
-            list_schedule([a, a, b], allot, m, order=[a, b, b], backend=backend)
+            schedule_fn([a, a, b], allot, m, order=[a, b, b])
 
-    @pytest.mark.parametrize("backend", LIST_BACKENDS)
-    def test_order_must_be_the_same_multiset(self, backend):
+    @pytest.mark.parametrize("schedule_fn", SCHEDULERS)
+    def test_order_must_be_the_same_multiset(self, schedule_fn):
         """Same length and same set of objects is not enough: ``order`` may
         not swap one job for a second copy of another."""
         m = 2
@@ -114,8 +119,8 @@ class TestListSchedule:
         allot = Allotment({a: 1, b: 1, c: 1})
         for order in ([a, b, b], [a, b], [a, b, c, c], [a, b, make_rigid("c", 1.0, 1, m)]):
             with pytest.raises(ValueError, match="permutation"):
-                list_schedule([a, b, c], allot, m, order=order, backend=backend)
-        schedule = list_schedule([a, b, c], allot, m, order=[c, a, b], backend=backend)
+                schedule_fn([a, b, c], allot, m, order=order)
+        schedule = schedule_fn([a, b, c], allot, m, order=[c, a, b])
         assert [e.job for e in schedule.entries] == [c, a, b]
 
     def test_invalid_m(self):
@@ -129,7 +134,7 @@ class TestListSchedule:
 
 
 class TestColumnarListScheduling:
-    """The event-queue backend must be bit-identical to the scalar loop."""
+    """The event-queue scheduler must be bit-identical to the scalar loop."""
 
     def test_columnar_matches_scalar_on_random_instances(self):
         from repro.workloads.generators import random_bimodal_instance, random_mixed_instance
@@ -141,10 +146,8 @@ class TestColumnarListScheduling:
         ]:
             instance = generator(80, 96, seed=seed)
             allotment = Allotment({job: (i % 7) + 1 for i, job in enumerate(instance.jobs)})
-            scalar = list_schedule(instance.jobs, allotment, 96)
-            columnar = list_schedule(
-                instance.jobs, allotment, 96, backend="event_queue_indexed"
-            )
+            scalar = reference_list_schedule(instance.jobs, allotment, 96)
+            columnar = list_schedule(instance.jobs, allotment, 96)
             assert len(scalar.entries) == len(columnar.entries)
             for a, b in zip(scalar.entries, columnar.entries):
                 assert a.job is b.job and a.start == b.start and a.spans == b.spans
@@ -153,8 +156,8 @@ class TestColumnarListScheduling:
     def test_columnar_validates_allotment_like_scalar(self):
         job = TabulatedJob("j", [5.0, 3.0])
         with pytest.raises(ValueError):
-            list_schedule([job], Allotment({}), 4, backend="event_queue_indexed")
+            list_schedule([job], Allotment({}), 4)
 
     def test_columnar_empty(self):
-        schedule = list_schedule([], Allotment({}), 4, backend="event_queue_indexed")
+        schedule = list_schedule([], Allotment({}), 4)
         assert len(schedule) == 0

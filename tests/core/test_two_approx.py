@@ -6,7 +6,6 @@ from repro.core.backend import MAX_VECTORIZED_M
 from repro.core.bounds import ludwig_tiwari_estimator
 from repro.core.exact_small import exact_makespan
 from repro.core.job import AmdahlJob, TabulatedJob
-from repro.core.list_scheduling import list_schedule
 from repro.core.two_approx import two_approximation
 from repro.core.validation import assert_valid_schedule
 from repro.workloads import generators
@@ -16,16 +15,18 @@ from repro.workloads.generators import (
     random_monotone_tabulated_instance,
 )
 
+from reference_list_scheduling import reference_list_schedule
+
 
 def reference_two_approximation(jobs, m):
     """The 2-approximation as per-job calls, kept as an independent
     reference for :func:`repro.core.two_approx.two_approx_steps`, which every
     executor runs: the estimator's allotment, list scheduled longest
-    processing time first by the ``"heap"`` scheduler."""
+    processing time first by the heap reference scheduler."""
     estimate = ludwig_tiwari_estimator(jobs, m)
     allot = estimate.allotment
     order = sorted(jobs, key=lambda j: -j.processing_time(allot[j]))
-    return list_schedule(jobs, allot, m, order=order, backend="heap"), estimate
+    return reference_list_schedule(jobs, allot, m, order=order), estimate
 
 
 #: the analytic families whose generators take any m

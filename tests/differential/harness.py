@@ -6,11 +6,8 @@ testing exploits: run both on the same random instance and *any*
 disagreement is a bug in one of them, no oracle needed.  The comparison
 covers :data:`BACKENDS`:
 
-* ``"scalar"`` — the body on the per-job ``ScalarOracle`` (heap wake-up
-  loop for list scheduling);
-* ``"vectorized"`` — the body on the lockstep ``BatchedOracle``; for
-  ``two_approx`` the list-scheduling phase runs the batched event-queue
-  scheduler with the incremental need-bucket candidate index.
+* ``"scalar"`` — the body on the per-job ``ScalarOracle``;
+* ``"vectorized"`` — the body on the lockstep ``BatchedOracle``.
 
 A *case* is a small JSON-able dict ``{driver, family, n, m, eps, seed}``:
 the instance is regenerated from the family generator and the seed, so a
@@ -29,7 +26,13 @@ every backend and asserts
   (``tests/simulator/reference_sim.py``, which shares no code with the
   validator's conflict check), and the identical trace from
   :func:`repro.simulator.engine.simulate_schedule`, for every non-scalar
-  backend.
+  backend;
+* an identical list-schedule replay: every case whose result is one
+  allotment per job (all but the ``faulty`` family, whose stitched traces
+  restart killed jobs) replays that allotment in start order through
+  :func:`repro.core.certificates.replay_certificate` and through the heap
+  reference loop (``tests/core/reference_list_scheduling.py``), and the two
+  schedules must be identical.
 
 :func:`save_failure` serialises a failing case into ``corpus/`` — the
 hypothesis fuzzer in ``test_cross_backend.py`` calls it from its exception
@@ -51,8 +54,10 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from repro.core.allotment import Allotment
 from repro.core.bounded_algorithm import bounded_schedule
 from repro.core.bounds import makespan_lower_bound, trivial_lower_bound
+from repro.core.certificates import extract_certificate, replay_certificate
 from repro.core.compressible_algorithm import compressible_schedule
 from repro.core.fptas import fptas_schedule
 from repro.core.mrt import mrt_schedule
@@ -76,6 +81,7 @@ from repro.workloads.generators import (
 
 _TESTS = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(_TESTS, "core"), os.path.join(_TESTS, "simulator")]
+from reference_list_scheduling import reference_list_schedule  # noqa: E402
 from reference_sim import reference_simulate  # noqa: E402
 from reference_validation import reference_validate  # noqa: E402
 
@@ -236,6 +242,20 @@ def _assert_replay_agrees(schedule: Schedule, context: str) -> None:
     assert simulate_schedule(schedule) == reference, context
 
 
+def _assert_list_schedule_matches_reference(schedule: Schedule, jobs, case: dict) -> None:
+    """The schedule's allotment, list scheduled in its start order, gives
+    the identical schedule from the library and from the heap reference."""
+    certificate = extract_certificate(schedule, jobs)
+    allotment = Allotment(dict(zip(jobs, certificate.allotment)))
+    order = [jobs[i] for i in certificate.order]
+    _assert_schedules_identical(
+        reference_list_schedule(jobs, allotment, schedule.m, order=order),
+        replay_certificate(jobs, schedule.m, certificate),
+        case,
+        "list_schedule",
+    )
+
+
 def fault_plan_for(case: dict, jobs) -> FaultPlan:
     """Seed-derived fault plan for a ``faulty``-family case.
 
@@ -340,6 +360,7 @@ def _run_online_case(case: dict) -> None:
     scalar_inst = build_instance(case)
     scalar = run_online(case, "scalar", scalar_inst)
     _assert_validator_verdicts_agree(scalar.schedule, scalar_inst.jobs, case)
+    _assert_list_schedule_matches_reference(scalar.schedule, scalar_inst.jobs, case)
 
     for backend in ONLINE_BACKENDS[1:]:
         inst = build_instance(case)
@@ -415,6 +436,7 @@ def _run_mega_case(case: dict) -> None:
         solo_jobs, effective_m(case), float(case["eps"]), algorithm=case["driver"]
     )
     _assert_validator_verdicts_agree(solo.schedule, solo_jobs, case)
+    _assert_list_schedule_matches_reference(solo.schedule, solo_jobs, case)
 
     # a fresh instance for the mega run: separate job objects rule out memo
     # pollution hiding a real divergence, exactly like the backend comparison
@@ -463,6 +485,7 @@ def run_case(case: dict) -> None:
     # validator verdicts: columnar and scalar validation backends must agree
     # on every schedule, checked against the full instance (completeness too)
     _assert_validator_verdicts_agree(scalar, scalar_jobs, case)
+    _assert_list_schedule_matches_reference(scalar, scalar_jobs, case)
 
     for backend in BACKENDS[1:]:
         jobs = build_instance(case).jobs

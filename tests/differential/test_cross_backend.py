@@ -5,10 +5,10 @@ algorithm drivers and every instance family (the bench sweep plus the
 tie-heavy ``quantized``, the no-tie ``chain``, the fault-recovery
 ``faulty``, the overflow-boundary ``huge_m``, the lockstep co-batch
 ``mega``, and the arrival-epoch ``online`` families), runs each
-driver under both backends of the comparison (scalar reference with the
-heap list scheduler, vectorized drivers with the candidate-indexed
-event-queue list scheduler), and asserts identical schedules, makespans and
-validator verdicts (see ``tests/differential/harness.py`` for the exact
+driver under both backends of the comparison (the scalar and the
+vectorized executor), and asserts identical schedules, makespans and
+validator verdicts, plus an identical list-schedule replay by the library
+and the heap reference (see ``tests/differential/harness.py`` for the exact
 checks).
 
 Any failing case is serialised into ``tests/differential/corpus/`` before

@@ -4,11 +4,13 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks"))
 
+import bench_perf_suite  # noqa: E402
 from bench_perf_suite import (  # noqa: E402
     ALL_ALGORITHMS,
     GATES,
@@ -518,10 +520,23 @@ class TestSecondsGate:
         assert not check_regression(_report([row]), other)
 
 
+#: Small shards of three kinds for the pool test: a driver row, a
+#: list-scheduling row and a second driver row, so two pool workers each get
+#: at least one shard.
+_SMALL_CONFIGS = [
+    dict(algorithm="mrt", family="mixed", n=30, m=64),
+    dict(algorithm="list_schedule", family="mixed", n=60, m=64),
+    dict(algorithm="two_approx", family="mixed", n=40, m=64),
+]
+
+
 class TestShardedRun:
-    def test_pool_rows_match_sequential(self):
+    def test_pool_rows_match_sequential(self, monkeypatch):
         """The pooled run must merge per-shard rows in configuration order
         with identical (deterministic) makespans — only timings may differ."""
+        monkeypatch.setattr(
+            bench_perf_suite, "_configs", lambda mode, families: list(_SMALL_CONFIGS)
+        )
         sequential = run_suite(
             "smoke", seed=3, repeat=1, verbose=False, families=["mixed"], processes=1
         )
@@ -533,6 +548,34 @@ class TestShardedRun:
             r.scalar_makespan for r in sequential.rows
         ]
         assert pooled.identical_makespans and sequential.identical_makespans
+
+
+class TestPerCallTiming:
+    def test_legs_average_over_at_least_the_minimum_leg_time(self, monkeypatch):
+        """A leg calls its function until the calls add up to
+        ``_MIN_LEG_SECONDS``, clears the memos before every call, and reports
+        the mean seconds per call of its best repeat."""
+        clock = [0.0]
+        monkeypatch.setattr(
+            bench_perf_suite, "time", SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+        calls, clears = [], []
+
+        class _Job:
+            def clear_memo(self):
+                clears.append(1)
+
+        def fn():
+            calls.append(1)
+            clock[0] += 0.03
+            return len(calls)
+
+        seconds, result = bench_perf_suite._timed(fn, 2, [_Job(), _Job()])
+        per_repeat = 7  # ceil(0.2 / 0.03)
+        assert bench_perf_suite._MIN_LEG_SECONDS == 0.2
+        assert len(calls) == result == 2 * per_repeat
+        assert len(clears) == 2 * len(calls)
+        assert seconds == pytest.approx(0.03)
 
 
 class TestSmokeFamilySelection:

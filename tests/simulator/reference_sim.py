@@ -5,8 +5,9 @@ sort and prefix sum over its columns and takes its conflict verdict from the
 validator.  This module holds the event-by-event loop it must match: events
 are visited one at a time, a running job whose end lies within float
 tolerance of a new start is released at that start, every start is checked
-pairwise against the running jobs for shared machines, and utilisation
-change points closer than ``1e-9`` merge into the later one.
+pairwise against the running jobs for shared machines, a job whose end is
+not after its start never joins the running set, and utilisation change
+points closer than ``1e-9`` merge into the later one.
 
 The traces must be identical, and so must the raise-or-not verdict under
 both strict modes; only the wording of conflict and out-of-range messages
@@ -90,8 +91,9 @@ def reference_simulate(schedule: Schedule, *, strict: bool = True) -> ExecutionT
                             )
                             if strict:
                                 raise SimulationError(message)
-            running[idx] = entry
-            busy += entry.processors
+            if entry.end > entry.start:
+                running[idx] = entry
+                busy += entry.processors
             total_work += entry.work
             if busy > m and strict:
                 raise SimulationError(

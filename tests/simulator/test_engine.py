@@ -160,16 +160,20 @@ class TestNearCoincidentEvents:
         # the starts at t=1 merge into b's finish event (now a no-op) 1e-10 later
         assert trace.utilization_profile == [(1.0 + 1e-10, 1), (2.0, 0)]
 
-    def test_job_ending_at_its_start_waits_for_the_next_start(self):
+    def test_job_ending_at_its_start_holds_no_machine(self):
         a, b = make_job("a"), make_job("b", (1.0,))
         schedule = Schedule(m=2)
         schedule.add(a, 1.0, [(0, 1)], duration_override=0.0)
         schedule.add(b, 2.0, [(1, 1)])
         trace = self._agree(schedule)
-        assert trace.utilization_profile == [(1.0, 1), (2.0, 1), (3.0, 0)]
+        assert trace.utilization_profile == [(1.0, 0), (2.0, 1), (3.0, 0)]
+        assert trace.peak_busy == 1
         alone = Schedule(m=2)
         alone.add(a, 1.0, [(0, 1)], duration_override=0.0)
-        assert self._agree(alone).utilization_profile == [(1.0, 1)]
+        trace = self._agree(alone)
+        assert trace.utilization_profile == [(1.0, 0)]
+        assert trace.peak_busy == 0
+        assert trace.average_utilization(2) == 0.0
 
     def test_profile_points_closer_than_tolerance_merge(self):
         a, b = make_job("a", (1.0,)), make_job("b", (1.0,))
@@ -207,6 +211,19 @@ class TestStrictVerdicts:
         trace = simulate_schedule(schedule, strict=False)
         assert trace == reference_simulate(schedule, strict=False)
         assert trace.peak_busy == 2
+
+    def test_zero_length_record_inside_a_running_job_is_no_over_subscription(self):
+        """A run recorded with duration 0 (a job killed at its start) on a
+        machine another job holds takes no machine, so strict mode accepts
+        the trace."""
+        a, b = make_job("a", (2.0,)), make_job("b", (1.0,))
+        schedule = Schedule(m=1)
+        schedule.add(a, 0.0, [(0, 1)])
+        schedule.add(b, 1.0, [(0, 1)], duration_override=0.0)
+        trace = simulate_schedule(schedule)
+        assert trace == reference_simulate(schedule)
+        assert trace.peak_busy == 1
+        assert trace.utilization_profile == [(0.0, 1), (1.0, 1), (2.0, 0)]
 
     def test_over_subscription_past_int64(self):
         m = 2**96
