@@ -59,6 +59,7 @@ __all__ = [
     "ScheduleColumns",
     "MAX_COLUMNAR_M",
     "grouped_running_count",
+    "resolve_shared_durations",
     "spans_time_overlap",
 ]
 
@@ -754,6 +755,36 @@ class Schedule:
         return f"Schedule(m={self.m}, jobs={len(self._jobs)}, makespan={self.makespan:.4g})"
 
 
+def resolve_shared_durations(
+    columns: Sequence[ScheduleColumns], job_index: np.ndarray, eval_at
+) -> None:
+    """Resolve the unresolved durations of several schedules' columns with
+    one ``eval_at(job_idx, ks)`` call over a job list they share (the mega
+    batch's bundle).  ``job_index`` runs over the concatenated rows of
+    ``columns``: each row's job in that list, or ``-1`` for a job outside it
+    (resolved by its own ``processing_time``).  The values equal the ones
+    :meth:`Schedule.columns` resolves through an executor over the same
+    kernels.
+    """
+    if not columns:
+        return
+    sizes = [cols.n for cols in columns]
+    duration = np.concatenate([cols._block.duration for cols in columns])
+    processors = np.concatenate([cols.processors for cols in columns])
+    rows = np.flatnonzero(np.isnan(duration))
+    known = rows[job_index[rows] >= 0]
+    if len(known):
+        duration[known] = eval_at(job_index[known], processors[known])
+    first_row = np.cumsum([0] + sizes[:-1])
+    for row in rows[job_index[rows] < 0].tolist():
+        owner = int(np.searchsorted(first_row, row, side="right")) - 1
+        job = columns[owner]._schedule._jobs[row - int(first_row[owner])]
+        duration[row] = job.processing_time(int(processors[row]))
+    for cols, at, n in zip(columns, first_row.tolist(), sizes):
+        cols._block.duration[:] = duration[at : at + n]
+        cols._duration = cols._block.duration
+
+
 # --------------------------------------------------------------------------
 # Columnar sweep helpers shared by the validator and the simulator
 # --------------------------------------------------------------------------
@@ -782,7 +813,8 @@ def spans_time_overlap(
     end: np.ndarray,
     *,
     max_incidences: Optional[int] = None,
-) -> Optional[bool]:
+    group: Optional[np.ndarray] = None,
+):
     """Detect whether any two busy rectangles (machine span × time interval)
     overlap with positive area.
 
@@ -797,13 +829,38 @@ def spans_time_overlap(
     back to a scalar sweep.  The check is *exact* (no float tolerance): a
     ``True`` may still be a within-tolerance touch that a tolerant scalar
     checker would accept, so ``True`` means "re-check", not "infeasible".
+
+    ``group``, one non-negative int key per span, keeps spans of different
+    keys apart (they never overlap, whatever their machines): many
+    schedules are swept in one call, with the machine indices untouched, so
+    the sweep stays exact at any ``m``.  The result is then a bool array
+    whose entry ``g`` says whether key ``g`` has an overlap (or ``None``, as
+    above).
     """
     p = len(span_first)
-    if p < 2:
-        return False
-    cuts = np.unique(np.concatenate((span_first, span_end)))
-    lo = np.searchsorted(cuts, span_first, side="left")
-    hi = np.searchsorted(cuts, span_end, side="left")
+    if group is None:
+        if p < 2:
+            return False
+        cuts = np.unique(np.concatenate((span_first, span_end)))
+        lo = np.searchsorted(cuts, span_first, side="left")
+        hi = np.searchsorted(cuts, span_end, side="left")
+    else:
+        flags = np.zeros(int(group.max()) + 1 if p else 0, dtype=bool)
+        if p < 2:
+            return flags
+        # cuts ranked by (group, boundary): a group's cuts are consecutive,
+        # so no span covers a segment that joins two groups
+        bounds = np.concatenate((span_first, span_end))
+        keys = np.concatenate((group, group))
+        by_key = np.lexsort((bounds, keys))
+        b, k = bounds[by_key], keys[by_key]
+        new_cut = np.empty(2 * p, dtype=bool)
+        new_cut[0] = True
+        new_cut[1:] = (b[1:] != b[:-1]) | (k[1:] != k[:-1])
+        rank = np.empty(2 * p, dtype=np.int64)
+        rank[by_key] = np.cumsum(new_cut) - 1
+        lo, hi = rank[:p], rank[p:]
+        cut_group = k[new_cut]
     counts = hi - lo
     total = int(counts.sum())
     if max_incidences is not None and total > max_incidences:
@@ -819,4 +876,7 @@ def spans_time_overlap(
     )
     order = np.lexsort((ev_delta, ev_time, ev_seg))
     running = grouped_running_count(ev_seg[order], ev_delta[order])
-    return bool(running.size) and int(running.max()) >= 2
+    if group is None:
+        return bool(running.size) and int(running.max()) >= 2
+    flags[cut_group[ev_seg[order][running >= 2]]] = True
+    return flags

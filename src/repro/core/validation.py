@@ -11,18 +11,26 @@ Every algorithm in this library validates the schedules it returns;
   (durations may be *over*-stated by shelf constructions but never
   under-stated).
 
-The checks read the schedule's columns
+The checks read the schedules' columns
 (:class:`repro.core.schedule.ScheduleColumns`) and run as O(n log n)
 sort/prefix-sum passes, so validating a 10^5-job schedule costs about as
 much as building it, and no check iterates over the (possibly
-astronomically many) machines.  The conflict check is a two-stage sweep:
-the exact columnar sweep (:func:`repro.core.schedule.spans_time_overlap`)
-flags any *potential* overlap, and only then does the tolerant sweep over
-machine-span boundaries (:func:`_machine_conflicts`) decide, treating
-overlaps within float tolerance as touching, and word the messages.
-:func:`placement_violations` bundles the bounds and conflict checks; the
-discrete-event simulator (:mod:`repro.simulator.engine`) takes its verdict
-from the same function.
+astronomically many) machines.  They run over K schedules at once
+(:func:`flag_schedules`, which the mega batch calls on its whole pack):
+the schedules' column blocks are concatenated, bounds compare each row
+with its own schedule's ``m``, completeness counts each scheduled job's
+position in its instance with one ``bincount``, and the exact conflict
+sweep (:func:`repro.core.schedule.spans_time_overlap`) keeps the schedules
+apart with a group key, so machine indices are never offset and the sweep
+stays exact at any ``m``.  :func:`validate_schedule` is the pack of one.
+Only a check that flags a schedule runs its per-entry message path: the
+tolerant sweep over machine-span boundaries (:func:`_machine_conflicts`)
+decides a flagged overlap, treating overlaps within float tolerance as
+touching, and words the messages.  :func:`placement_violations` bundles the
+bounds and conflict checks; the discrete-event simulator
+(:mod:`repro.simulator.engine`) takes its verdict from the same function,
+and its busy-processor count from :func:`released_running`, which also
+gives the validator's reported peak.
 
 Job-level monotony checks (`non-increasing processing time`, `non-decreasing
 work`) are also provided; they are O(k_max) and intended for tests and
@@ -32,7 +40,8 @@ instance sanity checks, not for the algorithms themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +62,10 @@ __all__ = [
     "MAKESPAN_EXCEEDED",
     "validate_schedule",
     "assert_valid_schedule",
+    "flag_schedules",
+    "job_positions",
+    "placement_violations",
+    "released_running",
     "is_nonincreasing_time",
     "is_monotone_work",
     "check_monotone_job",
@@ -220,8 +233,13 @@ def _bounds_violations(entries: Sequence[ScheduledJob], m: int) -> List[str]:
     return violations
 
 
+def _understates(override: float, oracle: float) -> bool:
+    """Whether a recorded duration understates the oracle time."""
+    return override + ABS_TOL < oracle * (1 - REL_TOL)
+
+
 def _duration_violation(entry: ScheduledJob, oracle: float) -> Optional[str]:
-    if entry.duration_override is not None and entry.duration_override + ABS_TOL < oracle * (1 - REL_TOL):
+    if entry.duration_override is not None and _understates(entry.duration_override, oracle):
         return Violation(
             BAD_DURATION,
             f"job {entry.job.name!r}: recorded duration {entry.duration_override:.6g} understates "
@@ -260,10 +278,176 @@ def _completeness_violations(
     return violations
 
 
+def job_positions(scheduled: Sequence[MoldableJob], index: Dict[int, int]) -> np.ndarray:
+    """Each scheduled job's position in the instance, ``-1`` for a job the
+    instance lacks; ``index`` maps ``id(job)`` to the position (an
+    executor's ``job_index`` over the instance, say)."""
+    n = len(scheduled)
+    return np.fromiter(map(index.get, map(id, scheduled), repeat(-1, n)), dtype=np.int64, count=n)
+
+
+def _instance_index(jobs: Sequence[MoldableJob]) -> Dict[int, int]:
+    """``id(job)`` → position over an instance's job list."""
+    return dict(zip(map(id, jobs), range(len(jobs))))
+
+
 #: Expansion budget of the columnar conflict sweep: schedules whose spans
 #: nest so pathologically that cutting them at all boundaries exceeds this
 #: many pieces go straight to the tolerant sweep instead.
 _CONFLICT_INCIDENCE_CAP = 1_000_000
+
+
+class _Flags(NamedTuple):
+    """Per-schedule columnar verdicts, one bool array per check; a raised
+    flag sends the schedule to that check's per-entry message path."""
+
+    bounds: np.ndarray
+    durations: np.ndarray
+    completeness: np.ndarray
+    conflicts: np.ndarray
+
+    def any(self) -> np.ndarray:
+        return self.bounds | self.durations | self.completeness | self.conflicts
+
+
+def _packs_with_others(schedule: Schedule, cols: ScheduleColumns) -> bool:
+    """Whether a schedule's columns can join a concatenated pack: int64
+    spans and counts, and an ``m`` a per-row int64 column holds."""
+    return (
+        schedule.m <= np.iinfo(np.int64).max
+        and cols.processors.dtype != object
+        and cols.span_first.dtype != object
+        and cols.span_end.dtype != object
+    )
+
+
+def _columnar_flags(
+    schedules: Sequence[Schedule],
+    positions: Sequence[Optional[np.ndarray]],
+    sizes: Sequence[int],
+    *,
+    durations: bool = True,
+) -> _Flags:
+    """The columnar checks over the concatenated columns of ``schedules``.
+
+    Bounds compare every row with its own schedule's ``m``; understated
+    overrides compare the override rows with their oracle times;
+    completeness counts each schedule's ``positions`` (see
+    :func:`job_positions`; ``None`` skips the check) against its instance of
+    ``sizes[k]`` jobs with one ``bincount``; conflicts are one grouped
+    :func:`spans_time_overlap` sweep that keeps the schedules apart.  A pack
+    of one runs the ungrouped sweep, at any dtype.
+    """
+    k = len(schedules)
+    cols = [s.columns() for s in schedules]
+    one = k == 1
+    cat = (lambda parts: parts[0]) if one else np.concatenate
+    members = np.arange(k)
+    n_rows = [c.n for c in cols]
+    first_row = np.cumsum([0] + n_rows[:-1])
+    entry_owner = np.repeat(members, n_rows)
+    span_member = np.repeat(members, [len(c.span_first) for c in cols])
+    processors = cat([c.processors for c in cols])
+    span_first = cat([c.span_first for c in cols])
+    span_end = cat([c.span_end for c in cols])
+    span_owner = cat([c.span_owner for c in cols])
+    if one:
+        m_entry = m_span = schedules[0].m
+    else:
+        span_owner = span_owner + first_row[span_member]
+        ms = np.array([s.m for s in schedules], dtype=np.int64)
+        m_entry, m_span = ms[entry_owner], ms[span_member]
+
+    def flagged(owners: np.ndarray) -> np.ndarray:
+        out = np.zeros(k, dtype=bool)
+        out[owners] = True
+        return out
+
+    bounds = flagged(entry_owner[processors > m_entry]) | flagged(span_member[span_end > m_span])
+
+    bad_durations = np.zeros(k, dtype=bool)
+    has_override = cat([c.has_override for c in cols])
+    if durations and has_override.any():
+        for row in np.flatnonzero(has_override).tolist():
+            s = int(entry_owner[row])
+            i = row - int(first_row[s])
+            oracle = schedules[s]._jobs[i].processing_time(int(cols[s].processors[i]))
+            if _understates(float(cols[s].duration[i]), oracle):
+                bad_durations[s] = True
+
+    completeness = np.zeros(k, dtype=bool)
+    checked = [s for s in range(k) if positions[s] is not None]
+    if checked:
+        wanted_owner = np.repeat(checked, [sizes[s] for s in checked])
+        first_wanted = np.cumsum([0] + [sizes[s] for s in checked[:-1]])
+        pos = cat([positions[s] for s in checked])
+        owner = np.repeat(checked, [len(positions[s]) for s in checked])
+        foreign = pos < 0
+        # a job's slot over the pack: its position plus its instance's offset
+        slots = pos[~foreign] + np.repeat(first_wanted, [len(positions[s]) for s in checked])[~foreign]
+        counts = np.bincount(slots, minlength=len(wanted_owner))
+        completeness = flagged(owner[foreign]) | flagged(wanted_owner[counts != 1])
+
+    start = cat([c.start for c in cols])
+    end = cat([c.end for c in cols])
+    overlap = spans_time_overlap(
+        span_first,
+        span_end,
+        start[span_owner],
+        end[span_owner],
+        max_incidences=max(_CONFLICT_INCIDENCE_CAP, 8 * len(span_first)),
+        group=None if one else span_member,
+    )
+    if overlap is None:  # too nested to expand: the tolerant sweep decides
+        conflicts = np.ones(k, dtype=bool) if one else np.array(
+            [_columnar_flags([s], [None], [0], durations=False).conflicts[0] for s in schedules]
+        )
+    elif one:
+        conflicts = np.array([overlap])
+    else:
+        conflicts = flagged(np.flatnonzero(overlap))
+    return _Flags(bounds, bad_durations, completeness, conflicts)
+
+
+def flag_schedules(
+    schedules: Sequence[Schedule],
+    jobs: Sequence[Optional[Sequence[MoldableJob]]],
+    *,
+    positions: Optional[Sequence[np.ndarray]] = None,
+) -> np.ndarray:
+    """The columnar verdict over K schedules at once: entry ``k`` is false
+    when schedule ``k`` passes the bounds, understated-override,
+    completeness (against ``jobs[k]``; ``None`` skips it) and exact conflict
+    checks outright, so :func:`validate_schedule` reports no violation for
+    it (a ``max_makespan`` bound aside).  True sends it to the per-entry
+    path, which words the violations, or finds none where the only flag is
+    a within-tolerance touch.
+
+    The schedules' columns are concatenated and each check runs once over
+    the pack; schedules whose columns need exact object dtype, or whose
+    ``m`` passes int64, are checked one at a time.  ``positions[k]``, when
+    given, is :func:`job_positions` of schedule ``k`` against ``jobs[k]``.
+    Durations resolve the way :meth:`Schedule.columns` resolves them, so
+    resolve them first where an executor is at hand.
+    """
+    k = len(schedules)
+    if positions is None:
+        positions = [
+            None if wanted is None else job_positions(s._jobs, _instance_index(wanted))
+            for s, wanted in zip(schedules, jobs)
+        ]
+    sizes = [0 if wanted is None else len(wanted) for wanted in jobs]
+    out = np.zeros(k, dtype=bool)
+    packs = [s for s in range(k) if _packs_with_others(schedules[s], schedules[s].columns())]
+    alone = sorted(set(range(k)).difference(packs))
+    for members in ([packs] if packs else []) + [[s] for s in alone]:
+        flags = _columnar_flags(
+            [schedules[s] for s in members],
+            [positions[s] for s in members],
+            [sizes[s] for s in members],
+        )
+        out[members] = flags.any()
+    return out
 
 
 def placement_violations(
@@ -277,21 +461,87 @@ def placement_violations(
     only then are entries materialised, for the tolerant verdict and the
     messages.
     """
-    m = schedule.m
-    bounds: List[str] = []
-    if (cols.span_end > m).any() or (cols.processors > m).any():
-        bounds = _bounds_violations(schedule.entries, m)
-    suspicious = spans_time_overlap(
-        cols.span_first,
-        cols.span_end,
-        cols.start[cols.span_owner],
-        cols.end[cols.span_owner],
-        max_incidences=max(_CONFLICT_INCIDENCE_CAP, 8 * len(cols.span_first)),
-    )
-    conflicts: List[str] = []
-    if suspicious is None or suspicious:
-        conflicts = _machine_conflicts(schedule.entries)
+    flags = _columnar_flags([schedule], [None], [0], durations=False)
+    return _placement_messages(schedule, flags)
+
+
+def _placement_messages(schedule: Schedule, flags: _Flags) -> Tuple[List[str], List[str]]:
+    bounds = _bounds_violations(schedule.entries, schedule.m) if flags.bounds[0] else []
+    conflicts = _machine_conflicts(schedule.entries) if flags.conflicts[0] else []
     return bounds, conflicts
+
+
+def _touches(earlier: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Elementwise ``later - earlier <= ABS_TOL + REL_TOL * max(1, |earlier|,
+    |later|)``: the times touch under the verdict's tolerance (the negation
+    of :func:`_overlap` for ``lo = earlier``, ``hi = later``)."""
+    scale = np.maximum(np.maximum(np.abs(later), np.abs(earlier)), 1.0)
+    return later - earlier <= ABS_TOL + REL_TOL * scale
+
+
+def released_running(cols: ScheduleColumns, idle: Optional[np.ndarray] = None) -> np.ndarray:
+    """Busy processors after each event of ``cols.event_sweep()``, with a
+    running job released at the first later start its end lies within
+    float tolerance of (the verdict's rule for when two times touch), and
+    the jobs of the bool mask ``idle`` holding no machine (by default those
+    whose end is not after their start).
+
+    Where no job is idle and no finish event follows a start event by at
+    most (twice) the tolerance, nothing is released early and this is the
+    exact sweep's count.  (A start within tolerance before a finish implies
+    such an adjacent pair: the event right before that finish, or before
+    the first finish between the two.)"""
+    n = cols.n
+    order, t_sorted, exact = cols.event_sweep()
+    is_start = order < n
+    start, end = cols.start, cols.end
+    if idle is None:
+        idle = end <= start
+    reach = 2.0 * (ABS_TOL + REL_TOL * max(1.0, abs(float(t_sorted[0])), abs(float(t_sorted[-1]))))
+    touching = is_start[:-1] & ~is_start[1:] & (np.diff(t_sorted) <= reach)
+    if not touching.any() and not idle.any():
+        return exact
+    start_order = order[is_start]
+    starts = t_sorted[is_start]
+    position = np.empty(n, dtype=np.int64)
+    position[start_order] = np.arange(n, dtype=np.int64)
+    # the -procs delta of an early-released job moves onto that start
+    release = np.maximum(_first_start_within_tolerance(starts, end), position + 1)
+    early = release < n
+    early[early] = starts[release[early]] < end[early]
+    procs = cols.processors
+    if not cols.fits_int64_sweep():
+        procs = procs.astype(object)  # exact Python-int prefix sums
+    procs = np.where(idle, 0, procs)
+    start_delta = procs.copy()
+    np.subtract.at(start_delta, start_order[release[early]], procs[early])
+    finish_delta = np.where(early, 0, -procs)
+    return np.cumsum(np.concatenate((start_delta, finish_delta))[order])
+
+
+def _first_start_within_tolerance(starts: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Per end time, the first index into the sorted ``starts`` at which
+    ``end - start <= ABS_TOL + REL_TOL * max(1, |end|, |start|)`` holds
+    (``len(starts)`` when none does): the validator's rule for when two
+    times touch.
+
+    The test is monotone in the start time, so a ``searchsorted`` on the
+    threshold at ``|start| = |end|`` lands next to the answer; rounding can
+    put it a few distinct start times off, and the exact test settles it.
+    """
+    n = len(starts)
+
+    def within(k: np.ndarray) -> np.ndarray:
+        return (k >= 0) & (k < n) & _touches(starts[np.clip(k, 0, n - 1)], end)
+
+    k = np.searchsorted(starts, end - (ABS_TOL + REL_TOL * np.maximum(np.abs(end), 1.0)))
+    while True:
+        back = within(k - 1)
+        forward = ~back & (k < n) & ~within(k)
+        if not (back.any() or forward.any()):
+            return k
+        k[back] = np.searchsorted(starts, starts[k[back] - 1], side="left")
+        k[forward] = np.searchsorted(starts, starts[k[forward]], side="right")
 
 
 def validate_schedule(
@@ -304,10 +554,19 @@ def validate_schedule(
 ) -> ValidationReport:
     """Check a schedule for feasibility.
 
+    The pack of one of :func:`flag_schedules`: the columnar checks run
+    first, and only the checks they flag run their per-entry message path.
     Exact at any ``m``: span values beyond int64 ride exact object-dtype
     columns (see :mod:`repro.core.capacity`), and every check is
     dtype-agnostic.  Entry objects are materialised only for the rows a
     violation message needs.
+
+    ``peak_processors`` counts busy processors under the verdict's float
+    tolerance (:func:`released_running`): a job whose end lies within
+    tolerance of a later start is released there, as
+    :func:`repro.simulator.engine.simulate_schedule` releases it, and a job
+    shorter than the tolerance, which touches every other job, holds no
+    machine.  So a valid schedule never reports more than ``m``.
 
     Parameters
     ----------
@@ -324,21 +583,28 @@ def validate_schedule(
         kernel pass instead of per-entry oracle calls (bit-identical values).
     """
     cols = schedule.columns(oracle=oracle)
-    bounds, conflicts = placement_violations(schedule, cols)
-    violations: List[str] = list(bounds)
-
-    # duration consistency (only overridden entries can violate; the others'
-    # durations are the oracle times by construction)
-    for i in np.flatnonzero(cols.has_override).tolist():
-        entry = schedule.entries[i]
-        message = _duration_violation(entry, entry.job.processing_time(entry.processors))
-        if message is not None:
-            violations.append(message)
-
-    if jobs is not None and require_all_jobs:
-        violations.extend(_completeness_violations(schedule.jobs(), jobs))
-
-    violations.extend(conflicts)
+    wanted = list(jobs) if jobs is not None and require_all_jobs else None
+    positions = None
+    if wanted is not None:
+        # the executor's index serves when it is over this very job list
+        index = oracle.job_index if oracle is not None and oracle.jobs == wanted else _instance_index(wanted)
+        positions = job_positions(schedule._jobs, index)
+    flags = _columnar_flags([schedule], [positions], [0 if wanted is None else len(wanted)])
+    violations: List[str] = []
+    if flags.any()[0]:
+        bounds, conflicts = _placement_messages(schedule, flags)
+        violations.extend(bounds)
+        # duration consistency (only overridden entries can violate; the
+        # others' durations are the oracle times by construction)
+        if flags.durations[0]:
+            for i in np.flatnonzero(cols.has_override).tolist():
+                entry = schedule.entries[i]
+                message = _duration_violation(entry, entry.job.processing_time(entry.processors))
+                if message is not None:
+                    violations.append(message)
+        if flags.completeness[0]:
+            violations.extend(_completeness_violations(schedule.jobs(), wanted))
+        violations.extend(conflicts)
 
     ms = float(cols.end.max()) if cols.n else 0.0
     if max_makespan is not None and not _approx_le(ms, max_makespan):
@@ -350,8 +616,11 @@ def validate_schedule(
         ok=not violations,
         violations=violations,
         makespan=ms,
-        # peak busy machines: the shared event sort + prefix sum
-        peak_processors=cols.peak_busy(),
+        # a job shorter than the tolerance touches every other one, so it
+        # holds no machine under the verdict
+        peak_processors=(
+            max(0, int(released_running(cols, _touches(cols.start, cols.end)).max())) if cols.n else 0
+        ),
     )
 
 

@@ -34,7 +34,17 @@ accounting.  This holds because
   vectorized solve runs through :meth:`BatchedOracle.run
   <repro.perf.oracle.BatchedOracle.run>`.  The request streams are
   therefore identical by construction; only their execution is batched
-  across segments.
+  across segments;
+* validation is one pack pass after the last round, not one per segment:
+  every unresolved duration resolves in one ``eval_at`` on the shared
+  bundle (the values the segment oracles give), and
+  :func:`~repro.core.validation.flag_schedules` runs each check once over
+  the concatenated columns.  A flagged instance re-runs the solo
+  :func:`~repro.core.validation.assert_valid_schedule`, in slot order, so a
+  failing pack raises the first failing instance's solo
+  :class:`~repro.core.validation.ValidationError`, and every returned
+  schedule has its columns built and its durations resolved, as after a
+  solo validated solve.
 
 The differential harness's ``mega`` mode enforces the contract: every fuzz
 case is solved solo and inside a random co-batch, and the schedules must be
@@ -54,7 +64,7 @@ import numpy as np
 from ..core.backend import MAX_VECTORIZED_M
 from ..core.fptas import check_fptas_instance, fptas_steps
 from ..core.job import MoldableJob
-from ..core.schedule import Schedule
+from ..core.schedule import Schedule, resolve_shared_durations
 from ..core.scheduler import (
     ALGORITHMS,
     SchedulingResult,
@@ -65,13 +75,13 @@ from ..core.scheduler import (
     schedule_moldable,
 )
 from ..core.two_approx import two_approx_steps
+from ..core.validation import assert_valid_schedule, flag_schedules, job_positions
 from .arrays import JobArrayBundle
 from .oracle import BatchedOracle, lockstep_gamma_round
 
 # Not called here: the benchmark's traced run (perfbench/layers.py) patches
 # these names on this module, so they must stay importable from it.
 from ..core.list_scheduling import list_schedule  # noqa: F401
-from ..core.validation import assert_valid_schedule  # noqa: F401
 from .schedule_builder import schedule_from_arrays  # noqa: F401
 
 __all__ = ["MegaBatch", "MegaOracle", "solve_mega"]
@@ -106,7 +116,6 @@ class _Segment:
         "m",
         "eps",
         "chosen",
-        "validate",
         "start",
         "stop",
         "n",
@@ -114,13 +123,12 @@ class _Segment:
         "oracle",
     )
 
-    def __init__(self, slot, jobs, m, eps, chosen, validate):
+    def __init__(self, slot, jobs, m, eps, chosen):
         self.slot = slot
         self.jobs = jobs
         self.m = m
         self.eps = eps
         self.chosen = chosen
-        self.validate = validate
         self.n = len(jobs)
         self.start = 0
         self.stop = 0
@@ -184,12 +192,38 @@ class MegaOracle:
 
 def _solve_steps(seg: _Segment):
     """One segment's ``schedule_moldable`` as a request generator: the solo
-    driver's generator, then the facade's result assembly."""
+    driver's generator, then the facade's result assembly.  Validation is
+    left to the pack pass (:func:`_validate_pack`)."""
     if seg.chosen == "two_approx":
-        res = yield from two_approx_steps(seg.jobs, seg.oracle, validate=seg.validate)
+        res = yield from two_approx_steps(seg.jobs, seg.oracle, validate=False)
     else:  # fptas
-        res = yield from fptas_steps(seg.jobs, seg.oracle, seg.eps, validate=seg.validate)
+        res = yield from fptas_steps(seg.jobs, seg.oracle, seg.eps, validate=False)
     return driver_result(seg.jobs, seg.m, seg.eps, seg.chosen, res.schedule, res.estimate)
+
+
+def _validate_pack(batch: MegaBatch, results: Sequence[SchedulingResult]) -> None:
+    """Validate every packed schedule in one columnar pass.
+
+    The unresolved durations of all schedules resolve in one ``eval_at`` on
+    the shared bundle (each segment's oracle evaluates through a view of
+    it, so the values are the solo ones), then
+    :func:`~repro.core.validation.flag_schedules` checks the pack against
+    each instance's job index.  A flagged instance re-runs the solo
+    :func:`assert_valid_schedule`, in slot order, so a failing pack raises
+    the first failing instance's solo :class:`ValidationError`.
+    """
+    segments = batch.segments
+    schedules = [result.schedule for result in results]
+    positions = [job_positions(s.jobs(), seg.oracle.job_index) for s, seg in zip(schedules, segments)]
+    pos = np.concatenate(positions)
+    offset = np.repeat([seg.start for seg in segments], [len(p) for p in positions])
+    resolve_shared_durations(
+        [s.columns() for s in schedules], np.where(pos >= 0, pos + offset, -1), batch.bundle.eval_at
+    )
+    flags = flag_schedules(schedules, [seg.jobs for seg in segments], positions=positions)
+    for seg, schedule, flagged in zip(segments, schedules, flags.tolist()):
+        if flagged:
+            assert_valid_schedule(schedule, seg.jobs, oracle=seg.oracle)
 
 
 def _drive(batch: MegaBatch, oracle: MegaOracle) -> List[SchedulingResult]:
@@ -303,13 +337,16 @@ def solve_mega(
     segments = []
     for slot, (jobs, m, i_eps, i_alg, chosen, mega) in enumerate(normalized):
         if mega:
-            segments.append(_Segment(slot, jobs, m, i_eps, chosen, validate))
+            segments.append(_Segment(slot, jobs, m, i_eps, chosen))
 
     mega_results: Dict[int, SchedulingResult] = {}
     if segments:
         batch = MegaBatch(segments, warm_start=warm_start)
         oracle = MegaOracle(batch)
-        for seg, result in zip(batch.segments, _drive(batch, oracle)):
+        results = _drive(batch, oracle)
+        if validate:
+            _validate_pack(batch, results)
+        for seg, result in zip(batch.segments, results):
             mega_results[seg.slot] = result
         if stats is not None:
             stats["mega_size"] = len(segments)

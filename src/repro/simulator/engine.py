@@ -18,9 +18,11 @@ In strict mode a span outside ``[0, m)`` or a machine conflict raises
 :class:`SimulationError` with the validator's message: the verdict comes from
 :func:`repro.core.validation.placement_violations`, the same check
 :func:`repro.core.validation.validate_schedule` runs.  More busy processors
-than ``m`` raise as well.  Recorded durations are not checked against the
-oracle times: the fault executor's traces understate them by design, since a
-killed run stops early.
+than ``m`` raise as well; the busy count is
+:func:`repro.core.validation.released_running`, whose release rule the
+validator's reported peak shares.  Recorded durations are not checked
+against the oracle times: the fault executor's traces understate them by
+design, since a killed run stops early.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.schedule import Schedule
-from ..core.validation import ABS_TOL, REL_TOL, placement_violations
+from ..core.validation import ABS_TOL, placement_violations, released_running
 
 __all__ = ["SimulationError", "ExecutionTrace", "simulate_schedule"]
 
@@ -66,33 +68,6 @@ class ExecutionTrace:
         return area / (m * self.makespan)
 
 
-def _first_start_within_tolerance(starts: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Per end time, the first index into the sorted ``starts`` at which
-    ``end - start <= ABS_TOL + REL_TOL * max(1, |end|, |start|)`` holds
-    (``len(starts)`` when none does): the validator's rule for when two
-    times touch.
-
-    The test is monotone in the start time, so a ``searchsorted`` on the
-    threshold at ``|start| = |end|`` lands next to the answer; rounding can
-    put it a few distinct start times off, and the exact test settles it.
-    """
-    n = len(starts)
-
-    def within(k: np.ndarray) -> np.ndarray:
-        s = starts[np.clip(k, 0, n - 1)]
-        scale = np.maximum(np.maximum(np.abs(end), np.abs(s)), 1.0)
-        return (k >= 0) & (k < n) & (end - s <= ABS_TOL + REL_TOL * scale)
-
-    k = np.searchsorted(starts, end - (ABS_TOL + REL_TOL * np.maximum(np.abs(end), 1.0)))
-    while True:
-        back = within(k - 1)
-        forward = ~back & (k < n) & ~within(k)
-        if not (back.any() or forward.any()):
-            return k
-        k[back] = np.searchsorted(starts, starts[k[back] - 1], side="left")
-        k[forward] = np.searchsorted(starts, starts[k[forward]], side="right")
-
-
 def simulate_schedule(schedule: Schedule, *, strict: bool = True) -> ExecutionTrace:
     """Execute a schedule event by event.
 
@@ -116,30 +91,11 @@ def simulate_schedule(schedule: Schedule, *, strict: bool = True) -> ExecutionTr
             raise SimulationError((bounds + conflicts)[0])
 
     # Starts and finishes sorted by time, finishes first at equal times,
-    # equal-time starts in entry order.
+    # equal-time starts in entry order; a running job whose end lies within
+    # tolerance of a later start is released there.
     order, t_sorted, _ = cols.event_sweep()
     start_order = order[order < n]  # entries in start-event order
-    starts = t_sorted[order < n]
-    start, end = cols.start, cols.end
-    position = np.empty(n, dtype=np.int64)
-    position[start_order] = np.arange(n, dtype=np.int64)
-
-    # A job is released at the first start after its own whose time its end
-    # lies within tolerance of, if that start comes before its finish event.
-    # Its -procs delta moves onto that start.
-    release = np.maximum(_first_start_within_tolerance(starts, end), position + 1)
-    early = release < n
-    early[early] = starts[release[early]] < end[early]
-
-    procs = cols.processors
-    if not cols.fits_int64_sweep():
-        procs = procs.astype(object)  # exact Python-int prefix sums
-    # a job ending at or before its start holds no machine at any time
-    procs = np.where(end <= start, 0, procs)
-    start_delta = procs.copy()
-    np.subtract.at(start_delta, start_order[release[early]], procs[early])
-    finish_delta = np.where(early, 0, -procs)
-    running = np.cumsum(np.concatenate((start_delta, finish_delta))[order])
+    running = released_running(cols)
 
     if strict:
         over = np.flatnonzero(running > m)
@@ -157,7 +113,7 @@ def simulate_schedule(schedule: Schedule, *, strict: bool = True) -> ExecutionTr
     # total work accumulates in start-event order
     works = cols.processors.astype(np.float64) * cols.duration
     return ExecutionTrace(
-        makespan=float(end.max()),
+        makespan=float(cols.end.max()),
         total_work=sum(works[start_order].tolist()),
         utilization_profile=profile,
         events=n,

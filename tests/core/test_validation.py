@@ -168,6 +168,34 @@ class TestValidateSchedule:
         assert report == reference_validate(Schedule(m=2), [a], max_makespan=-1.0)
         assert validate_schedule(Schedule(m=2), max_makespan=0.0).ok
 
+    def test_peak_counts_a_sub_tolerance_job_as_touching(self):
+        """A 1e-10 job and a 1.0 job start together on machine 0: the verdict
+        treats them as touching, so the reported peak is 1, as the
+        simulator's release rule counts it."""
+        from repro.simulator.engine import simulate_schedule
+
+        a, b = TabulatedJob("a", [1e-10]), TabulatedJob("b", [1.0])
+        schedule = Schedule(m=1)
+        schedule.add(a, 1.0, [(0, 1)])
+        schedule.add(b, 1.0, [(0, 1)])
+        report = validate_schedule(schedule, [a, b])
+        assert (report.ok, report.peak_processors) == (True, 1)
+        assert simulate_schedule(schedule).peak_busy == 1
+        assert report == reference_validate(schedule, [a, b])
+
+    @pytest.mark.parametrize("order", ["long_first", "nested"])
+    def test_a_sub_tolerance_job_holds_no_machine(self, order):
+        """Listed after a job that covers its start, a 1e-10 job is never
+        released early, but it touches every job: it holds no machine under
+        the verdict, so a clean report stays within m."""
+        a, b = TabulatedJob("a", [1e-10]), TabulatedJob("b", [3.0])
+        schedule = Schedule(m=1)
+        schedule.add(b, 1.0 if order == "long_first" else 0.0, [(0, 1)])
+        schedule.add(a, 1.0, [(0, 1)])
+        report = validate_schedule(schedule, [a, b])
+        assert (report.ok, report.peak_processors) == (True, 1)
+        assert report == reference_validate(schedule, [a, b])
+
     def test_disjoint_spans_no_conflict(self):
         a, b = make_job("a"), make_job("b")
         schedule = Schedule(m=10 ** 9)

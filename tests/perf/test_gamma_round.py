@@ -66,7 +66,7 @@ ROUNDS = [
 
 
 def _build():
-    segments = [_Segment(i, jobs, m, 0.1, "two_approx", True) for i, (jobs, m, _) in enumerate(SEGMENTS)]
+    segments = [_Segment(i, jobs, m, 0.1, "two_approx") for i, (jobs, m, _) in enumerate(SEGMENTS)]
     batch = MegaBatch(segments)
     mega = [seg.oracle for seg in batch.segments]
     for oracle, (_, _, warm) in zip(mega, SEGMENTS):

@@ -264,8 +264,8 @@ class TestMegaBatchStructure:
         a = random_mixed_instance(3, 8, seed=10)
         b = random_amdahl_instance(4, 16, seed=11)
         segments = [
-            _Segment(0, list(a.jobs), a.m, 0.25, "two_approx", True),
-            _Segment(1, list(b.jobs), b.m, 0.25, "two_approx", True),
+            _Segment(0, list(a.jobs), a.m, 0.25, "two_approx"),
+            _Segment(1, list(b.jobs), b.m, 0.25, "two_approx"),
         ]
         batch = MegaBatch(segments)
         assert (batch.segments[0].start, batch.segments[0].stop) == (0, 3)

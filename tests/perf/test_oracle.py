@@ -166,6 +166,58 @@ class TestMemoEviction:
         assert 2 not in job._cache
 
 
+class TestScalarTimesReadMemos:
+    """``ScalarOracle.times_at`` answers a memo hit without a
+    ``processing_time`` call, except where that call does more than look
+    the value up."""
+
+    @staticmethod
+    def counted(job_class, *args):
+        class Counted(job_class):
+            __slots__ = ()
+            calls = 0
+
+            def processing_time(self, k):
+                type(self).calls += 1
+                return super().processing_time(k)
+
+        return Counted(*args)
+
+    def test_hits_skip_processing_time(self, monkeypatch):
+        jobs = [AmdahlJob(f"a{i}", 10.0 + i, 0.1) for i in range(3)]
+        oracle = ScalarOracle(jobs, 8)
+        first = oracle.times_at(np.array([1, 2, 4]))
+        calls = []
+        real = AmdahlJob.processing_time
+        monkeypatch.setattr(AmdahlJob, "processing_time", lambda self, k: calls.append(k) or real(self, k))
+        assert oracle.times_at(np.array([1, 2, 4])).tolist() == first.tolist()
+        assert calls == []
+        oracle.times_at(np.array([3, 2, 4]))  # one miss
+        assert calls == [3]
+
+    def test_a_miss_still_validates_k(self):
+        oracle = ScalarOracle([AmdahlJob("a", 10.0, 0.1)], 8)
+        with pytest.raises(ValueError, match="positive integer"):
+            oracle.times_at(np.array([0]))
+
+    def test_an_overriding_class_gets_every_call(self):
+        job = self.counted(TabulatedJob, "t", [4.0, 3.0, 2.0])
+        oracle = ScalarOracle([job, AmdahlJob("a", 10.0, 0.1)], 3)
+        oracle.times_at(np.array([2, 2]))
+        oracle.times_at(np.array([2, 2]))
+        assert type(job).calls == 2
+
+    def test_a_full_memo_refreshes_through_processing_time(self):
+        job = OracleJob("o", lambda k: 100.0 / k)
+        for k in range(1, job.MEMO_CAPACITY + 1):
+            job.processing_time(k)
+        oracle = ScalarOracle([job], job.MEMO_CAPACITY + 1)
+        oracle.times_at(np.array([1]))  # a hit while full: LRU refresh
+        job.processing_time(job.MEMO_CAPACITY + 1)  # forces one eviction
+        assert 1 in job._cache
+        assert 2 not in job._cache
+
+
 class TestSimulatorValidatorTolerance:
     def _sequential_schedule(self, shift):
         jobs = [TabulatedJob("j0", [7.0]), TabulatedJob("j1", [5.0])]

@@ -207,6 +207,29 @@ class TestSpansTimeOverlap:
             np.array([0, 1]), np.array([3, 4]), np.array([0.0, 1.0]), np.array([5.0, 6.0])
         ) is True
 
+    def test_group_key_keeps_schedules_apart(self):
+        # groups 0 and 1 use the same machines at the same time; only
+        # group 2 overlaps within itself
+        group = np.array([0, 1, 2, 2, 1])
+        flags = spans_time_overlap(
+            np.array([0, 0, 4, 5, 8]),
+            np.array([3, 3, 6, 7, 9]),
+            np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
+            np.array([5.0, 5.0, 5.0, 6.0, 1.0]),
+            group=group,
+        )
+        assert flags.tolist() == [False, False, True]
+
+    def test_group_key_exact_near_int64(self):
+        big = (1 << 62) - 8
+        span_first = np.array([big, big + 4, big, 0], dtype=np.int64)
+        span_end = span_first + 4
+        starts, ends = np.zeros(4), np.ones(4)
+        flags = spans_time_overlap(span_first, span_end, starts, ends, group=np.array([0, 0, 1, 1]))
+        assert flags.tolist() == [False, False]
+        flags = spans_time_overlap(span_first, span_end, starts, ends, group=np.array([0, 1, 0, 1]))
+        assert flags.tolist() == [True, False]
+
     def test_incidence_cap_returns_none(self):
         span_first = np.arange(10, dtype=np.int64)
         span_end = span_first + 10

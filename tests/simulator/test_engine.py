@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from repro.core.job import TabulatedJob
 from repro.core.schedule import Schedule
 from repro.core.scheduler import schedule_moldable
+from repro.core.validation import _first_start_within_tolerance
 from repro.simulator.engine import (
     SimulationError,
-    _first_start_within_tolerance,
     simulate_schedule,
 )
 from repro.workloads.generators import random_mixed_instance
