@@ -814,7 +814,7 @@ def spans_time_overlap(
     *,
     max_incidences: Optional[int] = None,
     group: Optional[np.ndarray] = None,
-):
+) -> Optional[np.ndarray]:
     """Detect whether any two busy rectangles (machine span × time interval)
     overlap with positive area.
 
@@ -824,43 +824,38 @@ def spans_time_overlap(
     time-sorted event sweep counts simultaneously active intervals (ends sort
     before starts, so touching intervals never count as two).
 
-    Returns ``True``/``False``, or ``None`` when the expansion would exceed
-    ``max_incidences`` (pathologically nested spans) — the caller should fall
-    back to a scalar sweep.  The check is *exact* (no float tolerance): a
-    ``True`` may still be a within-tolerance touch that a tolerant scalar
-    checker would accept, so ``True`` means "re-check", not "infeasible".
+    ``group``, one non-negative int key per span (all zeros by default),
+    keeps spans of different keys apart: they never overlap, whatever their
+    machines.  Many schedules are swept in one call, with the machine
+    indices untouched, so the sweep stays exact at any ``m``.
 
-    ``group``, one non-negative int key per span, keeps spans of different
-    keys apart (they never overlap, whatever their machines): many
-    schedules are swept in one call, with the machine indices untouched, so
-    the sweep stays exact at any ``m``.  The result is then a bool array
-    whose entry ``g`` says whether key ``g`` has an overlap (or ``None``, as
-    above).
+    Returns a bool array whose entry ``g`` says whether key ``g`` has an
+    overlap (keys past the largest one present have none), or ``None`` when
+    the expansion would exceed ``max_incidences`` (pathologically nested
+    spans) — the caller should fall back to a scalar sweep.  The check is
+    *exact* (no float tolerance): a flag may still be a within-tolerance
+    touch that a tolerant scalar checker would accept, so it means
+    "re-check", not "infeasible".
     """
     p = len(span_first)
     if group is None:
-        if p < 2:
-            return False
-        cuts = np.unique(np.concatenate((span_first, span_end)))
-        lo = np.searchsorted(cuts, span_first, side="left")
-        hi = np.searchsorted(cuts, span_end, side="left")
-    else:
-        flags = np.zeros(int(group.max()) + 1 if p else 0, dtype=bool)
-        if p < 2:
-            return flags
-        # cuts ranked by (group, boundary): a group's cuts are consecutive,
-        # so no span covers a segment that joins two groups
-        bounds = np.concatenate((span_first, span_end))
-        keys = np.concatenate((group, group))
-        by_key = np.lexsort((bounds, keys))
-        b, k = bounds[by_key], keys[by_key]
-        new_cut = np.empty(2 * p, dtype=bool)
-        new_cut[0] = True
-        new_cut[1:] = (b[1:] != b[:-1]) | (k[1:] != k[:-1])
-        rank = np.empty(2 * p, dtype=np.int64)
-        rank[by_key] = np.cumsum(new_cut) - 1
-        lo, hi = rank[:p], rank[p:]
-        cut_group = k[new_cut]
+        group = np.zeros(p, dtype=np.int64)
+    flags = np.zeros(int(group.max()) + 1 if p else 0, dtype=bool)
+    if p < 2:
+        return flags
+    # cuts ranked by (group, boundary): a group's cuts are consecutive, so
+    # no span covers a segment that joins two groups
+    bounds = np.concatenate((span_first, span_end))
+    keys = np.concatenate((group, group))
+    by_key = np.lexsort((bounds, keys))
+    b, k = bounds[by_key], keys[by_key]
+    new_cut = np.empty(2 * p, dtype=bool)
+    new_cut[0] = True
+    new_cut[1:] = (b[1:] != b[:-1]) | (k[1:] != k[:-1])
+    rank = np.empty(2 * p, dtype=np.int64)
+    rank[by_key] = np.cumsum(new_cut) - 1
+    lo, hi = rank[:p], rank[p:]
+    cut_group = k[new_cut]
     counts = hi - lo
     total = int(counts.sum())
     if max_incidences is not None and total > max_incidences:
@@ -876,7 +871,5 @@ def spans_time_overlap(
     )
     order = np.lexsort((ev_delta, ev_time, ev_seg))
     running = grouped_running_count(ev_seg[order], ev_delta[order])
-    if group is None:
-        return bool(running.size) and int(running.max()) >= 2
     flags[cut_group[ev_seg[order][running >= 2]]] = True
     return flags

@@ -325,48 +325,35 @@ def _columnar_flags(
     schedules: Sequence[Schedule],
     positions: Sequence[Optional[np.ndarray]],
     sizes: Sequence[int],
-    *,
-    durations: bool = True,
+    durations: bool,
 ) -> _Flags:
-    """The columnar checks over the concatenated columns of ``schedules``.
-
-    Bounds compare every row with its own schedule's ``m``; understated
-    overrides compare the override rows with their oracle times;
-    completeness counts each schedule's ``positions`` (see
-    :func:`job_positions`; ``None`` skips the check) against its instance of
-    ``sizes[k]`` jobs with one ``bincount``; conflicts are one grouped
-    :func:`spans_time_overlap` sweep that keeps the schedules apart.  A pack
-    of one runs the ungrouped sweep, at any dtype.
-    """
+    """The columnar checks over the concatenated columns of ``schedules``
+    (see :func:`flag_schedules`)."""
     k = len(schedules)
     cols = [s.columns() for s in schedules]
-    one = k == 1
-    cat = (lambda parts: parts[0]) if one else np.concatenate
     members = np.arange(k)
     n_rows = [c.n for c in cols]
     first_row = np.cumsum([0] + n_rows[:-1])
     entry_owner = np.repeat(members, n_rows)
     span_member = np.repeat(members, [len(c.span_first) for c in cols])
-    processors = cat([c.processors for c in cols])
-    span_first = cat([c.span_first for c in cols])
-    span_end = cat([c.span_end for c in cols])
-    span_owner = cat([c.span_owner for c in cols])
-    if one:
-        m_entry = m_span = schedules[0].m
-    else:
-        span_owner = span_owner + first_row[span_member]
-        ms = np.array([s.m for s in schedules], dtype=np.int64)
-        m_entry, m_span = ms[entry_owner], ms[span_member]
+    processors = np.concatenate([c.processors for c in cols])
+    span_first = np.concatenate([c.span_first for c in cols])
+    span_end = np.concatenate([c.span_end for c in cols])
+    span_owner = np.concatenate([c.span_owner for c in cols]) + first_row[span_member]
+    ms = [s.m for s in schedules]
+    ms = np.array(ms, dtype=np.int64 if max(ms) <= np.iinfo(np.int64).max else object)
 
     def flagged(owners: np.ndarray) -> np.ndarray:
         out = np.zeros(k, dtype=bool)
         out[owners] = True
         return out
 
-    bounds = flagged(entry_owner[processors > m_entry]) | flagged(span_member[span_end > m_span])
+    bounds = flagged(entry_owner[processors > ms[entry_owner]]) | flagged(
+        span_member[span_end > ms[span_member]]
+    )
 
     bad_durations = np.zeros(k, dtype=bool)
-    has_override = cat([c.has_override for c in cols])
+    has_override = np.concatenate([c.has_override for c in cols])
     if durations and has_override.any():
         for row in np.flatnonzero(has_override).tolist():
             s = int(entry_owner[row])
@@ -380,7 +367,7 @@ def _columnar_flags(
     if checked:
         wanted_owner = np.repeat(checked, [sizes[s] for s in checked])
         first_wanted = np.cumsum([0] + [sizes[s] for s in checked[:-1]])
-        pos = cat([positions[s] for s in checked])
+        pos = np.concatenate([positions[s] for s in checked])
         owner = np.repeat(checked, [len(positions[s]) for s in checked])
         foreign = pos < 0
         # a job's slot over the pack: its position plus its instance's offset
@@ -388,66 +375,62 @@ def _columnar_flags(
         counts = np.bincount(slots, minlength=len(wanted_owner))
         completeness = flagged(owner[foreign]) | flagged(wanted_owner[counts != 1])
 
-    start = cat([c.start for c in cols])
-    end = cat([c.end for c in cols])
+    start = np.concatenate([c.start for c in cols])
+    end = np.concatenate([c.end for c in cols])
     overlap = spans_time_overlap(
         span_first,
         span_end,
         start[span_owner],
         end[span_owner],
         max_incidences=max(_CONFLICT_INCIDENCE_CAP, 8 * len(span_first)),
-        group=None if one else span_member,
+        group=span_member,
     )
-    if overlap is None:  # too nested to expand: the tolerant sweep decides
-        conflicts = np.ones(k, dtype=bool) if one else np.array(
-            [_columnar_flags([s], [None], [0], durations=False).conflicts[0] for s in schedules]
-        )
-    elif one:
-        conflicts = np.array([overlap])
-    else:
-        conflicts = flagged(np.flatnonzero(overlap))
+    # too nested to expand: the tolerant sweep decides for every member
+    conflicts = np.ones(k, dtype=bool) if overlap is None else flagged(np.flatnonzero(overlap))
     return _Flags(bounds, bad_durations, completeness, conflicts)
 
 
 def flag_schedules(
     schedules: Sequence[Schedule],
-    jobs: Sequence[Optional[Sequence[MoldableJob]]],
+    positions: Sequence[Optional[np.ndarray]],
+    sizes: Sequence[int],
     *,
-    positions: Optional[Sequence[np.ndarray]] = None,
-) -> np.ndarray:
-    """The columnar verdict over K schedules at once: entry ``k`` is false
-    when schedule ``k`` passes the bounds, understated-override,
-    completeness (against ``jobs[k]``; ``None`` skips it) and exact conflict
-    checks outright, so :func:`validate_schedule` reports no violation for
-    it (a ``max_makespan`` bound aside).  True sends it to the per-entry
-    path, which words the violations, or finds none where the only flag is
-    a within-tolerance touch.
+    durations: bool = True,
+) -> _Flags:
+    """The columnar verdict over K schedules at once, one flag array per
+    check.  A schedule no check flags passes the bounds,
+    understated-override, completeness and exact conflict checks outright,
+    so :func:`validate_schedule` reports no violation for it (a
+    ``max_makespan`` bound aside).  A flag sends it to that check's
+    per-entry path, which words the violations, or finds none where the
+    only flag is a within-tolerance touch.
 
-    The schedules' columns are concatenated and each check runs once over
-    the pack; schedules whose columns need exact object dtype, or whose
-    ``m`` passes int64, are checked one at a time.  ``positions[k]``, when
-    given, is :func:`job_positions` of schedule ``k`` against ``jobs[k]``.
-    Durations resolve the way :meth:`Schedule.columns` resolves them, so
-    resolve them first where an executor is at hand.
+    ``positions[k]`` is :func:`job_positions` of schedule ``k`` against its
+    instance of ``sizes[k]`` jobs (``None`` skips the completeness check);
+    ``durations=False`` skips the override check.  The schedules' columns
+    are concatenated and each check runs once over the pack: bounds compare
+    every row with its own schedule's ``m``, completeness counts the
+    positions with one ``bincount``, and conflicts are one
+    :func:`spans_time_overlap` sweep keyed by schedule.  Schedules whose
+    columns need exact object dtype, or whose ``m`` passes int64, are
+    checked one at a time.  Durations resolve the way
+    :meth:`Schedule.columns` resolves them, so resolve them first where an
+    executor is at hand.
     """
     k = len(schedules)
-    if positions is None:
-        positions = [
-            None if wanted is None else job_positions(s._jobs, _instance_index(wanted))
-            for s, wanted in zip(schedules, jobs)
-        ]
-    sizes = [0 if wanted is None else len(wanted) for wanted in jobs]
-    out = np.zeros(k, dtype=bool)
+    flags = _Flags(*(np.zeros(k, dtype=bool) for _ in _Flags._fields))
     packs = [s for s in range(k) if _packs_with_others(schedules[s], schedules[s].columns())]
     alone = sorted(set(range(k)).difference(packs))
     for members in ([packs] if packs else []) + [[s] for s in alone]:
-        flags = _columnar_flags(
+        part = _columnar_flags(
             [schedules[s] for s in members],
             [positions[s] for s in members],
             [sizes[s] for s in members],
+            durations,
         )
-        out[members] = flags.any()
-    return out
+        for out, flagged in zip(flags, part):
+            out[members] = flagged
+    return flags
 
 
 def placement_violations(
@@ -461,7 +444,7 @@ def placement_violations(
     only then are entries materialised, for the tolerant verdict and the
     messages.
     """
-    flags = _columnar_flags([schedule], [None], [0], durations=False)
+    flags = flag_schedules([schedule], [None], [0], durations=False)
     return _placement_messages(schedule, flags)
 
 
@@ -484,25 +467,15 @@ def released_running(cols: ScheduleColumns, idle: Optional[np.ndarray] = None) -
     running job released at the first later start its end lies within
     float tolerance of (the verdict's rule for when two times touch), and
     the jobs of the bool mask ``idle`` holding no machine (by default those
-    whose end is not after their start).
-
-    Where no job is idle and no finish event follows a start event by at
-    most (twice) the tolerance, nothing is released early and this is the
-    exact sweep's count.  (A start within tolerance before a finish implies
-    such an adjacent pair: the event right before that finish, or before
-    the first finish between the two.)"""
+    whose end is not after their start)."""
     n = cols.n
-    order, t_sorted, exact = cols.event_sweep()
+    order, t_sorted, _ = cols.event_sweep()
     is_start = order < n
-    start, end = cols.start, cols.end
-    if idle is None:
-        idle = end <= start
-    reach = 2.0 * (ABS_TOL + REL_TOL * max(1.0, abs(float(t_sorted[0])), abs(float(t_sorted[-1]))))
-    touching = is_start[:-1] & ~is_start[1:] & (np.diff(t_sorted) <= reach)
-    if not touching.any() and not idle.any():
-        return exact
     start_order = order[is_start]
     starts = t_sorted[is_start]
+    end = cols.end
+    if idle is None:
+        idle = end <= cols.start
     position = np.empty(n, dtype=np.int64)
     position[start_order] = np.arange(n, dtype=np.int64)
     # the -procs delta of an early-released job moves onto that start
@@ -589,7 +562,7 @@ def validate_schedule(
         # the executor's index serves when it is over this very job list
         index = oracle.job_index if oracle is not None and oracle.jobs == wanted else _instance_index(wanted)
         positions = job_positions(schedule._jobs, index)
-    flags = _columnar_flags([schedule], [positions], [0 if wanted is None else len(wanted)])
+    flags = flag_schedules([schedule], [positions], [0 if wanted is None else len(wanted)])
     violations: List[str] = []
     if flags.any()[0]:
         bounds, conflicts = _placement_messages(schedule, flags)

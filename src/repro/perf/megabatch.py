@@ -220,7 +220,7 @@ def _validate_pack(batch: MegaBatch, results: Sequence[SchedulingResult]) -> Non
     resolve_shared_durations(
         [s.columns() for s in schedules], np.where(pos >= 0, pos + offset, -1), batch.bundle.eval_at
     )
-    flags = flag_schedules(schedules, [seg.jobs for seg in segments], positions=positions)
+    flags = flag_schedules(schedules, positions, [seg.n for seg in segments]).any()
     for seg, schedule, flagged in zip(segments, schedules, flags.tolist()):
         if flagged:
             assert_valid_schedule(schedule, seg.jobs, oracle=seg.oracle)

@@ -186,15 +186,6 @@ class ScalarOracle(_Executor):
     backend = "scalar"
     gamma_probes = None
 
-    def __init__(self, jobs: Sequence[MoldableJob], m: int) -> None:
-        super().__init__(jobs, m)
-        #: whether :meth:`times_at` may read the jobs' memos directly: only
-        #: when no job class overrides ``processing_time``, whose memo hit
-        #: is then a bare dict lookup
-        self._read_memos = all(
-            type(job).processing_time is MoldableJob.processing_time for job in self.jobs
-        )
-
     def gamma_array(self, threshold: float) -> np.ndarray:
         """``gamma_j(threshold)`` for all jobs, ``m + 1`` where
         :func:`~repro.core.allotment.gamma` returns ``None``."""
@@ -230,16 +221,7 @@ class ScalarOracle(_Executor):
         jobs = self.jobs if idx is None else [self.jobs[i] for i in idx.tolist()]
         ks = np.asarray(ks)
         ks = ks.tolist() if ks.ndim else [ks.item()] * len(jobs)
-        if not self._read_memos:
-            return np.array([job.processing_time(k) for job, k in zip(jobs, ks)], dtype=np.float64)
-        # a memo hit below capacity is what processing_time would return; a
-        # miss (validating k) and a full memo's LRU refresh go through it
-        times = []
-        for job, k in zip(jobs, ks):
-            memo = job._cache
-            t = memo.get(k) if len(memo) < job.MEMO_CAPACITY else None
-            times.append(job.processing_time(k) if t is None else t)
-        return np.array(times, dtype=np.float64)
+        return np.array([job.processing_time(k) for job, k in zip(jobs, ks)], dtype=np.float64)
 
 
 class BatchedOracle(_Executor):

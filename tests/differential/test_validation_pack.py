@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.schedule import Schedule
 from repro.core.scheduler import schedule_moldable
-from repro.core.validation import flag_schedules, validate_schedule
+from repro.core.validation import flag_schedules, job_positions, validate_schedule
 
 from .harness import FAMILIES, build_instance, effective_m, load_corpus, run_driver
 
@@ -54,6 +54,17 @@ def huge_member():
     return run_driver(case, "scalar", jobs), jobs
 
 
+def verdict(schedules, instances):
+    """Per schedule, whether any columnar check flags it against its
+    instance (``None``: no completeness check)."""
+    positions = [
+        None if jobs is None else job_positions(s.jobs(), {id(j): i for i, j in enumerate(jobs)})
+        for s, jobs in zip(schedules, instances)
+    ]
+    sizes = [0 if jobs is None else len(jobs) for jobs in instances]
+    return flag_schedules(schedules, positions, sizes).any()
+
+
 def mutated(schedule, jobs, name):
     if name is None:
         return schedule, jobs
@@ -85,8 +96,8 @@ class TestPackVerdict:
         schedules = [s for s, _ in pack]
         jobs = [j for _, j in pack]
 
-        flags = flag_schedules(schedules, jobs).tolist()
-        assert flags == [flag_schedules([s], [j])[0] for s, j in pack]
+        flags = verdict(schedules, jobs).tolist()
+        assert flags == [verdict([s], [j])[0] for s, j in pack]
         reports = [validate_schedule(s, j) for s, j in pack]
         for flag, report in zip(flags, reports):
             assert flag or report.ok, report.violations
@@ -97,7 +108,7 @@ class TestPackVerdict:
                      "duplicate_job", "foreign_job", "understated_override"):
             broken = MUTATIONS[name](*clean[2])
             pack = clean[:2] + [broken] + clean[3:]
-            flags = flag_schedules([s for s, _ in pack], [j for _, j in pack])
+            flags = verdict([s for s, _ in pack], [j for _, j in pack])
             assert flags.tolist() == [False, False, True, False], name
             assert not validate_schedule(*broken).ok, name
 
@@ -108,19 +119,19 @@ class TestPackVerdict:
         wide = Schedule(m=4)
         wide.add(job, 0.0, [(1, 2)])
         huge, huge_jobs = huge_member()
-        flags = flag_schedules([huge, narrow, wide], [huge_jobs, [job], [job]])
+        flags = verdict([huge, narrow, wide], [huge_jobs, [job], [job]])
         assert flags.tolist() == [False, True, False]
 
     def test_a_touch_within_tolerance_is_flagged_but_valid(self):
         schedule, jobs = MUTATIONS["sub_tolerance_touch"](*solved("mixed", 2, 1, 1))
-        assert flag_schedules([schedule], [jobs]).tolist() == [True]
+        assert verdict([schedule], [jobs]).tolist() == [True]
         assert validate_schedule(schedule, jobs).ok
 
     def test_members_without_an_instance_skip_completeness(self):
         schedule, jobs = MUTATIONS["missing_job"](*solved("chain", 5, 2, 0))
         empty = Schedule(m=3)
-        assert flag_schedules([schedule, empty], [None, None]).tolist() == [False, False]
-        assert flag_schedules([schedule, empty], [jobs, []]).tolist() == [True, False]
+        assert verdict([schedule, empty], [None, None]).tolist() == [False, False]
+        assert verdict([schedule, empty], [jobs, []]).tolist() == [True, False]
 
 
 class TestReportedPeakWithinM:

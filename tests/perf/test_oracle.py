@@ -166,10 +166,10 @@ class TestMemoEviction:
         assert 2 not in job._cache
 
 
-class TestScalarTimesReadMemos:
-    """``ScalarOracle.times_at`` answers a memo hit without a
-    ``processing_time`` call, except where that call does more than look
-    the value up."""
+class TestScalarTimesAt:
+    """``ScalarOracle.times_at`` answers every request through
+    ``processing_time``: a miss validates ``k``, an overriding class sees
+    every call, and a hit on a full memo refreshes its LRU order."""
 
     @staticmethod
     def counted(job_class, *args):
@@ -182,18 +182,6 @@ class TestScalarTimesReadMemos:
                 return super().processing_time(k)
 
         return Counted(*args)
-
-    def test_hits_skip_processing_time(self, monkeypatch):
-        jobs = [AmdahlJob(f"a{i}", 10.0 + i, 0.1) for i in range(3)]
-        oracle = ScalarOracle(jobs, 8)
-        first = oracle.times_at(np.array([1, 2, 4]))
-        calls = []
-        real = AmdahlJob.processing_time
-        monkeypatch.setattr(AmdahlJob, "processing_time", lambda self, k: calls.append(k) or real(self, k))
-        assert oracle.times_at(np.array([1, 2, 4])).tolist() == first.tolist()
-        assert calls == []
-        oracle.times_at(np.array([3, 2, 4]))  # one miss
-        assert calls == [3]
 
     def test_a_miss_still_validates_k(self):
         oracle = ScalarOracle([AmdahlJob("a", 10.0, 0.1)], 8)

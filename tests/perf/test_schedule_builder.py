@@ -195,17 +195,17 @@ class TestSpansTimeOverlap:
     def test_disjoint_machines_no_overlap(self):
         assert spans_time_overlap(
             np.array([0, 5]), np.array([5, 10]), np.array([0.0, 0.0]), np.array([9.0, 9.0])
-        ) is False
+        ).tolist() == [False]
 
     def test_touching_times_no_overlap(self):
         assert spans_time_overlap(
             np.array([0, 0]), np.array([3, 3]), np.array([0.0, 5.0]), np.array([5.0, 8.0])
-        ) is False
+        ).tolist() == [False]
 
     def test_true_overlap_detected(self):
         assert spans_time_overlap(
             np.array([0, 1]), np.array([3, 4]), np.array([0.0, 1.0]), np.array([5.0, 6.0])
-        ) is True
+        ).tolist() == [True]
 
     def test_group_key_keeps_schedules_apart(self):
         # groups 0 and 1 use the same machines at the same time; only
