@@ -439,13 +439,14 @@ def _list_schedule_shard(config: dict, seed: int, repeat: int) -> tuple:
     allotment = ludwig_tiwari_estimator(jobs, m, oracle=oracle).allotment
     counts = allotment.counts
     times = np.array([job.processing_time(counts[job]) for job in jobs], dtype=np.float64)
-    order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
-    allotted = dict(zip(jobs, times.tolist()))
+    perm = np.argsort(-times, kind="stable")
+    order = [jobs[i] for i in perm.tolist()]
+    durations = times[perm].tolist()
     scalar_seconds, scalar_result = _timed(
         lambda: reference_list_schedule(jobs, allotment, m, order=order), repeat, jobs
     )
     vec_seconds, vec_result = _timed(
-        lambda: list_schedule(jobs, allotment, m, order=order, allotted_times=allotted),
+        lambda: list_schedule(jobs, allotment, m, order=order, durations=durations),
         repeat,
         jobs,
     )

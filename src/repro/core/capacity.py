@@ -185,12 +185,6 @@ class _DtypeOps:
     def cumsum(self, a):
         return np.cumsum(a)
 
-    def le_mask(self, a, bound: int) -> np.ndarray:
-        return a <= bound
-
-    def count_le(self, sorted_a, bound: int) -> int:
-        return int(np.searchsorted(sorted_a, bound, side="right"))
-
     def item(self, a, i: int) -> int:
         return int(a[i])
 
@@ -243,17 +237,6 @@ class _WideOps:
         cl = np.cumsum(a.lo)
         hi = np.cumsum(a.hi) + (cl >> LIMB_BITS)
         return WideArray(cl & LIMB_MASK, hi)
-
-    def le_mask(self, a: WideArray, bound: int) -> np.ndarray:
-        blo = bound & LIMB_MASK
-        bhi = bound >> LIMB_BITS
-        return (a.hi < bhi) | ((a.hi == bhi) & (a.lo <= blo))
-
-    def count_le(self, sorted_a: WideArray, bound: int) -> int:
-        # O(n) instead of O(log n), but every sorted vector queried here was
-        # just produced by an O(n) cumsum — the mask does not change the
-        # asymptotics of any caller.
-        return int(np.count_nonzero(self.le_mask(sorted_a, bound)))
 
     def item(self, a: WideArray, i: int) -> int:
         return (int(a.hi[i]) << LIMB_BITS) | int(a.lo[i])

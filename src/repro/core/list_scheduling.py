@@ -22,18 +22,22 @@ include a counterexample.)  The factor-2 bound is what the Ludwig–Tiwari
 The implementation tracks idle machines as *spans*, so it never materialises
 per-machine state and works for astronomically large ``m``.
 
-:func:`list_schedule` processes completions in batched *epochs* over an
-incremental candidate index of the waiting jobs (:class:`_NeedBucketIndex`),
-so a single-completion epoch costs O(log m) instead of a re-scan of all
-``n`` jobs.  The scalar ``heapq`` wake-up loop it must match bit for bit is
-kept as the tests' reference (``tests/core/reference_list_scheduling.py``).
+:func:`list_schedule` is a lean first-fit loop: one ``heapq`` of completion
+events, a head pointer over the list and, only once a job has to overtake
+the head, a lazily built need-bucket index of the waiting jobs
+(:class:`_NeedBucketIndex`).  A wake-up that releases one job and admits the
+next costs O(log n) instead of a re-scan of all ``n`` jobs; mass starts and
+mass completions take vectorized or sorted batch paths.  The scalar
+``heapq`` wake-up loop it must match bit for bit is kept as the tests'
+reference (``tests/core/reference_list_scheduling.py``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from heapq import heappop, heappush
+from itertools import chain, islice
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +86,9 @@ def epoch_tolerance(end: float) -> float:
     the window is pinned so it can never swallow adjacent representable
     floats), with the historical absolute floor taking over below magnitude
     ``EPOCH_TOLERANCE / EPOCH_REL_TOLERANCE`` (~2.25).
+
+    :func:`list_schedule` computes the same window inline, once per epoch;
+    ``tests/core/test_event_queue.py`` pins both sides of it at every regime.
     """
     return max(EPOCH_TOLERANCE, min(end, EPOCH_REL_MAGNITUDE_CAP) * EPOCH_REL_TOLERANCE)
 
@@ -97,51 +104,39 @@ def list_schedule(
     m: int,
     *,
     order: Optional[Sequence[MoldableJob]] = None,
-    allotted_times: Optional[Dict[MoldableJob, float]] = None,
+    durations: Optional[Sequence[float]] = None,
     stats: Optional[dict] = None,
 ) -> Schedule:
     """Greedy (first-fit) list scheduling of ``jobs`` with counts ``allotment``.
 
-    Bit-identical to the scalar heap wake-up loop, but the per-completion
-    ``heapq`` is replaced by one ``(end, seq)``-sorted event queue processed
-    in *epochs*:
+    Bit-identical to the scalar heap wake-up loop, which re-scans the whole
+    waiting list on every wake-up; here a wake-up that releases one job and
+    admits one costs O(log n):
 
-    * **epoch pop** — all completions within :func:`epoch_tolerance` of the
-      earliest pending one leave the queue via a single sorted-array
-      partition (``bisect_right`` + one slice deletion), in the order the
-      heap loop pops them one by one, so the released-span order is
-      identical;
-    * **admission** — candidates come from a :class:`_NeedBucketIndex`
-      maintained across epochs, gathered in rounds of at most ``remaining``
-      candidates.  A round's window is the position-prefix of the jobs with
-      ``need <= remaining``; the admitted prefix is the longest whose need
-      prefix-sum fits (one cumulative sum for large windows).  The first
-      rejected candidate's need provably exceeds the post-round remaining
-      idle count, so the next round's tightened gather cap excludes it —
-      idle only decreases within an epoch, which is why this reproduces the
-      heap loop's restart-from-the-head scan exactly;
-    * **span allocation** — a large admitted batch consumes the popped idle
-      spans as one capacity axis: cutting it at every job boundary and
-      every span boundary with two ``searchsorted`` calls yields exactly
-      the pieces the sequential ``take`` loop produces, in the same order,
-      and the rows feed the :class:`ArraySchedule` columns directly (no
-      per-entry ``Schedule.add``);
-    * **event merge** — a large epoch's new completions are sorted once and
-      merged into the queue with a single ``searchsorted``/``insert`` pass
-      (new events carry strictly larger ``seq``, so ``side="right"``
-      preserves the heap's ``(end, seq)`` tie order).
+    * **events** — one ``heapq`` keyed by ``(end, row)``.  Rows are numbered
+      in start order, so the pop order is the heap loop's ``(end, seq)``
+      order.  An epoch takes every event within :func:`epoch_tolerance` of
+      its first one; past :data:`_SMALL_EPOCH` pops it sorts the heap once
+      and cuts the rest off with one ``bisect``.  A mass admission pushes
+      one event per run of consecutive rows sharing an end (see
+      :data:`_Event`), so a mass tie costs one heap entry;
+    * **admission** — a head pointer walks the list.  While the first
+      waiting job fits, first fit takes it in O(1).  Only when it does not
+      is the :class:`_NeedBucketIndex` asked (built on first use, over a
+      ``started`` bytearray), in rounds of at most ``remaining`` candidates.
+      A round admits the longest window prefix whose needs fit; the first
+      rejected candidate's need exceeds the post-round remaining idle count,
+      so the next round's tightened cap excludes it — idle only decreases
+      within an epoch, which is why this reproduces the heap loop's
+      restart-from-the-head scan exactly;
+    * **spans** — an epoch admitting at most :data:`_SMALL_EPOCH` jobs takes
+      spans job by job in Python ints (exact at any ``m``).  A larger batch
+      runs :func:`_allocate_batch`, one vectorized capacity-axis cut in the
+      tier :func:`repro.core.capacity.capacity_ops` chooses (int64, exact
+      wide limbs or object dtype), so it too runs at any ``m``.
 
-    Epochs below :data:`_SMALL_EPOCH` jobs take lean scalar inner paths
-    (identical decisions, same column writes) — the batch passes above only
-    pay for themselves on mass starts and mass completions.
-
-    Every capacity-axis array (needs, their prefix sums, popped span
-    capacities, cut boundaries) lives in the tier chosen by
-    :func:`repro.core.capacity.capacity_ops` — plain int64 within the
-    historical range, exact wide-limb pairs or object dtype beyond it — so
-    the identical batch structure runs at any ``m``.  Row/position arrays
-    (candidate indices, span owners, event sequence numbers) are always
-    plain int64: they count *jobs*, not machines.
+    Rows feed the :class:`ArraySchedule` columns directly (no per-entry
+    ``Schedule.add``).
 
     Parameters
     ----------
@@ -151,21 +146,22 @@ def list_schedule(
     order:
         Optional list priority, a permutation of ``jobs`` (``ValueError``
         otherwise); defaults to the order of ``jobs``.
-    allotted_times:
-        Optional precomputed ``{job: t_j(allotment[job])}`` durations.
-        Callers that already evaluated the allotted processing times in one
-        executor request (e.g. the two-approximation's LPT sort) hand them
-        over instead of paying one ``processing_time`` call per job; values
-        must equal ``processing_time`` bit for bit, which both executors
-        guarantee.
+    durations:
+        Optional precomputed allotted processing times, aligned with
+        ``order`` (or with ``jobs`` when ``order`` is omitted).  Callers that
+        already evaluated them in one executor request (the
+        two-approximation's LPT sort) hand them over instead of paying one
+        ``processing_time`` call per job; values must equal
+        ``processing_time`` bit for bit, which both executors guarantee.
     stats:
         Optional dict filled with instrumentation (``epochs``: completion
         epochs processed, ``events``: completions,
         ``max_epoch_completions``: largest simultaneous-completion group,
-        ``candidate_scans``: admission queries executed,
-        ``candidates_visited``: bucket entries those queries touched,
+        ``candidate_scans``: admission queries — an admission taken from
+        the head counts as one, ``candidates_visited``: entries those
+        queries touched — one per head admission,
         ``capacity_tier``: ``"int64"``/``"wide"``/``"object"``, the
-        :mod:`repro.core.capacity` tier its capacity-axis arrays ran on).
+        :mod:`repro.core.capacity` tier of the batch path's arrays).
 
     Returns
     -------
@@ -174,7 +170,7 @@ def list_schedule(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    ids = {id(j) for j in jobs}
+    ids = set(map(id, jobs))
     if len(ids) != len(jobs):
         raise ValueError("jobs must not repeat a job")
     if order is None:
@@ -183,42 +179,38 @@ def list_schedule(
         # with distinct jobs, equal length and equal id sets make ``order``
         # the same multiset, i.e. a permutation
         sequence = list(order)
-        if len(sequence) != len(ids) or {id(j) for j in sequence} != ids:
+        if len(sequence) != len(ids) or set(map(id, sequence)) != ids:
             raise ValueError("order must be a permutation of jobs")
-    needs_list: List[int] = []
-    for job in sequence:
-        k = allotment.get(job)
-        if k is None:
-            raise ValueError(f"job {job.name!r} has no allotment")
-        if k > m:
-            raise ValueError(f"job {job.name!r} is allotted {k} > m={m} processors")
-        needs_list.append(k)
-    # The batch paths prefix-sum needs and popped span capacities (bounded
+    needs: List[int] = list(map(allotment.counts.get, sequence))
+    if None in needs or max(needs, default=0) > m:
+        for job, k in zip(sequence, needs):
+            if k is None:
+                raise ValueError(f"job {job.name!r} has no allotment")
+            if k > m:
+                raise ValueError(f"job {job.name!r} is allotted {k} > m={m} processors")
+    n = len(sequence)
+    if durations is None:
+        durations = [job.processing_time(k) for job, k in zip(sequence, needs)]
+    elif len(durations) != n:
+        raise ValueError(f"durations has {len(durations)} entries for {n} jobs")
+    # The batch path prefix-sums needs and popped span capacities (bounded
     # by total_need + m), so the capacity tier is chosen from both.
-    ops = capacity_ops(m, sum(needs_list))
+    ops = capacity_ops(m, sum(needs))
 
     from ..perf.schedule_builder import ArraySchedule
 
     builder = ArraySchedule(m, metadata={"algorithm": "list_scheduling"})
-    n = len(sequence)
-    if stats is not None:
-        stats.update(
-            capacity_tier=ops.name,
-            epochs=0,
-            events=0,
-            max_epoch_completions=0,
-            candidate_scans=0,
-            candidates_visited=0,
-        )
     if n == 0:
+        if stats is not None:
+            stats.update(
+                capacity_tier=ops.name,
+                epochs=0,
+                events=0,
+                max_epoch_completions=0,
+                candidate_scans=0,
+                candidates_visited=0,
+            )
         return builder.build()
-
-    needs = ops.asarray(needs_list)
-    if allotted_times is None:
-        durations = [job.processing_time(k) for job, k in zip(sequence, needs_list)]
-    else:
-        durations = [allotted_times[job] for job in sequence]
-    index = _NeedBucketIndex(needs_list)
 
     # builder columns, written directly (block mode)
     (
@@ -230,179 +222,147 @@ def list_schedule(
         span_count_col,
     ) = builder.raw_columns()
 
+    started = bytearray(n)
+    head = 0  # first waiting list position; every position before it started
+    index: Optional[_NeedBucketIndex] = None  # built when the head first blocks
+    head_admissions = 0
     n_waiting = n
     #: lower bound on the smallest need among waiting jobs: it stays valid
     #: after admissions (the minimum can only grow) and is refreshed only when
-    #: an admission query comes back empty, so idle epochs skip in O(1)
-    min_waiting_need = min(needs_list)
+    #: an admission comes back empty, so idle epochs skip in O(1)
+    min_waiting_need = min(needs)
     idle_spans: List[MachineSpan] = [(0, m)]
     idle = m
-    #: the event queue: parallel lists sorted lexicographically by
-    #: (end, seq); per started row, its piece slice
-    #: [pieces_lo[row], pieces_hi[row]) in the builder span columns and its
-    #: processor total for the release
-    ev_end: List[float] = []
-    ev_seq: List[int] = []
-    pieces_lo: List[int] = []
-    pieces_hi: List[int] = []
-    row_need: List[int] = []
+    #: the event queue, ordered by its unique ``(end, row)`` prefix
+    events_heap: List[_Event] = []
     now = 0.0
     epochs = 0
     events = 0
     max_epoch = 0
 
-    while n_waiting or ev_end:
+    while True:
         if n_waiting and idle >= min_waiting_need:
             remaining = idle
-            adm_list: List[int] = []
-            while remaining >= min_waiting_need:
-                window = index.gather(remaining, remaining)
-                if not window:
-                    break
-                if len(window) <= _SMALL_EPOCH:
-                    taken = 0
-                    k = 0
+            # first fit from the head: while the first waiting job fits, the
+            # scan picks it, and its successor becomes the first waiting job
+            adm: List[int] = []
+            while head < n and needs[head] <= remaining:
+                remaining -= needs[head]
+                started[head] = 1
+                adm.append(head)
+                head += 1
+                while head < n and started[head]:
+                    head += 1
+            head_admissions += len(adm)
+            if head < n and remaining >= min_waiting_need:
+                # the head is blocked for the rest of the epoch: later jobs
+                # overtake it through the index
+                if index is None:
+                    index = _NeedBucketIndex(needs, started)
+                while remaining >= min_waiting_need:
+                    window = index.gather(remaining, remaining)
+                    if not window:
+                        break
+                    # the gather cap guarantees the first candidate fits
                     for ji in window:
-                        need = needs_list[ji]
-                        if taken + need > remaining:
+                        need = needs[ji]
+                        if need > remaining:
                             break
-                        taken += need
-                        k += 1
-                else:
-                    csum = ops.cumsum(ops.take(needs, np.asarray(window, dtype=np.int64)))
-                    k = ops.count_le(csum, remaining)
-                    taken = ops.item(csum, k - 1)
-                # k >= 1: the gather cap guarantees the first fits
-                admitted_now = window[:k]
-                adm_list.extend(admitted_now)
-                index.remove_many(admitted_now)
-                remaining -= taken
-            if adm_list:
-                k = len(adm_list)
-                row_base = len(jobs_col)
-                if k <= _SMALL_EPOCH:
-                    # lean inner path: sequential take() per admitted job,
-                    # single-event insertion into the sorted queue
-                    for ji in adm_list:
-                        need = needs_list[ji]
-                        row = len(jobs_col)
-                        p_lo = len(span_first_col)
-                        while need > 0:
-                            first, count = idle_spans.pop()
-                            if count <= need:
-                                span_owner_col.append(row)
-                                span_first_col.append(first)
-                                span_count_col.append(count)
-                                need -= count
-                            else:
-                                span_owner_col.append(row)
-                                span_first_col.append(first)
-                                span_count_col.append(need)
-                                idle_spans.append((first + need, count - need))
-                                need = 0
-                        jobs_col.append(sequence[ji])
-                        starts_col.append(now)
-                        overrides_col.append(None)
-                        pieces_lo.append(p_lo)
-                        pieces_hi.append(len(span_first_col))
-                        row_need.append(needs_list[ji])
-                        end = now + durations[ji]
-                        pos = bisect_right(ev_end, end)
-                        ev_end.insert(pos, end)
-                        ev_seq.insert(pos, row)
-                else:
-                    adm = np.asarray(adm_list, dtype=np.int64)
-                    adm_needs = ops.take(needs, adm)
-                    ncum = ops.cumsum(adm_needs)
-                    total = ops.item(ncum, -1)
-                    # pop idle spans (stack order) until the batch is covered
-                    popped_first: List[int] = []
-                    popped_count: List[int] = []
-                    acc = 0
-                    while acc < total:
-                        f, c = idle_spans.pop()
-                        popped_first.append(f)
-                        popped_count.append(c)
-                        acc += c
-                    if acc > total:
-                        # the unused tail of the last popped span goes back on
-                        # top of the stack, exactly like the sequential take()
-                        used = popped_count[-1] - (acc - total)
-                        idle_spans.append((popped_first[-1] + used, acc - total))
-                        popped_count[-1] = used
-                    pf = ops.asarray(popped_first)
-                    ccum = ops.cumsum(ops.asarray(popped_count))
-                    # cut the capacity axis at every job and span boundary:
-                    # each resulting piece belongs to exactly one
-                    # (job, idle-span) pair — the same pieces, in the same
-                    # order, as the sequential take() loop emits
-                    bounds = ops.merge_bounds(ncum, ccum)
-                    lo_b = ops.head(ops.prepend_zero(bounds), len(bounds))
-                    owner_local = ops.cut_positions(ncum, lo_b)
-                    span_idx = ops.cut_positions(ccum, lo_b)
-                    base = ops.take(ops.prepend_zero(ccum), span_idx)
-                    piece_first = ops.add(ops.take(pf, span_idx), ops.sub(lo_b, base))
-                    piece_count = ops.sub(bounds, lo_b)
-
-                    piece_base = len(span_first_col)
-                    jobs_col.extend([sequence[ji] for ji in adm_list])
-                    starts_col.extend([now] * k)
-                    overrides_col.extend([None] * k)
-                    span_owner_col.extend((owner_local + row_base).tolist())
-                    span_first_col.extend(ops.tolist(piece_first))
-                    span_count_col.extend(ops.tolist(piece_count))
-                    # per-row piece slices (pieces are grouped by owner)
-                    row_ids = np.arange(k, dtype=np.int64)
-                    pieces_lo.extend(
-                        (np.searchsorted(owner_local, row_ids, side="left") + piece_base).tolist()
-                    )
-                    pieces_hi.extend(
-                        (np.searchsorted(owner_local, row_ids, side="right") + piece_base).tolist()
-                    )
-                    row_need.extend(ops.tolist(adm_needs))
-
-                    # merge the new completions into the sorted event queue
-                    new_ends = now + np.array(
-                        [durations[ji] for ji in adm_list], dtype=np.float64
-                    )
-                    by_end = np.argsort(new_ends, kind="stable")
-                    new_ends = new_ends[by_end]
-                    new_seqs = row_base + by_end
-                    old_ends = np.asarray(ev_end, dtype=np.float64)
-                    pos = np.searchsorted(old_ends, new_ends, side="right")
-                    ev_end = np.insert(old_ends, pos, new_ends).tolist()
-                    ev_seq = np.insert(
-                        np.asarray(ev_seq, dtype=np.int64), pos, new_seqs
-                    ).tolist()
-                n_waiting -= k
-                idle = remaining
-            elif n_waiting:
-                # fruitless query: the lower bound was stale — refresh it so
-                # later idle wake-ups can skip the query in O(1)
+                        remaining -= need
+                        started[ji] = 1
+                        adm.append(ji)
+            k = len(adm)
+            if not k:
+                # fruitless query (the head blocked, so the index exists):
+                # the lower bound was stale — refresh it so later idle
+                # wake-ups can skip the query in O(1)
                 min_waiting_need = index.min_need()
-        if not ev_end:
+            elif k <= _SMALL_EPOCH:
+                # sequential take() per admitted job, in Python ints
+                for ji in adm:
+                    need = needs[ji]
+                    row = len(jobs_col)
+                    lo = len(span_first_col)
+                    while need:
+                        first, count = idle_spans.pop()
+                        if count > need:
+                            idle_spans.append((first + need, count - need))
+                            count = need
+                        span_owner_col.append(row)
+                        span_first_col.append(first)
+                        span_count_col.append(count)
+                        need -= count
+                    jobs_col.append(sequence[ji])
+                    starts_col.append(now)
+                    heappush(
+                        events_heap,
+                        (now + durations[ji], row, lo, len(span_first_col), needs[ji], 1),
+                    )
+            else:
+                row_base = len(jobs_col)
+                adm_needs = [needs[ji] for ji in adm]
+                lo_rows, hi_rows = _allocate_batch(ops, adm_needs, idle_spans, builder, row_base)
+                jobs_col.extend([sequence[ji] for ji in adm])
+                starts_col.extend([now] * k)
+                ends = [now + durations[ji] for ji in adm]
+                # one event per run of consecutive rows sharing an end: the
+                # run's pieces are one slice, and no other row falls between
+                # its rows in (end, row) order
+                i = 0
+                while i < k:
+                    end = ends[i]
+                    j = i + 1
+                    while j < k and ends[j] == end:
+                        j += 1
+                    heappush(
+                        events_heap,
+                        (end, row_base + i, lo_rows[i], hi_rows[j - 1], sum(adm_needs[i:j]), j - i),
+                    )
+                    i = j
+            n_waiting -= k
+            idle = remaining
+        if not events_heap:
             if n_waiting:  # pragma: no cover - cannot happen: every job fits on m >= a_j machines
                 raise RuntimeError("deadlock in list scheduling")
             break
-        # epoch pop: one sorted-array partition takes every completion
-        # within tolerance of the earliest one out of the queue at once
-        now = ev_end[0]
-        cut = bisect_right(ev_end, now + epoch_tolerance(now))
-        for s in ev_seq[:cut]:
-            for p in range(pieces_lo[s], pieces_hi[s]):
-                idle_spans.append((span_first_col[p], span_count_col[p]))
-            idle += row_need[s]
-        del ev_end[:cut]
-        del ev_seq[:cut]
+        # epoch pop: every completion within epoch_tolerance(now) of the
+        # earliest one, in (end, row) order
+        now = events_heap[0][0]
+        tol = (now if now < EPOCH_REL_MAGNITUDE_CAP else EPOCH_REL_MAGNITUDE_CAP) * EPOCH_REL_TOLERANCE
+        cut = now + (tol if tol > EPOCH_TOLERANCE else EPOCH_TOLERANCE)
+        popped = released = 0
+        while events_heap and events_heap[0][0] <= cut:
+            if popped == _SMALL_EPOCH:
+                # a mass completion: one sort and one cut instead of a pop
+                # per event (a sorted list is still a heap)
+                events_heap.sort()
+                c = bisect_right(events_heap, (cut, n))
+                freed, count = _release_sorted(
+                    events_heap[:c], idle_spans, span_first_col, span_count_col
+                )
+                del events_heap[:c]
+                idle += freed
+                released += count
+                break
+            _, _, lo, hi, need, count = heappop(events_heap)
+            if hi - lo == 1:
+                idle_spans.append((span_first_col[lo], span_count_col[lo]))
+            else:
+                idle_spans.extend(zip(span_first_col[lo:hi], span_count_col[lo:hi]))
+            idle += need
+            popped += 1
+            released += count
         epochs += 1
-        events += cut
-        if cut > max_epoch:
-            max_epoch = cut
+        events += released
+        if released > max_epoch:
+            max_epoch = released
+    overrides_col.extend([None] * n)
 
     if stats is not None:
         stats.update(
-            candidate_scans=index.gathers,
-            candidates_visited=index.visits,
+            capacity_tier=ops.name,
+            candidate_scans=head_admissions + (index.gathers if index else 0),
+            candidates_visited=head_admissions + (index.visits if index else 0),
             epochs=epochs,
             events=events,
             max_epoch_completions=max_epoch,
@@ -410,60 +370,154 @@ def list_schedule(
     return builder.build()
 
 
-#: Below this many admitted jobs (or admission candidates) an epoch uses the
-#: lean scalar inner path — the vectorized batch machinery only amortizes its
-#: fixed per-call overhead on larger groups.  Both paths are bit-identical;
-#: tier-1 crosses the boundary in both directions
-#: (``tests/core/test_event_queue.py``: the large-epoch deterministic pin and
-#: the hypothesis strategy draw instances well past this threshold).
+def _allocate_batch(
+    ops, adm_needs: List[int], idle_spans: List[MachineSpan], builder, row_base: int
+) -> Tuple[List[int], List[int]]:
+    """Span allocation of one mass admission, written to the builder's span
+    columns; returns each admitted row's ``[lo, hi)`` piece slice.
+
+    The admitted jobs consume the idle-span stack as one capacity axis: cut
+    at every job and every span boundary, each piece belongs to exactly one
+    (job, idle-span) pair — the same pieces, in the same order, as the
+    sequential ``take`` loop emits."""
+    _, _, _, span_owner_col, span_first_col, span_count_col = builder.raw_columns()
+    ncum = ops.cumsum(ops.asarray(adm_needs))
+    total = ops.item(ncum, -1)
+    # pop idle spans (stack order) until the batch is covered
+    popped_first: List[int] = []
+    popped_count: List[int] = []
+    acc = 0
+    while acc < total:
+        f, c = idle_spans.pop()
+        popped_first.append(f)
+        popped_count.append(c)
+        acc += c
+    if acc > total:
+        # the unused tail of the last popped span goes back on top of the
+        # stack, exactly like the sequential take()
+        used = popped_count[-1] - (acc - total)
+        idle_spans.append((popped_first[-1] + used, acc - total))
+        popped_count[-1] = used
+    pf = ops.asarray(popped_first)
+    ccum = ops.cumsum(ops.asarray(popped_count))
+    bounds = ops.merge_bounds(ncum, ccum)
+    lo_b = ops.head(ops.prepend_zero(bounds), len(bounds))
+    owner_local = ops.cut_positions(ncum, lo_b)
+    span_idx = ops.cut_positions(ccum, lo_b)
+    base = ops.take(ops.prepend_zero(ccum), span_idx)
+    piece_first = ops.add(ops.take(pf, span_idx), ops.sub(lo_b, base))
+    piece_count = ops.sub(bounds, lo_b)
+
+    piece_base = len(span_first_col)
+    span_owner_col.extend((owner_local + row_base).tolist())
+    span_first_col.extend(ops.tolist(piece_first))
+    span_count_col.extend(ops.tolist(piece_count))
+    # pieces are grouped by owner
+    row_ids = np.arange(len(adm_needs), dtype=np.int64)
+    return (
+        (np.searchsorted(owner_local, row_ids, side="left") + piece_base).tolist(),
+        (np.searchsorted(owner_local, row_ids, side="right") + piece_base).tolist(),
+    )
+
+
+def _release_sorted(
+    batch: List[_Event],
+    idle_spans: List[MachineSpan],
+    span_first_col: List[int],
+    span_count_col: List[int],
+) -> Tuple[int, int]:
+    """Push the pieces of a mass completion's events (in pop order) onto the
+    idle-span stack, one slice per run of adjacent pieces; return the
+    processors freed and the jobs completed."""
+    freed = completed = 0
+    run_lo = run_hi = 0
+    for _, _, lo, hi, need, count in batch:
+        freed += need
+        completed += count
+        if lo != run_hi:
+            idle_spans.extend(zip(span_first_col[run_lo:run_hi], span_count_col[run_lo:run_hi]))
+            run_lo = lo
+        run_hi = hi
+    idle_spans.extend(zip(span_first_col[run_lo:run_hi], span_count_col[run_lo:run_hi]))
+    return freed, completed
+
+
+#: A completion event ``(end, row, lo, hi, need, count)``: the ``count``
+#: consecutive rows from ``row`` on, all ending at ``end``, whose pieces are
+#: the builder span-column slice ``[lo, hi)`` holding ``need`` processors.
+#: A mass admission makes one event per run of equal ends, so a mass tie
+#: costs one heap entry; ``(end, row)`` is unique, so the payload never takes
+#: part in the ordering.
+_Event = Tuple[float, int, int, int, int, int]
+
+#: Above this many jobs admitted in one epoch, span allocation runs as one
+#: vectorized capacity-axis cut (:func:`_allocate_batch`) instead of a
+#: per-job ``take`` loop — the batch machinery only amortizes its fixed
+#: per-call overhead on larger groups.  Both paths are bit-identical; tier-1
+#: crosses the boundary in both directions (``tests/core/test_event_queue.py``:
+#: the large-epoch deterministic pin and the hypothesis strategies draw
+#: instances well past this threshold).
 _SMALL_EPOCH = 32
 
 
 class _NeedBucketIndex:
-    """Incremental candidate index over the waiting set (power-of-two buckets).
+    """Candidate index over the waiting set (power-of-two need buckets).
 
-    Bucket ``b`` holds the waiting jobs whose processor need lies in
-    ``[2**b, 2**(b+1))``, as a plain list of list positions kept ascending.
-    A query for *the first ``limit`` waiting jobs with need <= cap, in list
-    order* is then a bucket **prefix walk**: every non-boundary bucket up to
-    ``floor(log2 cap)`` contributes a position-prefix wholesale (all its
-    members fit by construction), the single boundary bucket is filtered by
-    need, and the per-bucket prefixes merge by position.  Maintained
-    incrementally across epochs (admitted jobs are removed, nothing is ever
-    re-inserted), a single-admission epoch costs O(log m) bucket probes plus
-    the handful of entries it returns — instead of an O(n) ``need <= idle``
-    scan of the whole waiting set.
+    Bucket ``b`` holds the list positions whose processor need lies in
+    ``[2**b, 2**(b+1))``, ascending.  Deletion is lazy: admitted positions
+    stay in their bucket, flagged in the scheduler's shared ``started``
+    bytearray, and every bucket keeps a head past its started prefix — so
+    nothing is ever bisected or deleted.  A query for *the first ``limit``
+    waiting jobs with need <= cap, in list order* is then a bucket **prefix
+    walk**: every non-boundary bucket up to ``floor(log2 cap)`` contributes
+    its first waiting entries wholesale (all of them fit by construction),
+    the single boundary bucket is filtered by need, and the per-bucket
+    prefixes merge by position.  A single-admission query costs O(log m)
+    bucket probes plus the handful of entries it touches, instead of an
+    O(n) ``need <= idle`` scan of the whole waiting set.
 
     ``gathers`` / ``visits`` count queries and touched entries for the
     ``stats=`` instrumentation (``candidate_scans`` / ``candidates_visited``).
     """
 
-    __slots__ = ("needs", "buckets", "lo", "hi", "visits", "gathers")
+    __slots__ = ("needs", "started", "buckets", "heads", "lo", "hi", "visits", "gathers")
 
-    def __init__(self, needs: Sequence[int]) -> None:
+    def __init__(self, needs: Sequence[int], started: bytearray) -> None:
         self.needs = needs
+        self.started = started
         # bucket count follows the widest need (needs are Python ints, so
         # compact-encoding instances with needs past 2**64 just get more
         # buckets — a fixed 64 would IndexError at astronomical m)
         width = max((need.bit_length() for need in needs), default=1)
         buckets: List[List[int]] = [[] for _ in range(width)]
         for pos, need in enumerate(needs):
-            # positions arrive in ascending list order, so every bucket is
-            # born sorted and removals keep it that way
-            buckets[need.bit_length() - 1].append(pos)
+            if not started[pos]:
+                # positions arrive in ascending list order, so every bucket
+                # is born sorted
+                buckets[need.bit_length() - 1].append(pos)
         self.buckets = buckets
+        self.heads = [0] * width
         self.lo = 0  # lazily-advanced lowest possibly-non-empty bucket
         self.hi = width - 1  # lazily-lowered highest possibly-non-empty bucket
         self.visits = 0
         self.gathers = 0
 
+    def _head(self, b: int) -> int:
+        """Advance bucket ``b``'s head past its started prefix; return it."""
+        bucket, started = self.buckets[b], self.started
+        h = self.heads[b]
+        while h < len(bucket) and started[bucket[h]]:
+            h += 1
+        self.heads[b] = h
+        return h
+
     def _bounds(self) -> Tuple[int, int]:
         """Advance the lazy non-empty bucket bounds and return them."""
         buckets = self.buckets
         lo, hi = self.lo, self.hi
-        while lo < len(buckets) and not buckets[lo]:
+        while lo < len(buckets) and self._head(lo) == len(buckets[lo]):
             lo += 1
-        while hi >= 0 and not buckets[hi]:
+        while hi >= lo and self._head(hi) == len(buckets[hi]):
             hi -= 1
         self.lo, self.hi = lo, hi
         return lo, hi
@@ -474,9 +528,10 @@ class _NeedBucketIndex:
         non-empty."""
         lo, _ = self._bounds()
         bucket = self.buckets[lo]
-        self.visits += len(bucket)
-        needs = self.needs
-        return min(needs[pos] for pos in bucket)
+        waiting = bucket[self.heads[lo]:]
+        self.visits += len(waiting)
+        needs, started = self.needs, self.started
+        return min(needs[pos] for pos in waiting if not started[pos])
 
     def gather(self, cap: int, limit: int) -> List[int]:
         """First ``limit`` waiting positions with ``need <= cap``, ascending.
@@ -487,30 +542,11 @@ class _NeedBucketIndex:
         """
         self.gathers += 1
         lo, hi = self._bounds()
-        top = min(cap.bit_length() - 1, hi)
-        needs = self.needs
-        visits = 0
         parts: List[List[int]] = []
-        for b in range(lo, top + 1):
-            bucket = self.buckets[b]
-            if not bucket:
-                continue
-            if (2 << b) - 1 <= cap:
-                part = bucket[:limit]
-                visits += len(part)
-            else:
-                # boundary bucket: members span [2**b, 2**(b+1)), only those
-                # with need <= cap qualify — filter in position order
-                part = []
-                for pos in bucket:
-                    visits += 1
-                    if needs[pos] <= cap:
-                        part.append(pos)
-                        if len(part) == limit:
-                            break
+        for b in range(lo, min(cap.bit_length() - 1, hi) + 1):
+            part = self._take(b, cap, limit)
             if part:
                 parts.append(part)
-        self.visits += visits
         if not parts:
             return []
         if len(parts) == 1:
@@ -519,24 +555,42 @@ class _NeedBucketIndex:
         del merged[limit:]
         return merged
 
-    def remove(self, pos: int) -> None:
-        bucket = self.buckets[self.needs[pos].bit_length() - 1]
-        del bucket[bisect_left(bucket, pos)]
+    def _take(self, b: int, cap: int, limit: int) -> List[int]:
+        """Bucket ``b``'s first ``limit`` waiting positions with need <= cap.
 
-    def remove_many(self, positions: Sequence[int]) -> None:
-        """Remove admitted positions, batching per-bucket for mass epochs."""
-        if len(positions) <= 8:
-            for pos in positions:
-                self.remove(pos)
-            return
-        needs = self.needs
-        by_bucket: Dict[int, set] = {}
-        for pos in positions:
-            by_bucket.setdefault(needs[pos].bit_length() - 1, set()).add(pos)
-        for b, gone in by_bucket.items():
-            bucket = self.buckets[b]
-            if len(gone) * 8 < len(bucket):
-                for pos in sorted(gone, reverse=True):
-                    del bucket[bisect_left(bucket, pos)]
-            else:
-                self.buckets[b] = [pos for pos in bucket if pos not in gone]
+        Started entries walked past are dropped from the bucket once there
+        are more than :data:`_MAX_HOLES` of them, so a later query does not
+        walk them again."""
+        bucket, started = self.buckets[b], self.started
+        h = i = self._head(b)
+        part: List[int] = []
+        if (2 << b) - 1 <= cap:
+            # every member fits: take waiting entries a chunk at a time
+            while i < len(bucket) and len(part) < limit:
+                chunk = bucket[i:i + limit - len(part)]
+                i += len(chunk)
+                part += [pos for pos in chunk if not started[pos]]
+            holes = i - h - len(part)
+        else:
+            # boundary bucket: members span [2**b, 2**(b+1)), only those
+            # with need <= cap qualify — filter in position order
+            needs = self.needs
+            holes = 0
+            for pos in islice(bucket, h, None):
+                i += 1
+                if started[pos]:
+                    holes += 1
+                elif needs[pos] <= cap:
+                    part.append(pos)
+                    if len(part) == limit:
+                        break
+        self.visits += i - h
+        if holes > _MAX_HOLES:
+            bucket[h:i] = [pos for pos in bucket[h:i] if not started[pos]]
+        return part
+
+
+#: Started entries a bucket walk may leave behind before the walked stretch
+#: is compacted (one C-level slice assignment): bounds how often lazily
+#: deleted entries are walked again.
+_MAX_HOLES = 16

@@ -99,13 +99,13 @@ def two_approx_steps(jobs: Sequence[MoldableJob], oracle, *, validate: bool = Tr
     # The same times double as the list scheduler's durations.
     counts = estimate.allotment.counts
     times = yield ("eval", index_array([counts[j] for j in jobs]))
-    order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
+    perm = np.argsort(-times, kind="stable")
     schedule = list_schedule(
         jobs,
         estimate.allotment,
         oracle.m,
-        order=order,
-        allotted_times=dict(zip(jobs, times.tolist())),
+        order=[jobs[i] for i in perm.tolist()],
+        durations=times[perm].tolist(),
     )
     return _finish(schedule, jobs, estimate, validate, oracle)
 

@@ -133,20 +133,6 @@ class TestOpsAgainstPythonReference:
                 expect.append(acc)
             assert ops.tolist(ops.cumsum(ops.asarray(vals))) == expect
 
-    def test_le_mask(self, ops):
-        rng = random.Random(13)
-        vals = _random_values(rng, 100, 1 << 90)
-        bound = rng.randrange(1, 1 << 90)
-        got = ops.le_mask(ops.asarray(vals), bound)
-        assert got.tolist() == [v <= bound for v in vals]
-
-    def test_count_le_matches_bisect(self, ops):
-        rng = random.Random(17)
-        vals = sorted(_random_values(rng, 150, 1 << 90))
-        for bound in (vals[0] - 1, vals[0], vals[75], vals[-1], vals[-1] + 1):
-            expect = sum(1 for v in vals if v <= bound)
-            assert ops.count_le(ops.asarray(vals), bound) == expect
-
     def test_item_and_negative_index(self, ops):
         vals = [1 << 80, (1 << 80) + 5, 3]
         a = ops.asarray(vals)
@@ -213,9 +199,4 @@ class TestInt64OpsParity:
         )
         assert INT64_OPS.tolist(INT64_OPS.cumsum(a64)) == WIDE_OPS.tolist(
             WIDE_OPS.cumsum(awd)
-        )
-        bound = vals[50]
-        assert (
-            INT64_OPS.le_mask(a64, bound).tolist()
-            == WIDE_OPS.le_mask(awd, bound).tolist()
         )

@@ -422,3 +422,150 @@ class TestCandidateIndexProperties:
         # every admission gathers exactly the one admissible candidate
         assert index_stats["candidate_scans"] == n
         assert index_stats["candidates_visited"] == n
+
+
+def _differential(m, durations, needs, order=None):
+    """Run the library and the heap reference on one instance; assert
+    bit-identity and return the library's stats."""
+    # a one-entry table holds its time at every count (huge m included)
+    jobs = [TabulatedJob(f"d{i}", [float(d)]) for i, d in enumerate(durations)]
+    allot = Allotment({job: k for job, k in zip(jobs, needs)})
+    seq = None if order is None else [jobs[i] for i in order]
+    heap = reference_list_schedule(jobs, allot, m, order=seq)
+    indexed, stats = _run(jobs, allot, m, order=seq)
+    _assert_identical(heap, indexed, (m, durations, needs, order))
+    assert stats["events"] == len(jobs)
+    return stats
+
+
+@st.composite
+def _head_blocked_case(draw):
+    """Deep queues whose head is often wider than what one completion frees,
+    so first fit must overtake it through the need-bucket index."""
+    m = draw(st.sampled_from([4, 6, 8, 16, 33]))
+    n = draw(st.integers(min_value=2, max_value=80))
+    wide = st.integers(min_value=m // 2 + 1, max_value=m)
+    narrow = st.integers(min_value=1, max_value=max(1, m // 4))
+    needs = [draw(st.one_of(wide, narrow)) for _ in range(n)]
+    # mostly distinct ends (single-completion epochs), a few exact ties
+    durations = [draw(st.sampled_from([1.5, 2.0, 7.0])) if draw(st.booleans())
+                 else float(3 + 2 * i) for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    return m, durations, needs, order
+
+
+@st.composite
+def _mass_tie_case(draw):
+    """A head wave of more than ``_SMALL_EPOCH`` unit jobs ending within one
+    epoch window (a mass start and a mass completion), followed by a
+    shuffled mix of a second tie wave and distinct single completions."""
+    from repro.core.list_scheduling import _SMALL_EPOCH
+
+    m = draw(st.sampled_from([40, 64, 97]))
+    wave = draw(st.integers(min_value=_SMALL_EPOCH + 1, max_value=m))
+    rest = draw(st.integers(min_value=0, max_value=80))
+    tie = draw(st.sampled_from([2.0, 16.0, 16.0 + ULP16]))
+    # part of the wave ends exactly on the epoch window's far edge, so the
+    # mass completion's sorted cut must keep events equal to the cut
+    edge = tie + epoch_tolerance(tie)
+    needs = [1] * wave
+    durations = [draw(st.sampled_from([tie, tie, edge])) for _ in range(wave)]
+    # no end of the rest lands next to the wave's: sums of 3.0 miss 2 and
+    # 16, and every other end is past 20
+    for i in range(rest):
+        if draw(st.booleans()):
+            needs.append(1)
+            durations.append(3.0)
+        else:
+            needs.append(draw(st.integers(min_value=1, max_value=m // 3)))
+            durations.append(20.0 + 0.25 * i)
+    order = list(range(wave)) + [wave + i for i in draw(st.permutations(range(rest)))]
+    return m, durations, needs, order
+
+
+@st.composite
+def _huge_m_case(draw):
+    """Machine counts past every int64 bound with needs near ``m``, near
+    ``m / 2`` and tiny, so wide jobs block and mass small epochs occur."""
+    m = draw(st.sampled_from([2**62 + 1, 2**80, 2**100]))
+    n = draw(st.integers(min_value=1, max_value=60))
+    slack = st.integers(min_value=0, max_value=5)
+    needs = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["full", "half", "tiny"]))
+        if kind == "full":
+            needs.append(m - draw(slack))
+        elif kind == "half":
+            needs.append(m // 2 - draw(slack))
+        else:
+            needs.append(1 + draw(slack))
+    durations = [draw(st.sampled_from([1.0, 2.0, 3.0, 16.0, 16.0 + ULP16])) for _ in range(n)]
+    return m, durations, needs
+
+
+class TestLeanLoopDifferentials:
+    @given(_head_blocked_case())
+    @settings(max_examples=150, deadline=None)
+    def test_head_blocked_deep_queues_overtake_through_the_index(self, case):
+        m, durations, needs, order = case
+        _differential(m, durations, needs, order)
+
+    @given(_mass_tie_case())
+    @settings(max_examples=60, deadline=None)
+    def test_mass_tie_epochs_mixed_with_single_completions(self, case):
+        from repro.core.list_scheduling import _SMALL_EPOCH
+
+        m, durations, needs, order = case
+        stats = _differential(m, durations, needs, order)
+        # the head wave starts at t=0 and completes in one epoch
+        assert stats["max_epoch_completions"] > _SMALL_EPOCH
+
+    @given(_huge_m_case())
+    @settings(max_examples=60, deadline=None)
+    def test_astronomical_m_with_needs_near_m(self, case):
+        m, durations, needs = case
+        stats = _differential(m, durations, needs)
+        assert stats["capacity_tier"] in ("wide", "object")
+
+
+class TestLazyNeedBucketIndex:
+    @given(
+        st.sampled_from([1, 3, 9]).flatmap(
+            lambda bits: st.lists(
+                st.integers(min_value=1, max_value=2**bits), min_size=1, max_size=120
+            )
+        ),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=119), st.booleans()),
+            max_size=120,
+        ),
+        st.integers(min_value=1, max_value=600),
+        st.integers(min_value=1, max_value=130),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gather_equals_a_brute_force_scan_of_waiting_positions(
+        self, needs, admissions, cap, limit
+    ):
+        """After any mix of head-style and overtaking admissions (flagged
+        in the shared ``started`` bytearray, never deleted one by one),
+        ``gather`` returns exactly the first ``limit`` waiting positions
+        with ``need <= cap``, and ``min_need`` the smallest waiting need.
+        Few buckets and many admissions make walks cross more than
+        ``_MAX_HOLES`` started entries, so the compaction runs too; a second
+        query checks what it left behind."""
+        from repro.core.list_scheduling import _NeedBucketIndex
+
+        n = len(needs)
+        started = bytearray(n)
+        index = _NeedBucketIndex(needs, started)
+        for pos, query_first in admissions:
+            if query_first:
+                # interleave queries so lazy heads advance mid-sequence
+                index.gather(cap, limit)
+            started[pos % n] = 1
+        waiting = [p for p in range(n) if not started[p]]
+        for query_cap in (cap, cap // 2 + 1, cap):
+            expected = [p for p in waiting if needs[p] <= query_cap][:limit]
+            assert index.gather(query_cap, limit) == expected
+        if waiting:
+            assert index.min_need() == min(needs[p] for p in waiting)

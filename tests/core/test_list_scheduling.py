@@ -161,3 +161,20 @@ class TestColumnarListScheduling:
     def test_columnar_empty(self):
         schedule = list_schedule([], Allotment({}), 4)
         assert len(schedule) == 0
+
+    def test_durations_are_aligned_with_the_order(self):
+        """``durations`` follows ``order`` position by position: handing over
+        the allotted times in that order reproduces the schedule computed
+        from ``processing_time``; a wrong length is rejected."""
+        instance = random_mixed_instance(40, 64, seed=3)
+        jobs = instance.jobs
+        allotment = Allotment({job: (i % 5) + 1 for i, job in enumerate(jobs)})
+        order = sorted(jobs, key=lambda j: -j.processing_time(allotment[j]))
+        durations = [job.processing_time(allotment[job]) for job in order]
+        given = list_schedule(jobs, allotment, 64, order=order, durations=durations)
+        computed = list_schedule(jobs, allotment, 64, order=order)
+        for a, b in zip(given.entries, computed.entries):
+            assert a.job is b.job and a.start == b.start and a.spans == b.spans
+        assert given.makespan == computed.makespan
+        with pytest.raises(ValueError, match="durations"):
+            list_schedule(jobs, allotment, 64, order=order, durations=durations[:-1])
