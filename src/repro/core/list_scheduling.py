@@ -26,15 +26,14 @@ per-machine state and works for astronomically large ``m``.
 events, a head pointer over the list and, only once a job has to overtake
 the head, a lazily built need-bucket index of the waiting jobs
 (:class:`_NeedBucketIndex`).  A wake-up that releases one job and admits the
-next costs O(log n) instead of a re-scan of all ``n`` jobs; mass starts and
-mass completions take vectorized or sorted batch paths.  The scalar
-``heapq`` wake-up loop it must match bit for bit is kept as the tests'
-reference (``tests/core/reference_list_scheduling.py``).
+next costs O(log n) instead of a re-scan of all ``n`` jobs; a mass start
+takes one vectorized span cut and pushes one event per run of equal ends.
+The scalar ``heapq`` wake-up loop it must match bit for bit is kept as the
+tests' reference (``tests/core/reference_list_scheduling.py``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from heapq import heappop, heappush
 from itertools import chain, islice
 from typing import List, Optional, Sequence, Tuple
@@ -87,10 +86,13 @@ def epoch_tolerance(end: float) -> float:
     floats), with the historical absolute floor taking over below magnitude
     ``EPOCH_TOLERANCE / EPOCH_REL_TOLERANCE`` (~2.25).
 
-    :func:`list_schedule` computes the same window inline, once per epoch;
+    :func:`list_schedule` calls it once per epoch;
     ``tests/core/test_event_queue.py`` pins both sides of it at every regime.
     """
-    return max(EPOCH_TOLERANCE, min(end, EPOCH_REL_MAGNITUDE_CAP) * EPOCH_REL_TOLERANCE)
+    # conditional expressions rather than max()/min(): list_schedule calls
+    # this once per epoch
+    tol = (end if end < EPOCH_REL_MAGNITUDE_CAP else EPOCH_REL_MAGNITUDE_CAP) * EPOCH_REL_TOLERANCE
+    return tol if tol > EPOCH_TOLERANCE else EPOCH_TOLERANCE
 
 
 def list_schedule_bound(allotment: Allotment, m: int) -> float:
@@ -115,11 +117,10 @@ def list_schedule(
 
     * **events** — one ``heapq`` keyed by ``(end, row)``.  Rows are numbered
       in start order, so the pop order is the heap loop's ``(end, seq)``
-      order.  An epoch takes every event within :func:`epoch_tolerance` of
-      its first one; past :data:`_SMALL_EPOCH` pops it sorts the heap once
-      and cuts the rest off with one ``bisect``.  A mass admission pushes
-      one event per run of consecutive rows sharing an end (see
-      :data:`_Event`), so a mass tie costs one heap entry;
+      order.  An epoch pops every event within :func:`epoch_tolerance` of
+      its first one.  A mass admission pushes one event per run of
+      consecutive rows sharing an end (see :data:`_Event`), so a mass tie
+      costs one heap entry and one pop;
     * **admission** — a head pointer walks the list.  While the first
       waiting job fits, first fit takes it in O(1).  Only when it does not
       is the :class:`_NeedBucketIndex` asked (built on first use, over a
@@ -328,29 +329,15 @@ def list_schedule(
         # epoch pop: every completion within epoch_tolerance(now) of the
         # earliest one, in (end, row) order
         now = events_heap[0][0]
-        tol = (now if now < EPOCH_REL_MAGNITUDE_CAP else EPOCH_REL_MAGNITUDE_CAP) * EPOCH_REL_TOLERANCE
-        cut = now + (tol if tol > EPOCH_TOLERANCE else EPOCH_TOLERANCE)
-        popped = released = 0
+        cut = now + epoch_tolerance(now)
+        released = 0
         while events_heap and events_heap[0][0] <= cut:
-            if popped == _SMALL_EPOCH:
-                # a mass completion: one sort and one cut instead of a pop
-                # per event (a sorted list is still a heap)
-                events_heap.sort()
-                c = bisect_right(events_heap, (cut, n))
-                freed, count = _release_sorted(
-                    events_heap[:c], idle_spans, span_first_col, span_count_col
-                )
-                del events_heap[:c]
-                idle += freed
-                released += count
-                break
             _, _, lo, hi, need, count = heappop(events_heap)
             if hi - lo == 1:
                 idle_spans.append((span_first_col[lo], span_count_col[lo]))
             else:
                 idle_spans.extend(zip(span_first_col[lo:hi], span_count_col[lo:hi]))
             idle += need
-            popped += 1
             released += count
         epochs += 1
         events += released
@@ -418,28 +405,6 @@ def _allocate_batch(
         (np.searchsorted(owner_local, row_ids, side="left") + piece_base).tolist(),
         (np.searchsorted(owner_local, row_ids, side="right") + piece_base).tolist(),
     )
-
-
-def _release_sorted(
-    batch: List[_Event],
-    idle_spans: List[MachineSpan],
-    span_first_col: List[int],
-    span_count_col: List[int],
-) -> Tuple[int, int]:
-    """Push the pieces of a mass completion's events (in pop order) onto the
-    idle-span stack, one slice per run of adjacent pieces; return the
-    processors freed and the jobs completed."""
-    freed = completed = 0
-    run_lo = run_hi = 0
-    for _, _, lo, hi, need, count in batch:
-        freed += need
-        completed += count
-        if lo != run_hi:
-            idle_spans.extend(zip(span_first_col[run_lo:run_hi], span_count_col[run_lo:run_hi]))
-            run_lo = lo
-        run_hi = hi
-    idle_spans.extend(zip(span_first_col[run_lo:run_hi], span_count_col[run_lo:run_hi]))
-    return freed, completed
 
 
 #: A completion event ``(end, row, lo, hi, need, count)``: the ``count``

@@ -16,6 +16,7 @@ cannot hide behind a still-identical schedule or vice versa.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allotment import Allotment
@@ -422,6 +423,30 @@ class TestCandidateIndexProperties:
         # every admission gathers exactly the one admissible candidate
         assert index_stats["candidate_scans"] == n
         assert index_stats["candidates_visited"] == n
+
+    @pytest.mark.parametrize("m, head_need, overtaker_need", [(2, 2, 1), (3, 3, 2)])
+    def test_index_visits_stay_linear_behind_a_blocked_head(
+        self, m, head_need, overtaker_need
+    ):
+        """A long job holds one processor, so the wide head behind it stays
+        blocked while ``n`` overtakers with distinct durations pass it one
+        per epoch, each through an index query.  The index must touch O(n)
+        entries in total, not re-walk the overtaken ones on every query
+        (O(n^2)).  With ``overtaker_need = 2`` the queries hit the boundary
+        bucket ``[2, 4)``, which also holds the never-started head, so its
+        lazy head cannot advance and only compaction keeps the walks short."""
+        n = 1000
+        overtakers = [float(1 + i) for i in range(n)]
+        durations = [sum(overtakers) + 1.0, 1.0] + overtakers
+        needs = [1, head_need] + [overtaker_need] * n
+        stats = _differential(m, durations, needs)
+        # the long job and the head are the only admissions from the head
+        head_admissions = 2
+        index_queries = stats["candidate_scans"] - head_admissions
+        index_visits = stats["candidates_visited"] - head_admissions
+        # one query per overtaker, plus the fruitless one after the last
+        assert index_queries == n + 1
+        assert index_visits <= 24 * n, index_visits
 
 
 def _differential(m, durations, needs, order=None):
