@@ -569,9 +569,9 @@ def _serve_shard(config: dict, seed: int, repeat: int) -> tuple:
     kill/hang/raise, deadlines + retries live) its vectorized slot.  The
     makespan identity check compares solo ``two_approximation`` runs of the
     instances (the scalar makespan) against the healthy fleet's summed
-    makespans — the isolation layer must be bit-transparent.  Both legs must
-    return a *complete* report; an unaccounted instance fails the shard
-    loudly.
+    makespans — the isolation layer must be bit-transparent.  The healthy leg
+    keeps the best of at least three repeats.  Both legs must return a
+    *complete* report; an unaccounted instance fails the shard loudly.
     """
     from repro.serve import ChaosPolicy, FleetInstance, ServePolicy, schedule_many
 
@@ -612,8 +612,10 @@ def _serve_shard(config: dict, seed: int, repeat: int) -> tuple:
             mp_context="fork",
         )
 
+    # one healthy run is ~0.1 s, mostly forking workers and IPC, and single
+    # readings of it spread 2x: keep the best of at least three
     healthy_seconds, healthy_report = _timed(
-        lambda: _fleet(healthy_policy, None), repeat, []
+        lambda: _fleet(healthy_policy, None), max(repeat, 3), []
     )
     chaos_seconds, chaos_report = _timed(
         lambda: _fleet(chaos_policy, chaos), repeat, []

@@ -136,32 +136,21 @@ def ludwig_tiwari_estimator(
     return oracle.run(estimator_steps(jobs, oracle))
 
 
-def _phi_steps(oracle, tau: float):
-    """The γ-array at ``tau`` and the average load ``sum_j w_j(gamma_j(tau))
-    / m`` (``None`` if some job cannot meet ``tau``)."""
-    gammas = yield ("gamma", tau)
-    if len(gammas) and gammas.max() > oracle.m:
-        return gammas, None
-    # the exact counts, not a float64 copy: past 2^53 a float would round k
-    times = yield ("eval", gammas)
-    # left-to-right, as Allotment.total_work() sums
-    return gammas, oracle.sequential_sum(gammas * times) / oracle.m
-
-
-def _allotment_steps(jobs: Sequence[MoldableJob], oracle, tau: float):
-    """The canonical allotment for ``tau`` (``canonical_allotment``), or
-    ``None`` if some job cannot meet ``tau``."""
-    gammas = yield ("gamma", tau)
-    if len(gammas) and gammas.max() > oracle.m:
-        return None
-    # the γ-array is already validated (>= 1): skip the Allotment re-check
-    return Allotment.from_trusted_counts(dict(zip(jobs, gammas.tolist())))
-
-
 def estimator_steps(jobs: Sequence[MoldableJob], oracle):
     """:func:`ludwig_tiwari_estimator` as a request generator (the protocol
     of :meth:`repro.perf.oracle.BatchedOracle.run`) for non-empty ``jobs``
-    and an oracle built for exactly ``(jobs, m)``."""
+    and an oracle built for exactly ``(jobs, m)``.
+
+    The bisection keeps the γ-array, processing times, works and φ at the
+    upper end of its bracket.  γ is non-increasing in the threshold, so at
+    a midpoint only the *open* jobs, those with ``γ(lo) != γ(hi)``, can
+    differ from ``γ(hi)``: each midpoint sends one ``("rows", mid, rows,
+    γ(hi)[rows], γ(lo)[rows])`` request for them and takes every other
+    job's γ and time from the upper end.  The sum runs over all jobs in
+    order, so φ is bit for bit the full round's.  Once no job is open, φ on
+    the whole bracket is φ(hi) and the bisection finishes without requests.
+    At ``hi = sum_j t_j(1)`` every γ is 1, so the only full ``("gamma", …)``
+    / ``("eval", …)`` pair is the one at the floor."""
     tol = ESTIMATOR_TOL
     m = oracle.m
     tm_max = float(oracle.tm.max())
@@ -170,37 +159,69 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
     hi = max(t1_sum, lo)
     trivial = max(tm_max, t1_sum / m)
 
-    gammas_lo, phi_lo = yield from _phi_steps(oracle, lo)
-    if phi_lo is not None and phi_lo <= lo:
-        allot = yield from _allotment_steps(jobs, oracle, lo)
-        assert allot is not None
-        return EstimatorResult(omega=max(phi_lo, lo, trivial), allotment=allot)
+    gammas_lo = yield ("gamma", lo)
+    if gammas_lo.max() <= m:
+        # the exact counts, not a float64 copy: past 2^53 a float would round k
+        times_lo = yield ("eval", gammas_lo)
+        # left-to-right, as Allotment.total_work() sums
+        phi_lo = oracle.sequential_sum(gammas_lo * times_lo) / m
+        if phi_lo <= lo:
+            allotment = _allotment(jobs, gammas_lo.tolist())
+            return EstimatorResult(omega=max(phi_lo, lo, trivial), allotment=allotment)
 
-    gammas_hi = None
-    flat = False
+    # every t_j(1) <= hi: γ(hi) is all ones, its times and works are t_j(1);
+    # the upper end's columns are lists, updated in place when it moves
+    gammas_hi = [1] * len(jobs)
+    times_hi = oracle.t1.tolist()
+    works_hi = times_hi.copy()
+    phi_hi = t1_sum / m
+    # the open jobs, and their γ at the bracket's ends: least = γ(hi), most = γ(lo)
+    rows = np.flatnonzero(gammas_lo != 1)
+    least, most = np.ones(len(rows), dtype=np.int64), gammas_lo[rows]
     for _ in range(ESTIMATOR_MAX_ITER):
         if hi <= lo * (1.0 + tol):
             break
         mid = geometric_midpoint(lo, hi)
-        # once γ(lo) == γ(hi), every later midpoint has γ(mid) == γ(hi) (γ is
-        # non-increasing in the threshold), so φ(mid) is the last φ computed,
-        # bit for bit: finish the bisection without requests
-        if not flat:
-            gammas_mid, phi_mid = yield from _phi_steps(oracle, mid)
+        if not len(rows):
+            # γ(lo) == γ(hi): γ(mid) == γ(hi), so φ(mid) is φ(hi) bit for bit
+            if phi_hi > mid:
+                lo = mid
+            else:
+                hi = mid
+            continue
+        found, found_times = yield ("rows", mid, rows, least, most)
+        at, counts, times = rows.tolist(), found.tolist(), found_times.tolist()
+        phi_mid = None
+        if max(counts) <= m:
+            # the works γ_j t_j at mid, summed left to right in job order as
+            # oracle.sequential_sum sums a whole γ * t column
+            works = works_hi.copy()
+            for i, k, t in zip(at, counts, times):
+                works[i] = k * t
+            phi_mid = sum(works) / m
+        # a job stays open while γ(mid) differs from γ at the end kept
         if phi_mid is None or phi_mid > mid:
-            lo, gammas_lo = mid, gammas_mid
+            lo, most, keep = mid, found, found != least
         else:
-            hi, gammas_hi = mid, gammas_mid
-        flat = flat or (gammas_hi is not None and np.array_equal(gammas_lo, gammas_hi))
+            hi, phi_hi, works_hi = mid, phi_mid, works
+            for i, k, t in zip(at, counts, times):
+                gammas_hi[i] = k
+                times_hi[i] = t
+            least, keep = found, found != most
+        if not keep.all():
+            rows, least, most = rows[keep], least[keep], most[keep]
 
-    allot = yield from _allotment_steps(jobs, oracle, hi)
-    assert allot is not None, "upper end of the bracket must always be feasible"
-    # batched average_load / max_time; the repeated γ(hi) is a cache hit
-    gammas = yield ("gamma", hi)
-    times = yield ("eval", gammas)
-    omega = max(oracle.sequential_sum(gammas * times) / m, float(times.max()))
+    # the upper end is always feasible: its allotment witnesses the bound
+    omega = max(phi_hi, max(times_hi))
     omega = max(omega / (1.0 + tol), trivial, lo)
-    return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
+    allotment = _allotment(jobs, gammas_hi)
+    return EstimatorResult(omega=omega, allotment=allotment, ratio=2.0 * (1.0 + 2.0 * tol))
+
+
+def _allotment(jobs: Sequence[MoldableJob], counts: Sequence[int]) -> Allotment:
+    """The canonical allotment of feasible γ-values (``canonical_allotment``)."""
+    # the counts are already validated (>= 1): skip the Allotment re-check
+    return Allotment.from_trusted_counts(dict(zip(jobs, counts)))
 
 
 def makespan_lower_bound(jobs: Sequence[MoldableJob], m: int) -> float:

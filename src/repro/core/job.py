@@ -56,7 +56,9 @@ class MoldableJob(ABC):
     processors for ``k >= 1``.  The public entry point
     :meth:`processing_time` memoises oracle calls and validates ``k`` on the
     first evaluation of each count; a repeated ``t_j(k)`` is one dict lookup.
-    :meth:`clear_memo` empties the memo.
+    :meth:`clear_memo` empties the memo.  Jobs compare and hash by identity
+    (the ``object`` defaults): two jobs with equal parameters are still two
+    jobs.
 
     Parameters
     ----------
@@ -203,12 +205,6 @@ class MoldableJob(ABC):
     # --------------------------------------------------------------- dunder
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 class TabulatedJob(MoldableJob):

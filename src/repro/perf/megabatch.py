@@ -26,6 +26,16 @@ accounting.  This holds because
   independently, so interleaving many instances' searches in one
   :func:`~repro.perf.oracle.lockstep_gamma_round` changes neither the probed
   counts nor the results (per-segment ``stats`` are attributed back exactly);
+* a generator sends three kinds of request: ``("gamma", threshold)`` (every
+  job's γ), ``("eval", ks)`` (every job's ``t_j(ks_j)``) and ``("rows",
+  threshold, rows, lo, hi)`` (γ and its time for the jobs at ``rows`` only,
+  inside the bracket ``lo <= γ <= hi``; the estimator's open jobs).  Each
+  round answers each kind in one batched call: γ-requests in one lockstep
+  round, evaluations in one ``eval_at``, row requests in one
+  :func:`~repro.perf.oracle.lockstep_gamma_rows` over the concatenated rows
+  of every segment, whatever their number (a solo oracle answers a small
+  row request per job instead; row answers are exact either way, and
+  ``stats`` counts the rows answered, not probes, so it agrees too);
 * each segment runs the solo drivers' own request generators
   (:func:`~repro.core.two_approx.two_approx_steps`,
   :func:`~repro.core.fptas.fptas_steps`, built on
@@ -77,7 +87,7 @@ from ..core.scheduler import (
 from ..core.two_approx import two_approx_steps
 from ..core.validation import assert_valid_schedule, flag_schedules, job_positions
 from .arrays import JobArrayBundle
-from .oracle import BatchedOracle, lockstep_gamma_round
+from .oracle import BatchedOracle, lockstep_gamma_round, lockstep_gamma_rows
 
 # Not called here: the benchmark's traced run (perfbench/layers.py) patches
 # these names on this module, so they must stay importable from it.
@@ -104,7 +114,15 @@ class _SegmentView(JobArrayBundle):
         self.group_of = parent.group_of[start:stop]
         self.pos_in_group = parent.pos_in_group[start:stop]
         self.groups = parent.groups
-        self._parts = self._partition()
+        self._view_parts: Optional[list] = None
+
+    @property
+    def _parts(self) -> list:
+        # built on first use: a packed solve evaluates through the shared
+        # bundle, so most views never need their own partition
+        if self._view_parts is None:
+            self._view_parts = self._partition()
+        return self._view_parts
 
 
 class _Segment:
@@ -145,6 +163,7 @@ class MegaBatch:
 
     def __init__(self, segments: Sequence[_Segment], *, warm_start: bool = True) -> None:
         self.segments: List[_Segment] = list(segments)
+        self.warm_start = bool(warm_start)
         all_jobs: List[MoldableJob] = []
         for seg in self.segments:
             seg.start = len(all_jobs)
@@ -152,11 +171,21 @@ class MegaBatch:
             seg.stop = len(all_jobs)
             seg.index = np.arange(seg.start, seg.stop, dtype=np.int64)
         self.bundle = JobArrayBundle(all_jobs)
+        #: every segment's t_j(1) and t_j(m) in bundle order, evaluated in one
+        #: pass each; each oracle's t1 / tm columns are slices of them
+        ms = np.array([seg.m for seg in self.segments], dtype=np.int64)
+        self.t1 = self.bundle.eval_all(1)
+        self.tm = self.bundle.eval_all(np.repeat(ms, [seg.n for seg in self.segments]))
+        self.t1.setflags(write=False)
+        self.tm.setflags(write=False)
         for seg in self.segments:
             view = _SegmentView(self.bundle, seg.start, seg.stop)
             seg.oracle = BatchedOracle(
                 seg.jobs, seg.m, warm_start=warm_start, bundle=view
             )
+            # the columns a solo oracle evaluates on first use, bit for bit
+            seg.oracle._t1 = self.t1[seg.start : seg.stop]
+            seg.oracle._tm = self.tm[seg.start : seg.stop]
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -169,12 +198,13 @@ class MegaOracle:
     per job class per bisection level across all requesting segments, with
     each segment's threshold cache and warm-start brackets intact);
     whole-segment time evaluations are concatenated into a single
-    ``eval_at`` on the shared bundle.
+    ``eval_at`` on the shared bundle; row requests go through one
+    :func:`lockstep_gamma_rows`.
     """
 
     def __init__(self, batch: MegaBatch) -> None:
         self.batch = batch
-        self.stats = {"gamma_rounds": 0, "eval_rounds": 0}
+        self.stats = {"gamma_rounds": 0, "eval_rounds": 0, "rows_rounds": 0}
 
     def gamma_round(self, requests: Sequence[Tuple[_Segment, float]]) -> List[np.ndarray]:
         self.stats["gamma_rounds"] += 1
@@ -188,6 +218,35 @@ class MegaOracle:
         )
         stops = np.cumsum([seg.n for seg, _ in requests]).tolist()
         return [flat[a:b] for a, b in zip([0] + stops, stops)]
+
+    def rows_round(self, requests: Sequence[Tuple[_Segment, float, np.ndarray, np.ndarray, np.ndarray]]):
+        """Every segment's row request in one :func:`lockstep_gamma_rows`
+        over their concatenated rows, at any size: per-job answers inside a
+        mega round would pay a cold processing-time call per probe that the
+        shared kernels amortise."""
+        self.stats["rows_rounds"] += 1
+        batch = self.batch
+        sizes = [len(rows) for _, _, rows, _, _ in requests]
+        for (seg, *_), size in zip(requests, sizes):
+            seg.oracle.stats["gamma_rows"] += size
+        owner = np.repeat(np.arange(len(requests)), sizes)
+        at = np.concatenate([rows for _, _, rows, _, _ in requests])
+        at += np.array([seg.start for seg, *_ in requests])[owner]
+        bundle = batch.bundle
+        found, times = lockstep_gamma_rows(
+            bundle.groups,
+            batch.warm_start,
+            np.array([t for _, t, _, _, _ in requests])[owner],
+            np.array([seg.m for seg, *_ in requests], dtype=np.int64)[owner],
+            np.concatenate([lo for _, _, _, lo, _ in requests]),
+            np.concatenate([hi for _, _, _, _, hi in requests]),
+            batch.t1[at],
+            batch.tm[at],
+            bundle.group_of[at],
+            bundle.pos_in_group[at],
+        )
+        stops = np.cumsum(sizes).tolist()
+        return [(found[a:b], times[a:b]) for a, b in zip([0] + stops, stops)]
 
 
 def _solve_steps(seg: _Segment):
@@ -228,40 +287,31 @@ def _validate_pack(batch: MegaBatch, results: Sequence[SchedulingResult]) -> Non
 
 def _drive(batch: MegaBatch, oracle: MegaOracle) -> List[SchedulingResult]:
     """Advance every segment's solve generator one request per round,
-    batching each round's γ-requests into one lockstep search and its
-    evaluation requests into one shared-bundle pass."""
+    batching each round's γ-requests into one lockstep search, its row
+    requests into another and its evaluation requests into one shared-bundle
+    pass."""
     gens = {seg.slot: _solve_steps(seg) for seg in batch.segments}
     seg_of = {seg.slot: seg for seg in batch.segments}
     results: Dict[int, SchedulingResult] = {}
     replies: Dict[int, Any] = {}
     live = sorted(gens)
+    rounds = {"gamma": oracle.gamma_round, "eval": oracle.eval_round, "rows": oracle.rows_round}
     while live:
-        gamma_reqs: List[Tuple[int, float]] = []
-        eval_reqs: List[Tuple[int, np.ndarray]] = []
+        requests: Dict[str, List[Tuple[int, tuple]]] = {"gamma": [], "eval": [], "rows": []}
         still_live = []
         for slot in live:
             try:
-                kind, payload = gens[slot].send(replies.pop(slot, None))
+                kind, *args = gens[slot].send(replies.pop(slot, None))
             except StopIteration as stop:
                 results[slot] = stop.value
                 continue
             still_live.append(slot)
-            if kind == "gamma":
-                gamma_reqs.append((slot, payload))
-            else:
-                eval_reqs.append((slot, payload))
-        if gamma_reqs:
-            answers = oracle.gamma_round(
-                [(seg_of[slot], t) for slot, t in gamma_reqs]
-            )
-            for (slot, _), ans in zip(gamma_reqs, answers):
-                replies[slot] = ans
-        if eval_reqs:
-            answers = oracle.eval_round(
-                [(seg_of[slot], ks) for slot, ks in eval_reqs]
-            )
-            for (slot, _), ans in zip(eval_reqs, answers):
-                replies[slot] = ans
+            requests[kind].append((slot, args))
+        for kind, reqs in requests.items():
+            if reqs:
+                answers = rounds[kind]([(seg_of[slot], *args) for slot, args in reqs])
+                for (slot, _), ans in zip(reqs, answers):
+                    replies[slot] = ans
         live = still_live
     return [results[seg.slot] for seg in batch.segments]
 
@@ -317,8 +367,9 @@ def solve_mega(
     starts.
 
     ``stats``, when a dict, receives ``mega_size`` (packed instance count),
-    ``gamma_rounds`` / ``eval_rounds`` (batched oracle rounds) and
-    ``segments`` (each packed oracle's solo-equivalent probe counters).
+    ``gamma_rounds`` / ``eval_rounds`` / ``rows_rounds`` (batched oracle
+    rounds) and ``segments`` (each packed oracle's solo-equivalent probe
+    counters).
     """
     normalized = []
     for item in instances:
@@ -356,6 +407,7 @@ def solve_mega(
         stats["mega_size"] = 0
         stats["gamma_rounds"] = 0
         stats["eval_rounds"] = 0
+        stats["rows_rounds"] = 0
         stats["segments"] = []
 
     out: List[SchedulingResult] = []

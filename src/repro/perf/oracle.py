@@ -34,8 +34,15 @@ the two neighbouring γ-arrays in log-threshold space.
 (every threshold runs the full cold ``log m`` lockstep bisection); probe
 counts are instrumented either way in ``stats`` (``oracle_evals`` is the
 total number of per-job kernel probes, ``warm_probes`` the subset spent on
-predictions) so regression tests can pin the savings.  :func:`lockstep_gamma_round` runs many oracles' searches as
-one flat bisection over their concatenated jobs — the mega batch's round.
+predictions) so regression tests can pin the savings.
+:func:`lockstep_gamma_round` runs many oracles' searches as one flat
+bisection over their concatenated jobs — the mega batch's round.
+
+Row requests (:meth:`_Executor.gamma_rows`) ask for γ and its processing
+time at one threshold for a few jobs only, each inside a bracket the caller
+knows (the estimator's open jobs).  They bypass the γ-cache: the scalar
+executor and a small batched request search per job, a large one and the
+mega batch's round (:func:`lockstep_gamma_rows`) in lockstep over the rows.
 
 γ-arrays use the sentinel ``m + 1`` for "infeasible even on all m machines"
 (where the scalar :func:`repro.core.allotment.gamma` returns ``None``); the
@@ -57,14 +64,14 @@ from ..core.capacity import MAX_COLUMNAR_M, index_array
 from ..core.job import MoldableJob
 from .arrays import JobArrayBundle
 
-__all__ = ["BatchedOracle", "ScalarOracle", "lockstep_gamma_round"]
+__all__ = ["BatchedOracle", "ScalarOracle", "lockstep_gamma_round", "lockstep_gamma_rows"]
 
 
 class _Executor:
     """What both executors share: the instance, the ``t_j(1)`` / ``t_j(m)``
-    columns, positional job lookup, the request loop and the exact
-    left-to-right sum.  A subclass answers :meth:`gamma_array` and
-    :meth:`times_at`.
+    columns, positional job lookup, the request loop, the per-job answer to
+    row requests and the exact left-to-right sum.  A subclass answers
+    :meth:`gamma_array` and :meth:`times_at`.
 
     The instance must not change while the oracle is alive: γ-arrays are
     cached per threshold and job indices are positional.
@@ -143,22 +150,58 @@ class _Executor:
 
         The request-generator drivers (:func:`~repro.core.bounds.estimator_steps`,
         :func:`~repro.core.two_approx.two_approx_steps`,
-        :func:`~repro.core.fptas.fptas_steps`) yield one request at a time:
-        ``("gamma", threshold)`` is answered with :meth:`gamma_array`,
-        ``("eval", ks)`` with :meth:`times_at` (``t_j(ks_j)`` for every job;
-        a scalar ``ks`` broadcasts).  :func:`repro.perf.megabatch.solve_mega`
-        answers the same requests for many generators in batched rounds, so
-        caches, ``stats`` and results agree solo and in a mega batch.  Answers go
-        through ``self``'s methods, so a subclass overriding them sees every
-        request.
+        :func:`~repro.core.fptas.fptas_steps`) yield one request at a time, a
+        tuple whose first entry names its kind:
+
+        * ``("gamma", threshold)``, answered with :meth:`gamma_array`: the
+          γ-array of every job;
+        * ``("eval", ks)``, answered with :meth:`times_at`: ``t_j(ks_j)`` for
+          every job (a scalar ``ks`` broadcasts);
+        * ``("rows", threshold, rows, lo, hi)``, answered with
+          :meth:`gamma_rows`: ``(γ, t)`` for the jobs at positions ``rows``
+          only, each inside the caller's bracket ``lo <= γ <= hi``.
+
+        :func:`repro.perf.megabatch.solve_mega` answers the same requests for
+        many generators in batched rounds, so caches, ``stats`` and results
+        agree solo and in a mega batch.  Answers go through ``self``'s
+        methods, so a subclass overriding them sees every request.
         """
         reply = None
         while True:
             try:
-                kind, payload = steps.send(reply)
+                kind, *args = steps.send(reply)
             except StopIteration as stop:
                 return stop.value
-            reply = self.gamma_array(payload) if kind == "gamma" else self.times_at(payload)
+            if kind == "gamma":
+                reply = self.gamma_array(*args)
+            elif kind == "eval":
+                reply = self.times_at(*args)
+            else:
+                reply = self.gamma_rows(*args)
+
+    def gamma_rows(self, threshold: float, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """``(gamma_j(threshold), t_j(gamma_j(threshold)))`` for the jobs at
+        positions ``rows``, given ``lo[i] <= gamma <= hi[i]`` for the job at
+        ``rows[i]`` (``hi[i] = m + 1``: possibly infeasible).  An infeasible
+        job gets γ ``m + 1`` and time ``inf``.  Neither the γ-cache nor the
+        cache's brackets are consulted or filled: the caller's bracket is the
+        warm start.
+
+        Answered per job, with :func:`repro.core.allotment.gamma` inside the
+        bracket and ``processing_time``, which the batched kernels match bit
+        for bit."""
+        m, jobs = self.m, self.jobs
+        threshold = float(threshold)
+        found, times = [], []
+        for i, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+            g = gamma(jobs[i], threshold, m, _bracket=(a, b))
+            if g is None:
+                found.append(m + 1)
+                times.append(math.inf)
+            else:
+                found.append(g)
+                times.append(jobs[i].processing_time(g))
+        return index_array(found), np.array(times, dtype=np.float64)
 
     @staticmethod
     def sequential_sum(values: np.ndarray) -> float:
@@ -259,13 +302,16 @@ class BatchedOracle(_Executor):
         #: instrumentation: lockstep searches run, bisection levels spent
         #: (counted per job class, so a mixed instance counts each class's
         #: levels separately), vectorized oracle values computed (= γ-probes),
-        #: warm-start prediction probes among them, and threshold-cache hits.
+        #: warm-start prediction probes among them, threshold-cache hits, and
+        #: the rows :meth:`gamma_rows` answered (rows, not probes: how a row
+        #: request is answered depends on its size and the executor).
         self.stats = {
             "gamma_batches": 0,
             "bisection_levels": 0,
             "oracle_evals": 0,
             "warm_probes": 0,
             "threshold_cache_hits": 0,
+            "gamma_rows": 0,
         }
 
     @property
@@ -359,6 +405,30 @@ class BatchedOracle(_Executor):
         layer runs the same search over many instances' thresholds at once.
         """
         return lockstep_gamma_round([(self, threshold)])[0]
+
+    def gamma_rows(self, threshold: float, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """:meth:`_Executor.gamma_rows` in one :func:`lockstep_gamma_rows`,
+        or per job below :data:`ROWS_LOCKSTEP_MIN` rows, where a lockstep
+        level's fixed NumPy cost exceeds the few Python probes it replaces.
+        Both give the same answers; ``stats`` counts the rows answered, not
+        γ-probes, so it does not depend on the path."""
+        n = len(rows)
+        self.stats["gamma_rows"] += n
+        if n < ROWS_LOCKSTEP_MIN:
+            return super().gamma_rows(threshold, rows, lo, hi)
+        bundle = self.bundle
+        return lockstep_gamma_rows(
+            bundle.groups,
+            self.warm_start,
+            np.full(n, float(threshold)),
+            np.full(n, self.m, dtype=np.int64),
+            lo,
+            hi,
+            self.t1[rows],
+            self.tm[rows],
+            bundle.group_of[rows],
+            bundle.pos_in_group[rows],
+        )
 
     def gamma(self, job: MoldableJob, threshold: float, m: Optional[int] = None) -> Optional[int]:
         """Scalar drop-in for :func:`repro.core.allotment.gamma`.
@@ -467,9 +537,7 @@ def _flat_search(oracles: List[BatchedOracle], thresholds: List[float]) -> List[
         gof = cat([o.bundle.group_of for o in oracles])[act]
         order = np.argsort(gof, kind="stable")
         act, gof = act[order], gof[order]
-        starts = np.flatnonzero(np.r_[True, gof[1:] != gof[:-1]])
-        bounds = starts.tolist() + [len(act)]
-        runs = list(zip(gof[starts].tolist(), bounds, bounds[1:]))
+        runs = _class_runs(gof)
         pos = cat([o.bundle.pos_in_group for o in oracles])[act]
         above, below = cat(above)[act], cat(below)[act]
         warm = np.array([o.warm_start for o in oracles])[owner[act]]
@@ -481,11 +549,78 @@ def _flat_search(oracles: List[BatchedOracle], thresholds: List[float]) -> List[
         # t' > t; and t' < t => t(gamma(t')) <= t' < t
         lo = np.maximum(above - 1, 1)
         hi = np.minimum(below, m[act])
-        out[act] = _bisect(oracles, groups, runs, owner[act], gof, pos, thr[act], lo, hi, pred)
+        out[act], probes, guided = _bisect(groups, runs, pos, thr[act], lo, hi, pred)
+        _count_probes(oracles, owner[act], gof, probes, guided)
     if n_req == 1:
         return [out]
     stops = np.cumsum(sizes).tolist()
     return [out[a:b] for a, b in zip([0] + stops, stops)]
+
+
+def _class_runs(gof: np.ndarray) -> list:
+    """``(class, start, stop)`` per run of equal ``gof``, which is sorted."""
+    bounds = [0, *(np.flatnonzero(gof[1:] != gof[:-1]) + 1).tolist(), len(gof)]
+    return list(zip(gof[bounds[:-1]].tolist(), bounds, bounds[1:]))
+
+
+#: The fewest rows a batched oracle answers with a lockstep bisection
+#: (:meth:`BatchedOracle.gamma_rows`); fewer go per job through the memoised
+#: ``processing_time``.  Measured on the estimator's row requests (Python
+#: 3.11, NumPy 2.4, 2-core shared VM, fresh jobs): on 500 mixed jobs at
+#: m = 4000 a lockstep answer that bisects costs 160-290 µs whatever its
+#: size (1-323 rows), a per-job one about 11 µs plus 1.5-2 µs a row, so
+#: they meet between 120 and 200 rows there.  Over whole estimator runs (mixed
+#: 500 x 4000, 40 x 64 and 6 x 2^20, Amdahl 200 x 2^20, power law
+#: 200 x 4000, chains 2000 x 125) every setting from 64 to 160 was within
+#: about 10% of the best, 16 was up to 1.7x slower and 256 up to 2x slower
+#: (wide power-law brackets).
+ROWS_LOCKSTEP_MIN = 96
+
+
+def lockstep_gamma_rows(
+    groups, warm: bool, thr, m, lo, hi, t1, tm, gof, pos
+) -> Tuple[np.ndarray, np.ndarray]:
+    """γ and its processing time for flat rows, each a job to search at its
+    own threshold ``thr`` (``> 0``) and machine count ``m`` inside its
+    caller's bracket ``lo <= γ <= hi``, in one lockstep bisection: every
+    level costs one kernel call per job class present.  ``t1``, ``tm``,
+    ``gof`` and ``pos`` are the row's job's ``t_j(1)``, ``t_j(m)``, class
+    in ``groups`` and position in that class; all but ``groups`` and
+    ``warm`` are per-row arrays.
+
+    The search neither reads nor fills a γ-cache: the bracket is its warm
+    start, and with ``warm`` a bracket of five or more counts first probes
+    its class's closed-form guess.  :meth:`BatchedOracle.gamma_rows` runs
+    it over one oracle's rows and the mega batch's round over every
+    segment's."""
+    out = m + 1
+    times = np.full(len(out), math.inf)
+    fits = tm <= thr
+    one = fits & (t1 <= thr)
+    out[one] = 1
+    times[one] = t1[one]
+    act = np.flatnonzero(fits & ~one)
+    if len(act):
+        gof = gof[act]
+        order = np.argsort(gof, kind="stable")
+        act, gof = act[order], gof[order]
+        runs = _class_runs(gof)
+        pos, thr, m = pos[act], thr[act], m[act]
+        # the bracket invariant t(lo) > threshold >= t(hi) of _flat_search
+        lo, hi = np.maximum(lo[act] - 1, 1), np.minimum(hi[act], m)
+        pred = None
+        # a guess saves levels only on brackets of five or more counts: four
+        # or fewer take at most two probes either way
+        wide = hi - lo > 4
+        if warm and wide.any():
+            # no threshold brackets the caller's γ-bounds: closed-form guesses only
+            nan = np.full(len(act), math.nan)
+            pred = _predict(groups, runs, pos, thr, m, wide, nan, lo + 1, hi)
+        found, _, _ = _bisect(groups, runs, pos, thr, lo, hi, pred)
+        out[act] = found
+        for gid, a, b in runs:
+            times[act[a:b]] = groups[gid].eval(pos[a:b], found[a:b])
+    return out, times
 
 
 #: relative shave applied to a closed-form guess before rounding it up
@@ -520,10 +655,9 @@ def _predict(groups, runs, pos, thr, m, warm, frac, above, below):
         return np.where(has, g, 0.0).astype(np.int64), has
 
 
-def _bisect(oracles, groups, runs, own, gof, pos, thr, lo, hi, pred) -> np.ndarray:
+def _bisect(groups, runs, pos, thr, lo, hi, pred):
     """Shut every bracket ``(lo, hi]`` with one kernel call per job class and
-    level, and return ``hi``; then add each owner's probes to its oracle's
-    ``stats``, as the solo searches would have counted them."""
+    level; return ``hi`` and each row's probes and guided probes."""
     probes = np.zeros(len(lo), dtype=np.int64)
     guided_probes = np.zeros(len(lo), dtype=np.int64)
     starts = [a for _, a, _ in runs] + [len(lo)]
@@ -566,6 +700,12 @@ def _bisect(oracles, groups, runs, own, gof, pos, thr, lo, hi, pred) -> np.ndarr
         hi[sub[le]] = mid[le]
         lo[sub[~le]] = mid[~le]
         level += 1
+    return hi, probes, guided_probes
+
+
+def _count_probes(oracles, own, gof, probes, guided_probes) -> None:
+    """Add each owner's probes to its oracle's ``stats``, as the solo
+    searches would have counted them."""
     n_req = len(oracles)
     evals = np.bincount(own, weights=probes, minlength=n_req)
     warm = np.bincount(own, weights=guided_probes, minlength=n_req)
@@ -578,4 +718,3 @@ def _bisect(oracles, groups, runs, own, gof, pos, thr, lo, hi, pred) -> np.ndarr
         oracle.stats["oracle_evals"] += int(e)
         oracle.stats["warm_probes"] += int(w)
         oracle.stats["bisection_levels"] += int(lv)
-    return hi

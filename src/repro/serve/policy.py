@@ -166,7 +166,7 @@ class ChaosPolicy:
     With ``mid_solve=True`` (default) the action fires *inside* the
     γ-bisection inner loop whenever the attempt's algorithm routes through a
     :class:`~repro.perf.oracle.BatchedOracle` (after ``fire_after_probes``
-    γ-array evaluations), i.e. genuinely mid-solve; otherwise — or when the
+    γ-array or γ-row requests), i.e. genuinely mid-solve; otherwise — or when the
     solve finishes before the oracle fired — it fires immediately after the
     solve, before the result is reported, which the parent cannot
     distinguish from an in-solve failure.  ``attempts`` limits chaos to the

@@ -12,8 +12,8 @@ numbers), so a corrupted worker cannot smuggle unpicklable state back.
 Chaos injection (:class:`repro.serve.policy.ChaosPolicy`) lives here too:
 the drawn action fires either inside the γ-bisection inner loop (a
 :class:`BatchedOracle` subclass that kills/hangs/raises after a fixed number
-of ``gamma_array`` evaluations — genuinely mid-solve) or, when the attempt's
-algorithm never consulted the oracle, immediately after the solve and before
+of ``gamma_array`` / ``gamma_rows`` requests — genuinely mid-solve) or, when
+the attempt's algorithm never consulted the oracle, immediately after the solve and before
 the result is sent, which is indistinguishable from the parent's side.
 """
 
@@ -57,8 +57,9 @@ def _fire(action: str, hang_seconds: float) -> None:
 
 class _ChaosOracle(BatchedOracle):
     """A :class:`BatchedOracle` that fires a chaos action after a fixed
-    number of ``gamma_array`` evaluations — i.e. inside the γ-bisection inner
-    loop of whatever driver is using it."""
+    number of γ requests, ``gamma_array`` and ``gamma_rows`` calls alike —
+    i.e. inside the γ-bisection inner loop of whatever driver is using it
+    (the estimator asks for one γ-array, then for its open rows)."""
 
     def __init__(self, jobs, m, *, action: str, hang_seconds: float, fire_after: int) -> None:
         super().__init__(jobs, m)
@@ -68,12 +69,19 @@ class _ChaosOracle(BatchedOracle):
         self._chaos_calls = 0
         self.chaos_fired = False
 
-    def gamma_array(self, threshold: float):
+    def _chaos_tick(self) -> None:
         self._chaos_calls += 1
         if self._chaos_calls == self._chaos_fire_after:
             self.chaos_fired = True
             _fire(self._chaos_action, self._chaos_hang_seconds)
+
+    def gamma_array(self, threshold: float):
+        self._chaos_tick()
         return super().gamma_array(threshold)
+
+    def gamma_rows(self, threshold, rows, lo, hi):
+        self._chaos_tick()
+        return super().gamma_rows(threshold, rows, lo, hi)
 
 
 def solve_task(task: dict, chaos: Optional[ChaosPolicy]) -> dict:

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.allotment import canonical_allotment
+from repro.core.allotment import canonical_allotment, gamma
 from repro.core.backend import MAX_VECTORIZED_M
 from repro.core.bounds import (
     ESTIMATOR_MAX_ITER,
@@ -26,11 +27,12 @@ from repro.workloads import generators
 from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
 
 
-def reference_estimator(jobs, m, taus=None):
+def reference_estimator(jobs, m, taus=None, brackets=None):
     """The estimator's scalar bisection, kept as an independent reference
     for :func:`repro.core.bounds.estimator_steps`, which every executor runs.
     Returns ``(omega, ratio, allotment)``; every threshold whose φ it
-    evaluates is appended to ``taus`` when given."""
+    evaluates is appended to ``taus`` when given, and ``(mid, lo, hi)`` of
+    every midpoint to ``brackets``."""
     tol = ESTIMATOR_TOL
 
     def phi(tau):
@@ -49,6 +51,8 @@ def reference_estimator(jobs, m, taus=None):
         if hi <= lo * (1.0 + tol):
             break
         mid = geometric_midpoint(lo, hi)
+        if brackets is not None:
+            brackets.append((mid, lo, hi))
         phi_mid = phi(mid)
         if phi_mid is None or phi_mid > mid:
             lo = mid
@@ -100,11 +104,11 @@ class TestEstimatorMatchesReference:
             assert makespan_lower_bound(jobs, m) == omega
 
 
-def _gamma_requests(oracle, jobs):
-    """Run ``estimator_steps`` on ``oracle``; return its result and the
-    thresholds of its ``("gamma", …)`` requests, in order."""
+def _requests(oracle, jobs):
+    """Run ``estimator_steps`` on ``oracle``; return its result and every
+    request it sent, in order."""
     steps = estimator_steps(jobs, oracle)
-    thresholds = []
+    requests = []
 
     def spy():
         reply = None
@@ -113,43 +117,80 @@ def _gamma_requests(oracle, jobs):
                 request = steps.send(reply)
             except StopIteration as stop:
                 return stop.value
-            if request[0] == "gamma":
-                thresholds.append(request[1])
+            requests.append(request)
             reply = yield request
 
-    return oracle.run(spy()), thresholds
+    return oracle.run(spy()), requests
+
+
+def _cold_gammas(jobs, tau, m):
+    """γ at ``tau`` by the cold scalar search, ``m + 1`` where it is ``None``."""
+    return np.array([m + 1 if g is None else g for g in (gamma(j, tau, m) for j in jobs)], dtype=object)
+
+
+def _expected_row_requests(jobs, m):
+    """The row requests the estimator must send, from the reference
+    bisection's brackets: at each midpoint, one request for exactly the jobs
+    whose γ differs between the bracket's ends (bracketed by their γ there),
+    none where no job does."""
+    brackets = []
+    reference_estimator(jobs, m, brackets=brackets)
+    expected = []
+    for mid, lo, hi in brackets:
+        g_lo, g_hi = _cold_gammas(jobs, lo, m), _cold_gammas(jobs, hi, m)
+        rows = np.flatnonzero(g_lo != g_hi)
+        if len(rows):
+            expected.append((mid, rows.tolist(), g_hi[rows].tolist(), g_lo[rows].tolist()))
+    return expected, len(brackets)
+
+
+def _payloads(row_requests):
+    return [(r[1], r[2].tolist(), r[3].tolist(), r[4].tolist()) for r in row_requests]
 
 
 class TestEstimatorStepShortcut:
-    """Once γ(lo) == γ(hi), φ is constant on the bracket: the estimator
-    finishes its bisection without requests, with the reference's result."""
+    """Each midpoint asks only for the open jobs, those with γ(lo) != γ(hi):
+    after the floor's γ-array and times, the estimator sends nothing but row
+    requests, at the reference's midpoints, and none once the bracket is
+    flat."""
 
     @pytest.mark.parametrize("executor", [ScalarOracle, BatchedOracle])
-    def test_fewer_gamma_requests_than_iterations(self, executor):
-        jobs = random_mixed_instance(20, 16, seed=3).jobs
-        taus = []
-        omega, ratio, allot = reference_estimator(jobs, 16, taus)
-        result, requested = _gamma_requests(executor(jobs, 16), jobs)
-        assert (result.omega, result.ratio) == (omega, ratio)
-        assert result.allotment.counts == allot.counts
-        iterations = len(taus) - 1  # the first φ is the bracket's floor
-        # the floor, the probed midpoints, and γ(hi) twice for the allotment
-        probed = requested[1:-2]
-        assert len(probed) < iterations
-        # the probes it does make are the reference's first midpoints
-        assert probed == taus[1 : 1 + len(probed)]
-
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_probed_midpoints_are_a_prefix_of_the_reference(self, family):
+    def test_rows_are_the_open_jobs_at_the_reference_midpoints(self, executor, family):
         for seed in (1, 2, 3):
             jobs = family_instance(family, 20, 16, seed)
-            taus = []
-            reference_estimator(jobs, 16, taus)
-            _, requested = _gamma_requests(ScalarOracle(jobs, 16), jobs)
-            if len(taus) == 1:  # the floor already fits
+            result, requests = _requests(executor(jobs, 16), jobs)
+            omega, ratio, allot = reference_estimator(jobs, 16)
+            assert (result.omega, result.ratio) == (omega, ratio)
+            assert result.allotment.counts == allot.counts
+            expected, midpoints = _expected_row_requests(jobs, 16)
+            if midpoints == 0:  # the floor already fits
+                assert [r[0] for r in requests] == ["gamma", "eval"]
                 continue
-            probed = requested[1:-2]
-            assert probed == taus[1 : 1 + len(probed)]
+            # the floor's γ-array, its times where it is feasible, then rows only
+            head = 2 if requests[1][0] == "eval" else 1
+            assert requests[0][0] == "gamma"
+            assert all(r[0] == "rows" for r in requests[head:])
+            assert _payloads(requests[head:]) == expected
+
+    def test_no_request_once_the_bracket_is_flat(self):
+        jobs = random_mixed_instance(20, 16, seed=3).jobs
+        taus = []
+        reference_estimator(jobs, 16, taus)
+        expected, midpoints = _expected_row_requests(jobs, 16)
+        _, requests = _requests(BatchedOracle(jobs, 16), jobs)
+        rows = [r for r in requests if r[0] == "rows"]
+        # the reference bisects on; the estimator stops asking when no job is open
+        assert 0 < len(rows) == len(expected) < midpoints == len(taus) - 1
+        assert [r[1] for r in rows] == taus[1 : 1 + len(rows)]
+
+    @pytest.mark.parametrize("m", [1 << 60, 1 << 80])
+    def test_row_requests_past_2_to_the_53_and_int64(self, m):
+        jobs = family_instance("mixed", 8, m, 2)
+        result, requests = _requests(ScalarOracle(jobs, m), jobs)
+        expected, _ = _expected_row_requests(jobs, m)
+        assert _payloads(r for r in requests if r[0] == "rows") == expected
+        assert (result.omega, result.ratio) == reference_estimator(jobs, m)[:2]
 
 
 class TestTrivialBounds:

@@ -249,6 +249,13 @@ class TestJobIdentity:
         assert a != b
         assert len({a, b}) == 2
 
+    def test_identity_is_the_object_default(self):
+        """Every dict keyed by jobs hashes them: the ``object`` slots do it
+        in C, a Python-level ``__hash__`` would run interpreted code."""
+        for cls in (MoldableJob, TabulatedJob, AmdahlJob):
+            assert cls.__hash__ is object.__hash__
+            assert cls.__eq__ is object.__eq__
+
     def test_is_abstract(self):
         with pytest.raises(TypeError):
             MoldableJob("abstract")  # type: ignore[abstract]

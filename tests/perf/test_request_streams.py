@@ -1,13 +1,15 @@
 """One driver, two executors: the request protocol of the vectorized drivers.
 
 The estimator, two-approximation and FPTAS are written once, as generators
-that yield ``("gamma", threshold)`` / ``("eval", ks)`` requests.  A solo
-vectorized solve runs them on :meth:`BatchedOracle.run`; ``solve_mega`` runs
-the same generators for many instances in batched rounds.  These tests pin
+that yield ``("gamma", threshold)``, ``("eval", ks)`` and ``("rows",
+threshold, rows, lo, hi)`` requests.  A solo vectorized solve runs them on
+:meth:`BatchedOracle.run`; ``solve_mega`` runs the same generators for many
+instances in batched rounds.  These tests pin
 that both executors see the *same* request stream per instance, and the
 executors' own contracts.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,9 +46,11 @@ def _instances():
     ]
 
 
-def _key(kind, payload, n):
+def _key(kind, n, payload, *rows):
     if kind == "gamma":
         return ("gamma", float(payload))
+    if kind == "rows":
+        return ("rows", float(payload), *(tuple(column.tolist()) for column in rows))
     ks = np.broadcast_to(np.asarray(payload, dtype=np.float64), (n,))
     return ("eval", tuple(ks.tolist()))
 
@@ -56,11 +60,11 @@ def _logged(steps, log, n):
     reply = None
     while True:
         try:
-            kind, payload = steps.send(reply)
+            request = steps.send(reply)
         except StopIteration as stop:
             return stop.value
-        log.append(_key(kind, payload, n))
-        reply = yield kind, payload
+        log.append(_key(request[0], n, *request[1:]))
+        reply = yield request
 
 
 def _solo_streams(monkeypatch):
@@ -82,20 +86,15 @@ def _solo_streams(monkeypatch):
 
 def _mega_streams(monkeypatch):
     logs = {}
-    gamma_round, eval_round = MegaOracle.gamma_round, MegaOracle.eval_round
+    for kind in ("gamma", "eval", "rows"):
+        answer = getattr(MegaOracle, f"{kind}_round")
 
-    def logging_gamma_round(self, requests):
-        for seg, t in requests:
-            logs.setdefault(seg.slot, []).append(_key("gamma", t, seg.n))
-        return gamma_round(self, requests)
+        def logging_round(self, requests, kind=kind, answer=answer):
+            for seg, *payload in requests:
+                logs.setdefault(seg.slot, []).append(_key(kind, seg.n, *payload))
+            return answer(self, requests)
 
-    def logging_eval_round(self, requests):
-        for seg, ks in requests:
-            logs.setdefault(seg.slot, []).append(_key("eval", ks, seg.n))
-        return eval_round(self, requests)
-
-    monkeypatch.setattr(MegaOracle, "gamma_round", logging_gamma_round)
-    monkeypatch.setattr(MegaOracle, "eval_round", logging_eval_round)
+        monkeypatch.setattr(MegaOracle, f"{kind}_round", logging_round)
     stats = {}
     solve_mega(_instances(), stats=stats)
     monkeypatch.undo()
@@ -110,14 +109,13 @@ class TestSoloAndMegaSendTheSameRequests:
         for spec, a, b in zip(SPECS, solo, mega):
             assert a == b, f"{spec[0].__name__} ({spec[4]}): request streams differ"
 
-    def test_streams_carry_the_repeated_threshold_requests(self, monkeypatch):
-        """The estimator asks for γ(hi) again after building the allotment:
-        those repeats are what ``threshold_cache_hits`` counts."""
-        for stream in _solo_streams(monkeypatch):
-            kinds = {kind for kind, _ in stream}
-            assert kinds == {"gamma", "eval"}
-            thresholds = [payload for kind, payload in stream if kind == "gamma"]
-            assert len(set(thresholds)) < len(thresholds)
+    def test_streams_carry_all_three_request_kinds(self, monkeypatch):
+        """The estimator bisects on row requests: its one γ-array request is
+        the floor's, so a two-approximation stream asks for exactly one."""
+        for spec, stream in zip(SPECS, _solo_streams(monkeypatch)):
+            assert {key[0] for key in stream} == {"gamma", "eval", "rows"}
+            if spec[4] == "two_approx":
+                assert [key[0] for key in stream].count("gamma") == 1
 
 
 class TestBatchedOracleRun:
@@ -146,9 +144,24 @@ class TestBatchedOracleRun:
         assert np.array_equal(seen[2], reference.t1)
         assert oracle.stats == reference.stats
 
+    def test_answers_row_requests(self):
+        jobs, oracle = self._oracle()
+        # at 20.0 job 1 needs 17 machines and job 4 cannot finish on 32
+        rows, lo, hi = np.array([1, 4]), np.array([1, 1]), np.array([33, 33])
+        seen = []
+
+        def steps():
+            seen.append((yield ("rows", 20.0, rows, lo, hi)))
+
+        oracle.run(steps())
+        assert seen[0][0].tolist() == BatchedOracle(jobs, 32).gamma_array(20.0)[rows].tolist() == [17, 33]
+        assert seen[0][1].tolist() == [jobs[1].processing_time(17), math.inf]
+        assert oracle.stats["gamma_rows"] == 2
+
     def test_requests_go_through_overridable_methods(self):
-        """A subclass overriding ``gamma_array`` (the fleet's chaos oracle
-        does) sees every γ-request the executor answers."""
+        """A subclass overriding ``gamma_array`` and ``gamma_rows`` (the
+        fleet's chaos oracle does) sees every γ-request the executor
+        answers."""
         jobs, _ = self._oracle()
         calls = []
 
@@ -157,12 +170,17 @@ class TestBatchedOracleRun:
                 calls.append(threshold)
                 return super().gamma_array(threshold)
 
+            def gamma_rows(self, threshold, rows, lo, hi):
+                calls.append(("rows", threshold))
+                return super().gamma_rows(threshold, rows, lo, hi)
+
         def steps():
             yield ("gamma", 3.0)
+            yield ("rows", 3.5, np.array([0]), np.array([1]), np.array([33]))
             yield ("gamma", 4.0)
 
         Spy(jobs, 32).run(steps())
-        assert calls == [3.0, 4.0]
+        assert calls == [3.0, ("rows", 3.5), 4.0]
 
 
 class TestRequestlessExecutor:

@@ -223,7 +223,20 @@ class TestChaosOracleHandOff:
         jobs = random_mixed_instance(12, 24, seed=5).jobs
         with pytest.raises(ChaosError) as info:
             solve_task(self._task(algorithm, jobs, 24), ChaosPolicy(raise_prob=1.0))
-        assert any(entry.name == "gamma_array" for entry in info.traceback)
+        assert any(entry.name in ("gamma_array", "gamma_rows") for entry in info.traceback)
+
+    def test_row_requests_count_toward_firing(self):
+        """two_approx asks for one γ-array, then only for the estimator's open
+        rows: the second request is a row request, and it fires."""
+        from repro.core.two_approx import two_approximation
+        from repro.serve.worker import ChaosError, _ChaosOracle
+
+        jobs = random_mixed_instance(12, 24, seed=5).jobs
+        oracle = _ChaosOracle(jobs, 24, action="raise", hang_seconds=0.0, fire_after=2)
+        with pytest.raises(ChaosError) as info:
+            two_approximation(jobs, 24, oracle=oracle)
+        assert info.traceback[-2].name == "_chaos_tick"
+        assert info.traceback[-3].name == "gamma_rows"
 
     def test_past_the_vectorized_boundary_the_raise_fires_after_the_solve(self):
         from repro import AmdahlJob
@@ -232,4 +245,4 @@ class TestChaosOracleHandOff:
         jobs = [AmdahlJob(f"a{i}", 10.0 + i, 0.1) for i in range(4)]
         with pytest.raises(ChaosError) as info:
             solve_task(self._task("two_approx", jobs, 1 << 80), ChaosPolicy(raise_prob=1.0))
-        assert not any(entry.name == "gamma_array" for entry in info.traceback)
+        assert not any(entry.name in ("gamma_array", "gamma_rows") for entry in info.traceback)
