@@ -17,19 +17,23 @@ Two jobs with identical rounded data form the same type, so the bounded
 knapsack only sees the type multiset.
 
 The γ-allotments and processing times are read as columns of whichever
-executor (:mod:`repro.perf.oracle`) the driver holds; the rounding itself
-runs per value, so both backends produce identical schemes.
+executor (:mod:`repro.perf.oracle`) the driver holds.  Each geometric grid
+rounds its values in one batch (:func:`~repro.knapsack.compressible.round_up_geom_batch`,
+each distinct processor count once), and one loop over the jobs groups them
+into types; the per-job results stay columns until someone reads
+:attr:`RoundingScheme.rounded`.  Both backends produce identical schemes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..knapsack.compressible import round_down_geom, round_up_geom
+from ..knapsack.compressible import round_down_geom, round_down_geom_batch, round_up_geom_batch
 from ..knapsack.items import ItemType
 from .backend import resolve_backend
 from .compression import CompressionParams, params_for_delta
@@ -54,14 +58,24 @@ class RoundedJob:
 
 @dataclass
 class RoundingScheme:
-    """Rounding parameters and the resulting job types."""
+    """Rounding parameters and the resulting job types.
+
+    ``columns`` holds the per-job data in input order, one list per
+    :class:`RoundedJob` field; :attr:`rounded` builds the records from them
+    on first access.
+    """
 
     d: float
     m: int
     delta: float
     params: CompressionParams
-    rounded: List[RoundedJob]
     types: List[ItemType]
+    columns: Tuple[list, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def rounded(self) -> List[RoundedJob]:
+        """One :class:`RoundedJob` per rounded job, in input order."""
+        return [RoundedJob(*row) for row in zip(*self.columns)]
 
     @property
     def num_types(self) -> int:
@@ -77,12 +91,6 @@ class RoundingScheme:
         ) * math.log(max(delta * m, 2.0)) ** 2
 
 
-def _round_count(count: int, b: float, m: int, rho: float) -> int:
-    """Round a processor count down onto ``geom(b, m, 1+rho)`` if it exceeds
-    the wide-job threshold ``b`` (Eq. (25))."""
-    if count <= b:
-        return count
-    return int(math.floor(round_down_geom(float(count), b, float(m), 1.0 + rho) + 1e-9))
 
 
 def round_jobs_to_types(
@@ -99,6 +107,11 @@ def round_jobs_to_types(
     caller removes forced shelf-1 jobs beforehand).  The γ-allotments and
     processing times come from the ``oracle``'s columns: two γ-arrays and
     two time columns per target.
+
+    Types are listed in first-seen order; a type's members are sorted by
+    their exact ``gamma_j(d)`` (ties in input order), so that narrow members
+    are preferred when a type is only partially selected, and the first
+    member gives the type its size and profit.
     """
     params = params_for_delta(delta)
     rho = params.rho
@@ -118,66 +131,80 @@ def round_jobs_to_types(
         )
     g_fulls = g_full_col.tolist()
     g_halves = g_half_col.tolist()
-    t_fulls = oracle.times_at(g_full_col, pos).tolist()
-    t_halves = oracle.times_at(g_half_col, pos).tolist()
+    t_full_col = oracle.times_at(g_full_col, pos)
+    t_half_col = oracle.times_at(g_half_col, pos)
 
-    # many jobs share a processor count, so round each distinct count once
-    counts: Dict[int, int] = {}
+    # counts up to b stay exact; each distinct count above b is rounded down
+    # onto geom(b, m, 1+rho) once (Eq. (25))
+    above = list({g for g in g_fulls if g > b} | {g for g in g_halves if g > b})
+    on_grid = round_down_geom_batch([float(g) for g in above], b, float(m), 1.0 + rho).tolist()
+    rounded_counts = {g: int(math.floor(c + 1e-9)) for g, c in zip(above, on_grid)}
+    sizes = [rounded_counts.get(g, g) for g in g_fulls]
+    half_sizes = [rounded_counts.get(g, g) for g in g_halves]
+    is_narrow = [h < b for h in half_sizes]
+    narrow = np.array(is_narrow, dtype=bool)
+    wide = ~narrow
+
+    # narrow in shelf S2: the original profit v_j(d) = w_j(d/2) - w_j(d),
+    # dropped to 0 below delta*d/2 and rounded up above it.  Counts convert
+    # to float as in Python's int * float.
     profit_low = delta / 2.0 * d
-    rounded_jobs: List[RoundedJob] = []
-    for job, g_full, g_half, time_full, time_half in zip(jobs, g_fulls, g_halves, t_fulls, t_halves):
-        size = counts.get(g_full)
-        if size is None:
-            size = counts[g_full] = _round_count(g_full, b, m, rho)
-        rounded_half_count = counts.get(g_half)
-        if rounded_half_count is None:
-            rounded_half_count = counts[g_half] = _round_count(g_half, b, m, rho)
+    gain = g_half_col.astype(np.float64) * t_half_col - g_full_col.astype(np.float64) * t_full_col
+    gain = np.where(gain > 0.0, gain, 0.0)  # max(0.0, gain)
+    raised = narrow & (gain >= profit_low)
+    profits = np.zeros(len(jobs))
+    profits[raised] = round_up_geom_batch(gain[raised], profit_low, b / 2.0 * d, 1.0 + delta / b)
 
-        if rounded_half_count < b:
-            # narrow in shelf S2: round the original profit v_j(d) = w_j(d/2) - w_j(d)
-            profit_raw = max(0.0, g_half * time_half - g_full * time_full)
-            if profit_raw < profit_low:
-                profit = 0.0
-            else:
-                profit = round_up_geom(profit_raw, profit_low, b / 2.0 * d, 1.0 + delta / b)
-            t_full = time_full
-            t_half = time_half
-            type_key = ("narrow", size, round(profit, 12))
+    # wide in shelf S2: round the processing times of both shelves down and
+    # take the saved work in rounded terms
+    r_full_col = t_full_col.copy()
+    r_half_col = t_half_col.copy()
+    if wide.any():
+        ratio = 1.0 + 4.0 * rho
+        try:
+            r_full_col[wide] = round_down_geom_batch(t_full_col[wide], d / 2.0, d, ratio)
+            r_half_col[wide] = round_down_geom_batch(t_half_col[wide], half / 2.0, half, ratio)
+        except ValueError:
+            # raise for the first job in input order, as one job at a time would
+            for t_full, t_half in zip(t_full_col[wide].tolist(), t_half_col[wide].tolist()):
+                round_down_geom(t_full, d / 2.0, d, ratio)
+                round_down_geom(t_half, half / 2.0, half, ratio)
+            raise
+        saved = r_half_col[wide] * np.array(half_sizes, dtype=np.float64)[wide] - r_full_col[wide] * np.array(
+            sizes, dtype=np.float64
+        )[wide]
+        profits[wide] = np.where(saved > 0.0, saved, 0.0)
+    profit_list = profits.tolist()
+    r_fulls = r_full_col.tolist()
+    r_halves = r_half_col.tolist()
+
+    # group into types in first-seen order; round(x, 12) once per value
+    keys: List[Hashable] = []
+    groups: Dict[Hashable, List[int]] = {}
+    digits: Dict[float, float] = {}
+    for i, is_n in enumerate(is_narrow):
+        if is_n:
+            p = profit_list[i]
+            r = digits.get(p)
+            if r is None:
+                r = digits[p] = round(p, 12)
+            key = ("narrow", sizes[i], r)
         else:
-            # wide in shelf S2: round the processing times of both shelves
-            t_full = round_down_geom(time_full, d / 2.0, d, 1.0 + 4.0 * rho)
-            t_half = round_down_geom(time_half, half / 2.0, half, 1.0 + 4.0 * rho)
-            profit = max(0.0, t_half * rounded_half_count - t_full * size)
-            type_key = ("wide", size, rounded_half_count, round(t_full, 12), round(t_half, 12))
-
-        rounded_jobs.append(
-            RoundedJob(
-                job=job,
-                size=size,
-                profit=profit,
-                type_key=type_key,
-                gamma_full=g_full,
-                gamma_half=g_half,
-                rounded_time_full=t_full,
-                rounded_time_half=t_half,
-            )
-        )
-
-    # group into types in first-seen order; members sorted by true size so
-    # that narrow members are preferred when a type is only partially selected.
-    groups: Dict[Hashable, List[RoundedJob]] = {}
-    for rj in rounded_jobs:
-        groups.setdefault(rj.type_key, []).append(rj)
+            key = ("wide", sizes[i], half_sizes[i], round(r_fulls[i], 12), round(r_halves[i], 12))
+        keys.append(key)
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [i]
+        else:
+            members.append(i)
+    # sizes are counts >= 1 and profits non-negative; an overflow to inf
+    # (or NaN) leaves the types to the checks of the ItemType constructor
+    make_type = ItemType.unchecked if math.isfinite(sum(profit_list)) else ItemType
     types: List[ItemType] = []
     for key, members in groups.items():
-        members.sort(key=lambda rj: rj.gamma_full)
-        types.append(
-            ItemType(
-                key=key,
-                size=members[0].size,
-                profit=members[0].profit,
-                count=len(members),
-                members=[rj.job for rj in members],
-            )
-        )
-    return RoundingScheme(d=d, m=m, delta=delta, params=params, rounded=rounded_jobs, types=types)
+        if len(members) > 1:
+            members.sort(key=g_fulls.__getitem__)  # stable: ties keep input order
+        first = members[0]
+        types.append(make_type(key, sizes[first], profit_list[first], len(members), [jobs[i] for i in members]))
+    columns = (jobs, sizes, profit_list, keys, g_fulls, g_halves, r_fulls, r_halves)
+    return RoundingScheme(d=d, m=m, delta=delta, params=params, types=types, columns=columns)

@@ -30,8 +30,8 @@ decides which backend answers; a function called without one runs on a
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +39,7 @@ import numpy as np
 from ..knapsack.items import KnapsackItem
 from .allotment import gamma
 from .backend import resolve_backend
+from .capacity import index_array
 from .job import MoldableJob
 from .schedule import MachineSpan, Schedule
 
@@ -211,22 +212,49 @@ def build_two_shelf_schedule(
     the caller.
     """
     _, oracle = resolve_backend(jobs, m, "scalar", None)
-    columns = _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle)
-    return None if columns is None else columns[0]
+    columns = _shelf_columns(jobs, m, d, shelf1_jobs, oracle)
+    if columns is None:
+        return None
+    _, _, small, s1, g1, _, s2, g2, _ = columns
+    return TwoShelfSchedule(
+        d=d,
+        m=m,
+        shelf1=dict(zip([jobs[i] for i in s1.tolist()], g1.tolist())),
+        shelf2=dict(zip([jobs[i] for i in s2.tolist()], g2.tolist())),
+        small=[jobs[i] for i in np.flatnonzero(small).tolist()],
+    )
+
+
+def _shelf_columns(jobs, m, d, shelf1_jobs, oracle):
+    """The two-shelf picture as oracle columns, or ``None`` when a big job
+    cannot meet its shelf's height.
+
+    Returns ``(pos, t1, small, s1, g1, t_s1, s2, g2, t_s2)``: the oracle
+    positions of ``jobs``, every job's ``t_j(1)`` and small mask (``t_j(1) <= d/2`` with :func:`_leq`), the
+    positions in ``jobs`` of the shelf-1 and shelf-2 big jobs, their
+    allotments γ(d) / γ(d/2) and their processing times there.  A threshold
+    is only searched when some job needs it.
+    """
+    pos = oracle.positions(jobs)
+    t1 = oracle.t1[pos]
+    small = _leq_array(t1, d / 2.0)
+    # flag the oracle positions of the shelf-1 jobs (a job outside the
+    # instance is ignored), then read the flags at the positions of `jobs`
+    flags = np.zeros(oracle.n, dtype=bool)
+    flags[[p for p in map(oracle.job_index.get, map(id, shelf1_jobs)) if p is not None]] = True
+    in_s1 = flags[pos]
+    s1 = np.flatnonzero(~small & in_s1)
+    s2 = np.flatnonzero(~small & ~in_s1)
+    g1 = oracle.gamma_at(d, pos[s1]) if len(s1) else s1
+    g2 = oracle.gamma_at(d / 2.0, pos[s2]) if len(s2) else s2
+    if (g1 > m).any() or (g2 > m).any():
+        return None
+    return pos, t1, small, s1, g1, oracle.times_at(g1, pos[s1]), s2, g2, oracle.times_at(g2, pos[s2])
 
 
 # --------------------------------------------------------------------------
 # Three-shelf construction (Lemmas 7-9, Figure 3)
 # --------------------------------------------------------------------------
-
-@dataclass
-class _S0Entry:
-    """A column of the S0 shelf: `procs` dedicated machines running the listed
-    placements (job, processors, start offset) back to back."""
-
-    procs: int
-    placements: List[Tuple[MoldableJob, int, float]] = field(default_factory=list)
-
 
 @dataclass
 class ThreeShelfDiagnostics:
@@ -246,79 +274,6 @@ class ThreeShelfDiagnostics:
     moved_from_shelf2: int = 0
     two_shelf_feasible: bool = False
     rejected_reason: Optional[str] = None
-
-
-class _ScheduleAssembler:
-    """Placement collector: the placements accumulate as flat rows in an
-    :class:`repro.perf.schedule_builder.ArraySchedule` and the ``Schedule``
-    is materialized once in :meth:`finish`, with one batched
-    span-normalization pass.
-
-    The assembler also records the busy *pieces* ``(machine_first,
-    machine_end, start, end)`` that the small-job gap recovery sweeps, so the
-    gap index never needs the not yet materialized entry objects.
-    """
-
-    __slots__ = ("m", "pieces", "_builder")
-
-    def __init__(self, m: int, metadata: dict) -> None:
-        from ..perf.schedule_builder import ArraySchedule  # repro.perf imports repro.core
-
-        self.m = m
-        self.pieces: List[Tuple[int, int, float, float]] = []
-        self._builder = ArraySchedule(m, metadata=metadata)
-
-    def add(
-        self,
-        job: MoldableJob,
-        start: float,
-        spans: Sequence[MachineSpan],
-        duration: float,
-    ) -> None:
-        end = start + duration
-        pieces = self.pieces
-        for first, count in spans:
-            pieces.append((first, first + count, start, end))
-        self._builder.append(job, start, spans)
-
-    def finish(self) -> Schedule:
-        return self._builder.build()
-
-
-def _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle):
-    """The two-shelf picture, its total work, the small jobs' ``t_j(1)`` and
-    the oracle positions of the shelf-2 jobs, or ``None`` when a big job
-    cannot meet its shelf's height.
-
-    Reads the small/big partition, the shelf allotments γ(d) / γ(d/2) and
-    the works from whole-instance oracle columns, with the arithmetic of
-    :func:`partition_small_big` and :class:`TwoShelfSchedule` (``_leq``,
-    ``k * t_j(k)``, left-to-right sums).
-    """
-    pos = oracle.positions(jobs)
-    t1 = oracle.t1[pos]
-    small = _leq_array(t1, d / 2.0)
-    shelf1_ids = {id(j) for j in shelf1_jobs}
-    in_s1 = np.fromiter((id(j) in shelf1_ids for j in jobs), dtype=bool, count=len(jobs))
-    s1 = np.flatnonzero(~small & in_s1)
-    s2 = np.flatnonzero(~small & ~in_s1)
-    # a threshold is only searched when some job needs it
-    g1 = oracle.gamma_at(d, pos[s1]) if len(s1) else s1
-    g2 = oracle.gamma_at(d / 2.0, pos[s2]) if len(s2) else s2
-    if (g1 > m).any() or (g2 > m).any():
-        return None
-
-    def shelf_work(idx: np.ndarray, g: np.ndarray) -> float:
-        return oracle.sequential_sum(g * oracle.times_at(g, pos[idx]))
-
-    two_shelf = TwoShelfSchedule(
-        d=d,
-        m=m,
-        shelf1=dict(zip([jobs[i] for i in s1.tolist()], g1.tolist())),
-        shelf2=dict(zip([jobs[i] for i in s2.tolist()], g2.tolist())),
-        small=[jobs[i] for i in np.flatnonzero(small).tolist()],
-    )
-    return two_shelf, shelf_work(s1, g1) + shelf_work(s2, g2), t1[small].tolist(), pos[s2]
 
 
 def build_three_shelf_schedule(
@@ -347,8 +302,8 @@ def build_three_shelf_schedule(
     oracle:
         The executor over ``(jobs, m)`` (:mod:`repro.perf.oracle`) whose
         columns give the partition, the γ-allotments at ``d``, ``d/2`` and
-        ``3d/2``, the shelf works and the small jobs' times; a
-        :class:`~repro.perf.oracle.ScalarOracle` when omitted.
+        ``3d/2``, the shelf works and every processing time the construction
+        uses; a :class:`~repro.perf.oracle.ScalarOracle` when omitted.
 
     Returns ``None`` when the selection violates the Lemma 6 work bound, shelf
     S1 does not fit, or (defensively) the construction cannot complete — the
@@ -360,220 +315,261 @@ def build_three_shelf_schedule(
 
     if oracle is None:
         _, oracle = resolve_backend(jobs, m, "scalar", None)
-    columns = _two_shelf_columns(jobs, m, d, shelf1_jobs, oracle)
+    columns = _shelf_columns(jobs, m, d, shelf1_jobs, oracle)
     if columns is None:
         diag.rejected_reason = "a big job cannot meet its shelf height on m machines"
         return None
-    two_shelf, total_work, small_times, s2_pos = columns
-    small = two_shelf.small
-    diag.small_jobs = len(small)
-    diag.two_shelf_feasible = two_shelf.is_feasible
+    pos, t1, small, s1, g1, t_s1, s2, g2, t_s2 = columns
+    small_idx = np.flatnonzero(small).tolist()
+    small_times = t1[small].tolist()
+    diag.small_jobs = len(small_idx)
+    s1_list, g1_list = s1.tolist(), g1.tolist()
+    s2_list, g2_list = s2.tolist(), g2.tolist()
+    s1_total = sum(g1_list)  # exact at any m
+    diag.two_shelf_feasible = s1_total <= m and sum(g2_list) <= m
 
-    if two_shelf.shelf1_processors > m:
+    if s1_total > m:
         diag.rejected_reason = "shelf S1 needs more than m processors"
         return None
-    # the Lemma 6 threshold m*d - W_S(d), as TwoShelfSchedule.work_bound
+    # the Lemma 6 bound: shelf works k * t_j(k) summed left to right, against
+    # m*d - W_S(d)
+    total_work = oracle.sequential_sum(g1 * t_s1) + oracle.sequential_sum(g2 * t_s2)
     if not _leq(total_work, m * d - sum(small_times)):
         diag.rejected_reason = "total work exceeds m*d - W_S(d)"
         return None
 
-    half = d / 2.0
     three_half = 1.5 * d
     three_quarter = 0.75 * d
 
-    s1_alloc: Dict[MoldableJob, int] = dict(two_shelf.shelf1)
-    s2_alloc: Dict[MoldableJob, int] = dict(two_shelf.shelf2)
-    s0_entries: List[_S0Entry] = []
-    piggyback: List[Tuple[MoldableJob, MoldableJob]] = []  # (host in S1, rider)
-    cat2_pending: Optional[MoldableJob] = None
-    # running processor totals of S0 and S1 (before piggybacking), kept in
-    # step with every change to s0_entries / s1_alloc below
+    # Jobs are positions in `jobs`.  S0 is a list of columns (processors,
+    # placements); a placement is (job, processors, start, duration), with
+    # the duration of a rule (i) placement read after both steps.
+    s0_procs_list: List[int] = []
+    s0_rows: List[Optional[list]] = []
+    shrunk: List[Tuple[int, int, int]] = []  # (S0 column, job, processors) of rule (i)
+    s1_alloc: Dict[int, Tuple[int, float]] = {}  # job -> (processors, time), in S1 order
+    pending: Optional[int] = None  # the unpaired 1-processor job of rule (ii)
     s0_procs = 0
-    s1_procs = two_shelf.shelf1_processors
+    s1_procs = 0
 
-    def _time_in_s1(job: MoldableJob) -> float:
-        return job.processing_time(s1_alloc[job])
-
-    def add_s0(entry: _S0Entry) -> None:
-        nonlocal s0_procs
-        s0_entries.append(entry)
-        s0_procs += entry.procs
-
-    # ---------------------------------------------------------------- rules
-    def apply_rules_i_ii(job: MoldableJob, procs: int) -> None:
-        """Apply rules (i)/(ii) to a job destined for S1 with `procs` procs.
-
-        Leaves the job either in S0 (entry appended), paired in S0, pending as
-        the unpaired 1-processor job, or in S1.
-        """
-        nonlocal cat2_pending, s1_procs
-        t = job.processing_time(procs)
-        if _leq(t, three_quarter) and procs > 1:
+    def apply_rules_i_ii(i: int, procs: int, t: float, short: bool) -> None:
+        """Rules (i)/(ii) for job ``i`` destined for S1 on ``procs``
+        processors, taking ``t``; ``short`` is ``t <= 3d/4``.  The job ends
+        in S0 (alone or paired), pending as the unpaired 1-processor job, or
+        in S1."""
+        nonlocal pending, s0_procs, s1_procs
+        if short and procs > 1:
             # rule (i): give up one processor, run alongside S1+S2
-            add_s0(_S0Entry(procs - 1, [(job, procs - 1, 0.0)]))
-        elif _leq(t, three_quarter) and procs == 1:
+            shrunk.append((len(s0_rows), i, procs - 1))
+            s0_procs_list.append(procs - 1)
+            s0_rows.append(None)
+            s0_procs += procs - 1
+        elif short and procs == 1:
             # rule (ii): pair 1-processor jobs of height <= 3d/4
-            if cat2_pending is None:
-                cat2_pending = job
-                s1_alloc[job] = 1
+            if pending is None:
+                pending = i
+                s1_alloc[i] = (1, t)
                 s1_procs += 1
             else:
-                partner = cat2_pending
-                cat2_pending = None
-                s1_procs -= s1_alloc.pop(partner, 0)
-                t_partner = partner.processing_time(1)
-                add_s0(_S0Entry(1, [(partner, 1, 0.0), (job, 1, t_partner)]))
+                partner = pending
+                pending = None
+                t_partner = s1_alloc.pop(partner)[1]
+                s1_procs -= 1
+                s0_procs_list.append(1)
+                s0_rows.append([(partner, 1, 0.0, t_partner), (i, 1, t_partner, t)])
+                s0_procs += 1
         else:
-            s1_alloc[job] = procs
+            s1_alloc[i] = (procs, t)
             s1_procs += procs
 
     # Step A: scan shelf S1
-    for job in list(s1_alloc.keys()):
-        procs = s1_alloc.pop(job)
-        s1_procs -= procs
-        apply_rules_i_ii(job, procs)
+    if s1_list:
+        shorts = _leq_array(t_s1, three_quarter).tolist()
+        for i, procs, t, short in zip(s1_list, g1_list, t_s1.tolist(), shorts):
+            apply_rules_i_ii(i, procs, t, short)
 
-    # Step B: rule (iii) — pull S2 jobs alongside while processors are free
-    def current_p0() -> int:
-        return s0_procs + len(piggyback)
+    # Step B: rule (iii) — pull S2 jobs alongside while processors are free,
+    # smallest need γ(3d/2) first (ties in S2 order).  The free processors
+    # only shrink, so the jobs moved are a prefix of the candidates that fit
+    # the processors free before the step.
+    moved = set()
+    if s2_list:
+        needs = oracle.gamma_at(three_half, pos[s2])
+        need_list = needs.tolist()
+        # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so every need is defined.
+        assert all(g <= m for g in need_list)
+        free = m - s0_procs - s1_procs
+        candidates = []
+        for k in sorted(range(len(need_list)), key=need_list.__getitem__):
+            if need_list[k] > free:
+                break
+            candidates.append(k)
+        if candidates:
+            rows = np.array(candidates, dtype=np.int64)
+            t_need = oracle.times_at(needs[rows], pos[s2[rows]])
+            shorts = _leq_array(t_need, three_quarter).tolist()
+            for k, t, short in zip(candidates, t_need.tolist(), shorts):
+                need = need_list[k]
+                if need > m - s0_procs - s1_procs:
+                    break
+                moved.add(k)
+                diag.moved_from_shelf2 += 1
+                if t > d:
+                    # runs alongside both shelves for up to 3d/2
+                    s0_procs_list.append(need)
+                    s0_rows.append([(s2_list[k], need, 0.0, t)])
+                    s0_procs += need
+                else:
+                    apply_rules_i_ii(s2_list[k], need, t, short)
 
-    def current_p1() -> int:
-        return s1_procs - len(piggyback)
-
-    needs = oracle.gamma_at(three_half, s2_pos).tolist() if s2_alloc else []
-    # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so every need is defined.
-    assert all(g <= m for g in needs)
-    move_heap: List[Tuple[int, int, MoldableJob]] = [
-        (g, idx, job) for idx, (g, job) in enumerate(zip(needs, s2_alloc))
-    ]
-    heapq.heapify(move_heap)
-
-    while move_heap:
-        q = m - current_p0() - current_p1()
-        need, _, job = move_heap[0]
-        if need > q:
-            break
-        heapq.heappop(move_heap)
-        if job not in s2_alloc:
-            continue
-        del s2_alloc[job]
-        diag.moved_from_shelf2 += 1
-        t = job.processing_time(need)
-        if t > d:
-            # runs alongside both shelves for up to 3d/2
-            add_s0(_S0Entry(need, [(job, need, 0.0)]))
-        else:
-            apply_rules_i_ii(job, need)
+    if shrunk:
+        ks = index_array([procs for _, _, procs in shrunk])
+        times = oracle.times_at(ks, pos[[i for _, i, _ in shrunk]]).tolist()
+        for (col, i, procs), t in zip(shrunk, times):
+            s0_rows[col] = [(i, procs, 0.0, t)]
 
     # Resolve the unpaired category-2 job via the special case of rule (ii):
     # pair it on top of a tall 1-shelf job if their heights fit into 3d/2.
-    if cat2_pending is not None:
-        rider = cat2_pending
-        rider_time = rider.processing_time(1)
-        hosts = [j for j in s1_alloc if j is not rider and _time_in_s1(j) > three_quarter]
-        host: Optional[MoldableJob] = None
-        if hosts:
-            # one linear scan: the shortest host fits iff any host does
-            candidate = min(hosts, key=_time_in_s1)
-            if _leq(rider_time + _time_in_s1(candidate), three_half):
-                host = candidate
-        if host is not None:
-            piggyback.append((host, rider))
-            s1_procs -= s1_alloc.pop(rider, 0)
-            cat2_pending = None
+    # The shortest host fits iff any host does; ties go to the first in S1.
+    rider: Optional[int] = None
+    host: Optional[int] = None
+    rider_time = 0.0
+    if pending is not None:
+        rider_time = s1_alloc[pending][1]
+        best: Optional[float] = None
+        for i, (_, t) in s1_alloc.items():
+            if i != pending and t > three_quarter and (best is None or t < best):
+                host, best = i, t
+        if host is not None and _leq(rider_time + best, three_half):
+            rider = pending
+            del s1_alloc[rider]
+            s1_procs -= 1
             diag.piggybacked_jobs += 1
         else:
-            # stays in S1 on one processor
-            cat2_pending = None
+            host = None  # the job stays in S1 on one processor
+    piggybacked = 0 if rider is None else 1
 
     # ------------------------------------------------------- machine layout
-    diag.shelf0_processors = current_p0()
-    diag.shelf1_processors = sum(s1_alloc.values())
-    diag.shelf2_processors = sum(s2_alloc.values())
-    diag.shelf0_jobs = sum(len(e.placements) for e in s0_entries) + len(piggyback)
+    s2_alloc = [(s2_list[k], g2_list[k], t) for k, t in enumerate(t_s2.tolist()) if k not in moved]
+    p0 = s0_procs + piggybacked
+    diag.shelf0_processors = p0
+    diag.shelf1_processors = sum(procs for procs, _ in s1_alloc.values())
+    diag.shelf2_processors = sum(procs for _, procs, _ in s2_alloc)
+    diag.shelf0_jobs = sum(len(row) for row in s0_rows) + piggybacked
     diag.shelf1_jobs = len(s1_alloc)
     diag.shelf2_jobs = len(s2_alloc)
 
-    if current_p0() + current_p1() > m:
+    if p0 + s1_procs - piggybacked > m:
         diag.rejected_reason = "shelves S0+S1 exceed m processors after transformation"
         return None
 
-    assembler = _ScheduleAssembler(m, {"construction": "three_shelf", "d": d})
+    from ..perf.schedule_builder import ArraySchedule  # repro.perf imports repro.core
+
+    builder = ArraySchedule(m, metadata={"construction": "three_shelf", "d": d})
+    out_jobs, out_starts, out_overrides, out_owner, out_first, out_count = builder.raw_columns()
+
+    def place(job: MoldableJob, start: float, spans: Sequence[MachineSpan]) -> None:
+        out_owner.extend([len(out_jobs)] * len(spans))
+        out_jobs.append(job)
+        out_starts.append(start)
+        for first, count in spans:
+            out_first.append(first)
+            out_count.append(count)
+
+    # The layout lists the machine ranges in machine order with what their
+    # machines share: a finished gap group (first, count, gap_start,
+    # gap_end) for an S0 column or the rider's machine, and a pool entry
+    # [first, count, busy_until, carved] for machines S2 may reuse, busy on
+    # [0, busy_until) (None: idle) before S2 carves (first, count, (start,
+    # end)) sub-ranges from its front.  S0 and S1 fit: they take
+    # s0_procs + s1_procs <= m machines.
+    layout: list = []
     next_machine = 0
+    # Shelf S0 columns
+    for procs, placements in zip(s0_procs_list, s0_rows):
+        span = [(next_machine, procs)]
+        pieces = []
+        for i, _, start, t in placements:
+            place(jobs[i], start, span)
+            pieces.append((start, start + t))
+        layout.append((next_machine, procs) + _gap(pieces, three_half))
+        next_machine += procs
+    # Shelf S1 jobs: one span each, back to back from the first free machine
+    s1_jobs = list(s1_alloc)
+    s1_procs_list = [procs for procs, _ in s1_alloc.values()]
+    firsts = list(accumulate(s1_procs_list, initial=next_machine))
+    next_machine = firsts.pop()
+    pool = [[first, procs, t, None] for first, (procs, t) in zip(firsts, s1_alloc.values())]
+    rows = [jobs[i] for i in s1_jobs]
+    starts = [0.0] * len(rows)
+    counts = s1_procs_list
+    if host is not None:
+        # one machine of the host also runs the rider afterwards
+        h = s1_jobs.index(host)
+        first, procs, t, _ = pool[h]
+        rows.insert(h + 1, jobs[rider])
+        starts.insert(h + 1, t)
+        firsts.insert(h + 1, first)
+        counts.insert(h + 1, 1)
+        rider_group = (first, 1) + _gap([(0.0, 0.0 + t), (t, t + rider_time)], three_half)
+        if procs > 1:
+            pool[h][:2] = [first + 1, procs - 1]
+            layout.extend(pool[:h])
+            layout.append(rider_group)
+            layout.extend(pool[h:])
+        else:
+            layout.extend(pool[:h])
+            layout.append(rider_group)
+            layout.extend(pool[h + 1 :])
+            del pool[h]
+    else:
+        layout.extend(pool)
+    out_owner.extend(range(len(out_jobs), len(out_jobs) + len(rows)))
+    out_jobs.extend(rows)
+    out_starts.extend(starts)
+    out_first.extend(firsts)
+    out_count.extend(counts)
+    if next_machine < m:
+        pool.append([next_machine, m - next_machine, None, None])
+        layout.append(pool[-1])
 
-    def take(count: int) -> MachineSpan:
-        nonlocal next_machine
-        if next_machine + count > m:
-            raise _LayoutOverflow()
-        span = (next_machine, count)
-        next_machine += count
-        return span
-
-    class _LayoutOverflow(Exception):
-        pass
-
-    riders_by_host: Dict[MoldableJob, MoldableJob] = {host: rider for host, rider in piggyback}
-
-    try:
-        # Shelf S0 columns
-        for entry in s0_entries:
-            span = take(entry.procs)
-            for job, procs, start in entry.placements:
-                assembler.add(job, start, [(span[0], procs)], job.processing_time(procs))
-
-        # Shelf S1 jobs (including piggyback hosts)
-        s1_spans: List[Tuple[MoldableJob, MachineSpan, float]] = []  # (job, span of *reusable* machines, busy_until)
-        for job, procs in s1_alloc.items():
-            span = take(procs)
-            t = job.processing_time(procs)
-            assembler.add(job, 0.0, [span], t)
-            rider = riders_by_host.get(job)
-            if rider is not None:
-                # one machine of the host also runs the rider afterwards
-                rider_time = rider.processing_time(1)
-                assembler.add(rider, t, [(span[0], 1)], rider_time)
-                if procs > 1:
-                    s1_spans.append((job, (span[0] + 1, procs - 1), t))
-            else:
-                s1_spans.append((job, span, t))
-
-        # Shelf S2 jobs — placed on machines *not* used by S0/piggyback,
-        # finishing exactly at 3d/2.
-        free_pool: List[Tuple[MachineSpan, float]] = [(span, busy) for _, span, busy in s1_spans]
-        if next_machine < m:
-            free_pool.append(((next_machine, m - next_machine), 0.0))
-            next_machine = m
-        pool_idx = 0
-        for job, procs in s2_alloc.items():
-            needed = procs
-            spans: List[MachineSpan] = []
-            while needed > 0:
-                if pool_idx >= len(free_pool):
-                    raise _LayoutOverflow()
-                (first, count), busy = free_pool[pool_idx]
-                taken = min(count, needed)
-                spans.append((first, taken))
-                if taken < count:
-                    free_pool[pool_idx] = ((first + taken, count - taken), busy)
-                else:
-                    pool_idx += 1
-                needed -= taken
-            t = job.processing_time(procs)
-            start = three_half - t
-            assembler.add(job, start, spans, t)
-    except _LayoutOverflow:
-        diag.rejected_reason = "machine layout overflow (construction could not fit all shelves)"
-        return None
+    # Shelf S2 jobs — placed on machines *not* used by S0/piggyback,
+    # finishing exactly at 3d/2.
+    pool_idx = 0
+    for i, procs, t in s2_alloc:
+        start = three_half - t
+        piece = (start, start + t)
+        needed = procs
+        spans: List[MachineSpan] = []
+        while needed > 0:
+            if pool_idx >= len(pool):
+                diag.rejected_reason = _OVERFLOW
+                return None
+            entry = pool[pool_idx]
+            first, count, _, carved = entry
+            taken = min(count, needed)
+            spans.append((first, taken))
+            if carved is None:
+                carved = entry[3] = []
+            carved.append((first, taken, piece))
+            entry[0] = first + taken
+            entry[1] = count - taken
+            if taken == count:
+                pool_idx += 1
+            needed -= taken
+        place(jobs[i], start, spans)
 
     # ------------------------------------------------- small-job insertion
     # Next-fit over machine groups (Lemma 9): within a group all machines have
     # the same gap; a machine that cannot take the current job is discarded.
-    small_ok = _insert_small_jobs(assembler, small, small_times, three_half)
-    if not small_ok:
+    if small_idx and not _insert_small_jobs(
+        place, [jobs[i] for i in small_idx], small_times, _gap_groups(layout, three_half)
+    ):
         diag.rejected_reason = "small jobs did not fit (work bound violated)"
         return None
 
-    schedule = assembler.finish()
+    out_overrides.extend([None] * len(out_jobs))
+    schedule = builder.build()
     schedule.metadata["shelves"] = {
         "s0_processors": diag.shelf0_processors,
         "s1_processors": diag.shelf1_processors,
@@ -582,110 +578,85 @@ def build_three_shelf_schedule(
     return schedule
 
 
-def _insert_small_jobs(
-    assembler: _ScheduleAssembler,
-    small: Sequence[MoldableJob],
-    times: Sequence[float],
-    horizon: float,
-) -> bool:
-    """Next-fit insertion of the small jobs into per-machine gaps (Lemma 9).
+_OVERFLOW = "machine layout overflow (construction could not fit all shelves)"
 
-    The gaps are recovered from the assembler's busy pieces with
-    :func:`_machine_gap_index`: each maximal range of machines with identical
-    occupancy forms a *group* whose machines share the same contiguous free
-    gap.  The next-fit rule of the paper is followed literally: the current
-    job goes onto the current machine if it still fits, otherwise the machine
-    is discarded and the next machine of the group (or the next group) is
-    tried; machines are never revisited.  A job that does not fit a fresh
-    machine fits no machine of its group, so the rest of the group is
-    discarded in one step (the placements are the same as discarding its
-    machines one by one, without the O(m) walk at large ``m``).
+
+def _gap(pieces: Sequence[Tuple[float, float]], horizon: float) -> Tuple[float, float]:
+    """The free gap ``(gap_start, gap_end)`` of a machine busy during the
+    ``(start, end)`` ``pieces``: the chain of pieces starting within
+    :data:`_ABS` of time 0 or of the chain's end is merged into the busy
+    prefix, and the gap ends where the first later piece starts (or at the
+    ``horizon``), never before it begins."""
+    gap_start = 0.0
+    gap_end = horizon
+    for s, f in sorted(pieces) if len(pieces) > 1 else pieces:
+        if s <= gap_start + _ABS:
+            gap_start = max(gap_start, f)
+        else:
+            gap_end = min(gap_end, s)
+    if gap_end < gap_start:
+        gap_end = gap_start
+    return gap_start, gap_end
+
+
+def _gap_groups(layout: list, horizon: float):
+    """Yield the gap groups ``(first, count, gap_start, gap_end)`` of the
+    machine ``layout`` in machine order: a finished group as it is, a pool
+    entry as the sub-ranges S2 carved (busy until ``busy_until``, then with
+    their S2 piece) followed by its uncarved rest."""
+    for entry in layout:
+        if isinstance(entry, tuple):
+            yield entry
+            continue
+        first, count, busy_until, carved = entry
+        prefix = [] if busy_until is None else [(0.0, 0.0 + busy_until)]
+        for sub_first, sub_count, piece in carved or ():
+            yield (sub_first, sub_count) + _gap(prefix + [piece], horizon)
+        if count:
+            yield (first, count) + _gap(prefix, horizon)
+
+
+def _insert_small_jobs(place, small: Sequence[MoldableJob], times: Sequence[float], groups) -> bool:
+    """Next-fit insertion of the small jobs into the per-machine gaps of the
+    gap ``groups`` (Lemma 9), placing each with ``place``.
+
+    All machines of a group share the same contiguous free gap.  The next-fit
+    rule of the paper is followed literally: the current job goes onto the
+    current machine if it still fits, otherwise the machine is discarded and
+    the next machine of the group (or the next group) is tried; machines are
+    never revisited.  A job that does not fit a fresh machine fits no machine
+    of its group, so the rest of the group is discarded in one step (the
+    placements are the same as discarding its machines one by one, without
+    the O(m) walk at large ``m``, and the same for any split of the machines
+    into groups of equal gaps).
     """
-    if not small:
-        return True
-    # Recover, for every machine that appears in the assembly, its busy
-    # intervals; machines not appearing are entirely free.  We avoid iterating
-    # over all m machines by working span-wise.
-    gaps = _machine_gap_index(assembler.pieces, assembler.m, horizon)
-    # next-fit over the recovered gap groups
-    idx = 0
+    group = next(groups, None)
     fill: Optional[float] = None
-    span_offset = 0
+    offset = 0
     for job, t in zip(small, times):
-        placed = False
-        while idx < len(gaps):
-            (first, count), gap_start, gap_end = gaps[idx]
+        while group is not None:
+            first, count, gap_start, gap_end = group
             if fill is None:
                 fill = gap_start
-            if span_offset >= count:
-                idx += 1
-                span_offset = 0
+            if offset >= count:
+                group = next(groups, None)
+                offset = 0
                 fill = None
                 continue
-            machine = first + span_offset
-            if _leq(fill + t, gap_end):
-                assembler.add(job, fill, [(machine, 1)], t)
-                fill = fill + t
-                placed = True
+            end = fill + t
+            if end <= gap_end + _ABS + _REL * max(abs(end), abs(gap_end)):  # _leq
+                place(job, fill, [(first + offset, 1)])
+                fill = end
                 break
             if fill == gap_start:
                 # a fresh machine cannot take the job, and every machine of
                 # the group has the same gap: discard the whole group at once
-                idx += 1
-                span_offset = 0
+                group = next(groups, None)
+                offset = 0
             else:
                 # discard this machine, move to the next in the group
-                span_offset += 1
+                offset += 1
             fill = None
-        if not placed:
+        else:
             return False
     return True
-
-
-def _machine_gap_index(
-    busy_pieces: Sequence[Tuple[int, int, float, float]],
-    m: int,
-    horizon: float,
-) -> List[Tuple[MachineSpan, float, float]]:
-    """Compute contiguous free gaps ``(span, gap_start, gap_end)`` per group of
-    identical machines.
-
-    ``busy_pieces`` are ``(machine_first, machine_end, start, finish)``
-    rectangles (one per placed span).  The shelf constructions guarantee each
-    machine's busy time is a prefix ``[0, x)`` plus possibly a suffix
-    ``[horizon - y, horizon)``; the gap is the middle.  We build the index by
-    sweeping span boundaries.
-    """
-    boundaries: set[int] = {0, m}
-    for first, end, _, _ in busy_pieces:
-        boundaries.add(first)
-        boundaries.add(end)
-    cuts = sorted(boundaries)
-    # For each elementary machine range, compute the union of busy intervals.
-    pieces: List[Tuple[int, int, float, float]] = sorted(busy_pieces, key=lambda p: p[0])
-
-    result: List[Tuple[MachineSpan, float, float]] = []
-    active: List[Tuple[int, float, float]] = []  # (machine_end, start, finish)
-    pi = 0
-    for ci in range(len(cuts) - 1):
-        seg_start, seg_end = cuts[ci], cuts[ci + 1]
-        if seg_end <= seg_start:
-            continue
-        while pi < len(pieces) and pieces[pi][0] <= seg_start:
-            active.append((pieces[pi][1], pieces[pi][2], pieces[pi][3]))
-            pi += 1
-        active = [a for a in active if a[0] > seg_start]
-        busy = sorted((s, f) for _, s, f in active)
-        # merge the prefix chain starting at time 0 to find the gap start,
-        # then the gap ends at the first busy interval after the prefix.
-        gap_start = 0.0
-        gap_end = horizon
-        for s, f in busy:
-            if s <= gap_start + _ABS:
-                gap_start = max(gap_start, f)
-            else:
-                gap_end = min(gap_end, s)
-        if gap_end < gap_start:
-            gap_end = gap_start
-        result.append(((seg_start, seg_end - seg_start), gap_start, gap_end))
-    return result

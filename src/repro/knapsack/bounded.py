@@ -40,19 +40,16 @@ def expand_bounded_items(types: Sequence[ItemType]) -> List[KnapsackItem]:
     """Expand bounded item types into 0/1 *container* items.
 
     The container for ``q`` copies of type ``t`` has size ``q * size_t``,
-    profit ``q * profit_t`` and payload ``(t.key, q)``.
+    profit ``q * profit_t`` and payload ``(t.key, q)``.  The types were
+    validated when they were built, so the containers are not checked again.
     """
     containers: List[KnapsackItem] = []
+    append = containers.append
+    item = KnapsackItem.unchecked
     for t in types:
+        key, size, profit = t.key, t.size, t.profit
         for part_index, multiplicity in enumerate(binary_split(t.count)):
-            containers.append(
-                KnapsackItem(
-                    key=(t.key, part_index),
-                    size=t.size * multiplicity,
-                    profit=t.profit * multiplicity,
-                    payload=(t.key, multiplicity),
-                )
-            )
+            append(item((key, part_index), size * multiplicity, profit * multiplicity, (key, multiplicity)))
     return containers
 
 

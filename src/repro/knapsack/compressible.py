@@ -13,7 +13,8 @@ processors because monotony bounds the resulting slowdown (Lemma 4).
 
 This module implements
 
-* :func:`geom` — geometric value sets (Definition 13) and geometric rounding;
+* :func:`geom` — geometric value sets (Definition 13) and geometric rounding,
+  of one value or of a batch on one grid;
 * :class:`AdaptiveNormalizer` — the multi-capacity adaptive size
   normalisation of Lemma 12 (the structure shown in Figure 4 of the paper);
 * :func:`solve_compressible_multi` — the normalised dominance DP solving the
@@ -42,6 +43,8 @@ __all__ = [
     "geom",
     "round_down_geom",
     "round_up_geom",
+    "round_down_geom_batch",
+    "round_up_geom_batch",
     "AdaptiveNormalizer",
     "solve_compressible_multi",
     "CompressibleSolution",
@@ -135,6 +138,73 @@ def round_up_geom(value: float, low: float, high: float, ratio: float) -> float:
     while idx > 0 and low * ratio ** (idx - 1) >= v:
         idx -= 1
     return low * ratio ** idx
+
+
+def _grid_estimate(v: np.ndarray, low: float, ratio: float, steps: int, snap) -> np.ndarray:
+    """Grid-index estimates ``snap(log(v/low) / log(ratio))`` clipped to
+    ``[0, steps]``, 0 where the value is not a positive finite number.
+
+    NumPy's ``log`` may differ from :func:`math.log` in the last bit, so an
+    estimate can be one off the scalar rounding's; the batched roundings only
+    accept an estimate that satisfies the scalar predicate on both sides."""
+    if not steps:
+        return np.zeros(len(v), dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = snap(np.log(v / low) / math.log(ratio))
+    return np.clip(np.nan_to_num(est, nan=0.0, posinf=0.0, neginf=0.0), 0, steps).astype(np.int64)
+
+
+def _scalar_rest(out: np.ndarray, ok: np.ndarray, values: list, scalar, grid: tuple) -> np.ndarray:
+    """Fill the entries the batch did not settle with the scalar rounding, in
+    input order, so the first failing value raises exactly as it would
+    alone."""
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = scalar(values[i], *grid)
+    return out
+
+
+def round_down_geom_batch(values: Sequence[float], low: float, high: float, ratio: float) -> np.ndarray:
+    """:func:`round_down_geom` of every value, as a float64 array, with the
+    grid parameters derived once.
+
+    Each value's grid index is estimated with NumPy and accepted when the
+    scalar predicate holds at it: ``low * ratio**i <= v < low * ratio**(i+1)``
+    for the nudged value ``v``, with the grid points computed by the scalar
+    expression.  Since the grid points grow with ``i``, the scalar rounding
+    settles on the same index from any start.  Every other value (below the
+    grid, NaN, infinite, or a missed estimate) goes through the scalar
+    rounding, so the results and the ``ValueError`` for the first value
+    below the grid are the scalar ones."""
+    steps = _geom_params(low, high, ratio)
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    v = np.array(values, dtype=np.float64) * (1 + 1e-12)
+    est = _grid_estimate(v, low, ratio, steps, np.floor)
+    idx = est.tolist()
+    here = np.array([low * ratio ** i for i in idx])
+    above = np.array([low * ratio ** (i + 1) if i < steps else math.inf for i in idx])
+    with np.errstate(invalid="ignore"):
+        ok = (v >= low) & (v < math.inf) & (here <= v) & (above > v)
+    return _scalar_rest(here, ok, values, round_down_geom, (low, high, ratio))
+
+
+def round_up_geom_batch(values: Sequence[float], low: float, high: float, ratio: float) -> np.ndarray:
+    """:func:`round_up_geom` of every value, as a float64 array, with the grid
+    parameters derived once: a NumPy estimate accepted where the scalar
+    predicate ``low * ratio**(i-1) < v <= low * ratio**i`` holds (or the
+    grid's end clamps it), the scalar rounding for every other value, as in
+    :func:`round_down_geom_batch`."""
+    steps = _geom_params(low, high, ratio)
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    v = np.array(values, dtype=np.float64) * (1 - 1e-12)
+    est = _grid_estimate(v, low, ratio, steps, np.ceil)
+    idx = est.tolist()
+    here = np.array([low * ratio ** i for i in idx])
+    below = np.array([low * ratio ** (i - 1) if i else 0.0 for i in idx])
+    with np.errstate(invalid="ignore"):
+        ok = (v < math.inf) & ((est == steps) | (here >= v)) & (below < v)
+        floor = v <= low
+    here[floor] = low
+    return _scalar_rest(here, ok | floor, values, round_up_geom, (low, high, ratio))
 
 
 # --------------------------------------------------------------------------

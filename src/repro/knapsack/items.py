@@ -37,6 +37,15 @@ class KnapsackItem:
         if not (0 <= self.size < math.inf and 0 <= self.profit < math.inf):
             _reject("item", self.key, self.size, self.profit)
 
+    @classmethod
+    def unchecked(cls, key: Hashable, size: float, profit: float, payload: Any = None) -> "KnapsackItem":
+        """The item with these fields, built without the ``__post_init__``
+        checks: for producers whose sizes and profits are valid by
+        construction, like the containers of a validated :class:`ItemType`."""
+        item = object.__new__(cls)
+        item.__dict__.update(key=key, size=size, profit=profit, payload=payload)
+        return item
+
 
 @dataclass
 class ItemType:
@@ -63,6 +72,14 @@ class ItemType:
             raise ValueError(
                 f"item type {self.key!r}: {len(self.members)} members listed but count is {self.count}"
             )
+
+    @classmethod
+    def unchecked(cls, key: Hashable, size: float, profit: float, count: int, members: List[Any]) -> "ItemType":
+        """The type with these fields, built without the ``__post_init__``
+        checks: for producers whose fields are valid by construction."""
+        item_type = object.__new__(cls)
+        item_type.__dict__.update(key=key, size=size, profit=profit, count=count, members=members)
+        return item_type
 
 
 def _reject(kind: str, key: Hashable, size: float, profit: float) -> None:

@@ -133,8 +133,7 @@ class _Executor:
 
     def positions(self, jobs: Sequence[MoldableJob]) -> np.ndarray:
         """Positional indices of ``jobs`` in this oracle's job list."""
-        index = self._index
-        return np.fromiter((index[id(job)] for job in jobs), dtype=np.int64, count=len(jobs))
+        return np.fromiter(map(self._index.__getitem__, map(id, jobs)), dtype=np.int64, count=len(jobs))
 
     def times_for(self, jobs: Sequence[MoldableJob], ks) -> np.ndarray:
         """``t_j(ks_i)`` for an arbitrary job subset/permutation ``jobs``.
@@ -295,10 +294,6 @@ class BatchedOracle(_Executor):
         #: segment view of a shared bundle may be injected so evaluations of
         #: many oracles coalesce; defaults to a private bundle over ``jobs``.
         self.bundle = bundle if bundle is not None else JobArrayBundle(self.jobs)
-        #: the γ-arrays at thresholds +inf and 0: the warm-start neighbours
-        #: where no cached threshold lies above / below a new one
-        self._ones = np.broadcast_to(np.int64(1), (self.n,))
-        self._sentinels = np.broadcast_to(np.int64(self.m + 1), (self.n,))
         #: instrumentation: lockstep searches run, bisection levels spent
         #: (counted per job class, so a mixed instance counts each class's
         #: levels separately), vectorized oracle values computed (= γ-probes),
@@ -319,6 +314,16 @@ class BatchedOracle(_Executor):
         """Total per-job oracle probes spent by the γ-searches so far (each
         probe is one ``t_j(k)`` kernel evaluation inside a lockstep search)."""
         return self.stats["oracle_evals"]
+
+    # the γ-arrays at thresholds +inf and 0: the warm-start neighbours where
+    # no cached threshold lies above / below a new one, built on first use
+    @property
+    def _ones(self) -> np.ndarray:
+        return np.broadcast_to(np.int64(1), (self.n,))
+
+    @property
+    def _sentinels(self) -> np.ndarray:
+        return np.broadcast_to(np.int64(self.m + 1), (self.n,))
 
     # ------------------------------------------------------------- raw times
     def _warm_start(self, threshold: float) -> Tuple[np.ndarray, np.ndarray, float]:

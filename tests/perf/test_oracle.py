@@ -121,6 +121,23 @@ class TestBatchedOracleCaches:
         with pytest.raises(ValueError):
             resolve_backend(jobs, 64, "scalar", oracle)
 
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_cold_thresholds_answer_as_the_scalar_gamma(self, warm_start):
+        """The edge γ-arrays (all 1 above every cached threshold, all m+1
+        below) are built only when a threshold lacks a cached neighbour: the
+        first threshold, one above all cached and one below all cached each
+        still answer exactly."""
+        m = 256
+        jobs = [AmdahlJob(f"a{i}", 20.0 + 3 * i, 0.01 * (i % 5)) for i in range(24)]
+        jobs += [TabulatedJob(f"t{i}", [30.0 / (k + 1) ** 0.5 for k in range(m)]) for i in range(4)]
+        oracle = BatchedOracle(jobs, m, warm_start=warm_start)
+        for threshold in (5.0, 40.0, 0.5, 12.0, 1e9, 0.01):
+            expected = [gamma(job, threshold, m) for job in jobs]
+            got = oracle.gamma_at(threshold, np.arange(len(jobs))).tolist()
+            assert got == [m + 1 if g is None else g for g in expected]
+        assert np.array_equal(oracle._ones, np.ones(len(jobs), dtype=np.int64))
+        assert np.array_equal(oracle._sentinels, np.full(len(jobs), m + 1))
+
     def test_sequential_sum_matches_builtin(self):
         values = np.array([0.1, 0.2, 0.7, 1e-9, 3.3])
         assert BatchedOracle.sequential_sum(values) == sum(values.tolist())
