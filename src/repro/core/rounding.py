@@ -91,8 +91,6 @@ class RoundingScheme:
         ) * math.log(max(delta * m, 2.0)) ** 2
 
 
-
-
 def round_jobs_to_types(
     big_jobs: Sequence[MoldableJob],
     m: int,
@@ -136,13 +134,17 @@ def round_jobs_to_types(
 
     # counts up to b stay exact; each distinct count above b is rounded down
     # onto geom(b, m, 1+rho) once (Eq. (25))
-    above = list({g for g in g_fulls if g > b} | {g for g in g_halves if g > b})
-    on_grid = round_down_geom_batch([float(g) for g in above], b, float(m), 1.0 + rho).tolist()
-    rounded_counts = {g: int(math.floor(c + 1e-9)) for g, c in zip(above, on_grid)}
-    sizes = [rounded_counts.get(g, g) for g in g_fulls]
-    half_sizes = [rounded_counts.get(g, g) for g in g_halves]
-    is_narrow = [h < b for h in half_sizes]
-    narrow = np.array(is_narrow, dtype=bool)
+    over = np.concatenate((g_full_col[g_full_col > b], g_half_col[g_half_col > b])).tolist()
+    if over:
+        above = list(set(over))
+        on_grid = round_down_geom_batch([float(g) for g in above], b, float(m), 1.0 + rho).tolist()
+        rounded = {g: int(math.floor(c + 1e-9)) for g, c in zip(above, on_grid)}
+        sizes = [rounded.get(g, g) for g in g_fulls]
+        half_sizes = [rounded.get(g, g) for g in g_halves]
+        narrow = np.array([h < b for h in half_sizes], dtype=bool)
+    else:
+        sizes, half_sizes = g_fulls, g_halves
+        narrow = g_half_col < b
     wide = ~narrow
 
     # narrow in shelf S2: the original profit v_j(d) = w_j(d/2) - w_j(d),
@@ -157,10 +159,10 @@ def round_jobs_to_types(
 
     # wide in shelf S2: round the processing times of both shelves down and
     # take the saved work in rounded terms
-    r_full_col = t_full_col.copy()
-    r_half_col = t_half_col.copy()
+    r_full_col, r_half_col = t_full_col, t_half_col
     if wide.any():
         ratio = 1.0 + 4.0 * rho
+        r_full_col, r_half_col = t_full_col.copy(), t_half_col.copy()
         try:
             r_full_col[wide] = round_down_geom_batch(t_full_col[wide], d / 2.0, d, ratio)
             r_half_col[wide] = round_down_geom_batch(t_half_col[wide], half / 2.0, half, ratio)
@@ -170,9 +172,9 @@ def round_jobs_to_types(
                 round_down_geom(t_full, d / 2.0, d, ratio)
                 round_down_geom(t_half, half / 2.0, half, ratio)
             raise
-        saved = r_half_col[wide] * np.array(half_sizes, dtype=np.float64)[wide] - r_full_col[wide] * np.array(
-            sizes, dtype=np.float64
-        )[wide]
+        size_col = np.array(sizes, dtype=np.float64)[wide]
+        half_size_col = np.array(half_sizes, dtype=np.float64)[wide]
+        saved = r_half_col[wide] * half_size_col - r_full_col[wide] * size_col
         profits[wide] = np.where(saved > 0.0, saved, 0.0)
     profit_list = profits.tolist()
     r_fulls = r_full_col.tolist()
@@ -182,12 +184,12 @@ def round_jobs_to_types(
     keys: List[Hashable] = []
     groups: Dict[Hashable, List[int]] = {}
     digits: Dict[float, float] = {}
-    for i, is_n in enumerate(is_narrow):
-        if is_n:
-            p = profit_list[i]
-            r = digits.get(p)
+    for i, is_narrow in enumerate(narrow.tolist()):
+        if is_narrow:
+            profit = profit_list[i]
+            r = digits.get(profit)
             if r is None:
-                r = digits[p] = round(p, 12)
+                r = digits[profit] = round(profit, 12)
             key = ("narrow", sizes[i], r)
         else:
             key = ("wide", sizes[i], half_sizes[i], round(r_fulls[i], 12), round(r_halves[i], 12))
@@ -197,14 +199,11 @@ def round_jobs_to_types(
             groups[key] = [i]
         else:
             members.append(i)
-    # sizes are counts >= 1 and profits non-negative; an overflow to inf
-    # (or NaN) leaves the types to the checks of the ItemType constructor
-    make_type = ItemType.unchecked if math.isfinite(sum(profit_list)) else ItemType
     types: List[ItemType] = []
     for key, members in groups.items():
         if len(members) > 1:
             members.sort(key=g_fulls.__getitem__)  # stable: ties keep input order
         first = members[0]
-        types.append(make_type(key, sizes[first], profit_list[first], len(members), [jobs[i] for i in members]))
+        types.append(ItemType(key, sizes[first], profit_list[first], len(members), [jobs[i] for i in members]))
     columns = (jobs, sizes, profit_list, keys, g_fulls, g_halves, r_fulls, r_halves)
     return RoundingScheme(d=d, m=m, delta=delta, params=params, types=types, columns=columns)

@@ -230,9 +230,10 @@ def _shelf_columns(jobs, m, d, shelf1_jobs, oracle):
     cannot meet its shelf's height.
 
     Returns ``(pos, t1, small, s1, g1, t_s1, s2, g2, t_s2)``: the oracle
-    positions of ``jobs``, every job's ``t_j(1)`` and small mask (``t_j(1) <= d/2`` with :func:`_leq`), the
-    positions in ``jobs`` of the shelf-1 and shelf-2 big jobs, their
-    allotments γ(d) / γ(d/2) and their processing times there.  A threshold
+    positions of ``jobs``, every job's ``t_j(1)`` and small mask
+    (``t_j(1) <= d/2`` with :func:`_leq`), the positions in ``jobs`` of the
+    shelf-1 and shelf-2 big jobs, their allotments γ(d) / γ(d/2) and their
+    processing times there.  A threshold
     is only searched when some job needs it.
     """
     pos = oracle.positions(jobs)
@@ -342,8 +343,9 @@ def build_three_shelf_schedule(
     three_quarter = 0.75 * d
 
     # Jobs are positions in `jobs`.  S0 is a list of columns (processors,
-    # placements); a placement is (job, processors, start, duration), with
-    # the duration of a rule (i) placement read after both steps.
+    # placements); a placement is (job, start, duration) on all of its
+    # column's processors, with the duration of a rule (i) placement read
+    # after both steps.
     s0_procs_list: List[int] = []
     s0_rows: List[Optional[list]] = []
     shrunk: List[Tuple[int, int, int]] = []  # (S0 column, job, processors) of rule (i)
@@ -376,7 +378,7 @@ def build_three_shelf_schedule(
                 t_partner = s1_alloc.pop(partner)[1]
                 s1_procs -= 1
                 s0_procs_list.append(1)
-                s0_rows.append([(partner, 1, 0.0, t_partner), (i, 1, t_partner, t)])
+                s0_rows.append([(partner, 0.0, t_partner), (i, t_partner, t)])
                 s0_procs += 1
         else:
             s1_alloc[i] = (procs, t)
@@ -386,7 +388,11 @@ def build_three_shelf_schedule(
     if s1_list:
         shorts = _leq_array(t_s1, three_quarter).tolist()
         for i, procs, t, short in zip(s1_list, g1_list, t_s1.tolist(), shorts):
-            apply_rules_i_ii(i, procs, t, short)
+            if short:
+                apply_rules_i_ii(i, procs, t, short)
+            else:  # stays in S1, as apply_rules_i_ii would leave it
+                s1_alloc[i] = (procs, t)
+                s1_procs += procs
 
     # Step B: rule (iii) — pull S2 jobs alongside while processors are free,
     # smallest need γ(3d/2) first (ties in S2 order).  The free processors
@@ -395,21 +401,14 @@ def build_three_shelf_schedule(
     moved = set()
     if s2_list:
         needs = oracle.gamma_at(three_half, pos[s2])
-        need_list = needs.tolist()
         # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so every need is defined.
-        assert all(g <= m for g in need_list)
-        free = m - s0_procs - s1_procs
-        candidates = []
-        for k in sorted(range(len(need_list)), key=need_list.__getitem__):
-            if need_list[k] > free:
-                break
-            candidates.append(k)
-        if candidates:
-            rows = np.array(candidates, dtype=np.int64)
-            t_need = oracle.times_at(needs[rows], pos[s2[rows]])
+        assert not (needs > m).any()
+        order = np.argsort(needs, kind="stable")
+        candidates = order[: np.count_nonzero(needs <= m - s0_procs - s1_procs)]
+        if len(candidates):
+            t_need = oracle.times_at(needs[candidates], pos[s2[candidates]])
             shorts = _leq_array(t_need, three_quarter).tolist()
-            for k, t, short in zip(candidates, t_need.tolist(), shorts):
-                need = need_list[k]
+            for k, need, t, short in zip(candidates.tolist(), needs[candidates].tolist(), t_need.tolist(), shorts):
                 if need > m - s0_procs - s1_procs:
                     break
                 moved.add(k)
@@ -417,7 +416,7 @@ def build_three_shelf_schedule(
                 if t > d:
                     # runs alongside both shelves for up to 3d/2
                     s0_procs_list.append(need)
-                    s0_rows.append([(s2_list[k], need, 0.0, t)])
+                    s0_rows.append([(s2_list[k], 0.0, t)])
                     s0_procs += need
                 else:
                     apply_rules_i_ii(s2_list[k], need, t, short)
@@ -425,15 +424,14 @@ def build_three_shelf_schedule(
     if shrunk:
         ks = index_array([procs for _, _, procs in shrunk])
         times = oracle.times_at(ks, pos[[i for _, i, _ in shrunk]]).tolist()
-        for (col, i, procs), t in zip(shrunk, times):
-            s0_rows[col] = [(i, procs, 0.0, t)]
+        for (col, i, _), t in zip(shrunk, times):
+            s0_rows[col] = [(i, 0.0, t)]
 
     # Resolve the unpaired category-2 job via the special case of rule (ii):
     # pair it on top of a tall 1-shelf job if their heights fit into 3d/2.
     # The shortest host fits iff any host does; ties go to the first in S1.
     rider: Optional[int] = None
     host: Optional[int] = None
-    rider_time = 0.0
     if pending is not None:
         rider_time = s1_alloc[pending][1]
         best: Optional[float] = None
@@ -451,15 +449,15 @@ def build_three_shelf_schedule(
 
     # ------------------------------------------------------- machine layout
     s2_alloc = [(s2_list[k], g2_list[k], t) for k, t in enumerate(t_s2.tolist()) if k not in moved]
-    p0 = s0_procs + piggybacked
-    diag.shelf0_processors = p0
-    diag.shelf1_processors = sum(procs for procs, _ in s1_alloc.values())
+    diag.shelf0_processors = s0_procs + piggybacked
+    diag.shelf1_processors = s1_procs
     diag.shelf2_processors = sum(procs for _, procs, _ in s2_alloc)
     diag.shelf0_jobs = sum(len(row) for row in s0_rows) + piggybacked
     diag.shelf1_jobs = len(s1_alloc)
     diag.shelf2_jobs = len(s2_alloc)
 
-    if p0 + s1_procs - piggybacked > m:
+    # S0 with the rider's machine, S1 without it
+    if s0_procs + s1_procs > m:
         diag.rejected_reason = "shelves S0+S1 exceed m processors after transformation"
         return None
 
@@ -476,24 +474,31 @@ def build_three_shelf_schedule(
             out_first.append(first)
             out_count.append(count)
 
+    def place_rows(rows: Sequence[MoldableJob], starts, firsts, counts) -> None:
+        """Placements with one span each, as columns."""
+        out_owner.extend(range(len(out_jobs), len(out_jobs) + len(rows)))
+        out_jobs.extend(rows)
+        out_starts.extend(starts)
+        out_first.extend(firsts)
+        out_count.extend(counts)
+
     # The layout lists the machine ranges in machine order with what their
-    # machines share: a finished gap group (first, count, gap_start,
-    # gap_end) for an S0 column or the rider's machine, and a pool entry
+    # machines share: (first, count, pieces) for an S0 column or the rider's
+    # machine, busy during the (start, end) pieces, and a pool entry
     # [first, count, busy_until, carved] for machines S2 may reuse, busy on
     # [0, busy_until) (None: idle) before S2 carves (first, count, (start,
     # end)) sub-ranges from its front.  S0 and S1 fit: they take
     # s0_procs + s1_procs <= m machines.
-    layout: list = []
-    next_machine = 0
-    # Shelf S0 columns
-    for procs, placements in zip(s0_procs_list, s0_rows):
-        span = [(next_machine, procs)]
-        pieces = []
-        for i, _, start, t in placements:
-            place(jobs[i], start, span)
-            pieces.append((start, start + t))
-        layout.append((next_machine, procs) + _gap(pieces, three_half))
-        next_machine += procs
+    # Shelf S0 columns, back to back from machine 0
+    s0_firsts = list(accumulate(s0_procs_list, initial=0))
+    next_machine = s0_firsts.pop()
+    s0_columns = list(zip(s0_firsts, s0_procs_list, s0_rows))
+    layout: list = [
+        (first, procs, [(start, start + t) for _, start, t in placements]) for first, procs, placements in s0_columns
+    ]
+    rows = [(jobs[i], start, first, procs) for first, procs, placements in s0_columns for i, start, _ in placements]
+    if rows:
+        place_rows(*zip(*rows))
     # Shelf S1 jobs: one span each, back to back from the first free machine
     s1_jobs = list(s1_alloc)
     s1_procs_list = [procs for procs, _ in s1_alloc.values()]
@@ -511,7 +516,7 @@ def build_three_shelf_schedule(
         starts.insert(h + 1, t)
         firsts.insert(h + 1, first)
         counts.insert(h + 1, 1)
-        rider_group = (first, 1) + _gap([(0.0, 0.0 + t), (t, t + rider_time)], three_half)
+        rider_group = (first, 1, [(0.0, 0.0 + t), (t, t + rider_time)])
         if procs > 1:
             pool[h][:2] = [first + 1, procs - 1]
             layout.extend(pool[:h])
@@ -524,11 +529,7 @@ def build_three_shelf_schedule(
             del pool[h]
     else:
         layout.extend(pool)
-    out_owner.extend(range(len(out_jobs), len(out_jobs) + len(rows)))
-    out_jobs.extend(rows)
-    out_starts.extend(starts)
-    out_first.extend(firsts)
-    out_count.extend(counts)
+    place_rows(rows, starts, firsts, counts)
     if next_machine < m:
         pool.append([next_machine, m - next_machine, None, None])
         layout.append(pool[-1])
@@ -601,12 +602,14 @@ def _gap(pieces: Sequence[Tuple[float, float]], horizon: float) -> Tuple[float, 
 
 def _gap_groups(layout: list, horizon: float):
     """Yield the gap groups ``(first, count, gap_start, gap_end)`` of the
-    machine ``layout`` in machine order: a finished group as it is, a pool
-    entry as the sub-ranges S2 carved (busy until ``busy_until``, then with
-    their S2 piece) followed by its uncarved rest."""
+    machine ``layout`` in machine order, each when the next-fit reaches it:
+    a range with fixed busy pieces as one group, a pool entry as the
+    sub-ranges S2 carved (busy until ``busy_until``, then with their S2
+    piece) followed by its uncarved rest."""
     for entry in layout:
         if isinstance(entry, tuple):
-            yield entry
+            first, count, pieces = entry
+            yield (first, count) + _gap(pieces, horizon)
             continue
         first, count, busy_until, carved = entry
         prefix = [] if busy_until is None else [(0.0, 0.0 + busy_until)]

@@ -48,7 +48,7 @@ def expand_bounded_items(types: Sequence[ItemType]) -> List[KnapsackItem]:
     item = KnapsackItem.unchecked
     for t in types:
         key, size, profit = t.key, t.size, t.profit
-        for part_index, multiplicity in enumerate(binary_split(t.count)):
+        for part_index, multiplicity in enumerate((1,) if t.count == 1 else binary_split(t.count)):
             append(item((key, part_index), size * multiplicity, profit * multiplicity, (key, multiplicity)))
     return containers
 

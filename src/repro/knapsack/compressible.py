@@ -142,16 +142,15 @@ def round_up_geom(value: float, low: float, high: float, ratio: float) -> float:
 
 def _grid_estimate(v: np.ndarray, low: float, ratio: float, steps: int, snap) -> np.ndarray:
     """Grid-index estimates ``snap(log(v/low) / log(ratio))`` clipped to
-    ``[0, steps]``, 0 where the value is not a positive finite number.
+    ``[0, steps]``; 0 for values at or below ``low`` and for NaN.
 
     NumPy's ``log`` may differ from :func:`math.log` in the last bit, so an
     estimate can be one off the scalar rounding's; the batched roundings only
     accept an estimate that satisfies the scalar predicate on both sides."""
     if not steps:
         return np.zeros(len(v), dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = snap(np.log(v / low) / math.log(ratio))
-    return np.clip(np.nan_to_num(est, nan=0.0, posinf=0.0, neginf=0.0), 0, steps).astype(np.int64)
+    est = snap(np.log(np.where(v > low, v, low) / low) / math.log(ratio))
+    return np.minimum(est, steps).astype(np.int64)
 
 
 def _scalar_rest(out: np.ndarray, ok: np.ndarray, values: list, scalar, grid: tuple) -> np.ndarray:

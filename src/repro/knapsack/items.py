@@ -73,14 +73,6 @@ class ItemType:
                 f"item type {self.key!r}: {len(self.members)} members listed but count is {self.count}"
             )
 
-    @classmethod
-    def unchecked(cls, key: Hashable, size: float, profit: float, count: int, members: List[Any]) -> "ItemType":
-        """The type with these fields, built without the ``__post_init__``
-        checks: for producers whose fields are valid by construction."""
-        item_type = object.__new__(cls)
-        item_type.__dict__.update(key=key, size=size, profit=profit, count=count, members=members)
-        return item_type
-
 
 def _reject(kind: str, key: Hashable, size: float, profit: float) -> None:
     name, value = ("size", size) if not 0 <= size < math.inf else ("profit", profit)
