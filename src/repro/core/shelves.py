@@ -21,10 +21,15 @@ the accelerated ones); they all run it through
 
 The construction is written once, against the column interface of the
 executors in :mod:`repro.perf.oracle`: the small/big partition, the
-γ-allotments at ``d``, ``d/2`` and ``3d/2`` and the shelf works are read
-from whole-instance columns, and the placements are collected in an
-:class:`~repro.perf.schedule_builder.ArraySchedule`.  The driver's oracle
-decides which backend answers; a function called without one runs on a
+γ-allotments at ``d``, ``d/2`` and ``3d/2``, the shelf works and every
+processing time the rules and the layout use (``t_j`` at γ, at the rule (i)
+``γ - 1`` and at the rule (iii) need) are read as columns, the rules'
+``<= 3d/4`` tests run on whole columns, and the placements are collected in
+an :class:`~repro.perf.schedule_builder.ArraySchedule`.  The machine layout
+itself yields the small jobs' gap groups: S0 columns and S1 spans are busy
+prefixes, and S2 carves at most one suffix per machine, so no sweep over
+the placed pieces is needed.  The driver's oracle decides which backend
+answers; a function called without one runs on a
 :class:`~repro.perf.oracle.ScalarOracle`.
 """
 
@@ -516,17 +521,13 @@ def build_three_shelf_schedule(
         starts.insert(h + 1, t)
         firsts.insert(h + 1, first)
         counts.insert(h + 1, 1)
-        rider_group = (first, 1, [(0.0, 0.0 + t), (t, t + rider_time)])
         if procs > 1:
             pool[h][:2] = [first + 1, procs - 1]
-            layout.extend(pool[:h])
-            layout.append(rider_group)
-            layout.extend(pool[h:])
         else:
-            layout.extend(pool[:h])
-            layout.append(rider_group)
-            layout.extend(pool[h + 1 :])
             del pool[h]
+        layout.extend(pool[:h])
+        layout.append((first, 1, [(0.0, 0.0 + t), (t, t + rider_time)]))
+        layout.extend(pool[h:])
     else:
         layout.extend(pool)
     place_rows(rows, starts, firsts, counts)

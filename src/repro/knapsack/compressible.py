@@ -181,8 +181,7 @@ def round_down_geom_batch(values: Sequence[float], low: float, high: float, rati
     idx = est.tolist()
     here = np.array([low * ratio ** i for i in idx])
     above = np.array([low * ratio ** (i + 1) if i < steps else math.inf for i in idx])
-    with np.errstate(invalid="ignore"):
-        ok = (v >= low) & (v < math.inf) & (here <= v) & (above > v)
+    ok = (v >= low) & (v < math.inf) & (here <= v) & (above > v)
     return _scalar_rest(here, ok, values, round_down_geom, (low, high, ratio))
 
 
@@ -199,9 +198,8 @@ def round_up_geom_batch(values: Sequence[float], low: float, high: float, ratio:
     idx = est.tolist()
     here = np.array([low * ratio ** i for i in idx])
     below = np.array([low * ratio ** (i - 1) if i else 0.0 for i in idx])
-    with np.errstate(invalid="ignore"):
-        ok = (v < math.inf) & ((est == steps) | (here >= v)) & (below < v)
-        floor = v <= low
+    ok = (v < math.inf) & ((est == steps) | (here >= v)) & (below < v)
+    floor = v <= low
     here[floor] = low
     return _scalar_rest(here, ok | floor, values, round_up_geom, (low, high, ratio))
 

@@ -316,7 +316,7 @@ class BatchedOracle(_Executor):
         return self.stats["oracle_evals"]
 
     # the γ-arrays at thresholds +inf and 0: the warm-start neighbours where
-    # no cached threshold lies above / below a new one, built on first use
+    # no cached threshold lies above / below a new one, built only when read
     @property
     def _ones(self) -> np.ndarray:
         return np.broadcast_to(np.int64(1), (self.n,))
