@@ -591,7 +591,7 @@ def _gap(pieces: Sequence[Tuple[float, float]], horizon: float) -> Tuple[float, 
     ``horizon``), never before it begins."""
     gap_start = 0.0
     gap_end = horizon
-    for s, f in sorted(pieces) if len(pieces) > 1 else pieces:
+    for s, f in sorted(pieces):
         if s <= gap_start + _ABS:
             gap_start = max(gap_start, f)
         else:
