@@ -56,6 +56,7 @@ def shelf_dual(
     d: float,
     select: Callable,
     *,
+    d_prime: Optional[float] = None,
     algorithm: str,
     large_m: bool = False,
     oracle=None,
@@ -65,18 +66,24 @@ def shelf_dual(
 
     Big jobs that cannot meet ``d/2`` are forced into shelf S1.
     ``select(knapsack_jobs, capacity, oracle)`` returns ``(jobs,
-    d', metadata)``: which other big jobs join them within the ``capacity``
-    processors left, the target the three-shelf schedule is built for, and
-    extra schedule metadata.  ``algorithm`` names the step in the metadata;
-    ``large_m`` sends ``m >= LARGE_M_FACTOR * n`` to the FPTAS dual with
-    ``eps = 1/2``, whose makespan is at most ``3d/2`` there.
+    metadata)``: which other big jobs join them within the ``capacity``
+    processors left, and extra schedule metadata.  The three-shelf schedule
+    is built for the driver's target ``d_prime`` (``d`` when omitted, as in
+    MRT; the inflated ``d'`` of Lemma 16 / Corollary 10 for the accelerated
+    algorithms).  ``algorithm`` names the step in the metadata; ``large_m``
+    sends ``m >= LARGE_M_FACTOR * n`` to the FPTAS dual with ``eps = 1/2``,
+    whose makespan is at most ``3d/2`` there.
 
     ``oracle`` is the executor for ``(jobs, m)`` shared by repeated dual
     calls: a :class:`~repro.perf.oracle.BatchedOracle` evaluates
     γ-allotments with lockstep batched binary searches, a
     :class:`~repro.perf.oracle.ScalarOracle` (the default) is the
-    bit-identical per-job reference.  The knapsack is the same on both: the
-    NumPy dominance-list engine of :mod:`repro.knapsack.dp`.
+    bit-identical per-job reference.  Since ``d'`` is known before the split,
+    the step announces its five thresholds ``d``, ``d/2``, ``d'``, ``d'/2``
+    and ``3d'/2`` to the executor once (:meth:`~repro.perf.oracle.BatchedOracle.prefetch`):
+    the batched one answers them in a single lockstep round.  The knapsack
+    is the same on both: the NumPy dominance-list engine of
+    :mod:`repro.knapsack.dp`.
     """
     if d <= 0:
         return None
@@ -91,6 +98,9 @@ def shelf_dual(
         if schedule is not None:
             schedule.metadata["algorithm"] = f"{algorithm}_dual(large_m)"
         return schedule
+    if d_prime is None:
+        d_prime = d
+    oracle.prefetch((d, d / 2.0, d_prime, d_prime / 2.0, 1.5 * d_prime))
 
     # Jobs that cannot finish within d even on all machines force rejection;
     # jobs that cannot fit the d/2 shelf at all must run in shelf S1.
@@ -101,7 +111,7 @@ def shelf_dual(
     if capacity < 0:
         return None
 
-    chosen, d_prime, metadata = select(knapsack_jobs, capacity, oracle)
+    chosen, metadata = select(knapsack_jobs, capacity, oracle)
     shelf1.extend(chosen)
     schedule = build_three_shelf_schedule(jobs, m, d_prime, shelf1, oracle=oracle)
     if schedule is not None:
@@ -144,14 +154,14 @@ def bounded_dual(
 
     def select(knapsack_jobs, capacity, oracle):
         if not knapsack_jobs:
-            return [], d_prime, {}
+            return [], {}
         scheme = round_jobs_to_types(knapsack_jobs, m, d, delta, oracle=oracle)
         containers = expand_bounded_items(scheme.types)
         chosen = compressible_knapsack(containers, capacity, scheme.params.rho)
         members = assign_members(selected_counts(chosen), scheme.types)
-        return members, d_prime, {"num_item_types": scheme.num_types}
+        return members, {"num_item_types": scheme.num_types}
 
-    return shelf_dual(jobs, m, d, select, algorithm="bounded", large_m=True, oracle=oracle)
+    return shelf_dual(jobs, m, d, select, d_prime=d_prime, algorithm="bounded", large_m=True, oracle=oracle)
 
 
 def shelf_schedule(

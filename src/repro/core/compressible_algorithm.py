@@ -46,9 +46,9 @@ def compressible_dual(
     def select(knapsack_jobs, capacity, oracle):
         items = shelf_items(knapsack_jobs, d, m, oracle=oracle)
         chosen = compressible_knapsack(items, capacity, rho) if items else []
-        return [item.payload for item in chosen], d_prime, {}
+        return [item.payload for item in chosen], {}
 
-    return shelf_dual(jobs, m, d, select, algorithm="compressible", large_m=True, oracle=oracle)
+    return shelf_dual(jobs, m, d, select, d_prime=d_prime, algorithm="compressible", large_m=True, oracle=oracle)
 
 
 def compressible_schedule(

@@ -59,7 +59,7 @@ def mrt_dual(
         use_dense = knapsack == "dense" or (knapsack == "auto" and capacity <= DENSE_KNAPSACK_LIMIT)
         solve = solve_knapsack_dense if use_dense else solve_knapsack
         _, chosen = solve(items, capacity)
-        return [item.payload for item in chosen], d, {}
+        return [item.payload for item in chosen], {}
 
     return shelf_dual(jobs, m, d, select, algorithm="mrt", oracle=oracle)
 

@@ -103,8 +103,8 @@ def round_jobs_to_types(
 
     Every job must satisfy ``gamma_j(d)`` and ``gamma_j(d/2)`` defined (the
     caller removes forced shelf-1 jobs beforehand).  The γ-allotments and
-    processing times come from the ``oracle``'s columns: two γ-arrays and
-    two time columns per target.
+    processing times come from the ``oracle``'s columns: γ and its time at
+    ``d`` and at ``d/2`` (:meth:`~repro.perf.oracle.BatchedOracle.gamma_times`).
 
     Types are listed in first-seen order; a type's members are sorted by
     their exact ``gamma_j(d)`` (ties in input order), so that narrow members
@@ -119,8 +119,8 @@ def round_jobs_to_types(
     if oracle is None:
         _, oracle = resolve_backend(jobs, m, "scalar", None)
     pos = oracle.positions(jobs)
-    g_full_col = oracle.gamma_at(d, pos)
-    g_half_col = oracle.gamma_at(half, pos)
+    g_full_col, t_full_col = oracle.gamma_times(d, pos)
+    g_half_col, t_half_col = oracle.gamma_times(half, pos)
     missing = np.flatnonzero((g_full_col > m) | (g_half_col > m))
     if len(missing):
         raise ValueError(
@@ -129,8 +129,6 @@ def round_jobs_to_types(
         )
     g_fulls = g_full_col.tolist()
     g_halves = g_half_col.tolist()
-    t_full_col = oracle.times_at(g_full_col, pos)
-    t_half_col = oracle.times_at(g_half_col, pos)
 
     # counts up to b stay exact; each distinct count above b is rounded down
     # onto geom(b, m, 1+rho) once (Eq. (25))

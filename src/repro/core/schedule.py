@@ -45,6 +45,7 @@ when writing vectorized consumers.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -630,20 +631,18 @@ class Schedule:
         jobs = self._jobs
         procs = block.procs
         if oracle is not None:
-            index_of = oracle.index_of
-            batch_rows: List[int] = []
-            batch_jobs: List[int] = []
-            rest: List[int] = []
-            for i in rows:
-                try:
-                    batch_jobs.append(index_of(jobs[i]))
-                    batch_rows.append(i)
-                except KeyError:  # job not part of the oracle's instance
-                    rest.append(i)
-            if batch_rows:
-                r = np.asarray(batch_rows, dtype=np.int64)
-                duration[r] = oracle.times_at(procs[r], np.asarray(batch_jobs, dtype=np.int64))
-            rows = rest
+            # each row's oracle position in one pass, -1 for a job outside
+            # the oracle's instance
+            r = np.asarray(rows, dtype=np.int64)
+            at = np.fromiter(
+                map(oracle.job_index.get, map(id, map(jobs.__getitem__, rows)), repeat(-1)),
+                dtype=np.int64,
+                count=len(rows),
+            )
+            known = at >= 0
+            if known.any():
+                duration[r[known]] = oracle.times_at(procs[r[known]], at[known])
+            rows = r[~known].tolist()
         for i in rows:
             duration[i] = jobs[i].processing_time(int(procs[i]))
 

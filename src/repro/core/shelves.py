@@ -21,9 +21,9 @@ the accelerated ones); they all run it through
 
 The construction is written once, against the column interface of the
 executors in :mod:`repro.perf.oracle`: the small/big partition, the
-γ-allotments at ``d``, ``d/2`` and ``3d/2``, the shelf works and every
-processing time the rules and the layout use (``t_j`` at γ, at the rule (i)
-``γ - 1`` and at the rule (iii) need) are read as columns, the rules'
+γ-allotments at ``d``, ``d/2`` and ``3d/2`` with their processing times
+(``gamma_times`` pairs), the shelf works and the rule (i) times at
+``γ - 1`` are read as columns, the rules'
 ``<= 3d/4`` tests run on whole columns, and the placements are collected in
 an :class:`~repro.perf.schedule_builder.ArraySchedule`.  The machine layout
 itself yields the small jobs' gap groups: S0 columns and S1 spans are busy
@@ -150,14 +150,14 @@ def shelf_items(jobs: Sequence[MoldableJob], d: float, m: int, *, oracle=None) -
     if oracle is None:
         _, oracle = resolve_backend(jobs, m, "scalar", None)
     pos = oracle.positions(jobs)
-    g_full = oracle.gamma_at(d, pos)
-    g_half = oracle.gamma_at(d / 2.0, pos)
+    g_full, t_full = oracle.gamma_times(d, pos)
+    g_half, t_half = oracle.gamma_times(d / 2.0, pos)
     missing = np.flatnonzero((g_full > m) | (g_half > m))
     if len(missing):
         raise ValueError(f"job {jobs[missing[0]].name!r} cannot meet the threshold with m={m} machines")
     # k * t_j(k) per job, as MoldableJob.work
-    works_full = (g_full * oracle.times_at(g_full, pos)).tolist()
-    works_half = (g_half * oracle.times_at(g_half, pos)).tolist()
+    works_full = (g_full * t_full).tolist()
+    works_half = (g_half * t_half).tolist()
     return [
         KnapsackItem(key=idx, size=size, profit=max(0.0, w_half - w_full), payload=job)
         for idx, (job, size, w_full, w_half) in enumerate(zip(jobs, g_full.tolist(), works_full, works_half))
@@ -251,11 +251,11 @@ def _shelf_columns(jobs, m, d, shelf1_jobs, oracle):
     in_s1 = flags[pos]
     s1 = np.flatnonzero(~small & in_s1)
     s2 = np.flatnonzero(~small & ~in_s1)
-    g1 = oracle.gamma_at(d, pos[s1]) if len(s1) else s1
-    g2 = oracle.gamma_at(d / 2.0, pos[s2]) if len(s2) else s2
+    g1, t_s1 = oracle.gamma_times(d, pos[s1]) if len(s1) else (s1, t1[s1])
+    g2, t_s2 = oracle.gamma_times(d / 2.0, pos[s2]) if len(s2) else (s2, t1[s2])
     if (g1 > m).any() or (g2 > m).any():
         return None
-    return pos, t1, small, s1, g1, oracle.times_at(g1, pos[s1]), s2, g2, oracle.times_at(g2, pos[s2])
+    return pos, t1, small, s1, g1, t_s1, s2, g2, t_s2
 
 
 # --------------------------------------------------------------------------
@@ -405,13 +405,13 @@ def build_three_shelf_schedule(
     # the processors free before the step.
     moved = set()
     if s2_list:
-        needs = oracle.gamma_at(three_half, pos[s2])
+        needs, need_times = oracle.gamma_times(three_half, pos[s2])
         # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so every need is defined.
         assert not (needs > m).any()
         order = np.argsort(needs, kind="stable")
         candidates = order[: np.count_nonzero(needs <= m - s0_procs - s1_procs)]
         if len(candidates):
-            t_need = oracle.times_at(needs[candidates], pos[s2[candidates]])
+            t_need = need_times[candidates]
             shorts = _leq_array(t_need, three_quarter).tolist()
             for k, need, t, short in zip(candidates.tolist(), needs[candidates].tolist(), t_need.tolist(), shorts):
                 if need > m - s0_procs - s1_procs:

@@ -22,7 +22,7 @@ float64 would round it (past 2^53).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class _Group:
 
     def __init__(self) -> None:
         self.jobs: List[MoldableJob] = []
-
-    def add(self, job: MoldableJob) -> None:
-        self.jobs.append(job)
 
     def finalize(self) -> None:  # pragma: no cover - overridden
         pass
@@ -229,34 +226,33 @@ class JobArrayBundle:
     def __init__(self, jobs: Sequence[MoldableJob]) -> None:
         self.jobs: List[MoldableJob] = list(jobs)
         n = len(self.jobs)
-        self.group_of = np.empty(n, dtype=np.int64)
+        # number the classes in first-seen order, then build each group from
+        # its members' indices in one pass per class
+        classes = list(map(_group_class_for, self.jobs))
+        slot_of_type = {cls: slot for slot, cls in enumerate(dict.fromkeys(classes))}
+        self.group_of = np.fromiter(map(slot_of_type.__getitem__, classes), dtype=np.int64, count=n)
         self.pos_in_group = np.empty(n, dtype=np.int64)
         groups: List[_Group] = []
-        slot_of_type: dict = {}
-        for i, job in enumerate(self.jobs):
-            cls = _group_class_for(job)
-            slot = slot_of_type.get(cls)
-            if slot is None:
-                slot = len(groups)
-                slot_of_type[cls] = slot
-                groups.append(cls())
-            self.group_of[i] = slot
-            self.pos_in_group[i] = len(groups[slot].jobs)
-            groups[slot].add(job)
-        for g in groups:
-            g.finalize()
+        members = {}
+        for slot, cls in enumerate(slot_of_type):
+            idx = members[slot] = np.flatnonzero(self.group_of == slot)
+            self.pos_in_group[idx] = np.arange(len(idx))
+            group = cls()
+            group.jobs = list(map(self.jobs.__getitem__, idx.tolist()))
+            group.finalize()
+            groups.append(group)
         self.groups = groups
-        self._parts = self._partition()
+        self._parts = self._partition(members)
 
-    def _partition(self) -> list:
+    def _partition(self, members: Optional[dict] = None) -> list:
         """``(group, job indices, positions)`` per group present: the static
         partition that lets whole-instance evaluations skip the per-call
-        masks of :meth:`eval_at` (and the kernels never see an empty group)."""
-        parts = []
-        for gid in np.unique(self.group_of).tolist():
-            idx = np.flatnonzero(self.group_of == gid)
-            parts.append((self.groups[gid], idx, self.pos_in_group[idx]))
-        return parts
+        masks of :meth:`eval_at` (and the kernels never see an empty group).
+        ``members`` maps each group present to its job indices when the
+        caller has them already."""
+        if members is None:
+            members = {gid: np.flatnonzero(self.group_of == gid) for gid in np.unique(self.group_of).tolist()}
+        return [(self.groups[gid], idx, self.pos_in_group[idx]) for gid, idx in members.items()]
 
     def __len__(self) -> int:
         return len(self.jobs)

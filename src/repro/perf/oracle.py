@@ -38,6 +38,18 @@ predictions) so regression tests can pin the savings.
 :func:`lockstep_gamma_round` runs many oracles' searches as one flat
 bisection over their concatenated jobs — the mega batch's round.
 
+A dual step of the shelf algorithms reads γ and ``t_j(γ)`` at thresholds
+it knows up front (``d``, ``d/2``, ``d'``, ``d'/2`` and ``3d'/2``).
+:meth:`_Executor.gamma_times` returns such a pair of columns, ``inf`` as the
+time at the sentinel, and :meth:`_Executor.prefetch` announces the
+thresholds: :class:`BatchedOracle` then searches all of them in one
+:func:`lockstep_gamma_round` and evaluates their time columns in one
+``eval_at``, so a dual step costs one lockstep round instead of one per
+threshold.  Thresholds searched together see the cache as it stood before
+the round, so they bracket each other no tighter than the cache did; the
+answers are exact either way.  :class:`ScalarOracle` ignores the
+announcement and still searches only the jobs a step asks about.
+
 Row requests (:meth:`_Executor.gamma_rows`) ask for γ and its processing
 time at one threshold for a few jobs only, each inside a bracket the caller
 knows (the estimator's open jobs).  They bypass the γ-cache: the scalar
@@ -111,6 +123,24 @@ class _Executor:
         where even ``m`` machines are not enough)."""
         return self.gamma_array(threshold)[idx]
 
+    def gamma_times(self, threshold: float, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(gamma_j(threshold), t_j(gamma_j(threshold)))`` for the jobs at
+        positions ``idx``: :meth:`gamma_at` and the processing times there,
+        ``inf`` where γ is the sentinel ``m + 1``."""
+        found = self.gamma_at(threshold, idx)
+        feasible = found <= self.m
+        if feasible.all():
+            return found, self.times_at(found, idx)
+        times = np.full(len(found), math.inf)
+        if feasible.any():
+            times[feasible] = self.times_at(found[feasible], idx[feasible])
+        return found, times
+
+    def prefetch(self, thresholds: Sequence[float]) -> None:
+        """Announce the thresholds the next :meth:`gamma_times` reads ask
+        for.  The per-job searches of the scalar executor gain nothing from
+        knowing them, so it ignores the announcement."""
+
     def _neighbours(self, threshold: float) -> Tuple[Optional[float], Optional[float]]:
         """The nearest cached thresholds strictly above and strictly below
         ``threshold`` (``None`` where there is none): the γ warm start.
@@ -126,10 +156,6 @@ class _Executor:
     def job_index(self) -> Dict[int, int]:
         """``id(job)`` → position over this oracle's job list (read-only)."""
         return self._index
-
-    def index_of(self, job: MoldableJob) -> int:
-        """Positional index of ``job`` in this oracle's job list."""
-        return self._index[id(job)]
 
     def positions(self, jobs: Sequence[MoldableJob]) -> np.ndarray:
         """Positional indices of ``jobs`` in this oracle's job list."""
@@ -294,6 +320,8 @@ class BatchedOracle(_Executor):
         #: segment view of a shared bundle may be injected so evaluations of
         #: many oracles coalesce; defaults to a private bundle over ``jobs``.
         self.bundle = bundle if bundle is not None else JobArrayBundle(self.jobs)
+        #: the time columns of the latest :meth:`prefetch`, per threshold
+        self._times_cache: Dict[float, np.ndarray] = {}
         #: instrumentation: lockstep searches run, bisection levels spent
         #: (counted per job class, so a mixed instance counts each class's
         #: levels separately), vectorized oracle values computed (= γ-probes),
@@ -349,6 +377,40 @@ class BatchedOracle(_Executor):
         if idx is None:
             return self.bundle.eval_all(ks)
         return self.bundle.eval_at(idx, ks)
+
+    def prefetch(self, thresholds: Sequence[float]) -> None:
+        """Search every threshold in ``thresholds`` in one
+        :func:`lockstep_gamma_round` and evaluate the time columns
+        ``t_j(gamma_j(threshold))`` of all of them in one ``eval_at`` (``inf``
+        at the sentinel), for :meth:`gamma_times` to read.
+
+        Only the time columns of the latest call are kept: a dual step's
+        thresholds are not read again by the next step, and the γ-arrays stay
+        in the γ-cache anyway.  A threshold whose time column is already held
+        is neither searched nor evaluated again.  A NaN threshold raises
+        ``ValueError`` as :meth:`gamma_array` does."""
+        wanted = list(dict.fromkeys(map(float, thresholds)))
+        held = self._times_cache
+        new = [t for t in wanted if t not in held]
+        cache = {t: held[t] for t in wanted if t in held}
+        if new:
+            n, m = self.n, self.m
+            ks = np.concatenate(lockstep_gamma_round([(self, t) for t in new]))
+            flat = self.bundle.eval_at(np.tile(np.arange(n), len(new)), np.minimum(ks, m))
+            flat[ks > m] = math.inf
+            flat.setflags(write=False)
+            for i, t in enumerate(new):
+                cache[t] = flat[i * n : (i + 1) * n]
+        self._times_cache = cache
+
+    def gamma_times(self, threshold: float, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_Executor.gamma_times`, read from the columns of the latest
+        :meth:`prefetch` when it announced ``threshold``."""
+        threshold = float(threshold)
+        times = self._times_cache.get(threshold)
+        if times is None:
+            return super().gamma_times(threshold, idx)
+        return self._gamma_cache[threshold][idx], times[idx]
 
     # ---------------------------------------------------------- cache priming
     def prime_from(self, other: "BatchedOracle") -> int:

@@ -40,7 +40,7 @@ class TestShelfDual:
         assert shelf_dual(jobs, 4, 10.0, _no_select, algorithm="t") is None
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_select_gets_the_split_and_sets_the_target(self, backend):
+    def test_select_gets_the_split_and_the_driver_sets_the_target(self, backend):
         instance = random_mixed_instance(20, 16, seed=2)
         d = 1.2 * ludwig_tiwari_estimator(instance.jobs, 16).omega
         forced, knapsack_jobs, capacity = split_big_jobs(instance.jobs, 16, d)
@@ -48,10 +48,10 @@ class TestShelfDual:
 
         def select(jobs, cap, oracle):
             seen.append(([job.name for job in jobs], cap))
-            return [], 1.1 * d, {"extra": 1}
+            return [], {"extra": 1}
 
         _, oracle = resolve_backend(instance.jobs, 16, backend, None)
-        schedule = shelf_dual(instance.jobs, 16, d, select, algorithm="t", oracle=oracle)
+        schedule = shelf_dual(instance.jobs, 16, d, select, d_prime=1.1 * d, algorithm="t", oracle=oracle)
         assert seen == [([job.name for job in knapsack_jobs], capacity)]
         if schedule is not None:
             assert schedule.metadata["algorithm"] == "t_dual"
