@@ -144,22 +144,56 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
     The bisection keeps the γ-array, processing times, works and φ at the
     upper end of its bracket.  γ is non-increasing in the threshold, so at
     a midpoint only the *open* jobs, those with ``γ(lo) != γ(hi)``, can
-    differ from ``γ(hi)``: each midpoint sends one ``("rows", mid, rows,
+    differ from ``γ(hi)``: a midpoint sends one ``("rows", mid, rows,
     γ(hi)[rows], γ(lo)[rows])`` request for them and takes every other
     job's γ and time from the upper end.  The sum runs over all jobs in
     order, so φ is bit for bit the full round's.  Once no job is open, φ on
     the whole bracket is φ(hi) and the bisection finishes without requests.
     At ``hi = sum_j t_j(1)`` every γ is 1, so the only full ``("gamma", …)``
-    / ``("eval", …)`` pair is the one at the floor."""
+    / ``("eval", …)`` pair is the one at the floor.
+
+    When every job is of a class monotone by construction
+    (:attr:`~repro.perf.oracle.ScalarOracle.monotone`), φ is non-increasing
+    in the threshold, and a midpoint that φ at the known ends already
+    settles sends no request: ``φ(lo)·(1 + s) <= mid`` moves ``hi`` to it,
+    ``φ(hi)·(1 − s) > mid`` moves ``lo``.  The slack ``s = 8(n + 2)·2⁻⁵³``
+    covers the rounding of φ.  Each time ``t_j(k)`` of these classes is at
+    most four roundings from the exact value of a model whose work is
+    non-decreasing (a per-job rounding such as ``1 − f`` only changes the
+    model), and ``k·t_j(k)`` adds two more, so each work carries a relative
+    error of at most ``6u`` (``u = 2⁻⁵³``); the left-to-right sum of ``n``
+    positive works adds ``(n − 1)u``, and both ends divide by the same
+    ``m``.  So a computed φ is ``(1 ± (n + 6)u)`` times a non-increasing
+    exact one, two of them differ by less than ``2(n + 6)u`` past their
+    order, and ``2(n + 6) <= 8(n + 2)``.  The bound needs every value in
+    float64's normal range; the shortcut is off unless every
+    ``t_j(m) >= 2⁻⁹⁶⁰`` and ``m·Σ t_j(1) <= 2⁹⁶⁰``.  This covers the
+    ulp-level jitter of works whose exact value is flat (Amdahl ``f = 0``,
+    power law ``α = 1``, communication ``c = 0``).
+
+    An end moved without a request is *late*: its known columns are those
+    of an earlier threshold, so the open jobs and the bracket stay wider.
+    The next midpoint that needs a request first resolves the late end with
+    one ordinary row request at it (the upper end first), which restores
+    its exact columns and closes rows, then looks at the same midpoint
+    again.  A late upper end with open jobs left after the bisection gets
+    one closing request, so the allotment, φ(hi) and ω are those of the
+    request-per-midpoint bisection bit for bit.  Every request is at one of
+    that bisection's midpoints, each at most once.  That bisection asks at
+    each midpoint until the first one with no open job; past it, a request
+    here can only resolve an end moved past it, and once both ends are
+    exact no job is open, so at most two requests (one per end) are extra."""
     tol = ESTIMATOR_TOL
-    m = oracle.m
-    tm_max = float(oracle.tm.max())
+    m, n = oracle.m, len(jobs)
+    tm = oracle.tm
+    tm_max = float(tm.max())
     t1_sum = oracle.sequential_sum(oracle.t1)
     lo = max(tm_max, 1e-300)
     hi = max(t1_sum, lo)
     trivial = max(tm_max, t1_sum / m)
 
     gammas_lo = yield ("gamma", lo)
+    phi_lo = None
     if gammas_lo.max() <= m:
         # the exact counts, not a float64 copy: past 2^53 a float would round k
         times_lo = yield ("eval", gammas_lo)
@@ -171,43 +205,75 @@ def estimator_steps(jobs: Sequence[MoldableJob], oracle):
 
     # every t_j(1) <= hi: γ(hi) is all ones, its times and works are t_j(1);
     # the upper end's columns are lists, updated in place when it moves
-    gammas_hi = [1] * len(jobs)
+    gammas_hi = [1] * n
     times_hi = oracle.t1.tolist()
     works_hi = times_hi.copy()
     phi_hi = t1_sum / m
-    # the open jobs, and their γ at the bracket's ends: least = γ(hi), most = γ(lo)
+    # the open jobs, and their γ at the bracket's known ends: least = γ(hi), most = γ(lo)
     rows = np.flatnonzero(gammas_lo != 1)
     least, most = np.ones(len(rows), dtype=np.int64), gammas_lo[rows]
-    for _ in range(ESTIMATOR_MAX_ITER):
-        if hi <= lo * (1.0 + tol):
-            break
-        mid = geometric_midpoint(lo, hi)
-        if not len(rows):
-            # γ(lo) == γ(hi): γ(mid) == γ(hi), so φ(mid) is φ(hi) bit for bit
-            if phi_hi > mid:
-                lo = mid
-            else:
-                hi = mid
-            continue
-        found, found_times = yield ("rows", mid, rows, least, most)
-        at, counts, times = rows.tolist(), found.tolist(), found_times.tolist()
-        phi_mid = None
-        if max(counts) <= m:
-            # the works γ_j t_j at mid, summed left to right in job order as
-            # oracle.sequential_sum sums a whole γ * t column
-            works = works_hi.copy()
-            for i, k, t in zip(at, counts, times):
-                works[i] = k * t
-            phi_mid = sum(works) / m
-        # a job stays open while γ(mid) differs from γ at the end kept
-        if phi_mid is None or phi_mid > mid:
-            lo, most, keep = mid, found, found != least
+    slack = None
+    if oracle.monotone and float(tm.min()) >= 2.0**-960 and t1_sum * m <= 2.0**960:
+        slack = 8 * (n + 2) * 2.0**-53
+    late_lo = late_hi = False
+    halvings = 0
+    while True:
+        if halvings == ESTIMATOR_MAX_ITER or hi <= lo * (1.0 + tol):
+            if not (late_hi and len(rows)):
+                break
+            # the allotment is the upper end's: resolve it
+            at, upper, late_hi = hi, True, False
         else:
-            hi, phi_hi, works_hi = mid, phi_mid, works
-            for i, k, t in zip(at, counts, times):
+            mid = geometric_midpoint(lo, hi)
+            if not len(rows):
+                # γ(lo) == γ(hi): γ(mid) == γ(hi), so φ(mid) is φ(hi) bit for bit
+                halvings += 1
+                if phi_hi > mid:
+                    lo = mid
+                else:
+                    hi = mid
+                continue
+            if slack is not None and phi_lo is not None and phi_lo * (1.0 + slack) <= mid:
+                halvings += 1
+                hi, late_hi = mid, True
+                continue
+            if slack is not None and phi_hi * (1.0 - slack) > mid:
+                halvings += 1
+                lo, late_lo = mid, True
+                continue
+            if late_hi:
+                # resolve a late end first, then look at this midpoint again
+                at, upper, late_hi = hi, True, False
+            elif late_lo:
+                at, upper, late_lo = lo, False, False
+            else:
+                halvings += 1
+                at, upper = mid, None
+        found, found_times = yield ("rows", at, rows, least, most)
+        idx, counts, times = rows.tolist(), found.tolist(), found_times.tolist()
+        phi_at = None
+        if max(counts) <= m:
+            # the works γ_j t_j at the threshold, summed left to right in job
+            # order as oracle.sequential_sum sums a whole γ * t column
+            works = works_hi.copy()
+            for i, k, t in zip(idx, counts, times):
+                works[i] = k * t
+            phi_at = sum(works) / m
+        if upper is None:
+            upper = phi_at is not None and phi_at <= mid
+            if upper:
+                hi = mid
+            else:
+                lo = mid
+        # a job stays open while its γ differs from γ at the other end
+        if upper:
+            phi_hi, works_hi = phi_at, works
+            for i, k, t in zip(idx, counts, times):
                 gammas_hi[i] = k
                 times_hi[i] = t
             least, keep = found, found != most
+        else:
+            most, phi_lo, keep = found, phi_at, found != least
         if not keep.all():
             rows, least, most = rows[keep], least[keep], most[keep]
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "PowerLawJob",
     "CommunicationJob",
     "RigidJob",
+    "MONOTONE_CLASSES",
     "total_minimal_work",
     "max_sequential_time",
 ]
@@ -363,7 +365,12 @@ class CommunicationJob(MoldableJob):
             self.k_star = None  # unbounded perfect scaling of the 1/k term
         else:
             # t(k) decreasing as long as t1/(k(k+1)) >= c  <=>  k(k+1) <= t1/c
-            k = int(math.floor((math.sqrt(1.0 + 4.0 * t1 / overhead) - 1.0) / 2.0))
+            ratio = 4.0 * t1 / overhead
+            if math.isinf(ratio):
+                # 4 t1/c past the float range (a tiny c or a huge t1): (2k+1)^2 <= 4 t1/c + 1, exactly
+                k = (math.isqrt(math.floor(4 * Fraction(t1) / Fraction(overhead)) + 1) - 1) // 2
+            else:
+                k = int(math.floor((math.sqrt(1.0 + ratio) - 1.0) / 2.0))
             self.k_star = max(1, k)
 
     def _raw(self, k: int) -> float:
@@ -404,6 +411,13 @@ class RigidJob(MoldableJob):
         if k >= self.size:
             return self.duration
         return self.penalty
+
+
+#: The job classes monotone by construction: every instance has
+#: non-increasing times and non-decreasing work, whatever its parameters.
+#: Exact types only, since a subclass may override ``_time``; tabulated and
+#: callable jobs are monotone only if their data are, and rigid jobs are not.
+MONOTONE_CLASSES = frozenset({AmdahlJob, PowerLawJob, CommunicationJob})
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.job import (
+    MONOTONE_CLASSES,
     AmdahlJob,
     CommunicationJob,
     MoldableJob,
@@ -101,9 +102,10 @@ class _CommunicationGroup(_Group):
         self.t1 = np.array([j.t1 for j in self.jobs], dtype=np.float64)
         self.overhead = np.array([j.overhead for j in self.jobs], dtype=np.float64)
         # k_star is None exactly when overhead == 0, in which case the
-        # overhead term is exactly zero and min(k, inf) == k.
+        # overhead term is exactly zero and min(k, inf) == k.  A k_star past
+        # int64 lies above every count the kernels see, so it is inf too.
         self.k_star = np.array(
-            [float(j.k_star) if j.k_star is not None else np.inf for j in self.jobs],
+            [np.inf if j.k_star is None or j.k_star > 2**63 else float(j.k_star) for j in self.jobs],
             dtype=np.float64,
         )
 
@@ -204,6 +206,10 @@ _GROUP_FOR_TYPE = {
 }
 
 
+#: the groups of the job classes monotone by construction
+_MONOTONE_GROUPS = frozenset(_GROUP_FOR_TYPE[cls] for cls in MONOTONE_CLASSES)
+
+
 def _group_class_for(job: MoldableJob) -> type:
     cls = _GROUP_FOR_TYPE.get(type(job))
     if cls is not None:
@@ -256,6 +262,13 @@ class JobArrayBundle:
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+    @property
+    def monotone(self) -> bool:
+        """Whether every job is of a class in
+        :data:`~repro.core.job.MONOTONE_CLASSES`, read from the groups, not
+        per job."""
+        return all(type(group) in _MONOTONE_GROUPS for group in self.groups)
 
     @property
     def vectorized_fraction(self) -> float:

@@ -30,12 +30,14 @@ accounting.  This holds because
   job's γ), ``("eval", ks)`` (every job's ``t_j(ks_j)``) and ``("rows",
   threshold, rows, lo, hi)`` (γ and its time for the jobs at ``rows`` only,
   inside the bracket ``lo <= γ <= hi``; the estimator's open jobs).  Each
-  round answers each kind in one batched call: γ-requests in one lockstep
-  round, evaluations in one ``eval_at``, row requests in one
-  :func:`~repro.perf.oracle.lockstep_gamma_rows` over the concatenated rows
-  of every segment, whatever their number (a solo oracle answers a small
-  row request per job instead; row answers are exact either way, and
-  ``stats`` counts the rows answered, not probes, so it agrees too);
+  round answers one kind, for every segment waiting on it, in one batched
+  call: γ-requests in one lockstep round, evaluations in one ``eval_at``,
+  row requests in one :func:`~repro.perf.oracle.lockstep_gamma_rows` over
+  the concatenated rows of every segment, whatever their number (a solo
+  oracle answers a small row request per job instead; row answers are
+  exact either way, and ``stats`` counts the rows answered, not probes, so
+  it agrees too).  A request's answer does not depend on the round it
+  waits for, so :func:`_drive` is free to pick the kind;
 * each segment runs the solo drivers' own request generators
   (:func:`~repro.core.two_approx.two_approx_steps`,
   :func:`~repro.core.fptas.fptas_steps`, built on
@@ -73,7 +75,7 @@ import numpy as np
 
 from ..core.backend import MAX_VECTORIZED_M
 from ..core.fptas import check_fptas_instance, fptas_steps
-from ..core.job import MoldableJob
+from ..core.job import MONOTONE_CLASSES, MoldableJob
 from ..core.schedule import Schedule, resolve_shared_durations
 from ..core.scheduler import (
     ALGORITHMS,
@@ -115,6 +117,11 @@ class _SegmentView(JobArrayBundle):
         self.pos_in_group = parent.pos_in_group[start:stop]
         self.groups = parent.groups
         self._view_parts: Optional[list] = None
+
+    @property
+    def monotone(self) -> bool:
+        # ``groups`` is the whole pack's: a segment reads its own jobs' classes
+        return set(map(type, self.jobs)) <= MONOTONE_CLASSES
 
     @property
     def _parts(self) -> list:
@@ -286,33 +293,40 @@ def _validate_pack(batch: MegaBatch, results: Sequence[SchedulingResult]) -> Non
 
 
 def _drive(batch: MegaBatch, oracle: MegaOracle) -> List[SchedulingResult]:
-    """Advance every segment's solve generator one request per round,
-    batching each round's γ-requests into one lockstep search, its row
-    requests into another and its evaluation requests into one shared-bundle
-    pass."""
+    """Advance every segment's solve generator, one batched round at a time.
+
+    A round answers one kind of request for every segment waiting on it:
+    row requests while any segment waits on one, else whichever of γ and
+    eval requests more segments wait on (γ on a tie).  γ-requests share one
+    lockstep search, row requests another, evaluations one shared-bundle
+    pass.  Every batched driver opens with the estimator, whose number of
+    row requests differs from segment to segment; answering rows first lets
+    every estimator finish before any dual search starts, so the dual
+    searches run in lockstep and share their γ rounds.  A segment's requests,
+    answers and ``stats`` do not depend on how long a request waits, only
+    the rounds' make-up does."""
     gens = {seg.slot: _solve_steps(seg) for seg in batch.segments}
     seg_of = {seg.slot: seg for seg in batch.segments}
     results: Dict[int, SchedulingResult] = {}
-    replies: Dict[int, Any] = {}
-    live = sorted(gens)
+    waiting: Dict[str, List[Tuple[int, list]]] = {"gamma": [], "eval": [], "rows": []}
     rounds = {"gamma": oracle.gamma_round, "eval": oracle.eval_round, "rows": oracle.rows_round}
-    while live:
-        requests: Dict[str, List[Tuple[int, tuple]]] = {"gamma": [], "eval": [], "rows": []}
-        still_live = []
-        for slot in live:
-            try:
-                kind, *args = gens[slot].send(replies.pop(slot, None))
-            except StopIteration as stop:
-                results[slot] = stop.value
-                continue
-            still_live.append(slot)
-            requests[kind].append((slot, args))
-        for kind, reqs in requests.items():
-            if reqs:
-                answers = rounds[kind]([(seg_of[slot], *args) for slot, args in reqs])
-                for (slot, _), ans in zip(reqs, answers):
-                    replies[slot] = ans
-        live = still_live
+
+    def advance(slot: int, reply: Any) -> None:
+        try:
+            kind, *args = gens[slot].send(reply)
+        except StopIteration as stop:
+            results[slot] = stop.value
+        else:
+            waiting[kind].append((slot, args))
+
+    for slot in sorted(gens):
+        advance(slot, None)
+    while any(waiting.values()):
+        kind = "rows" if waiting["rows"] else max(("gamma", "eval"), key=lambda k: len(waiting[k]))
+        requests, waiting[kind] = waiting[kind], []
+        answers = rounds[kind]([(seg_of[slot], *args) for slot, args in requests])
+        for (slot, _), answer in zip(requests, answers):
+            advance(slot, answer)
     return [results[seg.slot] for seg in batch.segments]
 
 

@@ -73,7 +73,7 @@ import numpy as np
 
 from ..core.allotment import gamma
 from ..core.capacity import MAX_COLUMNAR_M, index_array
-from ..core.job import MoldableJob
+from ..core.job import MONOTONE_CLASSES, MoldableJob
 from .arrays import JobArrayBundle
 
 __all__ = ["BatchedOracle", "ScalarOracle", "lockstep_gamma_round", "lockstep_gamma_rows"]
@@ -151,6 +151,13 @@ class _Executor:
         ts = self._sorted_thresholds
         i, j = bisect_left(ts, threshold), bisect_right(ts, threshold)
         return (ts[j] if j < len(ts) else None), (ts[i - 1] if i else None)
+
+    @property
+    def monotone(self) -> bool:
+        """Whether every job is of a class in
+        :data:`~repro.core.job.MONOTONE_CLASSES`, so that φ, the estimator's
+        average load, is non-increasing in the threshold by construction."""
+        return set(map(type, self.jobs)) <= MONOTONE_CLASSES
 
     @property
     def job_index(self) -> Dict[int, int]:
@@ -336,6 +343,11 @@ class BatchedOracle(_Executor):
             "threshold_cache_hits": 0,
             "gamma_rows": 0,
         }
+
+    @property
+    def monotone(self) -> bool:
+        """:attr:`_Executor.monotone`, read from the bundle's groups."""
+        return self.bundle.monotone
 
     @property
     def gamma_probes(self) -> int:

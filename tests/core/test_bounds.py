@@ -1,10 +1,13 @@
 """Tests for makespan bounds and the Ludwig–Tiwari estimator."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import solve_mega
 from repro.core.allotment import canonical_allotment, gamma
 from repro.core.backend import MAX_VECTORIZED_M
 from repro.core.bounds import (
@@ -18,13 +21,26 @@ from repro.core.bounds import (
     trivial_lower_bound,
 )
 from repro.core.exact_small import exact_makespan
-from repro.core.job import AmdahlJob, PowerLawJob, TabulatedJob, max_sequential_time
+from repro.core.job import (
+    AmdahlJob,
+    CommunicationJob,
+    OracleJob,
+    PowerLawJob,
+    RigidJob,
+    TabulatedJob,
+    max_sequential_time,
+)
 from repro.core.list_scheduling import list_schedule
 from repro.core.scheduler import schedule_moldable
 from repro.core.validation import assert_valid_schedule
+from repro.perf import megabatch
 from repro.perf.oracle import BatchedOracle, ScalarOracle
 from repro.workloads import generators
-from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
+from repro.workloads.generators import (
+    random_chain_instance,
+    random_mixed_instance,
+    random_monotone_tabulated_instance,
+)
 
 
 def reference_estimator(jobs, m, taus=None, brackets=None):
@@ -32,7 +48,8 @@ def reference_estimator(jobs, m, taus=None, brackets=None):
     for :func:`repro.core.bounds.estimator_steps`, which every executor runs.
     Returns ``(omega, ratio, allotment)``; every threshold whose φ it
     evaluates is appended to ``taus`` when given, and ``(mid, lo, hi)`` of
-    every midpoint to ``brackets``."""
+    every midpoint to ``brackets``, then ``(None, lo, hi)`` of the final
+    bracket."""
     tol = ESTIMATOR_TOL
 
     def phi(tau):
@@ -58,6 +75,8 @@ def reference_estimator(jobs, m, taus=None, brackets=None):
             lo = mid
         else:
             hi = mid
+    if brackets is not None:
+        brackets.append((None, lo, hi))
     allot = canonical_allotment(jobs, hi, m)
     omega = max(allot.average_load(m), allot.max_time())
     omega = max(omega / (1.0 + tol), max(trivial_lower_bound(jobs, m), lo))
@@ -135,6 +154,7 @@ def _expected_row_requests(jobs, m):
     none where no job does."""
     brackets = []
     reference_estimator(jobs, m, brackets=brackets)
+    brackets = [b for b in brackets if b[0] is not None]
     expected = []
     for mid, lo, hi in brackets:
         g_lo, g_hi = _cold_gammas(jobs, lo, m), _cold_gammas(jobs, hi, m)
@@ -148,10 +168,50 @@ def _payloads(row_requests):
     return [(r[1], r[2].tolist(), r[3].tolist(), r[4].tolist()) for r in row_requests]
 
 
+def _assert_shortcut_stream(jobs, m, row_requests):
+    """The contract of the monotone shortcut: every row request is at a
+    midpoint of the reference bisection, either the one being decided or an
+    end of the bracket at that step being resolved, each at most once and
+    in bisection order; each job asked about is bracketed by the request's
+    ``lo`` / ``hi``; and there is at most one request more than the
+    reference's request-per-open-midpoint stream."""
+    brackets = []
+    reference_estimator(jobs, m, brackets=brackets)
+    thresholds = [r[1] for r in row_requests]
+    assert len(set(thresholds)) == len(thresholds)
+    step = 0
+    for tau in thresholds:
+        while step < len(brackets) and tau not in brackets[step]:
+            step += 1
+        assert step < len(brackets), f"{tau} is no reference midpoint at or after its turn"
+    for _, tau, rows, lo, hi in row_requests:
+        exact = _cold_gammas(jobs, tau, m)[rows]
+        assert (lo <= exact).all() and (exact <= hi).all()
+    expected, _ = _expected_row_requests(jobs, m)
+    assert len(row_requests) <= len(expected) + 1
+
+
+class _AmdahlSubclass(AmdahlJob):
+    """An Amdahl job by formula, but not by exact type."""
+
+    __slots__ = ()
+
+
+#: jobs that are not of a class monotone by construction, one per kind
+NON_MONOTONE = {
+    "rigid": lambda: RigidJob("rigid", 3.0, 5),
+    "tabulated": lambda: TabulatedJob("tabulated", [9.0, 4.0, 2.5, 2.5]),
+    "oracle": lambda: OracleJob("oracle", lambda k: 40.0 * (0.2 + 0.8 / k)),
+    "subclass": lambda: _AmdahlSubclass("subclass", 30.0, 0.1),
+}
+
+
 class TestEstimatorStepShortcut:
-    """Each midpoint asks only for the open jobs, those with γ(lo) != γ(hi):
-    after the floor's γ-array and times, the estimator sends nothing but row
-    requests, at the reference's midpoints, and none once the bracket is
+    """After the floor's γ-array and times, the estimator sends nothing but
+    row requests, each for the jobs open between its bracket's known ends.
+    On monotone job classes a midpoint that φ at those ends settles sends
+    none (:func:`_assert_shortcut_stream`); any other instance sends one at
+    every midpoint where a job is open, and none once the bracket is
     flat."""
 
     @pytest.mark.parametrize("executor", [ScalarOracle, BatchedOracle])
@@ -159,7 +219,8 @@ class TestEstimatorStepShortcut:
     def test_rows_are_the_open_jobs_at_the_reference_midpoints(self, executor, family):
         for seed in (1, 2, 3):
             jobs = family_instance(family, 20, 16, seed)
-            result, requests = _requests(executor(jobs, 16), jobs)
+            oracle = executor(jobs, 16)
+            result, requests = _requests(oracle, jobs)
             omega, ratio, allot = reference_estimator(jobs, 16)
             assert (result.omega, result.ratio) == (omega, ratio)
             assert result.allotment.counts == allot.counts
@@ -171,26 +232,134 @@ class TestEstimatorStepShortcut:
             head = 2 if requests[1][0] == "eval" else 1
             assert requests[0][0] == "gamma"
             assert all(r[0] == "rows" for r in requests[head:])
-            assert _payloads(requests[head:]) == expected
+            assert oracle.monotone == (family != "quantized")
+            if oracle.monotone:
+                _assert_shortcut_stream(jobs, 16, requests[head:])
+            else:
+                assert _payloads(requests[head:]) == expected
+
+    @pytest.mark.parametrize("executor", [ScalarOracle, BatchedOracle])
+    @pytest.mark.parametrize("kind", sorted(NON_MONOTONE))
+    def test_one_non_monotone_job_keeps_the_request_per_midpoint(self, executor, kind):
+        for seed in (1, 2, 3):
+            jobs = random_mixed_instance(12, 16, seed=seed).jobs + [NON_MONOTONE[kind]()]
+            oracle = executor(jobs, 16)
+            assert not oracle.monotone
+            result, requests = _requests(oracle, jobs)
+            assert (result.omega, result.ratio) == reference_estimator(jobs, 16)[:2]
+            expected, _ = _expected_row_requests(jobs, 16)
+            assert _payloads(r for r in requests if r[0] == "rows") == expected
 
     def test_no_request_once_the_bracket_is_flat(self):
+        """The same instance with every job tabulated takes the request per
+        midpoint path: it asks until no job is open, while the reference
+        bisects on."""
         jobs = random_mixed_instance(20, 16, seed=3).jobs
+        jobs = [TabulatedJob(j.name, [j.processing_time(k) for k in range(1, 17)]) for j in jobs]
         taus = []
         reference_estimator(jobs, 16, taus)
         expected, midpoints = _expected_row_requests(jobs, 16)
         _, requests = _requests(BatchedOracle(jobs, 16), jobs)
         rows = [r for r in requests if r[0] == "rows"]
-        # the reference bisects on; the estimator stops asking when no job is open
         assert 0 < len(rows) == len(expected) < midpoints == len(taus) - 1
         assert [r[1] for r in rows] == taus[1 : 1 + len(rows)]
+
+    def test_the_shortcut_skips_midpoints_and_resolves_late_ends(self):
+        """On the monotone original the estimator sends fewer requests, one
+        of them at a bracket end after the reference's last open midpoint."""
+        jobs = random_mixed_instance(20, 16, seed=3).jobs
+        taus = []
+        reference_estimator(jobs, 16, taus)
+        expected, _ = _expected_row_requests(jobs, 16)
+        _, requests = _requests(BatchedOracle(jobs, 16), jobs)
+        rows = [r for r in requests if r[0] == "rows"]
+        _assert_shortcut_stream(jobs, 16, rows)
+        assert len(rows) < len(expected)
+        assert max(taus.index(r[1]) for r in rows) > len(expected)
 
     @pytest.mark.parametrize("m", [1 << 60, 1 << 80])
     def test_row_requests_past_2_to_the_53_and_int64(self, m):
         jobs = family_instance("mixed", 8, m, 2)
         result, requests = _requests(ScalarOracle(jobs, m), jobs)
-        expected, _ = _expected_row_requests(jobs, m)
-        assert _payloads(r for r in requests if r[0] == "rows") == expected
+        _assert_shortcut_stream(jobs, m, [r for r in requests if r[0] == "rows"])
         assert (result.omega, result.ratio) == reference_estimator(jobs, m)[:2]
+
+    @pytest.mark.parametrize(
+        "shape, most",
+        [
+            # the solve-bounded benchmark's shape: 23 requests per midpoint
+            (("mixed", 500, 4000), 22),
+            # the two-approximation benchmark's chains: 2 either way
+            (("chain", 2000, 125), 2),
+        ],
+    )
+    def test_request_counts_on_the_benchmark_shapes(self, shape, most):
+        family, n, m = shape
+        jobs = family_instance(family, n, m, 1)
+        _, requests = _requests(BatchedOracle(jobs, m), jobs)
+        assert sum(r[0] == "rows" for r in requests) <= most
+
+
+#: machine counts of the property test: every executor, then the scalar one
+#: alone past int64
+SHORTCUT_MS = [1, 16, 4000, 1 << 20]
+SCALAR_MS = [(1 << 62) + 1, 1 << 80]
+
+
+@st.composite
+def _shortcut_instances(draw):
+    """Monotone jobs at one scale in 10^±100, with the flat-work edges
+    (Amdahl f ∈ {0, 1}, power law α ∈ {0, 1}, communication c = 0) likely,
+    and sometimes a non-monotone job mixed in."""
+    scale = draw(st.sampled_from([1e-100, 1.0, 1e100]))
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    jobs = []
+    for i in range(draw(st.integers(1, 8))):
+        t1 = draw(st.floats(0.5, 50.0)) * scale
+        kind = draw(st.sampled_from(["amdahl", "power", "comm"]))
+        if kind == "amdahl":
+            jobs.append(AmdahlJob(f"a{i}", t1, draw(unit)))
+        elif kind == "power":
+            jobs.append(PowerLawJob(f"p{i}", t1, draw(unit)))
+        else:
+            overhead = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))) * scale
+            jobs.append(CommunicationJob(f"c{i}", t1, overhead))
+    extras = draw(st.lists(st.sampled_from(sorted(NON_MONOTONE)), max_size=2, unique=True))
+    return jobs + [NON_MONOTONE[kind]() for kind in extras]
+
+
+def _mega_estimate(jobs, m):
+    """The estimator run on ``jobs`` as one segment of a mega pack, beside
+    a co-batched chain and rigid jobs."""
+    pack = [
+        (random_chain_instance(5, m, seed=1).jobs, m),
+        (jobs, m),
+        ([RigidJob(f"r{i}", 2.0 + i, 1 + i % 3) for i in range(4)], m),
+    ]
+    with patch.object(megabatch, "_solve_steps", lambda seg: estimator_steps(seg.jobs, seg.oracle)):
+        return solve_mega(pack, algorithm="two_approx", validate=False)[1]
+
+
+class TestShortcutMatchesReference:
+    """The shortcut changes which requests the estimator sends, never what
+    it returns: ω, the ratio and the allotment equal the reference
+    bisection's on the scalar and batched executors and inside a mega
+    pack."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(jobs=_shortcut_instances())
+    def test_every_executor_returns_the_reference(self, jobs):
+        for m in SHORTCUT_MS + SCALAR_MS:
+            expected = reference_estimator(jobs, m)
+            oracles = [ScalarOracle(jobs, m)]
+            if m <= MAX_VECTORIZED_M:
+                oracles.append(BatchedOracle(jobs, m))
+            results = [ludwig_tiwari_estimator(jobs, m, oracle=oracle) for oracle in oracles]
+            if m <= MAX_VECTORIZED_M:
+                results.append(_mega_estimate(jobs, m))
+            for result in results:
+                assert (result.omega, result.ratio) == expected[:2]
+                assert result.allotment.counts == expected[2].counts
 
 
 class TestTrivialBounds:

@@ -206,6 +206,21 @@ class TestCommunicationJob:
         job = CommunicationJob("c", t1=100.0, overhead=0.0)
         assert job.processing_time(10) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("t1, overhead", [(1.0, 2.2250738585e-313), (1e300, 1e-10), (1e-10, 5e-324)])
+    def test_saturation_past_the_float_range(self, t1, overhead):
+        """4 t1 / c overflows a float: k_star is still the exact bound
+        k(k+1) <= t1/c, and the kernel agrees with the scalar oracle."""
+        from fractions import Fraction
+
+        from repro.perf.arrays import JobArrayBundle
+
+        job = CommunicationJob("c", t1=t1, overhead=overhead)
+        k, ratio = job.k_star, Fraction(t1) / Fraction(overhead)
+        assert k * (k + 1) <= ratio < (k + 1) * (k + 2)
+        ks = np.array([1, 7, 1 << 40, (1 << 62) - 1])
+        scalar = [job.processing_time(int(k)) for k in ks]
+        assert JobArrayBundle([job]).eval_at(np.zeros(len(ks), dtype=np.int64), ks).tolist() == scalar
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CommunicationJob("c", t1=0.0, overhead=0.1)

@@ -298,3 +298,66 @@ class TestMegaBatchStructure:
         assert np.array_equal(
             view.eval_at(idx, ks[idx]), private.eval_at(idx, ks[idx])
         )
+
+    def test_a_segment_view_is_monotone_by_its_own_jobs(self):
+        """The shared group list holds every segment's classes; the
+        estimator's shortcut must read only the segment's own, or a packed
+        instance's requests would depend on its neighbours."""
+        from repro.perf.arrays import JobArrayBundle
+        from repro.perf.megabatch import _SegmentView
+
+        mixed = random_mixed_instance(5, 8, seed=12).jobs
+        tabulated = random_quantized_instance(4, 8, seed=13).jobs
+        parent = JobArrayBundle(list(mixed) + list(tabulated))
+        assert not parent.monotone
+        assert _SegmentView(parent, 0, 5).monotone
+        assert not _SegmentView(parent, 3, 9).monotone
+        assert not _SegmentView(parent, 5, 9).monotone
+        assert JobArrayBundle(mixed).monotone
+
+
+class TestMegaRounds:
+    """Row requests are answered first: every estimator finishes before any
+    dual search starts, so the dual searches share their γ rounds."""
+
+    @staticmethod
+    def _fleet(index):
+        """The fleet benchmark's pack: 32 six-job FPTAS instances at
+        m = 2^20 and 32 twelve-job chains at m = 4, drawn from one
+        generator."""
+        r = np.random.default_rng([1, index])
+        fptas = [SimpleNamespace(jobs=random_mixed_instance(6, 1 << 20, seed=r).jobs, m=1 << 20) for _ in range(32)]
+        chains = [
+            SimpleNamespace(jobs=random_chain_instance(12, 4, seed=r).jobs, m=4, algorithm="two_approx")
+            for _ in range(32)
+        ]
+        return fptas + chains
+
+    def test_fleet_pack_rounds(self):
+        for index in range(40):
+            stats = {}
+            solve_mega(self._fleet(index), eps=0.1, stats=stats)
+            assert stats["mega_size"] == 64
+            assert stats["gamma_rounds"] <= 2
+            assert stats["eval_rounds"] <= 2
+            assert stats["rows_rounds"] <= 16
+
+    def test_each_round_answers_one_kind_rows_first(self, monkeypatch):
+        """A round answers every waiting request of one kind: rows while any
+        segment waits on rows, else the kind most segments wait on."""
+        log = []
+        for kind in ("gamma", "eval", "rows"):
+            answer = getattr(MegaOracle, f"{kind}_round")
+
+            def logging_round(self, requests, kind=kind, answer=answer):
+                log.append((kind, len(requests)))
+                return answer(self, requests)
+
+            monkeypatch.setattr(MegaOracle, f"{kind}_round", logging_round)
+        solve_mega(self._fleet(0)[::4], eps=0.1)
+        kinds = [kind for kind, _ in log]
+        # the floor's γ round, then rows until every estimator is done, and
+        # the dual searches' γ rounds after the last row round
+        assert kinds[0] == "gamma"
+        last_rows = len(kinds) - 1 - kinds[::-1].index("rows")
+        assert kinds.count("gamma") == 2 and kinds.index("gamma", 1) > last_rows

@@ -26,15 +26,19 @@ from repro.workloads.generators import (
     random_chain_instance,
     random_mixed_instance,
     random_power_work_instance,
+    random_quantized_instance,
 )
 
 #: (generator, n, m, eps, algorithm) of the co-batch; three or more packed
-#: instances of both batched algorithms, each with its own request count
+#: instances of both batched algorithms, each with its own request count, and
+#: a tabulated one, whose estimator asks at every open midpoint while the
+#: others skip the midpoints φ settles
 SPECS = [
     (random_chain_instance, 12, 64, 0.1, "two_approx"),
     (random_mixed_instance, 6, 1 << 14, 0.1, "fptas"),
     (random_amdahl_instance, 9, 32, 0.1, "two_approx"),
     (random_power_work_instance, 4, 1 << 12, 0.25, "fptas"),
+    (random_quantized_instance, 8, 64, 0.1, "two_approx"),
 ]
 
 
