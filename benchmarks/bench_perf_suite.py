@@ -122,8 +122,8 @@ _TINY_N = 64
 _TINY_M = 1 << 22
 
 #: Machine counts of the ``huge_m`` rows (scalar heap reference vs the
-#: event-queue scheduler on wide integers): just past the exact-float
-#: boundary, past int64, and firmly in the wide-limb tier.
+#: event-queue scheduler, exact in Python ints): just past the exact-float
+#: boundary, past int64, and far past it.
 _HUGE_MS = ((1 << 53) + 1, 1 << 64, 1 << 80)
 
 #: Fleet sizes of the ``megabatch`` rows (per-instance solo vectorized loop
@@ -422,8 +422,8 @@ def _list_schedule_shard(config: dict, seed: int, repeat: int) -> tuple:
     event-queue scheduler on the *same* estimator allotment and LPT order
     (prepared once, untimed).
 
-    ``huge_m`` rows time the same pair at astronomical m, where the
-    event-queue scheduler runs on wide integers.  ``BatchedOracle`` rejects m
+    ``huge_m`` rows time the same pair at astronomical m, where both
+    schedulers allocate spans in Python ints.  ``BatchedOracle`` rejects m
     beyond the float64 integer range — exactly the regime those rows measure
     — so their allotment comes from the scalar estimator.
     """
@@ -1072,7 +1072,7 @@ GATES: Tuple[Gate, ...] = (
         ("serve_throughput_chaos",), 0.5, "fleet-serving floor", "/s",
         _rows_of("serve", worst=_healthy_rate), _fleet_legs,
     ),
-    # scalar heap reference vs the event queue on wide integers at m past 2^53
+    # scalar heap reference vs the event queue at m past 2^53
     Gate(
         ("speedup_huge_m",), 2.0, "astronomical-m floor", "x",
         _rows_of("huge_m"), _speedup,

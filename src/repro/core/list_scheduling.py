@@ -26,10 +26,11 @@ per-machine state and works for astronomically large ``m``.
 events, a head pointer over the list and, only once a job has to overtake
 the head, a lazily built need-bucket index of the waiting jobs
 (:class:`_NeedBucketIndex`).  A wake-up that releases one job and admits the
-next costs O(log n) instead of a re-scan of all ``n`` jobs; a mass start
-takes one vectorized span cut and pushes one event per run of equal ends.
-The scalar ``heapq`` wake-up loop it must match bit for bit is kept as the
-tests' reference (``tests/core/reference_list_scheduling.py``).
+next costs O(log n) instead of a re-scan of all ``n`` jobs.  Spans are taken
+job by job in Python ints, exact at any ``m``, and a mass start pushes one
+event per run of equal ends.  The scalar ``heapq`` wake-up loop it must
+match bit for bit is kept as the tests' reference
+(``tests/core/reference_list_scheduling.py``).
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ from heapq import heappop, heappush
 from itertools import chain, islice
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .allotment import Allotment
-from .capacity import capacity_ops
 from .job import MoldableJob
 from .schedule import MachineSpan, Schedule
 
@@ -118,9 +116,9 @@ def list_schedule(
     * **events** — one ``heapq`` keyed by ``(end, row)``.  Rows are numbered
       in start order, so the pop order is the heap loop's ``(end, seq)``
       order.  An epoch pops every event within :func:`epoch_tolerance` of
-      its first one.  A mass admission pushes one event per run of
-      consecutive rows sharing an end (see :data:`_Event`), so a mass tie
-      costs one heap entry and one pop;
+      its first one.  An admission pushes one event per run of consecutive
+      rows sharing an end (see :data:`_Event`), so a mass tie costs one heap
+      entry and one pop;
     * **admission** — a head pointer walks the list.  While the first
       waiting job fits, first fit takes it in O(1).  Only when it does not
       is the :class:`_NeedBucketIndex` asked (built on first use, over a
@@ -130,11 +128,10 @@ def list_schedule(
       so the next round's tightened cap excludes it — idle only decreases
       within an epoch, which is why this reproduces the heap loop's
       restart-from-the-head scan exactly;
-    * **spans** — an epoch admitting at most :data:`_SMALL_EPOCH` jobs takes
-      spans job by job in Python ints (exact at any ``m``).  A larger batch
-      runs :func:`_allocate_batch`, one vectorized capacity-axis cut in the
-      tier :func:`repro.core.capacity.capacity_ops` chooses (int64, exact
-      wide limbs or object dtype), so it too runs at any ``m``.
+    * **spans** — every admitted job takes its spans off the top of the
+      idle-span stack in Python ints, so allocation is exact at any ``m``
+      with no overflow guard; the runs of equal ends are grouped in the
+      same pass.
 
     Rows feed the :class:`ArraySchedule` columns directly (no per-entry
     ``Schedule.add``).
@@ -160,9 +157,7 @@ def list_schedule(
         ``max_epoch_completions``: largest simultaneous-completion group,
         ``candidate_scans``: admission queries — an admission taken from
         the head counts as one, ``candidates_visited``: entries those
-        queries touched — one per head admission,
-        ``capacity_tier``: ``"int64"``/``"wide"``/``"object"``, the
-        :mod:`repro.core.capacity` tier of the batch path's arrays).
+        queries touched — one per head admission).
 
     Returns
     -------
@@ -194,17 +189,12 @@ def list_schedule(
         durations = [job.processing_time(k) for job, k in zip(sequence, needs)]
     elif len(durations) != n:
         raise ValueError(f"durations has {len(durations)} entries for {n} jobs")
-    # The batch path prefix-sums needs and popped span capacities (bounded
-    # by total_need + m), so the capacity tier is chosen from both.
-    ops = capacity_ops(m, sum(needs))
-
     from ..perf.schedule_builder import ArraySchedule
 
     builder = ArraySchedule(m, metadata={"algorithm": "list_scheduling"})
     if n == 0:
         if stats is not None:
             stats.update(
-                capacity_tier=ops.name,
                 epochs=0,
                 events=0,
                 max_epoch_completions=0,
@@ -278,12 +268,28 @@ def list_schedule(
                 # the lower bound was stale — refresh it so later idle
                 # wake-ups can skip the query in O(1)
                 min_waiting_need = index.min_need()
-            elif k <= _SMALL_EPOCH:
-                # sequential take() per admitted job, in Python ints
+            else:
+                # spans job by job in Python ints (exact at any m), with one
+                # event per run of consecutive rows sharing an end: the run's
+                # pieces are one slice, and no other row falls between its
+                # rows in (end, row) order
+                row = run_row = len(jobs_col)
+                run_end = _NO_END
                 for ji in adm:
                     need = needs[ji]
-                    row = len(jobs_col)
-                    lo = len(span_first_col)
+                    end = now + durations[ji]
+                    if end != run_end:
+                        if row != run_row:
+                            heappush(
+                                events_heap,
+                                (run_end, run_row, run_lo, len(span_first_col), run_need, row - run_row),
+                            )
+                            run_row = row
+                        run_end = end
+                        run_lo = len(span_first_col)
+                        run_need = need
+                    else:
+                        run_need += need
                     while need:
                         first, count = idle_spans.pop()
                         if count > need:
@@ -295,31 +301,11 @@ def list_schedule(
                         need -= count
                     jobs_col.append(sequence[ji])
                     starts_col.append(now)
-                    heappush(
-                        events_heap,
-                        (now + durations[ji], row, lo, len(span_first_col), needs[ji], 1),
-                    )
-            else:
-                row_base = len(jobs_col)
-                adm_needs = [needs[ji] for ji in adm]
-                lo_rows, hi_rows = _allocate_batch(ops, adm_needs, idle_spans, builder, row_base)
-                jobs_col.extend([sequence[ji] for ji in adm])
-                starts_col.extend([now] * k)
-                ends = [now + durations[ji] for ji in adm]
-                # one event per run of consecutive rows sharing an end: the
-                # run's pieces are one slice, and no other row falls between
-                # its rows in (end, row) order
-                i = 0
-                while i < k:
-                    end = ends[i]
-                    j = i + 1
-                    while j < k and ends[j] == end:
-                        j += 1
-                    heappush(
-                        events_heap,
-                        (end, row_base + i, lo_rows[i], hi_rows[j - 1], sum(adm_needs[i:j]), j - i),
-                    )
-                    i = j
+                    row += 1
+                heappush(
+                    events_heap,
+                    (run_end, run_row, run_lo, len(span_first_col), run_need, row - run_row),
+                )
             n_waiting -= k
             idle = remaining
         if not events_heap:
@@ -347,7 +333,6 @@ def list_schedule(
 
     if stats is not None:
         stats.update(
-            capacity_tier=ops.name,
             candidate_scans=head_admissions + (index.gathers if index else 0),
             candidates_visited=head_admissions + (index.visits if index else 0),
             epochs=epochs,
@@ -357,73 +342,17 @@ def list_schedule(
     return builder.build()
 
 
-def _allocate_batch(
-    ops, adm_needs: List[int], idle_spans: List[MachineSpan], builder, row_base: int
-) -> Tuple[List[int], List[int]]:
-    """Span allocation of one mass admission, written to the builder's span
-    columns; returns each admitted row's ``[lo, hi)`` piece slice.
-
-    The admitted jobs consume the idle-span stack as one capacity axis: cut
-    at every job and every span boundary, each piece belongs to exactly one
-    (job, idle-span) pair — the same pieces, in the same order, as the
-    sequential ``take`` loop emits."""
-    _, _, _, span_owner_col, span_first_col, span_count_col = builder.raw_columns()
-    ncum = ops.cumsum(ops.asarray(adm_needs))
-    total = ops.item(ncum, -1)
-    # pop idle spans (stack order) until the batch is covered
-    popped_first: List[int] = []
-    popped_count: List[int] = []
-    acc = 0
-    while acc < total:
-        f, c = idle_spans.pop()
-        popped_first.append(f)
-        popped_count.append(c)
-        acc += c
-    if acc > total:
-        # the unused tail of the last popped span goes back on top of the
-        # stack, exactly like the sequential take()
-        used = popped_count[-1] - (acc - total)
-        idle_spans.append((popped_first[-1] + used, acc - total))
-        popped_count[-1] = used
-    pf = ops.asarray(popped_first)
-    ccum = ops.cumsum(ops.asarray(popped_count))
-    bounds = ops.merge_bounds(ncum, ccum)
-    lo_b = ops.head(ops.prepend_zero(bounds), len(bounds))
-    owner_local = ops.cut_positions(ncum, lo_b)
-    span_idx = ops.cut_positions(ccum, lo_b)
-    base = ops.take(ops.prepend_zero(ccum), span_idx)
-    piece_first = ops.add(ops.take(pf, span_idx), ops.sub(lo_b, base))
-    piece_count = ops.sub(bounds, lo_b)
-
-    piece_base = len(span_first_col)
-    span_owner_col.extend((owner_local + row_base).tolist())
-    span_first_col.extend(ops.tolist(piece_first))
-    span_count_col.extend(ops.tolist(piece_count))
-    # pieces are grouped by owner
-    row_ids = np.arange(len(adm_needs), dtype=np.int64)
-    return (
-        (np.searchsorted(owner_local, row_ids, side="left") + piece_base).tolist(),
-        (np.searchsorted(owner_local, row_ids, side="right") + piece_base).tolist(),
-    )
-
-
 #: A completion event ``(end, row, lo, hi, need, count)``: the ``count``
 #: consecutive rows from ``row`` on, all ending at ``end``, whose pieces are
 #: the builder span-column slice ``[lo, hi)`` holding ``need`` processors.
-#: A mass admission makes one event per run of equal ends, so a mass tie
-#: costs one heap entry; ``(end, row)`` is unique, so the payload never takes
+#: An admission makes one event per run of equal ends, so a mass tie costs
+#: one heap entry; ``(end, row)`` is unique, so the payload never takes
 #: part in the ordering.
 _Event = Tuple[float, int, int, int, int, int]
 
-#: Above this many jobs admitted in one epoch, span allocation runs as one
-#: vectorized capacity-axis cut (:func:`_allocate_batch`) instead of a
-#: per-job ``take`` loop — the batch machinery only amortizes its fixed
-#: per-call overhead on larger groups.  Both paths are bit-identical; tier-1
-#: crosses the boundary in both directions (``tests/core/test_event_queue.py``:
-#: the large-epoch deterministic pin and the hypothesis strategies draw
-#: instances well past this threshold).
-_SMALL_EPOCH = 32
-
+#: The end of no run: NaN equals no end, so an admission's first job always
+#: opens a run (a float sentinel keeps the per-job test a float comparison).
+_NO_END = float("nan")
 
 class _NeedBucketIndex:
     """Candidate index over the waiting set (power-of-two need buckets).

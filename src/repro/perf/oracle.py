@@ -315,7 +315,7 @@ class BatchedOracle(_Executor):
         if m > MAX_COLUMNAR_M:
             # γ-arrays store the sentinel m + 1 in int64, and tm / times_at
             # hand int64 counts to the kernels — the same int64 contract
-            # boundary as repro.core.capacity.capacity_tier (2^62).  The
+            # boundary as repro.core.capacity.MAX_COLUMNAR_M (2^62).  The
             # compact input encoding allows larger m, but those instances must
             # use the scalar path (resolve_backend falls back automatically).
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Event-epoch grouping semantics of the batched event-queue list scheduler.
+"""Event-epoch grouping semantics of the event-queue list scheduler.
 
 The scalar heap loop (``reference_list_scheduling.py``) groups completions within :func:`epoch_tolerance` of
 the earliest pending completion into one wake-up — ``max(1e-15 absolute,
@@ -36,6 +36,10 @@ ULP16 = np.nextafter(16.0, 32.0) - 16.0  # 3.55e-15 > EPOCH_TOLERANCE
 ULP1 = np.nextafter(1.0, 2.0) - 1.0  # 2.22e-16 < EPOCH_TOLERANCE
 M20 = 2.0 ** 20  # a magnitude where one ulp dwarfs the old absolute 1e-15
 ULP20 = np.nextafter(M20, 2 * M20) - M20  # 2^-32 ~ 2.33e-10
+
+#: Smallest head wave :func:`_mass_tie_case` draws: a mass start and a mass
+#: completion of at least this many unit jobs in one epoch.
+MASS_WAVE_MIN = 33
 
 
 def _jobs_with_durations(durations, need=1):
@@ -234,10 +238,10 @@ class TestMultiSpanLeftovers:
         assert entry.spans == ((1, 1), (3, 1))
         assert validate_schedule(schedule, jobs).ok
 
-    def test_large_epoch_batch_path_matches_heap(self):
-        """More admitted jobs than the small-epoch threshold forces the
-        vectorized cumsum span partition; a prime machine count leaves a
-        ragged tail so span splits land mid-span."""
+    def test_large_epoch_matches_heap(self):
+        """A mass admission of 97 jobs whose ends form runs: each run is one
+        event; a prime machine count leaves a ragged tail so span splits land
+        mid-span."""
         jobs, allot = _jobs_with_durations([8.0] * 120 + [2.0] * 120)
         schedule, stats = _run(jobs, allot, 97)
         heap = reference_list_schedule(jobs, allot, 97)
@@ -245,23 +249,21 @@ class TestMultiSpanLeftovers:
         assert stats["max_epoch_completions"] >= 90
 
 
-class TestCapacityTiers:
+class TestAstronomicalM:
     def test_astronomical_m_runs_natively(self):
-        """Machine counts beyond the int64 span range run on the wide-limb
-        capacity tier, bit-identical to the heap reference."""
+        """Machine counts beyond the int64 span range run in Python ints,
+        bit-identical to the heap reference."""
         m = MAX_COLUMNAR_M * 4
         jobs = [TabulatedJob("big", [3.0, 3.0]), TabulatedJob("small", [5.0])]
         allot = Allotment({jobs[0]: m - 1, jobs[1]: 1})
         schedule, stats = _run(jobs, allot, m)
         assert schedule.makespan == 5.0
         assert "epochs" in stats
-        assert stats["capacity_tier"] == "wide"
         _assert_identical(reference_list_schedule(jobs, allot, m), schedule)
 
     def test_huge_total_need_runs_natively(self):
         """Needs whose prefix sums overflow int64 (regression: 40 jobs of
-        2^61 processors on m = 2^62 crashed the batched admission path) now
-        promote to the wide tier."""
+        2^61 processors on m = 2^62 once crashed a NumPy span cut)."""
         m = MAX_COLUMNAR_M
         need = 1 << 61
         jobs = [TabulatedJob(f"h{i}", [10.0]) for i in range(40)]
@@ -269,39 +271,57 @@ class TestCapacityTiers:
         schedule, stats = _run(jobs, allot, m)
         assert schedule.makespan == 200.0
         assert "epochs" in stats
-        assert stats["capacity_tier"] == "wide"
         _assert_identical(reference_list_schedule(jobs, allot, m), schedule)
 
-    def test_unified_guard_at_the_exact_int64_boundary(self):
-        """One tier cut: total_need equal to ``MAX_COLUMNAR_M - m`` stays on
-        int64 columns, one processor more promotes to the wide tier — and
-        both sides match the heap exactly."""
+    def test_both_sides_of_the_int64_total_need_boundary(self):
+        """total_need equal to ``MAX_COLUMNAR_M - m`` and one processor past
+        it both match the heap exactly."""
         m = 1 << 61
         budget = MAX_COLUMNAR_M - m  # the historical event-queue guard value
-        for extra, tier in ((0, "int64"), (1, "wide")):
+        for extra in (0, 1):
             jobs = [TabulatedJob("a", [4.0]), TabulatedJob("b", [6.0])]
             # two needs <= m whose total sits exactly on / one past the cut
             allot = Allotment({jobs[0]: budget // 2, jobs[1]: budget // 2 + extra})
-            schedule, stats = _run(jobs, allot, m)
-            assert stats["capacity_tier"] == tier, (extra, tier)
+            schedule, _ = _run(jobs, allot, m)
             _assert_identical(
-                reference_list_schedule(jobs, allot, m), schedule
+                reference_list_schedule(jobs, allot, m), schedule, extra
             )
 
-    def test_object_tier_beyond_wide_range(self):
-        """Past the 2^93 wide-limb budget the object-dtype escape hatch keeps
-        the columnar structure (exact Python-int arithmetic per element)."""
+    def test_m_of_2_96(self):
+        """Far past every int64 bound the schedule still matches the heap
+        exactly."""
         m = 1 << 96
         jobs = [TabulatedJob("big", [3.0, 3.0]), TabulatedJob("small", [5.0])]
         allot = Allotment({jobs[0]: m - 1, jobs[1]: 1})
-        schedule, stats = _run(jobs, allot, m)
-        assert stats["capacity_tier"] == "object"
+        schedule, _ = _run(jobs, allot, m)
         _assert_identical(reference_list_schedule(jobs, allot, m), schedule)
+
+    @pytest.mark.parametrize("m", [1 << 80, 1 << 100], ids=["2^80", "2^100"])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_mass_tie_of_a_thousand_jobs(self, m, block):
+        """1,000 unit jobs start together and end in one epoch, their ends
+        alternating (in blocks) between 16 and 16 + one ulp, so runs of equal
+        ends break inside the tie; a ragged tail of m/3-wide jobs blocks
+        until the tie releases, then takes the 1,000 freed single-machine
+        pieces in the heap's (end, row) release order plus part of a span."""
+        durations = [16.0 if (i // block) % 2 else 16.0 + ULP16 for i in range(1000)]
+        needs = [1] * 1000
+        for d in (20.0, 20.0, 9.0, 30.0, 1.0):
+            durations.append(d)
+            needs.append(m // 3)
+        stats = _differential(m, durations, needs)
+        assert stats["max_epoch_completions"] >= 1000
 
     def test_stats_contract(self):
         jobs, allot = _jobs_with_durations([1.0, 2.0, 3.0])
         _, stats = _run(jobs, allot, 2)
-        assert stats["capacity_tier"] == "int64"
+        assert set(stats) == {
+            "epochs",
+            "events",
+            "max_epoch_completions",
+            "candidate_scans",
+            "candidates_visited",
+        }
         assert stats["events"] == 3
         assert stats["epochs"] >= 1
         assert 1 <= stats["max_epoch_completions"] <= 3
@@ -311,10 +331,8 @@ class TestCapacityTiers:
 
 @st.composite
 def _tie_heavy_case(draw):
-    # m and n ranges deliberately straddle the _SMALL_EPOCH threshold (32):
-    # epochs with > 32 candidates AND > 32 idle machines take the batched
-    # admission/span/merge paths, smaller ones the lean scalar paths — the
-    # strategy must cross the boundary in both directions
+    # m and n ranges mix single admissions with mass epochs of more than 32
+    # candidates and idle machines, whose equal ends share one event
     m = draw(st.sampled_from([1, 2, 3, 7, 9, 40, 48]))
     n = draw(st.integers(min_value=1, max_value=90))
     # quantized duration grid plus near-tie values straddling the tolerance
@@ -481,13 +499,11 @@ def _head_blocked_case(draw):
 
 @st.composite
 def _mass_tie_case(draw):
-    """A head wave of more than ``_SMALL_EPOCH`` unit jobs ending within one
+    """A head wave of at least ``MASS_WAVE_MIN`` unit jobs ending within one
     epoch window (a mass start and a mass completion), followed by a
     shuffled mix of a second tie wave and distinct single completions."""
-    from repro.core.list_scheduling import _SMALL_EPOCH
-
     m = draw(st.sampled_from([40, 64, 97]))
-    wave = draw(st.integers(min_value=_SMALL_EPOCH + 1, max_value=m))
+    wave = draw(st.integers(min_value=MASS_WAVE_MIN, max_value=m))
     rest = draw(st.integers(min_value=0, max_value=80))
     tie = draw(st.sampled_from([2.0, 16.0, 16.0 + ULP16]))
     # part of the wave ends exactly on the epoch window's far edge, so the
@@ -538,19 +554,16 @@ class TestLeanLoopDifferentials:
     @given(_mass_tie_case())
     @settings(max_examples=60, deadline=None)
     def test_mass_tie_epochs_mixed_with_single_completions(self, case):
-        from repro.core.list_scheduling import _SMALL_EPOCH
-
         m, durations, needs, order = case
         stats = _differential(m, durations, needs, order)
         # the head wave starts at t=0 and completes in one epoch
-        assert stats["max_epoch_completions"] > _SMALL_EPOCH
+        assert stats["max_epoch_completions"] >= MASS_WAVE_MIN
 
     @given(_huge_m_case())
     @settings(max_examples=60, deadline=None)
     def test_astronomical_m_with_needs_near_m(self, case):
         m, durations, needs = case
-        stats = _differential(m, durations, needs)
-        assert stats["capacity_tier"] in ("wide", "object")
+        _differential(m, durations, needs)
 
 
 class TestLazyNeedBucketIndex:

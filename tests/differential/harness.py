@@ -109,8 +109,8 @@ FAMILIES: Dict[str, Callable] = {
     "faulty": random_mixed_instance,
     # astronomical-m family: the drawn m only *selects* one of the
     # HUGE_M_CHOICES boundary straddlers (2^53 and 2^62 plus ±1, and far
-    # beyond), so the exact-float cut and the int64→wide→object capacity
-    # tier cuts are fuzzed, not just regression-pinned
+    # beyond), so the exact-float cut and the int64 → object-dtype column
+    # fallback are fuzzed, not just regression-pinned
     "huge_m": random_mixed_instance,
     # mega-batch family: the case's instance is solved solo and again inside
     # a seed-derived random co-batch via solve_mega's lockstep loop; the two
@@ -128,7 +128,7 @@ TINY_N_HUGE_M = 1 << 20
 
 #: ``huge_m``-family machine counts: both overflow boundaries with their
 #: off-by-one neighbours (2^53 = exact-float limit, 2^62 = int64 columnar
-#: limit), plus firmly-wide and object-tier magnitudes.
+#: limit), plus magnitudes far past int64.
 HUGE_M_CHOICES = (
     (1 << 53) - 1,
     1 << 53,

@@ -140,11 +140,11 @@ class TestConfigs:
             configs = _configs(mode, list(DEFAULT_FAMILIES))
             rows = [c for c in configs if c["algorithm"] == "huge_m"]
             # one row per astronomical machine count, straddling the exact
-            # float boundary (2^53 + 1) and both wide-tier magnitudes
+            # float boundary (2^53 + 1) and two magnitudes past int64
             assert {c["m"] for c in rows} == set(_HUGE_MS), mode
             assert min(_HUGE_MS) == (1 << 53) + 1
             assert max(_HUGE_MS) > 1 << 62
-            # normal workload families only: the capacity tier is what the
+            # normal workload families only: the machine count is what the
             # row varies, not the instance shape
             assert all(c["family"] not in ("tiny_n_huge_m", "chain") for c in rows)
 

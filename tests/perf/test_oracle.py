@@ -86,7 +86,7 @@ class TestBatchedOracleCaches:
     def test_oracle_m_guard_sits_on_the_int64_contract_boundary(self):
         """The oracle funnels counts through float64 (``float(self.m)`` in
         ``tm``, broadcasts in ``times_at``), so its guard must be
-        the capacity-tier int64 contract boundary (2^62) — not the raw int64
+        the int64 contract boundary ``MAX_COLUMNAR_M`` (2^62) — not the raw int64
         ceiling, where the lossy cast would silently round m."""
         from repro.core.backend import MAX_VECTORIZED_M, resolve_backend
         from repro.core.capacity import MAX_COLUMNAR_M

@@ -81,6 +81,8 @@ def _solo_streams(monkeypatch):
     monkeypatch.setattr(BatchedOracle, "run", logging_run)
     streams = []
     for inst in _instances():
+        # a freed oracle's id can come back for a later one
+        logs.clear()
         oracle = BatchedOracle(inst.jobs, inst.m)
         schedule_moldable(inst.jobs, inst.m, inst.eps, algorithm=inst.algorithm, oracle=oracle)
         streams.append(logs[id(oracle)])
