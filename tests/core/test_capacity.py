@@ -2,17 +2,47 @@
 
 The int64 columns and their exact object-dtype fallback: ``exact_add`` past
 int64, ``total_fits_int64`` at the ``2**62`` cap and in the float gap above
-``2**53``, and ``index_array`` past int64.
+``2**53``, and ``index_array`` past int64 — each also pinned against a
+Python-int (arbitrary precision) reference on values straddling the
+``2**53``, ``2**62`` and ``2**63`` boundaries and in randomized sweeps
+seeded per magnitude band.
 """
 
+import random
+
 import numpy as np
+import pytest
 
 from repro.core.capacity import (
     MAX_COLUMNAR_M,
+    MAX_EXACT_FLOAT_M,
     exact_add,
     index_array,
     total_fits_int64,
 )
+
+INT64_MAX = (1 << 63) - 1
+
+BOUNDARY_VALUES = [
+    1,
+    MAX_EXACT_FLOAT_M - 1,
+    MAX_EXACT_FLOAT_M,
+    MAX_EXACT_FLOAT_M + 1,
+    MAX_COLUMNAR_M - 1,
+    MAX_COLUMNAR_M,
+    MAX_COLUMNAR_M + 1,
+    INT64_MAX,
+    INT64_MAX + 1,
+    1 << 80,
+]
+
+#: Exclusive upper bounds of the random sweeps' magnitude bands: just past
+#: the exact-float cut, just past the int64-column cap, the whole int64 range.
+SWEEP_BOUNDS = [MAX_EXACT_FLOAT_M + 3, MAX_COLUMNAR_M + 3, INT64_MAX]
+
+
+def _random_values(rng, n, bound):
+    return [rng.randrange(1, bound) for _ in range(n)]
 
 
 class TestExactAdd:
@@ -24,6 +54,24 @@ class TestExactAdd:
         a = np.array([1, 3 << 61], dtype=np.int64)
         out = exact_add(a, a)
         assert out.dtype == object and out.tolist() == [2, 3 << 62]
+
+    @pytest.mark.parametrize("bound", SWEEP_BOUNDS)
+    def test_matches_python_ints(self, bound):
+        rng = random.Random(bound % 1009)
+        xs = _random_values(rng, 200, bound)
+        ys = [rng.randrange(0, bound) for _ in xs]
+        out = exact_add(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
+        expect = [x + y for x, y in zip(xs, ys)]
+        assert out.tolist() == expect
+        # int64 exactly when no sum passes the int64 limit
+        assert (out.dtype == np.int64) == (max(expect) <= INT64_MAX)
+
+    def test_object_columns_match_python_ints(self):
+        rng = random.Random(29)
+        xs = _random_values(rng, 120, 1 << 90)
+        ys = _random_values(rng, 120, 1 << 90)
+        out = exact_add(np.array(xs, dtype=object), np.array(ys, dtype=object))
+        assert out.tolist() == [x + y for x, y in zip(xs, ys)]
 
 
 class TestFloatBoundary:
@@ -43,6 +91,21 @@ class TestFloatBoundary:
         assert not total_fits_int64(procs)
         assert total_fits_int64(np.array([1 << 50, 1 << 50], dtype=object))
 
+    @pytest.mark.parametrize("bound", SWEEP_BOUNDS)
+    def test_matches_python_ints(self, bound):
+        """Random columns, and the same columns with the last value moved so
+        the total sits one under, on and one past the cap; the decision
+        equals the Python-int total's."""
+        rng = random.Random(bound % 997)
+        for n in (1, 2, 3, 8, 40):
+            vals = _random_values(rng, n, min(bound, MAX_COLUMNAR_M // n + 2))
+            head = vals[:-1]
+            cases = [vals] + [head + [MAX_COLUMNAR_M + d - sum(head)] for d in (-1, 0, 1)]
+            for procs in cases:
+                expect = sum(procs) <= MAX_COLUMNAR_M
+                assert total_fits_int64(np.array(procs, dtype=np.int64)) == expect
+                assert total_fits_int64(np.array(procs, dtype=object)) == expect
+
 
 class TestIndexArray:
     def test_small_values_stay_int64(self):
@@ -56,3 +119,12 @@ class TestIndexArray:
 
     def test_empty(self):
         assert index_array([]).dtype == np.int64
+
+    @pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=hex)
+    def test_roundtrip_is_exact(self, value):
+        """int64 while the value fits, exact Python ints past it, in every
+        position of the column."""
+        for vals in ([value], [1, value], [value, 2, value]):
+            arr = index_array(vals)
+            assert arr.tolist() == vals
+            assert (arr.dtype == np.int64) == (value <= INT64_MAX)

@@ -312,6 +312,36 @@ class TestAstronomicalM:
         stats = _differential(m, durations, needs)
         assert stats["max_epoch_completions"] >= 1000
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            MAX_COLUMNAR_M - 1,
+            MAX_COLUMNAR_M,
+            MAX_COLUMNAR_M + 1,
+            (1 << 63) - 1,
+            1 << 63,
+            1 << 64,
+            (1 << 80) + 1,
+        ],
+        ids=lambda m: f"m={m:#x}",
+    )
+    def test_spans_at_the_exactness_boundaries(self, m):
+        """On either side of the exact-float (2^53), int64-column (2^62) and
+        int64 (2^63, 2^64) boundaries, span ends land on and past the bound:
+        a run of three m/3-wide jobs sharing an end, two (m - 1)-wide jobs
+        blocked behind them, an (m/2 + 1)-wide job and a tie of 40 unit jobs
+        alternating between two ends — all bit-identical to the heap."""
+        durations = [4.0, 4.0, 4.0, 2.0, 3.0, 3.0, 1.0]
+        needs = [m // 3, m // 3, m // 3, 1, m - 1, m - 1, m // 2 + 1]
+        for i in range(40):
+            durations.append(5.0 if i % 2 else 5.0 + 4 * ULP16)
+            needs.append(1)
+        stats = _differential(m, durations, needs)
+        assert stats["max_epoch_completions"] >= 3
+
     def test_stats_contract(self):
         jobs, allot = _jobs_with_durations([1.0, 2.0, 3.0])
         _, stats = _run(jobs, allot, 2)
