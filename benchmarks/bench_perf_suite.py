@@ -478,7 +478,10 @@ def _recovery_shard(config: dict, seed: int, repeat: int) -> tuple:
     vs cold full bisection), and the stitched schedules are bit-identical.
     Both runs pin ``backend="vectorized"``: under ``"auto"`` small re-plans
     run scalar and build no oracle, and the rows would stop measuring the
-    warm start.
+    warm start.  A fault epoch whose drain barrier lies past the next fault
+    epoch does not solve, so the row's ``replans`` and probe totals count
+    only the solves that ran, and priming hands each solve the oracle of
+    the solve before it.
     """
     from repro.core.bounds import trivial_lower_bound
     from repro.resilience import random_fault_plan, recover_with_faults
@@ -526,7 +529,11 @@ def _online_shard(config: dict, seed: int, repeat: int) -> tuple:
     γ-cache policy of the per-epoch re-plan oracles (``warm_start`` bracket +
     prediction reuse on vs cold full bisection).  The stitched schedules
     must be bit-identical — the warm start is a pure accelerator.  Both runs
-    pin ``backend="vectorized"``, as the recovery rows do.
+    pin ``backend="vectorized"``, as the recovery rows do.  While a long job
+    drains, each arrival's plan would be returned unstarted by the next
+    arrival, so such epochs do not solve: the row's ``replans`` and probe
+    totals count one solve per drained batch plus the last epoch, not one
+    per arrival.
     """
     from repro.online import OnlineScheduler
     from repro.workloads.generators import random_arrivals_instance

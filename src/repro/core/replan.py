@@ -21,7 +21,11 @@ rest at a barrier* — so the machinery lives here once:
    among the draining entries (or ``tau`` itself when nothing drains).  The
    per-epoch algorithm regime is re-checked (:func:`segment_algorithm`) so a
    caller-pinned ``fptas``/``exact`` falls back deterministically when the
-   epoch leaves its applicability window.
+   epoch leaves its applicability window.  An epoch whose barrier lies past
+   the caller's next epoch is not solved: the next epoch would return every
+   entry of that plan to the pool before any of it starts, so the epoch
+   keeps only its draining entries (see :meth:`ReplanState.replan_pending`).
+   The caller's last epoch always solves.
 3. **Remap** (:func:`remap_spans`): segment schedules are solved on an
    abstract contiguous machine set ``[0, m_avail)`` and remapped
    span-by-span onto the physical available intervals by the order-preserving
@@ -32,15 +36,15 @@ rest at a barrier* — so the machinery lives here once:
    the stitched schedule is conflict-free by construction and passes the
    unmodified validator.
 
-Each epoch builds its executor with :func:`~repro.core.backend.resolve_backend`
+Each solved epoch builds its executor with :func:`~repro.core.backend.resolve_backend`
 on its driver's row of :data:`~repro.core.scheduler.DRIVERS` (decided per
 epoch by the epoch's size under ``backend="auto"``) and hands it to the
 segment solve; ``exact`` runs none and ``ptas`` picks its branch's itself.
 A vectorized epoch's :class:`~repro.perf.oracle.BatchedOracle` takes the
 caller's ``warm_start`` flag and, when it is set, is primed from the
-previous vectorized epoch's oracle
+previous vectorized solve's oracle
 (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so the dual search
-starts from the cached thresholds of the epoch before it.  The state is
+starts from the cached thresholds of the solve before it.  The state is
 deterministic: identical epoch sequences produce identical stitched schedules
 under every backend (the differential ``faulty`` and ``online`` families pin
 this bit for bit).
@@ -288,6 +292,7 @@ class ReplanState:
         tau: float,
         continuing: Sequence[PlacedEntry],
         available: Sequence[Interval],
+        next_epoch: Optional[float] = None,
     ) -> ReplanOutcome:
         """Re-plan every pending job not draining in ``continuing`` on the
         ``available`` machine intervals, anchored at the drain barrier.
@@ -296,6 +301,22 @@ class ReplanState:
         docstring); a batched one adds its probes to :attr:`gamma_probes`.
         After the call, :attr:`current` holds the continuing entries plus
         the freshly placed segment.
+
+        ``next_epoch`` is the time of the caller's next epoch (``None``
+        after the last one).  When the barrier lies past
+        ``next_epoch + EPOCH_EPS`` the solve is skipped: :attr:`current`
+        holds only the continuing entries and the outcome reports
+        ``replanned=0``, latency 0.0 and no algorithm or backend; no
+        executor is built, and :attr:`prev_oracle`, :attr:`gamma_probes`
+        and :attr:`replan_latencies` are left alone.  This is exact.  Every
+        placed entry would start at ``barrier + e.start >= barrier``
+        (``e.start >= 0``, and float addition is monotone) and end no
+        earlier than it starts, so at ``next_epoch`` every entry of the
+        plan has ``end > next_epoch + EPOCH_EPS`` and
+        ``start >= next_epoch - EPOCH_EPS``: it is queued, never finished
+        and never running.  The next :meth:`commit_epoch` therefore sees
+        the same running set and the same pending pool as if the plan had
+        been solved, and warm starts never change a schedule.
         """
         draining = {id(p.job) for p in continuing}
         to_plan = [j for j in self.jobs if id(j) in self.pending and id(j) not in draining]
@@ -315,6 +336,16 @@ class ReplanState:
                 f"no machines available at epoch {tau} but {len(to_plan)} jobs are pending"
             )
         barrier = max([tau] + [p.end for p in continuing])
+        if next_epoch is not None and barrier > next_epoch + EPOCH_EPS:
+            self.current = list(continuing)
+            return ReplanOutcome(
+                barrier=barrier,
+                m_avail=m_avail,
+                replanned=0,
+                latency=0.0,
+                algorithm=None,
+                backend=None,
+            )
         seg_algorithm = segment_algorithm(self.algorithm, len(to_plan), m_avail, self.eps)
         chosen = (
             auto_algorithm(len(to_plan), m_avail, self.eps)

@@ -9,7 +9,13 @@ re-plans the *pending* work through :class:`~repro.core.replan.ReplanState`
 * entries that started earlier keep *draining* to completion;
 * every waiting job (placed-but-unstarted segments plus the new arrivals)
   is re-solved with :func:`~repro.core.scheduler.schedule_moldable` on the
-  full machine set, anchored at the drain barrier.
+  full machine set, anchored at the drain barrier — unless that barrier
+  lies past the next epoch, which would return the whole plan to the pool
+  before any of it starts.  Such an epoch is not solved: the jobs keep
+  waiting, and the next epoch plans them with its own arrivals.  While a
+  long job drains, a stream of arrivals therefore costs one solve per
+  drained batch, not one per arrival, and the stitched schedule is
+  bit-identical to solving every epoch.  The last epoch always solves.
 
 Epoch policies:
 
@@ -27,9 +33,10 @@ The default ``backend="auto"`` is decided per epoch by the epoch's size
 (:func:`~repro.core.backend.auto_backend`): online epochs are small, so most
 run the scalar reference.  Each epoch's executor is built and primed
 exactly as in recovery (:class:`~repro.core.replan.ReplanState`), but
-because every online epoch plans its new arrivals, cross-epoch priming
-never transfers anything (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`
-transfers nothing when a job is unknown to the older oracle); the measured
+because every solved online epoch plans arrivals that the solve before it
+never saw, cross-epoch priming never transfers anything
+(:meth:`~repro.perf.oracle.BatchedOracle.prime_from` transfers nothing
+when a job is unknown to the older oracle); the measured
 probe reduction comes from the within-epoch bracket/prediction warm start,
 and the warm/cold toggle never changes the schedule — warm and cold runs
 are bit-identical in every placement (the differential ``online`` family
@@ -89,7 +96,14 @@ class Arrival:
 
 @dataclass(frozen=True)
 class OnlineEpoch:
-    """What one arrival epoch did to the running plan."""
+    """What one arrival epoch did to the running plan.
+
+    An epoch whose barrier lies past the next epoch is not solved: it
+    records ``replanned=0``, ``replan_latency`` 0.0 and no
+    ``replan_algorithm`` / ``replan_backend``, with the barrier it would
+    have used.  ``requeued`` counts the unstarted entries of the last
+    solved plan that this epoch returned to the pool.
+    """
 
     time: float
     arrivals: int
@@ -112,8 +126,11 @@ class RegretReport:
     is the full price of not knowing the future, including the idleness
     releases force.  ``lower_bound`` is the release-aware bound, against
     which ``ratio_vs_lower_bound`` certifies the online plan's quality on
-    its own terms.  ``gamma_probes`` counts only the epochs that ran
-    vectorized; it is ``None`` when every epoch ran scalar.
+    its own terms.  ``replans`` counts the epoch solves that ran (an epoch
+    superseded by the next one before its barrier does not solve), and
+    ``replan_latencies`` holds one entry per solve.  ``gamma_probes`` sums
+    only the solves that ran vectorized; it is ``None`` when every solve
+    ran scalar.
     """
 
     online_makespan: float
@@ -289,11 +306,13 @@ class OnlineScheduler:
         )
         records: List[OnlineEpoch] = []
         full_machines = ((0, self.m),)
-        for tau, batch in self._epochs(stream):
+        epochs = self._epochs(stream)
+        next_times = [t for t, _ in epochs[1:]] + [None]
+        for (tau, batch), next_epoch in zip(epochs, next_times):
             state.add_jobs([a.job for a in batch])
             part = state.commit_epoch(tau)
             # no casualties online: every running entry drains
-            outcome = state.replan_pending(tau, part.running, full_machines)
+            outcome = state.replan_pending(tau, part.running, full_machines, next_epoch)
             records.append(
                 OnlineEpoch(
                     time=tau,

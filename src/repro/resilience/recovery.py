@@ -12,7 +12,10 @@ the loop
 4. re-plans every pending job on the machines available at the epoch via
    :func:`~repro.core.scheduler.schedule_moldable`, starting the new segment
    at the drain barrier (the latest end among the surviving running
-   entries).
+   entries) — unless that barrier lies past the next fault epoch, which
+   would return the whole segment to the pool before any of it starts;
+   such an epoch is not solved, and the stitched schedule is the same as
+   if it had been.
 
 The epoch machinery itself — committed/continuing/pending partition, barrier
 computation, abstract→physical span remapping, per-epoch algorithm-regime
@@ -38,9 +41,9 @@ killed jobs removed from the expected set).
 Consecutive vectorized re-plans (of every driver but ``exact`` and the
 ``ptas`` dispatcher) reuse γ-search work two ways: the per-epoch
 :class:`~repro.perf.oracle.BatchedOracle` is built with ``warm_start=True``
-*and* primed from the previous epoch's oracle
-(:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so each epoch's dual
-search starts from the cached γ-thresholds of the epoch before it — the
+*and* primed from the previous solved epoch's oracle
+(:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so each solve's dual
+search starts from the cached γ-thresholds of the solve before it — the
 pending set only shrinks and the estimator's target thresholds barely move
 between epochs, which is exactly the regime the warm start's brackets
 exploit (its closed-form predictions need no neighbours at all).
@@ -81,7 +84,15 @@ class RecoveryError(RuntimeError):
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """What one fault epoch did to the running plan."""
+    """What one fault epoch did to the running plan.
+
+    An epoch whose barrier lies past the next fault epoch is not solved: it
+    records ``replanned=0``, ``replan_latency`` 0.0 and no
+    ``replan_algorithm`` / ``replan_backend``, with the barrier it would
+    have used.  ``requeued`` counts the unstarted entries of the plan in
+    flight (the fault-free plan or the last solved segment) that this epoch
+    returned to the pool.
+    """
 
     time: float
     machines_failed: int
@@ -103,8 +114,11 @@ class EpochRecord:
 class DegradationReport:
     """How much the faults cost, relative to the fault-free plan.
 
-    ``gamma_probes`` counts only the re-plans that ran vectorized; it is
-    ``None`` when every re-plan ran scalar.
+    ``replans`` counts the epoch solves that ran (an epoch superseded by
+    the next fault epoch before its barrier does not solve), and
+    ``replan_latencies`` holds one entry per solve.  ``gamma_probes`` sums
+    only the solves that ran vectorized; it is ``None`` when every solve
+    ran scalar.
     """
 
     fault_free_makespan: float
@@ -250,7 +264,8 @@ def recover_with_faults(
     lost: List[LostRun] = []
     epochs: List[EpochRecord] = []
 
-    for tau in plan.epochs():
+    times = plan.epochs()
+    for tau, next_epoch in zip(times, times[1:] + [None]):
         events = plan.events_at(tau)
         new_failures = events["failures"]
         kill_names = {k.job for k in events["kills"]}
@@ -303,7 +318,9 @@ def recover_with_faults(
                     killed.append(name)
                     n_killed += 1
 
-        outcome = state.replan_pending(tau, continuing, plan.available_intervals(tau))
+        outcome = state.replan_pending(
+            tau, continuing, plan.available_intervals(tau), next_epoch
+        )
 
         epochs.append(
             EpochRecord(

@@ -2,16 +2,24 @@
 
 The barrier / partition / stitch edge cases the two clients (fault recovery,
 online arrivals) depend on: empty pending sets, all-continuing epochs, an
-epoch at time 0, and arrivals tied exactly with a completion.
+epoch at time 0, arrivals tied exactly with a completion, and epochs whose
+plan the next epoch supersedes before it starts.
 """
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_replan import every_epoch_online, every_epoch_recovery, placements
+from repro.core.bounds import trivial_lower_bound
 from repro.core.job import TabulatedJob
 from repro.core.replan import (
     EPOCH_EPS,
     PlacedEntry,
     ReplanError,
+    ReplanOutcome,
     ReplanState,
     availability_prefix,
     remap_spans,
@@ -19,6 +27,9 @@ from repro.core.replan import (
 )
 from repro.core.fptas import fptas_machine_threshold
 from repro.core.validation import validate_schedule
+from repro.online import OnlineScheduler
+from repro.resilience import random_fault_plan, recover_with_faults
+from repro.workloads.generators import random_arrivals_instance, random_mixed_instance
 
 
 def constant_job(name: str, duration: float) -> TabulatedJob:
@@ -97,6 +108,166 @@ class TestCommitEpoch:
         assert outcome.barrier == 8.0  # b ends at 2 + 6
         new = [p for p in state.current if p.job is c]
         assert new and new[0].start >= 8.0
+
+
+class TestSupersededEpoch:
+    """An epoch whose barrier lies past ``next_epoch + EPOCH_EPS`` is not
+    solved: every entry of its plan would still be queued at the next
+    epoch, which returns them all to the pool."""
+
+    NEXT = 5.0
+    BOUND = NEXT + EPOCH_EPS
+
+    @staticmethod
+    def draining(end, waiting=3.0):
+        """Job ``a`` drains on machine 0 until ``end``; ``b`` waits."""
+        a, b = constant_job("a", end), constant_job("b", waiting)
+        state = ReplanState(m=2)
+        state.add_jobs([a, b])
+        state.current = [placed(a, 0.0, end, [(0, 1)])]
+        return state, state.commit_epoch(1.0)
+
+    def test_solves_only_up_to_the_bound(self, monkeypatch):
+        import repro.core.replan as replan
+
+        solved = []
+        solve = replan.schedule_moldable
+
+        def spy(*args, **kwargs):
+            solved.append([j.name for j in args[0]])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(replan, "schedule_moldable", spy)
+        state, part = self.draining(self.BOUND)
+        outcome = state.replan_pending(1.0, part.running, [(0, 2)], self.NEXT)
+        assert outcome.barrier == self.BOUND
+        assert outcome.replanned == 1 and solved == [["b"]]
+
+        past = math.nextafter(self.BOUND, math.inf)
+        state, part = self.draining(past)
+        sentinel = object()
+        state.gamma_probes, state.prev_oracle = 7, sentinel
+        outcome = state.replan_pending(1.0, part.running, [(0, 2)], self.NEXT)
+        assert solved == [["b"]]
+        assert outcome == ReplanOutcome(
+            barrier=past, m_avail=2, replanned=0, latency=0.0, algorithm=None, backend=None
+        )
+        assert state.current == part.running
+        assert state.replan_latencies == []
+        assert state.gamma_probes == 7 and state.prev_oracle is sentinel
+
+    def test_the_last_epoch_always_solves(self):
+        state, part = self.draining(100.0)
+        outcome = state.replan_pending(1.0, part.running, [(0, 2)], None)
+        assert outcome.replanned == 1 and len(state.replan_latencies) == 1
+
+    def test_next_epoch_sees_the_same_running_set_and_pool(self):
+        def next_partition(next_epoch):
+            state, part = self.draining(9.0)
+            state.replan_pending(1.0, part.running, [(0, 2)], next_epoch)
+            return state, state.commit_epoch(self.NEXT)
+
+        def names(entries):
+            return [(p.job.name, p.start, p.spans) for p in entries]
+
+        skipped_state, skipped = next_partition(self.NEXT)
+        solved_state, solved = next_partition(None)
+        assert skipped.finished == solved.finished == []
+        assert names(skipped.running) == names(solved.running) == [("a", 0.0, [(0, 1)])]
+        assert skipped.queued == []
+        assert [p.job.name for p in solved.queued] == ["b"]
+        assert [j.name for j in skipped_state.pending.values()] == ["a", "b"]
+        assert [j.name for j in solved_state.pending.values()] == ["a", "b"]
+
+    def test_tiny_job_just_past_the_bound_never_finishes(self):
+        """A job shorter than 2·EPOCH_EPS placed at a barrier one ulp past
+        the bound still ends past it, so the solved plan reports it queued,
+        never finished, and the skip loses nothing."""
+        past = math.nextafter(self.BOUND, math.inf)
+
+        def run(next_epoch):
+            state, part = self.draining(past, waiting=1e-10)
+            state.replan_pending(1.0, part.running, [(0, 2)], next_epoch)
+            nxt = state.commit_epoch(self.NEXT)
+            assert nxt.finished == []
+            state.replan_pending(self.NEXT, nxt.running, [(0, 2)])
+            state.finish()
+            return state.stitch(), nxt
+
+        skipped, skipped_part = run(self.NEXT)
+        solved, solved_part = run(None)
+        assert [p.job.name for p in solved_part.queued] == ["b"]
+        assert skipped_part.queued == []
+        assert placements(skipped) == placements(solved)
+
+
+#: Epoch policies for the every-epoch comparison; ``quantum`` is scaled off
+#: each instance's release span.
+POLICIES = ("immediate", "quantum", "count")
+
+
+class TestEveryEpochReference:
+    """The clients' stitched schedules are bit-identical to re-solving
+    every epoch, with no more solves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        m=st.sampled_from([4, 16, 64]),
+        policy=st.sampled_from(POLICIES),
+        algorithm=st.sampled_from(["auto", "two_approx"]),
+        backend=st.sampled_from(["scalar", "vectorized"]),
+    )
+    def test_online_matches_every_epoch_solves(self, seed, n, m, policy, algorithm, backend):
+        inst = random_arrivals_instance(n, m, seed=seed)
+        kwargs = {"policy": policy}
+        if policy == "quantum":
+            kwargs["quantum"] = (max(inst.releases) or 1.0) / 4
+        elif policy == "count":
+            kwargs["batch_size"] = 1 + seed % 4
+        scheduler = OnlineScheduler(
+            m, eps=0.25, algorithm=algorithm, backend=backend, **kwargs
+        )
+        result = scheduler.run(inst.arrivals)
+        reference, replans = every_epoch_online(scheduler, inst.arrivals)
+        assert placements(result.schedule) == placements(reference)
+        assert result.report.replans <= replans
+        assert result.report.replans == sum(1 for e in result.report.epochs if e.replanned)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        m=st.sampled_from([4, 16, 32]),
+        algorithm=st.sampled_from(["auto", "two_approx"]),
+        backend=st.sampled_from(["scalar", "vectorized"]),
+    )
+    def test_recovery_matches_every_epoch_solves(self, seed, n, m, algorithm, backend):
+        jobs = random_mixed_instance(n, m, seed=seed).jobs
+        horizon = 1.5 * trivial_lower_bound(jobs, m) or 1.0
+        plan = random_fault_plan(
+            [j.name for j in jobs], m, seed=seed, failures=3, kills=2, horizon=horizon
+        )
+        result = recover_with_faults(
+            jobs, m, plan, eps=0.25, algorithm=algorithm, backend=backend
+        )
+        reference, replans = every_epoch_recovery(
+            jobs, m, plan, eps=0.25, algorithm=algorithm, backend=backend
+        )
+        assert placements(result.schedule) == placements(reference)
+        assert result.report.replans <= replans
+
+    def test_a_draining_stream_solves_few_of_its_epochs(self):
+        """While long jobs drain, each arrival's plan is superseded by the
+        next arrival before its barrier, so most epochs do not solve."""
+        inst = random_arrivals_instance(80, 64, seed=1)
+        scheduler = OnlineScheduler(64)
+        result = scheduler.run(inst.arrivals)
+        reference, replans = every_epoch_online(scheduler, inst.arrivals)
+        assert placements(result.schedule) == placements(reference)
+        assert replans == len(result.report.epochs) == 80
+        assert result.report.replans <= 8
 
 
 class TestFinishAndStitch:

@@ -32,7 +32,11 @@ every backend and asserts
   restart killed jobs) replays that allotment in start order through
   :func:`repro.core.certificates.replay_certificate` and through the heap
   reference loop (``tests/core/reference_list_scheduling.py``), and the two
-  schedules must be identical.
+  schedules must be identical;
+* for the ``online`` and ``faulty`` families, a stitched schedule
+  identical to the every-epoch reference loop
+  (``tests/core/reference_replan.py``), which solves each epoch's plan even
+  where the next epoch discards it unstarted, with no more solves.
 
 :func:`save_failure` serialises a failing case into ``corpus/`` — the
 hypothesis fuzzer in ``test_cross_backend.py`` calls it from its exception
@@ -82,6 +86,7 @@ from repro.workloads.generators import (
 _TESTS = os.path.join(os.path.dirname(__file__), "..")
 sys.path[:0] = [os.path.join(_TESTS, "core"), os.path.join(_TESTS, "simulator")]
 from reference_list_scheduling import reference_list_schedule  # noqa: E402
+from reference_replan import every_epoch_online, every_epoch_recovery  # noqa: E402
 from reference_sim import reference_simulate  # noqa: E402
 from reference_validation import reference_validate  # noqa: E402
 
@@ -292,6 +297,16 @@ def _run_recovery_case(case: dict) -> None:
     scalar = run_recovery(case, "scalar", scalar_jobs, plan)
     scalar_survivors = [j for j in scalar_jobs if j.name not in set(scalar.killed)]
     _assert_validator_verdicts_agree(scalar.schedule, scalar_survivors, case)
+    reference, replans = every_epoch_recovery(
+        scalar_jobs,
+        effective_m(case),
+        plan,
+        eps=float(case["eps"]),
+        algorithm=case["driver"],
+        backend="scalar",
+    )
+    _assert_schedules_identical(reference, scalar.schedule, case, "every-epoch reference")
+    assert scalar.report.replans <= replans, f"case {case!r}: recovery solved more epochs"
 
     for backend in BACKENDS[1:]:
         jobs = build_instance(case).jobs
@@ -335,13 +350,13 @@ def online_policy_for(case: dict, instance) -> dict:
     return {"policy": "immediate"}
 
 
-def run_online(
+def online_scheduler(
     case: dict, backend: str, instance, *, warm_start: bool = True
-) -> OnlineResult:
-    """Run the whole online arrival-epoch loop under one backend."""
+) -> OnlineScheduler:
+    """The case's online scheduler under one backend."""
     if backend not in ONLINE_BACKENDS:
         raise KeyError(backend)
-    scheduler = OnlineScheduler(
+    return OnlineScheduler(
         effective_m(case),
         eps=float(case["eps"]),
         algorithm=case["driver"],
@@ -349,7 +364,15 @@ def run_online(
         warm_start=warm_start,
         **online_policy_for(case, instance),
     )
-    return scheduler.run(instance.arrivals)
+
+
+def run_online(
+    case: dict, backend: str, instance, *, warm_start: bool = True
+) -> OnlineResult:
+    """Run the whole online arrival-epoch loop under one backend."""
+    return online_scheduler(case, backend, instance, warm_start=warm_start).run(
+        instance.arrivals
+    )
 
 
 def _run_online_case(case: dict) -> None:
@@ -361,6 +384,11 @@ def _run_online_case(case: dict) -> None:
     scalar = run_online(case, "scalar", scalar_inst)
     _assert_validator_verdicts_agree(scalar.schedule, scalar_inst.jobs, case)
     _assert_list_schedule_matches_reference(scalar.schedule, scalar_inst.jobs, case)
+    reference, replans = every_epoch_online(
+        online_scheduler(case, "scalar", scalar_inst), scalar_inst.arrivals
+    )
+    _assert_schedules_identical(reference, scalar.schedule, case, "every-epoch reference")
+    assert scalar.report.replans <= replans, f"case {case!r}: online solved more epochs"
 
     for backend in ONLINE_BACKENDS[1:]:
         inst = build_instance(case)

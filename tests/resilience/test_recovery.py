@@ -78,8 +78,14 @@ class TestRecoveryDeterministic:
         res = recover_with_faults(jobs, 4, plan, eps=0.25, algorithm="two_approx")
         assert validate_schedule(res.schedule, jobs).ok
         _no_entry_runs_on_down_machines(res.schedule, plan)
-        # two epochs: the failure and the repair; both re-plan
-        assert res.report.replans == 2
+        # two epochs: the failure and the repair.  The failure epoch's
+        # barrier (10.0, the survivor's end) lies past the repair at 6.0, so
+        # the repair epoch would discard its plan unstarted: only the repair
+        # epoch solves
+        assert [e.time for e in res.report.epochs] == [1.0, 6.0]
+        assert [e.barrier for e in res.report.epochs] == [10.0, 10.0]
+        assert [e.replanned > 0 for e in res.report.epochs] == [False, True]
+        assert res.report.replans == 1
         # after the repair some entry runs on a repaired machine again
         assert any(
             entry.start >= 6.0 and any(first < 4 and first + c > 1 for first, c in entry.spans)
