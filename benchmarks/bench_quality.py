@@ -23,7 +23,6 @@ EPS = 0.2
         ("mrt", 1.5 + EPS),
         ("compressible", 1.5 + EPS),
         ("bounded", 1.5 + EPS),
-        ("bounded_linear", 1.5 + EPS),
     ],
 )
 def test_quality_on_planted_optimum(benchmark, algorithm, guarantee):
@@ -37,7 +36,7 @@ def test_quality_on_planted_optimum(benchmark, algorithm, guarantee):
     benchmark.extra_info["ratio"] = ratio
 
 
-@pytest.mark.parametrize("algorithm", ["two_approx", "mrt", "compressible", "bounded", "bounded_linear"])
+@pytest.mark.parametrize("algorithm", ["two_approx", "mrt", "compressible", "bounded"])
 def test_quality_on_random_mixed(benchmark, algorithm):
     instance = random_mixed_instance(120, 128, seed=9)
     result = benchmark(lambda: schedule_moldable(instance.jobs, instance.m, EPS, algorithm=algorithm))

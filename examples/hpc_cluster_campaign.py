@@ -28,7 +28,7 @@ from repro.serve import FleetInstance, ServePolicy, schedule_many
 from repro.simulator.engine import simulate_schedule
 from repro.workloads.generators import random_mixed_instance
 
-ALGORITHMS = ("two_approx", "mrt", "compressible", "bounded", "bounded_linear")
+ALGORITHMS = ("two_approx", "mrt", "compressible", "bounded")
 
 
 def _mp_context() -> str:

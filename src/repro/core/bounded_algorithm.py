@@ -21,7 +21,7 @@ and ``rho = (sqrt(1+delta)-1)/4`` the selected jobs are scheduled for the
 inflated target ``d' = (1+delta)^2 d``, giving makespan at most
 ``(3/2)(1+delta)^2 d <= (3/2+eps) d``.
 
-The facade's ``"bounded_linear"`` (Section 4.3.3) is an alias: its bucketed
+Section 4.3.3's linear-time variant needs no code of its own: its bucketed
 piggyback-host search returns the shortest host, the one a linear scan finds.
 """
 

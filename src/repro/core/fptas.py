@@ -20,7 +20,7 @@ from .bounds import estimator_steps
 from .capacity import index_array
 # dual_binary_search is unused here but stays importable: perfbench/layers.py patches it by name
 from .dual import DualSearchResult, check_eps, dual_binary_search, dual_search_steps  # noqa: F401
-from .exact_small import exact_schedule, exact_solver_applicable
+from .exact_small import exact_driver, exact_solver_applicable
 from .job import MoldableJob
 from .schedule import Schedule
 from .validation import assert_valid_schedule
@@ -187,13 +187,7 @@ def ptas_schedule(
     if m >= fptas_machine_threshold(n, eps):
         return fptas_schedule(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)
     if exact_solver_applicable(n, m, max_jobs=PTAS_EXACT_LIMIT):
-        schedule = exact_schedule(jobs, m)
-        schedule.metadata["algorithm"] = "ptas_exact"
-        schedule.metadata["guarantee"] = 1.0
-        schedule.metadata["backend"] = "scalar"
-        if validate:
-            assert_valid_schedule(schedule, jobs)
-        return DualSearchResult(schedule, schedule.makespan, schedule.makespan, 0, 0)
+        return exact_driver(jobs, m, validate=validate, label="ptas_exact")
     # documented substitution: the (3/2+eps) algorithm instead of Jansen-Thöle
     from .bounded_algorithm import bounded_schedule
 

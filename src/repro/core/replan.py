@@ -39,7 +39,9 @@ rest at a barrier* — so the machinery lives here once:
 Each solved epoch builds its executor with :func:`~repro.core.backend.resolve_backend`
 on its driver's row of :data:`~repro.core.scheduler.DRIVERS` (decided per
 epoch by the epoch's size under ``backend="auto"``) and hands it to the
-segment solve; ``exact`` runs none and ``ptas`` picks its branch's itself.
+segment solve.  ``exact`` runs on none, and ``ptas``, which has no row, gets
+none: its tiny branch is the same exact search, and its other branches
+resolve ``backend`` on the FPTAS or Algorithm 3 row themselves.
 A vectorized epoch's :class:`~repro.perf.oracle.BatchedOracle` takes the
 caller's ``warm_start`` flag and, when it is set, is primed from the
 previous vectorized solve's oracle
@@ -58,6 +60,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.backend import resolve_backend
+from repro.core.exact_small import exact_solver_applicable
 from repro.core.fptas import fptas_machine_threshold
 from repro.core.job import MoldableJob
 from repro.core.schedule import Schedule
@@ -198,7 +201,7 @@ def segment_algorithm(algorithm: str, n: int, m_avail: int, eps: float) -> str:
         return "auto"  # schedule_moldable re-derives the regime per segment
     if algorithm == "fptas" and m_avail < fptas_machine_threshold(n, eps):
         return "bounded"
-    if algorithm == "exact" and (n > 7 or m_avail > 8):
+    if algorithm == "exact" and not exact_solver_applicable(n, m_avail):
         return "bounded"
     return algorithm
 
@@ -208,10 +211,11 @@ class ReplanState:
     """Mutable state of one incremental re-planning run.
 
     The job pool may be seeded up front (recovery: every job exists at t=0)
-    or grown over time via :meth:`add_jobs` (online arrivals).  ``jobs``
-    preserves insertion order, and re-plans always iterate it in that order —
-    segment solves are order-sensitive in tie-breaking, so this is part of
-    the bit-identity contract.
+    or grown over time via :meth:`add_jobs` (online arrivals).  ``pending``
+    keeps insertion order, and a job leaves it for good once committed or
+    dropped, so re-plans iterate it in arrival order — segment solves are
+    order-sensitive in tie-breaking, so this is part of the bit-identity
+    contract.
 
     ``error`` is the exception class raised on impossible states, letting
     clients surface their own domain error (recovery raises
@@ -225,7 +229,6 @@ class ReplanState:
     warm_start: bool = True
     error: Type[Exception] = ReplanError
 
-    jobs: List[MoldableJob] = field(default_factory=list)
     pending: Dict[int, MoldableJob] = field(default_factory=dict)
     committed: List[PlacedEntry] = field(default_factory=list)
     current: List[PlacedEntry] = field(default_factory=list)
@@ -244,7 +247,6 @@ class ReplanState:
         """Add newly-arrived jobs to the pending pool (insertion order is the
         re-plan order)."""
         for job in jobs:
-            self.jobs.append(job)
             self.pending[id(job)] = job
 
     def drop_job(self, job: MoldableJob) -> bool:
@@ -278,13 +280,18 @@ class ReplanState:
         survivors to :meth:`replan_pending`; queued entries implicitly return
         to the pool because their jobs are still pending.
         """
-        finished = [p for p in self.current if p.end <= tau + EPOCH_EPS]
+        finished, running, queued = [], [], []
+        done, started = tau + EPOCH_EPS, tau - EPOCH_EPS
+        for p in self.current:
+            if p.end <= done:
+                finished.append(p)
+            elif p.start < started:
+                running.append(p)
+            else:
+                queued.append(p)
+        self.committed.extend(finished)
         for p in finished:
-            self.committed.append(p)
             self.pending.pop(id(p.job), None)
-        live = [p for p in self.current if p.end > tau + EPOCH_EPS]
-        running = [p for p in live if p.start < tau - EPOCH_EPS]
-        queued = [p for p in live if p.start >= tau - EPOCH_EPS]
         return EpochPartition(finished=finished, running=running, queued=queued)
 
     def replan_pending(
@@ -319,7 +326,7 @@ class ReplanState:
         been solved, and warm starts never change a schedule.
         """
         draining = {id(p.job) for p in continuing}
-        to_plan = [j for j in self.jobs if id(j) in self.pending and id(j) not in draining]
+        to_plan = [j for key, j in self.pending.items() if key not in draining]
         m_avail = sum(end - first for first, end in available)
         if not to_plan:
             self.current = list(continuing)

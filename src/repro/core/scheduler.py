@@ -14,14 +14,15 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence
 from .bounded_algorithm import bounded_schedule
 from .bounds import makespan_lower_bound
 from .compressible_algorithm import compressible_schedule
-from .dual import DualSearchResult, check_eps
-from .exact_small import exact_schedule, exact_solver_applicable
+from .dual import check_eps
+from .exact_small import exact_driver
 from .fptas import fptas_machine_threshold, fptas_schedule, ptas_schedule
 from .job import MoldableJob
 from .mrt import mrt_schedule
 from .schedule import Schedule
 from .two_approx import two_approximation
-from .validation import assert_valid_schedule
+# assert_valid_schedule is unused here but stays importable: perfbench/layers.py patches it by name
+from .validation import assert_valid_schedule  # noqa: F401
 
 __all__ = [
     "ALGORITHMS",
@@ -62,8 +63,8 @@ class SchedulingResult:
 
     @property
     def backend(self) -> Optional[str]:
-        """The backend the driver actually ran (``None`` when no driver ran:
-        empty instances and ``"exact"``)."""
+        """The backend the driver actually ran: ``"scalar"`` for the exact
+        search, ``None`` only for an empty instance, where no driver ran."""
         return self.schedule.metadata.get("backend")
 
 
@@ -105,31 +106,15 @@ class Driver(NamedTuple):
     #: the driver's ``guarantee``
     run: Callable
     #: the row of :data:`~repro.core.backend.AUTO_VECTORIZED_MIN_N` the
-    #: driver resolves its executor on; ``None`` when it picks none itself
-    #: (``exact`` runs without one, ``ptas`` resolves per branch)
+    #: driver resolves its executor on; ``None`` when it resolves none on a
+    #: row of its own: ``exact`` runs without one, and ``ptas`` either runs
+    #: the same exact search or passes ``backend`` on to the FPTAS or
+    #: Algorithm 3 driver it dispatches to
     row: Optional[str]
 
 
 def _two_approx(jobs, m, eps, **kwargs):
     return two_approximation(jobs, m, **kwargs)
-
-
-def _bounded_linear(jobs, m, eps, **kwargs):
-    # Section 4.3.3's bucketed host search returns the host a linear scan
-    # finds, so the alias runs Algorithm 3 and only relabels the schedule
-    res = bounded_schedule(jobs, m, eps, **kwargs)
-    res.schedule.metadata["algorithm"] = "bounded_linear"
-    return res
-
-
-def _exact(jobs, m, eps, *, validate=True, backend=None, oracle=None):
-    if not exact_solver_applicable(len(jobs), m):
-        raise ValueError("the exact algorithm only handles tiny instances (n <= 7, m <= 8)")
-    schedule = exact_schedule(jobs, m)
-    schedule.metadata["guarantee"] = 1.0
-    if validate:
-        assert_valid_schedule(schedule, jobs)
-    return DualSearchResult(schedule, schedule.makespan, schedule.makespan, 0, 0)
 
 
 #: The driver behind every facade algorithm except ``"auto"``.
@@ -138,10 +123,9 @@ DRIVERS: Dict[str, Driver] = {
     "mrt": Driver(mrt_schedule, "mrt"),
     "compressible": Driver(compressible_schedule, "compressible"),
     "bounded": Driver(bounded_schedule, "bounded"),
-    "bounded_linear": Driver(_bounded_linear, "bounded"),
     "fptas": Driver(fptas_schedule, "fptas"),
     "ptas": Driver(ptas_schedule, None),
-    "exact": Driver(_exact, None),
+    "exact": Driver(exact_driver, None),
 }
 
 ALGORITHMS = ("auto", *DRIVERS)
@@ -181,13 +165,14 @@ def schedule_moldable(
             Mounié–Rapine–Trystram with the exact ``O(nm)`` knapsack.
         ``"compressible"``
             Algorithm 1 of Section 4.2.5.
-        ``"bounded"`` / ``"bounded_linear"``
-            Algorithm 3 of Section 4.3; ``"bounded_linear"`` (Section 4.3.3)
-            is an alias that runs the same code and returns the same schedule.
+        ``"bounded"``
+            Algorithm 3 of Section 4.3 (its Section 4.3.3 linear-time variant
+            returns the same schedule, so it has no name of its own).
         ``"fptas"`` / ``"ptas"``
             Section 3 algorithms.
         ``"exact"``
-            Branch-and-bound optimum (tiny instances only).
+            Branch-and-bound optimum of :mod:`repro.core.exact_small`, for
+            n <= 7 and m <= 8 only (larger instances raise ``ValueError``).
     backend:
         ``"vectorized"`` runs γ-allotments on the NumPy fast path,
         ``"scalar"`` on the bit-identical per-job reference (see

@@ -32,7 +32,7 @@ from .common import Table
 
 __all__ = ["QualityRow", "run", "main"]
 
-ALGORITHMS = ("two_approx", "mrt", "compressible", "bounded", "bounded_linear")
+ALGORITHMS = ("two_approx", "mrt", "compressible", "bounded")
 
 
 @dataclass

@@ -38,8 +38,10 @@ stitched end-to-end schedule is conflict-free *by construction* and passes
 the unmodified :func:`~repro.core.validation.validate_schedule` (with the
 killed jobs removed from the expected set).
 
-Consecutive vectorized re-plans (of every driver but ``exact`` and the
-``ptas`` dispatcher) reuse γ-search work two ways: the per-epoch
+Consecutive vectorized re-plans (of every driver with a row in
+:data:`~repro.core.scheduler.DRIVERS`; ``exact`` runs no executor, and the
+``ptas`` dispatcher's branches build their own) reuse γ-search work two
+ways: the per-epoch
 :class:`~repro.perf.oracle.BatchedOracle` is built with ``warm_start=True``
 *and* primed from the previous solved epoch's oracle
 (:meth:`~repro.perf.oracle.BatchedOracle.prime_from`), so each solve's dual

@@ -28,16 +28,14 @@ EPS = 0.1
 #: (algorithm, m, the row's threshold) per facade name whose "auto" crosses
 #: over: m=64 keeps bounded, mrt and compressible on their shelf duals
 #: (m < 16n), m=2^20 puts fptas in its regime and sends bounded and
-#: compressible to their large-m branch (the fptas row).  The bounded_linear
-#: alias resolves on bounded's row; ptas has no row and passes "auto" to the
-#: FPTAS or bounded driver.
+#: compressible to their large-m branch (the fptas row).  ptas has no row and
+#: passes "auto" to the FPTAS or bounded driver.
 STRADDLES = [
     ("fptas", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
     ("two_approx", 64, AUTO_VECTORIZED_MIN_N["two_approx"]),
     ("bounded", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
     ("mrt", 64, AUTO_VECTORIZED_MIN_N["mrt"]),
     ("compressible", 64, AUTO_VECTORIZED_MIN_N["compressible"]),
-    ("bounded_linear", 64, AUTO_VECTORIZED_MIN_N["bounded"]),
     ("bounded", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
     ("compressible", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
     ("ptas", 1 << 20, AUTO_VECTORIZED_MIN_N["fptas"]),
@@ -127,14 +125,6 @@ class TestStraddle:
             backend="vectorized",
         )
         assert _solved(auto) == _solved(vectorized)
-
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_bounded_linear_is_an_alias_of_bounded(self, backend):
-        jobs = random_mixed_instance(30, 64, seed=7).jobs
-        alias = schedule_moldable(jobs, 64, EPS, algorithm="bounded_linear", backend=backend)
-        bounded = schedule_moldable(jobs, 64, EPS, algorithm="bounded", backend=backend)
-        assert _solved(alias) == _solved(bounded)
-        assert alias.algorithm == alias.schedule.metadata["algorithm"] == "bounded_linear"
 
 
 class TestReportedBackend:
@@ -229,7 +219,7 @@ class TestOnlineAuto:
             assert outcome.backend == "scalar" and isinstance(handed[-1], ScalarOracle)
             # only a batched epoch primes the next one and counts probes
             assert state.prev_oracle is None and state.gamma_probes is None
-        for algorithm in ("two_approx", "mrt", "compressible", "bounded", "bounded_linear"):
+        for algorithm in ("two_approx", "mrt", "compressible", "bounded"):
             state, outcome = replan_once(algorithm, "vectorized")
             assert outcome.backend == "vectorized" and isinstance(handed[-1], BatchedOracle)
             assert state.prev_oracle is handed[-1] and state.gamma_probes > 0
@@ -317,7 +307,7 @@ class TestMismatchedOracle:
         with pytest.raises(ValueError, match=message):
             schedule_moldable(jobs, self.M, EPS, algorithm=algorithm, oracle=oracle)
 
-    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "bounded", "bounded_linear", "ptas"])
+    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "bounded", "ptas"])
     def test_shelf_drivers_run_on_a_matching_facade_oracle(self, algorithm):
         jobs = random_mixed_instance(20, 16, seed=1).jobs
         oracle = BatchedOracle(jobs, 16)

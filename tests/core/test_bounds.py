@@ -458,7 +458,7 @@ class TestGeometricMidpoint:
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     @pytest.mark.parametrize(
-        "algorithm", ["bounded", "bounded_linear", "mrt", "compressible", "ptas"]
+        "algorithm", ["bounded", "mrt", "compressible", "ptas"]
     )
     @pytest.mark.parametrize("t1", [1e160, 1e300, 1e-200])
     def test_extreme_job_lengths_keep_the_guarantee(self, t1, algorithm, backend):

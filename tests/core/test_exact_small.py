@@ -1,12 +1,17 @@
 """Tests for the exact branch-and-bound solver for tiny instances."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bounds import trivial_lower_bound
 from repro.core.exact_small import exact_makespan, exact_schedule, exact_solver_applicable
 from repro.core.job import TabulatedJob
 from repro.core.validation import assert_valid_schedule
-from repro.workloads.generators import random_monotone_tabulated_instance
+from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
+from repro.workloads.speedup_models import random_monotone_speedup
+
+from reference_exact import reference_exact_schedule
 
 
 class TestApplicability:
@@ -16,10 +21,11 @@ class TestApplicability:
         assert not exact_solver_applicable(4, 100)
         assert not exact_solver_applicable(0, 4)
 
-    def test_too_large_raises(self):
-        jobs = [TabulatedJob(f"j{i}", [1.0]) for i in range(12)]
-        with pytest.raises(ValueError):
-            exact_schedule(jobs, 4)
+    @pytest.mark.parametrize("n, m", [(8, 4), (12, 4), (3, 9)])
+    def test_too_large_raises(self, n, m):
+        jobs = [TabulatedJob(f"j{i}", [1.0]) for i in range(n)]
+        with pytest.raises(ValueError, match="only handles tiny instances"):
+            exact_schedule(jobs, m)
 
 
 class TestExactOptimum:
@@ -80,8 +86,70 @@ class TestExactOptimum:
             opt4 = exact_makespan(instance.jobs, 4)
             assert opt4 <= opt2 * (1 + 1e-9)
 
-    def test_force_flag(self):
-        jobs = [TabulatedJob(f"j{i}", [1.0]) for i in range(3)]
-        # m=9 exceeds the default limit but force allows it
-        schedule = exact_schedule(jobs, 9, force=True)
-        assert schedule.makespan == pytest.approx(1.0)
+    def test_non_monotone_job_takes_its_fastest_allotment(self):
+        """Two machines are slower than one; three are fastest."""
+        job = TabulatedJob("j", [3.0, 5.0, 1.0, 4.0])
+        assert exact_makespan([job], 4) == 1.0
+
+    #: makespans of the former backfilling solver (the tests' reference) on
+    #: random_mixed_instance(6, 8, seed), which takes it 7-19 s each
+    REFERENCE_6_BY_8 = {1: 96.90783271210947, 4: 159.29624349393987}
+
+    @pytest.mark.parametrize("seed", sorted(REFERENCE_6_BY_8))
+    def test_six_jobs_on_eight_machines_match_the_reference(self, seed):
+        jobs = random_mixed_instance(6, 8, seed=seed).jobs
+        schedule = exact_schedule(jobs, 8)
+        assert schedule.makespan == self.REFERENCE_6_BY_8[seed]
+        assert_valid_schedule(schedule, jobs)
+
+
+@st.composite
+def tiny_instances(draw):
+    """``(jobs, m)`` with n <= 5 and m <= 8: monotone tables, identical jobs
+    (ties everywhere) or non-monotone tables from a small value grid.
+
+    Identical jobs stop at n = 4: the reference tries allotment vectors in
+    lexicographic order, and five identical linear jobs on seven machines
+    have their only optimum (all seven machines each) last, which takes it
+    about 25 s; ``test_identical_linear_jobs_fill_every_machine`` covers it."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["monotone", "identical", "non_monotone"]))
+    n = draw(st.integers(min_value=1, max_value=4 if kind == "identical" else 5))
+    if kind == "monotone":
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10 ** 6)))
+        tables = [
+            [t1 / s for s in random_monotone_speedup(m, rng)]
+            for t1 in rng.uniform(1.0, 50.0, size=n)
+        ]
+    elif kind == "identical":
+        t1 = draw(st.sampled_from([1.0, 2.5, 7.0]))
+        tables = [[t1 / k for k in range(1, m + 1)]] * n
+    else:
+        grid = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+        tables = [draw(st.lists(grid, min_size=m, max_size=m)) for _ in range(n)]
+    return [TabulatedJob(f"j{i}", table) for i, table in enumerate(tables)], m
+
+
+class TestAgainstReference:
+    """The strict-order search against the backfilling search it replaced."""
+
+    @given(tiny_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_makespans_equal_and_schedules_valid(self, instance):
+        jobs, m = instance
+        schedule = exact_schedule(jobs, m)
+        assert schedule.makespan == reference_exact_schedule(jobs, m).makespan
+        assert_valid_schedule(schedule, jobs)
+
+    def test_identical_linear_jobs_fill_every_machine(self):
+        jobs = [TabulatedJob(f"j{i}", [1.0 / k for k in range(1, 8)]) for i in range(5)]
+        schedule = exact_schedule(jobs, 7)
+        assert schedule.makespan == pytest.approx(5 / 7, rel=1e-12)
+        assert_valid_schedule(schedule, jobs)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 8), (5, 1), (4, 2)])
+    def test_edge_sizes(self, n, m):
+        jobs = random_mixed_instance(n, m, seed=n * 10 + m).jobs
+        schedule = exact_schedule(jobs, m)
+        assert schedule.makespan == reference_exact_schedule(jobs, m).makespan
+        assert_valid_schedule(schedule, jobs)

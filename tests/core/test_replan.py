@@ -371,5 +371,14 @@ class TestSegmentAlgorithm:
         assert segment_algorithm("exact", 8, 8, 0.1) == "bounded"
         assert segment_algorithm("exact", 7, 9, 0.1) == "bounded"
 
+    @pytest.mark.parametrize("n, m, ran", [(3, 8, "exact"), (8, 8, "bounded"), (3, 9, "bounded")])
+    def test_exact_epoch_falls_back_past_the_solver_window(self, n, m, ran):
+        """A pinned ``exact`` re-plan runs the exact solver inside its window
+        (n <= 7, m <= 8) and Algorithm 3 at n = 8 or m = 9."""
+        state = ReplanState(m=m, algorithm="exact")
+        state.add_jobs(random_mixed_instance(n, m, seed=n + m).jobs)
+        outcome = state.replan_pending(0.0, [], [(0, m)])
+        assert outcome.algorithm == ran and outcome.replanned == n
+
     def test_two_approx_untouched(self):
         assert segment_algorithm("two_approx", 100, 1, 0.1) == "two_approx"

@@ -24,12 +24,13 @@ class TestFacade:
         with pytest.raises(ValueError):
             schedule_moldable([], 0)
 
-    def test_unknown_algorithm(self):
+    @pytest.mark.parametrize("algorithm", ["quantum", "bounded_linear"])
+    def test_unknown_algorithm(self, algorithm):
         instance = random_mixed_instance(5, 4, seed=0)
-        with pytest.raises(ValueError):
-            schedule_moldable(instance.jobs, 4, algorithm="quantum")
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            schedule_moldable(instance.jobs, 4, algorithm=algorithm)
 
-    @pytest.mark.parametrize("algorithm", ["two_approx", "mrt", "compressible", "bounded", "bounded_linear"])
+    @pytest.mark.parametrize("algorithm", ["two_approx", "mrt", "compressible", "bounded"])
     def test_all_algorithms_produce_valid_schedules(self, algorithm, small_mixed_instance):
         instance = small_mixed_instance
         result = schedule_moldable(instance.jobs, instance.m, 0.25, algorithm=algorithm)
@@ -58,7 +59,7 @@ class TestFacade:
     def test_exact_algorithm(self):
         instance = random_monotone_tabulated_instance(4, 4, seed=4)
         result = schedule_moldable(instance.jobs, 4, algorithm="exact")
-        assert result.guarantee == 1.0
+        assert result.guarantee == 1.0 and result.backend == "scalar"
         assert_valid_schedule(result.schedule, instance.jobs)
 
     def test_exact_rejects_large_instances(self):
@@ -83,7 +84,7 @@ class TestFacade:
     def test_guarantees_hold_against_lower_bound_times_slack(self):
         """All algorithms stay within guarantee * (OPT/LB slack) on random instances."""
         instance = random_mixed_instance(40, 48, seed=8)
-        for algorithm in ("two_approx", "mrt", "compressible", "bounded", "bounded_linear"):
+        for algorithm in ("two_approx", "mrt", "compressible", "bounded"):
             result = schedule_moldable(instance.jobs, 48, 0.2, algorithm=algorithm)
             assert result.guarantee is not None
             # the lower bound may be below OPT, so allow a generous 30% slack
@@ -99,7 +100,7 @@ class TestFacade:
 
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 1.5])
-    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "bounded", "bounded_linear", "fptas"])
+    @pytest.mark.parametrize("algorithm", ["mrt", "compressible", "bounded", "fptas"])
     def test_every_eps_driver_requires_eps_in_the_unit_interval(self, algorithm, eps):
         """mrt once returned guarantee=nan for eps=nan and inf for eps=inf."""
         instance = random_mixed_instance(20, 16, seed=1)

@@ -54,7 +54,7 @@ def test_online_example_reports_warm_start_parity():
 def test_campaign_example_reports_complete_fleet():
     proc = run_example("hpc_cluster_campaign.py")
     assert proc.returncode == 0, proc.stderr
-    assert "fleet: 5 solved, 0 degraded, 0 quarantined" in proc.stdout
+    assert "fleet: 4 solved, 0 degraded, 0 quarantined" in proc.stdout
     assert "best schedule: two_approx" in proc.stdout
     assert "QUARANTINED" not in proc.stdout
 

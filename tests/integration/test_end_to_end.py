@@ -65,7 +65,7 @@ class TestCrossAlgorithmConsistency:
         instance = planted_partition_instance(16, seed=5)
         opt = instance.known_optimum
         assert opt is not None
-        for algorithm in ("mrt", "compressible", "bounded", "bounded_linear"):
+        for algorithm in ("mrt", "compressible", "bounded"):
             result = schedule_moldable(instance.jobs, instance.m, 0.2, algorithm=algorithm)
             assert result.makespan <= 1.7 * opt * (1 + 1e-9)
 

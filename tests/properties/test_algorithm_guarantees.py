@@ -55,7 +55,7 @@ def medium_monotone_instances(draw, max_jobs=25, max_m=24):
 
 
 class TestFeasibilityProperties:
-    @given(medium_monotone_instances(), st.sampled_from(["two_approx", "mrt", "compressible", "bounded", "bounded_linear"]))
+    @given(medium_monotone_instances(), st.sampled_from(["two_approx", "mrt", "compressible", "bounded"]))
     @settings(max_examples=40, deadline=None)
     def test_all_algorithms_feasible(self, instance, algorithm):
         jobs, m = instance
@@ -76,7 +76,7 @@ class TestFeasibilityProperties:
 
 
 class TestGuaranteeProperties:
-    @given(tiny_monotone_instances(), st.sampled_from(["mrt", "compressible", "bounded", "bounded_linear"]))
+    @given(tiny_monotone_instances(), st.sampled_from(["mrt", "compressible", "bounded"]))
     @settings(max_examples=30, deadline=None)
     def test_three_halves_guarantee_vs_exact(self, instance, algorithm):
         jobs, m = instance
