@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bounds import trivial_lower_bound
-from repro.core.exact_small import exact_makespan, exact_schedule, exact_solver_applicable
+from repro.core.exact_small import exact_driver, exact_makespan, exact_schedule, exact_solver_applicable
 from repro.core.job import TabulatedJob
+from repro.core.scheduler import schedule_moldable
 from repro.core.validation import assert_valid_schedule
 from repro.workloads.generators import random_mixed_instance, random_monotone_tabulated_instance
 from repro.workloads.speedup_models import random_monotone_speedup
@@ -101,6 +102,48 @@ class TestExactOptimum:
         schedule = exact_schedule(jobs, 8)
         assert schedule.makespan == self.REFERENCE_6_BY_8[seed]
         assert_valid_schedule(schedule, jobs)
+
+
+class TestStrictOrder:
+    """The placement rule and the pruning rules, seen in the schedules."""
+
+    def test_starts_never_decrease_in_placement_order(self):
+        for seed in range(4):
+            jobs = random_mixed_instance(5, 4, seed=seed).jobs
+            starts = [entry.start for entry in exact_schedule(jobs, 4).entries]
+            assert starts == sorted(starts)
+
+    def test_equal_starts_are_placed_in_index_order(self):
+        jobs = [TabulatedJob(f"j{i}", [6.0, 4.0, 3.5, 3.0]) for i in range(4)]
+        schedule = exact_schedule(jobs, 4)
+        order = [(entry.start, int(entry.job.name[1:])) for entry in schedule.entries]
+        assert order == [(0.0, i) for i in range(4)]
+        assert schedule.makespan == 6.0
+
+    def test_dominated_allotments_are_never_chosen(self):
+        """No job runs on k machines when fewer run it no slower."""
+        tables = [[2.0, 2.0, 1.0], [1.0, 3.0, 1.0], [4.0, 1.5, 1.5], [1.0, 1.0, 1.0]]
+        jobs = [TabulatedJob(f"j{i}", table) for i, table in enumerate(tables)]
+        schedule = exact_schedule(jobs, 3)
+        for entry in schedule.entries:
+            k = entry.processors
+            assert all(entry.job.processing_time(k) < entry.job.processing_time(narrower) for narrower in range(1, k))
+        assert_valid_schedule(schedule, jobs)
+
+
+class TestExactDriver:
+    def test_label_guarantee_and_bounds(self):
+        jobs = random_monotone_tabulated_instance(4, 4, seed=4).jobs
+        result = exact_driver(jobs, 4, label="ptas_exact")
+        metadata = result.schedule.metadata
+        assert (metadata["algorithm"], metadata["guarantee"], metadata["backend"]) == ("ptas_exact", 1.0, "scalar")
+        assert result.accepted_d == result.lower_bound == result.schedule.makespan == exact_makespan(jobs, 4)
+
+    @pytest.mark.parametrize("n, m", [(8, 4), (3, 9)])
+    def test_facade_raises_the_solver_size_error(self, n, m):
+        jobs = [TabulatedJob(f"j{i}", [1.0] * m) for i in range(n)]
+        with pytest.raises(ValueError, match="only handles tiny instances"):
+            schedule_moldable(jobs, m, algorithm="exact")
 
 
 @st.composite
