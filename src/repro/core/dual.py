@@ -21,10 +21,13 @@ The search loop is written once, as the request generator
 :func:`dual_search_steps`; :func:`dual_binary_search` runs it with a dual
 step that sends no requests.  A dual step may also return a zero-argument
 *thunk* instead of a built ``Schedule``: acceptance is then decided by the
-non-``None`` return alone and the search materializes only the final
-accepted schedule — dual steps whose feasibility check is separate from
-schedule construction (the FPTAS) skip building the intermediate schedules
-the search would discard anyway.
+non-``None`` return alone, and only the final accepted thunk is called.  It
+returns an unbuilt :class:`~repro.perf.schedule_builder.ArraySchedule`,
+which the search hands to its executor as one ``("build", builder)``
+request — dual steps whose feasibility check is separate from schedule
+construction (the FPTAS) skip building the intermediate schedules the
+search would discard anyway, and a mega batch builds every segment's
+schedule in one pass.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ def dual_search_steps(step, lower, upper, tolerance: float, estimate=None):
     """The dual binary search as a request generator (the protocol of
     :meth:`repro.perf.oracle.BatchedOracle.run`).
 
-    ``step(d)`` is a generator returning a ``Schedule``, a thunk building
-    one, or ``None`` to reject.  A ``lower`` / ``upper`` of ``None`` comes
+    ``step(d)`` is a generator returning a ``Schedule``, a thunk returning
+    an unbuilt ``ArraySchedule`` (sent as a ``("build", builder)`` request),
+    or ``None`` to reject.  A ``lower`` / ``upper`` of ``None`` comes
     from ``estimate``.  The result's ``gamma_probes`` is left to the caller.
     """
     if lower is None:
@@ -110,7 +114,7 @@ def dual_search_steps(step, lower, upper, tolerance: float, estimate=None):
         best = yield from step(floor_d)
         if best is not None:
             if callable(best):
-                best = best()
+                best = yield ("build", best())
             return DualSearchResult(best, floor_d, lower, walked, 1, estimate=estimate)
         floor_calls = 1
 
@@ -140,7 +144,7 @@ def dual_search_steps(step, lower, upper, tolerance: float, estimate=None):
             lower = mid
 
     if callable(best):
-        best = best()
+        best = yield ("build", best())
     return DualSearchResult(best, best_d, lower, iterations, floor_calls + dual_calls, estimate=estimate)
 
 

@@ -71,14 +71,15 @@ def fptas_dual(
     jobs = list(jobs)  # before resolve_backend: the oracle build iterates jobs
     _, oracle = resolve_backend(jobs, m, "scalar", oracle)
     build = oracle.run(fptas_dual_steps(jobs, oracle, d, eps))
-    return None if build is None else build()
+    return None if build is None else build().build()
 
 
 def fptas_dual_steps(jobs: Sequence[MoldableJob], oracle, d: float, eps: float):
     """:func:`fptas_dual` as a request generator (the protocol of
     :meth:`repro.perf.oracle.BatchedOracle.run`): all γ-values in one
     lockstep search.  Returns ``None`` or, since acceptance needs only the
-    γ-sum, a thunk that builds the schedule from arrays."""
+    γ-sum, a thunk that returns the schedule's unbuilt
+    :class:`~repro.perf.schedule_builder.ArraySchedule`."""
     if d <= 0:
         return None
     m = oracle.m
@@ -92,13 +93,13 @@ def fptas_dual_steps(jobs: Sequence[MoldableJob], oracle, d: float, eps: float):
         return None
     metadata = {"algorithm": "fptas_dual", "d": d, "eps": eps}
 
-    def build() -> Schedule:
-        from ..perf.schedule_builder import schedule_from_arrays
+    def build():
+        from ..perf.schedule_builder import builder_from_arrays
 
         n = len(gammas)
         rows = np.arange(n, dtype=np.int64)
         starts = np.zeros(n, dtype=np.float64)
-        return schedule_from_arrays(jobs, m, rows, starts, index_array(offsets[:-1]), gammas, metadata=metadata)
+        return builder_from_arrays(jobs, m, rows, starts, index_array(offsets[:-1]), gammas, metadata=metadata)
 
     return build
 

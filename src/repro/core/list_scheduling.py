@@ -37,14 +37,18 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import chain, islice
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .allotment import Allotment
 from .job import MoldableJob
 from .schedule import MachineSpan, Schedule
 
+if TYPE_CHECKING:
+    from ..perf.schedule_builder import ArraySchedule
+
 __all__ = [
     "list_schedule",
+    "list_schedule_builder",
     "list_schedule_bound",
     "epoch_tolerance",
 ]
@@ -164,6 +168,23 @@ def list_schedule(
     Schedule
         A feasible schedule satisfying :func:`list_schedule_bound`.
     """
+    return list_schedule_builder(
+        jobs, allotment, m, order=order, durations=durations, stats=stats
+    ).build()
+
+
+def list_schedule_builder(
+    jobs: Sequence[MoldableJob],
+    allotment: Allotment,
+    m: int,
+    *,
+    order: Optional[Sequence[MoldableJob]] = None,
+    durations: Optional[Sequence[float]] = None,
+    stats: Optional[dict] = None,
+) -> ArraySchedule:
+    """:func:`list_schedule` up to the build: the same checks and placements,
+    returned as the unbuilt :class:`~repro.perf.schedule_builder.ArraySchedule`
+    (for drivers that hand their build to the executor)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     ids = set(map(id, jobs))
@@ -201,7 +222,7 @@ def list_schedule(
                 candidate_scans=0,
                 candidates_visited=0,
             )
-        return builder.build()
+        return builder
 
     # builder columns, written directly (block mode)
     (
@@ -339,7 +360,7 @@ def list_schedule(
             events=events,
             max_epoch_completions=max_epoch,
         )
-    return builder.build()
+    return builder
 
 
 #: A completion event ``(end, row, lo, hi, need, count)``: the ``count``

@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.backend import resolve_backend
 from repro.core.exact_small import exact_solver_applicable
-from repro.core.fptas import fptas_machine_threshold
+from repro.core.fptas import PTAS_EXACT_LIMIT, fptas_machine_threshold
 from repro.core.job import MoldableJob
 from repro.core.schedule import Schedule
 from repro.core.scheduler import DRIVERS, auto_algorithm, schedule_moldable
@@ -196,12 +196,16 @@ def remap_spans(
 def segment_algorithm(algorithm: str, n: int, m_avail: int, eps: float) -> str:
     """Per-epoch algorithm choice: respect the caller's pick where it stays
     applicable on the epoch's machine set, fall back deterministically
-    otherwise (identically across backends, preserving bit-equality)."""
+    otherwise (identically across backends, preserving bit-equality).
+
+    A pinned ``exact`` runs only up to :data:`~repro.core.fptas.PTAS_EXACT_LIMIT`
+    jobs, the window ``ptas`` solves exactly: one exact solve at the solver's
+    own limit (n = 7, m = 8) can take seconds, and a run pays it per epoch."""
     if algorithm == "auto":
         return "auto"  # schedule_moldable re-derives the regime per segment
     if algorithm == "fptas" and m_avail < fptas_machine_threshold(n, eps):
         return "bounded"
-    if algorithm == "exact" and not exact_solver_applicable(n, m_avail):
+    if algorithm == "exact" and not exact_solver_applicable(n, m_avail, max_jobs=PTAS_EXACT_LIMIT):
         return "bounded"
     return algorithm
 
@@ -326,9 +330,9 @@ class ReplanState:
         been solved, and warm starts never change a schedule.
         """
         draining = {id(p.job) for p in continuing}
-        to_plan = [j for key, j in self.pending.items() if key not in draining]
         m_avail = sum(end - first for first, end in available)
-        if not to_plan:
+        # whether one pending job is not draining: stops at the first one
+        if all(map(draining.__contains__, self.pending)):
             self.current = list(continuing)
             return ReplanOutcome(
                 barrier=tau,
@@ -339,9 +343,8 @@ class ReplanState:
                 backend=None,
             )
         if m_avail < 1:
-            raise self.error(
-                f"no machines available at epoch {tau} but {len(to_plan)} jobs are pending"
-            )
+            pending = sum(key not in draining for key in self.pending)
+            raise self.error(f"no machines available at epoch {tau} but {pending} jobs are pending")
         barrier = max([tau] + [p.end for p in continuing])
         if next_epoch is not None and barrier > next_epoch + EPOCH_EPS:
             self.current = list(continuing)
@@ -353,6 +356,7 @@ class ReplanState:
                 algorithm=None,
                 backend=None,
             )
+        to_plan = [j for key, j in self.pending.items() if key not in draining]
         seg_algorithm = segment_algorithm(self.algorithm, len(to_plan), m_avail, self.eps)
         chosen = (
             auto_algorithm(len(to_plan), m_avail, self.eps)

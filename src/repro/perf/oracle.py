@@ -191,7 +191,11 @@ class _Executor:
           every job (a scalar ``ks`` broadcasts);
         * ``("rows", threshold, rows, lo, hi)``, answered with
           :meth:`gamma_rows`: ``(γ, t)`` for the jobs at positions ``rows``
-          only, each inside the caller's bracket ``lo <= γ <= hi``.
+          only, each inside the caller's bracket ``lo <= γ <= hi``;
+        * ``("build", builder)``, answered with ``builder.build()``: the
+          :class:`~repro.core.schedule.Schedule` of an unbuilt
+          :class:`~repro.perf.schedule_builder.ArraySchedule`, a driver's
+          last request.
 
         :func:`repro.perf.megabatch.solve_mega` answers the same requests for
         many generators in batched rounds, so caches, ``stats`` and results
@@ -208,8 +212,10 @@ class _Executor:
                 reply = self.gamma_array(*args)
             elif kind == "eval":
                 reply = self.times_at(*args)
-            else:
+            elif kind == "rows":
                 reply = self.gamma_rows(*args)
+            else:
+                reply = args[0].build()
 
     def gamma_rows(self, threshold: float, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """``(gamma_j(threshold), t_j(gamma_j(threshold)))`` for the jobs at

@@ -24,6 +24,8 @@ itself columnar, no per-entry conversion happens at all; entry objects are
 materialized lazily by the schedule only if someone subscripts them.  The
 resulting :class:`Schedule` is *identical* (same entry order, same floats,
 same span tuples) to one assembled through sequential ``Schedule.add`` calls.
+:func:`build_schedules` builds many builders in one such pass (a mega
+batch's build round), each schedule identical to its own ``build()``.
 
 :class:`~repro.core.schedule.ScheduleColumns` — the flat read-side view the
 vectorized validator (:mod:`repro.core.validation`) and the event-sweep
@@ -34,6 +36,7 @@ backwards compatibility, together with the sweep helpers.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -54,6 +57,8 @@ from ..core.schedule import (
 __all__ = [
     "ArraySchedule",
     "ScheduleColumns",
+    "build_schedules",
+    "builder_from_arrays",
     "schedule_from_arrays",
     "grouped_running_count",
     "spans_time_overlap",
@@ -233,15 +238,9 @@ class ArraySchedule:
             if count[i] <= 0:
                 raise ValueError(f"span count must be positive, got {int(count[i])}")
             raise ValueError(f"span start must be non-negative, got {int(first[i])}")
-        # Normalize: sort spans by (owner, first), reject overlaps, merge
-        # exact adjacency — the batched twin of ``_normalize_spans``.
-        order = np.lexsort((first, owner))
-        of = first[order]
-        oc = count[order]
-        oo = owner[order]
-        ends = exact_add(of, oc)
-        same_owner = oo[1:] == oo[:-1]
-        overlap = same_owner & (of[1:] < ends[:-1])
+        spans = _SortedSpans(owner, first, count)
+        of, oc, ends = spans.first, spans.count, spans.ends
+        overlap = spans.same_owner & (of[1:] < ends[:-1])
         if overlap.any():
             i = int(np.flatnonzero(overlap)[0])
             raise ValueError(
@@ -262,24 +261,7 @@ class ArraySchedule:
         if spans_per_entry.min() == 0:
             raise ValueError("a scheduled job needs at least one machine span")
 
-        adjacent = same_owner & (of[1:] == ends[:-1])
-        new_run = np.concatenate(([True], ~adjacent))
-        run_start_idx = np.flatnonzero(new_run)
-        run_first = of[run_start_idx]
-        run_last_idx = np.concatenate((run_start_idx[1:], [len(of)])) - 1
-        run_count = ends[run_last_idx] - run_first
-        run_owner = oo[run_start_idx]
-
-        # exact per-entry processor totals: segment sums over the sorted spans.
-        # An entry's spans do not overlap, so its total is at most its last
-        # span end: int64 sums cannot wrap unless some end already went exact
-        entry_start = np.flatnonzero(np.concatenate(([True], oo[1:] != oo[:-1])))
-        procs = np.add.reduceat(oc.astype(ends.dtype, copy=False), entry_start)
-
-        runs_per_entry = np.bincount(run_owner, minlength=n)
-        span_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(runs_per_entry, out=span_off[1:])
-
+        procs, span_off, run_first, run_count = spans.merge(n)
         duration = np.full(n, np.nan, dtype=np.float64)
         has_override = np.zeros(n, dtype=bool)
         if self._any_override:
@@ -293,6 +275,160 @@ class ArraySchedule:
         )
         schedule._install_block(list(self._jobs), block)
         return schedule
+
+
+class _SortedSpans:
+    """Spans sorted by ``(owner, first)``, the order in which
+    ``repro.core.schedule._normalize_spans`` checks and merges one entry's
+    spans, with each span's end and whether its predecessor has the same
+    owner."""
+
+    __slots__ = ("first", "count", "owner", "ends", "same_owner")
+
+    def __init__(self, owner: np.ndarray, first: np.ndarray, count: np.ndarray) -> None:
+        order = np.lexsort((first, owner))
+        self.first = first[order]
+        self.count = count[order]
+        self.owner = owner[order]
+        self.ends = exact_add(self.first, self.count)
+        self.same_owner = self.owner[1:] == self.owner[:-1]
+
+    def merge(self, n: int):
+        """Merge exactly adjacent spans of an entry into runs, for ``n``
+        entries that each own a span and no overlapping ones: ``(procs,
+        span_off, run_first, run_count)``, each entry's processor total and
+        the offsets of its runs."""
+        of, oo, ends = self.first, self.owner, self.ends
+        adjacent = self.same_owner & (of[1:] == ends[:-1])
+        new_run = np.concatenate(([True], ~adjacent))
+        run_start_idx = np.flatnonzero(new_run)
+        run_first = of[run_start_idx]
+        run_last_idx = np.concatenate((run_start_idx[1:], [len(of)])) - 1
+        run_count = ends[run_last_idx] - run_first
+        run_owner = oo[run_start_idx]
+
+        # exact per-entry processor totals: segment sums over the sorted spans.
+        # An entry's spans do not overlap, so its total is at most its last
+        # span end: int64 sums cannot wrap unless some end already went exact
+        entry_start = np.flatnonzero(np.concatenate(([True], ~self.same_owner)))
+        procs = np.add.reduceat(self.count.astype(ends.dtype, copy=False), entry_start)
+
+        runs_per_entry = np.bincount(run_owner, minlength=n)
+        span_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(runs_per_entry, out=span_off[1:])
+        return procs, span_off, run_first, run_count
+
+
+def build_schedules(builders: Sequence[ArraySchedule]) -> List[Schedule]:
+    """``[builder.build() for builder in builders]`` in one columnar pass.
+
+    The builders' columns are concatenated, each builder's span owners
+    offset by its first row, and every check and the normalisation of
+    :meth:`ArraySchedule.build` run once over the whole pack.  Each
+    schedule then gets its own slice of the result: the same dtypes,
+    shapes, values, job list and metadata as its solo build, in arrays no
+    other schedule of the pack reaches.
+
+    A pack that flags anything (an invalid or overlapping span, a start
+    time that is not a finite non-negative float, an entry with no span, a
+    duration override, a value or ``m`` past int64) builds every builder
+    alone, in order, so the first bad builder raises its solo
+    :class:`ValueError`.
+    """
+    packed = _pack(builders) if len(builders) > 1 else None
+    if packed is None:
+        return [b.build() for b in builders]
+    spans, starts, bases, sizes = packed
+    n = len(starts)
+    procs, span_off, run_first, run_count = spans.merge(n)
+    duration = np.full(n, np.nan, dtype=np.float64)
+    has_override = np.zeros(n, dtype=bool)
+    run_at = span_off.tolist()
+    out = []
+    for b, a, size in zip(builders, bases.tolist(), sizes):
+        schedule = Schedule(m=b.m, metadata=b.metadata)
+        if size:
+            z = a + size
+            runs = slice(run_at[a], run_at[z])
+            block = _ColumnBlock(
+                size,
+                starts[a:z],
+                procs[a:z],
+                duration[a:z],
+                has_override[a:z],
+                span_off[a : z + 1] - run_at[a],
+                run_first[runs],
+                run_count[runs],
+            )
+            schedule._install_block(list(b._jobs), block)
+        out.append(schedule)
+    return out
+
+
+def _pack(builders: Sequence[ArraySchedule]):
+    """The builders' concatenated spans, sorted, and float64 starts, with
+    each builder's first row and row count, or ``None`` if the pack flags
+    anything :func:`build_schedules` leaves to the solo builds."""
+    sizes = [len(b._jobs) for b in builders]
+    span_sizes = [len(b._span_owner) for b in builders]
+    if (
+        sum(sizes) == 0
+        or max(b.m for b in builders) > np.iinfo(np.int64).max
+        or any(b._any_override for b in builders)
+        or any(len(b._span_first) != k or len(b._span_count) != k for b, k in zip(builders, span_sizes))
+    ):
+        return None
+    try:
+        local = np.asarray(list(chain.from_iterable(b._span_owner for b in builders)), dtype=np.int64)
+        first = np.asarray(list(chain.from_iterable(b._span_first for b in builders)), dtype=np.int64)
+        count = np.asarray(list(chain.from_iterable(b._span_count for b in builders)), dtype=np.int64)
+        starts = np.asarray(list(chain.from_iterable(b._starts for b in builders)))
+    except (OverflowError, TypeError, ValueError):
+        return None
+    bases = np.zeros(len(builders), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=bases[1:])
+    owner = local + np.repeat(bases, span_sizes)
+    if (
+        len(starts) != sum(sizes)
+        or starts.dtype.kind not in "biuf"
+        or not np.isfinite(starts).all()
+        or starts.min() < 0
+        or ((count <= 0) | (first < 0) | (local < 0)).any()
+        or (local >= np.repeat(sizes, span_sizes)).any()
+        or np.bincount(owner, minlength=len(starts)).min() == 0
+    ):
+        return None
+    spans = _SortedSpans(owner, first, count)
+    if spans.ends.dtype != np.int64 or (spans.same_owner & (spans.first[1:] < spans.ends[:-1])).any():
+        return None
+    return spans, starts.astype(np.float64, copy=False), bases, sizes
+
+
+def builder_from_arrays(
+    jobs: Sequence[MoldableJob],
+    m: int,
+    job_idx,
+    starts,
+    span_first,
+    span_count,
+    *,
+    span_owner=None,
+    duration_overrides: Optional[Sequence[Optional[float]]] = None,
+    metadata: Optional[dict] = None,
+) -> ArraySchedule:
+    """The unbuilt :class:`ArraySchedule` of :func:`schedule_from_arrays`."""
+    builder = ArraySchedule(m, metadata=metadata)
+    job_idx = np.asarray(job_idx, dtype=np.int64)
+    entry_jobs = [jobs[i] for i in job_idx.tolist()]
+    builder.extend_columns(
+        entry_jobs,
+        starts,
+        span_first,
+        span_count,
+        span_owner=span_owner,
+        duration_overrides=duration_overrides,
+    )
+    return builder
 
 
 def schedule_from_arrays(
@@ -317,15 +453,14 @@ def schedule_from_arrays(
         for i, j in enumerate(job_idx):
             schedule.add(jobs[j], starts[i], [(span_first[i], span_count[i])])
     """
-    builder = ArraySchedule(m, metadata=metadata)
-    job_idx = np.asarray(job_idx, dtype=np.int64)
-    entry_jobs = [jobs[i] for i in job_idx.tolist()]
-    builder.extend_columns(
-        entry_jobs,
+    return builder_from_arrays(
+        jobs,
+        m,
+        job_idx,
         starts,
         span_first,
         span_count,
         span_owner=span_owner,
         duration_overrides=duration_overrides,
-    )
-    return builder.build()
+        metadata=metadata,
+    ).build()

@@ -367,14 +367,18 @@ class TestSegmentAlgorithm:
         assert segment_algorithm("fptas", n, threshold - 1, eps) == "bounded"
 
     def test_exact_falls_back_outside_regime(self):
-        assert segment_algorithm("exact", 7, 8, 0.1) == "exact"
-        assert segment_algorithm("exact", 8, 8, 0.1) == "bounded"
-        assert segment_algorithm("exact", 7, 9, 0.1) == "bounded"
+        assert segment_algorithm("exact", 6, 8, 0.1) == "exact"
+        assert segment_algorithm("exact", 7, 8, 0.1) == "bounded"
+        assert segment_algorithm("exact", 6, 9, 0.1) == "bounded"
 
-    @pytest.mark.parametrize("n, m, ran", [(3, 8, "exact"), (8, 8, "bounded"), (3, 9, "bounded")])
+    @pytest.mark.parametrize(
+        "n, m, ran", [(3, 8, "exact"), (6, 8, "exact"), (7, 8, "bounded"), (8, 8, "bounded"), (3, 9, "bounded")]
+    )
     def test_exact_epoch_falls_back_past_the_solver_window(self, n, m, ran):
-        """A pinned ``exact`` re-plan runs the exact solver inside its window
-        (n <= 7, m <= 8) and Algorithm 3 at n = 8 or m = 9."""
+        """A pinned ``exact`` re-plan runs the exact solver inside the window
+        ``ptas`` solves exactly (n <= PTAS_EXACT_LIMIT = 6, m <= 8) and
+        Algorithm 3 from n = 7 or m = 9, although the solver itself would
+        take n = 7: one such solve can take seconds."""
         state = ReplanState(m=m, algorithm="exact")
         state.add_jobs(random_mixed_instance(n, m, seed=n + m).jobs)
         outcome = state.replan_pending(0.0, [], [(0, m)])

@@ -57,24 +57,33 @@ def stack_first_two(schedule):
     return clone
 
 
+def as_builder(schedule):
+    """An unbuilt :class:`ArraySchedule` holding ``schedule``'s entries."""
+    builder = schedule_builder.ArraySchedule(schedule.m, metadata=schedule.metadata)
+    for entry in schedule.entries:
+        builder.append(entry.job, entry.start, entry.spans, entry.duration_override)
+    return builder
+
+
 @pytest.fixture
 def break_schedules(monkeypatch):
-    """Break the schedules the builders return for chosen instances: each
-    breaker is keyed by an instance's first job name."""
+    """Break the schedules the drivers hand to their executor's build for
+    chosen instances: each breaker is keyed by an instance's first job
+    name."""
     breakers = {}
 
     def wrap(module, name):
         real = getattr(module, name)
 
         def broken(jobs, *args, **kwargs):
-            schedule = real(jobs, *args, **kwargs)
+            builder = real(jobs, *args, **kwargs)
             breaker = breakers.get(jobs[0].name) if jobs else None
-            return breaker(schedule) if breaker else schedule
+            return as_builder(breaker(builder.build())) if breaker else builder
 
         monkeypatch.setattr(module, name, broken)
 
-    wrap(two_approx, "list_schedule")
-    wrap(schedule_builder, "schedule_from_arrays")
+    wrap(two_approx, "list_schedule_builder")
+    wrap(schedule_builder, "builder_from_arrays")
     return breakers
 
 

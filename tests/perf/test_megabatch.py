@@ -318,7 +318,8 @@ class TestMegaBatchStructure:
 
 class TestMegaRounds:
     """Row requests are answered first: every estimator finishes before any
-    dual search starts, so the dual searches share their γ rounds."""
+    dual search starts, so the dual searches share their γ rounds.  Builds
+    are answered last, every segment's in one round."""
 
     @staticmethod
     def _fleet(index):
@@ -341,12 +342,14 @@ class TestMegaRounds:
             assert stats["gamma_rounds"] <= 2
             assert stats["eval_rounds"] <= 2
             assert stats["rows_rounds"] <= 16
+            assert stats["build_rounds"] == 1
 
     def test_each_round_answers_one_kind_rows_first(self, monkeypatch):
         """A round answers every waiting request of one kind: rows while any
-        segment waits on rows, else the kind most segments wait on."""
+        segment waits on rows, else the kind most segments wait on, and
+        builds once nothing else waits."""
         log = []
-        for kind in ("gamma", "eval", "rows"):
+        for kind in ("gamma", "eval", "rows", "build"):
             answer = getattr(MegaOracle, f"{kind}_round")
 
             def logging_round(self, requests, kind=kind, answer=answer):
@@ -361,3 +364,5 @@ class TestMegaRounds:
         assert kinds[0] == "gamma"
         last_rows = len(kinds) - 1 - kinds[::-1].index("rows")
         assert kinds.count("gamma") == 2 and kinds.index("gamma", 1) > last_rows
+        # one build round, last, for all 16 segments
+        assert log[-1] == ("build", 16) and kinds.count("build") == 1

@@ -2,7 +2,8 @@
 
 The estimator, two-approximation and FPTAS are written once, as generators
 that yield ``("gamma", threshold)``, ``("eval", ks)`` and ``("rows",
-threshold, rows, lo, hi)`` requests.  A solo vectorized solve runs them on
+threshold, rows, lo, hi)`` requests, and last one ``("build", builder)``
+request for the unbuilt schedule.  A solo vectorized solve runs them on
 :meth:`BatchedOracle.run`; ``solve_mega`` runs the same generators for many
 instances in batched rounds.  These tests pin
 that both executors see the *same* request stream per instance, and the
@@ -55,6 +56,15 @@ def _key(kind, n, payload, *rows):
         return ("gamma", float(payload))
     if kind == "rows":
         return ("rows", float(payload), *(tuple(column.tolist()) for column in rows))
+    if kind == "build":
+        jobs, *columns = payload.raw_columns()
+        return (
+            "build",
+            payload.m,
+            tuple(job.name for job in jobs),
+            *(tuple(column) for column in columns),
+            tuple(sorted(payload.metadata.items())),
+        )
     ks = np.broadcast_to(np.asarray(payload, dtype=np.float64), (n,))
     return ("eval", tuple(ks.tolist()))
 
@@ -92,7 +102,7 @@ def _solo_streams(monkeypatch):
 
 def _mega_streams(monkeypatch):
     logs = {}
-    for kind in ("gamma", "eval", "rows"):
+    for kind in ("gamma", "eval", "rows", "build"):
         answer = getattr(MegaOracle, f"{kind}_round")
 
         def logging_round(self, requests, kind=kind, answer=answer):
@@ -105,6 +115,7 @@ def _mega_streams(monkeypatch):
     solve_mega(_instances(), stats=stats)
     monkeypatch.undo()
     assert stats["mega_size"] == len(SPECS)
+    assert stats["build_rounds"] == 1
     return [logs[slot] for slot in range(len(SPECS))]
 
 
@@ -115,13 +126,16 @@ class TestSoloAndMegaSendTheSameRequests:
         for spec, a, b in zip(SPECS, solo, mega):
             assert a == b, f"{spec[0].__name__} ({spec[4]}): request streams differ"
 
-    def test_streams_carry_all_three_request_kinds(self, monkeypatch):
+    def test_streams_carry_all_four_request_kinds(self, monkeypatch):
         """The estimator bisects on row requests: its one γ-array request is
-        the floor's, so a two-approximation stream asks for exactly one."""
+        the floor's, so a two-approximation stream asks for exactly one.
+        Every stream ends with its one build request."""
         for spec, stream in zip(SPECS, _solo_streams(monkeypatch)):
-            assert {key[0] for key in stream} == {"gamma", "eval", "rows"}
+            kinds = [key[0] for key in stream]
+            assert set(kinds) == {"gamma", "eval", "rows", "build"}
+            assert kinds.count("build") == 1 and kinds[-1] == "build"
             if spec[4] == "two_approx":
-                assert [key[0] for key in stream].count("gamma") == 1
+                assert kinds.count("gamma") == 1
 
 
 class TestBatchedOracleRun:
